@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint typecheck audit bench-smoke faults-smoke consistency-smoke obs-smoke scenario-smoke
+.PHONY: check test lint typecheck audit bench-smoke perf-smoke faults-smoke consistency-smoke obs-smoke scenario-smoke
 
 check: test lint typecheck
 
@@ -37,6 +37,16 @@ bench-smoke:
 		--label ci-smoke --output bench-smoke.json
 	$(PYTHON) -m repro.experiments.bench --smoke --sections scaling \
 		--label ci-smoke-scaling --output bench-scaling-smoke.json
+
+# perfbench smoke (perfbench/README.md): the benchmark's own tests, then
+# all five workloads at 1/20 size, one repeat each.  Not a measurement —
+# the gate is correctness: every operation must succeed and every digest
+# must match its pin in perfbench/expected.json, so a change that moves a
+# simulated outcome fails here whichever executor it went through.
+# perfbench puts src/ on sys.path itself; JSON lands in perfbench/out/.
+perf-smoke:
+	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) -m perfbench run --all --smoke
 
 # fault-injection resilience report (docs/FAULTS.md): doze through a
 # full wrap window, crash the server mid-run, drop uplink submissions —

@@ -60,6 +60,7 @@ class NoPopulationComprehensionRule(LintRule):
         "generator or mark bounded loops `# rep: allow-client-loop`"
     )
     scopes = (
+        "repro/sim/kernel.py",
         "repro/sim/cohort.py",
         "repro/sim/shard.py",
         "repro/sim/analytic.py",

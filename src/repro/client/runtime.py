@@ -160,53 +160,31 @@ class ReadOnlyTransactionRuntime:
         self.aborted = True
         return ReadOutcome(False, obj, snapshot.cycle)
 
-    def apply_read_ok(self, broadcast: BroadcastCycle) -> None:
+    def apply_read_ok(
+        self, broadcast: Optional[BroadcastCycle] = None
+    ) -> Optional[int]:
         """Record the pending read as delivered, validation already done.
 
-        The cohort executor validates a whole slot bucket with one call
-        to :func:`repro.core.validators.validate_read_batch`, which also
-        records the successful reads into each validator's ``R_t``; this
-        applies the per-client consequences — exactly what
-        :meth:`deliver` does after ``validate_read`` returned true —
+        Schedulers that validate a whole slot bucket with one call to
+        :func:`repro.core.validators.validate_read_batch` — which also
+        records the successful reads into each validator's ``R_t`` —
+        apply the per-client consequences here: exactly what
+        :meth:`deliver` does after ``validate_read`` returned true,
         without allocating a :class:`ReadOutcome` on the hot path.
-        """
-        self._versions.append(broadcast.version(self.objects[self._index]))
-        self._index += 1
 
-    def apply_read_ok_untraced(self) -> int:
-        """:meth:`apply_read_ok` minus the version retention.
-
-        For drivers that never inspect :attr:`versions`/:attr:`values`
-        (the cohort executor with tracing disabled) the version lookup
-        and append are pure overhead; advancing the program counter is
-        the only observable effect.  Returns the new program counter so
-        hot callers can test for completion without a second attribute
-        round-trip.
+        ``broadcast`` retains the version read; drivers that never
+        inspect :attr:`versions` / :attr:`values` leave it out, and
+        advancing the program counter is then the only effect.  Returns
+        the next object to read, or ``None`` when the program is
+        complete, so hot callers need no second attribute round-trip.
         """
-        index = self._index + 1
+        index = self._index
+        objects = self.objects
+        if broadcast is not None:
+            self._versions.append(broadcast.version(objects[index]))
+        index += 1
         self._index = index
-        return index
-
-    def deliver_prevalidated(
-        self, broadcast: BroadcastCycle, ok: bool
-    ) -> ReadOutcome:
-        """Apply a read whose validation already ran out-of-band.
-
-        Outcome-object variant of :meth:`apply_read_ok` (a failed
-        prevalidated read marks the transaction aborted, as
-        :meth:`deliver` would).
-        """
-        obj = self.next_object
-        if obj is None:
-            raise RuntimeError(f"{self.tid}: no pending read")
-        snapshot = broadcast.snapshot
-        if ok:
-            version = broadcast.version(obj)
-            self._versions.append(version)
-            self._index += 1
-            return ReadOutcome(True, obj, snapshot.cycle, version)
-        self.aborted = True
-        return ReadOutcome(False, obj, snapshot.cycle)
+        return objects[index] if index < len(objects) else None
 
     def deliver_or_raise(self, broadcast: BroadcastCycle) -> ObjectVersion:
         outcome = self.deliver(broadcast)

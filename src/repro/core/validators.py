@@ -188,10 +188,9 @@ class ReadValidator:
         cycle (the client reads the latest committed value as of the
         beginning of that cycle) and its control slice.
         """
-        if self._condition_holds(obj, snapshot):
-            self._record(
-                ReadRecord(obj, snapshot.cycle, self._slice(obj, snapshot))
-            )
+        column = self._slice(obj, snapshot)
+        if self._condition_holds(obj, snapshot.cycle, column):
+            self._record(ReadRecord(obj, snapshot.cycle, column))
             return True
         return False
 
@@ -227,11 +226,31 @@ class ReadValidator:
             and self._max_cycle <= now
         )
 
-    def _condition_holds(self, obj: int, snapshot: ControlSnapshot) -> bool:
+    def _slice(self, obj: int, snapshot: ControlSnapshot) -> np.ndarray:
+        """The control column that applies to a read of ``obj``: entry
+        ``i`` is the timestamp the read condition holds against ``ob_i``."""
         raise NotImplementedError
 
-    def _slice(self, obj: int, snapshot: ControlSnapshot) -> np.ndarray:
-        raise NotImplementedError
+    def _condition_holds(self, obj: int, now: int, column: np.ndarray) -> bool:
+        """The strict (conjunctive) read condition against ``column``::
+
+            ∀ (ob_i, c_i) ∈ R_t :  column[i] < c_i
+
+        plus, for each retained read that postdates the snapshot (a
+        cached, out-of-order read is being validated), the symmetric
+        backward condition on that read's own retained slice (module
+        docstring).  The protocols differ only in which column applies.
+        """
+        if self._fast_path(now):
+            k = self._count
+            return bool(np.all(column[self._objs[:k]] < self._cycles[:k]))
+        for record in self.records:
+            if not self._less(int(column[record.obj]), record.cycle, now=now):
+                return False
+            if record.cycle > now:  # cached (out-of-order) read: backward
+                if not self._less(int(record.slice_[obj]), now, now=record.cycle):
+                    return False
+        return True
 
     def _less(self, entry: int, cycle: int, *, now: int) -> bool:
         """entry < cycle under the configured timestamp arithmetic.
@@ -263,21 +282,6 @@ class FMatrixValidator(ReadValidator):
         assert snapshot.matrix is not None
         return snapshot.matrix[:, obj]
 
-    def _condition_holds(self, obj: int, snapshot: ControlSnapshot) -> bool:
-        now = snapshot.cycle
-        if self._fast_path(now):
-            assert snapshot.matrix is not None
-            k = self._count
-            entries = snapshot.matrix[self._objs[:k], obj]
-            return bool(np.all(entries < self._cycles[:k]))
-        for record in self.records:
-            if not self._less(snapshot.fmatrix_entry(record.obj, obj), record.cycle, now=now):
-                return False
-            if record.cycle > now:  # cached (out-of-order) read: backward
-                if not self._less(int(record.slice_[obj]), now, now=record.cycle):
-                    return False
-        return True
-
 
 class DatacycleValidator(ReadValidator):
     """Datacycle read condition (Sec. 3.2.2)::
@@ -293,21 +297,6 @@ class DatacycleValidator(ReadValidator):
     def _slice(self, obj: int, snapshot: ControlSnapshot) -> np.ndarray:
         assert snapshot.vector is not None
         return snapshot.vector
-
-    def _condition_holds(self, obj: int, snapshot: ControlSnapshot) -> bool:
-        now = snapshot.cycle
-        if self._fast_path(now):
-            assert snapshot.vector is not None
-            k = self._count
-            entries = snapshot.vector[self._objs[:k]]
-            return bool(np.all(entries < self._cycles[:k]))
-        for record in self.records:
-            if not self._less(snapshot.vector_entry(record.obj), record.cycle, now=now):
-                return False
-            if record.cycle > now:  # cached read: backward condition
-                if not self._less(int(record.slice_[obj]), now, now=record.cycle):
-                    return False
-        return True
 
 
 class RMatrixValidator(ReadValidator):
@@ -334,35 +323,14 @@ class RMatrixValidator(ReadValidator):
         assert snapshot.vector is not None
         return snapshot.vector
 
-    def _condition_holds(self, obj: int, snapshot: ControlSnapshot) -> bool:
-        now = snapshot.cycle
-        if self._fast_path(now):
-            assert snapshot.vector is not None
-            k = self._count
-            entries = snapshot.vector[self._objs[:k]]
-            if bool(np.all(entries < self._cycles[:k])):
-                return True
-            # in-order is guaranteed on the fast path: try the
-            # first-read-state disjunct
-            c1 = self.first_read_cycle
-            assert c1 is not None  # _count >= _VECTOR_MIN_READS > 0
-            return int(snapshot.vector[obj]) < c1
-        strict_ok = True
-        in_order = True
-        for record in self.records:
-            if not self._less(snapshot.vector_entry(record.obj), record.cycle, now=now):
-                strict_ok = False
-            if record.cycle > now:
-                in_order = False
-                if not self._less(int(record.slice_[obj]), now, now=record.cycle):
-                    return False
-        if strict_ok:
+    def _condition_holds(self, obj: int, now: int, column: np.ndarray) -> bool:
+        if super()._condition_holds(obj, now, column):
             return True
-        if not in_order:
-            return False
+        if self._max_cycle > now:
+            return False  # a retained read postdates the snapshot: strict only
         c1 = self.first_read_cycle
-        assert c1 is not None  # strict_ok vacuously true when R_t empty
-        return self._less(snapshot.vector_entry(obj), c1, now=now)
+        assert c1 is not None  # the strict condition holds vacuously on empty R_t
+        return self._less(int(column[obj]), c1, now=now)
 
 
 class GroupMatrixValidator(ReadValidator):
@@ -388,24 +356,6 @@ class GroupMatrixValidator(ReadValidator):
     def _slice(self, obj: int, snapshot: ControlSnapshot) -> np.ndarray:
         assert snapshot.grouped is not None
         return snapshot.grouped[:, self.partition.group_of(obj)]
-
-    def _condition_holds(self, obj: int, snapshot: ControlSnapshot) -> bool:
-        now = snapshot.cycle
-        group = self.partition.group_of(obj)
-        if self._fast_path(now):
-            assert snapshot.grouped is not None
-            k = self._count
-            entries = snapshot.grouped[self._objs[:k], group]
-            return bool(np.all(entries < self._cycles[:k]))
-        for record in self.records:
-            if not self._less(
-                snapshot.grouped_entry(record.obj, group), record.cycle, now=now
-            ):
-                return False
-            if record.cycle > now:  # cached read: backward condition
-                if not self._less(int(record.slice_[obj]), now, now=record.cycle):
-                    return False
-        return True
 
 
 #: protocols selectable by name in configs; ``f-matrix-no`` shares the
@@ -490,7 +440,7 @@ def validate_read_batch(
                 results[i] = True
         return results
 
-    ok_flags = _strict_ok_flags(validators, batch, total, proto, obj, snapshot)
+    ok_flags = _strict_ok_flags(validators, batch, total, obj, snapshot)
 
     if proto is RMatrixValidator and not all(ok_flags):
         # the disjunct: the value being read is unchanged since the
@@ -542,7 +492,7 @@ def validate_read_batch_inorder(
         total += validator._count
     proto = validators[0].__class__
     batch = range(n)
-    ok_flags = _strict_ok_flags(validators, batch, total, proto, obj, snapshot)
+    ok_flags = _strict_ok_flags(validators, batch, total, obj, snapshot)
 
     if proto is RMatrixValidator and not all(ok_flags):
         # first-read-state disjunct, as in validate_read_batch
@@ -579,7 +529,6 @@ def _strict_ok_flags(
     validators: Sequence[ReadValidator],
     batch: Sequence[int],
     total: int,
-    proto: type,
     obj: int,
     snapshot: ControlSnapshot,
 ) -> List[bool]:
@@ -592,21 +541,13 @@ def _strict_ok_flags(
     """
     if total == 0:
         return [True] * len(batch)
+    # the members share one protocol, hence one control column
+    shared = validators[batch[0]]._slice(obj, snapshot)
     if total < _BATCH_GATHER_MIN_RECORDS:
-        # mid-size buckets: one shared control column as a plain python
-        # list, then each R_t entry costs a list index + int compare —
-        # beats the fancy-gather pipeline's fixed numpy overhead
-        if proto is FMatrixValidator:
-            assert snapshot.matrix is not None
-            column = snapshot.matrix[:, obj].tolist()
-        elif proto is GroupMatrixValidator:
-            assert snapshot.grouped is not None
-            first = validators[batch[0]]
-            assert isinstance(first, GroupMatrixValidator)
-            column = snapshot.grouped[:, first.partition.group_of(obj)].tolist()
-        else:
-            assert snapshot.vector is not None
-            column = snapshot.vector.tolist()
+        # mid-size buckets: the column as a plain python list, then each
+        # R_t entry costs a list index + int compare — beats the
+        # fancy-gather pipeline's fixed numpy overhead
+        column = shared.tolist()
         ok_flags = []
         append = ok_flags.append
         for i in batch:
@@ -630,18 +571,7 @@ def _strict_ok_flags(
     cycles = np.concatenate(
         [validators[i]._cycles[: validators[i]._count] for i in batch]
     )
-    if proto is FMatrixValidator:
-        assert snapshot.matrix is not None
-        entries = snapshot.matrix[objs, obj]
-    elif proto is GroupMatrixValidator:
-        assert snapshot.grouped is not None
-        first_v = validators[batch[0]]
-        assert isinstance(first_v, GroupMatrixValidator)
-        entries = snapshot.grouped[objs, first_v.partition.group_of(obj)]
-    else:
-        assert snapshot.vector is not None
-        entries = snapshot.vector[objs]
-    fail = (entries >= cycles).astype(np.int64)
+    fail = (shared[objs] >= cycles).astype(np.int64)
     offsets = np.zeros(len(batch), dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     # reduceat returns the element at an empty segment's offset

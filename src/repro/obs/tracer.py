@@ -97,7 +97,10 @@ class Tracer:
         status: str,
         detail: str,
     ) -> None:
-        span = Span(start, end, track, track_id, name, status, detail)
+        # executors hand in the same instants as different number types
+        # (an int slot end, a float ``time + delay``); spans compare equal
+        # either way but serialise differently, so settle the type here
+        span = Span(float(start), float(end), track, track_id, name, status, detail)
         buffer = self._buffer
         if len(buffer) < self.capacity:
             buffer.append(span)

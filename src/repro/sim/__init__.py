@@ -11,10 +11,11 @@ from .arena import (
     timeline_fingerprint,
 )
 from .batch import ReplicatedResult, replicate, replication_seeds
-from .cohort import CohortClient, CohortExecutor
+from .cohort import CohortExecutor
 from .config import KILOBYTE_BITS, SimulationConfig
 from .engine import Process, Simulator, Timeout, WaitUntil, Waive
 from .faults import DozeInterval, FaultPlan, FaultRuntime, ServerCrash
+from .kernel import ClientEnv, ClientKernel
 from .metrics import (
     MetricsCollector,
     SummaryStat,
@@ -62,7 +63,8 @@ __all__ = [
     "TIMELINE_CACHE",
     "timeline_cacheable",
     "timeline_fingerprint",
-    "CohortClient",
+    "ClientEnv",
+    "ClientKernel",
     "CohortExecutor",
     "TraceRecorder",
     "ClientCommitRecord",

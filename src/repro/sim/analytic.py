@@ -22,16 +22,16 @@ So the tier splits the run in two:
   tests assert exactly that.
 
 * **Phase B — the replay.**  Each read-only client is fast-forwarded by
-  a straight-line loop mirroring
-  :func:`repro.sim.processes.client_process` (and its ``_attempt``)
-  statement for statement: the same RNG draws in the same order, the
-  same inlined flat-layout slot arithmetic the cohort executor uses, the
-  same cache/validator interactions — but with a plain float ``t``
-  instead of simulator events.  When a replay reads past the timeline's
-  horizon, the timeline lazily extends itself (``sim.run(until=...)``)
-  to manufacture the missing cycles.  Transient state is O(1) per
-  client: workload, RNG, validator and cache are built on demand and
-  dropped when the client finishes.
+  a straight-line loop over its :class:`~repro.sim.kernel.ClientKernel`
+  — the same kernel the cohort executor schedules, so the same RNG draws
+  in the same order, the same slot arithmetic, the same cache/validator
+  interactions — with a plain float for the clock instead of simulator
+  events: the slot end the kernel returns *is* the next instant.  When a
+  replay reads past the timeline's horizon, the timeline lazily extends
+  itself (``sim.run(until=...)``) to manufacture the missing cycles.
+  Transient state is O(1) per client: one kernel (workload, RNG,
+  validator, cache) is alive at a time and dropped when its client
+  finishes.
 
 The tier refuses fault plans (a dozing or crash-affected client's
 trajectory is not closed-form replayable — config validation enforces
@@ -43,13 +43,10 @@ off.
 
 from __future__ import annotations
 
-from math import log as _log
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from ..broadcast.layout import FlatLayout
 from ..broadcast.program import BroadcastCycle
-from ..client.runtime import ReadOnlyTransactionRuntime
-from .cohort import CohortClient, CohortExecutor
+from .cohort import CohortExecutor
 from .engine import Simulator
 
 if TYPE_CHECKING:
@@ -105,7 +102,6 @@ def run_analytic(
     of *timeline* events processed — replayed readers, by construction,
     cost none.
     """
-    config = simulation.config
     if simulation.trace is not None:
         raise ValueError("the analytical tier records no trace")
     state = simulation.state
@@ -118,12 +114,7 @@ def run_analytic(
         # there is no Phase A at all, just Phase B against the arena.
         # Reading past the arena's horizon raises TimelineExhausted,
         # which the shard layer turns into a recompute fallback.
-        sim_time = 0.0
-        for k in range(sl.reader_lo, sl.reader_hi):
-            done = _replay_reader(simulation, view, k)
-            if done > sim_time:
-                sim_time = done
-        return sim_time, sim.events_processed
+        return _replay(simulation, view, 0.0), sim.events_processed
 
     if state.record_images is None:
         state.record_images = {}
@@ -136,41 +127,23 @@ def run_analytic(
     # event sequence, and hence the image history, is bit-identical.
     updaters = sl.updaters
     if updaters > 0:
-        cohort = [
-            CohortClient(
-                k,
-                simulation.workload_for(k),
-                simulation.validator_for(k),
-                simulation.rng_for(k),
-                simulation.cache_for(k),
-            )
-            for k in range(updaters)
-        ]
+        env = simulation.client_env(simulation._timeline_metrics, state.tracer)
         CohortExecutor(
             sim=sim,
-            config=config,
-            layout=simulation.layout,
             state=state,
-            server=simulation.server,
-            metrics=simulation._timeline_metrics,
-            clients=cohort,
-            trace=None,
-            tracer=simulation.state.tracer,
+            env=env,
+            clients=[simulation.kernel_for(env, k) for k in range(updaters)],
         ).start()
         sim.run(
             stop_when=lambda: state.clients_done >= updaters,
             max_events=max_events,
         )
-    sim_time = sim.now
 
     # Phase B: fast-forward each read-only client against the timeline.
     timeline = _Timeline(
         sim, state.record_images, simulation.layout.cycle_bits, max_events
     )
-    for k in range(sl.reader_lo, sl.reader_hi):
-        done = _replay_reader(simulation, timeline, k)
-        if done > sim_time:
-            sim_time = done
+    sim_time = _replay(simulation, timeline, sim.now)
     # the event-driven run keeps processing timeline events until the
     # last client's done instant — mirror that, so server-side tallies
     # (completions, commits) cover the same simulated span exactly
@@ -179,123 +152,33 @@ def run_analytic(
     return sim_time, sim.events_processed
 
 
-def _replay_reader(
+def _replay(
     simulation: "BroadcastSimulation",
     timeline: "_Timeline | TimelineView",
-    k: int,
+    sim_time: float,
 ) -> float:
-    """Fast-forward read-only client ``k``; returns its finish time.
+    """Phase B: run this shard's readers one by one against ``timeline``.
 
-    A line-for-line mirror of ``client_process``/``_attempt`` for the
-    fault-free read-only case: every RNG draw, cache probe, slot seek
-    and validator call happens in the same order with the same
-    arguments, so commits, restarts, response times and listening bits
-    are bit-identical to the event-driven paths.
+    Returns the latest finish time (at least ``sim_time``).  The loop is
+    the whole scheduler: a fault-free reader's next instant is the slot
+    end its kernel returns, so there is no calendar to keep.
     """
     config = simulation.config
-    metrics = simulation.metrics
-    layout = simulation.layout
-    tracer = simulation.tracer
-    tracer_enabled = tracer.enabled
-    workload = simulation.workload_for(k)
-    validator = simulation.validator_for(k)
-    rng = simulation.rng_for(k)
-    cache = simulation.cache_for(k)
-    random_ = rng.random
-    op_lambd = 1.0 / config.mean_inter_operation_delay
-    txn_lambd = 1.0 / config.mean_inter_transaction_delay
-    loss = config.broadcast_loss_probability
-    restart_delay = config.restart_delay
-    delay_first = config.delay_before_first_operation
-    slot_bits = layout.slot_bits  # type: ignore[attr-defined]
-    if isinstance(layout, FlatLayout):
-        offsets: Optional[list] = [
-            layout.slot_end_offset(obj) for obj in range(layout.num_objects)
-        ]
-        cycle_bits = layout.cycle_bits
-    else:
-        offsets = None
-        cycle_bits = layout.cycle_bits
-
-    t = 0.0
-    for _txn_index in range(config.num_client_transactions):
-        tid, objects = workload.next_transaction()
-        tid = f"cl{k}.{tid}"
-        runtime = ReadOnlyTransactionRuntime(tid, objects, validator)
-        submit_time = t
-        restarts = 0
-        while True:  # attempts
-            attempt_start = t
-            first = True
-            committed = True
-            while not runtime.is_done:
-                if not first or delay_first:
-                    t -= _log(1.0 - random_()) / op_lambd
-                first = False
-                obj = runtime.next_object
-                assert obj is not None
-                broadcast: Optional[BroadcastCycle] = None
-                if cache is not None:
-                    entry = cache.lookup(obj, t)
-                    if entry is not None:
-                        broadcast = entry.as_broadcast()
-                        metrics.cache_hits += 1
-                if broadcast is None:
-                    while True:
-                        if offsets is not None:
-                            # FlatLayout.next_read, inlined (as in cohort)
-                            cycle = int(t // cycle_bits) + 1
-                            end = (cycle - 1) * cycle_bits + offsets[obj]
-                            if cycle > 1 and end - cycle_bits >= t:
-                                cycle -= 1
-                                end -= cycle_bits
-                            elif end < t:
-                                cycle += 1
-                                end += cycle_bits
-                        else:
-                            hit = layout.next_read(obj, t)
-                            end, cycle = hit.time, hit.cycle
-                        t = end
-                        if loss > 0.0 and random_() < loss:
-                            # the slot went by unheard: 1-bit re-tune,
-                            # then the object's next appearance
-                            metrics.broadcast_losses += 1
-                            t = end + 1.0
-                            continue
-                        break
-                    broadcast = timeline.broadcast(cycle)
-                    metrics.listening_bits += slot_bits
-                    if cache is not None:
-                        cache.insert(broadcast, obj, t)
-                outcome = runtime.deliver(broadcast)
-                if outcome.ok:
-                    metrics.reads_delivered += 1
-                else:
-                    metrics.reads_rejected += 1
-                    cause = "staleness" if outcome.stale else "conflict"
-                    metrics.record_abort(cause)
-                    if cache is not None:
-                        cache.evict(outcome.obj)
-                        for read_obj, _cycle in runtime.reads:
-                            cache.evict(read_obj)
-                    if tracer_enabled:
-                        tracer.emit(
-                            attempt_start, t, "client", k, "attempt", cause, tid
-                        )
-                    committed = False
-                    break
-            if committed:
-                runtime.commit()
-                if tracer_enabled:
-                    tracer.emit(
-                        attempt_start, t, "client", k, "attempt", "ok", tid
-                    )
-                break
-            restarts += 1
-            runtime.restart()
-            t += restart_delay
-        metrics.record_commit(tid, submit_time, t, restarts)
-        if tracer_enabled:
-            tracer.emit(submit_time, t, "client", k, "txn", "ok", tid)
-        t -= _log(1.0 - random_()) / txn_lambd
-    return t
+    if config.num_client_transactions <= 0:
+        return sim_time
+    env = simulation.client_env(simulation.metrics, simulation.tracer)
+    lossy = env.loss > 0.0
+    sl = simulation.slice
+    for k in range(sl.reader_lo, sl.reader_hi):
+        kernel = simulation.kernel_for(env, k)
+        kernel.begin(0.0)
+        end = kernel.advance(0.0, True)
+        while end is not None:
+            if lossy and not kernel.heard(end):
+                end = kernel.retune(end)
+            else:
+                end = kernel.deliver(end, timeline.broadcast(kernel.cycle))
+        # readers never use the uplink: off the air means retired
+        if kernel.wake > sim_time:
+            sim_time = kernel.wake
+    return sim_time

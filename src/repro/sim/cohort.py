@@ -1,4 +1,4 @@
-"""Slot-coalesced cohort execution for large read-only client populations.
+"""Slot-coalesced scheduling of large client populations.
 
 The per-process client path (:func:`repro.sim.processes.client_process`)
 pays one generator step plus one heapq push/pop **per client per event**:
@@ -6,15 +6,18 @@ a think-time timeout, then a wait for the object's broadcast slot, for
 every read of every client.  With hundreds or thousands of clients the
 simulation kernel, not the protocol work, dominates wall-clock time.
 
-The cohort executor removes that per-client constant factor with three
-observations, none of which changes a single simulated outcome:
+What a client *does* lives in :mod:`repro.sim.kernel`; this module only
+decides *when*.  The cohort executor is a scheduler over
+:class:`~repro.sim.kernel.ClientKernel` that removes the per-client
+constant factor with three observations, none of which changes a single
+simulated outcome:
 
 1. **Think-time events are unobservable.**  Between a commit (or a
    delivered read) and the next slot wait, a client only draws its think
    delay and computes the slot of its next object — no shared state is
-   read at the think-expiry instant.  The chain ``now → think expiry →
-   slot end`` therefore collapses into one local computation, eliminating
-   the timeout event entirely.
+   read at the think-expiry instant.  The kernel computes the chain
+   ``now → think expiry → slot end`` locally and returns the slot end, so
+   the timeout event never exists.
 
 2. **Slot waits coalesce.**  Every client waiting for the same broadcast
    slot resumes at the same instant and reads the same object from the
@@ -25,112 +28,40 @@ observations, none of which changes a single simulated outcome:
 3. **Validation batches.**  Within a bucket all clients evaluate the same
    protocol's read condition against the same control snapshot, so the
    whole bucket is validated with one fancy-indexed comparison
-   (:func:`repro.core.validators.validate_read_batch`).
+   (:func:`repro.core.validators.validate_read_batch`) and each kernel is
+   handed its verdict.
 
-Determinism is preserved exactly: each client draws from its private RNG
-stream in the same order the per-process path would, and bucket members
-are processed in the order their slot waits would have been *issued*
-(think-expiry time, ties by enqueue order) — which is the order the
-per-process path's same-time events fire in.  Exponential delays are
-drawn inline as ``-log(1 - rng.random()) / lambd`` — the exact formula of
-:meth:`random.Random.expovariate`, consuming the same single draw — so
-the values are bit-identical to the per-process path's.  Oracle tests
-assert bit-identical commits, restarts, response times and listening bits
-against the per-process path on randomized configs.
+Determinism is preserved exactly: bucket members are processed in the
+order their slot waits would have been *issued* (think-expiry or doze
+wake, ties by enqueue order) — which is the order the per-process path's
+same-time events fire in.  Oracle tests assert bit-identical commits,
+restarts, response times and listening bits against the per-process path
+on randomized configs.
 
-Update transactions are coalesced too: an update's read phase rides the
-same slot calendar as everyone else's, and its uplink round-trip becomes
-a chain of scheduled arrival callbacks — the submission reaches the
-server (a real event, where loss draws and the server's backward
-validation happen) exactly when the per-process ``_submit_update``
-generator would have resumed, and the verdict's consequences are
-computed inline (they touch only client-private state).  Uplink-loss
-Bernoullis come from per-client :mod:`numpy` streams spawned via
-``SeedSequence((seed, client))`` — both executors consume the same
-per-client sequence, so faulty runs too are executor- and
-shard-layout-independent.
+Clients off the air — an update transaction's submission travelling the
+uplink, a finished client sitting out its trailing delay — own one real
+simulator event at the instant the kernel names (``wake``): the
+submission reaches the server (where loss draws and the server's
+backward validation happen) exactly when the per-process
+``_submit_update`` generator would have resumed.
 
-Fault plans (docs/FAULTS.md) run inside the batched path as of PR 7:
-doze intervals shift a member's seek time exactly like the per-process
-``doze_wake`` wait, crash dead-air and doze slot misses are checked per
-member at slot-fire time (``slot_heard``), and runs under a modulo
-staleness guard take a scalar ``runtime.deliver`` lane (the guard
+Fault plans (docs/FAULTS.md) need nothing extra here: the kernel shifts
+a dozing client's seek, decides per member whether a slot was heard, and
+under a modulo staleness guard validates each delivery itself (the guard
 consults per-runtime rejoin state that batch validation cannot see).
 """
 
 from __future__ import annotations
 
-import random
 from functools import partial
-from math import log as _log
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..broadcast.layout import BroadcastLayout, FlatLayout
-from ..broadcast.program import BroadcastCycle
-from ..client.cache import QuasiCache
-from ..client.runtime import ClientUpdateTransactionRuntime, ReadOnlyTransactionRuntime
-from ..core.validators import (
-    ReadValidator,
-    validate_read_batch,
-    validate_read_batch_inorder,
-)
-from ..obs.tracer import NULL_TRACER, Tracer
-from ..server.server import BroadcastServer
-from .config import SimulationConfig
+from ..core.validators import validate_read_batch, validate_read_batch_inorder
 from .engine import Simulator
-from .metrics import MetricsCollector
+from .kernel import ClientEnv, ClientKernel
 from .processes import SharedState
-from .trace import TraceRecorder
 
-__all__ = ["CohortClient", "CohortExecutor"]
-
-
-class CohortClient:
-    """Per-client simulation state driven by the cohort executor."""
-
-    __slots__ = (
-        "client_id",
-        "workload",
-        "validator",
-        "rng",
-        "cache",
-        "runtime",
-        "txn_index",
-        "txn_len",
-        "submit_time",
-        "restarts",
-        "is_update",
-        "write_objs",
-        "uplink_retries",
-        "attempt_start",
-        "uplink_start",
-    )
-
-    def __init__(
-        self,
-        client_id: int,
-        workload: object,
-        validator: ReadValidator,
-        rng: random.Random,
-        cache: Optional[QuasiCache],
-    ) -> None:
-        self.client_id = client_id
-        self.workload = workload
-        self.validator = validator
-        self.rng = rng
-        self.cache = cache
-        self.runtime: Optional[ReadOnlyTransactionRuntime] = None
-        self.txn_index = 0
-        self.txn_len = 0
-        self.submit_time = 0.0
-        self.restarts = 0
-        self.is_update = False
-        self.write_objs: List[int] = []
-        self.uplink_retries = 0
-        # span bookkeeping; only maintained when the executor's tracer
-        # is enabled (guarded at every write site)
-        self.attempt_start = 0.0
-        self.uplink_start = 0.0
+__all__ = ["CohortExecutor"]
 
 
 class _Bucket:
@@ -144,7 +75,7 @@ class _Bucket:
         #: (issue time, enqueue order, client) — sorted before processing
         #: so clients fire in the order their per-process WaitUntil
         #: events would have been pushed
-        self.members: List[Tuple[float, int, CohortClient]] = []
+        self.members: List[Tuple[float, int, ClientKernel]] = []
 
 
 class CohortExecutor:
@@ -154,52 +85,16 @@ class CohortExecutor:
         self,
         *,
         sim: Simulator,
-        config: SimulationConfig,
-        layout: BroadcastLayout,
         state: SharedState,
-        server: BroadcastServer,
-        metrics: MetricsCollector,
-        clients: Sequence[CohortClient],
-        trace: Optional[TraceRecorder] = None,
-        tracer: Optional[Tracer] = None,
+        env: ClientEnv,
+        clients: Sequence[ClientKernel],
     ) -> None:
         self.sim = sim
-        self.config = config
-        self.layout = layout
         self.state = state
-        self.server = server
-        self.metrics = metrics
-        self.trace = trace
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.env = env
         self.clients = list(clients)
-        self.faults = state.faults
-        #: the paper's max-cycles rejoin bound, active under modulo
-        #: timestamps with faults — forces the scalar deliver lane
-        self._staleness = (
-            self.faults.staleness_window if self.faults is not None else None
-        )
-        self._half_rtt = config.uplink_round_trip / 2.0
         self._buckets: Dict[float, _Bucket] = {}
-        #: (time, fire-callback) pairs not yet pushed — flushed in one
-        #: schedule_many call per entry point to cut heapq churn
-        self._new_buckets: List[Tuple[float, Callable[[], None]]] = []
         self._enqueue_order = 0
-        # exponential-delay rates, precomputed exactly as the per-process
-        # path evaluates them (1.0 / mean), so inline draws divide by the
-        # bit-identical lambda
-        self._op_lambd = 1.0 / config.mean_inter_operation_delay
-        self._txn_lambd = 1.0 / config.mean_inter_transaction_delay
-        # flat layouts are the common case: their slot timing is pure
-        # arithmetic, inlined in _seek_slot; other layouts go through
-        # layout.next_read
-        if isinstance(layout, FlatLayout):
-            self._flat_offsets: Optional[List[int]] = [
-                layout.slot_end_offset(obj) for obj in range(layout.num_objects)
-            ]
-        else:
-            self._flat_offsets = None
-        self._cycle_bits = layout.cycle_bits
-        self._slot_bits = layout.slot_bits  # type: ignore[attr-defined]
         # cache-less uniform populations with absolute timestamps satisfy
         # validate_read_batch_inorder's precondition for every bucket
         # (checked once here instead of per member per bucket)
@@ -212,234 +107,54 @@ class CohortExecutor:
         ):
             self._batch_validate = validate_read_batch_inorder
 
-    # ------------------------------------------------------------------
-    # startup
-    # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin every client's first transaction (call before run)."""
-        config = self.config
-        for client in self.clients:
-            if config.num_client_transactions <= 0:
-                self.state.clients_done += 1
-                continue
-            tid, objects = self._draw_transaction(client)
-            self._begin_txn(client, 0.0, tid, objects)
-            self._advance(client, 0.0, first=True)
-        self._flush_schedules()
+        if self.env.config.num_client_transactions <= 0:
+            self.state.clients_done += len(self.clients)
+            return
+        ends = []
+        for kernel in self.clients:
+            kernel.begin(0.0)
+            ends.append(kernel.advance(0.0, True))
+        self._place(self.clients, ends)
 
     # ------------------------------------------------------------------
-    # transaction bookkeeping
+    # the calendar
     # ------------------------------------------------------------------
-    def _draw_transaction(self, client: CohortClient) -> Tuple[str, Tuple[int, ...]]:
-        tid, objects = client.workload.next_transaction()  # type: ignore[attr-defined]
-        return f"cl{client.client_id}.{tid}", objects
-
-    def _draw_is_update(self, client: CohortClient) -> bool:
-        # mirrors client_process: both gates short-circuit, so no RNG
-        # draw happens for disabled or non-update-capable clients
-        return (
-            self.config.client_update_fraction > 0.0
-            and self.config.update_capable(client.client_id)
-            and client.rng.random() < self.config.client_update_fraction
-        )
-
-    def _begin_txn(
-        self,
-        client: CohortClient,
-        submit_time: float,
-        tid: str,
-        objects: Sequence[int],
+    def _place(
+        self, kernels: Iterable[ClientKernel], ends: Iterable[Optional[float]]
     ) -> None:
-        """Install the client's next transaction (read-only or update).
-
-        The update draw consumes the same client-RNG value at the same
-        point as ``client_process``; an update's read phase then rides
-        the slot calendar like any other — only its completion diverges
-        (into the uplink chain instead of an immediate commit record).
-        """
-        if self._draw_is_update(client):
-            client.runtime = ClientUpdateTransactionRuntime(
-                tid, objects, client.validator, staleness_window=self._staleness
-            )
-            num_writes = max(
-                1, round(len(objects) * self.config.client_update_write_fraction)
-            )
-            client.write_objs = list(objects[:num_writes])
-            client.is_update = True
-        else:
-            client.runtime = ReadOnlyTransactionRuntime(
-                tid, objects, client.validator, staleness_window=self._staleness
-            )
-            client.is_update = False
-        client.txn_len = len(client.runtime.objects)
-        client.submit_time = submit_time
-        client.restarts = 0
-        if self.tracer.enabled:
-            # the first attempt starts the instant the transaction is
-            # submitted (the per-process loop-top ``sim.now``)
-            client.attempt_start = submit_time
-
-    def _complete_read_phase(
-        self, client: CohortClient, at_time: float
-    ) -> Optional[float]:
-        """All reads validated at ``at_time``.
-
-        Read-only transactions commit on the spot; updates buffer their
-        writes and enter the uplink chain.  Returns the next
-        transaction's start time, or ``None`` when the client left the
-        calendar (finished, or awaiting an uplink verdict).
-        """
-        runtime = client.runtime
-        assert runtime is not None
-        runtime.commit()
-        if client.is_update:
-            self._begin_uplink(client, at_time)
-            return None
-        return self._finish_txn(client, at_time)
-
-    def _finish_txn(self, client: CohortClient, commit_time: float) -> Optional[float]:
-        """Record a commit; draw the inter-txn delay; set up what's next.
-
-        Returns the next transaction's start time, or ``None`` when the
-        client has no transactions left.
-        """
-        runtime = client.runtime
-        assert runtime is not None
-        self.metrics.record_commit(
-            runtime.tid, client.submit_time, commit_time, client.restarts
-        )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                client.attempt_start, commit_time, "client", client.client_id,
-                "attempt", "ok", runtime.tid,
-            )
-            self.tracer.emit(
-                client.submit_time, commit_time, "client", client.client_id,
-                "txn", "ok", runtime.tid,
-            )
-        if self.trace is not None:
-            self.trace.record_session_commit(client.client_id, runtime.tid)
-            if not client.is_update:
-                self.trace.record_client_commit(
-                    runtime.tid, runtime.versions, runtime.reads
-                )
-        delay = -_log(1.0 - client.rng.random()) / self._txn_lambd
-        start_time = commit_time + delay
-        client.txn_index += 1
-        if client.txn_index >= self.config.num_client_transactions:
-            # the per-process client is done only after its trailing
-            # inter-transaction delay elapses — keep that as a real event
-            # so the run's stop time matches exactly
-            self.sim.schedule(start_time, partial(self._client_done, client))
-            return None
-        tid, objects = self._draw_transaction(client)
-        self._begin_txn(client, start_time, tid, objects)
-        return start_time
-
-    def _client_done(self, client: CohortClient) -> None:
-        self.state.clients_done += 1
-
-    # ------------------------------------------------------------------
-    # the inline chain: think delays, cache hits, commits
-    # ------------------------------------------------------------------
-    def _advance(self, client: CohortClient, now: float, first: bool) -> None:
-        """Drive ``client`` forward from ``now`` until it blocks on a
-        broadcast slot, hands off to an update process, or finishes.
-
-        Collapses the per-process chain of think-time timeouts and cache
-        hits into local computation: every value observed (cache content,
-        validator state, RNG draws) is private to the client, so nothing
-        the rest of the simulation does between ``now`` and the computed
-        slot wait can change the outcome.
-        """
-        config = self.config
-        metrics = self.metrics
-        cache = client.cache
-        random_ = client.rng.random
-        op_lambd = self._op_lambd
-        delay_first = config.delay_before_first_operation
-        while True:
-            runtime = client.runtime
-            assert runtime is not None
-            issue = now
-            if not first or delay_first:
-                issue = now - _log(1.0 - random_()) / op_lambd
-            obj = runtime.next_object
-            assert obj is not None
-            entry = cache.lookup(obj, issue) if cache is not None else None
-            if entry is None:
-                self._seek_slot(client, obj, issue)
-                return
-            metrics.cache_hits += 1
-            outcome = runtime.deliver(entry.as_broadcast())
-            if outcome.ok:
-                metrics.reads_delivered += 1
-                if runtime.is_done:
-                    start_time = self._complete_read_phase(client, issue)
-                    if start_time is None:
-                        return
-                    now, first = start_time, True
-                else:
-                    now, first = issue, False
-            else:
-                metrics.reads_rejected += 1
-                cause = "staleness" if outcome.stale else "conflict"
-                metrics.record_abort(cause)
-                assert cache is not None
-                cache.evict(outcome.obj)
-                for read_obj, _cycle in runtime.reads:
-                    cache.evict(read_obj)
-                client.restarts += 1
-                runtime.restart()
-                now, first = issue + config.restart_delay, True
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        client.attempt_start, issue, "client", client.client_id,
-                        "attempt", cause, runtime.tid,
-                    )
-                    client.attempt_start = now
-
-    # ------------------------------------------------------------------
-    # the slot calendar
-    # ------------------------------------------------------------------
-    def _seek_slot(self, client: CohortClient, obj: int, issue: float) -> None:
-        faults = self.faults
-        if faults is not None:
-            # the per-process path checks the (static) doze schedule at
-            # seek time and fast-forwards to the rejoin; the member's
-            # issue time becomes the wake — the instant its per-process
-            # WaitUntil(hit.time) would have been pushed
-            wake = faults.doze_wake(client.client_id, issue)
-            if wake is not None:
-                issue = wake
-        offsets = self._flat_offsets
-        if offsets is not None:
-            # FlatLayout.next_read, inlined (pure arithmetic, no SlotHit)
-            cycle_bits = self._cycle_bits
-            cycle = int(issue // cycle_bits) + 1
-            end = (cycle - 1) * cycle_bits + offsets[obj]
-            if cycle > 1 and end - cycle_bits >= issue:
-                cycle -= 1
-                end -= cycle_bits
-            elif end < issue:
-                cycle += 1
-                end += cycle_bits
-        else:
-            hit = self.layout.next_read(obj, issue)
-            end, cycle = hit.time, hit.cycle
-        bucket = self._buckets.get(end)
-        if bucket is None:
-            bucket = _Bucket(obj, cycle)
-            self._buckets[end] = bucket
-            self._new_buckets.append((end, partial(self._fire, end)))
+        """Put each kernel where its wait says: the bucket of the slot
+        ending at ``end``, or — off the air — an event of its own."""
+        buckets = self._buckets
         order = self._enqueue_order
-        self._enqueue_order = order + 1
-        bucket.members.append((issue, order, client))
+        #: (time, fire-callback) pairs, pushed in one schedule_many call
+        #: to cut heapq churn
+        new_buckets: List[Tuple[float, Callable[[], None]]] = []
+        for kernel, end in zip(kernels, ends):
+            if end is None:
+                self.sim.schedule(kernel.wake, partial(self._wake, kernel))
+                continue
+            bucket = buckets.get(end)
+            if bucket is None:
+                bucket = buckets[end] = _Bucket(kernel.obj, kernel.cycle)
+                new_buckets.append((end, partial(self._fire, end)))
+            bucket.members.append((kernel.issue, order, kernel))
+            order += 1
+        self._enqueue_order = order
+        if new_buckets:
+            self.sim.schedule_many(new_buckets)
 
-    def _flush_schedules(self) -> None:
-        if self._new_buckets:
-            self.sim.schedule_many(self._new_buckets)
-            self._new_buckets.clear()
+    def _wake(self, kernel: ClientKernel) -> None:
+        """An off-air client's event: its retirement, or its submission
+        reaching the server."""
+        if kernel.done:
+            # the per-process client is done only after its trailing
+            # inter-transaction delay elapses — a real event, so the
+            # run's stop time matches exactly
+            self.state.clients_done += 1
+        else:
+            self._place((kernel,), (kernel.uplink_arrival(self.sim.now),))
 
     def _fire(self, time: float) -> None:
         """Process one occupied slot: every client whose wait ends now."""
@@ -447,337 +162,45 @@ class CohortExecutor:
         members = bucket.members
         if len(members) > 1:
             members.sort()
-        config = self.config
-        metrics = self.metrics
+        env = self.env
         obj = bucket.obj
-
-        # phase 1 — faults and radio loss: each missed slot re-seeks the
-        # object's next appearance (checked per client, in issue order,
-        # exactly as the per-process loop would at its own slot event:
-        # doze/dead-air first, then the loss draw — an unheard slot
-        # consumes no loss randomness)
-        loss = config.broadcast_loss_probability
-        faults = self.faults
-        if faults is not None:
-            slot_start = time - self._slot_bits
-            survivors: List[CohortClient] = []
-            for _issue, _order, client in members:
-                if not faults.slot_heard(
-                    client.client_id, slot_start, time, metrics
-                ):
-                    self._seek_slot(client, obj, time + 1.0)
-                elif loss > 0.0 and client.rng.random() < loss:
-                    metrics.broadcast_losses += 1
-                    self._seek_slot(client, obj, time + 1.0)
+        # rep: allow-client-loop — one bucket's members, not the population
+        survivors = [member[2] for member in members]
+        moved: List[ClientKernel] = []
+        ends: List[Optional[float]] = []
+        if env.faults is not None or env.loss > 0.0:
+            # each client that missed the slot re-seeks the object's next
+            # appearance — decided per client, in issue order, as the
+            # per-process loop would at its own slot event
+            heard = []
+            for kernel in survivors:
+                if kernel.heard(time):
+                    heard.append(kernel)
                 else:
-                    survivors.append(client)
-        elif loss > 0.0:
-            survivors = []
-            for _issue, _order, client in members:
-                if client.rng.random() < loss:
-                    metrics.broadcast_losses += 1
-                    self._seek_slot(client, obj, time + 1.0)
-                else:
-                    survivors.append(client)
-        else:
-            # rep: allow-client-loop — one bucket's members, not the population
-            survivors = [member[2] for member in members]
-        if not survivors:
-            self._flush_schedules()
-            return
-
-        broadcast = self.state.broadcast_for(bucket.cycle)
-        if self._staleness is not None:
-            # modulo staleness guard active: the wrap check consults
-            # per-runtime rejoin state (last-heard cycle) that batch
-            # validation cannot see — take the per-process deliver path
-            # member by member, still one simulator event per slot
-            self._apply_scalar(survivors, obj, time, broadcast)
-            return
-
-        # phase 2 — one batched read-condition evaluation for the bucket
-        snapshot = broadcast.snapshot
-        if len(survivors) > 1:
-            ok_list = self._batch_validate(
-                # rep: allow-client-loop — one bucket's survivors
-                [client.validator for client in survivors], obj, snapshot
-            )
-        else:
-            ok_list = [survivors[0].validator.validate_read(obj, snapshot)]
-
-        # phase 3 — apply per-client consequences in issue order.  The
-        # cache-less, untraced, flat-layout combination (the large-
-        # population regime this executor exists for) takes a fully
-        # inlined lane: the think draw, slot arithmetic and bucket append
-        # mirror _advance/_seek_slot statement for statement, shedding
-        # only the call overhead — which, at thousands of reads per
-        # wall-clock millisecond, is the dominant remaining cost.  The
-        # oracle equivalence tests exercise both lanes.
-        offsets = self._flat_offsets
-        fast = self.trace is None and offsets is not None and faults is None
-        buckets = self._buckets
-        new_buckets = self._new_buckets
-        cycle_bits = self._cycle_bits
-        op_lambd = self._op_lambd
-        restart_delay = config.restart_delay
-        delay_first = config.delay_before_first_operation
-        untraced = self.trace is None
-        tracer = self.tracer
-        tracer_enabled = tracer.enabled
-        delivered = 0
-        for ok, client in zip(ok_list, survivors):
-            runtime = client.runtime  # never None for a bucketed client
-            if fast and client.cache is None:
-                if ok:
-                    delivered += 1
-                    index = runtime.apply_read_ok_untraced()
-                    if index >= client.txn_len:
-                        start_time = self._complete_read_phase(client, time)
-                        if start_time is None:
-                            continue
-                        issue = start_time
-                        if delay_first:
-                            issue -= _log(1.0 - client.rng.random()) / op_lambd
-                        next_obj = client.runtime.objects[0]
-                    else:
-                        issue = time - _log(1.0 - client.rng.random()) / op_lambd
-                        next_obj = runtime.objects[index]
-                else:
-                    metrics.reads_rejected += 1
-                    metrics.aborts_conflict += 1
-                    if tracer_enabled:
-                        tracer.emit(
-                            client.attempt_start, time, "client",
-                            client.client_id, "attempt", "conflict", runtime.tid,
-                        )
-                        client.attempt_start = time + restart_delay
-                    client.restarts += 1
-                    runtime.restart()
-                    issue = time + restart_delay
-                    if delay_first:
-                        issue -= _log(1.0 - client.rng.random()) / op_lambd
-                    next_obj = runtime.objects[0]
-                # _seek_slot, inlined (flat layout guaranteed by `fast`)
-                cycle = int(issue // cycle_bits) + 1
-                end = (cycle - 1) * cycle_bits + offsets[next_obj]
-                if cycle > 1 and end - cycle_bits >= issue:
-                    cycle -= 1
-                    end -= cycle_bits
-                elif end < issue:
-                    cycle += 1
-                    end += cycle_bits
-                slot_bucket = buckets.get(end)
-                if slot_bucket is None:
-                    slot_bucket = _Bucket(next_obj, cycle)
-                    buckets[end] = slot_bucket
-                    new_buckets.append((end, partial(self._fire, end)))
-                order = self._enqueue_order
-                self._enqueue_order = order + 1
-                slot_bucket.members.append((issue, order, client))
-                continue
-            cache = client.cache
-            if cache is not None:
-                cache.insert(broadcast, obj, time)
-            if ok:
-                if untraced:
-                    runtime.apply_read_ok_untraced()
-                else:
-                    runtime.apply_read_ok(broadcast)
-                delivered += 1
-                if runtime.is_done:
-                    start_time = self._complete_read_phase(client, time)
-                    if start_time is not None:
-                        self._advance(client, start_time, first=True)
-                else:
-                    self._advance(client, time, first=False)
-            else:
-                runtime.aborted = True
-                metrics.reads_rejected += 1
-                metrics.aborts_conflict += 1
-                if tracer_enabled:
-                    tracer.emit(
-                        client.attempt_start, time, "client", client.client_id,
-                        "attempt", "conflict", runtime.tid,
-                    )
-                    client.attempt_start = time + restart_delay
-                if cache is not None:
-                    cache.evict(obj)
-                    for read_obj, _cycle in runtime.reads:
-                        cache.evict(read_obj)
-                client.restarts += 1
-                runtime.restart()
-                self._advance(client, time + restart_delay, first=True)
-        metrics.reads_delivered += delivered
-        metrics.listening_bits += self._slot_bits * len(survivors)
-        self._flush_schedules()
-
-    # ------------------------------------------------------------------
-    # the scalar lane: modulo staleness guard active
-    # ------------------------------------------------------------------
-    def _apply_scalar(
-        self,
-        survivors: List[CohortClient],
-        obj: int,
-        time: float,
-        broadcast: BroadcastCycle,
-    ) -> None:
-        """Per-member deliver for buckets under a staleness window.
-
-        Mirrors ``_attempt``'s post-slot body statement for statement:
-        cache insert, ``runtime.deliver`` (which updates the rejoin
-        bookkeeping and may fire the wrap guard), cause-attributed abort
-        and eviction, restart or continuation.
-        """
-        config = self.config
-        metrics = self.metrics
-        restart_delay = config.restart_delay
-        for client in survivors:
-            runtime = client.runtime
-            assert runtime is not None
-            cache = client.cache
-            if cache is not None:
-                cache.insert(broadcast, obj, time)
-            outcome = runtime.deliver(broadcast)
-            if outcome.ok:
-                metrics.reads_delivered += 1
-                if runtime.is_done:
-                    start_time = self._complete_read_phase(client, time)
-                    if start_time is not None:
-                        self._advance(client, start_time, first=True)
-                else:
-                    self._advance(client, time, first=False)
-            else:
-                metrics.reads_rejected += 1
-                cause = "staleness" if outcome.stale else "conflict"
-                metrics.record_abort(cause)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        client.attempt_start, time, "client", client.client_id,
-                        "attempt", cause, runtime.tid,
-                    )
-                    client.attempt_start = time + restart_delay
-                if cache is not None:
-                    cache.evict(outcome.obj)
-                    for read_obj, _cycle in runtime.reads:
-                        cache.evict(read_obj)
-                client.restarts += 1
-                runtime.restart()
-                self._advance(client, time + restart_delay, first=True)
-        metrics.listening_bits += self._slot_bits * len(survivors)
-        self._flush_schedules()
-
-    # ------------------------------------------------------------------
-    # update transactions: the coalesced uplink chain
-    # ------------------------------------------------------------------
-    def _begin_uplink(self, client: CohortClient, read_done_time: float) -> None:
-        """Buffer the writes and ship the submission up the uplink.
-
-        Mirrors ``_submit_update``'s entry: writes are stamped
-        ``tid#attempt`` per attempt, then the submission travels for
-        half a round trip — its arrival is the next real event this
-        client owns.
-        """
-        runtime = client.runtime
-        assert isinstance(runtime, ClientUpdateTransactionRuntime)
-        for write_obj in client.write_objs:
-            runtime.write(write_obj, f"{runtime.tid}#{runtime.attempt}")
-        client.uplink_retries = 0
-        if self.tracer.enabled:
-            client.uplink_start = read_done_time
-        self.sim.schedule(
-            read_done_time + self._half_rtt, partial(self._uplink_arrival, client)
-        )
-
-    def _uplink_arrival(self, client: CohortClient) -> None:
-        """The submission reaches the server — or doesn't.
-
-        This is the per-process ``_submit_update`` loop's post-transit
-        event, as a scheduled callback: fault outcomes (dead server,
-        in-transit loss from the client's own numpy stream) are decided
-        at the arrival instant, the server's backward validation runs
-        here, and the verdict's client-side consequences — known
-        immediately, since they touch only private state — are computed
-        inline at ``arrival + half_rtt``.
-        """
-        sim = self.sim
-        now = sim.now
-        metrics = self.metrics
-        runtime = client.runtime
-        assert isinstance(runtime, ClientUpdateTransactionRuntime)
-        faults = self.faults
-        if faults is not None:
-            plan = faults.plan
-            if faults.server_down:
-                # the submission reaches a dead uplink: no verdict ever
-                metrics.uplink_crash_losses += 1
-                cause: Optional[str] = "crash"
-            elif plan.uplink_loss_probability > 0.0 and faults.uplink_lost(
-                client.client_id
-            ):
-                metrics.uplink_losses += 1
-                cause = "uplink"
-            else:
-                cause = None
-            if cause is not None:
-                if client.uplink_retries >= plan.uplink_max_retries:
-                    metrics.record_abort(cause)
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            client.uplink_start, now, "client", client.client_id,
-                            "uplink", cause, runtime.tid,
-                        )
-                    self._restart_attempt(client, now, cause)
-                    return
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        now, now, "client", client.client_id,
-                        "uplink.retry", cause, runtime.tid,
-                    )
-                # wait out the verdict timeout, back off, resubmit
-                delay = plan.uplink_timeout * plan.uplink_backoff**client.uplink_retries
-                client.uplink_retries += 1
-                metrics.uplink_retries += 1
-                sim.schedule(
-                    now + delay + self._half_rtt,
-                    partial(self._uplink_arrival, client),
+                    moved.append(kernel)
+                    ends.append(kernel.retune(time))
+            survivors = heard
+        if survivors:
+            broadcast = self.state.broadcast_for(bucket.cycle)
+            verdicts: Sequence[Optional[bool]]
+            if env.staleness is not None:
+                verdicts = [None] * len(survivors)  # the kernel validates
+            elif len(survivors) > 1:
+                # one batched read-condition evaluation for the bucket
+                verdicts = self._batch_validate(
+                    # rep: allow-client-loop — one bucket's survivors
+                    [kernel.validator for kernel in survivors],
+                    obj,
+                    broadcast.snapshot,
                 )
-                return
-        outcome = self.server.submit_client_update(runtime.submission())
-        verdict_time = now + self._half_rtt
-        if outcome.committed:
-            metrics.client_updates_committed += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    client.uplink_start, verdict_time, "client",
-                    client.client_id, "uplink", "ok", runtime.tid,
-                )
-            start_time = self._finish_txn(client, verdict_time)
-            if start_time is not None:
-                self._advance(client, start_time, first=True)
-        else:
-            metrics.client_updates_rejected += 1
-            metrics.record_abort("conflict")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    client.uplink_start, verdict_time, "client",
-                    client.client_id, "uplink", "conflict", runtime.tid,
-                )
-            self._restart_attempt(client, verdict_time, "conflict")
-        self._flush_schedules()
-
-    def _restart_attempt(
-        self, client: CohortClient, at_time: float, cause: str
-    ) -> None:
-        """A failed update attempt restarts its read phase from scratch."""
-        client.restarts += 1
-        runtime = client.runtime
-        assert runtime is not None
-        if self.tracer.enabled:
-            self.tracer.emit(
-                client.attempt_start, at_time, "client", client.client_id,
-                "attempt", cause, runtime.tid,
-            )
-            client.attempt_start = at_time + self.config.restart_delay
-        runtime.restart()
-        self._advance(client, at_time + self.config.restart_delay, first=True)
-        self._flush_schedules()
+            else:
+                verdicts = [
+                    survivors[0].validator.validate_read(obj, broadcast.snapshot)
+                ]
+            # consequences per client, in issue order
+            ends += [
+                kernel.deliver(time, broadcast, ok)
+                for ok, kernel in zip(verdicts, survivors)
+            ]
+            moved += survivors
+        self._place(moved, ends)

@@ -59,12 +59,16 @@ class SimulationConfig:
     measure_fraction: float = 0.5
     num_clients: int = 1
     seed: int = 42
-    #: "process" — one simulator process per client (the oracle path);
-    #: "cohort" — slot-coalesced batched execution for large populations
-    #: (bit-identical results, far fewer kernel events);
-    #: "analytic" — fast-forward fault-free read-only clients in closed
-    #: form against a lazily-extended broadcast timeline (bit-identical
-    #: to the oracle; O(1) transient state per client)
+    #: who schedules the clients.  What a client does is the same code
+    #: under "cohort" and "analytic" (repro.sim.kernel); the value picks
+    #: when it runs, and every value gives bit-identical results:
+    #: "process" — one simulator process per client, an independent
+    #: implementation kept as the reference the others are tested against;
+    #: "cohort" — the kernel under a slot-coalesced calendar, one batched
+    #: validation per occupied slot (far fewer simulator events);
+    #: "analytic" — the kernel of each fault-free read-only client run
+    #: straight through against a lazily-extended broadcast timeline
+    #: (no events at all; O(1) transient state per client)
     client_executor: str = "process"
     #: partition the read-only population over N sharded simulations
     #: (docs/PERFORMANCE.md §5); 1 = single in-process run

@@ -44,10 +44,11 @@ from ..obs.tracer import NULL_TRACER, Span, Tracer, canonical_spans
 from ..server.server import BroadcastServer
 from ..server.workload import ClientWorkload, ServerWorkload
 from .arena import RecordingTimelineMetrics, TimelineArena, TimelineView
-from .cohort import CohortClient, CohortExecutor
+from .cohort import CohortExecutor
 from .config import SimulationConfig
 from .engine import Simulator
 from .faults import FaultRuntime, crash_process
+from .kernel import ClientEnv, ClientKernel
 from .metrics import MetricsCollector, SummaryStat
 from .processes import SharedState, client_process, cycle_process, server_process
 from .trace import TraceRecorder
@@ -283,6 +284,29 @@ class BroadcastSimulation:
             partition=config.partition(),
         )
 
+    def client_env(self, metrics: MetricsCollector, tracer: Tracer) -> ClientEnv:
+        """The shared half of a kernel population reporting into
+        ``metrics`` / ``tracer`` (one per scheduler)."""
+        return ClientEnv(
+            config=self.config,
+            layout=self.layout,
+            metrics=metrics,
+            faults=self.state.faults,
+            server=self.server,
+            trace=self.trace,
+            tracer=tracer,
+        )
+
+    def kernel_for(self, env: ClientEnv, k: int) -> ClientKernel:
+        return ClientKernel(
+            env,
+            k,
+            self.workload_for(k),
+            self.validator_for(k),
+            self.rng_for(k),
+            self.cache_for(k),
+        )
+
     def _local_client_ids(self) -> List[int]:
         sl = self.slice
         return list(range(sl.updaters)) + list(range(sl.reader_lo, sl.reader_hi))
@@ -392,17 +416,17 @@ class BroadcastSimulation:
             self.spawn_timeline()
         # ghost updaters (non-primary shards) record into the shadow
         # collector; everyone this shard measures records into the real one
-        ghosts: List[CohortClient] = []
-        measured: List[CohortClient] = []
+        cohorts: List[Tuple[ClientEnv, List[ClientKernel]]] = []
+        if config.client_executor == "cohort":
+            cohorts = [
+                (self.client_env(self._timeline_metrics, NULL_TRACER), []),
+                (self.client_env(self.metrics, self.tracer), []),
+            ]
         for k in self._local_client_ids():
-            cache = self.cache_for(k)
-            validator = self.validator_for(k)
-            is_ghost = not sl.primary and k < sl.updaters
-            if config.client_executor == "cohort":
-                group = ghosts if is_ghost else measured
-                group.append(
-                    CohortClient(k, self.workload_for(k), validator, self.rng_for(k), cache)
-                )
+            if cohorts:
+                is_ghost = not sl.primary and k < sl.updaters
+                env, group = cohorts[0] if is_ghost else cohorts[1]
+                group.append(self.kernel_for(env, k))
                 continue
             sim.spawn(
                 client_process(
@@ -410,34 +434,23 @@ class BroadcastSimulation:
                     config,
                     k,
                     self.workload_for(k),
-                    validator,
+                    self.validator_for(k),
                     self.layout,
                     self.state,
                     self.metrics,
                     self.rng_for(k),
                     server=self.server,
                     trace=self.trace,
-                    cache=cache,
+                    cache=self.cache_for(k),
                     tracer=self.tracer,
                 ),
                 name=f"client-{k}",
             )
         self.spawn_crash_process()
-        for group, collector, tracer in (
-            (ghosts, self._timeline_metrics, NULL_TRACER),
-            (measured, self.metrics, self.tracer),
-        ):
+        for env, group in cohorts:
             if group:
                 CohortExecutor(
-                    sim=sim,
-                    config=config,
-                    layout=self.layout,
-                    state=self.state,
-                    server=self.server,
-                    metrics=collector,
-                    clients=group,
-                    trace=self.trace,
-                    tracer=tracer,
+                    sim=sim, state=self.state, env=env, clients=group
                 ).start()
 
         sim.run(stop_when=lambda: self.state.all_clients_done, max_events=max_events)

@@ -269,6 +269,7 @@ class TestRules:
 
     def test_rep008_scoped_to_shard_hot_paths(self):
         population = next(r for r in RULES if r.rule_id == "REP008")
+        assert population.applies_to("src/repro/sim/kernel.py")
         assert population.applies_to("src/repro/sim/cohort.py")
         assert population.applies_to("src/repro/sim/shard.py")
         assert population.applies_to("src/repro/sim/analytic.py")

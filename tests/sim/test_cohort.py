@@ -21,7 +21,10 @@ from repro.core.validators import (
     validate_read_batch,
     validate_read_batch_inorder,
 )
+from repro.sim.cohort import CohortExecutor
 from repro.sim.config import SimulationConfig
+from repro.sim.faults import FaultPlan
+from repro.sim.kernel import ClientKernel
 from repro.sim.simulation import run_simulation
 
 TINY = dict(
@@ -55,14 +58,11 @@ def signature(result):
         "commits": sorted(
             (s.tid, s.submit_time, s.commit_time, s.restarts) for s in m.samples
         ),
-        "reads_delivered": m.reads_delivered,
-        "reads_rejected": m.reads_rejected,
-        "cache_hits": m.cache_hits,
-        "broadcast_losses": m.broadcast_losses,
-        "listening_bits": m.listening_bits,
+        "counters": m.counters(),
         "sim_time": result.sim_time,
         "response_mean": result.response_time.mean,
         "restart_mean": result.restart_ratio.mean,
+        "spans": result.spans,  # None unless the config enables tracing
     }
 
 
@@ -190,6 +190,84 @@ class TestFeatureInterplay:
             (r.tid, tuple(r.reads)) for r in trace.client_commits
         )
         assert reads_of(a.trace) == reads_of(b.trace)
+
+
+#: feature combinations that used to run through different copies of the
+#: client step (the cache-hit chain, the general lane, the scalar
+#: staleness lane) and now share the kernel's one — the analytic tier's
+#: oracle matrix (test_shard.py) runs the fault-free ones too
+COLLAPSED_LANES = {
+    "cache+tracing+multi-disk": dict(
+        cache_currency_bound=2e6,
+        cache_capacity=30,
+        tracing=True,
+        layout_kind="multi-disk",
+        client_access_skew=0.6,
+        seed=37,
+    ),
+    "restart-delay+delay-first+loss": dict(
+        restart_delay=500.0,
+        delay_before_first_operation=True,
+        broadcast_loss_probability=0.1,
+        tracing=True,
+        seed=41,
+    ),
+}
+
+
+class TestCollapsedLanes:
+    @pytest.mark.parametrize("lane", sorted(COLLAPSED_LANES))
+    def test_fault_free_lanes(self, lane):
+        assert_equivalent(tiny_config(protocol="f-matrix", **COLLAPSED_LANES[lane]))
+
+    def test_staleness_lane_with_shared_buckets(self, monkeypatch):
+        """Modulo timestamps + faults: the kernel validates each delivery
+        itself, several survivors per bucket, one event per slot."""
+        cfg = SimulationConfig(
+            protocol="f-matrix",
+            num_objects=16,
+            num_clients=48,
+            client_txn_length=8,
+            num_client_transactions=6,
+            mean_inter_operation_delay=4096.0,
+            server_txn_interval=200_000.0,
+            object_size_bits=1024,
+            modulo_timestamps=True,
+            timestamp_bits=3,
+            restart_delay=300.0,
+            tracing=True,
+            seed=43,
+        )
+        cfg = cfg.replace(
+            faults=FaultPlan.seeded(
+                5,
+                num_clients=cfg.num_clients,
+                horizon=400 * cfg.cycle_bits,
+                mean_time_between_dozes=20 * cfg.cycle_bits,
+                mean_doze_duration=8 * cfg.cycle_bits,
+            )
+        )
+        fires, deliveries = [], []
+        fire, deliver = CohortExecutor._fire, ClientKernel.deliver
+
+        def counting_fire(self, time):
+            fires.append(time)
+            return fire(self, time)
+
+        def counting_deliver(self, time, broadcast, ok=None, **entry):
+            if broadcast is not None:  # advance / retune enter with None
+                deliveries.append(ok)
+            return deliver(self, time, broadcast, ok, **entry)
+
+        monkeypatch.setattr(CohortExecutor, "_fire", counting_fire)
+        monkeypatch.setattr(ClientKernel, "deliver", counting_deliver)
+        process = run_simulation(cfg)
+        assert not fires
+        cohort = run_simulation(cfg.replace(client_executor="cohort"))
+        assert signature(process) == signature(cohort)
+        assert cohort.metrics.aborts_staleness > 0  # the guard did fire
+        assert set(deliveries) == {None}  # no batch verdict under the guard
+        assert len(deliveries) > 2 * len(fires)  # buckets were shared
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,200 @@
+"""The client kernel on its own (repro.sim.kernel): no Simulator, no calendar.
+
+A hand-built sequence of broadcast images and a scripted clock drive one
+:class:`ClientKernel` through every turn of the client step, asserting
+the wait each method returns and the counters it leaves behind.  The
+executors' oracle tests check that schedulers over the kernel reproduce
+the per-process reference; these check the kernel's own contract.
+"""
+
+from collections import deque
+from math import log
+
+import numpy as np
+
+from repro.broadcast.layout import FlatLayout
+from repro.broadcast.program import BroadcastCycle, ObjectVersion
+from repro.client.cache import QuasiCache
+from repro.core.validators import ControlSnapshot, make_validator
+from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.sim import (
+    ClientEnv,
+    ClientKernel,
+    DozeInterval,
+    FaultPlan,
+    FaultRuntime,
+    MetricsCollector,
+    SimulationConfig,
+)
+
+OBJECTS = 4
+SLOT = 100  # slot ends at 100, 200, 300, 400 past each 400-bit cycle start
+THINK = 250.0
+
+
+class Script:
+    """Stands in for the client's RNG and workload: scripted, in order."""
+
+    def __init__(self, draws, transactions):
+        self.draws = deque(draws)
+        self.transactions = deque(transactions)
+
+    def random(self):
+        return self.draws.popleft()
+
+    def next_transaction(self):
+        return self.transactions.popleft()
+
+
+def image(cycle, entries=None):
+    """Cycle ``cycle``'s broadcast: a control matrix, zero but for ``entries``."""
+    matrix = np.zeros((OBJECTS, OBJECTS), dtype=np.int64)
+    for (i, j), stamp in (entries or {}).items():
+        matrix[i, j] = stamp
+    versions = tuple(ObjectVersion(obj, f"v{cycle}", "init", 0) for obj in range(OBJECTS))
+    return BroadcastCycle(cycle, versions, ControlSnapshot(cycle, matrix=matrix))
+
+
+def make_kernel(script, *, tracer=NULL_TRACER, **overrides):
+    params = dict(
+        protocol="f-matrix",
+        num_objects=OBJECTS,
+        client_txn_length=2,
+        server_txn_length=2,
+        mean_inter_operation_delay=THINK,
+        num_client_transactions=len(script.transactions),
+        cache_currency_bound=10_000.0,
+    )
+    params.update(overrides)
+    config = SimulationConfig(**params)
+    metrics = MetricsCollector()
+    faults = None
+    if config.faults is not None:
+        faults = FaultRuntime(config.faults, config.arithmetic(), metrics)
+    env = ClientEnv(
+        config=config,
+        layout=FlatLayout(OBJECTS, SLOT),
+        metrics=metrics,
+        faults=faults,
+        tracer=tracer,
+    )
+    validator = make_validator(config.protocol, arithmetic=config.arithmetic())
+    cache = QuasiCache(config.cache_currency_bound)
+    return ClientKernel(env, 0, script, validator, script, cache), metrics
+
+
+def test_reject_restart_retune_staleness_commit():
+    heard, lost, no_think = 0.9, 0.1, 0.0
+    # a draw u makes the think time -log(1 - u) * mean, as expovariate does
+    think_u = 0.6
+    think = -log(1.0 - think_u) / (1.0 / THINK)
+    assert 200 < think < 300  # the next read lands in the following cycle
+    script = Script(
+        [heard, think_u, heard, lost, heard, no_think, heard, heard, no_think,
+         heard, no_think],
+        [("t0", (0, 1))],
+    )
+    tracer = Tracer(64)
+    kernel, metrics = make_kernel(
+        script,
+        tracer=tracer,
+        modulo_timestamps=True,
+        timestamp_bits=3,  # window 8: rejoining after >= 7 cycles is stale
+        broadcast_loss_probability=0.5,
+        restart_delay=50.0,
+        faults=FaultPlan(doze=(DozeInterval(0, 1300.0, 2500.0),)),
+    )
+    cache = kernel.cache
+
+    # -- begin, first read: no think time, object 0's slot in cycle 1 ------
+    kernel.begin(0.0)
+    assert kernel.advance(0.0, True) == 100
+    assert (kernel.obj, kernel.cycle, kernel.issue) == (0, 1, 0.0)
+    assert kernel.heard(100)
+    # delivered; a think time later object 1's cycle-1 slot is gone
+    assert kernel.deliver(100, image(1)) == 600
+    assert (kernel.obj, kernel.cycle, kernel.issue) == (1, 2, 100 + think)
+    assert metrics.reads_delivered == 1 and 0 in cache
+
+    # -- reject: a cycle-1 commit overwrote what the first read saw --------
+    assert kernel.heard(600)
+    assert kernel.deliver(600, image(2, {(0, 1): 1})) == 900
+    assert metrics.reads_rejected == 1 and metrics.aborts_conflict == 1
+    assert 0 not in cache and 1 not in cache  # every suspect evicted
+    assert kernel.runtime.attempt == 1
+    # the retry opens after restart_delay, again without a think time
+    assert (kernel.obj, kernel.cycle, kernel.issue) == (0, 3, 650.0)
+
+    # -- radio loss: one bit to re-tune, then the next appearance ----------
+    assert not kernel.heard(900)
+    assert metrics.broadcast_losses == 1
+    assert kernel.retune(900) == 1300
+    assert (kernel.cycle, kernel.issue) == (4, 901.0)
+
+    # -- delivered in cycle 4, then the radio dozes through to 3800 --------
+    assert kernel.heard(1300)
+    assert kernel.deliver(1300, image(4)) == 3800
+    assert (kernel.obj, kernel.cycle, kernel.issue) == (1, 10, 3800.0)
+    # the slot ending at the wake instant was only half heard: charged to
+    # the doze, and no loss randomness is consumed for it
+    draws_left = len(script.draws)
+    assert not kernel.heard(3800)
+    assert metrics.doze_slots_missed == 1 and len(script.draws) == draws_left
+    assert kernel.retune(3800) == 4200
+
+    # -- staleness: 7 cycles since the last delivery, R_t not empty --------
+    assert kernel.heard(4200)
+    assert kernel.deliver(4200, image(11)) == 4500
+    assert metrics.reads_rejected == 2 and metrics.aborts_staleness == 1
+    assert kernel.runtime.attempt == 2
+    assert (kernel.obj, kernel.cycle, kernel.issue) == (0, 12, 4250.0)
+
+    # -- commit: both reads in cycle 12, then the trailing delay -----------
+    assert kernel.heard(4500)
+    assert kernel.deliver(4500, image(12)) == 4600
+    assert kernel.heard(4600)
+    assert kernel.deliver(4600, image(12)) is None
+    assert kernel.done and kernel.wake == 4600.0
+    assert not script.draws  # every scripted draw consumed, none extra
+
+    [sample] = metrics.samples
+    assert (sample.tid, sample.submit_time, sample.commit_time, sample.restarts) == (
+        "cl0.t0", 0.0, 4600.0, 2
+    )
+    assert metrics.reads_delivered == 4
+    assert metrics.listening_bits == 6 * SLOT  # rejected reads were heard too
+    assert metrics.cache_hits == 0
+    assert [(s.start, s.end, s.name, s.status) for s in tracer.export()] == [
+        (0.0, 600.0, "attempt", "conflict"),
+        (650.0, 4200.0, "attempt", "staleness"),
+        (4250.0, 4600.0, "attempt", "ok"),
+        (0.0, 4600.0, "txn", "ok"),
+    ]
+
+
+def test_prevalidated_verdicts_and_the_cache_hit_chain():
+    """A scheduler's batch verdict is applied as given, and a transaction
+    the cache can serve completes inside the call that started it."""
+    script = Script([0.0] * 4, [("t0", (0, 1)), ("t1", (1, 0)), ("t2", (2, 3))])
+    kernel, metrics = make_kernel(script, restart_delay=1.0)
+    first = image(1)
+
+    kernel.begin(0.0)
+    assert kernel.advance(0.0, True) == 100
+    # the scheduler validated (and thereby recorded) the read itself
+    assert kernel.validator.validate_read(0, first.snapshot)
+    assert kernel.deliver(100, first, True) == 200
+    assert kernel.validator.validate_read(1, first.snapshot)
+    # t0 commits at 200; t1 = (1, 0) is served from the cache on the spot,
+    # commits at 200 too, and t2's first read seeks object 2's slot
+    assert kernel.deliver(200, first, True) == 300
+    assert (kernel.obj, kernel.cycle, kernel.txn_index) == (2, 1, 2)
+    assert metrics.cache_hits == 2 and metrics.reads_delivered == 4
+    assert metrics.listening_bits == 2 * SLOT  # cache hits cost no tuning
+    assert [s.commit_time for s in metrics.samples] == [200.0, 200.0]
+    assert not script.draws  # two think times, two inter-transaction delays
+
+    # a prevalidated rejection: nothing is re-validated, the attempt restarts
+    assert kernel.deliver(300, first, False) == 700
+    assert metrics.reads_rejected == 1 and metrics.aborts_conflict == 1
+    assert kernel.runtime.attempt == 1 and kernel.cycle == 2

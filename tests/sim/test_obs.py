@@ -270,6 +270,30 @@ class TestTracedDeterminism:
         assert streams["cohort"] == streams["process"]
         assert streams["analytic"] == streams["process"]
 
+    def test_jsonl_export_byte_identical_across_executors(self):
+        """Equal spans must also serialise equally: the process executor
+        stamps an int ``sim.now`` where the others compute a float."""
+        config = SimulationConfig(
+            protocol="datacycle",
+            num_objects=20,
+            num_clients=17,
+            num_client_transactions=3,
+            seed=524,
+            delay_before_first_operation=True,
+            modulo_timestamps=True,
+            server_txn_interval=1e5,
+            mean_inter_operation_delay=2000.0,
+            tracing=True,
+        )
+        exports = {
+            executor: spans_to_jsonl(
+                run_config(config.replace(client_executor=executor)).spans
+            )
+            for executor in ("process", "cohort", "analytic")
+        }
+        assert exports["cohort"] == exports["process"]
+        assert exports["analytic"] == exports["process"]
+
     def test_traced_process_vs_cohort_under_faults(self):
         process = run_config(make_config(tracing=True))
         cohort = run_config(

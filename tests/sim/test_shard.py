@@ -24,6 +24,8 @@ from repro.sim import (
 )
 from repro.sim.simulation import BroadcastSimulation, ShardSlice
 
+from .test_cohort import COLLAPSED_LANES
+
 SMALL = dict(
     num_objects=24,
     num_clients=8,
@@ -56,6 +58,7 @@ def signature(result):
         "sim_time": result.sim_time,
         "response_mean": result.response_time.mean,
         "restart_mean": result.restart_ratio.mean,
+        "spans": result.spans,  # None unless the config enables tracing
     }
 
 
@@ -377,6 +380,20 @@ class TestAnalyticTier:
         assert signature(
             run_simulation(base.replace(client_executor="analytic"))
         ) == signature(run_simulation(base))
+
+    @pytest.mark.parametrize("shards,mode", [(1, "recompute"), (2, "replay")])
+    @pytest.mark.parametrize("lane", sorted(COLLAPSED_LANES))
+    def test_matches_oracle_on_collapsed_lanes(self, lane, shards, mode):
+        """The combinations the kernel merge folded into one code path
+        (fault plans excepted: the tier refuses them)."""
+        base = small_config(**COLLAPSED_LANES[lane])
+        analytic = run_sharded(
+            base.replace(
+                client_executor="analytic", shards=shards, timeline_mode=mode
+            ),
+            workers=0,
+        )
+        assert signature(analytic) == signature(run_simulation(base))
 
     def test_reader_events_cost_nothing(self):
         """The analytic event count excludes the replayed population."""
