@@ -36,10 +36,10 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import time
 from typing import List, Optional
 
-from .figures import EXPERIMENTS, table1_overheads
+from ..obs.profiler import PhaseProfiler
+from .figures import EXPERIMENTS, default_config, table1_overheads
 from .report import format_csv, format_overheads, format_table
 
 __all__ = ["main", "build_parser", "audit_main", "build_audit_parser"]
@@ -121,11 +121,12 @@ def _run_one(
     shards: int = 1,
 ) -> None:
     runner = EXPERIMENTS[name]
-    start = time.time()
-    result = runner(
-        transactions, seed=seed, workers=workers, executor=executor, shards=shards
-    )
-    elapsed = time.time() - start
+    profiler = PhaseProfiler()
+    with profiler.phase(name):
+        result = runner(
+            transactions, seed=seed, workers=workers, executor=executor, shards=shards
+        )
+    elapsed = profiler.as_dict()[name]
     print(format_table(result))
     if chart:
         from .plotting import render_chart
@@ -230,7 +231,8 @@ def audit_main(argv: Optional[List[str]] = None) -> int:
     )
     from ..sim import SimulationConfig, run_simulation
 
-    args = build_audit_parser().parse_args(argv)
+    parser = build_audit_parser()
+    args = parser.parse_args(argv)
     if args.list_invariants:
         for invariant_id in invariant_ids():
             print(invariant_id)
@@ -240,7 +242,7 @@ def audit_main(argv: Optional[List[str]] = None) -> int:
     if args.invariants is not None:
         unknown = [i for i in args.invariants if i not in invariant_ids()]
         if unknown:
-            build_audit_parser().error(
+            parser.error(
                 f"unknown invariant id(s) {unknown}; "
                 f"see --list-invariants"
             )
@@ -257,14 +259,17 @@ def audit_main(argv: Optional[List[str]] = None) -> int:
             levels.append(entry)
 
     text = args.format == "text"
-    config = SimulationConfig(
-        protocol=args.protocol,
-        num_objects=args.objects,
-        num_client_transactions=args.transactions,
-        seed=args.seed,
-        modulo_timestamps=args.modulo_timestamps,
-        audit=True,
-    )
+    try:
+        config = SimulationConfig(
+            protocol=args.protocol,
+            num_objects=args.objects,
+            num_client_transactions=args.transactions,
+            seed=args.seed,
+            modulo_timestamps=args.modulo_timestamps,
+            audit=True,
+        )
+    except ValueError as exc:  # a flag value SimulationConfig rejects
+        parser.exit(2, f"error: {exc}\n")
     if text:
         print(
             f"auditing protocol={config.protocol} objects={config.num_objects} "
@@ -331,12 +336,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..scenarios.cli import scenario_main
 
         return scenario_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.shards > 1 and args.executor == "process":
-        build_parser().error(
-            "--shards requires --executor cohort or analytic (the per-"
-            "process executor cannot partition the client population)"
-        )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    transactions = args.transactions
+    if transactions is None:
+        transactions = 30 if args.experiment == "faults" else 1000
+    # every grid point derives from this base config, so building it once
+    # up front rejects a bad --transactions / --executor / --shards here
+    try:
+        default_config(transactions, args.seed, args.executor, args.shards)
+    except ValueError as exc:  # a flag value SimulationConfig rejects
+        parser.exit(2, f"error: {exc}\n")
 
     if args.experiment == "list":
         print("available experiments:")
@@ -358,10 +368,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         from .faults import format_faults_report, run_faults_report
 
-        transactions = 30 if args.transactions is None else args.transactions
-        start = time.time()
-        summaries = run_faults_report(transactions=transactions, seed=args.seed)
-        elapsed = time.time() - start
+        profiler = PhaseProfiler()
+        with profiler.phase("faults"):
+            summaries = run_faults_report(transactions=transactions, seed=args.seed)
+        elapsed = profiler.as_dict()["faults"]
         print(format_faults_report(summaries))
         print(f"[faults] {elapsed:.1f}s wall clock")
         if args.output is not None:
@@ -375,7 +385,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if args.experiment == "all":
         print(format_overheads(table1_overheads()))
-    transactions = 1000 if args.transactions is None else args.transactions
     for name in names:
         _run_one(
             name,

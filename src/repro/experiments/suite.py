@@ -12,9 +12,9 @@ previously archived directory and reports significant drifts
 from __future__ import annotations
 
 import pathlib
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from ..obs.profiler import PhaseProfiler
 from .figures import EXPERIMENTS, table1_overheads
 from .plotting import render_chart
 from .report import format_csv, format_overheads, format_table
@@ -64,10 +64,11 @@ def generate_report(
         "",
     ]
 
+    profiler = PhaseProfiler()
     for name in names:
-        start = time.time()
-        result: ExperimentResult = EXPERIMENTS[name](transactions, seed=seed)
-        elapsed = time.time() - start
+        with profiler.phase(name):
+            result: ExperimentResult = EXPERIMENTS[name](transactions, seed=seed)
+        elapsed = profiler.as_dict()[name]
         if progress is not None:
             progress(name, elapsed)
 

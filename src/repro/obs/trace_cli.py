@@ -1,11 +1,10 @@
-"""The ``repro-trace`` command: traced runs, trace inspection, overhead.
+"""The ``repro-trace`` command: traced runs and trace inspection.
 
 Subcommands::
 
     repro-trace run --out trace.json          # traced smoke run -> Chrome trace
     repro-trace run --spans spans.jsonl       # raw span stream, one per line
     repro-trace summarize trace.json          # per-span-kind table from a file
-    repro-trace overhead --output ratio.json  # traced vs untraced wall clock
 
 The default ``run`` configuration is the observability smoke scenario:
 a small faulted (doze + mid-run server crash + lossy uplink) 2-shard
@@ -15,8 +14,8 @@ kind: client attempts/transactions/uplinks, broadcast cycles, server
 commits, and the crash-recovery window.  The emitted JSON loads
 directly in Perfetto / chrome://tracing.
 
-Exit codes: **0** success, **1** the overhead check exceeded its bound
-(only with ``--fail-above``), **2** usage errors.
+Exit codes: **0** success, **2** usage errors (unknown subcommand, a
+``--transactions`` / ``--shards`` value the configuration rejects).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import time
 from typing import List, Optional
 
 from .export import chrome_trace, summarize_spans, summarize_trace_events
@@ -39,7 +37,6 @@ def smoke_config(
     seed: int = 7,
     shards: int = 2,
     timeline_mode: str = "replay",
-    tracing: bool = True,
     trace_buffer: int = 1 << 20,
 ):
     """The smoke scenario: small, faulted, sharded, every span kind."""
@@ -63,7 +60,7 @@ def smoke_config(
         client_executor="cohort",
         shards=shards,
         timeline_mode=timeline_mode,
-        tracing=tracing,
+        tracing=True,
         trace_buffer=trace_buffer,
         faults=FaultPlan(
             doze=(DozeInterval(1, 5 * cb, 3 * cb),),
@@ -129,59 +126,29 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize", help="summarize a previously written Chrome trace"
     )
     summarize.add_argument("trace", type=pathlib.Path, metavar="TRACE.JSON")
-
-    overhead = sub.add_parser(
-        "overhead",
-        help="compare traced vs untraced wall clock on the smoke scenario",
-    )
-    overhead.add_argument("--transactions", type=int, default=10)
-    overhead.add_argument("--seed", type=int, default=7)
-    overhead.add_argument("--shards", type=int, default=2)
-    overhead.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="runs per variant; the minimum is reported (default 3)",
-    )
-    overhead.add_argument(
-        "--output",
-        type=pathlib.Path,
-        default=None,
-        metavar="RATIO.JSON",
-        help="write {traced_s, untraced_s, ratio} as JSON",
-    )
-    overhead.add_argument(
-        "--fail-above",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit 1 if traced/untraced exceeds this (omit to only report)",
-    )
     return parser
 
 
-def _execute(config):
+def _run_smoke(parser: argparse.ArgumentParser, args: argparse.Namespace):
     from ..sim import run_simulation
+    from ..sim.shard import run_sharded
 
+    try:
+        config = smoke_config(
+            transactions=args.transactions,
+            seed=args.seed,
+            shards=args.shards,
+            timeline_mode=args.timeline_mode,
+        )
+    except ValueError as exc:  # a flag value SimulationConfig rejects
+        parser.exit(2, f"error: {exc}\n")
+    if config.shards > 1:
+        return run_sharded(config, workers=args.workers)
     return run_simulation(config)
 
 
-def _run_smoke(args: argparse.Namespace):
-    from ..sim.shard import run_sharded
-
-    config = smoke_config(
-        transactions=args.transactions,
-        seed=args.seed,
-        shards=args.shards,
-        timeline_mode=args.timeline_mode,
-    )
-    if config.shards > 1:
-        return run_sharded(config, workers=args.workers)
-    return _execute(config)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    result = _run_smoke(args)
+def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    result = _run_smoke(parser, args)
     spans = result.spans or []
     registry = result.telemetry()
     # truncate each lane with the same predicate canonical_spans uses, so
@@ -227,58 +194,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_overhead(args: argparse.Namespace) -> int:
-    from ..sim.shard import run_sharded
-
-    def measure(tracing: bool) -> float:
-        best = float("inf")
-        for _ in range(max(1, args.repeats)):
-            config = smoke_config(
-                transactions=args.transactions,
-                seed=args.seed,
-                shards=args.shards,
-                tracing=tracing,
-            )
-            start = time.perf_counter()
-            if config.shards > 1:
-                run_sharded(config, workers=0)
-            else:
-                _execute(config)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    untraced = measure(False)
-    traced = measure(True)
-    ratio = traced / untraced if untraced > 0 else float("inf")
-    payload = {
-        "untraced_s": round(untraced, 6),
-        "traced_s": round(traced, 6),
-        "ratio": round(ratio, 4),
-        "repeats": args.repeats,
-        "transactions": args.transactions,
-        "shards": args.shards,
-    }
-    print(
-        f"untraced {untraced:.3f}s  traced {traced:.3f}s  "
-        f"ratio {ratio:.3f}x (best of {args.repeats})"
-    )
-    if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.output}")
-    if args.fail_above is not None and ratio > args.fail_above:
-        print(f"overhead {ratio:.3f}x exceeds bound {args.fail_above:.2f}x")
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "summarize":
-        return _cmd_summarize(args)
-    return _cmd_overhead(args)
+        return _cmd_run(parser, args)
+    return _cmd_summarize(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

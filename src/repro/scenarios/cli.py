@@ -18,9 +18,9 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 from typing import Dict, List, Optional
 
+from ..obs.profiler import PhaseProfiler
 from .envelope import scenario_metrics
 from .loader import builtin_scenarios, get_scenario
 from .recording import RecordedTrace, record_scenario, replay_trace
@@ -144,9 +144,10 @@ def _run_scenarios(
             if args.executor is not None:
                 overrides["client_executor"] = args.executor
             config = scenario.config_for(protocol, **overrides)
-            start = time.time()
-            result = run_simulation(config)
-            elapsed = time.time() - start
+            profiler = PhaseProfiler()
+            with profiler.phase("run"):
+                result = run_simulation(config)
+            elapsed = profiler.as_dict()["run"]
             metrics = scenario_metrics(result)
             entry: Dict[str, object] = {
                 "scenario": scenario.name,
@@ -201,12 +202,13 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def _cmd_record(args: argparse.Namespace) -> int:
     scenario = get_scenario(args.name)
-    start = time.time()
-    _result, trace = record_scenario(
-        scenario, protocol=args.protocol, executor=args.executor
-    )
-    trace.save(args.out)
-    elapsed = time.time() - start
+    profiler = PhaseProfiler()
+    with profiler.phase("record"):
+        _result, trace = record_scenario(
+            scenario, protocol=args.protocol, executor=args.executor
+        )
+        trace.save(args.out)
+    elapsed = profiler.as_dict()["record"]
     print(
         f"recorded {scenario.name} under {trace.recorded_executor} "
         f"({elapsed:.1f}s): digest {trace.digest[:12]}"
@@ -217,9 +219,10 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = RecordedTrace.load(args.trace)
-    start = time.time()
-    _result, report = replay_trace(trace, executor=args.executor)
-    elapsed = time.time() - start
+    profiler = PhaseProfiler()
+    with profiler.phase("replay"):
+        _result, report = replay_trace(trace, executor=args.executor)
+    elapsed = profiler.as_dict()["replay"]
     print(report.describe())
     print(f"({elapsed:.1f}s)")
     return 0 if report.ok else 1

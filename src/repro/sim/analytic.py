@@ -163,9 +163,6 @@ def _replay(
     the whole scheduler: a fault-free reader's next instant is the slot
     end its kernel returns, so there is no calendar to keep.
     """
-    config = simulation.config
-    if config.num_client_transactions <= 0:
-        return sim_time
     env = simulation.client_env(simulation.metrics, simulation.tracer)
     lossy = env.loss > 0.0
     sl = simulation.slice

@@ -109,9 +109,6 @@ class CohortExecutor:
 
     def start(self) -> None:
         """Begin every client's first transaction (call before run)."""
-        if self.env.config.num_client_transactions <= 0:
-            self.state.clients_done += len(self.clients)
-            return
         ends = []
         for kernel in self.clients:
             kernel.begin(0.0)

@@ -207,8 +207,8 @@ class SimulationConfig:
             raise ValueError("timestamp_bits must be >= 1")
         if self.num_groups < 1:
             raise ValueError("num_groups must be >= 1")
-        if self.num_client_transactions < 0:
-            raise ValueError("num_client_transactions must be >= 0")
+        if self.num_client_transactions < 1:
+            raise ValueError("num_client_transactions must be >= 1")
         if self.cache_currency_bound is not None and self.cache_currency_bound < 0:
             raise ValueError("cache_currency_bound must be >= 0")
         if self.cache_capacity is not None and self.cache_capacity < 1:

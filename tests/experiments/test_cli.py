@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.cli import audit_main, build_audit_parser, build_parser, main
+from repro.obs.trace_cli import main as trace_main
 
 
 class TestParser:
@@ -146,8 +147,8 @@ class TestExitCodeContract:
 
     Module docstring contract: 0 = every requested check passed,
     1 = a violation / envelope miss / replay divergence, 2 = usage
-    errors.  Both entry points (repro-experiments, repro-audit) honour
-    it, including the scenario subcommand.
+    errors.  Every entry point (repro-experiments, repro-audit,
+    repro-trace) honours it, including the scenario subcommand.
     """
 
     def test_experiments_success_is_0(self):
@@ -162,6 +163,32 @@ class TestExitCodeContract:
         with pytest.raises(SystemExit) as err:
             main(["fig2", "--no-such-flag"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            (main, ["fig2", "--transactions", "0"]),
+            (main, ["fig2", "--transactions", "-1"]),
+            (main, ["fig2", "--executor", "cohort", "--shards", "0"]),
+            (trace_main, ["run", "--transactions", "0"]),
+            (audit_main, ["--transactions", "0"]),
+        ],
+        ids=[
+            "experiments-transactions-0",
+            "experiments-transactions-negative",
+            "experiments-shards-0",
+            "trace-transactions-0",
+            "audit-transactions-0",
+        ],
+    )
+    def test_non_positive_count_is_2(self, entry, argv, capsys):
+        """A count SimulationConfig rejects is a usage error, not a crash."""
+        with pytest.raises(SystemExit) as err:
+            entry(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
     def test_scenario_envelope_miss_is_1(self, tmp_path, capsys):
         import json as _json

@@ -67,9 +67,12 @@ def signature(result):
 
 
 def assert_equivalent(cfg):
-    process = signature(run_simulation(cfg))
-    cohort = signature(run_simulation(cfg.replace(client_executor="cohort")))
-    assert process == cohort
+    process = run_simulation(cfg)
+    cohort = run_simulation(cfg.replace(client_executor="cohort"))
+    assert signature(process) == signature(cohort)
+    # slot coalescing only ever removes events: one per occupied slot
+    # where the reference pays one per waiting client
+    assert cohort.events <= process.events
 
 
 class TestOracleEquivalence:

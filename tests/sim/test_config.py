@@ -74,6 +74,7 @@ class TestValidation:
             ("timestamp_bits", 0),
             ("num_groups", 0),
             ("num_client_transactions", -1),
+            ("num_client_transactions", 0),
             ("cache_currency_bound", -1.0),
             ("cache_capacity", 0),
         ],
