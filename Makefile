@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint typecheck audit perf-smoke faults-smoke consistency-smoke obs-smoke scenario-smoke
+.PHONY: check test lint typecheck audit perf-smoke figures-smoke faults-smoke consistency-smoke obs-smoke scenario-smoke
 
 check: test lint typecheck
 
@@ -33,6 +33,14 @@ audit:
 perf-smoke:
 	$(PYTHON) -m pytest perfbench/tests -q
 	$(PYTHON) -m perfbench run --all --smoke
+
+# the paper's own checks (benchmarks/): every Sec. 4 figure and table
+# regenerated at 120 transactions per point, asserting the shape the
+# paper reports — who wins, by what factor, where the curves steepen.
+# Deterministic for (txns, seed); keep the default scale — at
+# REPRO_BENCH_TXNS=60 test_fig2_client_txn_length fails on noise.
+figures-smoke:
+	$(PYTHON) -m pytest benchmarks -q --benchmark-only
 
 # fault-injection resilience report (docs/FAULTS.md): doze through a
 # full wrap window, crash the server mid-run, drop uplink submissions —

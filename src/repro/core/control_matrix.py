@@ -28,10 +28,6 @@ from .readsfrom import last_committed_writer, live_set
 
 __all__ = ["ControlMatrix", "matrix_from_history"]
 
-#: write-set width from which one fancy-indexed assignment beats a loop
-#: of contiguous per-column assignments (measured crossover ~20)
-_FANCY_MIN_COLUMNS = 20
-
 
 class ControlMatrix:
     """Incrementally maintained ``n × n`` control matrix.
@@ -120,13 +116,10 @@ class ControlMatrix:
         else:
             new_column = np.zeros(self._n, dtype=np.int64)
         new_column[ws] = commit_cycle
-        if len(ws) < _FANCY_MIN_COLUMNS:
-            # contiguous column assignment beats fancy indexing until the
-            # write set is wide (typical simulated write sets are ~4)
-            for j in ws:
-                self._c[:, j] = new_column
-        else:
-            self._c[:, ws] = new_column[:, np.newaxis]
+        # one contiguous assignment per column beats a fancy-indexed
+        # statement below ~20 columns; simulated write sets are ~4, <= 16
+        for j in ws:
+            self._c[:, j] = new_column
         self._dirty.update(ws)
 
     # ------------------------------------------------------------------

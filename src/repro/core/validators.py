@@ -45,6 +45,11 @@ condition is vacuous (every entry of a cycle-``c_i`` column is < ``c_i``
 Timestamp comparison is delegated to a
 :class:`repro.core.cycles.CycleArithmetic`, so the same logic runs with
 absolute cycle numbers or the paper's 8-bit modulo timestamps.
+
+**Two loops, no threshold.**  One client is validated by the scalar loop
+:meth:`ReadValidator._condition_holds` (the semantics oracle), a cohort
+bucket by the sweep :func:`_validate_bucket`; callers choose from what
+they observe, never from a size constant (docs/PERFORMANCE.md §2).
 """
 
 from __future__ import annotations
@@ -130,27 +135,8 @@ class ReadRecord:
         return (self.__class__, (self.obj, self.cycle, self.slice_))
 
 
-#: smallest ``R_t`` for which the fancy-indexed numpy evaluation beats the
-#: scalar loop; below it, numpy call overhead dominates the few comparisons
-_VECTOR_MIN_READS = 4
-#: bucket size below which batch validation falls back to the scalar loop
-_BATCH_MIN_CLIENTS = 8
-#: R_t-entry total above which batch validation uses the fancy-indexed
-#: gather instead of the shared-column scalar sweep
-_BATCH_GATHER_MIN_RECORDS = 512
-
-
 class ReadValidator:
-    """Base class: tracks ``R_t`` and defers the condition to subclasses.
-
-    ``R_t``'s (object, cycle) pairs are mirrored into growing numpy
-    arrays so subclasses can evaluate the read condition with one
-    fancy-indexed comparison (the :class:`UnboundedCycles` fast path,
-    where encoded timestamps are absolute cycle numbers and ``<`` is the
-    plain integer order).  Modulo arithmetic and cached (out-of-order)
-    reads fall back to the scalar loop, which remains the semantics
-    oracle.
-    """
+    """Base class: tracks ``R_t``; subclasses name the control column."""
 
     #: short protocol identifier used in configs/reports
     name: str = "abstract"
@@ -158,18 +144,15 @@ class ReadValidator:
     def __init__(self, arithmetic: Optional[CycleArithmetic] = None):
         self.arithmetic = arithmetic or UnboundedCycles()
         self.records: List[ReadRecord] = []
-        self._vectorisable = isinstance(self.arithmetic, UnboundedCycles)
-        self._objs = np.zeros(8, dtype=np.int64)
-        self._cycles = np.zeros(8, dtype=np.int64)
-        self._capacity = 8
-        self._count = 0
+        #: absolute timestamps: ``<`` on encoded entries is integer order
+        self._absolute = isinstance(self.arithmetic, UnboundedCycles)
+        #: latest cycle in ``R_t``; ``<= now`` iff every read was in-order
         self._max_cycle = 0
 
     # ------------------------------------------------------------------
     def begin(self) -> None:
         """Start (or restart) a transaction: clear ``R_t``."""
         self.records = []
-        self._count = 0
         self._max_cycle = 0
 
     @property
@@ -189,43 +172,15 @@ class ReadValidator:
         beginning of that cycle) and its control slice.
         """
         column = self._slice(obj, snapshot)
-        if self._condition_holds(obj, snapshot.cycle, column):
-            self._record(ReadRecord(obj, snapshot.cycle, column))
+        cycle = snapshot.cycle
+        if self._condition_holds(obj, cycle, column):
+            self.records.append(ReadRecord(obj, cycle, column))
+            if cycle > self._max_cycle:
+                self._max_cycle = cycle
             return True
         return False
 
     # ------------------------------------------------------------------
-    def _record(self, record: ReadRecord) -> None:
-        """Append to ``R_t``, mirroring (obj, cycle) into the arrays."""
-        self.records.append(record)
-        count = self._count
-        if count == self._capacity:
-            grow = np.zeros(self._capacity, dtype=np.int64)
-            self._objs = np.concatenate([self._objs, grow])
-            self._cycles = np.concatenate([self._cycles, grow])
-            self._capacity *= 2
-        cycle = record.cycle
-        self._objs[count] = record.obj
-        self._cycles[count] = cycle
-        self._count = count + 1
-        if cycle > self._max_cycle:
-            self._max_cycle = cycle
-
-    def _fast_path(self, now: int) -> bool:
-        """May this validation use the fancy-indexed evaluation?
-
-        Requires absolute (unbounded) timestamps, an ``R_t`` large enough
-        for numpy to win, and in-order reads only — ``max cycle <= now``
-        means no retained read postdates the snapshot, so the backward
-        (cached-read) condition is vacuous and the one-directional
-        comparison is the whole read condition.
-        """
-        return (
-            self._vectorisable
-            and self._count >= _VECTOR_MIN_READS
-            and self._max_cycle <= now
-        )
-
     def _slice(self, obj: int, snapshot: ControlSnapshot) -> np.ndarray:
         """The control column that applies to a read of ``obj``: entry
         ``i`` is the timestamp the read condition holds against ``ob_i``."""
@@ -241,9 +196,6 @@ class ReadValidator:
         backward condition on that read's own retained slice (module
         docstring).  The protocols differ only in which column applies.
         """
-        if self._fast_path(now):
-            k = self._count
-            return bool(np.all(column[self._objs[:k]] < self._cycles[:k]))
         for record in self.records:
             if not self._less(int(column[record.obj]), record.cycle, now=now):
                 return False
@@ -393,17 +345,13 @@ def validate_read_batch(
     obj: int,
     snapshot: ControlSnapshot,
 ) -> List[bool]:
-    """Apply one read condition for many clients with one comparison.
+    """Apply one read condition for many clients in one sweep.
 
     All ``validators`` belong to clients reading the *same* object from
     the *same* broadcast cycle (the cohort executor buckets clients by
     broadcast slot, and a slot determines both).  Each validator keeps
-    its own ``R_t``; this stacks every eligible validator's (object,
-    cycle) int64 mirrors into one pair of arrays, gathers the control
-    entries with a single fancy-indexed lookup, and reduces the
-    comparison per client with ``np.add.reduceat`` — extending the
-    per-transaction fast path of :meth:`ReadValidator._fast_path` across
-    the whole bucket.
+    its own ``R_t``; the members that can share one control column and
+    the plain integer order go through :func:`_validate_bucket` together.
 
     Per validator the result (and the recorded ``R_t`` on success) is
     exactly what :meth:`ReadValidator.validate_read` would produce:
@@ -412,59 +360,22 @@ def validate_read_batch(
     scalar path, which remains the semantics oracle.  Returns a list of
     booleans aligned with ``validators``.
     """
-    n = len(validators)
-    results = [False] * n
-    if n == 0:
-        return results
+    results = [False] * len(validators)
     now = snapshot.cycle
-    proto = validators[0].__class__
+    proto = validators[0].__class__ if validators else None
     batch: List[int] = []
-    total = 0
     for i, validator in enumerate(validators):
         if (
             validator.__class__ is proto
-            and validator._vectorisable
+            and validator._absolute
             and validator._max_cycle <= now
         ):
             batch.append(i)
-            total += validator._count
         elif validator.validate_read(obj, snapshot):
             results[i] = True
-    if not batch:
-        return results
-    if len(batch) < _BATCH_MIN_CLIENTS:
-        # tiny buckets: any shared setup cost exceeds the scalar loop's —
-        # same outcomes, same recorded R_t
-        for i in batch:
-            if validators[i].validate_read(obj, snapshot):
-                results[i] = True
-        return results
-
-    ok_flags = _strict_ok_flags(validators, batch, total, obj, snapshot)
-
-    if proto is RMatrixValidator and not all(ok_flags):
-        # the disjunct: the value being read is unchanged since the
-        # transaction's first read (in-order is guaranteed for batch
-        # members, so the disjunct is admissible)
-        assert snapshot.vector is not None
-        entry_now = int(snapshot.vector[obj])
-        for j, i in enumerate(batch):
-            if not ok_flags[j]:
-                # strict failed => R_t non-empty => a first read exists
-                first_cycle = validators[i].records[0].cycle
-                ok_flags[j] = entry_now < first_cycle
-
-    if any(ok_flags):
-        # one frozen record serves every successful member: the content
-        # (object, cycle, control slice) is bucket-wide identical and
-        # ReadRecord is immutable, so sharing the instance is observably
-        # the same as constructing one per client
-        shared_slice = validators[batch[0]]._slice(obj, snapshot)
-        record = ReadRecord(obj, now, shared_slice)
-        for j, i in enumerate(batch):
-            if ok_flags[j]:
-                validators[i]._record(record)
-                results[i] = True
+    members = [validators[i] for i in batch]
+    for i, ok in zip(batch, _validate_bucket(members, obj, snapshot)):
+        results[i] = ok
     return results
 
 
@@ -483,101 +394,48 @@ def validate_read_batch_inorder(
     once at construction; per bucket the eligibility loop is a third of
     the validation cost, which is why this entry point exists.
     """
-    n = len(validators)
-    if n < _BATCH_MIN_CLIENTS:
-        return [v.validate_read(obj, snapshot) for v in validators]
-    now = snapshot.cycle
-    total = 0
-    for validator in validators:
-        total += validator._count
-    proto = validators[0].__class__
-    batch = range(n)
-    ok_flags = _strict_ok_flags(validators, batch, total, obj, snapshot)
-
-    if proto is RMatrixValidator and not all(ok_flags):
-        # first-read-state disjunct, as in validate_read_batch
-        assert snapshot.vector is not None
-        entry_now = int(snapshot.vector[obj])
-        for j in batch:
-            if not ok_flags[j]:
-                ok_flags[j] = entry_now < validators[j].records[0].cycle
-
-    if any(ok_flags):
-        shared_slice = validators[0]._slice(obj, snapshot)
-        record = ReadRecord(obj, now, shared_slice)
-        for ok, validator in zip(ok_flags, validators):
-            if ok:
-                # _record, inlined: at tens of thousands of recorded
-                # reads per wall-clock second the call frame itself is
-                # measurable (obj/now are loop-invariant here, too)
-                validator.records.append(record)
-                count = validator._count
-                if count == validator._capacity:
-                    grow = np.zeros(validator._capacity, dtype=np.int64)
-                    validator._objs = np.concatenate([validator._objs, grow])
-                    validator._cycles = np.concatenate([validator._cycles, grow])
-                    validator._capacity *= 2
-                validator._objs[count] = obj
-                validator._cycles[count] = now
-                validator._count = count + 1
-                if now > validator._max_cycle:
-                    validator._max_cycle = now
-    return ok_flags
+    return _validate_bucket(validators, obj, snapshot)
 
 
-def _strict_ok_flags(
+def _validate_bucket(
     validators: Sequence[ReadValidator],
-    batch: Sequence[int],
-    total: int,
     obj: int,
     snapshot: ControlSnapshot,
 ) -> List[bool]:
-    """The strict (conjunctive) read condition for each batch member.
+    """``validate_read`` for every member of one bucket, in one sweep.
 
-    Three tiers by total ``R_t`` size — empty, shared-column scalar
-    sweep, fancy-indexed gather — all equivalent to evaluating
-    ``_condition_holds`` per member on the fast path.  No recording and
-    no R-Matrix disjunct here; the callers apply those.
+    Precondition: :func:`validate_read_batch_inorder`'s.  One protocol
+    means one control column for the bucket; absolute timestamps make
+    ``<`` the integer order; in-order reads make the backward condition
+    vacuous — so the one-directional comparison is the whole strict
+    condition — and R-Matrix's first-read-state disjunct admissible.
     """
-    if total == 0:
-        return [True] * len(batch)
-    # the members share one protocol, hence one control column
-    shared = validators[batch[0]]._slice(obj, snapshot)
-    if total < _BATCH_GATHER_MIN_RECORDS:
-        # mid-size buckets: the column as a plain python list, then each
-        # R_t entry costs a list index + int compare — beats the
-        # fancy-gather pipeline's fixed numpy overhead
-        column = shared.tolist()
-        ok_flags = []
-        append = ok_flags.append
-        for i in batch:
-            ok = True
-            for record in validators[i].records:
-                if column[record.obj] >= record.cycle:
-                    ok = False
-                    break
-            append(ok)
-        return ok_flags
-    # large buckets: stack every member's (object, cycle) mirrors and
-    # evaluate the whole bucket with one fancy-indexed comparison
-    counts = np.fromiter(
-        (validators[i]._count for i in batch),
-        dtype=np.int64,
-        count=len(batch),
-    )
-    objs = np.concatenate(
-        [validators[i]._objs[: validators[i]._count] for i in batch]
-    )
-    cycles = np.concatenate(
-        [validators[i]._cycles[: validators[i]._count] for i in batch]
-    )
-    fail = (shared[objs] >= cycles).astype(np.int64)
-    offsets = np.zeros(len(batch), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    # reduceat returns the element at an empty segment's offset
-    # instead of 0, so reduce over the non-empty segments only;
-    # their offsets still partition [0, total) exactly
-    nonempty = counts > 0
-    seg_fail = np.zeros(len(batch), dtype=np.int64)
-    seg_fail[nonempty] = np.add.reduceat(fail, offsets[nonempty])
-    return (seg_fail == 0).tolist()
+    if not validators:
+        return []
+    now = snapshot.cycle
+    shared = validators[0]._slice(obj, snapshot)
+    # the column as a plain python list, once per bucket: each R_t entry
+    # then costs a list index + int compare, with no numpy call overhead
+    column = shared.tolist()
+    disjunct = isinstance(validators[0], RMatrixValidator)
+    # one frozen record serves every successful member: the content
+    # (object, cycle, control slice) is bucket-wide identical and
+    # ReadRecord is immutable, so sharing the instance is observably
+    # the same as constructing one per client
+    record = ReadRecord(obj, now, shared)
+    verdicts = []
+    for validator in validators:
+        records = validator.records
+        ok = True
+        for retained in records:
+            if column[retained.obj] >= retained.cycle:
+                # R-Matrix only: the value being read is unchanged since
+                # the transaction's first read (strict failed => R_t is
+                # non-empty => a first read exists)
+                ok = disjunct and column[obj] < records[0].cycle
+                break
+        if ok:
+            records.append(record)
+            validator._max_cycle = now  # in-order: now is the latest cycle
+        verdicts.append(ok)
+    return verdicts

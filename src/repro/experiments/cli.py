@@ -139,8 +139,7 @@ def _run_one(
             f"{cache['misses']} misses, {cache['stores']} stores"
         )
     print(f"[{name}] {elapsed:.1f}s wall clock\n")
-    if csv_dir is not None:
-        csv_dir.mkdir(parents=True, exist_ok=True)
+    if csv_dir is not None:  # main() created it before the first grid point
         path = csv_dir / f"{name}.csv"
         path.write_text(format_csv(result))
         print(f"wrote {path}")
@@ -382,6 +381,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"wrote {args.output}")
         return 0 if all(s.audit_ok and s.consistency_ok for s in summaries) else 1
 
+    if args.csv is not None:
+        # before the first grid point: an unusable path must not cost the run
+        try:
+            args.csv.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.exit(2, f"error: --csv {args.csv}: {exc}\n")
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if args.experiment == "all":
         print(format_overheads(table1_overheads()))

@@ -15,7 +15,8 @@ commits, and the crash-recovery window.  The emitted JSON loads
 directly in Perfetto / chrome://tracing.
 
 Exit codes: **0** success, **2** usage errors (unknown subcommand, a
-``--transactions`` / ``--shards`` value the configuration rejects).
+``--transactions`` / ``--shards`` value the configuration rejects, a
+``summarize`` file that is not a readable Chrome trace).
 """
 
 from __future__ import annotations
@@ -188,9 +189,13 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_summarize(args: argparse.Namespace) -> int:
-    document = json.loads(args.trace.read_text())
-    print(summarize_trace_events(document))
+def _cmd_summarize(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    try:
+        summary = summarize_trace_events(json.loads(args.trace.read_text()))
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        # a missing or unreadable file, not JSON, or JSON of the wrong shape
+        parser.exit(2, f"error: {args.trace}: not a readable Chrome trace ({exc!r})\n")
+    print(summary)
     return 0
 
 
@@ -199,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(parser, args)
-    return _cmd_summarize(args)
+    return _cmd_summarize(parser, args)
 
 
 if __name__ == "__main__":  # pragma: no cover

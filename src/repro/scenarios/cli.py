@@ -202,6 +202,11 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def _cmd_record(args: argparse.Namespace) -> int:
     scenario = get_scenario(args.name)
+    # before the run: an unusable --out must not cost the recording
+    try:
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {args.out}: {exc}") from exc
     profiler = PhaseProfiler()
     with profiler.phase("record"):
         _result, trace = record_scenario(

@@ -27,9 +27,10 @@ simulated outcome:
 
 3. **Validation batches.**  Within a bucket all clients evaluate the same
    protocol's read condition against the same control snapshot, so the
-   whole bucket is validated with one fancy-indexed comparison
+   control column is fetched once and swept over every member's ``R_t``
    (:func:`repro.core.validators.validate_read_batch`) and each kernel is
-   handed its verdict.
+   handed its verdict.  A bucket of one goes through ``validate_read``:
+   ``_fire``'s ``len(survivors) > 1`` is the only place that chooses.
 
 Determinism is preserved exactly: bucket members are processed in the
 order their slot waits would have been *issued* (think-expiry or doze
@@ -54,7 +55,7 @@ consults per-runtime rejoin state that batch validation cannot see).
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.validators import validate_read_batch, validate_read_batch_inorder
 from .engine import Simulator
@@ -103,7 +104,7 @@ class CohortExecutor:
             all(c.cache is None for c in self.clients)
             # rep: allow-client-loop — one startup scan, not a hot path
             and len({c.validator.__class__ for c in self.clients}) == 1
-            and all(c.validator._vectorisable for c in self.clients)
+            and all(c.validator._absolute for c in self.clients)
         ):
             self._batch_validate = validate_read_batch_inorder
 
@@ -125,9 +126,6 @@ class CohortExecutor:
         ending at ``end``, or — off the air — an event of its own."""
         buckets = self._buckets
         order = self._enqueue_order
-        #: (time, fire-callback) pairs, pushed in one schedule_many call
-        #: to cut heapq churn
-        new_buckets: List[Tuple[float, Callable[[], None]]] = []
         for kernel, end in zip(kernels, ends):
             if end is None:
                 self.sim.schedule(kernel.wake, partial(self._wake, kernel))
@@ -135,12 +133,10 @@ class CohortExecutor:
             bucket = buckets.get(end)
             if bucket is None:
                 bucket = buckets[end] = _Bucket(kernel.obj, kernel.cycle)
-                new_buckets.append((end, partial(self._fire, end)))
+                self.sim.schedule(end, partial(self._fire, end))
             bucket.members.append((kernel.issue, order, kernel))
             order += 1
         self._enqueue_order = order
-        if new_buckets:
-            self.sim.schedule_many(new_buckets)
 
     def _wake(self, kernel: ClientKernel) -> None:
         """An off-air client's event: its retirement, or its submission

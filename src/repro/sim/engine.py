@@ -31,7 +31,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Generator, Iterator, List, Optional, Tuple, Union
 
 __all__ = ["Timeout", "WaitUntil", "Waive", "Process", "Simulator", "SimClockError"]
 
@@ -114,32 +114,6 @@ class Simulator:
         if time < self._now:
             raise SimClockError(f"cannot schedule at {time} < now {self._now}")
         heapq.heappush(self._queue, (time, next(self._seq), action))
-
-    def schedule_many(
-        self, items: Sequence[Tuple[float, Callable[[], None]]]
-    ) -> None:
-        """Schedule a batch of ``(time, action)`` callbacks in one pass.
-
-        Equivalent to calling :meth:`schedule` for each pair in order
-        (sequence numbers are assigned in iteration order, so same-time
-        ordering is preserved), but amortises the heap maintenance: when
-        the batch rivals the queue in size a single ``heapify`` beats
-        element-wise sift-up.
-        """
-        for time, _action in items:
-            if time < self._now:
-                raise SimClockError(
-                    f"cannot schedule at {time} < now {self._now}"
-                )
-        queue = self._queue
-        if len(items) > 4 and len(items) * 4 >= len(queue):
-            queue.extend(
-                (time, next(self._seq), action) for time, action in items
-            )
-            heapq.heapify(queue)
-        else:
-            for time, action in items:
-                heapq.heappush(queue, (time, next(self._seq), action))
 
     def spawn(self, gen: ProcessGen, name: str = "process") -> Process:
         """Start a generator process now (first step runs when due)."""

@@ -142,6 +142,15 @@ class TestAuditConsistency:
         assert verdict["witness"]["description"]
 
 
+def assert_usage_error(err, capsys):
+    """Exit 2 with exactly one ``error:`` line and no traceback; -> stdout."""
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.out
+
+
 class TestExitCodeContract:
     """The documented CLI exit-code contract, asserted as one suite.
 
@@ -185,10 +194,42 @@ class TestExitCodeContract:
         """A count SimulationConfig rejects is a usage error, not a crash."""
         with pytest.raises(SystemExit) as err:
             entry(argv)
-        assert err.value.code == 2
-        stderr = capsys.readouterr().err
-        assert "Traceback" not in stderr
-        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert_usage_error(err, capsys)
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json", '{"traceEvents": 3}'],
+        ids=["missing", "not-json", "wrong-shape"],
+    )
+    def test_summarize_bad_input_is_2(self, content, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as err:
+            trace_main(["summarize", str(path)])
+        assert_usage_error(err, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2", "--transactions", "2", "--csv", "{taken}"],
+            ["scenario", "record", "table1-baseline", "--out", "{taken}/x.json"],
+        ],
+        ids=["csv-is-a-file", "out-parent-is-a-file"],
+    )
+    def test_unusable_output_path_is_2(self, argv, tmp_path, capsys):
+        """Refused before the simulation runs, not after (losing it)."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(taken=taken) for arg in argv])
+        stdout = assert_usage_error(err, capsys)
+        assert stdout == ""  # nothing was simulated first
+
+    def test_record_creates_the_parent_of_out(self, tmp_path):
+        out = tmp_path / "not" / "there" / "x.json"
+        assert main(["scenario", "record", "table1-baseline", "--out", str(out)]) == 0
+        assert out.is_file()
 
     def test_scenario_envelope_miss_is_1(self, tmp_path, capsys):
         import json as _json

@@ -8,11 +8,14 @@ tests compare full result signatures across protocols and feature
 combinations (cache, broadcast loss, mixed update transactions).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.control_matrix import ControlMatrix
 from repro.core.cycles import ModuloCycles
+from repro.core.group_matrix import uniform_partition
 from repro.core.validators import (
     ControlSnapshot,
     FMatrixValidator,
@@ -285,6 +288,20 @@ def snapshot_at(cycle, num_objects=12, commits=()):
     return ControlSnapshot(cycle, matrix=cm.snapshot())
 
 
+PARTITION = uniform_partition(12, 4)
+
+
+def full_snapshot(cycle, cm):
+    """One cycle's control information in every protocol's form."""
+    return ControlSnapshot(
+        cycle,
+        matrix=cm.snapshot(),
+        vector=cm.reduce_to_vector(),
+        grouped=cm.reduce_to_groups(PARTITION.groups),
+        partition=PARTITION,
+    )
+
+
 def grow_history(validators, rng, cycles=6, num_objects=12):
     """Feed each validator a random in-order read history."""
     cm = ControlMatrix(num_objects)
@@ -292,40 +309,61 @@ def grow_history(validators, rng, cycles=6, num_objects=12):
         if rng.random() < 0.6:
             writes = rng.sample(range(num_objects), 2)
             cm.apply_commit(cycle, [], writes)
-        snap = ControlSnapshot(cycle, matrix=cm.snapshot())
+        snap = full_snapshot(cycle, cm)
         for v in validators:
             if rng.random() < 0.7:
                 v.validate_read(rng.randrange(num_objects), snap)
-    return ControlSnapshot(cycles + 1, matrix=cm.snapshot())
+    return full_snapshot(cycles + 1, cm)
 
 
 class TestBatchValidation:
-    @pytest.mark.parametrize("n_clients", (3, 12, 40))
+    @pytest.mark.parametrize("n_clients", (1, 2, 3, 7, 8, 12, 40, 600))
     def test_matches_sequential_validate_read(self, n_clients):
-        """One batched call ≡ validate_read per member, results and R_t.
+        """One batched call ≡ validate_read per member, verdicts and R_t —
+        every protocol, both entry points, from a bucket of one up.
 
-        The sizes cross the scalar / shared-column tier boundary; the
-        gather tier is covered by test_gather_tier below.
+        ``validate_read_batch`` gets one extra member that retains a read
+        from a *later* cycle (the bucket's snapshot is a cached,
+        out-of-order read for it), so the eligibility partition and the
+        sweep both run; ``validate_read_batch_inorder`` gets the plain
+        in-order population its precondition names.
         """
         import random as random_mod
 
-        rng = random_mod.Random(99)
-        batch = [FMatrixValidator() for _ in range(n_clients)]
-        oracle = [FMatrixValidator() for _ in range(n_clients)]
-        for v in batch + oracle:
-            v.begin()
-        # identical histories for the paired validators
-        rng2 = random_mod.Random(99)
-        snap = grow_history(batch, rng)
-        grow_history(oracle, rng2)
-        obj = 7
-        got = validate_read_batch(batch, obj, snap)
-        want = [v.validate_read(obj, snap) for v in oracle]
-        assert list(got) == want
-        for vb, vo in zip(batch, oracle):
-            assert [(r.obj, r.cycle) for r in vb.records] == [
-                (r.obj, r.cycle) for r in vo.records
-            ]
+        obj = 3  # written mid-history: every protocol both accepts and rejects
+        accepted = {}
+        for protocol in ("f-matrix", "datacycle", "r-matrix", "group-matrix"):
+            for entry in (validate_read_batch, validate_read_batch_inorder):
+                batch, oracle = (
+                    [
+                        make_validator(protocol, partition=PARTITION)
+                        for _ in range(n_clients)
+                    ]
+                    for _ in range(2)
+                )
+                # identical histories for the paired validators
+                snap = grow_history(batch, random_mod.Random(99))
+                grow_history(oracle, random_mod.Random(99))
+                if entry is validate_read_batch:
+                    later = dataclasses.replace(snap, cycle=snap.cycle + 2)
+                    for side in (batch, oracle):
+                        cached = make_validator(protocol, partition=PARTITION)
+                        assert cached.validate_read(5, later)
+                        side.insert(n_clients // 2, cached)
+                got = entry(batch, obj, snap)
+                want = [v.validate_read(obj, snap) for v in oracle]
+                assert list(got) == want, (protocol, entry.__name__)
+                for vb, vo in zip(batch, oracle):
+                    assert vb.reads == vo.reads
+                    if vb.records:
+                        assert np.array_equal(
+                            vb.records[-1].slice_, vo.records[-1].slice_
+                        )
+                accepted[protocol] = sum(want)
+        if n_clients == 600:
+            # the sweep saw accepts, rejects and the R-Matrix disjunct
+            assert 0 < accepted["datacycle"] < accepted["r-matrix"]
+            assert accepted["r-matrix"] < accepted["f-matrix"] < 600
 
     def test_inorder_variant_matches_general(self):
         import random as random_mod
@@ -339,22 +377,6 @@ class TestBatchValidation:
         got = validate_read_batch_inorder(batch, 3, snap)
         want = validate_read_batch(oracle, 3, snap)
         assert list(got) == list(want)
-
-    def test_gather_tier(self):
-        """Enough R_t entries to hit the fancy-indexed numpy path."""
-        import random as random_mod
-
-        rng = random_mod.Random(5)
-        batch = [FMatrixValidator() for _ in range(80)]
-        oracle = [FMatrixValidator() for _ in range(80)]
-        rng2 = random_mod.Random(5)
-        snap = grow_history(batch, rng, cycles=14)
-        grow_history(oracle, rng2, cycles=14)
-        total = sum(v._count for v in batch)
-        assert total >= 512, "test must exercise the gather tier"
-        got = validate_read_batch(batch, 2, snap)
-        want = [v.validate_read(2, snap) for v in oracle]
-        assert list(got) == want
 
     def test_empty_r_t_accepts(self):
         batch = [FMatrixValidator() for _ in range(10)]

@@ -202,35 +202,3 @@ class TestRunLimits:
         sim.spawn(self._ticker(sim, log))
         assert sim.run(until=100, stop_when=lambda: len(log) >= 2) == 20
 
-
-class TestScheduleMany:
-    def test_matches_elementwise_schedule(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_many(
-            [(t, (lambda t=t: fired.append(t))) for t in (30, 10, 20, 10)]
-        )
-        sim.run()
-        # time order, same-time ties in submission order
-        assert fired == [10, 10, 20, 30]
-
-    def test_interleaves_with_existing_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(15, lambda: fired.append("single"))
-        sim.schedule_many(
-            [(t, (lambda t=t: fired.append(t))) for t in range(10, 60, 10)]
-        )
-        sim.run()
-        assert fired == [10, "single", 20, 30, 40, 50]
-
-    def test_past_time_rejected_atomically(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(10)
-
-        sim.spawn(proc())
-        sim.run()
-        with pytest.raises(SimClockError):
-            sim.schedule_many([(20, lambda: None), (5, lambda: None)])
