@@ -29,10 +29,14 @@ audit:
 # the gate is correctness: every operation must succeed and every digest
 # must match its pin in perfbench/expected.json, so a change that moves a
 # simulated outcome fails here whichever executor it went through.
+# The trace smoke then patches every tracing.TARGETS path and runs the
+# isolated drivers, whose pinned checksums hold each layer's public
+# functions (control state, frozen images, validators) to their values.
 # perfbench puts src/ on sys.path itself; JSON lands in perfbench/out/.
 perf-smoke:
 	$(PYTHON) -m pytest perfbench/tests -q
 	$(PYTHON) -m perfbench run --all --smoke
+	$(PYTHON) -m perfbench trace --all --smoke
 
 # the paper's own checks (benchmarks/): every Sec. 4 figure and table
 # regenerated at 120 transactions per point, asserting the shape the

@@ -19,7 +19,7 @@ Two computations are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class ControlMatrix:
         self._n = num_objects
         self._c = np.zeros((num_objects, num_objects), dtype=np.int64)
         self._last_cycle_applied = 0
-        #: columns touched since the last :meth:`drain_dirty_columns` —
-        #: the server's copy-on-write snapshot refreshes exactly these
-        self._dirty: Set[int] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -69,19 +66,6 @@ class ControlMatrix:
     def column(self, j: int) -> np.ndarray:
         """Column ``j`` — broadcast alongside object ``j`` (Sec. 3.2.1)."""
         return self._c[:, j].copy()
-
-    def drain_dirty_columns(self) -> Tuple[int, ...]:
-        """Columns changed since the last drain, in ascending order.
-
-        Supports the server's copy-on-write per-cycle snapshot: only these
-        columns differ from the previously frozen image, so re-encoding is
-        confined to them (an empty result means the previous frozen image
-        is still exact and can be reused outright).  Draining resets the
-        tracking; the caller owns keeping its frozen copy in sync.
-        """
-        dirty = tuple(sorted(self._dirty))
-        self._dirty.clear()
-        return dirty
 
     # ------------------------------------------------------------------
     def apply_commit(
@@ -120,7 +104,6 @@ class ControlMatrix:
         # statement below ~20 columns; simulated write sets are ~4, <= 16
         for j in ws:
             self._c[:, j] = new_column
-        self._dirty.update(ws)
 
     # ------------------------------------------------------------------
     def reduce_to_vector(self) -> np.ndarray:

@@ -11,8 +11,8 @@ Two extremes:
 
 :class:`GroupedControlState` maintains the grouped matrix *incrementally*
 (without materialising the full ``C``), which is what a server configured
-with groups would actually run; :class:`LastWriteVector` is the dedicated
-one-group fast path used by the Datacycle/R-Matrix simulations.
+with groups would actually run; :class:`LastWriteVector` is the one-group
+state, the only control structure a Datacycle/R-Matrix server keeps.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class LastWriteVector:
 
     def __init__(self, num_objects: int):
         self._mc = np.zeros(num_objects, dtype=np.int64)
-        self._dirty = False
 
     @property
     def array(self) -> np.ndarray:
@@ -98,23 +97,12 @@ class LastWriteVector:
     def entry(self, i: int) -> int:
         return int(self._mc[i])
 
-    def drain_dirty(self) -> bool:
-        """Did any commit change the vector since the last drain?
-
-        Supports the server's copy-on-write per-cycle snapshot: a clean
-        vector means the previously frozen image can be reused outright.
-        """
-        dirty = self._dirty
-        self._dirty = False
-        return dirty
-
     def apply_commit(
         self, commit_cycle: int, read_set: Iterable[int], write_set: Iterable[int]
     ) -> None:
         ws = list({w for w in write_set})
         if ws:
             self._mc[ws] = commit_cycle
-            self._dirty = True
 
 
 class GroupedControlState:
@@ -138,7 +126,7 @@ class GroupedControlState:
         n, g = partition.num_objects, partition.num_groups
         self._mc = np.zeros((n, g), dtype=np.int64)
         self._exact = partition.num_groups == partition.num_objects
-        self._dirty = False
+        self._last_cycle_applied = 0
 
     @property
     def array(self) -> np.ndarray:
@@ -150,23 +138,18 @@ class GroupedControlState:
     def entry(self, i: int, group: int) -> int:
         return int(self._mc[i, group])
 
-    def drain_dirty(self) -> bool:
-        """Did any commit change the grouped matrix since the last drain?
-
-        Supports the server's copy-on-write per-cycle snapshot, as in
-        :meth:`LastWriteVector.drain_dirty`.
-        """
-        dirty = self._dirty
-        self._dirty = False
-        return dirty
-
     def apply_commit(
         self, commit_cycle: int, read_set: Iterable[int], write_set: Iterable[int]
     ) -> None:
         ws = sorted({w for w in write_set})
         if not ws:
             return
-        self._dirty = True
+        if commit_cycle < self._last_cycle_applied:
+            raise ValueError(
+                f"commit cycles must be non-decreasing "
+                f"({commit_cycle} < {self._last_cycle_applied})"
+            )
+        self._last_cycle_applied = commit_cycle
         rs = sorted({r for r in read_set})
         part = self.partition
         read_groups = sorted({part.group_of(r) for r in rs})
@@ -176,13 +159,11 @@ class GroupedControlState:
             new_column = self._mc[:, read_groups].max(axis=1)
         else:
             new_column = np.zeros(part.num_objects, dtype=np.int64)
-        write_groups = sorted({part.group_of(w) for w in ws})
-        for gidx in write_groups:
+        # writes dominate: entries (i ∈ WS, group of j ∈ WS) become the
+        # cycle — no entry exceeds it, commit cycles being non-decreasing
+        new_column[ws] = commit_cycle
+        for gidx in {part.group_of(w) for w in ws}:
             if self._exact:
                 self._mc[:, gidx] = new_column
             else:
                 np.maximum(self._mc[:, gidx], new_column, out=self._mc[:, gidx])
-        # writes dominate: entries (i ∈ WS, group of j ∈ WS) become the cycle
-        self._mc[np.ix_(ws, write_groups)] = np.maximum(
-            self._mc[np.ix_(ws, write_groups)], commit_cycle
-        )

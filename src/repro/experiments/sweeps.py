@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..sim.arena import TIMELINE_CACHE
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SummaryStat
-from ..sim.simulation import SimulationResult, run_simulation
+from ..sim.simulation import run_simulation
 
 __all__ = ["Point", "Series", "ExperimentResult", "run_sweep"]
 
@@ -120,10 +120,22 @@ class ExperimentResult:
 
 def _run_grid_point(
     job: "Tuple[str, object, SimulationConfig]",
-) -> "Tuple[str, object, SimulationResult]":
-    """One (protocol, value) point; module-level so pools can pickle it."""
+) -> "Tuple[str, object, Point]":
+    """One (protocol, value) point; module-level so pools can pickle it.
+
+    The :class:`Point` is built where the simulation ran: four numbers
+    cross the pool, not the server and metrics arrays behind them.
+    """
     protocol, value, config = job
-    return (protocol, value, run_simulation(config))
+    run = run_simulation(config)
+    point = Point(
+        x=float(value),
+        response_time=run.response_time,
+        restart_ratio=run.restart_ratio,
+        sim_time=run.sim_time,
+        events=run.events,
+    )
+    return (protocol, value, point)
 
 
 def run_sweep(
@@ -136,7 +148,7 @@ def run_sweep(
     *,
     config_hook: Optional[Callable[[SimulationConfig, object], SimulationConfig]] = None,
     skip: Optional[Callable[[str, object], bool]] = None,
-    progress: Optional[Callable[[str, object, SimulationResult], None]] = None,
+    progress: Optional[Callable[[str, object, Point], None]] = None,
     workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Run the full grid and collect series.
@@ -145,7 +157,7 @@ def run_sweep(
       is given, which maps (base, value) -> config directly);
     * ``skip(protocol, value)`` — omit points (the paper leaves Datacycle
       off the chart where it exceeds the y-axis);
-    * ``progress`` — callback after each point (CLI prints rows);
+    * ``progress`` — callback ``(protocol, value, point)`` after each point;
     * ``workers`` — fan grid points over that many processes (``None``/1
       runs sequentially).  Hooks run in the parent — only finished,
       picklable configs ship to the pool — and results are gathered in
@@ -165,7 +177,7 @@ def run_sweep(
                 config = base_config.replace(**{param: value})
             grid.append((protocol, value, config.replace(protocol=protocol)))
 
-    outcomes: "Iterable[Tuple[str, object, SimulationResult]]"
+    outcomes: "Iterable[Tuple[str, object, Point]]"
     cache_before = TIMELINE_CACHE.stats.as_dict()
     if workers is not None and workers > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -174,17 +186,10 @@ def run_sweep(
         # a lazy iterator, so progress callbacks interleave with the runs
         outcomes = (_run_grid_point(job) for job in grid)
 
-    for protocol, value, run in outcomes:
-        point = Point(
-            x=float(value),
-            response_time=run.response_time,
-            restart_ratio=run.restart_ratio,
-            sim_time=run.sim_time,
-            events=run.events,
-        )
+    for protocol, value, point in outcomes:
         result.series[protocol].points.append(point)
         if progress is not None:
-            progress(protocol, value, run)
+            progress(protocol, value, point)
     cache_after = TIMELINE_CACHE.stats.as_dict()
     result.timeline_cache = {
         key: cache_after[key] - cache_before[key] for key in cache_after

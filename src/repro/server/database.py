@@ -65,6 +65,11 @@ class Database:
         return tuple(self._log)
 
     @property
+    def last_commit_cycle(self) -> int:
+        """The commit cycle of the newest log record (0 before any)."""
+        return self._log[-1].commit_cycle if self._log else 0
+
+    @property
     def last_broadcast_cycle(self) -> int:
         """The highest cycle number the server has broadcast (durable).
 

@@ -15,14 +15,14 @@ Responsibilities, exactly as the paper lists them:
    :class:`repro.core.validators.ControlSnapshot` carries the full matrix,
    the vector, or the grouped matrix depending on the protocol in force.
 
-The server always maintains the last-committed-write vector (it is the
-validation state for client updates) and additionally the full or grouped
-matrix when the protocol requires it.
+The server keeps exactly one control structure — the one its protocol
+broadcasts; what committed, and when, is the database's to answer (client
+updates validate against it).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,22 +56,25 @@ class BroadcastServer:
         self.protocol = protocol
         self.arithmetic = arithmetic or UnboundedCycles()
         self.database = Database(num_objects, initial_value)
-        self.vector = LastWriteVector(num_objects)
         self.matrix: Optional[ControlMatrix] = None
+        self.vector: Optional[LastWriteVector] = None
         self.grouped: Optional[GroupedControlState] = None
+        #: the one of the three above this protocol maintains and broadcasts
+        self._control: Union[ControlMatrix, LastWriteVector, GroupedControlState]
         if protocol in ("f-matrix", "f-matrix-no"):
-            self.matrix = ControlMatrix(num_objects)
+            self._control = self.matrix = ControlMatrix(num_objects)
         elif protocol == "group-matrix":
             if partition is None:
                 raise ValueError("group-matrix requires a partition")
-            self.grouped = GroupedControlState(partition)
-        self._validator = BackwardValidator(self.vector)
+            self._control = self.grouped = GroupedControlState(partition)
+        else:
+            self._control = self.vector = LastWriteVector(num_objects)
+        self._validator = BackwardValidator(self.database)
         self.current_cycle = 0
-        # copy-on-write per-cycle snapshots: the last frozen (encoded,
-        # read-only) control image, refreshed only where commits dirtied it
-        self._frozen_matrix: Optional[np.ndarray] = None
-        self._frozen_vector: Optional[np.ndarray] = None
-        self._frozen_grouped: Optional[np.ndarray] = None
+        #: the last frozen (encoded, read-only) control image, and whether
+        #: a write committed since it was taken (nothing is frozen at birth)
+        self._frozen: Optional[np.ndarray] = None
+        self._written_since_freeze = True
 
     # ------------------------------------------------------------------
     @property
@@ -98,46 +101,26 @@ class BroadcastServer:
         )
 
     def _control_snapshot(self, cycle: int) -> ControlSnapshot:
-        """Copy-on-write frozen control image for one broadcast cycle.
+        """The frozen control image for one broadcast cycle.
 
-        The frozen image of the previous cycle is immutable, so it can be
-        reused outright when no commit dirtied the control state, and only
-        the dirtied columns need re-encoding otherwise — encoding is
-        elementwise (identity or modulo), hence columns whose absolute
-        entries did not change keep their encoding bit-for-bit.  The full
-        ``snapshot()`` + ``encode()`` path remains the oracle (and is the
-        first cycle's cold start); the regression tests compare against it.
+        No write since the last freeze: the previous image — immutable,
+        the *same array object* — rides again, which is also what lets
+        :meth:`repro.sim.arena.TimelineArena.from_images` store a quiescent
+        stretch once.  Otherwise one ``encode_array`` of the live state:
+        a fresh allocation (never a view of the live array), made
+        read-only because every cycle until the next write shares it.
         """
-        encode = self.arithmetic.encode_array
+        if self._written_since_freeze:
+            self._frozen = self.arithmetic.encode_array(self._control.array)
+            self._frozen.flags.writeable = False
+            self._written_since_freeze = False
         if self.matrix is not None:
-            dirty = self.matrix.drain_dirty_columns()
-            frozen = self._frozen_matrix
-            if frozen is None:
-                frozen = encode(self.matrix.snapshot())
-                frozen.flags.writeable = False
-            elif dirty:
-                columns = list(dirty)
-                updated = frozen.copy()
-                updated[:, columns] = encode(self.matrix.array[:, columns])
-                updated.flags.writeable = False
-                frozen = updated
-            self._frozen_matrix = frozen
-            return ControlSnapshot(cycle, matrix=frozen)
+            return ControlSnapshot(cycle, matrix=self._frozen)
         if self.grouped is not None:
-            if self.grouped.drain_dirty() or self._frozen_grouped is None:
-                frozen = encode(self.grouped.snapshot())
-                frozen.flags.writeable = False
-                self._frozen_grouped = frozen
             return ControlSnapshot(
-                cycle,
-                grouped=self._frozen_grouped,
-                partition=self.grouped.partition,
+                cycle, grouped=self._frozen, partition=self.grouped.partition
             )
-        if self.vector.drain_dirty() or self._frozen_vector is None:
-            frozen = encode(self.vector.snapshot())
-            frozen.flags.writeable = False
-            self._frozen_vector = frozen
-        return ControlSnapshot(cycle, vector=self._frozen_vector)
+        return ControlSnapshot(cycle, vector=self._frozen)
 
     # ------------------------------------------------------------------
     def restore_from(self, revived: "BroadcastServer") -> None:
@@ -159,16 +142,8 @@ class BroadcastServer:
                 f"cannot restore {self.num_objects} objects from "
                 f"{revived.num_objects}"
             )
-        self.arithmetic = revived.arithmetic
-        self.database = revived.database
-        self.vector = revived.vector
-        self.matrix = revived.matrix
-        self.grouped = revived.grouped
-        self._validator = revived._validator
-        self.current_cycle = revived.current_cycle
-        self._frozen_matrix = revived._frozen_matrix
-        self._frozen_vector = revived._frozen_vector
-        self._frozen_grouped = revived._frozen_grouped
+        # every attribute, so state added to __init__ cannot be forgotten here
+        vars(self).update(vars(revived))
 
     # ------------------------------------------------------------------
     def commit_update(
@@ -182,18 +157,32 @@ class BroadcastServer:
         """Commit one update transaction in serialization order.
 
         ``cycle`` defaults to the server's current broadcast cycle.  The
-        database installs the writes and every control structure in force
-        applies its Theorem 2-style increment.
+        database installs the writes and the control structure applies its
+        Theorem 2-style increment.  A commit naming an object outside
+        ``0..n-1`` (``IndexError``) or a cycle before the last commit's
+        (``ValueError``) is refused here, before anything is touched, so
+        the log never holds a record the control state did not apply.
         """
         commit_cycle = self.current_cycle if cycle is None else cycle
         rs = tuple(read_set)
+        self._check_ids(rs)
+        self._check_ids(writes)
+        if commit_cycle < self.database.last_commit_cycle:
+            raise ValueError(
+                f"commit cycles must be non-decreasing ({commit_cycle} < "
+                f"{self.database.last_commit_cycle})"
+            )
         record = self.database.apply_commit(txn, commit_cycle, rs, writes)
-        self.vector.apply_commit(commit_cycle, rs, writes.keys())
-        if self.matrix is not None:
-            self.matrix.apply_commit(commit_cycle, rs, writes.keys())
-        if self.grouped is not None:
-            self.grouped.apply_commit(commit_cycle, rs, writes.keys())
+        self._control.apply_commit(commit_cycle, rs, writes.keys())
+        if writes:
+            self._written_since_freeze = True
         return record
+
+    def _check_ids(self, objs: Iterable[int]) -> None:
+        n = self.num_objects
+        for obj in objs:
+            if not 0 <= obj < n:
+                raise IndexError(f"object id {obj} out of range 0..{n - 1}")
 
     # ------------------------------------------------------------------
     def submit_client_update(
@@ -201,6 +190,7 @@ class BroadcastServer:
     ) -> ValidationOutcome:
         """Validate a client update transaction; install writes on success."""
         commit_cycle = self.current_cycle if cycle is None else cycle
+        self._check_ids(obj for obj, _cycle in submission.reads)
         outcome = self._validator.validate(submission, current_cycle=commit_cycle)
         if outcome.committed:
             self.commit_update(

@@ -19,9 +19,10 @@ This serializes the transaction at its commit instant (reads are of the
 current committed state, writes install immediately after), so the
 committed update history stays conflict serializable with serialization
 order = commit order — exactly what the control-matrix maintenance needs.
-The ``last_commit_cycle`` vector is the same state the R-Matrix/Datacycle
-protocols broadcast, so the validator reuses
-:class:`repro.core.group_matrix.LastWriteVector`.
+``last_commit_cycle(ob_i)`` is the commit cycle of the latest committed
+version, which the :class:`~repro.server.database.Database` keeps under
+every protocol, so the validator asks the database and needs no control
+structure of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from ..core.group_matrix import LastWriteVector
+from .database import Database
 
 __all__ = ["UpdateSubmission", "ValidationOutcome", "BackwardValidator"]
 
@@ -64,10 +65,10 @@ class ValidationOutcome:
 
 
 class BackwardValidator:
-    """Validate submissions against the last-committed-write vector."""
+    """Validate submissions against the database's committed versions."""
 
-    def __init__(self, vector: LastWriteVector):
-        self._vector = vector
+    def __init__(self, database: Database):
+        self._database = database
 
     def validate(self, submission: UpdateSubmission, *, current_cycle: int) -> ValidationOutcome:
         """Check read currency.  Does not install writes (server does).
@@ -80,6 +81,6 @@ class BackwardValidator:
         conflicts = tuple(
             obj
             for obj, cycle in submission.reads
-            if self._vector.entry(obj) >= cycle
+            if self._database.committed(obj).commit_cycle >= cycle
         )
         return ValidationOutcome(submission.txn, not conflicts, conflicts)

@@ -13,9 +13,9 @@ installed broadcast image; :meth:`TimelineArena.from_images` then
 serialises that history into flat append-only buffers:
 
 * a **snapshot pool** — the distinct frozen control arrays, deduplicated
-  by identity (the server's copy-on-write freeze reuses the previous
-  frozen array across quiescent cycles, so identical images *are* the
-  same object), stacked into one dense block;
+  by identity (the server's freeze reuses the previous frozen array
+  across quiescent cycles, so identical images *are* the same object),
+  stacked into one dense block;
 * a per-cycle **snapshot index** and **version-epoch index** (``-1`` =
   dead air during a crash outage: no image went out at that boundary);
 * a **version-epoch table** — per-object indices into an interned
@@ -183,9 +183,9 @@ class TimelineArena:
     ) -> "TimelineArena":
         """Serialise a recorded image history into flat buffers.
 
-        Deduplication leans on the server's copy-on-write freeze: the
-        control array of a quiescent cycle *is* the previous cycle's
-        array (same object), and the committed-version tuples of
+        Deduplication leans on the server's freeze: the control array
+        of a quiescent cycle *is* the previous cycle's array (same
+        object), and the committed-version tuples of
         commit-free stretches share every element — so the pool holds
         one row per distinct image and the epoch table one row per
         commit-separated stretch.

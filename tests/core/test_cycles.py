@@ -17,11 +17,15 @@ class TestUnbounded:
         assert not arith.less(7, 3, reference=100)
 
     def test_encode_array_copies(self):
-        arith = UnboundedCycles()
-        src = np.array([1, 2, 3])
-        out = arith.encode_array(src)
-        out[0] = 99
-        assert src[0] == 1
+        # the server freezes encode_array's result read-only and shares it
+        # across cycles, so it must never alias the live control state —
+        # under either arithmetic, including values the encoding leaves alone
+        for arith in (UnboundedCycles(), ModuloCycles(4)):
+            src = np.array([1, 2, 3], dtype=np.int64)
+            out = arith.encode_array(src)
+            assert not np.shares_memory(out, src)
+            out[0] = 99
+            assert src[0] == 1
 
 
 class TestModulo:
@@ -38,6 +42,16 @@ class TestModulo:
         arith = ModuloCycles(4)
         out = arith.encode_array(np.array([15, 16, 33]))
         assert list(out) == [15, 0, 1]
+        # elementwise ``encode`` is the oracle, on values straddling
+        # multiples of the window (int64, as the control state stores them)
+        for bits in (2, 4, 8):
+            arith = ModuloCycles(bits)
+            cycles = [0] + [
+                arith.window * k + d for k in (1, 2, 3, 1000, 2**40) for d in (-1, 0, 1)
+            ]
+            out = arith.encode_array(np.array(cycles, dtype=np.int64))
+            assert out.dtype == np.int64
+            assert out.tolist() == [arith.encode(c) for c in cycles]
 
     def test_agrees_with_unbounded_within_window(self):
         arith = ModuloCycles(4)  # window 16

@@ -148,24 +148,14 @@ class TestGroupedControlState:
         grouped.apply_commit(9, [0, 1, 2], [])
         assert np.array_equal(grouped.array, before)
 
-
-class TestDirtyFlags:
-    """``drain_dirty`` powers the server's copy-on-write snapshots."""
-
-    def test_vector_dirty_on_write_only(self):
-        vec = LastWriteVector(3)
-        assert not vec.drain_dirty()  # clean at birth
-        vec.apply_commit(1, [0, 1], [])
-        assert not vec.drain_dirty()  # read-only commit: still clean
-        vec.apply_commit(2, [], [1])
-        assert vec.drain_dirty()
-        assert not vec.drain_dirty()  # drained
-
-    def test_grouped_dirty_on_write_only(self):
-        grouped = GroupedControlState(uniform_partition(4, 2))
-        assert not grouped.drain_dirty()
-        grouped.apply_commit(1, [0, 1, 2, 3], [])
-        assert not grouped.drain_dirty()
-        grouped.apply_commit(2, [0], [3])
-        assert grouped.drain_dirty()
-        assert not grouped.drain_dirty()
+    def test_cycles_must_be_nondecreasing(self):
+        """The rule writes ``commit_cycle`` as the row maximum, which is
+        only the maximum while cycles never go back (as for the full
+        matrix); a read-only commit installs nothing and is not held to it."""
+        grouped = GroupedControlState(uniform_partition(3, 2))
+        grouped.apply_commit(5, [], [0])
+        before = grouped.snapshot()
+        with pytest.raises(ValueError):
+            grouped.apply_commit(3, [0], [1])
+        grouped.apply_commit(3, [0], [])
+        assert np.array_equal(grouped.array, before)

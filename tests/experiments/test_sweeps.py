@@ -1,9 +1,11 @@
 """Tests for the sweep machinery (repro.experiments.sweeps)."""
 
+import pickle
+
 import pytest
 
 from repro.sim.config import SimulationConfig
-from repro.experiments.sweeps import run_sweep
+from repro.experiments.sweeps import Point, _run_grid_point, run_sweep
 
 
 def tiny_base(**overrides):
@@ -136,6 +138,16 @@ class TestParallelSweep:
                 parallel.series[protocol].points
                 == sequential.series[protocol].points
             )
+
+    def test_worker_returns_the_point_not_the_simulation(self):
+        """What crosses the pool for a Table-1 grid point (n = 300) is the
+        ``Point``'s handful of numbers — not the server, its 300 x 300
+        matrices and the metrics arrays (1.5 MiB as a whole result)."""
+        config = SimulationConfig(num_client_transactions=5, seed=2)
+        outcome = _run_grid_point(("f-matrix", 300, config))
+        assert outcome[:2] == ("f-matrix", 300)
+        assert isinstance(outcome[2], Point) and outcome[2].x == 300.0
+        assert len(pickle.dumps(outcome)) < 4096
 
     def test_parallel_progress_runs_in_grid_order(self):
         calls = []

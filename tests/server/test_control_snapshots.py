@@ -1,10 +1,10 @@
-"""Copy-on-write control snapshots vs the full-freeze oracle.
+"""Frozen control snapshots vs a cold oracle.
 
 ``BroadcastServer._control_snapshot`` reuses the previous cycle's frozen
-array when nothing changed and re-encodes only dirtied columns otherwise.
-These tests drive randomized commit schedules through a server and check
-every cycle's broadcast image against the oracle — a fresh
-``snapshot()`` + ``encode_array()`` of a shadow control structure —
+array when no write committed since and encodes the live state afresh
+otherwise.  These tests drive randomized commit schedules through a
+server and check every cycle's broadcast image against the oracle — a
+fresh ``snapshot()`` + ``encode_array()`` of a shadow control structure —
 covering both unbounded and modulo timestamp encodings.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.control_matrix import ControlMatrix
 from repro.core.cycles import ModuloCycles, UnboundedCycles
-from repro.core.group_matrix import GroupedControlState, Partition
+from repro.core.group_matrix import GroupedControlState, Partition, uniform_partition
 from repro.server.server import BroadcastServer
 
 
@@ -59,15 +59,23 @@ def test_matrix_snapshots_match_oracle(seed, arithmetic_factory):
 
 
 def test_quiescent_cycles_reuse_the_frozen_array():
-    server = BroadcastServer(4, "f-matrix")
-    server.commit_update("t1", [], {0: "x", 2: "y"}, cycle=0)
-    first = server.begin_cycle(1).snapshot.matrix
-    second = server.begin_cycle(2).snapshot.matrix
-    assert second is first  # no commits: same immutable object rides again
-    server.commit_update("t2", [0], {1: "z"})
-    third = server.begin_cycle(3).snapshot.matrix
-    assert third is not first
-    assert first[0, 0] == 0  # the old image is untouched by later commits
+    for protocol, field in [
+        ("f-matrix", "matrix"), ("datacycle", "vector"), ("group-matrix", "grouped")
+    ]:
+        server = BroadcastServer(4, protocol, partition=uniform_partition(4, 2))
+        server.commit_update("t1", [], {0: "x", 2: "y"}, cycle=0)
+        first = getattr(server.begin_cycle(1).snapshot, field)
+        second = getattr(server.begin_cycle(2).snapshot, field)
+        assert second is first  # no commits: same immutable object rides again
+        server.commit_update("r1", [0, 2], {})
+        assert getattr(server.begin_cycle(3).snapshot, field) is first  # reads only
+        before = first.copy()
+        server.commit_update("t2", [0], {1: "z"})
+        fourth = getattr(server.begin_cycle(4).snapshot, field)
+        assert fourth is not first and not np.array_equal(fourth, first)
+        assert not np.shares_memory(fourth, getattr(server, field).array)
+        # the old image is untouched by later commits
+        assert np.array_equal(first, before)
 
 
 def test_partial_reencode_only_touches_dirty_columns():

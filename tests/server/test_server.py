@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.broadcast.control_info import snapshot_payload
 from repro.core.cycles import ModuloCycles
 from repro.core.group_matrix import uniform_partition
+from repro.core.validators import PROTOCOL_NAMES
+from repro.server.recovery import recover_server
 from repro.server.server import BroadcastServer
 from repro.server.validation import UpdateSubmission
+
+def partition_for(protocol, num_objects=4):
+    return uniform_partition(num_objects, 2) if protocol == "group-matrix" else None
+
+
+def make_server(protocol, num_objects=4):
+    return BroadcastServer(
+        num_objects, protocol, partition=partition_for(protocol, num_objects)
+    )
 
 
 class TestSnapshots:
@@ -65,18 +77,90 @@ class TestSnapshots:
 
 class TestCommitUpdate:
     def test_updates_all_control_structures(self):
-        server = BroadcastServer(2, "f-matrix")
-        server.begin_cycle(1)
-        server.commit_update("t1", [], {0: "v"})
-        assert server.vector.entry(0) == 1
-        assert server.matrix.entry(0, 0) == 1
-        assert server.database.committed(0).value == "v"
+        """One control state per server — the one the protocol broadcasts;
+        the last write cycle is the database's to answer."""
+        kinds = {"f-matrix": "matrix", "f-matrix-no": "matrix", "group-matrix": "grouped"}
+        for protocol in PROTOCOL_NAMES:
+            server = make_server(protocol)
+            server.begin_cycle(1)
+            server.commit_update("t1", [], {0: "v"})
+            states = {
+                "matrix": server.matrix,
+                "vector": server.vector,
+                "grouped": server.grouped,
+            }
+            (kind,) = [name for name, state in states.items() if state is not None]
+            assert kind == kinds.get(protocol, "vector")
+            assert states[kind].array[0].max() == 1
+            assert server.database.committed(0).value == "v"
+            assert server.database.committed(0).commit_cycle == 1
 
     def test_default_cycle_is_current(self):
         server = BroadcastServer(2, "r-matrix")
         server.begin_cycle(3)
         record = server.commit_update("t1", [], {0: "v"})
         assert record.commit_cycle == 3
+
+
+#: (read set, writes, cycle, documented exception) — the live server is at
+#: cycle 5 with one commit in it; every case is refused at the door
+BAD_COMMITS = [
+    pytest.param([], {0: "x", 7: "y"}, None, IndexError, id="write-past-end"),
+    pytest.param([], {0: "x", -1: "y"}, None, IndexError, id="write-negative"),
+    pytest.param([7], {0: "x"}, None, IndexError, id="read-past-end"),
+    pytest.param([-1], {0: "x"}, None, IndexError, id="read-negative"),
+    pytest.param([1], {0: "x"}, 3, ValueError, id="cycle-goes-back"),
+]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+class TestRejectedCommits:
+    """A commit the server refuses is refused whole, under every protocol:
+    no version, log record or control entry changes, so the durable log
+    never holds a record the control state (or a replay) cannot apply."""
+
+    def _server(self, protocol):
+        server = make_server(protocol)
+        server.begin_cycle(5)
+        server.commit_update("t1", [1], {0: "a", 2: "b"})
+        return server
+
+    @pytest.mark.parametrize("reads, writes, cycle, error", BAD_COMMITS)
+    def test_bad_commit_raises_and_leaves_no_trace(
+        self, protocol, reads, writes, cycle, error
+    ):
+        server, twin = self._server(protocol), self._server(protocol)
+        with pytest.raises(error):
+            server.commit_update("bad", reads, writes, cycle=cycle)
+        assert server.database.commit_log == twin.database.commit_log
+        # the next good commit gets the record (and sequence number) it
+        # would have had, and everything a client can see is the twin's
+        assert server.commit_update("t2", [0], {3: "c"}) == twin.commit_update(
+            "t2", [0], {3: "c"}
+        )
+        revived = recover_server(
+            server.database, 4, protocol, partition=partition_for(protocol)
+        )
+        expected = twin.begin_cycle(6)
+        for candidate in (server, revived):
+            image = candidate.begin_cycle(6)
+            assert image.versions == expected.versions
+            assert np.array_equal(
+                snapshot_payload(image.snapshot)[1],
+                snapshot_payload(expected.snapshot)[1],
+            )
+
+    @pytest.mark.parametrize("obj", [-1, 7])
+    def test_bad_client_read_id_refused_without_a_commit(self, protocol, obj):
+        server = self._server(protocol)
+        before = server.database.commit_log
+        with pytest.raises(IndexError):
+            server.submit_client_update(
+                UpdateSubmission("u1", reads=((obj, 6),), writes=((1, "bid"),)),
+                cycle=6,
+            )
+        assert server.database.commit_log == before
+        assert server.database.committed(1).value == 0
 
 
 class TestClientUpdatePath:
