@@ -49,10 +49,10 @@ figures-smoke:
 # fault-injection resilience report (docs/FAULTS.md): doze through a
 # full wrap window, crash the server mid-run, drop uplink submissions —
 # then audit every protocol invariant AND certify the recorded history
-# update-consistent.  Exits non-zero on any audit or consistency
-# violation.
+# update-consistent, at 500 transactions per client (the size perfbench
+# runs; ~4 s).  Exits non-zero on any audit or consistency violation.
 faults-smoke:
-	$(PYTHON) -m repro.experiments.cli faults --transactions 40 \
+	$(PYTHON) -m repro.experiments.cli faults --transactions 500 \
 		--seed 42 --output faults-smoke.json
 
 # observability smoke (docs/OBSERVABILITY.md): one traced faulted
@@ -80,8 +80,9 @@ scenario-smoke:
 # consistency smoke (docs/ANALYSIS.md "Consistency levels"): the
 # small-scope model checker exhaustively sweeps the smallest scope for
 # every protocol, then one seeded simulation per protocol is certified —
-# all six levels for datacycle (globally serializable), the paper's
-# update-consistency guarantee for all three.  Exits non-zero on any
+# all six levels for datacycle (globally serializable; 40 transactions:
+# the level checkers search), the paper's update-consistency guarantee
+# for all three (f-matrix and r-matrix at 500).  Exits non-zero on any
 # uncertified run; JSON artifacts land in consistency-smoke-*.json.
 consistency-smoke:
 	$(PYTHON) -m repro.analysis.consistency.explore --scope smallest \
@@ -90,10 +91,10 @@ consistency-smoke:
 		sys.exit(audit_main(['--protocol', 'datacycle', '--transactions', '40', \
 		'--objects', '20', '--consistency', 'all', '--consistency', 'update']))"
 	$(PYTHON) -c "from repro.experiments.cli import audit_main; import sys; \
-		sys.exit(audit_main(['--protocol', 'f-matrix', '--transactions', '40', \
+		sys.exit(audit_main(['--protocol', 'f-matrix', '--transactions', '500', \
 		'--objects', '20', '--consistency', 'update', '--format', 'json']))" \
 		> consistency-smoke-fmatrix.json
 	$(PYTHON) -c "from repro.experiments.cli import audit_main; import sys; \
-		sys.exit(audit_main(['--protocol', 'r-matrix', '--transactions', '40', \
+		sys.exit(audit_main(['--protocol', 'r-matrix', '--transactions', '500', \
 		'--objects', '20', '--consistency', 'update', '--format', 'json']))" \
 		> consistency-smoke-rmatrix.json

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ...core.approx import approx_report
 from ...core.model import History
 from ...core.readsfrom import live_set
 from ..diagnostics import Diagnostic
@@ -194,24 +195,26 @@ def certify_update_consistency(history: HistoryLike) -> UpdateConsistencyReport:
 
     The update sub-history must be serializable, and each committed
     read-only transaction must embed into *some* serialization of the
-    updates it perceives (its LIVE set).
+    updates it perceives (its LIVE set).  What APPROX accepts is legal
+    (Theorem 6), so one report settles what it can — the update order (the
+    log itself when serial), each accepted reader, with no LIVE-sized order
+    written out — and the exact polygraph test runs only on what it
+    rejects, keeping "APPROX-conservative" apart from "inconsistent".
     """
-    th = _as_transactional(history)
-    committed = th.history
-    updates = [
-        tid for tid in committed.transaction_ids
-        if committed.transaction(tid).is_update
-    ]
-    readers = [
-        tid for tid in committed.transaction_ids
-        if committed.transaction(tid).is_read_only
-    ]
-    update_verdict = check_serializability(
-        TransactionalHistory(committed.projection(updates))
+    committed = _as_transactional(history).history
+    report = approx_report(committed)
+    order = report.update_serialization_order
+    update_verdict = (
+        Verdict("serializability", True, order=order)
+        if order is not None
+        else check_serializability(TransactionalHistory(committed.update_subhistory()))
     )
     reader_verdicts: List[Tuple[str, Verdict]] = []
-    for reader in readers:
-        scope = set(live_set(committed, reader)) | {reader}
-        sub = TransactionalHistory(committed.projection(scope))
-        reader_verdicts.append((reader, check_serializability(sub)))
+    for reader in committed.read_only_transactions():
+        verdict = Verdict("serializability", True)
+        if not report.reader_verdicts.get(reader, False):
+            scope = live_set(committed, reader) | {reader}
+            sub = TransactionalHistory(committed.projection(scope))
+            verdict = check_serializability(sub)
+        reader_verdicts.append((reader, verdict))
     return UpdateConsistencyReport(update_verdict, tuple(reader_verdicts))

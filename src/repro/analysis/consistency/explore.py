@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import pathlib
 import sys
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -60,6 +61,7 @@ from ...core.model import commit as commit_op
 from ...core.model import read as read_op
 from ...core.model import write as write_op
 from ...core.validators import ControlSnapshot, make_validator
+from ...obs.export import claim_output
 from .checkers import Verdict, check_serializability
 from .histories import TransactionalHistory
 
@@ -519,9 +521,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="scope(s) to explore (default: smallest); repeatable",
     )
     parser.add_argument(
-        "--output", type=str, default=None, help="write the JSON report here"
+        "--output", type=pathlib.Path, default=None, help="write the JSON report here"
     )
     args = parser.parse_args(argv)
+    claim_output(parser, "--output", args.output)
     names = args.scope or ["smallest"]
     if "all" in names:
         names = sorted(SCOPES)

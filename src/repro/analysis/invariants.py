@@ -49,11 +49,14 @@ The shipped invariants and the paper facts they police:
 ``validation-soundness``
     Every client-accepted read-only transaction must be APPROX-consistent
     in the reconstructed global history (Theorems 1 and 9 say each
-    protocol accepts only APPROX schedules), and the serialization
-    certificates must survive an independent serial-replay verification
-    (:mod:`repro.core.certify`).  A rejection is reported with the
-    serialization-graph cycle as witness, minimized by projection, and
-    cross-examined against the exact polygraph test
+    protocol accepts only APPROX schedules), by the context's one
+    :func:`repro.core.approx.approx_report`.  On a serial update log an
+    accepted reader's certificate is canonical and the report's mask test
+    is its replay; where an order had to be *found* (interleaved updates)
+    the certificates must also survive an independent serial-replay
+    verification (:mod:`repro.core.certify`).  A rejection is reported
+    with the serialization-graph cycle as witness, minimized by
+    projection, and cross-examined against the exact polygraph test
     (:mod:`repro.core.polygraph`) to distinguish a genuine inconsistency
     from APPROX conservatism.
 
@@ -77,7 +80,8 @@ The shipped invariants and the paper facts they police:
     The committed update sub-history of the reconstructed history is
     conflict serializable (the server commits update transactions
     serially, so a cycle here means the trace/rebuild machinery or the
-    server executor is broken), witnessed by a conflict-graph cycle.
+    server executor is broken), witnessed by the conflict-graph cycle of
+    the same report's condition 1.
 
 ``commit-log-order``
     The server commit log is internally ordered: strictly increasing
@@ -88,6 +92,7 @@ The shipped invariants and the paper facts they police:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -103,17 +108,16 @@ from typing import (
 import numpy as np
 
 from ..broadcast.delta import DeltaDecoder, DeltaEncoder, DesyncError
-from ..core.approx import approx_report
+from ..core.approx import ApproxReport, approx_report
 from ..core.certify import (
-    CertificationError,
-    certify_history,
+    certificate_from_report,
     verify_reader_certificate,
     verify_update_certificate,
 )
 from ..core.cycles import CycleArithmetic, ModuloCycles, UnboundedCycles
 from ..core.model import History, T0
 from ..core.polygraph import reader_polygraph
-from ..core.serialgraph import conflict_graph, reader_serialization_graph
+from ..core.serialgraph import conflict_graph
 from .diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # no runtime dependency on the simulator or server
@@ -152,6 +156,11 @@ class AuditContext:
     history: Optional[History] = None
     #: whether the audited run served reads from a quasi-cache
     cache_enabled: bool = False
+
+    @cached_property
+    def approx(self) -> Optional[ApproxReport]:
+        """APPROX over ``history``, decided once for every invariant."""
+        return None if self.history is None else approx_report(self.history)
 
 
 Invariant = Callable[[AuditContext], Iterator[Diagnostic]]
@@ -541,11 +550,10 @@ def check_wrap_gap_safety(ctx: AuditContext) -> Iterator[Diagnostic]:
 @invariant("validation-soundness")
 def check_validation_soundness(ctx: AuditContext) -> Iterator[Diagnostic]:
     """Accepted clients are APPROX-consistent and certificates replay."""
-    history = ctx.history
-    if history is None:
+    history, report = ctx.history, ctx.approx
+    if history is None or report is None:
         return
     committed = history.committed_projection()
-    report = approx_report(history)
     if report.update_cycle is not None:
         yield Diagnostic(
             invariant="validation-soundness",
@@ -576,16 +584,11 @@ def check_validation_soundness(ctx: AuditContext) -> Iterator[Diagnostic]:
                 or (" -> ".join(graph_cycle) if graph_cycle else None)
             ),
         )
-    if not report.accepted:
+    if not report.accepted or report.serial_updates:
+        # a serial log is its own certificate and each accepted reader's is
+        # canonical: nothing was searched for, so nothing is extracted and replayed
         return
-    try:
-        certificate = certify_history(history)
-    except CertificationError as exc:  # pragma: no cover - accepted above
-        yield Diagnostic(
-            invariant="validation-soundness",
-            message=f"certificate extraction failed: {exc}",
-        )
-        return
+    certificate = certificate_from_report(history, report)
     if not verify_update_certificate(history, certificate.update_order):
         yield Diagnostic(
             invariant="validation-soundness",
@@ -760,20 +763,16 @@ def check_delta_coherence(ctx: AuditContext) -> Iterator[Diagnostic]:
 @invariant("update-serializability")
 def check_update_serializability(ctx: AuditContext) -> Iterator[Diagnostic]:
     """The committed update sub-history is conflict serializable."""
-    history = ctx.history
-    if history is None:
+    history, report = ctx.history, ctx.approx
+    if history is None or report is None or report.update_cycle is None:
         return
-    update = history.committed_projection().update_subhistory()
-    graph = conflict_graph(update)
-    cycle_nodes = graph.find_cycle()
-    if cycle_nodes:
-        yield Diagnostic(
-            invariant="update-serializability",
-            message="serialization graph of the update sub-history is cyclic",
-            transactions=tuple(cycle_nodes),
-            witness=_minimize_cycle_witness(update, cycle_nodes)
-            or " -> ".join(cycle_nodes),
-        )
+    yield Diagnostic(
+        invariant="update-serializability",
+        message="serialization graph of the update sub-history is cyclic",
+        transactions=report.update_cycle,
+        witness=_minimize_cycle_witness(history, report.update_cycle)
+        or " -> ".join(report.update_cycle),
+    )
 
 
 @invariant("commit-log-order")

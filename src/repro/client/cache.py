@@ -46,17 +46,12 @@ class CacheEntry:
     def as_broadcast(self) -> BroadcastCycle:
         """Present the entry as a one-object broadcast for the runtime.
 
-        The runtime indexes ``versions`` by object id, so the entry sits
-        at its own position only — accessing any *other* object through a
-        cache-entry broadcast is a bug and raises ``IndexError`` with the
-        offending ids (objects below the cached id used to be padded with
-        ``None``, which surfaced later as an opaque ``AttributeError``).
+        The runtime reads through :meth:`BroadcastCycle.version`, so the
+        view holds the one cached version and nothing else — accessing any
+        *other* object through a cache-entry broadcast is a bug and raises
+        ``IndexError`` with the offending ids.
         """
-        versions = tuple(
-            self.version if i == self.version.obj else None  # type: ignore[misc]
-            for i in range(self.version.obj + 1)
-        )
-        return _CacheEntryCycle(self.snapshot.cycle, versions, self.snapshot)
+        return _CacheEntryCycle(self.snapshot.cycle, (self.version,), self.snapshot)
 
 
 class _CacheEntryCycle(BroadcastCycle):
@@ -68,13 +63,13 @@ class _CacheEntryCycle(BroadcastCycle):
     """
 
     def version(self, obj: int) -> ObjectVersion:
-        cached = len(self.versions) - 1
-        if obj != cached:
+        (cached,) = self.versions
+        if obj != cached.obj:
             raise IndexError(
-                f"cache-entry broadcast holds only object {cached}; "
+                f"cache-entry broadcast holds only object {cached.obj}; "
                 f"object {obj} must be read off the air"
             )
-        return self.versions[cached]
+        return cached
 
 
 class QuasiCache:

@@ -14,18 +14,19 @@ replay), so the test suite can cross-examine the graph machinery:
 * :func:`verify_update_certificate` / :func:`verify_reader_certificate`
   — the replay checkers (no graphs involved).
 
-``certify_history`` bundles everything for an APPROX-accepted history.
+``certify_history`` bundles everything for an APPROX-accepted history;
+every order is read off one :func:`repro.core.approx.approx_report`, so
+extraction builds no graph of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .approx import approx_report
+from .approx import ApproxReport, approx_report
 from .model import History, T0
 from .readsfrom import live_set
-from .serialgraph import reader_serialization_graph
 
 __all__ = [
     "Certificate",
@@ -34,6 +35,7 @@ __all__ = [
     "verify_update_certificate",
     "verify_reader_certificate",
     "certify_history",
+    "certificate_from_report",
     "CertificationError",
 ]
 
@@ -66,12 +68,44 @@ def _serial_replay(
     return reads_from, last_writer
 
 
+def certificate_from_report(
+    history: History, report: ApproxReport, readers: Optional[Sequence[str]] = None
+) -> Certificate:
+    """Witnesses read off ``report`` (for ``readers``; default: all of them):
+    a reader's order is its LIVE set in the update serialization order, then
+    the reader — every LIVE member reaches it through X arcs, and each
+    accepted read sees the last LIVE write of its object in that order."""
+    order = report.update_serialization_order
+    if order is None:
+        raise CertificationError("update sub-history is not conflict serializable")
+    if readers is None:
+        readers = tuple(report.reader_verdicts)
+    cyclic = [t for t in readers if not report.reader_verdicts.get(t, False)]
+    if cyclic:
+        raise CertificationError("APPROX rejects (cyclic S(t)): " + ", ".join(cyclic))
+    committed = history.committed_projection()
+    position = {tid: i for i, tid in enumerate(order)}
+    orders = {
+        t: tuple(sorted(live_set(committed, t) - {t}, key=position.__getitem__)) + (t,)
+        for t in readers
+    }
+    return Certificate(order, orders)
+
+
 def update_certificate(history: History) -> Tuple[str, ...]:
     """A serialization order for the committed update transactions."""
-    report = approx_report(history)
-    if report.update_serialization_order is None:
-        raise CertificationError("update sub-history is not conflict serializable")
-    return report.update_serialization_order
+    return certificate_from_report(history, approx_report(history), ()).update_order
+
+
+def reader_certificate(history: History, reader: str) -> Tuple[str, ...]:
+    """A serial order of ``LIVE(reader)`` witnessing the reader's consistency."""
+    certificate = certificate_from_report(history, approx_report(history), (reader,))
+    return certificate.reader_orders[reader]
+
+
+def certify_history(history: History) -> Certificate:
+    """Certificates for an APPROX-accepted history (raises otherwise)."""
+    return certificate_from_report(history, approx_report(history))
 
 
 def verify_update_certificate(history: History, order: Tuple[str, ...]) -> bool:
@@ -88,17 +122,6 @@ def verify_update_certificate(history: History, order: Tuple[str, ...]) -> bool:
         if op.is_write:
             actual_final[op.obj or ""] = op.txn
     return replay_final == actual_final
-
-
-def reader_certificate(history: History, reader: str) -> Tuple[str, ...]:
-    """A serial order of ``LIVE(reader)`` witnessing the reader's
-    consistency (reader placed by the topological sort of S(t_R))."""
-    committed = history.committed_projection()
-    graph = reader_serialization_graph(committed, reader)
-    order = graph.topological_order()
-    if order is None:
-        raise CertificationError(f"S({reader}) is cyclic: no witness exists")
-    return tuple(order)
 
 
 def verify_reader_certificate(
@@ -124,19 +147,3 @@ def verify_reader_certificate(
         if got != expected:
             return False
     return True
-
-
-def certify_history(history: History) -> Certificate:
-    """Certificates for an APPROX-accepted history (raises otherwise)."""
-    report = approx_report(history)
-    if not report.accepted:
-        raise CertificationError(
-            "history rejected by APPROX; rejected readers: "
-            + ", ".join(report.rejected_readers)
-        )
-    orders = {
-        reader: reader_certificate(history, reader)
-        for reader in history.committed_projection().read_only_transactions()
-    }
-    assert report.update_serialization_order is not None
-    return Certificate(report.update_serialization_order, orders)

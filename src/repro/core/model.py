@@ -157,6 +157,8 @@ class History:
         self._strict = strict
         self._txns: Optional[Dict[str, Transaction]] = None
         self._reads_from: Optional[Dict[Tuple[str, str], str]] = None
+        self._read_sources: Optional[Dict[str, Set[str]]] = None
+        self._committed: Optional["History"] = None
         if strict:
             self._validate()
 
@@ -310,6 +312,15 @@ class History:
             self._reads_from = rf
         return self._reads_from
 
+    @property
+    def read_sources(self) -> Dict[str, Set[str]]:
+        """READS_FROM by reader (``t0`` included): LIVE's one-hop step, built once."""
+        if self._read_sources is None:
+            self._read_sources = {}
+            for (reader, _obj), writer in self.reads_from.items():
+                self._read_sources.setdefault(reader, set()).add(writer)
+        return self._read_sources
+
     def writer_of(self, reader: str, obj: str) -> str:
         """The transaction whose write ``reader`` observed on ``obj``."""
         return self.reads_from[(reader, obj)]
@@ -318,11 +329,16 @@ class History:
     # projections
     # ------------------------------------------------------------------
     def committed_projection(self) -> "History":
-        """The history restricted to committed transactions."""
-        committed = {t.tid for t in self.transactions.values() if t.committed}
-        return History(
-            (op for op in self._ops if op.txn in committed), strict=self._strict
-        )
+        """The history restricted to committed transactions (cached)."""
+        if self._committed is None:
+            committed = {t.tid for t in self.transactions.values() if t.committed}
+            kept = self  # nothing to drop: checkers share its derived structures
+            if len(committed) < len(self.transactions):
+                kept = History(
+                    (op for op in self._ops if op.txn in committed), strict=self._strict
+                )
+            self._committed = kept._committed = kept
+        return self._committed
 
     def update_subhistory(self) -> "History":
         """H_update: operations of transactions performing a write (Sec. 3.1)."""

@@ -32,12 +32,7 @@ def live_set(history: History, tid: str, *, include_t0: bool = False) -> FrozenS
     default since most graph constructions treat it as the database's
     initial state rather than a node.
     """
-    rf = history.reads_from
-    # Index reads-from edges by reader once, so the closure walk is linear.
-    by_reader: Dict[str, Set[str]] = {}
-    for (reader, _obj), writer in rf.items():
-        by_reader.setdefault(reader, set()).add(writer)
-
+    by_reader = history.read_sources  # indexed once per history, not per call
     result: Set[str] = {tid}
     queue = deque([tid])
     while queue:

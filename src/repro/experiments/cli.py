@@ -38,6 +38,7 @@ import pathlib
 import sys
 from typing import List, Optional
 
+from ..obs.export import claim_output
 from ..obs.profiler import PhaseProfiler
 from .figures import EXPERIMENTS, default_config, table1_overheads
 from .report import format_csv, format_overheads, format_table
@@ -164,8 +165,8 @@ def build_audit_parser() -> argparse.ArgumentParser:
         "--transactions",
         type=int,
         default=100,
-        help="committed client transactions to audit (default 100; audit "
-        "runs record every broadcast cycle, so keep this moderate)",
+        help="committed client transactions to audit (default 100; audit runs "
+        "hold every cycle's control image in memory: 0.7 MB each at 300 objects)",
     )
     parser.add_argument(
         "--objects",
@@ -367,6 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         from .faults import format_faults_report, run_faults_report
 
+        claim_output(parser, "--output", args.output)
         profiler = PhaseProfiler()
         with profiler.phase("faults"):
             summaries = run_faults_report(transactions=transactions, seed=args.seed)
@@ -374,20 +376,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_faults_report(summaries))
         print(f"[faults] {elapsed:.1f}s wall clock")
         if args.output is not None:
-            args.output.parent.mkdir(parents=True, exist_ok=True)
             args.output.write_text(
                 json.dumps([s.to_dict() for s in summaries], indent=2) + "\n"
             )
             print(f"wrote {args.output}")
         return 0 if all(s.audit_ok and s.consistency_ok for s in summaries) else 1
 
-    if args.csv is not None:
-        # before the first grid point: an unusable path must not cost the run
-        try:
-            args.csv.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            parser.exit(2, f"error: --csv {args.csv}: {exc}\n")
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    if args.csv is not None:  # the directory of the first file _run_one writes
+        claim_output(parser, "--csv", args.csv / f"{names[0]}.csv")
     if args.experiment == "all":
         print(format_overheads(table1_overheads()))
     for name in names:

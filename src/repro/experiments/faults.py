@@ -13,8 +13,8 @@ and the staleness guard's aborts show up attributed in the metrics
 aborting, never by committing across a wrap gap.
 
 The schedule is deterministic (no sampling), so two runs with the same
-seed and transaction count are bit-identical.  Audit runs record every
-broadcast cycle; keep ``transactions`` moderate.
+seed and transaction count are bit-identical.  Audit runs hold every
+cycle's control image (n² timestamps) in memory: that bounds ``transactions``.
 """
 
 from __future__ import annotations

@@ -8,12 +8,15 @@ exact.  Shards become process lanes (pid = shard index), clients and
 the timeline tracks become threads within them.
 """
 
+import argparse
 import json
+import pathlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .tracer import Span
 
 __all__ = [
+    "claim_output",
     "chrome_trace",
     "spans_to_jsonl",
     "summarize_spans",
@@ -25,6 +28,19 @@ _TIMELINE_LANES = {0: "broadcast", 1: "server", 2: "recovery"}
 
 #: offset separating timeline-lane tids from client tids within a pid
 _TIMELINE_TID_BASE = 1_000_000_000
+
+
+def claim_output(
+    parser: argparse.ArgumentParser, flag: str, path: Optional[pathlib.Path]
+) -> None:
+    """Create the directory ``path`` will be written into, or exit 2 — before
+    the run that produces the artifact: found afterwards, it loses the work."""
+    if path is None:
+        return
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.exit(2, f"error: {flag} {path}: {exc}\n")
 
 
 def spans_to_jsonl(spans: Iterable[Span]) -> str:

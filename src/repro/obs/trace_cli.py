@@ -26,7 +26,7 @@ import json
 import pathlib
 from typing import List, Optional
 
-from .export import chrome_trace, summarize_spans, summarize_trace_events
+from .export import chrome_trace, claim_output, summarize_spans, summarize_trace_events
 from .registry import registry_from_result
 
 __all__ = ["main", "build_parser", "smoke_config"]
@@ -149,6 +149,8 @@ def _run_smoke(parser: argparse.ArgumentParser, args: argparse.Namespace):
 
 
 def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    claim_output(parser, "--out", args.out)
+    claim_output(parser, "--spans", args.spans)
     result = _run_smoke(parser, args)
     spans = result.spans or []
     registry = result.telemetry()
@@ -172,13 +174,11 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         f"{result.metrics.commit_count} commits"
     )
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(document) + "\n")
         print(f"wrote {args.out}")
     if args.spans is not None:
         from .export import spans_to_jsonl
 
-        args.spans.parent.mkdir(parents=True, exist_ok=True)
         args.spans.write_text(spans_to_jsonl(spans) + "\n")
         print(f"wrote {args.spans}")
     if args.summary:

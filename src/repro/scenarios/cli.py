@@ -20,6 +20,7 @@ import pathlib
 import sys
 from typing import Dict, List, Optional
 
+from ..obs.export import claim_output
 from ..obs.profiler import PhaseProfiler
 from .envelope import scenario_metrics
 from .loader import builtin_scenarios, get_scenario
@@ -177,7 +178,6 @@ def _run_scenarios(
             print(line)
             runs.append(entry)
     if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(
             json.dumps({"ok": failures == 0, "runs": runs}, indent=2) + "\n"
         )
@@ -197,16 +197,13 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         scenarios = [s for _, s in sorted(builtin_scenarios().items())]
     else:
         scenarios = [get_scenario(name) for name in args.names]
+    claim_output(parser, "--output", args.output)
     return _run_scenarios(scenarios, args)
 
 
-def _cmd_record(args: argparse.Namespace) -> int:
+def _cmd_record(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     scenario = get_scenario(args.name)
-    # before the run: an unusable --out must not cost the recording
-    try:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"--out {args.out}: {exc}") from exc
+    claim_output(parser, "--out", args.out)
     profiler = PhaseProfiler()
     with profiler.phase("record"):
         _result, trace = record_scenario(
@@ -242,7 +239,7 @@ def scenario_main(argv: Optional[List[str]] = None) -> int:
         if args.verb == "run":
             return _cmd_run(parser, args)
         if args.verb == "record":
-            return _cmd_record(args)
+            return _cmd_record(parser, args)
         return _cmd_replay(args)
     except (ScenarioError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -148,18 +148,26 @@ class TestLevelLattice:
 # ----------------------------------------------------------------------
 @st.composite
 def broadcast_shaped_histories(draw):
-    """Serial committed updates, then read-only readers with positional reads."""
-    num_updates = draw(st.integers(min_value=1, max_value=4))
+    """Serial committed updates, then read-only readers with positional reads.
+
+    Update transactions read as well as write, so LIVE sets chain through
+    several hops of reads-from rather than stopping at the direct writers.
+    """
+    num_updates = draw(st.integers(min_value=1, max_value=6))
     ops = []
     for i in range(num_updates):
         tid = f"u{i + 1}"
+        for obj in draw(
+            st.lists(st.sampled_from(OBJECTS), max_size=2, unique=True)
+        ):
+            ops.append(read(tid, obj))
         for obj in draw(
             st.lists(st.sampled_from(OBJECTS), min_size=1, max_size=2, unique=True)
         ):
             ops.append(write(tid, obj))
         ops.append(commit(tid))
     # insert each reader's reads at random points between update blocks
-    num_readers = draw(st.integers(min_value=1, max_value=2))
+    num_readers = draw(st.integers(min_value=1, max_value=3))
     commits = [i for i, op in enumerate(ops) if op.is_commit]
     for j in range(num_readers):
         tid = f"r{j + 1}"

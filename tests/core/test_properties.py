@@ -4,6 +4,8 @@ Pinned invariants:
 
 * the Figure 1 lattice — conflict serializable ⇒ APPROX ⇒ legal, and
   conflict serializable ⇒ view serializable ⇒ legal — on random histories;
+* APPROX's closure-and-mask reader verdicts equal Definition 9's
+  ``S_H(t_R)`` acyclicity, reader by reader, on the same histories;
 * Theorem 2 — incremental control-matrix maintenance equals the
   definitional computation on random serial update histories;
 * the pointwise protocol acceptance hierarchy — Datacycle ⊆ R-Matrix ⊆
@@ -14,13 +16,16 @@ Pinned invariants:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.approx import approx_accepts
+from repro.core.approx import approx_accepts, approx_report
 from repro.core.control_matrix import ControlMatrix, matrix_from_history
 from repro.core.cycles import ModuloCycles, UnboundedCycles
 from repro.core.group_matrix import LastWriteVector
 from repro.core.legality import is_legal
 from repro.core.model import History, commit, read, write
-from repro.core.serialgraph import is_conflict_serializable
+from repro.core.serialgraph import (
+    is_conflict_serializable,
+    reader_serialization_graph,
+)
 from repro.core.validators import (
     ControlSnapshot,
     DatacycleValidator,
@@ -86,6 +91,24 @@ def test_approx_subset_of_legal_is_proper_somewhere(history):
     # weak form: never approx ∧ ¬legal (the strict-subset witness is a
     # fixed regression test in test_approx.py)
     assert not (approx_accepts(history) and not is_legal(history))
+
+
+@settings(max_examples=300, deadline=None)
+@given(histories())
+def test_reader_verdicts_equal_definition_9(history):
+    """The mask test against its oracle, which shares no code with it:
+    whenever the update graph is acyclic, each committed read-only
+    transaction is accepted iff its ``S_H(t_R)`` (built arc by arc from
+    Definition 9) is acyclic — interleaved updates included."""
+    committed = history.committed_projection()
+    report = approx_report(history)
+    if not is_conflict_serializable(committed.update_subhistory()):
+        assert report.update_cycle and not report.reader_verdicts
+        return
+    assert report.reader_verdicts == {
+        tid: reader_serialization_graph(committed, tid).is_acyclic()
+        for tid in committed.read_only_transactions()
+    }, history.to_notation()
 
 
 # ----------------------------------------------------------------------

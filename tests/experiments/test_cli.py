@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.consistency.explore import main as explore_main
 from repro.experiments.cli import audit_main, build_audit_parser, build_parser, main
 from repro.obs.trace_cli import main as trace_main
 
@@ -210,19 +211,32 @@ class TestExitCodeContract:
         assert_usage_error(err, capsys)
 
     @pytest.mark.parametrize(
-        "argv",
+        "entry, argv",
         [
-            ["fig2", "--transactions", "2", "--csv", "{taken}"],
-            ["scenario", "record", "table1-baseline", "--out", "{taken}/x.json"],
+            (main, ["fig2", "--transactions", "2", "--csv", "{taken}"]),
+            (main, ["scenario", "record", "table1-baseline", "--out", "{taken}/x.json"]),
+            (main, ["faults", "--transactions", "5", "--output", "{taken}/x.json"]),
+            (main, ["scenario", "run", "table1-baseline", "--output", "{taken}/x.json"]),
+            (trace_main, ["run", "--out", "{taken}/x.json"]),
+            (trace_main, ["run", "--spans", "{taken}/x.jsonl"]),
+            (explore_main, ["--scope", "smallest", "--output", "{taken}/x.json"]),
         ],
-        ids=["csv-is-a-file", "out-parent-is-a-file"],
+        ids=[
+            "csv-is-a-file",
+            "out-parent-is-a-file",
+            "faults-output",
+            "scenario-run-output",
+            "trace-out",
+            "trace-spans",
+            "explore-output",
+        ],
     )
-    def test_unusable_output_path_is_2(self, argv, tmp_path, capsys):
+    def test_unusable_output_path_is_2(self, entry, argv, tmp_path, capsys):
         """Refused before the simulation runs, not after (losing it)."""
         taken = tmp_path / "taken"
         taken.write_text("")
         with pytest.raises(SystemExit) as err:
-            main([arg.format(taken=taken) for arg in argv])
+            entry([arg.format(taken=taken) for arg in argv])
         stdout = assert_usage_error(err, capsys)
         assert stdout == ""  # nothing was simulated first
 
