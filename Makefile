@@ -31,7 +31,11 @@ audit:
 # simulated outcome fails here whichever executor it went through.
 # The trace smoke then patches every tracing.TARGETS path and runs the
 # isolated drivers, whose pinned checksums hold each layer's public
-# functions (control state, frozen images, validators) to their values.
+# functions (control state as shared columns, the frozen images and the
+# dense arrays stacked from them, validators) to their values.  That a
+# freeze or a commit allocates columns and never an n x n block is
+# tier-1's to hold (`make test`: tracemalloc bounds and a run with the
+# dense materialiser disabled, tests/server/test_control_snapshots.py).
 # perfbench puts src/ on sys.path itself; JSON lands in perfbench/out/.
 perf-smoke:
 	$(PYTHON) -m pytest perfbench/tests -q

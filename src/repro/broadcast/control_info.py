@@ -99,15 +99,11 @@ def snapshot_payload(snapshot: ControlSnapshot) -> Tuple[str, np.ndarray]:
     """``(kind, array)`` of the one populated control field.
 
     ``kind`` is ``"matrix"``, ``"vector"`` or ``"grouped"`` — the name of
-    the :class:`ControlSnapshot` field the array came from.
+    the :class:`ControlSnapshot` field the array came from.  A server-made
+    snapshot stacks its shared columns here, once per distinct image.
     """
-    if snapshot.matrix is not None:
-        return "matrix", snapshot.matrix
-    if snapshot.vector is not None:
-        return "vector", snapshot.vector
-    if snapshot.grouped is not None:
-        return "grouped", snapshot.grouped
-    raise ValueError("snapshot carries no control payload")
+    kind = snapshot.kind
+    return kind, getattr(snapshot, kind)
 
 
 def rebuild_snapshot(

@@ -59,13 +59,13 @@ class BroadcastCycle:
 
         This is what a quasi-caching client stores alongside a cached
         object (Sec. 3.3): the column contains every entry a later
-        validation of that object's cached value needs.  Returned as a
-        read-only *view* of the frozen per-cycle snapshot — the snapshot
-        is immutable for the cycle's lifetime, so no per-call copy is
-        needed and callers must not write through it.
+        validation of that object's cached value needs.  Read-only and
+        never a per-call copy: from a server-made image the shared column
+        object itself (``8n`` bytes; retaining it pins no matrix), from an
+        array-backed snapshot a view of its frozen array.
         """
-        if self.snapshot.matrix is None:
+        if self.snapshot.kind != "matrix":
             return None
-        column = self.snapshot.matrix[:, obj]
+        column = self.snapshot.column(obj)
         column.flags.writeable = False
         return column

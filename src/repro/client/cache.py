@@ -6,8 +6,10 @@ currency expires — *without any communication*: invalidation is purely
 local.  To keep transactions mutually consistent when they mix cached and
 fresh reads, each cache entry stores the control information that
 accompanied the object when it was cached (for F-Matrix, the object's
-matrix column; we retain the whole immutable per-cycle snapshot, of which
-a real client would keep just the relevant column/vector).  A cached read
+matrix column; we retain the whole immutable per-cycle snapshot — for a
+server-made image ``n`` references to columns it shares with its
+neighbours, not an ``n × n`` copy — of which a real client would keep
+just the relevant column/vector).  A cached read
 is then validated through the *same* read-condition code path as an
 off-air read, anchored at the cached cycle.
 

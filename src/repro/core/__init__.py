@@ -16,7 +16,7 @@ Layered as:
 """
 
 from .approx import ApproxReport, approx_accepts, approx_report
-from .control_matrix import ControlMatrix, matrix_from_history
+from .control_matrix import ColumnImage, ControlMatrix, matrix_from_history
 from .cycles import CycleArithmetic, ModuloCycles, UnboundedCycles
 from .explain import explain_history
 from .incompressibility import (
@@ -90,7 +90,7 @@ __all__ = [
     "is_legal", "legality_report", "LegalityReport",
     "is_prefix_closed_legal", "criteria_summary",
     # protocol state
-    "ControlMatrix", "matrix_from_history",
+    "ColumnImage", "ControlMatrix", "matrix_from_history",
     "LastWriteVector", "GroupedControlState", "Partition", "uniform_partition",
     "CycleArithmetic", "UnboundedCycles", "ModuloCycles",
     "explain_history",

@@ -12,21 +12,103 @@ value of ``ob_j`` wrote ``ob_i``.
 Two computations are provided:
 
 * :meth:`ControlMatrix.apply_commit` — the incremental maintenance of
-  Theorem 2, numpy-vectorised, used by the server on every commit;
+  Theorem 2, used by the server on every commit;
 * :func:`matrix_from_history` — the definitional computation from a full
   history, used as the oracle in the Theorem 2 property tests.
+
+**Columns, not a block.**  Sec. 3.2.1 broadcasts *column j* with object
+``j``, and Theorem 2 gives every column one commit writes the *same* new
+column.  So the live state is ``n`` references to immutable columns: a
+commit makes one (:func:`commit_column`) and rebinds the written objects
+to it, a cycle freeze shares the references (:class:`ColumnImage`), and a
+dense ``n × n`` array exists only where a caller asks for one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Collection, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .model import History, T0
 from .readsfrom import last_committed_writer, live_set
 
-__all__ = ["ControlMatrix", "matrix_from_history"]
+#: ``checked_commit`` / ``commit_column`` are shared with ``group_matrix``
+__all__ = ["ColumnImage", "ControlMatrix", "matrix_from_history"]
+
+
+class ColumnImage:
+    """Control columns shared by reference: column ``k`` is ``columns[k]``.
+
+    Every column is immutable, so the live state, the frozen image of
+    each broadcast cycle and whatever a client retains can all hold the
+    *same* arrays: taking an image copies ``len(columns)`` pointers.
+    """
+
+    __slots__ = ("columns", "_dense")
+
+    def __init__(self, columns: Iterable[np.ndarray]):
+        self.columns: Tuple[np.ndarray, ...] = tuple(columns)
+        self._dense: Optional[np.ndarray] = None
+
+    def dense(self) -> np.ndarray:
+        """The ``n × len(columns)`` array: stacked on first use, read-only,
+        then the same object (:mod:`repro.sim.arena` dedups by identity)."""
+        if self._dense is None:
+            self._dense = np.stack(self.columns, axis=1)
+            self._dense.setflags(write=False)
+        return self._dense
+
+
+def checked_commit(
+    num_objects: int,
+    last_cycle: int,
+    commit_cycle: int,
+    read_set: Iterable[int],
+    write_set: Iterable[int],
+) -> Tuple[List[int], List[int]]:
+    """The door of every control state: sorted ``(rs, ws)`` or an exception.
+
+    An object id outside ``0..n-1`` raises ``IndexError``, a writing commit
+    before ``last_cycle`` ``ValueError`` (one that writes nothing installs
+    nothing and is not held to it) — checked before the caller changes
+    anything, so a refused commit leaves no trace.
+    """
+    rs, ws = sorted(set(read_set)), sorted(set(write_set))
+    for ids in (rs, ws):
+        if ids and not (0 <= ids[0] and ids[-1] < num_objects):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise IndexError(f"object id {bad} out of range 0..{num_objects - 1}")
+    if ws and commit_cycle < last_cycle:
+        raise ValueError(
+            f"commit cycles must be non-decreasing ({commit_cycle} < {last_cycle})"
+        )
+    return rs, ws
+
+
+def commit_column(
+    num_objects: int,
+    read_columns: Sequence[np.ndarray],
+    ws: Sequence[int],
+    commit_cycle: int,
+) -> np.ndarray:
+    """The one column a commit makes (Theorem 2): ``commit_cycle`` at
+    ``i ∈ WS``, elsewhere the max over the columns read (0 for none).
+
+    The aliasing rule of the whole design: a column is written only
+    before it is published.  It is sealed here, and from then on any
+    number of states, images and clients may share it.
+    """
+    if read_columns:
+        column = read_columns[0].copy()
+        for other in read_columns[1:]:
+            np.maximum(column, other, out=column)
+    else:
+        column = np.zeros(num_objects, dtype=np.int64)
+    for i in ws:
+        column[i] = commit_cycle
+    column.setflags(write=False)
+    return column
 
 
 class ControlMatrix:
@@ -43,7 +125,9 @@ class ControlMatrix:
         if num_objects <= 0:
             raise ValueError("num_objects must be positive")
         self._n = num_objects
-        self._c = np.zeros((num_objects, num_objects), dtype=np.int64)
+        #: column ``j`` of ``C``, immutable; only ``apply_commit`` rebinds
+        #: an entry, and objects last written together share one array
+        self.columns = [commit_column(num_objects, (), (), 0)] * num_objects
         self._last_cycle_applied = 0
 
     # ------------------------------------------------------------------
@@ -53,19 +137,19 @@ class ControlMatrix:
 
     @property
     def array(self) -> np.ndarray:
-        """The live matrix (a view — do not mutate)."""
-        return self._c
+        """``C`` as a dense read-only array, stacked on each call."""
+        return ColumnImage(self.columns).dense()
 
     def snapshot(self) -> np.ndarray:
-        """An independent copy, e.g. the frozen per-cycle broadcast image."""
-        return self._c.copy()
+        """An independent, writable dense copy."""
+        return np.stack(self.columns, axis=1)
 
     def entry(self, i: int, j: int) -> int:
-        return int(self._c[i, j])
+        return int(self.columns[j][i])
 
     def column(self, j: int) -> np.ndarray:
         """Column ``j`` — broadcast alongside object ``j`` (Sec. 3.2.1)."""
-        return self._c[:, j].copy()
+        return self.columns[j]
 
     # ------------------------------------------------------------------
     def apply_commit(
@@ -73,37 +157,27 @@ class ControlMatrix:
         commit_cycle: int,
         read_set: Iterable[int],
         write_set: Iterable[int],
-    ) -> None:
+    ) -> Collection[int]:
         """Apply one committed update transaction (Theorem 2 algorithm).
 
         * ``C(i, j) = commit_cycle``            for i, j ∈ WS;
         * ``C(i, j) = max_{k ∈ RS} C_old(i, k)`` for i ∉ WS, j ∈ WS
           (0 when RS is empty);
         * unchanged otherwise.
-        """
-        ws = sorted({w for w in write_set})
-        if not ws:
-            return  # read-only at the server: no effect on the matrix
-        if commit_cycle < self._last_cycle_applied:
-            raise ValueError(
-                f"commit cycles must be non-decreasing "
-                f"({commit_cycle} < {self._last_cycle_applied})"
-            )
-        self._last_cycle_applied = commit_cycle
-        rs = sorted({r for r in read_set})
-        for idx in ws + rs:
-            if not 0 <= idx < self._n:
-                raise IndexError(f"object id {idx} out of range 0..{self._n - 1}")
 
-        if rs:
-            new_column = self._c[:, rs].max(axis=1)
-        else:
-            new_column = np.zeros(self._n, dtype=np.int64)
-        new_column[ws] = commit_cycle
-        # one contiguous assignment per column beats a fancy-indexed
-        # statement below ~20 columns; simulated write sets are ~4, <= 16
-        for j in ws:
-            self._c[:, j] = new_column
+        Returns the ids of the columns it rebound — none for a commit that
+        wrote nothing, which has no effect on the matrix.
+        """
+        rs, ws = checked_commit(
+            self._n, self._last_cycle_applied, commit_cycle, read_set, write_set
+        )
+        if ws:
+            self._last_cycle_applied = commit_cycle
+            columns = self.columns
+            column = commit_column(self._n, [columns[k] for k in rs], ws, commit_cycle)
+            for j in ws:
+                columns[j] = column
+        return ws
 
     # ------------------------------------------------------------------
     def reduce_to_vector(self) -> np.ndarray:
@@ -113,10 +187,11 @@ class ControlMatrix:
         the diagonal dominates each row's maximum because the last writer of
         ``ob_i`` is in its own live set.
         """
-        return self._c.max(axis=1)
+        return self.array.max(axis=1)
 
     def reduce_to_groups(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
         """``MC(i, s) = max_{j ∈ s} C(i, j)`` for each group ``s``."""
+        dense = self.array
         cols = []
         seen: Set[int] = set()
         for group in groups:
@@ -124,7 +199,7 @@ class ControlMatrix:
             if not members:
                 raise ValueError("groups must be non-empty")
             seen.update(members)
-            cols.append(self._c[:, members].max(axis=1))
+            cols.append(dense[:, members].max(axis=1))
         if seen != set(range(self._n)):
             raise ValueError("groups must partition the object ids")
         return np.stack(cols, axis=1)

@@ -17,9 +17,11 @@ state, the only control structure a Datacycle/R-Matrix server keeps.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Sequence, Tuple
 
 import numpy as np
+
+from .control_matrix import ColumnImage, checked_commit, commit_column
 
 __all__ = [
     "Partition",
@@ -47,7 +49,8 @@ class Partition:
         if seen != set(range(num_objects)):
             raise ValueError("groups must partition 0..n-1")
         self.num_objects = num_objects
-        self._group_of = np.empty(num_objects, dtype=np.int64)
+        #: object id -> group index (a list: scalar indexing is numpy's slow case)
+        self._group_of = [0] * num_objects
         for gidx, group in enumerate(self.groups):
             for member in group:
                 self._group_of[member] = gidx
@@ -57,11 +60,11 @@ class Partition:
         return len(self.groups)
 
     def group_of(self, obj: int) -> int:
-        return int(self._group_of[obj])
+        return self._group_of[obj]
 
     def group_indices(self) -> np.ndarray:
         """Vector mapping object id -> group index."""
-        return self._group_of.copy()
+        return np.array(self._group_of, dtype=np.int64)
 
 
 def uniform_partition(num_objects: int, num_groups: int) -> Partition:
@@ -86,6 +89,7 @@ class LastWriteVector:
 
     def __init__(self, num_objects: int):
         self._mc = np.zeros(num_objects, dtype=np.int64)
+        self._last_cycle_applied = 0
 
     @property
     def array(self) -> np.ndarray:
@@ -99,10 +103,15 @@ class LastWriteVector:
 
     def apply_commit(
         self, commit_cycle: int, read_set: Iterable[int], write_set: Iterable[int]
-    ) -> None:
-        ws = list({w for w in write_set})
+    ) -> Collection[int]:
+        """Stamp the written entries; returns their ids (see ``checked_commit``)."""
+        _rs, ws = checked_commit(
+            len(self._mc), self._last_cycle_applied, commit_cycle, read_set, write_set
+        )
         if ws:
+            self._last_cycle_applied = commit_cycle
             self._mc[ws] = commit_cycle
+        return ws
 
 
 class GroupedControlState:
@@ -124,46 +133,48 @@ class GroupedControlState:
     def __init__(self, partition: Partition):
         self.partition = partition
         n, g = partition.num_objects, partition.num_groups
-        self._mc = np.zeros((n, g), dtype=np.int64)
-        self._exact = partition.num_groups == partition.num_objects
+        #: column ``s`` of ``MC``, immutable; only ``apply_commit`` rebinds
+        #: (:mod:`repro.core.control_matrix`, "Columns, not a block")
+        self.columns = [commit_column(n, (), (), 0)] * g
+        self._exact = g == n
         self._last_cycle_applied = 0
 
     @property
     def array(self) -> np.ndarray:
-        return self._mc
+        """``MC`` as a dense read-only array, stacked on each call."""
+        return ColumnImage(self.columns).dense()
 
     def snapshot(self) -> np.ndarray:
-        return self._mc.copy()
+        return np.stack(self.columns, axis=1)
 
     def entry(self, i: int, group: int) -> int:
-        return int(self._mc[i, group])
+        return int(self.columns[group][i])
 
     def apply_commit(
         self, commit_cycle: int, read_set: Iterable[int], write_set: Iterable[int]
-    ) -> None:
-        ws = sorted({w for w in write_set})
-        if not ws:
-            return
-        if commit_cycle < self._last_cycle_applied:
-            raise ValueError(
-                f"commit cycles must be non-decreasing "
-                f"({commit_cycle} < {self._last_cycle_applied})"
-            )
-        self._last_cycle_applied = commit_cycle
-        rs = sorted({r for r in read_set})
+    ) -> Collection[int]:
+        """Theorem 2 on group columns; returns the ids of the groups rebound."""
         part = self.partition
-        read_groups = sorted({part.group_of(r) for r in rs})
-        if read_groups:
-            # max over the groups containing read objects over-approximates
-            # max over read columns of C; exact when groups are singletons.
-            new_column = self._mc[:, read_groups].max(axis=1)
-        else:
-            new_column = np.zeros(part.num_objects, dtype=np.int64)
-        # writes dominate: entries (i ∈ WS, group of j ∈ WS) become the
+        rs, ws = checked_commit(
+            part.num_objects, self._last_cycle_applied, commit_cycle, read_set, write_set
+        )
+        if not ws:
+            return ws
+        self._last_cycle_applied = commit_cycle
+        columns, group_of = self.columns, part.group_of
+        # max over the groups containing read objects over-approximates
+        # max over read columns of C; exact when groups are singletons.
+        # Writes dominate: entries (i ∈ WS, group of j ∈ WS) become the
         # cycle — no entry exceeds it, commit cycles being non-decreasing
-        new_column[ws] = commit_cycle
-        for gidx in {part.group_of(w) for w in ws}:
-            if self._exact:
-                self._mc[:, gidx] = new_column
-            else:
-                np.maximum(self._mc[:, gidx], new_column, out=self._mc[:, gidx])
+        reads = [columns[g] for g in {group_of(r) for r in rs}]
+        column = commit_column(part.num_objects, reads, ws, commit_cycle)
+        written = {group_of(w) for w in ws}
+        for g in written:
+            merged = column
+            if not self._exact:
+                # the group keeps its other members' contributions: a new
+                # array, never ``out=`` one that an image may already share
+                merged = np.maximum(columns[g], column)
+                merged.setflags(write=False)
+            columns[g] = merged
+        return written

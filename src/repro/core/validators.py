@@ -55,10 +55,11 @@ they observe, never from a size constant (docs/PERFORMANCE.md §2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .control_matrix import ColumnImage
 from .cycles import CycleArithmetic, UnboundedCycles
 from .group_matrix import Partition
 
@@ -77,7 +78,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ControlSnapshot:
     """Control information frozen at the beginning of one broadcast cycle.
 
@@ -85,25 +85,71 @@ class ControlSnapshot:
     matching the protocol in force.  Entries are *encoded* timestamps (see
     :mod:`repro.core.cycles`); ``cycle`` is the absolute cycle number the
     snapshot belongs to, used as the wrap-around anchor.
+
+    A matrix is given as a dense array (replayed and hand-built snapshots)
+    or as the server's :class:`~repro.core.control_matrix.ColumnImage`,
+    whose columns every cycle that saw them shares.  The read condition
+    consults one column, :meth:`column` / :meth:`group_column`; the
+    ``matrix`` / ``grouped`` attributes are always dense arrays (a shared
+    image stacks one on first use), for the consumers of a whole image:
+    arena, delta encoder, auditor.  Treat a snapshot as immutable.
     """
 
-    cycle: int
-    matrix: Optional[np.ndarray] = None
-    vector: Optional[np.ndarray] = None
-    grouped: Optional[np.ndarray] = None
-    partition: Optional[Partition] = None
+    __slots__ = ("cycle", "vector", "partition", "_matrix", "_grouped")
 
-    def fmatrix_entry(self, i: int, j: int) -> int:
-        assert self.matrix is not None, "snapshot carries no full matrix"
-        return int(self.matrix[i, j])
+    def __init__(
+        self,
+        cycle: int,
+        matrix: Union[np.ndarray, ColumnImage, None] = None,
+        vector: Optional[np.ndarray] = None,
+        grouped: Union[np.ndarray, ColumnImage, None] = None,
+        partition: Optional[Partition] = None,
+    ):
+        self.cycle = cycle
+        self.vector = vector
+        self.partition = partition
+        self._matrix = matrix
+        self._grouped = grouped
 
-    def vector_entry(self, i: int) -> int:
-        assert self.vector is not None, "snapshot carries no vector"
-        return int(self.vector[i])
+    @property
+    def kind(self) -> str:
+        """The populated field: ``"matrix"``, ``"vector"`` or ``"grouped"``."""
+        if self._matrix is not None:
+            return "matrix"
+        if self.vector is not None:
+            return "vector"
+        if self._grouped is not None:
+            return "grouped"
+        raise ValueError("snapshot carries no control payload")
 
-    def grouped_entry(self, i: int, group: int) -> int:
-        assert self.grouped is not None, "snapshot carries no grouped matrix"
-        return int(self.grouped[i, group])
+    @property
+    def matrix(self) -> Optional[np.ndarray]:
+        return _dense(self._matrix)
+
+    @property
+    def grouped(self) -> Optional[np.ndarray]:
+        return _dense(self._grouped)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column ``j`` of the full matrix — what rides with object ``j``.
+        From a shared image the column itself (contiguous, read-only, ``8n``
+        bytes that pin nothing else); from a dense array a view of it."""
+        return _column(self._matrix, j)
+
+    def group_column(self, group: int) -> np.ndarray:
+        """Column ``group`` of the grouped matrix, as :meth:`column`."""
+        return _column(self._grouped, group)
+
+
+def _dense(held: Union[np.ndarray, ColumnImage, None]) -> Optional[np.ndarray]:
+    return held.dense() if isinstance(held, ColumnImage) else held
+
+
+def _column(held: Union[np.ndarray, ColumnImage, None], k: int) -> np.ndarray:
+    if isinstance(held, ColumnImage):
+        return held.columns[k]
+    assert held is not None, "snapshot carries no such matrix"
+    return held[:, k]
 
 
 @dataclass(frozen=True)
@@ -231,8 +277,7 @@ class FMatrixValidator(ReadValidator):
     name = "f-matrix"
 
     def _slice(self, obj: int, snapshot: ControlSnapshot) -> np.ndarray:
-        assert snapshot.matrix is not None
-        return snapshot.matrix[:, obj]
+        return snapshot.column(obj)
 
 
 class DatacycleValidator(ReadValidator):
@@ -306,8 +351,7 @@ class GroupMatrixValidator(ReadValidator):
         self.partition = partition
 
     def _slice(self, obj: int, snapshot: ControlSnapshot) -> np.ndarray:
-        assert snapshot.grouped is not None
-        return snapshot.grouped[:, self.partition.group_of(obj)]
+        return snapshot.group_column(self.partition.group_of(obj))
 
 
 #: protocols selectable by name in configs; ``f-matrix-no`` shares the

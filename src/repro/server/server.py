@@ -13,7 +13,8 @@ Responsibilities, exactly as the paper lists them:
    backward validation (:meth:`BroadcastServer.submit_client_update`);
 3. transmit the control information each cycle — the per-cycle
    :class:`repro.core.validators.ControlSnapshot` carries the full matrix,
-   the vector, or the grouped matrix depending on the protocol in force.
+   the vector, or the grouped matrix depending on the protocol in force
+   (a matrix as its columns, shared with every cycle that saw them).
 
 The server keeps exactly one control structure — the one its protocol
 broadcasts; what committed, and when, is the database's to answer (client
@@ -22,12 +23,12 @@ updates validate against it).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
 
 import numpy as np
 
 from ..broadcast.program import BroadcastCycle
-from ..core.control_matrix import ControlMatrix
+from ..core.control_matrix import ColumnImage, ControlMatrix
 from ..core.cycles import CycleArithmetic, UnboundedCycles
 from ..core.group_matrix import GroupedControlState, LastWriteVector, Partition
 from ..core.validators import PROTOCOL_NAMES, ControlSnapshot
@@ -71,10 +72,14 @@ class BroadcastServer:
             self._control = self.vector = LastWriteVector(num_objects)
         self._validator = BackwardValidator(self.database)
         self.current_cycle = 0
-        #: the last frozen (encoded, read-only) control image, and whether
-        #: a write committed since it was taken (nothing is frozen at birth)
-        self._frozen: Optional[np.ndarray] = None
-        self._written_since_freeze = True
+        #: the last frozen (wire-encoded, read-only) control image; a
+        #: matrix's columns as of that freeze (a vector has none; at birth
+        #: the live ones stand in); and the ids a commit stamped or rebound
+        #: since — every column at birth, nothing being frozen yet
+        self._frozen: Union[np.ndarray, ColumnImage, None] = None
+        columns = () if self.vector is not None else self._control.columns
+        self._wire: List[np.ndarray] = list(columns)
+        self._stale: Set[int] = set(range(len(self._wire)))
 
     # ------------------------------------------------------------------
     @property
@@ -104,16 +109,31 @@ class BroadcastServer:
         """The frozen control image for one broadcast cycle.
 
         No write since the last freeze: the previous image — immutable,
-        the *same array object* — rides again, which is also what lets
+        the *same object*, its dense array included once stacked — rides
+        again, which is also what lets
         :meth:`repro.sim.arena.TimelineArena.from_images` store a quiescent
-        stretch once.  Otherwise one ``encode_array`` of the live state:
-        a fresh allocation (never a view of the live array), made
-        read-only because every cycle until the next write shares it.
+        stretch once.  Otherwise a vector is encoded afresh (``8n`` bytes)
+        and a matrix is frozen by *sharing*: the image is the tuple of
+        current columns, only those replaced since the last freeze being
+        wire-encoded, once per distinct column.  Nothing ``n × n`` is copied.
         """
-        if self._written_since_freeze:
-            self._frozen = self.arithmetic.encode_array(self._control.array)
-            self._frozen.flags.writeable = False
-            self._written_since_freeze = False
+        if self._stale or self._frozen is None:
+            encode = self.arithmetic.encode_array
+            if self.vector is not None:
+                self._frozen = encode(self.vector.array)
+                self._frozen.setflags(write=False)
+            else:
+                live = self._control.columns
+                encoded: Dict[int, np.ndarray] = {}
+                for k in self._stale:
+                    column = live[k]
+                    wire = encoded.get(id(column))
+                    if wire is None:
+                        wire = encoded[id(column)] = encode(column)
+                        wire.setflags(write=False)
+                    self._wire[k] = wire
+                self._frozen = ColumnImage(self._wire)
+            self._stale.clear()
         if self.matrix is not None:
             return ControlSnapshot(cycle, matrix=self._frozen)
         if self.grouped is not None:
@@ -173,9 +193,7 @@ class BroadcastServer:
                 f"{self.database.last_commit_cycle})"
             )
         record = self.database.apply_commit(txn, commit_cycle, rs, writes)
-        self._control.apply_commit(commit_cycle, rs, writes.keys())
-        if writes:
-            self._written_since_freeze = True
+        self._stale.update(self._control.apply_commit(commit_cycle, rs, writes.keys()))
         return record
 
     def _check_ids(self, objs: Iterable[int]) -> None:

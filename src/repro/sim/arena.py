@@ -13,9 +13,10 @@ installed broadcast image; :meth:`TimelineArena.from_images` then
 serialises that history into flat append-only buffers:
 
 * a **snapshot pool** — the distinct frozen control arrays, deduplicated
-  by identity (the server's freeze reuses the previous frozen array
-  across quiescent cycles, so identical images *are* the same object),
-  stacked into one dense block;
+  by identity (the server's freeze reuses the previous image across
+  quiescent cycles, and a shared-column image memoises the dense array
+  it stacks, so identical images *are* the same array object), stacked
+  into one dense block;
 * a per-cycle **snapshot index** and **version-epoch index** (``-1`` =
   dead air during a crash outage: no image went out at that boundary);
 * a **version-epoch table** — per-object indices into an interned
@@ -185,7 +186,8 @@ class TimelineArena:
 
         Deduplication leans on the server's freeze: the control array
         of a quiescent cycle *is* the previous cycle's array (same
-        object), and the committed-version tuples of
+        object — for a matrix, the dense array memoised on the image the
+        two cycles share), and the committed-version tuples of
         commit-free stretches share every element — so the pool holds
         one row per distinct image and the epoch table one row per
         commit-separated stretch.

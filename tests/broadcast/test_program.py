@@ -5,6 +5,7 @@ import pytest
 
 from repro.broadcast.program import BroadcastCycle, ObjectVersion
 from repro.core.validators import ControlSnapshot
+from repro.server.server import BroadcastServer
 
 
 def make_cycle(num_objects=3, cycle=4, with_matrix=True):
@@ -39,6 +40,24 @@ class TestBroadcastCycle:
         with pytest.raises(ValueError):
             col[0] = 99
         assert bc.snapshot.matrix[0, 2] == 2
+
+    def test_column_of_a_server_made_image_is_the_shared_column(self):
+        """What a client retains (a cache entry, ``ReadRecord.slice_``) is
+        the ``8n``-byte column itself — it pins no per-cycle matrix."""
+        n = 5
+        server = BroadcastServer(n, "f-matrix")
+        server.begin_cycle(1)
+        server.commit_update("t1", [0], {1: "x", 3: "y"})
+        bc = server.begin_cycle(2)
+        for obj in range(n):
+            col = bc.column(obj)
+            assert col is bc.snapshot.column(obj)
+            assert col.base is None and col.nbytes == 8 * n
+            assert col.flags.c_contiguous and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 99
+        assert bc.column(1) is bc.column(3)  # written together: one column
+        assert list(bc.column(1)) == [0, 1, 0, 1, 0]
 
     def test_column_none_for_vector_protocols(self):
         bc = make_cycle(with_matrix=False)

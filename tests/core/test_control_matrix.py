@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.control_matrix import ControlMatrix, matrix_from_history
+from repro.core.group_matrix import (
+    GroupedControlState,
+    LastWriteVector,
+    uniform_partition,
+)
 from repro.core.model import History, commit, read, write
 
 
@@ -159,3 +164,41 @@ class TestReductions:
             cm.reduce_to_groups([[0, 1]])  # misses 2
         with pytest.raises(ValueError):
             cm.reduce_to_groups([[0, 1], []])
+
+
+class TestBadCommitsAreRefusedWhole:
+    """One guard for the three control states: a commit naming an object
+    outside ``0..n-1`` or going back in time raises the documented
+    exception *before* anything changes — the guard's own memory of the
+    last cycle included, so the next valid commit is applied as if the bad
+    one had never been offered."""
+
+    STATES = {
+        "matrix": lambda: ControlMatrix(4),
+        "grouped": lambda: GroupedControlState(uniform_partition(4, 2)),
+        "vector": lambda: LastWriteVector(4),
+    }
+    #: (cycle, read set, write set) offered after a valid commit at cycle 5
+    BAD = {
+        "negative-write": ((9, [0], [-1]), IndexError, r"object id -1 out of range 0\.\.3"),
+        "negative-read": ((9, [-2], [1]), IndexError, r"object id -2 out of range 0\.\.3"),
+        "write-past-end": ((9, [0], [2, 7]), IndexError, r"object id 7 out of range 0\.\.3"),
+        "read-past-end": ((9, [4], [1]), IndexError, r"object id 4 out of range 0\.\.3"),
+        "cycle-goes-back": ((3, [0], [1]), ValueError, "non-decreasing"),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("state", sorted(STATES))
+    def test_refused_before_any_state_changes(self, state, bad):
+        offered, twin = self.STATES[state](), self.STATES[state]()
+        for s in (offered, twin):
+            s.apply_commit(5, [], [0, 2])
+        commit_args, exception, message = self.BAD[bad]
+        with pytest.raises(exception, match=message):
+            offered.apply_commit(*commit_args)
+        assert np.array_equal(offered.array, twin.array)
+        # cycle 5 again: a guard the refused commit had advanced would raise
+        for s in (offered, twin):
+            s.apply_commit(5, [0], [1, 3])
+        assert np.array_equal(offered.array, twin.array)
+        assert offered.array.max() == 5

@@ -1,22 +1,30 @@
 """Frozen control snapshots vs a cold oracle.
 
 ``BroadcastServer._control_snapshot`` reuses the previous cycle's frozen
-array when no write committed since and encodes the live state afresh
-otherwise.  These tests drive randomized commit schedules through a
-server and check every cycle's broadcast image against the oracle — a
-fresh ``snapshot()`` + ``encode_array()`` of a shadow control structure —
-covering both unbounded and modulo timestamp encodings.
+image when no write committed since; otherwise it shares the live state's
+immutable columns, wire-encoding only those a commit replaced.  These
+tests drive randomized commit schedules through a server and check every
+cycle's broadcast image against a *dense* oracle — a fresh ``snapshot()``
++ ``encode_array()`` of a shadow control structure, or a Theorem 2
+transcription on a plain array — under unbounded and modulo timestamps;
+that an image, once frozen, can never change; and that neither a freeze
+nor a commit nor a plain simulation ever builds anything ``n × n``.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.control_matrix import ControlMatrix
+from repro.core.control_matrix import ColumnImage, ControlMatrix
 from repro.core.cycles import ModuloCycles, UnboundedCycles
 from repro.core.group_matrix import GroupedControlState, Partition, uniform_partition
+from repro.core.reference import ReferenceControlMatrix
+from repro.core.validators import PROTOCOL_NAMES
 from repro.server.server import BroadcastServer
+from repro.sim import SimulationConfig, run_simulation
 
 
 def random_schedule(rng, num_objects, cycles):
@@ -73,8 +81,11 @@ def test_quiescent_cycles_reuse_the_frozen_array():
         server.commit_update("t2", [0], {1: "z"})
         fourth = getattr(server.begin_cycle(4).snapshot, field)
         assert fourth is not first and not np.array_equal(fourth, first)
-        assert not np.shares_memory(fourth, getattr(server, field).array)
-        # the old image is untouched by later commits
+        # images share immutable columns with the live state by design; what
+        # must hold is that commits after a freeze leave the image as it was
+        after_freeze = fourth.copy()
+        server.commit_update("t3", [1], {0: "w", 3: "v"})
+        assert np.array_equal(fourth, after_freeze)
         assert np.array_equal(first, before)
 
 
@@ -139,3 +150,146 @@ def test_grouped_snapshots_match_oracle():
             server.commit_update(f"t{cycle}.{k}", rs, {o: cycle for o in ws})
             shadow.apply_commit(cycle, rs, ws)
             exact.apply_commit(cycle, rs, ws)
+
+
+# ----------------------------------------------------------------------
+# the shared image equals the dense one, and can never change
+# ----------------------------------------------------------------------
+
+def dense_grouped_commit(mc, group_of, cycle, rs, ws):
+    """``GroupedControlState.apply_commit`` on one dense ``n × g`` block,
+    as it was before the state became shared columns."""
+    ws = sorted(set(ws))
+    if not ws:
+        return
+    read_groups = sorted({group_of[r] for r in rs})
+    if read_groups:
+        new_column = mc[:, read_groups].max(axis=1)
+    else:
+        new_column = np.zeros(mc.shape[0], dtype=np.int64)
+    new_column[ws] = cycle
+    for gidx in {group_of[w] for w in ws}:
+        if mc.shape[0] == mc.shape[1]:
+            mc[:, gidx] = new_column
+        else:
+            np.maximum(mc[:, gidx], new_column, out=mc[:, gidx])
+
+
+@st.composite
+def commit_streams(draw):
+    n = draw(st.integers(4, 7))
+    ids = st.lists(st.integers(0, n - 1), max_size=4)  # repeats allowed
+    commit = st.tuples(ids, st.one_of(st.just([]), ids))  # read-only commits too
+    cycles = st.lists(st.lists(commit, max_size=3), min_size=2, max_size=14)
+    return n, draw(cycles)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    stream=commit_streams(),
+    shape=st.sampled_from(["f-matrix", 1, 4, "n"]),
+    bits=st.sampled_from([None, 2, 4, 8]),
+)
+def test_shared_image_equals_the_dense_one_and_never_changes(stream, shape, bits):
+    n, cycles = stream
+    arithmetic = UnboundedCycles() if bits is None else ModuloCycles(bits)
+    if shape == "f-matrix":
+        server = BroadcastServer(n, "f-matrix", arithmetic=arithmetic)
+        field, read_column = "matrix", lambda snap, k: snap.column(k)
+        reference = ReferenceControlMatrix(n)
+        apply = reference.apply_commit
+        dense = lambda: np.array(reference.rows(), dtype=np.int64)
+    else:
+        partition = uniform_partition(n, n if shape == "n" else shape)
+        server = BroadcastServer(
+            n, "group-matrix", arithmetic=arithmetic, partition=partition
+        )
+        field, read_column = "grouped", lambda snap, k: snap.group_column(k)
+        mc = np.zeros((n, partition.num_groups), dtype=np.int64)
+        group_of = partition.group_indices().tolist()
+        apply = lambda cycle, rs, ws: dense_grouped_commit(mc, group_of, cycle, rs, ws)
+        dense = lambda: mc
+    frozen = []  # (image, deep copy taken when it was frozen)
+    previous, wrote = None, True
+    for cycle, commits in enumerate(cycles, start=1):
+        snap = server.begin_cycle(cycle).snapshot
+        image = getattr(snap, field)
+        assert np.array_equal(image, arithmetic.encode_array(dense()))
+        assert not image.flags.writeable
+        for k in range(image.shape[1]):
+            column = read_column(snap, k)
+            assert np.array_equal(column, image[:, k])
+            assert column.flags.writeable is False and column.base is None
+            with pytest.raises(ValueError):
+                column[0] = 1
+            if not wrote:  # quiescent: the same columns ride again
+                assert column is read_column(previous, k)
+        if not wrote:  # ... and the same dense array, stacked at most once
+            assert image is getattr(previous, field)
+        for earlier, copy in frozen:
+            assert np.array_equal(earlier, copy)
+        frozen.append((image, image.copy()))
+        previous, wrote = snap, False
+        for k, (rs, ws) in enumerate(commits):
+            server.commit_update(f"t{cycle}.{k}", rs, {obj: cycle for obj in ws})
+            apply(cycle, rs, ws)
+            wrote = wrote or bool(ws)
+
+
+# ----------------------------------------------------------------------
+# nothing n × n is allocated: two deterministic guards, no clock
+# ----------------------------------------------------------------------
+
+def traced_peak(action):
+    """Peak bytes allocated while ``action`` runs (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        action()
+        return tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "protocol, limit", [("f-matrix", 64 * 1024), ("group-matrix", 16 * 1024)]
+)
+def test_a_dirty_freeze_and_a_commit_allocate_columns_not_matrices(protocol, limit):
+    """n = 500: a dense freeze copied 2 MB (f-matrix) / 64 KB (16 groups)
+    per dirty cycle; sharing allocates the replaced columns and two tuples
+    of pointers.  A 4-read / 4-write commit (database record included)
+    makes a handful of ``8n``-byte columns."""
+    n = 500
+    server = BroadcastServer(n, protocol, partition=uniform_partition(n, 16))
+    rng = random.Random(5)
+    for cycle in range(1, 4):  # past the birth freeze, where every column is new
+        for k in range(40):
+            objs = rng.sample(range(n), 8)
+            server.commit_update(f"w{cycle}.{k}", objs[:4], dict.fromkeys(objs[4:], 0))
+        server.begin_cycle(cycle)
+    commit_peak = traced_peak(
+        lambda: server.commit_update(
+            "c", [1, 120, 250, 499], {7: 0, 130: 0, 260: 0, 480: 0}
+        )
+    )
+    assert commit_peak < 8 * 8 * n
+    server.begin_cycle(4)
+    server.commit_update("t", [3, 140], {9: 0, 270: 0})
+    freeze_peak = traced_peak(lambda: server.begin_cycle(5))
+    assert freeze_peak < limit
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_a_plain_run_never_stacks_a_dense_image(protocol, monkeypatch):
+    """No audit, no trace, no arena: validators read single columns, so a
+    Table-1 run must complete with the dense materialiser out of order."""
+
+    def refuse(self):
+        raise AssertionError("a plain run asked for a dense control image")
+
+    monkeypatch.setattr(ColumnImage, "dense", refuse)
+    result = run_simulation(
+        SimulationConfig(protocol=protocol, num_client_transactions=50, seed=7)
+    )
+    assert result.metrics.commit_count == 50

@@ -8,8 +8,6 @@ tests compare full result signatures across protocols and feature
 combinations (cache, broadcast loss, mixed update transactions).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -345,7 +343,9 @@ class TestBatchValidation:
                 snap = grow_history(batch, random_mod.Random(99))
                 grow_history(oracle, random_mod.Random(99))
                 if entry is validate_read_batch:
-                    later = dataclasses.replace(snap, cycle=snap.cycle + 2)
+                    later = ControlSnapshot(
+                        snap.cycle + 2, snap.matrix, snap.vector, snap.grouped, PARTITION
+                    )
                     for side in (batch, oracle):
                         cached = make_validator(protocol, partition=PARTITION)
                         assert cached.validate_read(5, later)
