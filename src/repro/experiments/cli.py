@@ -133,12 +133,6 @@ def _run_one(
         from .plotting import render_chart
 
         print(render_chart(result, log_y=True))
-    cache = getattr(result, "timeline_cache", None) or {}
-    if cache.get("hits") or cache.get("misses"):
-        print(
-            f"[{name}] timeline cache: {cache['hits']} hits, "
-            f"{cache['misses']} misses, {cache['stores']} stores"
-        )
     print(f"[{name}] {elapsed:.1f}s wall clock\n")
     if csv_dir is not None:  # main() created it before the first grid point
         path = csv_dir / f"{name}.csv"

@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..sim.arena import TIMELINE_CACHE
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SummaryStat
 from ..sim.simulation import run_simulation
@@ -95,12 +94,6 @@ class ExperimentResult:
     name: str
     xlabel: str
     series: Dict[str, Series] = field(default_factory=dict)
-    #: timeline-cache traffic this sweep generated in *this* process
-    #: (hits/misses/stores/... deltas); grid points that replay a
-    #: cached broadcast timeline show up here as hits.  Pool workers
-    #: keep their own caches, so a parallel sweep only counts the
-    #: parent's share.
-    timeline_cache: Dict[str, int] = field(default_factory=dict)
 
     def protocols(self) -> Tuple[str, ...]:
         return tuple(self.series)
@@ -178,7 +171,6 @@ def run_sweep(
             grid.append((protocol, value, config.replace(protocol=protocol)))
 
     outcomes: "Iterable[Tuple[str, object, Point]]"
-    cache_before = TIMELINE_CACHE.stats.as_dict()
     if workers is not None and workers > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_grid_point, grid, chunksize=1))
@@ -190,8 +182,4 @@ def run_sweep(
         result.series[protocol].points.append(point)
         if progress is not None:
             progress(protocol, value, point)
-    cache_after = TIMELINE_CACHE.stats.as_dict()
-    result.timeline_cache = {
-        key: cache_after[key] - cache_before[key] for key in cache_after
-    }
     return result

@@ -189,9 +189,8 @@ def registry_from_result(result: Any) -> TelemetryRegistry:
     Counters mirror every ``MetricsCollector._COUNTER_FIELDS`` tally
     plus ``commits``; gauges carry run extent (stop time, kernel
     events); histograms bucket per-commit response times and restart
-    counts straight from the array accumulators (``keep_samples`` is
-    irrelevant — no sample objects are materialised).  Timeline cache
-    stats, when present, land under ``timeline.*``.
+    counts from the collector's columns (no sample objects are built).
+    Timeline cache stats, when present, land under ``timeline.*``.
     """
     registry = TelemetryRegistry()
     metrics = result.metrics
@@ -200,14 +199,12 @@ def registry_from_result(result: Any) -> TelemetryRegistry:
         registry.counter(name).inc(float(getattr(metrics, name)))
     registry.gauge("sim_time").set(float(result.sim_time))
     registry.gauge("events").set(float(result.events))
-    count = metrics._count
-    if count:
-        responses = (
-            metrics._commit_times[:count] - metrics._submit_times[:count]
-        ).tolist()
-        registry.histogram("response_time_bits").observe_many(responses)
+    if metrics.commit_count:
+        registry.histogram("response_time_bits").observe_many(
+            metrics.response_times().tolist()
+        )
         registry.histogram("restarts").observe_many(
-            metrics._restart_counts[:count].tolist()
+            metrics.restart_counts().tolist()
         )
     stats = getattr(result, "timeline_stats", None)
     if stats:

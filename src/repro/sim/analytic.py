@@ -37,8 +37,7 @@ The tier refuses fault plans (a dozing or crash-affected client's
 trajectory is not closed-form replayable — config validation enforces
 this) and trace collection (nothing event-driven happens for readers).
 Memory is O(cycles simulated) for the retained images plus O(commits)
-for metrics — independent of the client count when ``keep_samples`` is
-off.
+for metrics (24 bytes and a tid per commit; no sample objects).
 """
 
 from __future__ import annotations
@@ -127,7 +126,11 @@ def run_analytic(
     # event sequence, and hence the image history, is bit-identical.
     updaters = sl.updaters
     if updaters > 0:
-        env = simulation.client_env(simulation._timeline_metrics, state.tracer)
+        # measured on the primary, ghosts (shadow collector) elsewhere
+        env = simulation.client_env(
+            simulation.metrics if sl.primary else simulation._timeline_metrics,
+            state.tracer,
+        )
         CohortExecutor(
             sim=sim,
             state=state,

@@ -1,12 +1,10 @@
 """Timeline arena: record the authoritative broadcast once, replay it anywhere.
 
-PR 7's shard layer made the read-only population embarrassingly parallel
-by having every shard *recompute* the authoritative timeline — cycle
-process, server process, crash schedule, update clients — from the
-config's seeds.  Correct, but k shards pay k× the timeline cost, so the
-speedup plateaus exactly when the timeline is expensive (busy servers,
-long horizons, update-heavy plans).  This module materialises the
-paper's own asymmetry instead: *one* broadcast, many observers.
+Sharded recompute has every shard derive the authoritative timeline —
+cycle process, server process, crash schedule, update clients — from the
+config's seeds: correct, but k shards pay k× the timeline cost.  This
+module materialises the paper's own asymmetry instead: *one* broadcast,
+many observers.
 
 The **recording pass** (the primary shard, run live) retains every
 installed broadcast image; :meth:`TimelineArena.from_images` then
@@ -23,8 +21,12 @@ serialises that history into flat append-only buffers:
   version-entry store (value, writer, commit cycle), one epoch per
   maximal run of cycles whose committed state is unchanged;
 * the **timeline journal** — every timeline-side counter increment as a
-  ``(time, field, delta)`` triple, so a replay can reconstruct the
-  timeline's metrics at any stop time ``T`` without running it.
+  ``(time, field, delta)`` triple.  Under replay this is the *only* form
+  the timeline's counters take: the recording pass journals them from
+  t = 0 (:class:`RecordingTimelineMetrics`) and
+  :meth:`TimelineArena.apply_journal` folds them into the merged
+  collector at the run's stop time — the same way whether the arena was
+  recorded by this run or reused from the cache.
 
 :meth:`TimelineArena.share` copies the numpy blocks into one
 ``multiprocessing.shared_memory`` segment and returns a small picklable
@@ -53,7 +55,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import sha256
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,7 +151,7 @@ class TimelineArena:
         entry_commit_cycles: np.ndarray,
         values: Tuple[object, ...],
         writers: Tuple[str, ...],
-        journal: Tuple[JournalEntry, ...] = (),
+        journal: Sequence[JournalEntry] = (),
     ) -> None:
         self.kind = kind
         self.num_objects = num_objects
@@ -164,8 +166,9 @@ class TimelineArena:
         self.entry_commit_cycles = entry_commit_cycles
         self.values = values
         self.writers = writers
-        #: timeline-counter increments, recorded by the recording pass;
-        #: stays parent-side (never shipped to workers)
+        #: timeline-counter increments in time order — the recording
+        #: pass's own list, so it keeps growing if that pass is driven
+        #: past the horizon; stays parent-side (never shipped to workers)
         self.journal = journal
         self._shm: Optional[shared_memory.SharedMemory] = None
         self._owns_shm = False
@@ -180,7 +183,7 @@ class TimelineArena:
         cycle_bits: float,
         horizon_time: float,
         partition: Optional[Partition],
-        journal: Tuple[JournalEntry, ...] = (),
+        journal: Sequence[JournalEntry] = (),
     ) -> "TimelineArena":
         """Serialise a recorded image history into flat buffers.
 
@@ -274,7 +277,7 @@ class TimelineArena:
 
         Equivalent to driving the live timeline to ``upto`` (inclusive,
         matching ``Simulator.run(until=...)``) with ``metrics`` as its
-        collector — which is exactly what a cache-hit run skips.
+        collector.
         """
         for time, name, delta in self.journal:
             if time <= upto:
@@ -423,59 +426,34 @@ class TimelineView:
 
 
 class RecordingTimelineMetrics(MetricsCollector):
-    """A journaling proxy wrapped around the timeline's metrics collector.
+    """The timeline's collector on a recording pass: a journal.
 
-    The recording pass needs two things from the timeline's counters:
-    they must land in the run's *real* collector (so a recording run's
-    metrics match a recompute run bit for bit), and every increment must
-    be replayable later at an arbitrary stop time (so a cache-hit run —
-    which never drives the timeline at all — can reconstruct them).
-
-    This subclass stores **no state of its own**: attribute reads fall
-    through to the wrapped target, and counter writes are applied to the
-    target *and* appended to :attr:`journal` as ``(now, field, delta)``.
-    Inherited methods (``record_commit`` etc.) therefore work unchanged —
-    they read through and write through.  Only the fields in
-    ``MetricsCollector._COUNTER_FIELDS`` are journalled; array-growth
-    reassignments and sample caches pass straight through.
-
-    :meth:`retarget` swaps the target to a throwaway shadow collector at
-    the moment the primary's local run ends, so the horizon-extension
-    phase (recording cycles past the primary's own stop time) never
-    pollutes the real metrics; :attr:`live_entries` marks the split so
-    the fold-after-merge applies exactly the extension-phase deltas.
+    The cycle, server and crash processes and the fault runtime get this
+    in place of the run's measured collector.  A counter write keeps the
+    running total here (``+=`` reads back what it wrote) and is appended
+    to :attr:`journal` as ``(now, field, delta)``; nothing reaches the
+    measured collector until :meth:`TimelineArena.apply_journal` folds
+    the journal at the merged stop time.  The pass therefore needs no
+    shielding while it records past its own clients' stop, and a run
+    that recorded its arena and a run that found it cached count the
+    timeline by the same rule.
     """
 
     _JOURNALLED = frozenset(MetricsCollector._COUNTER_FIELDS)
+    _sim: Simulator
+    journal: List[JournalEntry]
 
-    def __init__(self, sim: Simulator, target: MetricsCollector) -> None:
-        # deliberately no super().__init__(): the proxy owns no counters
-        object.__setattr__(self, "_sim", sim)
-        object.__setattr__(self, "journal", [])
-        object.__setattr__(self, "live_entries", None)
-        object.__setattr__(self, "_target", target)
-
-    def __getattr__(self, name: str) -> object:
-        # only reached when normal lookup fails — i.e. for everything
-        # the target owns (the proxy's own __dict__ holds just the four
-        # attributes set above)
-        return getattr(self.__dict__["_target"], name)
+    def __init__(self, sim: Simulator) -> None:
+        self.__dict__["_sim"] = sim
+        self.__dict__["journal"] = []
+        super().__init__()
 
     def __setattr__(self, name: str, value: object) -> None:
-        target = self.__dict__["_target"]
-        if name in RecordingTimelineMetrics._JOURNALLED:
-            old = getattr(target, name)
-            setattr(target, name, value)
-            self.__dict__["journal"].append(
-                (self.__dict__["_sim"].now, name, value - old)  # type: ignore[operator]
-            )
-        else:
-            setattr(target, name, value)
-
-    def retarget(self, new_target: MetricsCollector) -> None:
-        """Redirect writes to ``new_target``; mark the journal split."""
-        object.__setattr__(self, "live_entries", len(self.journal))
-        object.__setattr__(self, "_target", new_target)
+        # the zeroing in MetricsCollector.__init__ is not an increment
+        old = self.__dict__.get(name)
+        if old is not None and name in self._JOURNALLED:
+            self.journal.append((self._sim.now, name, value - old))  # type: ignore[operator]
+        self.__dict__[name] = value
 
 
 # -- cross-run cache ----------------------------------------------------

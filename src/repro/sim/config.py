@@ -83,9 +83,6 @@ class SimulationConfig:
     #: runs with updates require an explicit bound so the read-only
     #: population is well defined.
     num_update_clients: Optional[int] = None
-    #: retain per-transaction sample objects after the run (switch off
-    #: for 10⁶-client runs; the array accumulators remain either way)
-    keep_samples: bool = True
 
     # -- modelling choices (documented in DESIGN.md) ----------------------
     #: "exponential" (default) or "deterministic" server completion gaps

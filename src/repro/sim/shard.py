@@ -23,16 +23,16 @@ provided every shard sees the same broadcast.  Two modes provide it:
   replay is an optimisation, never a correctness risk.  For update-free,
   fault-free configs the sealed arena also lands in the cross-run
   :data:`~repro.sim.arena.TIMELINE_CACHE`, keyed by the server-side
-  config fingerprint + seed: sweep points that vary only client-side
-  parameters skip the recording pass entirely (a *cache hit*), and the
-  run's timeline-side counters are reconstructed from the arena's
-  recorded journal instead of a live simulation.
+  config fingerprint + seed: a later run that varies only client-side
+  parameters skips the recording pass (a *cache hit*) and replays the
+  primary slice too.  Either way the timeline's counters come from the
+  arena's journal, folded at the merged stop time.
 
-The only inter-process traffic is the result: each worker returns its
-:class:`~repro.sim.metrics.MetricsCollector` (plus, under replay, a
-fallback flag), and the parent folds them together with
-:meth:`~repro.sim.metrics.MetricsCollector.merge_from` in shard order.
-Double counting is prevented by the primary/ghost split
+Both modes are one path: a timeline (live, or recorded and sealed), one
+:func:`_gather` of the other shards' :class:`ShardOutcome` s — inline or
+on a pool, the parent's own slice in between — and
+:func:`~repro.sim.simulation.assemble_result`.  Double counting is
+prevented by the primary/ghost split
 (:class:`~repro.sim.simulation.ShardSlice`): exactly one shard — the
 primary — records the timeline's metrics; the others route them into a
 discarded shadow collector.  Summary statistics sort the merged samples
@@ -41,8 +41,8 @@ to an unsharded run's — the property tests assert this across shard
 counts, executors and timeline modes.
 
 A worker that dies raises :class:`ShardExecutionError` in the parent,
-naming the shard and its reader range; outstanding futures are
-cancelled rather than left running against a doomed merge.
+naming the shard and its reader range; queued shards are cancelled and
+the arena's shared segment is unlinked on the way out.
 
 ``workers=0`` runs every shard sequentially in-process: same results,
 no pool — the mode tests use to exercise slicing without fork overhead.
@@ -51,11 +51,12 @@ no pool — the mode tests use to exercise slicing without fork overhead.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..obs.profiler import PhaseProfiler
-from ..obs.tracer import Span, canonical_spans
 from .arena import (
     TIMELINE_CACHE,
     TimelineArena,
@@ -64,14 +65,18 @@ from .arena import (
     timeline_cacheable,
 )
 from .config import SimulationConfig
-from .metrics import MetricsCollector
-from .simulation import BroadcastSimulation, ShardSlice, SimulationResult
+from .simulation import (
+    BroadcastSimulation,
+    ShardOutcome,
+    ShardSlice,
+    SimulationResult,
+    assemble_result,
+)
 
 __all__ = ["reader_slices", "run_sharded", "ShardExecutionError"]
 
-#: recorded-horizon headroom: replay shards may stop later than the
-#: recording pass's own clients did (reader mixes differ), so record
-#: this factor past the local stop, plus a few whole cycles of slack
+#: recorded-horizon headroom: record this factor past the recording
+#: pass's own stop, plus a few whole cycles of slack
 _HORIZON_FACTOR = 1.25
 _HORIZON_SLACK_CYCLES = 4.0
 
@@ -80,8 +85,8 @@ class ShardExecutionError(RuntimeError):
     """A shard worker failed; identifies which slice of the population.
 
     Raised by the parent with the original exception chained (``from``),
-    after cancelling the outstanding shard futures — a sharded run is
-    all-or-nothing, so there is no point finishing the survivors.
+    after cancelling the shards still queued — a sharded run is
+    all-or-nothing, so there is no point starting the survivors.
     """
 
     def __init__(self, shard_index: int, slice_: ShardSlice, cause: BaseException):
@@ -146,111 +151,126 @@ def _observer_slice(slice_: ShardSlice) -> ShardSlice:
     )
 
 
-def _run_shard(
-    job: Tuple[SimulationConfig, ShardSlice, Optional[int]]
-) -> Tuple[MetricsCollector, float, int, List[Span], int]:
-    """Worker entry point: one recompute shard; collector + run stats +
-    this shard's raw span stream (empty when tracing is off).
+#: one shard's work: config, slice, the sealed timeline to replay (``None``
+#: = recompute it; a handle is attached, an arena used as is), event cap
+ShardJob = Tuple[
+    SimulationConfig,
+    ShardSlice,
+    Union[TimelineHandle, TimelineArena, None],
+    Optional[int],
+]
+
+
+def _simulate(
+    config: SimulationConfig,
+    slice_: ShardSlice,
+    max_events: Optional[int],
+    arena: Optional[TimelineArena] = None,
+    fell_back: bool = False,
+) -> ShardOutcome:
+    """One slice, run in this process until its last client is done.
+
+    Live — the slice recomputes the timeline for itself — or, given a
+    sealed ``arena``, as pure observers of it: its readers, nothing else;
+    :class:`TimelineExhausted` if they read past the arena's horizon.
+    """
+    simulation = (
+        BroadcastSimulation(config, slice_=slice_)
+        if arena is None
+        else BroadcastSimulation(
+            config, slice_=_observer_slice(slice_), timeline=arena.view()
+        )
+    )
+    sim_time, events = simulation.execute(max_events)
+    tracer = simulation.tracer
+    return ShardOutcome(
+        simulation.metrics, sim_time, events, tracer.export(), tracer.dropped, fell_back
+    )
+
+
+def _execute(owner: BroadcastSimulation, max_events: Optional[int]) -> ShardOutcome:
+    """Run the in-process timeline owner to its clients' stop (its span
+    stream is read at assembly, once the timeline covers the merged stop)."""
+    return ShardOutcome(owner.metrics, *owner.execute(max_events))
+
+
+def _run_shard(job: ShardJob) -> ShardOutcome:
+    """Worker entry point: one shard, start to finish.
+
+    Given a timeline the shard attaches to it (zero-copy, when handed a
+    handle) and replays its readers.  A replay that outruns the recorded
+    horizon — like a job with no timeline at all — recomputes the shard
+    live with the *original* slice, so the ghost updaters and the shadow
+    timeline run exactly as in recompute mode.
 
     Module-level so the process pool can pickle it; also the inline path
     for ``workers=0``.
     """
-    config, slice_, max_events = job
-    simulation = BroadcastSimulation(config, slice_=slice_)
-    sim_time, events = simulation.execute(max_events)
-    return (
-        simulation.metrics,
-        sim_time,
-        events,
-        simulation.tracer.export(),
-        simulation.tracer.dropped,
-    )
-
-
-def _run_shard_replay(
-    job: Tuple[
-        SimulationConfig,
-        ShardSlice,
-        Union[TimelineHandle, TimelineArena],
-        Optional[int],
-    ]
-) -> Tuple[MetricsCollector, float, int, List[Span], int, bool]:
-    """Worker entry point: one replay shard; collector + stats + spans +
-    fell_back.
-
-    Attaches to the shared arena (zero-copy) when handed a
-    :class:`TimelineHandle`; uses the arena directly on the in-process
-    path.  A replay that outruns the recorded horizon recomputes the
-    shard from scratch — with the *original* slice, so the ghost
-    updaters and the shadow timeline run exactly as in recompute mode.
-    """
     config, slice_, source, max_events = job
-    arena = (
-        TimelineArena.attach(source)
-        if isinstance(source, TimelineHandle)
-        else source
-    )
-    simulation = BroadcastSimulation(
-        config, slice_=_observer_slice(slice_), timeline=arena.view()
-    )
-    try:
-        sim_time, events = simulation.execute(max_events)
-    except TimelineExhausted:
-        metrics, sim_time, events, spans, dropped = _run_shard(
-            (config, slice_, max_events)
+    if source is not None:
+        arena = (
+            TimelineArena.attach(source)
+            if isinstance(source, TimelineHandle)
+            else source
         )
-        return metrics, sim_time, events, spans, dropped, True
-    return (
-        simulation.metrics,
-        sim_time,
-        events,
-        simulation.tracer.export(),
-        simulation.tracer.dropped,
-        False,
-    )
-
-
-def _replay_primary(
-    config: SimulationConfig,
-    slice_: ShardSlice,
-    arena: TimelineArena,
-    max_events: Optional[int],
-) -> Tuple[MetricsCollector, float, int, List[Span], int]:
-    """The parent's own replay of the primary slice on a cache hit.
-
-    Unlike the worker path this lets :class:`TimelineExhausted`
-    propagate: a live recompute of the *primary* slice would record
-    timeline metrics that the journal fold would then double-count, so
-    the caller handles exhaustion by discarding the cache entry and
-    re-recording instead.
-    """
-    simulation = BroadcastSimulation(
-        config, slice_=_observer_slice(slice_), timeline=arena.view()
-    )
-    sim_time, events = simulation.execute(max_events)
-    return (
-        simulation.metrics,
-        sim_time,
-        events,
-        simulation.tracer.export(),
-        simulation.tracer.dropped,
-    )
-
-
-def _collect(
-    futures: Sequence["Future"], slices: Sequence[ShardSlice], first_index: int
-) -> List[Tuple]:
-    """Gather shard futures in order; wrap failures, cancel the rest."""
-    outcomes: List[Tuple] = []
-    for offset, future in enumerate(futures):
         try:
-            outcomes.append(future.result())
-        except Exception as exc:
-            for pending in futures[offset + 1 :]:
-                pending.cancel()
-            raise ShardExecutionError(
-                first_index + offset, slices[offset], exc
-            ) from exc
+            return _simulate(config, slice_, max_events, arena)
+        except TimelineExhausted:
+            pass
+    return _simulate(config, slice_, max_events, fell_back=source is not None)
+
+
+def _gather(
+    config: SimulationConfig,
+    slices: Sequence[ShardSlice],
+    own: Callable[[], ShardOutcome],
+    *,
+    profiler: PhaseProfiler,
+    workers: int,
+    max_events: Optional[int],
+    arena: Optional[TimelineArena] = None,
+) -> List[ShardOutcome]:
+    """Every slice's outcome, in shard order.
+
+    ``own`` yields the primary slice's: the parent's share of the work,
+    done between starting the other slices' jobs and collecting them.
+    The jobs go to a pool of ``workers`` processes, or with ``workers=0``
+    run in this process; given a sealed ``arena`` they replay it (shared
+    for the pool's lifetime, unlinked on every way out), otherwise they
+    recompute the timeline.  A job's failure is re-raised as
+    :class:`ShardExecutionError`; on any failure the jobs still queued
+    are cancelled before the pool is joined.
+    """
+    rest = slices[1:]
+    pooled = workers > 0 and bool(rest)
+    try:
+        source = arena.share() if arena is not None and pooled else arena
+        with (
+            ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()
+        ) as pool:
+            try:
+                with profiler.phase("setup"):
+                    waits = [
+                        pool.submit(_run_shard, job).result
+                        if pool is not None
+                        else partial(_run_shard, job)
+                        for job in ((config, sl, source, max_events) for sl in rest)
+                    ]
+                with profiler.phase("primary"):
+                    outcomes = [own()]
+                with profiler.phase("shards"):
+                    for sl, wait in zip(rest, waits):
+                        try:
+                            outcomes.append(wait())
+                        except Exception as exc:
+                            raise ShardExecutionError(len(outcomes), sl, exc) from exc
+            except BaseException:
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        if arena is not None:
+            arena.close_shared()
     return outcomes
 
 
@@ -266,287 +286,92 @@ def run_sharded(
     ``workers=None`` sizes the pool to ``min(shards - 1, cpus - 1)``
     (the parent itself runs the primary shard, so one core is spoken
     for); ``workers=0`` forces sequential in-process execution.
-    ``config.timeline_mode == "replay"`` routes through the arena path.
+
+    Recompute mode: the parent runs the primary slice live while the
+    other slices recompute the timeline for themselves.  Replay mode
+    first records: the primary slice runs live — its own readers, the
+    updaters, the crash schedule — keeps the timeline going to a horizon
+    with headroom and seals the arena the other slices replay.  On a
+    timeline-cache hit *every* slice replays instead, the primary's in
+    the parent; if the cached horizon proves too short for this config's
+    clients the entry is discarded and the run records after all.
     """
     if collect_trace:
         raise ValueError(
             "sharded runs record no trace (each shard sees only its own "
             "clients); use shards=1 for trace/audit runs"
         )
-    if config.timeline_mode == "replay":
-        return _run_replay(config, workers=workers, max_events=max_events)
     profiler = PhaseProfiler()
     slices = reader_slices(config)
-    if len(slices) == 1:
-        with profiler.phase("execute"):
-            result = BroadcastSimulation(config, slice_=slices[0]).run(
-                max_events=max_events
-            )
-        result.profile = profiler.as_dict()
-        return result
-    rest = slices[1:]
     if workers is None:
-        workers = min(len(rest), max(1, (os.cpu_count() or 1) - 1))
-    if workers <= 0:
-        outcomes = []
-        with profiler.phase("shards"):
-            for index, sl in enumerate(rest):
-                try:
-                    outcomes.append(_run_shard((config, sl, max_events)))
-                except Exception as exc:
-                    raise ShardExecutionError(1 + index, sl, exc) from exc
-        with profiler.phase("primary"):
-            primary = BroadcastSimulation(config, slice_=slices[0])
-            sim_time, events = primary.execute(max_events)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            with profiler.phase("setup"):
-                futures = [
-                    pool.submit(_run_shard, (config, sl, max_events)) for sl in rest
-                ]
-            # the parent is shard 0 — it computes the primary (metric-
-            # recording) timeline while the pool handles the rest
-            with profiler.phase("primary"):
-                primary = BroadcastSimulation(config, slice_=slices[0])
-                sim_time, events = primary.execute(max_events)
-            with profiler.phase("shards"):
-                outcomes = _collect(futures, rest, 1)
-
-    merged = primary.metrics
-    with profiler.phase("merge"):
-        for shard_metrics, shard_time, shard_events, _spans, _dropped in outcomes:
-            merged.merge_from(shard_metrics)
-            if shard_time > sim_time:
-                sim_time = shard_time
-            events += shard_events
-
-    # an unsharded run's timeline (server completions, crash recovery)
-    # keeps going until the globally-last client finishes; the primary —
-    # the one shard whose timeline metrics are recorded — must cover the
-    # same span, so drive it forward to the merged stop time
-    with profiler.phase("drive"):
-        if sim_time > primary.sim.now:
-            primary.sim.run(until=sim_time, max_events=max_events)
-
-    spans = None
-    shard_spans = None
-    spans_dropped = 0
-    if config.tracing:
-        # the primary's stream is exported only now: driving it to the
-        # merged stop emits the tail of its timeline spans
-        shard_spans = [primary.tracer.export()] + [o[3] for o in outcomes]
-        spans = canonical_spans(shard_spans, sim_time)
-        spans_dropped = primary.tracer.dropped + sum(o[4] for o in outcomes)
-
-    return SimulationResult(
-        config=config,
-        response_time=merged.response_time(config.measure_fraction),
-        restart_ratio=merged.restart_ratio(config.measure_fraction),
-        metrics=merged,
-        server=primary.server,
-        trace=None,
-        sim_time=sim_time,
-        events=events,
-        spans=spans,
-        shard_spans=shard_spans,
-        spans_dropped=spans_dropped,
-        profile=profiler.as_dict(),
+        workers = min(len(slices) - 1, max(1, (os.cpu_count() or 1) - 1))
+    gather = partial(
+        _gather,
+        config,
+        slices,
+        profiler=profiler,
+        workers=workers,
+        max_events=max_events,
     )
-
-
-def _run_replay(
-    config: SimulationConfig,
-    *,
-    workers: Optional[int] = None,
-    max_events: Optional[int] = None,
-    _force_record: bool = False,
-) -> SimulationResult:
-    """The timeline-arena path: broadcast once, replay everywhere.
-
-    Cache miss (or uncacheable config): the primary slice runs live as
-    the **recording pass** — its own readers, the ghost-free updaters,
-    the crash schedule — then keeps the timeline running to a horizon
-    with headroom, seals the arena, and the remaining slices replay
-    against it.  Cache hit: *every* slice replays (the primary's too),
-    and the timeline's counters are folded in from the arena's journal.
-    """
-    profiler = PhaseProfiler()
-    slices = reader_slices(config)
-    cacheable = timeline_cacheable(config)
-    arena: Optional[TimelineArena] = None
-    if cacheable and not _force_record:
-        arena = TIMELINE_CACHE.lookup(config)
+    replay = config.timeline_mode == "replay"
+    cacheable = replay and timeline_cacheable(config)
+    arena = TIMELINE_CACHE.lookup(config) if cacheable else None
     cache_hit = arena is not None
-    fallbacks = 0
 
-    recording: Optional[BroadcastSimulation] = None
-    local_stop = 0.0
-    events = 0
-    if arena is None:
-        # recording pass: one live simulation owns the whole timeline
-        recording = BroadcastSimulation(
-            config, slice_=slices[0], record_timeline=True
-        )
-        with profiler.phase("record"):
-            local_stop, events = recording.execute(max_events)
-        horizon = (
-            local_stop * _HORIZON_FACTOR
-            + _HORIZON_SLACK_CYCLES * recording.layout.cycle_bits
-        )
-        with profiler.phase("extend"):
-            recording.extend_timeline(horizon, max_events=max_events)
-        with profiler.phase("seal"):
-            arena = recording.seal_timeline(horizon)
-            if cacheable:
-                TIMELINE_CACHE.store(config, arena)
-
-    rest = slices[1:]
-    if workers is None:
-        workers = min(len(rest), max(1, (os.cpu_count() or 1) - 1))
-
-    outcomes: List[
-        Tuple[MetricsCollector, float, int, List[Span], int, bool]
-    ] = []
-    primary_outcome: Optional[
-        Tuple[MetricsCollector, float, int, List[Span], int]
-    ] = None
-    with profiler.phase("replay"):
+    outcomes: Optional[List[ShardOutcome]] = None
+    if arena is not None:
+        # the parent's replay of the primary slice lets exhaustion
+        # through: recomputing *that* slice live would run a second
+        # timeline beside the journal's
         try:
-            if rest and workers > 0:
-                handle = arena.share()
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _run_shard_replay, (config, sl, handle, max_events)
-                        )
-                        for sl in rest
-                    ]
-                    if recording is None:
-                        # cache hit: the parent replays the primary slice
-                        # itself while the pool works — exhaustion here means
-                        # the cached horizon is too short for this config's
-                        # clients, so drop it and re-record
-                        try:
-                            primary_outcome = _replay_primary(
-                                config, slices[0], arena, max_events
-                            )
-                        except TimelineExhausted:
-                            for future in futures:
-                                future.cancel()
-                            TIMELINE_CACHE.discard(config)
-                            return _run_replay(
-                                config,
-                                workers=workers,
-                                max_events=max_events,
-                                _force_record=True,
-                            )
-                    outcomes = _collect(futures, rest, 1)
-            else:
-                if recording is None:
-                    try:
-                        primary_outcome = _replay_primary(
-                            config, slices[0], arena, max_events
-                        )
-                    except TimelineExhausted:
-                        TIMELINE_CACHE.discard(config)
-                        return _run_replay(
-                            config,
-                            workers=workers,
-                            max_events=max_events,
-                            _force_record=True,
-                        )
-                for index, sl in enumerate(rest):
-                    try:
-                        outcomes.append(
-                            _run_shard_replay((config, sl, arena, max_events))
-                        )
-                    except Exception as exc:
-                        raise ShardExecutionError(1 + index, sl, exc) from exc
-        finally:
-            arena.close_shared()
-
-    primary_spans: List[Span] = []
-    spans_dropped = 0
-    if recording is not None:
-        merged = recording.metrics
-        sim_time = local_stop
-    else:
-        assert primary_outcome is not None
-        merged, sim_time, primary_events, primary_spans, spans_dropped = (
-            primary_outcome
-        )
-        events += primary_events
-    with profiler.phase("merge"):
-        for (
-            shard_metrics,
-            shard_time,
-            shard_events,
-            _spans,
-            _dropped,
-            fell_back,
-        ) in outcomes:
-            merged.merge_from(shard_metrics)
-            if shard_time > sim_time:
-                sim_time = shard_time
-            events += shard_events
-            if fell_back:
-                fallbacks += 1
-
-    with profiler.phase("drive"):
-        if recording is not None:
-            # the timeline must cover the same simulated span an unsharded
-            # run's would: drive past the horizon if a shard outlived it
-            # (rare — it means that shard fell back), then fold the
-            # extension-phase counters the merged stop time covers
-            if sim_time > recording.sim.now:
-                recording.sim.run(until=sim_time, max_events=max_events)
-            if sim_time > local_stop:
-                recording.fold_timeline_journal(upto=sim_time)
-            server = recording.server
-        else:
-            if sim_time > arena.horizon_time:
-                # a fallen-back shard ran past the cached horizon: the
-                # journal cannot cover it — drop the entry and re-record
-                TIMELINE_CACHE.discard(config)
-                return _run_replay(
-                    config, workers=workers, max_events=max_events, _force_record=True
+            with profiler.phase("replay"):
+                outcomes = gather(
+                    partial(_simulate, config, slices[0], max_events, arena),
+                    arena=arena,
                 )
-            arena.apply_journal(merged, upto=sim_time)
-            server = None
+        except TimelineExhausted:
+            pass
+        if outcomes is None or any(o.sim_time > arena.horizon_time for o in outcomes):
+            # the entry is outgrown — by the primary, or by a fallen-back
+            # shard that ran on past the journal's end
+            TIMELINE_CACHE.discard(config)
+            arena = outcomes = None
+            cache_hit = False
 
-    spans = None
-    shard_spans = None
-    if config.tracing:
-        # the recording pass's stream is exported only now: it contains
-        # the extension-phase timeline spans, which canonical_spans
-        # truncates with the same ``start <= sim_time`` predicate the
-        # journal fold uses, so span counts reconcile with counters
-        if recording is not None:
-            primary_spans = recording.tracer.export()
-            spans_dropped = recording.tracer.dropped
-        shard_spans = [primary_spans] + [o[3] for o in outcomes]
-        spans = canonical_spans(shard_spans, sim_time)
-        spans_dropped += sum(o[4] for o in outcomes)
+    owner: Optional[BroadcastSimulation] = None
+    if outcomes is None:
+        owner = BroadcastSimulation(config, slice_=slices[0], record_timeline=replay)
+        execute = partial(_execute, owner, max_events)
+        if not replay:
+            outcomes = gather(execute)
+        else:
+            with profiler.phase("record"):
+                first = execute()
+            # replay shards may stop later than the recording pass's own
+            # clients did (reader mixes differ): record on past its stop
+            horizon = (
+                first.sim_time * _HORIZON_FACTOR
+                + _HORIZON_SLACK_CYCLES * owner.layout.cycle_bits
+            )
+            with profiler.phase("extend"):
+                owner.sim.run(until=horizon, max_events=max_events)
+            with profiler.phase("seal"):
+                arena = owner.seal_timeline(horizon)
+                if cacheable:
+                    TIMELINE_CACHE.store(config, arena)
+            with profiler.phase("replay"):
+                outcomes = gather(lambda: first, arena=arena)
 
-    stats: Dict[str, object] = {
-        "mode": "replay",
-        "shards": len(slices),
-        "cache_hit": cache_hit,
-        "fallbacks": fallbacks,
-        "cache": TIMELINE_CACHE.stats.as_dict(),
-    }
-    return SimulationResult(
-        config=config,
-        response_time=merged.response_time(config.measure_fraction),
-        restart_ratio=merged.restart_ratio(config.measure_fraction),
-        metrics=merged,
-        server=server,
-        trace=None,
-        sim_time=sim_time,
-        events=events,
-        timeline_stats=stats,
-        spans=spans,
-        shard_spans=shard_spans,
-        spans_dropped=spans_dropped,
-        profile=profiler.as_dict(),
+    result = assemble_result(
+        config, outcomes, profiler, owner=owner, arena=arena, max_events=max_events
     )
+    if replay:
+        result.timeline_stats = {
+            "mode": "replay",
+            "shards": len(slices),
+            "cache_hit": cache_hit,
+            "fallbacks": sum(outcome.fell_back for outcome in outcomes),
+            "cache": TIMELINE_CACHE.stats.as_dict(),
+        }
+    result.profile = profiler.as_dict()
+    return result

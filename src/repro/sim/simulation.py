@@ -19,18 +19,23 @@ the authoritative timeline — the cycle, server, crash and update-client
 processes — from the shared seeds, and simulates only its own contiguous
 range of read-only clients on top of it.  Read-only clients never touch
 shared state, so the timeline each shard derives is bit-identical to the
-unsharded run's; the only data shards exchange is their merged
-:class:`MetricsCollector`.  Exactly one shard (the primary) records the
+unsharded run's; the only data shards exchange is a
+:class:`ShardOutcome`.  Exactly one shard (the primary) records the
 infrastructure's and the update clients' metrics; the others route those
 "ghost" measurements into a shadow collector that is dropped on the
 floor, so the merge counts everything exactly once.
+
+Every path — unsharded, sharded recompute, timeline replay — ends in
+:func:`assemble_result`: merge the shards' outcomes, make the timeline
+cover the merged stop time, collect the spans, build the one
+:class:`SimulationResult`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
     from ..analysis.diagnostics import AuditReport
@@ -56,7 +61,9 @@ from .trace import TraceRecorder
 __all__ = [
     "SimulationResult",
     "ShardSlice",
+    "ShardOutcome",
     "BroadcastSimulation",
+    "assemble_result",
     "run_simulation",
 ]
 
@@ -93,6 +100,22 @@ def _full_slice(config: SimulationConfig) -> ShardSlice:
         reader_hi=config.num_clients,
         primary=True,
     )
+
+
+class ShardOutcome(NamedTuple):
+    """What one shard's run hands to :func:`assemble_result` — and the
+    only thing a pool worker sends back."""
+
+    metrics: MetricsCollector
+    #: when this shard's last client finished
+    sim_time: float
+    events: int
+    #: the shard's raw span stream (empty when tracing is off, and for
+    #: the in-process timeline owner, whose stream is read at assembly)
+    spans: Sequence[Span] = ()
+    spans_dropped: int = 0
+    #: a replay outran the recorded horizon and recomputed this shard
+    fell_back: bool = False
 
 
 @dataclass
@@ -164,9 +187,11 @@ class BroadcastSimulation:
         come from a sealed arena and no cycle/server/crash process is
         spawned — the slice must contain observers (readers) only.
         ``record_timeline`` makes this a **recording** pass: every
-        installed image is retained and timeline-counter increments are
-        journalled, so :meth:`seal_timeline` can build the arena replays
-        attach to.  The two are mutually exclusive.
+        installed image is retained and the timeline's counters are
+        journalled instead of counted (``self.metrics`` holds the
+        clients' measurements only, until the arena's journal is folded
+        in at the merged stop time), so :meth:`seal_timeline` can build
+        the arena replays attach to.  The two are mutually exclusive.
         """
         if timeline is not None and record_timeline:
             raise ValueError("a simulation cannot both replay and record a timeline")
@@ -180,26 +205,24 @@ class BroadcastSimulation:
             partition=config.partition(),
         )
         self.sim = Simulator()
-        self.metrics = MetricsCollector(keep_samples=config.keep_samples)
+        self.metrics = MetricsCollector()
         #: span sink for everything this shard measures; the no-op
         #: singleton keeps untraced runs allocation-free
         self.tracer: Tracer = (
             Tracer(config.trace_buffer) if config.tracing else NULL_TRACER
         )
         #: where the shared timeline's metrics (server process, crash
-        #: recovery, ghost update clients) land: the measured collector
-        #: on the primary shard, a discarded shadow elsewhere — wrapped
-        #: in a journaling proxy on a recording pass
-        self._timeline_metrics: MetricsCollector = (
-            self.metrics
-            if self.slice.primary
-            else MetricsCollector(keep_samples=False)
-        )
-        self.timeline_view = timeline
+        #: recovery, fault runtime, ghost update clients) land: the
+        #: measured collector on the primary shard, a discarded shadow
+        #: elsewhere, a journal on a recording pass
+        self._timeline_metrics: MetricsCollector
         if record_timeline:
-            self._timeline_metrics = RecordingTimelineMetrics(
-                self.sim, self._timeline_metrics
-            )
+            self._timeline_metrics = RecordingTimelineMetrics(self.sim)
+        elif self.slice.primary:
+            self._timeline_metrics = self.metrics
+        else:
+            self._timeline_metrics = MetricsCollector()
+        self.timeline_view = timeline
         if (collect_trace or config.audit) and slice_ is not None:
             raise ValueError("trace/audit runs cannot be sliced into shards")
         if (collect_trace or config.audit) and timeline is not None:
@@ -360,52 +383,24 @@ class BroadcastSimulation:
             )
 
     # -- recording pass (timeline arena) -------------------------------
-    def extend_timeline(
-        self, horizon: float, max_events: Optional[int] = None
-    ) -> None:
-        """Keep the timeline running past the local stop, up to ``horizon``.
-
-        Replay shards may legitimately stop later than the recording
-        pass's own clients did, so the recorded history needs headroom.
-        The extension must not pollute this run's measured metrics: the
-        journaling proxy is retargeted at a throwaway shadow collector
-        first, and :meth:`fold_timeline_journal` later re-applies exactly
-        the extension-phase increments the merged stop time covers.
-        """
-        proxy = self._timeline_metrics
-        assert isinstance(proxy, RecordingTimelineMetrics)
-        proxy.retarget(MetricsCollector(keep_samples=False))
-        self.sim.run(until=horizon, max_events=max_events)
-
     def seal_timeline(self, horizon_time: float) -> TimelineArena:
-        """Serialise the recorded history into a sealed arena."""
+        """Serialise the recorded history into a sealed arena.
+
+        The arena shares this pass's journal rather than copying it: if
+        the timeline is later driven past ``horizon_time`` (a fallen-back
+        shard outlived it), the fold at the merged stop still covers it.
+        """
         images = self.state.record_images
         assert images, "seal_timeline requires a record_timeline=True run"
-        proxy = self._timeline_metrics
-        assert isinstance(proxy, RecordingTimelineMetrics)
+        journal = self._timeline_metrics
+        assert isinstance(journal, RecordingTimelineMetrics)
         return TimelineArena.from_images(
             images,
             cycle_bits=float(self.layout.cycle_bits),
             horizon_time=horizon_time,
             partition=self.config.partition(),
-            journal=tuple(proxy.journal),
+            journal=journal.journal,
         )
-
-    def fold_timeline_journal(self, upto: float) -> None:
-        """Apply the extension-phase timeline counters at stop ``upto``.
-
-        Everything journalled before :meth:`extend_timeline` retargeted
-        the proxy already lives in ``self.metrics``; this folds in the
-        post-retarget increments whose time is <= ``upto`` — exactly what
-        driving the live timeline to ``upto`` would have recorded.
-        """
-        proxy = self._timeline_metrics
-        assert isinstance(proxy, RecordingTimelineMetrics)
-        start = proxy.live_entries if proxy.live_entries is not None else 0
-        metrics = self.metrics
-        for time, name, delta in proxy.journal[start:]:
-            if time <= upto:
-                setattr(metrics, name, getattr(metrics, name) + delta)
 
     def _run_events(self, max_events: Optional[int]) -> Tuple[float, int]:
         """The event-driven path: process or cohort executor."""
@@ -472,30 +467,9 @@ class BroadcastSimulation:
         return self._run_events(max_events)
 
     def run(self, *, max_events: Optional[int] = None) -> SimulationResult:
-        config = self.config
-        sim_time, events = self.execute(max_events)
-
-        spans: Optional[List[Span]] = None
-        shard_spans: Optional[List[List[Span]]] = None
-        spans_dropped = 0
-        if config.tracing:
-            shard_spans = [self.tracer.export()]
-            spans = canonical_spans(shard_spans, sim_time)
-            spans_dropped = self.tracer.dropped
-        result = SimulationResult(
-            config=config,
-            response_time=self.metrics.response_time(config.measure_fraction),
-            restart_ratio=self.metrics.restart_ratio(config.measure_fraction),
-            metrics=self.metrics,
-            server=self.server,
-            trace=self.trace,
-            sim_time=sim_time,
-            events=events,
-            spans=spans,
-            shard_spans=shard_spans,
-            spans_dropped=spans_dropped,
-        )
-        if config.audit:
+        outcome = ShardOutcome(self.metrics, *self.execute(max_events))
+        result = assemble_result(self.config, [outcome], PhaseProfiler(), owner=self)
+        if self.config.audit:
             # Imported here (not at module top) so repro.sim never depends
             # on repro.analysis unless auditing is actually requested —
             # analysis imports sim types for annotations only.
@@ -503,6 +477,67 @@ class BroadcastSimulation:
 
             result.audit_report = audit_simulation(result)
         return result
+
+
+def assemble_result(
+    config: SimulationConfig,
+    outcomes: Sequence[ShardOutcome],
+    profiler: PhaseProfiler,
+    *,
+    owner: Optional[BroadcastSimulation] = None,
+    arena: Optional[TimelineArena] = None,
+    max_events: Optional[int] = None,
+) -> SimulationResult:
+    """The one place a run's measurements become a :class:`SimulationResult`.
+
+    ``outcomes`` are the shards' in shard order — the first is the
+    primary slice's, and its collector becomes the merged one.  ``owner``
+    is the simulation that ran the timeline live in this process (none
+    on a timeline-cache hit); ``arena`` is given on a replay run, whose
+    timeline counters exist only as the arena's journal.
+    """
+    merged = outcomes[0].metrics
+    sim_time = max(outcome.sim_time for outcome in outcomes)
+    with profiler.phase("merge"):
+        for outcome in outcomes[1:]:
+            merged.merge_from(outcome.metrics)
+    # an unsharded run's timeline (server completions, crash recovery)
+    # keeps going until the globally-last client finishes; the timeline
+    # whose metrics are recorded must cover the same span
+    with profiler.phase("drive"):
+        if owner is not None and sim_time > owner.sim.now:
+            owner.sim.run(until=sim_time, max_events=max_events)
+        if arena is not None:
+            arena.apply_journal(merged, upto=sim_time)
+
+    spans: Optional[List[Span]] = None
+    shard_spans: Optional[List[List[Span]]] = None
+    spans_dropped = 0
+    if config.tracing:
+        shard_spans = [list(outcome.spans) for outcome in outcomes]
+        spans_dropped = sum(outcome.spans_dropped for outcome in outcomes)
+        if owner is not None:
+            # read only now: covering the merged stop (and, on a
+            # recording pass, the horizon) emitted the tail of the
+            # owner's timeline spans; canonical_spans truncates them
+            # with the journal fold's ``start <= sim_time`` predicate,
+            # so span counts reconcile with counters
+            shard_spans[0] = owner.tracer.export()
+            spans_dropped += owner.tracer.dropped
+        spans = canonical_spans(shard_spans, sim_time)
+    return SimulationResult(
+        config=config,
+        response_time=merged.response_time(config.measure_fraction),
+        restart_ratio=merged.restart_ratio(config.measure_fraction),
+        metrics=merged,
+        server=owner.server if owner is not None else None,
+        trace=owner.trace if owner is not None else None,
+        sim_time=sim_time,
+        events=sum(outcome.events for outcome in outcomes),
+        spans=spans,
+        shard_spans=shard_spans,
+        spans_dropped=spans_dropped,
+    )
 
 
 def run_simulation(

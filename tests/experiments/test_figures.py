@@ -6,6 +6,9 @@ shape holds where tiny runs are statistically stable enough to check it.
 The full-shape assertions live in the benchmark suite (larger runs).
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments.figures import (
@@ -102,3 +105,32 @@ class TestRegistry:
             "ablation-groups",
             "ablation-caching",
         }
+
+
+# peak RSS is read as VmHWM: ru_maxrss survives exec, so in a child it
+# starts at whatever the pytest process that spawned it had reached
+_FOOTPRINT = """
+import re, sys
+from repro.experiments.figures import fig4a_num_objects
+from repro.sim import SimulationConfig, run_simulation
+
+assert run_simulation(SimulationConfig(num_client_transactions=50)).metrics.commit_count == 50
+fig4a_num_objects(8)
+status = open("/proc/self/status").read()
+print(int(re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1)) // 1024)
+print(*sorted({"scipy", "matplotlib"} & set(sys.modules)))
+"""
+
+
+def test_a_run_and_a_sweep_import_no_optional_package():
+    """What a user runs — one Table-1 simulation, one figure sweep — pulls
+    in neither scipy (the interval's quantile is stdlib) nor matplotlib,
+    and peaks under 80 MiB; importing scipy.stats alone used to put the
+    process at ~102 MiB, on every perfbench workload."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mib, imported = proc.stdout.split("\n")[:2]
+    assert imported == ""
+    assert int(peak_mib) < 80

@@ -300,35 +300,48 @@ class _Clock:
 
 class TestRecordingProxy:
     def test_counter_writes_journal_and_pass_through(self):
+        """Counter writes are journalled with their time and delta; the
+        running total stays with the recorder (``+=`` reads it back) and
+        reaches a measured collector only through the journal fold."""
         clock = _Clock()
-        target = MetricsCollector()
-        proxy = RecordingTimelineMetrics(clock, target)
-        proxy.reads_delivered += 2
+        recorder = RecordingTimelineMetrics(clock)
+        assert recorder.journal == []  # zeroing the counters is no increment
+        recorder.reads_delivered += 2
         clock.now = 4.0
-        proxy.server_commits += 1
-        proxy.record_commit("t1", 0.0, 2.0, 0)  # inherited, writes through
-        assert target.reads_delivered == 2
-        assert target.server_commits == 1
-        assert target.commit_count == 1
-        assert proxy.commit_count == 1  # reads fall through to the target
-        assert proxy.journal == [
+        recorder.server_commits += 1
+        recorder.reads_delivered += 3
+        recorder.listening_bits += 512.0
+        assert recorder.reads_delivered == 5
+        assert recorder.journal == [
             (0.0, "reads_delivered", 2),
             (4.0, "server_commits", 1),
+            (4.0, "reads_delivered", 3),
+            (4.0, "listening_bits", 512.0),
         ]
+        arena = TestJournal()._arena_with_journal(record(config()), recorder.journal)
+        early, late = MetricsCollector(), MetricsCollector()
+        arena.apply_journal(early, upto=3.9)
+        arena.apply_journal(late, upto=4.0)
+        assert early.counters() == {**MetricsCollector().counters(), "reads_delivered": 2}
+        assert late.counters() == recorder.counters()
 
-    def test_retarget_shields_the_live_collector(self):
-        clock = _Clock()
-        live = MetricsCollector()
-        proxy = RecordingTimelineMetrics(clock, live)
-        proxy.reads_delivered += 1
-        shadow = MetricsCollector(keep_samples=False)
-        proxy.retarget(shadow)
-        clock.now = 9.0
-        proxy.reads_delivered += 5
-        assert live.reads_delivered == 1  # extension phase never leaks in
-        assert shadow.reads_delivered == 5
-        assert proxy.live_entries == 1  # the fold's split point
-        assert proxy.journal == [
-            (0.0, "reads_delivered", 1),
-            (9.0, "reads_delivered", 5),
-        ]
+    def test_a_recording_pass_counts_the_timeline_in_the_journal_only(self):
+        """One rule under replay: the pass's measured collector holds what
+        its clients did; what the timeline did is the journal, from t = 0
+        through the horizon extension, folded at whatever stop is asked."""
+        cfg = config()
+        recording, stop, _ = record(cfg)
+        live = BroadcastSimulation(cfg, slice_=reader_slices(cfg)[0])
+        assert live.execute()[0] == stop
+        assert recording.metrics.server_commits == 0
+        assert recording.metrics.cycles_broadcast == 0
+        assert recording.metrics.reads_delivered == live.metrics.reads_delivered
+        horizon = 2 * stop
+        recording.sim.run(until=horizon)
+        arena = recording.seal_timeline(horizon_time=horizon)
+        for upto in (stop, 1.5 * stop, horizon):  # ascending: one live run
+            live.sim.run(until=upto)
+            replayed = MetricsCollector()
+            replayed.merge_from(recording.metrics)
+            arena.apply_journal(replayed, upto=upto)
+            assert replayed.counters() == live.metrics.counters()

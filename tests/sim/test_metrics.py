@@ -1,8 +1,12 @@
 """Tests for metrics and confidence intervals (repro.sim.metrics)."""
 
+import sys
+
 import pytest
 
-from repro.sim.metrics import MetricsCollector, summarize
+from repro.sim import SimulationConfig
+from repro.sim import metrics as metrics_mod
+from repro.sim.metrics import MetricsCollector, _t_quantile_975, summarize
 
 
 class TestSummarize:
@@ -31,11 +35,37 @@ class TestSummarize:
         stat2 = summarize([0.0, 0.0])
         assert stat2.ci_relative_width == 0.0  # zero-mean guard
 
-    def test_ci_uses_t_distribution(self):
-        # t quantile for small dof exceeds the normal 1.96
+    def test_ci_uses_t_distribution(self, monkeypatch):
+        # t quantile for small dof exceeds the normal 1.96 — whatever is
+        # installed: an unimportable scipy must not change the interval
+        monkeypatch.setitem(sys.modules, "scipy", None)
         stat = summarize([1.0, 2.0, 3.0])
         se = stat.stddev / (3 ** 0.5)
         assert stat.ci_halfwidth > 1.96 * se
+        assert stat.ci_halfwidth == pytest.approx(4.3026527297494639 * se, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dof,quantile",
+        [
+            (1, 12.706204736174705),
+            (2, 4.3026527297494639),
+            (5, 2.5705818356363155),
+            (30, 2.0422724563012383),
+            (249, 1.9695368676403509),
+            (499, 1.9647293909876891),
+            (10**6, 1.959966356814107),
+        ],
+    )
+    def test_t_quantile_matches_the_table(self, dof, quantile):
+        """Literal 97.5% quantiles (40-digit arithmetic, rounded to 17)."""
+        assert _t_quantile_975(dof) == pytest.approx(quantile, rel=1e-9)
+
+    def test_t_quantile_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for dof in range(1, 2001):
+            assert _t_quantile_975(dof) == pytest.approx(
+                float(stats.t.ppf(0.975, dof)), rel=1e-11
+            ), dof
 
 
 class TestMetricsCollector:
@@ -79,8 +109,9 @@ class TestMetricsCollector:
         assert m.samples[0].response_time == 25.0
 
     def test_accumulators_grow_past_initial_capacity(self):
+        # append-only columns: nothing special happens at any size
         m = MetricsCollector()
-        n = MetricsCollector._INITIAL_CAPACITY * 2 + 3
+        n = 515
         self._fill(m, n)
         samples = m.samples
         assert len(samples) == n
@@ -89,13 +120,15 @@ class TestMetricsCollector:
         assert samples[-1].restarts == (n - 1) % 3
 
     def test_samples_cache_reused_and_refreshed(self):
+        """There is no cache to go stale: every access builds the list
+        from the columns, so a held list is a snapshot."""
         m = MetricsCollector()
         self._fill(m, 3)
         first = m.samples
-        assert m.samples is first  # cached between commits
+        assert m.samples == first and m.samples is not first
         m.record_commit("late", 0.0, 1.0, 0)
         refreshed = m.samples
-        assert refreshed is not first
+        assert len(first) == 3
         assert len(refreshed) == 4 and refreshed[-1].tid == "late"
 
     def test_samples_preserve_recording_order(self):
@@ -122,27 +155,34 @@ class TestMetricsCollector:
         assert type(m.samples[0].restarts) is int
         assert type(m.samples[0].commit_time) is float
 
-    def test_commit_count_without_materialising_samples(self):
+    def test_commit_count_without_materialising_samples(self, monkeypatch):
+        """Counting, the statistics and the public column accessors read
+        the columns: no sample object is ever built for them."""
+
+        def refuse(*_args):
+            raise AssertionError("a TransactionSample was built")
+
         m = MetricsCollector()
         self._fill(m, 7)
+        monkeypatch.setattr(metrics_mod, "TransactionSample", refuse)
         assert m.commit_count == 7
-        assert m._samples_cache is None  # counting touched no objects
+        assert m.response_time(1.0).count == 7
+        assert m.restart_ratio(0.5).count == 4
+        assert m.response_times().tolist() == [50.0 + k for k in range(7)]
+        assert m.restart_counts().tolist() == [0, 1, 2, 0, 1, 2, 0]
+        with pytest.raises(AssertionError, match="was built"):
+            m.samples
 
     def test_keep_samples_off_refuses_sample_objects(self):
-        """With keep_samples=False the object path raises a clear error
-        naming the flag — silently rebuilding per access hid O(commits)
-        allocations behind an innocent-looking attribute (PR 9)."""
-        m = MetricsCollector(keep_samples=False)
-        self._fill(m, 3)
-        with pytest.raises(ValueError, match="keep_samples=False"):
-            m.samples
-        with pytest.raises(ValueError, match="keep_samples=False"):
-            m.steady_state(1.0)
-        assert m._samples_cache is None
-        # the array-backed statistics are unaffected
-        assert m.commit_count == 3
-        assert m.response_time(1.0).count == 3
-        assert m.restart_ratio(1.0).count == 3
+        """The knob is gone, with no shim: ``keep_samples=False`` is itself
+        what is refused — the constructor argument is a TypeError and a
+        recorded config naming the field is an unknown-field error."""
+        with pytest.raises(TypeError):
+            MetricsCollector(keep_samples=False)
+        document = SimulationConfig().to_dict()
+        assert "keep_samples" not in document
+        with pytest.raises(ValueError, match="keep_samples"):
+            SimulationConfig.from_dict({**document, "keep_samples": False})
 
     def test_summary_paths_agree_with_sample_objects(self):
         """Array statistics ≡ the object path, including tid tie-breaks."""
@@ -162,8 +202,8 @@ class TestMetricsCollector:
 
 
 class TestMergeFrom:
-    def _filled(self, tids, counter_bump=0, keep_samples=True):
-        m = MetricsCollector(keep_samples=keep_samples)
+    def _filled(self, tids, counter_bump=0):
+        m = MetricsCollector()
         for k, tid in enumerate(tids):
             m.record_commit(tid, k * 10.0, k * 10.0 + 5.0, k)
         m.reads_delivered = counter_bump
@@ -184,7 +224,7 @@ class TestMergeFrom:
     def test_merge_grows_capacity(self):
         a = self._filled([f"a{k}" for k in range(5)])
         big = MetricsCollector()
-        n = MetricsCollector._INITIAL_CAPACITY + 7
+        n = 263
         for k in range(n):
             big.record_commit(f"b{k}", float(k), float(k) + 1.0, 0)
         a.merge_from(big)
@@ -216,60 +256,11 @@ class TestMergeFrom:
         a.merge_from(MetricsCollector())
         assert a.commit_count == 1 and a.reads_delivered == 2
 
-    # -- mixed keep_samples: the sharded mega-runs' merge shape --------
-    # The primary keeps samples while worker shards ship sample-free
-    # collectors (or vice versa when the parent runs lean); merging
-    # across the flag must combine the array accumulators identically
-    # and leave each side's own sample-cache policy in force.
-
-    def test_merge_sample_free_donor_into_keeping_target(self):
-        a = self._filled(["a0", "a1"], counter_bump=3)
-        b = self._filled(
-            ["b0", "b1", "b2"], counter_bump=4, keep_samples=False
-        )
-        a.merge_from(b)
-        assert a.keep_samples is True
-        assert a.reads_delivered == 7 and a.listening_bits == 7.0
-        assert [s.tid for s in a.samples] == ["a0", "a1", "b0", "b1", "b2"]
-        # the target still caches: repeated access returns the same list
-        assert a.samples is a.samples
-        # the donor's own policy is untouched
-        assert b.keep_samples is False and b._samples_cache is None
-
-    def test_merge_keeping_donor_into_sample_free_target(self):
-        a = self._filled(["a0", "a1"], counter_bump=3, keep_samples=False)
-        b = self._filled(["b0", "b1", "b2"], counter_bump=4)
-        b.samples  # populate the donor's cache before the merge
-        a.merge_from(b)
-        assert a.keep_samples is False
-        assert a.commit_count == 5 and a.reads_delivered == 7
-        # the target stays sample-free, even after absorbing a caching
-        # donor: the object path refuses, the arrays carry everything
-        assert a._samples_cache is None
-        with pytest.raises(ValueError, match="keep_samples=False"):
-            a.samples
-        assert [a._tids[k] for k in range(5)] == ["a0", "a1", "b0", "b1", "b2"]
-        # the donor keeps its (pre-merge) cache and contents
-        assert b._samples_cache is not None and b.commit_count == 3
-
-    def test_mixed_merge_array_statistics_flag_independent(self):
-        """Both directions yield identical array-backed statistics."""
-        kept = self._filled(["a0", "a1"], counter_bump=3)
-        kept.merge_from(
-            self._filled(["b0", "b1", "b2"], counter_bump=4, keep_samples=False)
-        )
-        lean = self._filled(["a0", "a1"], counter_bump=3, keep_samples=False)
-        lean.merge_from(self._filled(["b0", "b1", "b2"], counter_bump=4))
-        assert kept.response_time(1.0) == lean.response_time(1.0)
-        assert kept.restart_ratio(1.0) == lean.restart_ratio(1.0)
-        assert kept.response_time(0.5) == lean.response_time(0.5)
-        for name in MetricsCollector._COUNTER_FIELDS:
-            assert getattr(kept, name) == getattr(lean, name)
-
     def test_merge_invalidates_stale_sample_cache(self):
+        """A merge shows in the next ``samples`` access even if the
+        attribute was read before it (nothing is cached)."""
         a = self._filled(["a0", "a1"])
         before = a.samples
-        assert a._samples_cache is before
-        a.merge_from(self._filled(["b0"], keep_samples=False))
-        assert a._samples_cache is None  # merge dropped the stale cache
+        a.merge_from(self._filled(["b0"]))
+        assert [s.tid for s in before] == ["a0", "a1"]
         assert [s.tid for s in a.samples] == ["a0", "a1", "b0"]

@@ -9,6 +9,9 @@ shard counts, protocols, and mixed read/update workloads; deterministic
 tests pin the slicing arithmetic and the failure modes.
 """
 
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +192,26 @@ def test_replay_cache_discards_on_horizon_overrun():
     assert TIMELINE_CACHE.stats.horizon_discards == 1
 
 
+def test_an_outgrown_cache_entry_is_rerecorded_with_the_pool_running():
+    """The same second pass when the first one had workers in flight: the
+    parent's own replay outgrows the cached horizon, the queued shards are
+    cancelled, the first pass's segment is unlinked, the run records."""
+    TIMELINE_CACHE.clear()
+    base = small_config(
+        seed=29, client_executor="cohort", shards=3, timeline_mode="replay"
+    )
+    run_sharded(base, workers=1)
+    before = _shared_segments()
+    longer = base.replace(num_client_transactions=12)
+    rerecorded = run_sharded(longer, workers=1)
+    assert _shared_segments() == before
+    assert signature(rerecorded) == signature(
+        run_simulation(small_config(seed=29, num_client_transactions=12))
+    )
+    assert rerecorded.timeline_stats["cache_hit"] is False
+    assert TIMELINE_CACHE.stats.horizon_discards == 1
+
+
 def test_replay_with_updaters_is_never_cached():
     TIMELINE_CACHE.clear()
     base = small_config(
@@ -207,30 +230,70 @@ def test_replay_with_updaters_is_never_cached():
 
 
 # ----------------------------------------------------------------------
-# worker failures carry shard context
+# worker failures carry shard context and leave nothing behind
 # ----------------------------------------------------------------------
 
 
-def test_worker_failure_carries_shard_context(monkeypatch):
+def _explode(job):
+    raise RuntimeError("worker exploded")
+
+
+def _die(job):
+    os._exit(1)  # no exception, no cleanup: the worker process is just gone
+
+
+def _shared_segments():
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _assert_failure_is_contained(monkeypatch, mode, workers, entry, cause):
+    """A failing shard 1 surfaces as ShardExecutionError naming it and its
+    reader range, with the worker's failure chained — and the arena's
+    shared-memory segment is gone by the time the error reaches the caller.
+    The patched entry point reaches pool workers too: they are forked."""
     import repro.sim.shard as shard_mod
 
-    def boom(job):
-        raise RuntimeError("worker exploded")
-
-    monkeypatch.setattr(shard_mod, "_run_shard", boom)
-    config = small_config(client_executor="cohort", shards=3)
+    monkeypatch.setattr(shard_mod, "_run_shard", entry)
+    TIMELINE_CACHE.clear()
+    config = small_config(client_executor="cohort", shards=2, timeline_mode=mode)
     slices = reader_slices(config)
+    before = _shared_segments()
     with pytest.raises(ShardExecutionError) as excinfo:
-        run_sharded(config, workers=0)
+        run_sharded(config, workers=workers)
+    assert _shared_segments() == before
     err = excinfo.value
     assert err.shard_index == 1
     assert (err.reader_lo, err.reader_hi) == (
         slices[1].reader_lo,
         slices[1].reader_hi,
     )
-    assert "readers [" in str(err)
+    assert f"readers [{slices[1].reader_lo}, {slices[1].reader_hi})" in str(err)
+    assert isinstance(err.__cause__, cause)
+    return err
+
+
+def test_worker_failure_carries_shard_context(monkeypatch):
+    err = _assert_failure_is_contained(
+        monkeypatch, "recompute", 0, _explode, RuntimeError
+    )
     assert "worker exploded" in str(err)
-    assert isinstance(err.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize(
+    "mode,workers,entry,cause",
+    [
+        ("recompute", 1, _explode, RuntimeError),
+        ("replay", 0, _explode, RuntimeError),
+        ("replay", 1, _explode, RuntimeError),
+        # hostile: the worker is killed mid-shard
+        ("recompute", 1, _die, BrokenProcessPool),
+        ("replay", 1, _die, BrokenProcessPool),
+    ],
+)
+def test_a_failed_worker_is_named_and_leaves_no_segment(
+    monkeypatch, mode, workers, entry, cause
+):
+    _assert_failure_is_contained(monkeypatch, mode, workers, entry, cause)
 
 
 # ----------------------------------------------------------------------
