@@ -20,26 +20,15 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .rules import RULES, DataUnderLint, Finding, ModuleUnderLint
+from .rules import RULES, Finding, ModuleUnderLint
 
 __all__ = ["collect_files", "lint_file", "lint_paths", "main"]
 
 _DEFAULT_PATHS = ("src/repro",)
 
-_DATA_SUFFIXES = (".yaml", ".yml", ".json")
-
-
-def _is_scenario_data(path: str) -> bool:
-    posix = path.replace("\\", "/")
-    return posix.endswith(_DATA_SUFFIXES) and "scenarios/" in posix
-
 
 def collect_files(paths: Sequence[str]) -> List[str]:
-    """Expand files/directories into a sorted list of lintable files.
-
-    ``.py`` everywhere, plus scenario data files (YAML/JSON under a
-    ``scenarios/`` directory) for the data-file rules (REP011).
-    """
+    """Expand files/directories into a sorted list of ``.py`` files."""
     files: List[str] = []
     for path in paths:
         if os.path.isdir(path):
@@ -48,9 +37,8 @@ def collect_files(paths: Sequence[str]) -> List[str]:
                     d for d in dirnames if d not in ("__pycache__", ".git")
                 )
                 for filename in sorted(filenames):
-                    full = os.path.join(dirpath, filename)
-                    if filename.endswith(".py") or _is_scenario_data(full):
-                        files.append(full)
+                    if filename.endswith(".py"):
+                        files.append(os.path.join(dirpath, filename))
         elif os.path.isfile(path):
             files.append(path)
         else:
@@ -63,16 +51,6 @@ def lint_file(path: str) -> List[Finding]:
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
     findings: List[Finding] = []
-    if path.replace("\\", "/").endswith(_DATA_SUFFIXES):
-        data = DataUnderLint(path, source)
-        for rule in RULES:
-            if not rule.handles_data or not rule.applies_to(data.posix_path):
-                continue
-            for finding in rule.check_data(data):
-                if data.suppressed(finding.rule, finding.line):
-                    continue
-                findings.append(finding)
-        return findings
     module = ModuleUnderLint(path, source)
     for rule in RULES:
         if not rule.applies_to(module.posix_path):

@@ -7,18 +7,9 @@ Importing this package registers every built-in rule in
 
 from __future__ import annotations
 
-from .allocation import NoHotLoopAllocationRule
-from .base import (
-    RULES,
-    DataUnderLint,
-    Finding,
-    LintRule,
-    ModuleUnderLint,
-    register,
-)
+from .base import RULES, Finding, LintRule, ModuleUnderLint, register
 from .determinism import (
     NoSideChannelOutputRule,
-    NoUnseededRandomAnywhereRule,
     NoUnseededRandomRule,
     NoWallClockRule,
 )
@@ -26,25 +17,18 @@ from .encapsulation import NoForeignPrivateMutationRule
 from .exports import MandatoryAllRule
 from .floats import NoFloatEqualityRule
 from .pickling import NoSimStatePicklingRule
-from .population import NoPopulationComprehensionRule
-from .scenario_files import ScenarioFileRule
 
 __all__ = [
     "RULES",
-    "DataUnderLint",
     "Finding",
     "LintRule",
     "ModuleUnderLint",
     "register",
     "NoWallClockRule",
     "NoUnseededRandomRule",
-    "NoUnseededRandomAnywhereRule",
     "NoSideChannelOutputRule",
     "NoForeignPrivateMutationRule",
     "NoFloatEqualityRule",
     "MandatoryAllRule",
-    "NoHotLoopAllocationRule",
-    "NoPopulationComprehensionRule",
     "NoSimStatePicklingRule",
-    "ScenarioFileRule",
 ]

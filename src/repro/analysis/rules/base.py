@@ -22,7 +22,6 @@ from typing import Dict, Iterator, List, Sequence, Set, Tuple, Type
 __all__ = [
     "Finding",
     "ModuleUnderLint",
-    "DataUnderLint",
     "LintRule",
     "RULES",
     "register",
@@ -78,40 +77,6 @@ class ModuleUnderLint:
         return codes is not None and ("*" in codes or rule_id in codes)
 
 
-class DataUnderLint:
-    """A non-Python data file (YAML/JSON) plus its ``# noqa`` map.
-
-    YAML comments use ``#`` too, so the suppression syntax carries over
-    unchanged; JSON has no comments, so JSON findings are never
-    suppressed in-file.
-    """
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.source = source
-        #: line number -> suppressed rule ids ("*" suppresses everything)
-        self.noqa: Dict[int, Set[str]] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            match = _NOQA_RE.search(line)
-            if match is None:
-                continue
-            codes = match.group("codes")
-            if codes is None:
-                self.noqa[lineno] = {"*"}
-            else:
-                self.noqa[lineno] = {
-                    code.strip().upper() for code in codes.split(",") if code.strip()
-                }
-
-    @property
-    def posix_path(self) -> str:
-        return self.path.replace("\\", "/")
-
-    def suppressed(self, rule_id: str, line: int) -> bool:
-        codes = self.noqa.get(line)
-        return codes is not None and ("*" in codes or rule_id in codes)
-
-
 class LintRule:
     """Base class: subclass, set the class attributes, implement check()."""
 
@@ -122,10 +87,6 @@ class LintRule:
     #: path fragments inside the package tree the rule applies to;
     #: empty = the whole tree.  Files outside the tree always match.
     scopes: Tuple[str, ...] = ()
-    #: does this rule also inspect non-Python data files?  The driver
-    #: routes YAML/JSON files only to rules that opt in, via
-    #: :meth:`check_data`.
-    handles_data: bool = False
 
     def applies_to(self, posix_path: str) -> bool:
         if "repro/" not in posix_path:
@@ -135,10 +96,6 @@ class LintRule:
         return any(scope in posix_path for scope in self.scopes)
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def check_data(self, data: DataUnderLint) -> Iterator[Finding]:
-        """Inspect one data file (rules with ``handles_data`` only)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -151,13 +108,6 @@ class LintRule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-        )
-
-    def data_finding(
-        self, data: DataUnderLint, message: str, line: int = 1
-    ) -> Finding:
-        return Finding(
-            rule=self.rule_id, path=data.path, line=line, col=0, message=message
         )
 
 

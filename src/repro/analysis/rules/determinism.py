@@ -17,20 +17,11 @@ Two things silently break that:
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from .base import Finding, LintRule, ModuleUnderLint, register
 
-__all__ = [
-    "NoWallClockRule",
-    "NoUnseededRandomRule",
-    "NoUnseededRandomAnywhereRule",
-    "NoSideChannelOutputRule",
-]
-
-_ALLOW_UNSEEDED = re.compile(r"#\s*rep:\s*allow-unseeded\b")
-_ALLOW_WALLCLOCK = re.compile(r"#\s*rep:\s*allow-wallclock\b")
+__all__ = ["NoWallClockRule", "NoUnseededRandomRule", "NoSideChannelOutputRule"]
 
 _WALLCLOCK_TIME_ATTRS = {
     "time",
@@ -112,20 +103,19 @@ class NoWallClockRule(LintRule):
 
 @register
 class NoUnseededRandomRule(LintRule):
-    """All randomness must flow through seeded generator instances."""
+    """All randomness must flow through seeded generator instances.
+
+    Tree-wide: outside the simulation layers a module-level draw does not
+    break a run's bit-identity outright, but results tables, certifier
+    verdicts and generated schedules all feed asserted artifacts.
+    """
 
     rule_id = "REP002"
     description = (
-        "no module-level RNG (random.random(), np.random.*): draw from a "
-        "random.Random seeded via SimulationConfig.seed"
+        "no module-level RNG (random.random(), np.random.*) anywhere under "
+        "src/repro: draw from a random.Random seeded via SimulationConfig.seed"
     )
-    scopes = (
-        "repro/sim/",
-        "repro/core/",
-        "repro/server/",
-        "repro/client/",
-        "repro/broadcast/",
-    )
+    scopes = ()
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -168,79 +158,23 @@ class NoUnseededRandomRule(LintRule):
 
 
 @register
-class NoUnseededRandomAnywhereRule(NoUnseededRandomRule):
-    """REP002's detection, widened to the entire package tree.
+class NoSideChannelOutputRule(LintRule):
+    """No ``print()`` in the simulation kernel or the server.
 
-    REP002 guards the layers where unseeded randomness breaks
-    bit-reproducibility outright.  Everything else under ``src/repro/``
-    (analysis, experiments, theory) must be deterministic too — results
-    tables, certifier verdicts, and generated schedules all feed asserted
-    artifacts.  Deliberate module-level draws are acknowledged with a
-    ``# rep: allow-unseeded`` comment on the offending line.
-    """
-
-    rule_id = "REP007"
-    description = (
-        "no module-level RNG anywhere under src/repro/ (REP002's kernel "
-        "scopes excluded); seed a generator instance from the config, or "
-        "mark deliberate draws `# rep: allow-unseeded`"
-    )
-    scopes = ()
-
-    def applies_to(self, posix_path: str) -> bool:
-        if "repro/" in posix_path and any(
-            scope in posix_path for scope in NoUnseededRandomRule.scopes
-        ):
-            return False  # REP002 already owns the kernel scopes
-        return True
-
-    def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        allowed = {
-            lineno
-            for lineno, line in enumerate(module.source.splitlines(), start=1)
-            if _ALLOW_UNSEEDED.search(line)
-        }
-        for finding in super().check(module):
-            if finding.line not in allowed:
-                yield finding
-
-
-@register
-class NoSideChannelOutputRule(NoWallClockRule):
-    """Observability goes through ``repro.obs``, nowhere else.
-
-    PR 9 gave the simulator a sanctioned observability layer: spans via
-    the ``Tracer`` handle, tallies via ``MetricsCollector`` / the
-    telemetry registry, wall-clock phase timing via ``PhaseProfiler``
-    (which lives in ``repro/obs/`` and is therefore outside this rule's
-    scope).  Ad-hoc ``print()`` debugging or direct wall-clock reads in
-    the simulation kernel or the server are side channels around it —
-    prints corrupt CLI/bench output that tests parse, and wall-clock
-    reads break bit-reproducibility (REP001's concern, extended here to
-    ``repro/server/``).  Deliberate exceptions are acknowledged with a
-    ``# rep: allow-wallclock`` comment on the offending line.
+    A run reports through ``repro.obs`` — spans via the ``Tracer`` handle,
+    tallies via ``MetricsCollector`` — and a stray debugging ``print()``
+    corrupts the CLI output that tests and the benchmark parse.  (The
+    other side channel, the wall clock, is REP001's, tree-wide.)
     """
 
     rule_id = "REP010"
     description = (
-        "no print() or wall-clock reads inside repro/sim or repro/server: "
-        "emit spans/metrics via repro.obs (PhaseProfiler owns the wall "
-        "clock); mark deliberate exceptions `# rep: allow-wallclock`"
+        "no print() inside repro/sim or repro/server: emit a span or a "
+        "metric via repro.obs instead"
     )
     scopes = ("repro/sim/", "repro/server/")
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        allowed = {
-            lineno
-            for lineno, line in enumerate(module.source.splitlines(), start=1)
-            if _ALLOW_WALLCLOCK.search(line)
-        }
-        for finding in self._raw_findings(module):
-            if finding.line not in allowed:
-                yield finding
-
-    def _raw_findings(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        yield from super().check(module)
         for node in ast.walk(module.tree):
             if (
                 isinstance(node, ast.Call)

@@ -16,17 +16,12 @@ The rule flags calls that cross a serialization boundary —
 friends — when an argument names live simulation state, either by repo
 naming convention (``sim``, ``simulation``, ``simulator``, ``server``,
 ``state``) or by constructing/naming one of the stateful classes
-directly.  A boundary call that is genuinely safe (e.g. a *finished*,
-quiesced object being archived) is acknowledged with
-``# rep: allow-pickle`` on the call's first line or the line above —
-the escape states "this object no longer owns live state", which is the
-fact a reviewer must check.
+directly.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator, Optional
 
 from .base import Finding, LintRule, ModuleUnderLint, register
@@ -55,8 +50,6 @@ _BOUNDARY_METHODS = frozenset(
     {"submit", "map", "starmap", "imap", "imap_unordered",
      "apply_async", "dumps", "dump"}
 )
-
-_ALLOW = re.compile(r"#\s*rep:\s*allow-pickle\b")
 
 
 def _leaf_name(node: ast.AST) -> Optional[str]:
@@ -90,17 +83,11 @@ class NoSimStatePicklingRule(LintRule):
     description = (
         "no live simulation state (BroadcastSimulation, Simulator, "
         "server, SharedState) across pickle/process boundaries; only "
-        "configs, MetricsCollector and arena handles may cross — or "
-        "mark quiesced objects `# rep: allow-pickle`"
+        "configs, MetricsCollector and arena handles may cross"
     )
     scopes = ()  # the whole tree: every boundary call is in scope
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        allowed_lines = {
-            lineno
-            for lineno, line in enumerate(module.source.splitlines(), start=1)
-            if _ALLOW.search(line)
-        }
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -117,16 +104,10 @@ class NoSimStatePicklingRule(LintRule):
                     break
             if offender is None:
                 continue
-            last_line = getattr(node, "end_lineno", node.lineno)
-            span = range(node.lineno - 1, last_line + 1)
-            if any(line in allowed_lines for line in span):
-                continue
             yield self.finding(
                 module,
                 node,
                 f"'{offender}' names live simulation state crossing a "
                 f"serialization boundary ('{func.attr}'); ship the "
-                "config, a MetricsCollector, or a TimelineHandle "
-                "instead, or mark a quiesced object "
-                "`# rep: allow-pickle`",
+                "config, a MetricsCollector, or a TimelineHandle instead",
             )

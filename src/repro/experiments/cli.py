@@ -7,7 +7,6 @@ Installed as ``repro-experiments``.  Examples::
     repro-experiments fig2 --transactions 200 --seed 7
     repro-experiments all --transactions 200 --csv results/
     repro-experiments all --workers 4   # parallel grid, identical results
-    repro-experiments fig2 --executor analytic --shards 4   # sharded run
     repro-experiments scenario list     # the declarative scenario library
     repro-experiments scenario run --all          # envelope-checked runs
     repro-experiments scenario record commuter-doze --out doze.trace.json
@@ -70,26 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=None,
         help="fan grid points over N processes (results are bit-identical "
         "to a sequential run; speedup is bounded by the core count)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["process", "cohort", "analytic"],
-        default="process",
-        help="client execution layer: 'cohort' coalesces same-slot clients "
-        "into one event, 'analytic' fast-forwards fault-free read-only "
-        "clients in closed form (both bit-identical to 'process', faster "
-        "at large client populations; see docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the read-only client population over N worker "
-        "processes (requires --executor cohort or analytic; results are "
-        "bit-identical to --shards 1, see docs/PERFORMANCE.md §5)",
     )
     parser.add_argument(
         "--csv",
@@ -117,16 +99,12 @@ def _run_one(
     seed: int,
     csv_dir,
     chart: bool = False,
-    workers: int = 1,
-    executor: str = "process",
-    shards: int = 1,
+    workers: Optional[int] = None,
 ) -> None:
     runner = EXPERIMENTS[name]
     profiler = PhaseProfiler()
     with profiler.phase(name):
-        result = runner(
-            transactions, seed=seed, workers=workers, executor=executor, shards=shards
-        )
+        result = runner(transactions, seed=seed, workers=workers)
     elapsed = profiler.as_dict()[name]
     print(format_table(result))
     if chart:
@@ -332,13 +310,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         return scenario_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a flag the chosen experiment never reads is a usage error, not a
+    # run that exits 0 having silently ignored it
+    sweeps = args.experiment in EXPERIMENTS or args.experiment == "all"
+    ignored = [
+        flag
+        for flag, given, read in (
+            ("--output", args.output is not None, args.experiment == "faults"),
+            ("--csv", args.csv is not None, sweeps),
+            ("--chart", args.chart, sweeps),
+            ("--workers", args.workers is not None, sweeps),
+        )
+        if given and not read
+    ]
+    if ignored:
+        parser.exit(
+            2, f"error: {', '.join(ignored)} has no effect on '{args.experiment}'\n"
+        )
     transactions = args.transactions
     if transactions is None:
         transactions = 30 if args.experiment == "faults" else 1000
     # every grid point derives from this base config, so building it once
-    # up front rejects a bad --transactions / --executor / --shards here
+    # up front rejects a bad --transactions here
     try:
-        default_config(transactions, args.seed, args.executor, args.shards)
+        default_config(transactions, args.seed)
     except ValueError as exc:  # a flag value SimulationConfig rejects
         parser.exit(2, f"error: {exc}\n")
 
@@ -389,8 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.csv,
             chart=args.chart,
             workers=args.workers,
-            executor=args.executor,
-            shards=args.shards,
         )
     return 0
 

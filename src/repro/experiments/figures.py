@@ -50,27 +50,10 @@ __all__ = [
 PAPER_PROTOCOLS = ("datacycle", "r-matrix", "f-matrix", "f-matrix-no")
 
 
-def default_config(
-    transactions: int = 1000,
-    seed: int = 42,
-    executor: str = "process",
-    shards: int = 1,
-) -> SimulationConfig:
-    """Table 1 defaults with a configurable run length.
-
-    ``executor`` selects the client execution layer ("process",
-    "cohort" or "analytic"); all are bit-identical, so figures may be
-    reproduced on any of them (the cohort and analytic paths are faster
-    at large client populations).  ``shards`` > 1 partitions the
-    read-only population over worker processes (cohort/analytic only;
-    see docs/PERFORMANCE.md §5) — results are identical by construction.
-    """
-    return SimulationConfig(
-        num_client_transactions=transactions,
-        seed=seed,
-        client_executor=executor,
-        shards=shards,
-    )
+def default_config(transactions: int = 1000, seed: int = 42) -> SimulationConfig:
+    """Table 1 defaults (one client, as Sec. 4 simulates) with a
+    configurable run length."""
+    return SimulationConfig(num_client_transactions=transactions, seed=seed)
 
 
 def fig2_client_txn_length(
@@ -81,8 +64,6 @@ def fig2_client_txn_length(
     seed: int = 42,
     include_datacycle_tail: bool = False,
     workers: Optional[int] = None,
-    executor: str = "process",
-    shards: int = 1,
 ) -> ExperimentResult:
     """Figures 2(a) and 2(b): vary client transaction length.
 
@@ -90,7 +71,7 @@ def fig2_client_txn_length(
     by default the same point is skipped (it dominates wall-clock time),
     pass ``include_datacycle_tail=True`` to measure it anyway.
     """
-    base = default_config(transactions, seed, executor, shards)
+    base = default_config(transactions, seed)
 
     def skip(protocol: str, value: object) -> bool:
         return (
@@ -119,8 +100,6 @@ def fig3a_server_txn_length(
     client_txn_length: int = 4,
     seed: int = 42,
     workers: Optional[int] = None,
-    executor: str = "process",
-    shards: int = 1,
 ) -> ExperimentResult:
     """Figure 3(a): vary server transaction length.
 
@@ -129,7 +108,7 @@ def fig3a_server_txn_length(
     control-information overhead and the paper's full F < R < Datacycle
     ordering is unambiguous.
     """
-    base = default_config(transactions, seed, executor, shards).replace(
+    base = default_config(transactions, seed).replace(
         client_txn_length=client_txn_length
     )
     return run_sweep(
@@ -150,11 +129,9 @@ def fig3b_server_txn_rate(
     protocols: Sequence[str] = PAPER_PROTOCOLS,
     seed: int = 42,
     workers: Optional[int] = None,
-    executor: str = "process",
-    shards: int = 1,
 ) -> ExperimentResult:
     """Figure 3(b): vary server inter-completion time (rate decreases →)."""
-    base = default_config(transactions, seed, executor, shards)
+    base = default_config(transactions, seed)
     return run_sweep(
         "fig3b",
         "server inter-completion time (bit-units)",
@@ -174,14 +151,12 @@ def fig4a_num_objects(
     client_txn_length: int = 4,
     seed: int = 42,
     workers: Optional[int] = None,
-    executor: str = "process",
-    shards: int = 1,
 ) -> ExperimentResult:
     """Figure 4(a): vary the number of database objects.
 
     ``client_txn_length`` as in :func:`fig3a_server_txn_length`.
     """
-    base = default_config(transactions, seed, executor, shards).replace(
+    base = default_config(transactions, seed).replace(
         client_txn_length=client_txn_length
     )
     return run_sweep(
@@ -202,11 +177,9 @@ def fig4b_object_size(
     protocols: Sequence[str] = PAPER_PROTOCOLS,
     seed: int = 42,
     workers: Optional[int] = None,
-    executor: str = "process",
-    shards: int = 1,
 ) -> ExperimentResult:
     """Figure 4(b): vary the object size (KB on the x-axis)."""
-    base = default_config(transactions, seed, executor, shards)
+    base = default_config(transactions, seed)
 
     def hook(cfg: SimulationConfig, value: object) -> SimulationConfig:
         return cfg.replace(object_size_bits=int(float(value) * KILOBYTE_BITS))  # type: ignore[arg-type]
@@ -253,8 +226,6 @@ def ablation_group_matrix(
     client_txn_length: int = 8,
     seed: int = 42,
     workers: Optional[int] = None,
-    executor: str = "process",
-    shards: int = 1,
 ) -> ExperimentResult:
     """The F-Matrix ↔ vector spectrum (Sec. 3.2.2): sweep group count.
 
@@ -264,7 +235,7 @@ def ablation_group_matrix(
     and Datacycle are the spectrum's endpoints (g = n with per-slot
     columns / g = 1 with the strict condition).
     """
-    base = default_config(transactions, seed, executor, shards).replace(
+    base = default_config(transactions, seed).replace(
         client_txn_length=client_txn_length
     )
 
@@ -292,8 +263,6 @@ def ablation_caching(
     server_txn_interval: float = 2_000_000.0,
     seed: int = 42,
     workers: Optional[int] = None,
-    executor: str = "process",
-    shards: int = 1,
 ) -> ExperimentResult:
     """Quasi-caching under weak currency (Sec. 3.3, our quantification).
 
@@ -306,7 +275,7 @@ def ablation_caching(
     EXPERIMENTS.md.  Mutual consistency is preserved throughout (the
     trace cross-check in the test suite covers the cached path too).
     """
-    base = default_config(transactions, seed, executor, shards).replace(
+    base = default_config(transactions, seed).replace(
         client_txn_length=client_txn_length,
         protocol=protocol,
         server_txn_interval=server_txn_interval,

@@ -1,4 +1,4 @@
-"""Deterministic observability: spans, telemetry registry, exporters.
+"""Deterministic observability: spans, end-of-run telemetry, exporters.
 
 The obs layer sits *outside* the deterministic simulation core in one
 direction only: simulation code may emit sim-time-stamped spans into a
@@ -8,13 +8,13 @@ singleton whose ``enabled`` flag short-circuits every hot-path guard, so
 untraced runs stay bit-identical and allocation-free.
 
 Wall-clock phase timing (:class:`~repro.obs.profiler.PhaseProfiler`)
-lives here precisely because it is *not* deterministic; the REP010 lint
-rule bans wall-clock reads inside ``repro/sim`` and ``repro/server``,
-and this package is the sanctioned home for them.
+lives here precisely because it is *not* deterministic: REP001 bans
+wall-clock reads everywhere under ``src/repro``, and
+``repro/obs/profiler.py`` holds its one suppressed site.
 """
 
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer, canonical_spans
-from .registry import TelemetryRegistry, registry_from_result
+from .telemetry import render_telemetry, telemetry_from_result
 from .profiler import PhaseProfiler
 from .export import (
     chrome_trace,
@@ -28,12 +28,12 @@ __all__ = [
     "NullTracer",
     "PhaseProfiler",
     "Span",
-    "TelemetryRegistry",
     "Tracer",
     "canonical_spans",
     "chrome_trace",
-    "registry_from_result",
+    "render_telemetry",
     "spans_to_jsonl",
     "summarize_spans",
     "summarize_trace_events",
+    "telemetry_from_result",
 ]

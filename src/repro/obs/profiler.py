@@ -1,6 +1,6 @@
 """Wall-clock phase timing for the harness, outside the deterministic core.
 
-The simulator itself may never read the wall clock (REP001/REP010); the
+The simulator itself may never read the wall clock (REP001); the
 harness around it — shard setup, timeline record/replay, merge, drive,
 the CLIs' "N s wall clock" lines — legitimately wants to know where real
 seconds go.  ``PhaseProfiler`` accumulates ``perf_counter`` deltas per

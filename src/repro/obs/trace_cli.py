@@ -27,7 +27,7 @@ import pathlib
 from typing import List, Optional
 
 from .export import chrome_trace, claim_output, summarize_spans, summarize_trace_events
-from .registry import registry_from_result
+from .telemetry import render_telemetry
 
 __all__ = ["main", "build_parser", "smoke_config"]
 
@@ -38,7 +38,6 @@ def smoke_config(
     seed: int = 7,
     shards: int = 2,
     timeline_mode: str = "replay",
-    trace_buffer: int = 1 << 20,
 ):
     """The smoke scenario: small, faulted, sharded, every span kind."""
     from ..sim import DozeInterval, FaultPlan, ServerCrash, SimulationConfig
@@ -62,7 +61,6 @@ def smoke_config(
         shards=shards,
         timeline_mode=timeline_mode,
         tracing=True,
-        trace_buffer=trace_buffer,
         faults=FaultPlan(
             doze=(DozeInterval(1, 5 * cb, 3 * cb),),
             crashes=(ServerCrash(14.5 * cb, 2.5 * cb),),
@@ -120,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--summary",
         action="store_true",
-        help="print the span summary table and telemetry registry",
+        help="print the span summary table and the run's telemetry",
     )
 
     summarize = sub.add_parser(
@@ -153,7 +151,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     claim_output(parser, "--spans", args.spans)
     result = _run_smoke(parser, args)
     spans = result.spans or []
-    registry = result.telemetry()
+    telemetry = result.telemetry()
     # truncate each lane with the same predicate canonical_spans uses, so
     # the artifact's span counts reconcile with the counters it carries
     # (the raw primary stream includes extension-phase timeline spans
@@ -164,7 +162,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     ]
     document = chrome_trace(
         lanes,
-        counters=registry.as_dict()["counters"],
+        counters=telemetry["counters"],
         profile=result.profile,
     )
     print(
@@ -185,7 +183,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         print()
         print(summarize_spans(spans))
         print()
-        print(registry.render())
+        print(render_telemetry(telemetry))
     return 0
 
 

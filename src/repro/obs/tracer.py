@@ -38,6 +38,7 @@ it selects a lane: 0 = broadcast, 1 = server, 2 = recovery.
 from typing import List, NamedTuple, Sequence
 
 __all__ = [
+    "DEFAULT_CAPACITY",
     "Span",
     "Tracer",
     "NullTracer",
@@ -67,6 +68,10 @@ class Span(NamedTuple):
         return self.end - self.start
 
 
+#: spans a run's tracer keeps before it overwrites the oldest
+DEFAULT_CAPACITY = 1 << 20
+
+
 class Tracer:
     """Bounded ring buffer of spans.
 
@@ -79,7 +84,7 @@ class Tracer:
 
     __slots__ = ("capacity", "_buffer", "_head", "dropped")
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"tracer capacity must be >= 1, got {capacity}")
         self.capacity = capacity

@@ -40,7 +40,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.validators import PROTOCOL_NAMES
 from ..sim.config import SimulationConfig
-from ..sim.faults import DozeInterval, FaultPlan, ServerCrash
+from ..sim.faults import FaultPlan
 from .envelope import MetricEnvelope
 
 __all__ = [
@@ -74,18 +74,6 @@ _TOP_LEVEL_KEYS = frozenset(
 _RESERVED_CONFIG_FIELDS = frozenset({"protocol", "seed", "faults"})
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SimulationConfig))
-
-_FAULTS_KEYS = frozenset(
-    {
-        "doze",
-        "crashes",
-        "seeded",
-        "uplink_loss_probability",
-        "uplink_max_retries",
-        "uplink_timeout",
-        "uplink_backoff",
-    }
-)
 
 _SEEDED_KEYS = frozenset(
     {"seed", "horizon", "mean_time_between_dozes", "mean_doze_duration"}
@@ -151,70 +139,43 @@ def _fail(source: str, message: str) -> "ScenarioError":
 def _parse_faults(
     section: object, *, seed: int, num_clients: int, source: str
 ) -> FaultPlan:
+    """A scenario's ``faults`` section: a :meth:`FaultPlan.from_dict`
+    document, plus an optional ``seeded`` block that generates the doze
+    intervals (:meth:`FaultPlan.seeded`) instead of listing them."""
     if not isinstance(section, Mapping):
         raise _fail(source, "'faults' must be a mapping")
-    unknown = sorted(set(section) - _FAULTS_KEYS)
-    if unknown:
-        raise _fail(
-            source,
-            f"unknown faults key(s) {unknown}; known keys: "
-            f"{sorted(_FAULTS_KEYS)}",
-        )
-    seeded = section.get("seeded")
-    explicit_doze = section.get("doze", [])
-    if seeded is not None and explicit_doze:
-        raise _fail(
-            source,
-            "faults may declare 'doze' intervals or a 'seeded' generator "
-            "block, not both",
-        )
     try:
-        crashes = tuple(
-            ServerCrash.from_dict(entry) for entry in section.get("crashes", [])
+        plan = FaultPlan.from_dict(
+            {key: value for key, value in section.items() if key != "seeded"}
         )
-        uplink = {
-            "uplink_loss_probability": float(
-                section.get("uplink_loss_probability", 0.0)  # type: ignore[arg-type]
-            ),
-            "uplink_max_retries": int(
-                section.get("uplink_max_retries", 3)  # type: ignore[arg-type]
-            ),
-            "uplink_timeout": float(
-                section.get("uplink_timeout", 16_384.0)  # type: ignore[arg-type]
-            ),
-            "uplink_backoff": float(
-                section.get("uplink_backoff", 2.0)  # type: ignore[arg-type]
-            ),
-        }
-        if seeded is not None:
-            if not isinstance(seeded, Mapping):
-                raise ValueError("faults 'seeded' must be a mapping")
-            bad = sorted(set(seeded) - _SEEDED_KEYS)
-            if bad:
-                raise ValueError(
-                    f"unknown faults.seeded key(s) {bad}; known keys: "
-                    f"{sorted(_SEEDED_KEYS)}"
-                )
-            if "horizon" not in seeded:
-                raise ValueError("faults.seeded requires 'horizon'")
-            return FaultPlan.seeded(
-                int(seeded.get("seed", seed)),  # type: ignore[arg-type]
-                num_clients=num_clients,
-                horizon=float(seeded["horizon"]),  # type: ignore[arg-type]
-                mean_time_between_dozes=float(
-                    seeded.get("mean_time_between_dozes", 0.0)  # type: ignore[arg-type]
-                ),
-                mean_doze_duration=float(
-                    seeded.get("mean_doze_duration", 0.0)  # type: ignore[arg-type]
-                ),
-                crashes=crashes,
-                **uplink,  # type: ignore[arg-type]
+        seeded = section.get("seeded")
+        if seeded is None:
+            return plan
+        if plan.doze:
+            raise ValueError(
+                "faults may declare 'doze' intervals or a 'seeded' generator "
+                "block, not both"
             )
-        doze = tuple(DozeInterval.from_dict(entry) for entry in explicit_doze)
-        return FaultPlan(doze=doze, crashes=crashes, **uplink)  # type: ignore[arg-type]
-    except ScenarioError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
+        if not isinstance(seeded, Mapping):
+            raise ValueError("faults 'seeded' must be a mapping")
+        bad = sorted(set(seeded) - _SEEDED_KEYS, key=str)
+        if bad:
+            raise ValueError(
+                f"unknown faults.seeded key(s) {bad}; known keys: "
+                f"{sorted(_SEEDED_KEYS)}"
+            )
+        if "horizon" not in seeded:
+            raise ValueError("faults.seeded requires 'horizon'")
+        # the block draws the doze intervals; the crashes and the uplink
+        # settings are the plan's (one construction: a plan validates its
+        # thousands of intervals when built)
+        return FaultPlan.seeded(
+            int(seeded.get("seed", seed)),
+            num_clients=num_clients,
+            **{key: float(seeded[key]) for key in seeded if key != "seed"},
+            **{key: value for key, value in vars(plan).items() if key != "doze"},
+        )
+    except (ValueError, TypeError, OverflowError) as exc:
         raise _fail(source, f"invalid faults section: {exc}") from exc
 
 
@@ -298,11 +259,13 @@ def parse_scenario(
 
     faults: Optional[FaultPlan] = None
     if payload.get("faults") is not None:
+        num_clients = config_raw.get("num_clients", 1)
+        if not isinstance(num_clients, int) or isinstance(num_clients, bool):
+            raise _fail(
+                source, f"config 'num_clients' must be an integer, got {num_clients!r}"
+            )
         faults = _parse_faults(
-            payload["faults"],
-            seed=seed,
-            num_clients=int(config_raw.get("num_clients", 1)),  # type: ignore[arg-type]
-            source=source,
+            payload["faults"], seed=seed, num_clients=num_clients, source=source
         )
         if faults.is_noop:
             faults = None

@@ -102,7 +102,6 @@ class CohortExecutor:
         self._batch_validate = validate_read_batch
         if (
             all(c.cache is None for c in self.clients)
-            # rep: allow-client-loop — one startup scan, not a hot path
             and len({c.validator.__class__ for c in self.clients}) == 1
             and all(c.validator._absolute for c in self.clients)
         ):
@@ -157,7 +156,6 @@ class CohortExecutor:
             members.sort()
         env = self.env
         obj = bucket.obj
-        # rep: allow-client-loop — one bucket's members, not the population
         survivors = [member[2] for member in members]
         moved: List[ClientKernel] = []
         ends: List[Optional[float]] = []
@@ -181,7 +179,6 @@ class CohortExecutor:
             elif len(survivors) > 1:
                 # one batched read-condition evaluation for the bucket
                 verdicts = self._batch_validate(
-                    # rep: allow-client-loop — one bucket's survivors
                     [kernel.validator for kernel in survivors],
                     obj,
                     broadcast.snapshot,

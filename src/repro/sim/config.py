@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+import numbers
+import typing
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..broadcast.control_info import ControlInfoScheme, scheme_for_protocol
 from ..broadcast.layout import FlatLayout, MultiDiskLayout
@@ -135,15 +137,27 @@ class SimulationConfig:
 
     # -- observability (docs/OBSERVABILITY.md) ------------------------------
     #: emit sim-time lifecycle spans (attempts, uplink round-trips,
-    #: cycles, crashes) into a bounded ring buffer; off by default so
-    #: untraced runs stay bit-identical and allocation-free
+    #: cycles, crashes) into a bounded ring buffer (oldest spans
+    #: overwritten beyond ``repro.obs.tracer.DEFAULT_CAPACITY``, counted in
+    #: ``SimulationResult.spans_dropped``); off by default so untraced
+    #: runs stay bit-identical and allocation-free
     tracing: bool = False
-    #: span ring-buffer capacity per tracer (oldest spans overwritten
-    #: beyond this, counted in ``SimulationResult.spans_dropped``)
-    trace_buffer: int = 1 << 20
 
     # ----------------------------------------------------------------
     def __post_init__(self) -> None:
+        # documents reach this constructor (scenario files, recorded
+        # traces): an ill-typed field is a ValueError that names it, not a
+        # TypeError from whichever comparison below meets it first — and
+        # not a silently accepted ``seed: null``
+        for name, kinds in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if not isinstance(value, kinds) or (
+                isinstance(value, bool) and bool not in kinds
+            ):
+                raise ValueError(
+                    f"{name} must be {type(self).__annotations__[name]}, "
+                    f"got {value!r}"
+                )
         if self.protocol not in PROTOCOL_NAMES:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOL_NAMES}"
@@ -211,8 +225,6 @@ class SimulationConfig:
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
         if self.faults is not None:
-            if not isinstance(self.faults, FaultPlan):
-                raise ValueError("faults must be a FaultPlan (or None)")
             if self.faults.max_doze_client >= self.num_clients:
                 raise ValueError(
                     f"doze interval names client "
@@ -239,8 +251,6 @@ class SimulationConfig:
                     "so the update population is bounded (those clients run "
                     "event-driven under the cohort executor)"
                 )
-        if self.trace_buffer < 1:
-            raise ValueError("trace_buffer must be >= 1")
         if self.timeline_mode not in ("recompute", "replay"):
             raise ValueError("timeline_mode must be 'recompute' or 'replay'")
         if self.timeline_mode == "replay":
@@ -311,11 +321,8 @@ class SimulationConfig:
             )
         kwargs: "dict[str, object]" = dict(payload)
         faults = kwargs.get("faults")
-        if faults is not None:
-            if not isinstance(faults, FaultPlan):
-                if not isinstance(faults, dict):
-                    raise ValueError("'faults' must be a mapping (or null)")
-                kwargs["faults"] = FaultPlan.from_dict(faults)
+        if faults is not None and not isinstance(faults, FaultPlan):
+            kwargs["faults"] = FaultPlan.from_dict(faults)  # type: ignore[arg-type]
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def fingerprint(self) -> str:
@@ -401,3 +408,16 @@ class SimulationConfig:
         return self.control_scheme().overhead_fraction(
             self.num_objects, self.object_size_bits
         )
+
+
+def _field_kinds() -> Dict[str, Tuple[type, ...]]:
+    """What ``isinstance`` accepts per field, from the class's annotations."""
+    abstract = {int: numbers.Integral, float: numbers.Real}
+    kinds = {}
+    for name, hint in typing.get_type_hints(SimulationConfig).items():
+        concrete = typing.get_args(hint) or (hint,)  # Optional[X] -> (X, NoneType)
+        kinds[name] = tuple(abstract.get(kind, kind) for kind in concrete)
+    return kinds
+
+
+_FIELD_KINDS = _field_kinds()

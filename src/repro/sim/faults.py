@@ -31,16 +31,23 @@ module.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
+    Callable,
     Dict,
     Generator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
+    Type,
+    TypeVar,
     Union,
 )
 
@@ -68,6 +75,61 @@ __all__ = [
 
 #: what the crash process generator yields
 FaultEvents = Generator[Union[Timeout, WaitUntil], None, None]
+
+
+_T = TypeVar("_T")
+
+
+def _build(
+    cls: Type[_T],
+    owner: str,
+    payload: object,
+    fields: Mapping[str, Callable[[Any], object]],
+) -> _T:
+    """``cls(**entries)`` from a decoded JSON/YAML mapping.
+
+    The one decoder of every fault document: unknown keys are rejected
+    (a typo silently falling back to a default would un-pin the run), a
+    missing or ill-typed entry is a ``ValueError`` that names it, and
+    absent optional keys are left to the dataclass defaults, which are
+    therefore written down once.
+    """
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{owner} must be a mapping, got {payload!r}")
+    unknown = sorted(set(payload) - set(fields), key=str)
+    if unknown:
+        raise ValueError(
+            f"unknown {owner} key(s) {unknown}; known keys: {sorted(fields)}"
+        )
+    decoded: Dict[str, object] = {}
+    for key, value in payload.items():
+        try:
+            if isinstance(value, bool):
+                raise TypeError("a bool is not a number")
+            decoded[key] = fields[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{owner} {key!r}: {exc}") from None
+    missing = [
+        f.name
+        for f in dataclasses.fields(cls)  # type: ignore[arg-type]
+        if f.default is dataclasses.MISSING and f.name not in decoded
+    ]
+    if missing:
+        raise ValueError(f"{owner} requires {missing}")
+    return cls(**decoded)
+
+
+def _list_of(kind: Any) -> Callable[[Any], object]:
+    """Converter for a list of ``kind.from_dict`` documents (null = none)."""
+
+    def convert(value: Any) -> object:
+        if value is None:
+            return ()
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"must be a list, got {value!r}")
+        return tuple(kind.from_dict(entry) for entry in value)
+
+    return convert
 
 
 @dataclass(frozen=True)
@@ -105,11 +167,12 @@ class DozeInterval:
         }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "DozeInterval":
-        return cls(
-            client=int(payload["client"]),  # type: ignore[arg-type]
-            start=float(payload["start"]),  # type: ignore[arg-type]
-            duration=float(payload["duration"]),  # type: ignore[arg-type]
+    def from_dict(cls, payload: Mapping[str, object]) -> "DozeInterval":
+        return _build(
+            cls,
+            "doze interval",
+            payload,
+            {"client": int, "start": float, "duration": float},
         )
 
 
@@ -142,11 +205,8 @@ class ServerCrash:
         return {"time": self.time, "downtime": self.downtime}
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ServerCrash":
-        return cls(
-            time=float(payload["time"]),  # type: ignore[arg-type]
-            downtime=float(payload["downtime"]),  # type: ignore[arg-type]
-        )
+    def from_dict(cls, payload: Mapping[str, object]) -> "ServerCrash":
+        return _build(cls, "crash", payload, {"time": float, "downtime": float})
 
 
 @dataclass(frozen=True)
@@ -234,32 +294,19 @@ class FaultPlan:
         }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "FaultPlan":
-        doze = payload.get("doze", []) or []
-        crashes = payload.get("crashes", []) or []
-        if not isinstance(doze, (list, tuple)):
-            raise ValueError("faults 'doze' must be a list of intervals")
-        if not isinstance(crashes, (list, tuple)):
-            raise ValueError("faults 'crashes' must be a list of crashes")
-        return cls(
-            doze=tuple(
-                DozeInterval.from_dict(entry) for entry in doze  # type: ignore[arg-type]
-            ),
-            crashes=tuple(
-                ServerCrash.from_dict(entry) for entry in crashes  # type: ignore[arg-type]
-            ),
-            uplink_loss_probability=float(
-                payload.get("uplink_loss_probability", 0.0)  # type: ignore[arg-type]
-            ),
-            uplink_max_retries=int(
-                payload.get("uplink_max_retries", 3)  # type: ignore[arg-type]
-            ),
-            uplink_timeout=float(
-                payload.get("uplink_timeout", 16_384.0)  # type: ignore[arg-type]
-            ),
-            uplink_backoff=float(
-                payload.get("uplink_backoff", 2.0)  # type: ignore[arg-type]
-            ),
+    def from_dict(cls, payload: Mapping[str, object]) -> "FaultPlan":
+        return _build(
+            cls,
+            "faults",
+            payload,
+            {
+                "doze": _list_of(DozeInterval),
+                "crashes": _list_of(ServerCrash),
+                "uplink_loss_probability": float,
+                "uplink_max_retries": int,
+                "uplink_timeout": float,
+                "uplink_backoff": float,
+            },
         )
 
     @classmethod
@@ -288,8 +335,8 @@ class FaultPlan:
         """
         if num_clients < 1:
             raise ValueError("num_clients must be >= 1")
-        if horizon <= 0:
-            raise ValueError("horizon must be > 0")
+        if not 0 < horizon < math.inf:  # an endless horizon never stops drawing
+            raise ValueError("horizon must be > 0 and finite")
         rng = random.Random(seed)
         doze: List[DozeInterval] = []
         if mean_time_between_dozes > 0 and mean_doze_duration > 0:

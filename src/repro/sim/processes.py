@@ -169,7 +169,7 @@ def server_process(
             gap = config.server_txn_interval
         else:
             gap = rng.expovariate(1.0 / config.server_txn_interval)
-        yield Timeout(gap)  # rep: allow-alloc — the gap varies per event
+        yield Timeout(gap)
         spec = workload.next_transaction()
         if faults is not None and faults.server_down:
             # the completion evaporates with the crashed server
@@ -358,9 +358,7 @@ def _submit_update(
                         "uplink.retry", cause, tid,
                     )
                 # wait out the verdict timeout, back off, resubmit
-                yield Timeout(  # rep: allow-alloc — backoff grows per retry
-                    plan.uplink_timeout * plan.uplink_backoff**retries
-                )
+                yield Timeout(plan.uplink_timeout * plan.uplink_backoff**retries)
                 retries += 1
                 metrics.uplink_retries += 1
                 continue
@@ -420,9 +418,9 @@ def _attempt(
                     wake = faults.doze_wake(client_id, sim.now)
                     if wake is not None:
                         # the radio is off: fast-forward to the rejoin
-                        yield WaitUntil(wake)  # rep: allow-alloc — doze rejoin
+                        yield WaitUntil(wake)
                 hit = layout.next_read(obj, sim.now)
-                yield WaitUntil(hit.time)  # rep: allow-alloc — a new slot per retry
+                yield WaitUntil(hit.time)
                 if faults is not None and not faults.slot_heard(
                     client_id, hit.time - layout.slot_bits, hit.time
                 ):

@@ -35,16 +35,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
     from ..analysis.diagnostics import AuditReport
-    from ..obs.registry import TelemetryRegistry
 
 from ..broadcast.layout import BroadcastLayout
 from ..client.cache import QuasiCache
 from ..core.validators import ReadValidator, make_validator
 from ..obs.profiler import PhaseProfiler
+from ..obs.telemetry import telemetry_from_result
 from ..obs.tracer import NULL_TRACER, Span, Tracer, canonical_spans
 from ..server.server import BroadcastServer
 from ..server.workload import ClientWorkload, ServerWorkload
@@ -154,11 +163,9 @@ class SimulationResult:
     def protocol(self) -> str:
         return self.config.protocol
 
-    def telemetry(self) -> "TelemetryRegistry":
-        """This run's counters/gauges/histograms as a telemetry registry."""
-        from ..obs.registry import registry_from_result
-
-        return registry_from_result(self)
+    def telemetry(self) -> Dict[str, Dict[str, Any]]:
+        """This run's counters / gauges / histograms as one document."""
+        return telemetry_from_result(self)
 
 
 class BroadcastSimulation:
@@ -208,9 +215,7 @@ class BroadcastSimulation:
         self.metrics = MetricsCollector()
         #: span sink for everything this shard measures; the no-op
         #: singleton keeps untraced runs allocation-free
-        self.tracer: Tracer = (
-            Tracer(config.trace_buffer) if config.tracing else NULL_TRACER
-        )
+        self.tracer: Tracer = Tracer() if config.tracing else NULL_TRACER
         #: where the shared timeline's metrics (server process, crash
         #: recovery, fault runtime, ghost update clients) land: the
         #: measured collector on the primary shard, a discarded shadow

@@ -179,15 +179,15 @@ class TestExitCodeContract:
         [
             (main, ["fig2", "--transactions", "0"]),
             (main, ["fig2", "--transactions", "-1"]),
-            (main, ["fig2", "--executor", "cohort", "--shards", "0"]),
             (trace_main, ["run", "--transactions", "0"]),
+            (trace_main, ["run", "--shards", "0"]),
             (audit_main, ["--transactions", "0"]),
         ],
         ids=[
             "experiments-transactions-0",
             "experiments-transactions-negative",
-            "experiments-shards-0",
             "trace-transactions-0",
+            "trace-shards-0",
             "audit-transactions-0",
         ],
     )
@@ -196,6 +196,24 @@ class TestExitCodeContract:
         with pytest.raises(SystemExit) as err:
             entry(argv)
         assert_usage_error(err, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4b", "--transactions", "3", "--output", "x.json"],
+            ["faults", "--csv", "out"],
+            ["faults", "--workers", "2"],
+            ["table1", "--chart"],
+            ["list", "--workers", "1"],
+        ],
+        ids=["sweep-output", "faults-csv", "faults-workers", "table1-chart",
+             "list-workers"],
+    )
+    def test_flag_the_experiment_ignores_is_2(self, argv, capsys):
+        """A flag that would do nothing is refused before anything runs."""
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert assert_usage_error(err, capsys) == ""
 
     @pytest.mark.parametrize(
         "content",

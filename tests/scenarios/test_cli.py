@@ -1,12 +1,18 @@
 """The scenario CLI and its exit-code contract (0 / 1 / 2)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.cli import main
-from repro.scenarios import get_scenario
+from repro.scenarios import RecordedTrace, get_scenario
 from repro.scenarios.cli import scenario_main
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def write_scenario(tmp_path, name, **patches):
@@ -135,6 +141,37 @@ class TestRecordReplayExitCodes:
         with pytest.raises(SystemExit) as err:
             scenario_main(["replay", str(trace_path)])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda config: config["faults"].update(dozee=[]),
+            lambda config: config["faults"].update(doze=[{"client": 0}]),
+            lambda config: config.update(num_clients="x"),
+        ],
+        ids=["unknown-fault-key", "doze-without-start", "ill-typed-field"],
+    )
+    def test_malformed_trace_config_exits_2_from_the_shell(self, damage, tmp_path):
+        """One ``error:`` line and exit 2 — never a traceback and exit 1."""
+        document = RecordedTrace(
+            config=get_scenario("commuter-doze").config_for(),
+            observables={},
+            signature={},
+        ).to_dict()
+        del document["digest"]
+        damage(document["config"])
+        trace_path = tmp_path / "bad.trace.json"
+        trace_path.write_text(json.dumps(document))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli",
+             "scenario", "replay", str(trace_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_record_unknown_scenario_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

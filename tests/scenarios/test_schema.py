@@ -1,15 +1,20 @@
 """Scenario schema validation (repro.scenarios.schema)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios import (
     SCENARIO_FORMAT_VERSION,
+    RecordedTrace,
     Scenario,
     ScenarioError,
+    builtin_scenarios,
     parse_scenario,
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.faults import FaultPlan
+from tests.sim.test_serialization import one_mutation
 
 
 def minimal(**extra):
@@ -197,6 +202,65 @@ class TestFaultsSection:
                     ]}
                 )
             )
+
+
+SEEDED = {
+    "horizon": 1_000_000.0,
+    "mean_time_between_dozes": 100_000.0,
+    "mean_doze_duration": 10_000.0,
+}
+
+
+class TestDocumentFuzz:
+    """One mutation of a valid document never escapes as anything but a
+    ``ValueError`` (``ScenarioError`` is one): the CLIs turn exactly that
+    into one ``error:`` line and exit 2."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(
+            [scenario.to_dict() for scenario in builtin_scenarios().values()]
+            + [minimal(config={"num_clients": 3}, faults={"seeded": SEEDED})]
+        ).flatmap(one_mutation)
+    )
+    def test_mutated_scenario_parses_or_raises_value_error(self, document):
+        try:
+            parse_scenario(document)
+        except ValueError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        one_mutation(
+            RecordedTrace(
+                config=builtin_scenarios()["commuter-doze"].config_for(),
+                observables={"client_commits": [], "session_commits": []},
+                signature={"commits": 0, "counters": {"reads_delivered": 0}},
+            ).to_dict()
+        )
+    )
+    def test_mutated_trace_loads_or_raises_value_error(self, document):
+        try:
+            RecordedTrace.from_dict(document)
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize(
+        "patch, named",
+        [
+            ({"config": {"num_clients": None}, "faults": {"seeded": SEEDED}},
+             "num_clients"),
+            ({"faults": {"seeded": {**SEEDED, "horizon": float("inf")}}}, "horizon"),
+            ({"faults": {"seeded": {**SEEDED, "seed": 1e400}}}, "faults"),
+            ({"faults": {"doze": [{"client": 0, "start": 1.0}]}}, "duration"),
+            ({"seed": "three"}, "seed"),
+        ],
+        ids=["null-num-clients", "endless-horizon", "infinite-seed",
+             "doze-without-duration", "string-seed"],
+    )
+    def test_counter_examples_stay_scenario_errors(self, patch, named):
+        with pytest.raises(ScenarioError, match=named):
+            parse_scenario(minimal(**patch))
 
 
 class TestScenarioDataclass:

@@ -19,6 +19,7 @@ Three contracts, in increasing order of subtlety:
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,12 +27,12 @@ from repro.obs import (
     NULL_TRACER,
     NullTracer,
     Span,
-    TelemetryRegistry,
     Tracer,
     canonical_spans,
     chrome_trace,
-    registry_from_result,
+    render_telemetry,
     spans_to_jsonl,
+    telemetry_from_result,
 )
 from repro.sim import (
     DozeInterval,
@@ -41,6 +42,7 @@ from repro.sim import (
     SimulationConfig,
     run_simulation,
 )
+from repro.obs.tracer import DEFAULT_CAPACITY
 from repro.sim.shard import run_sharded
 
 BASE = dict(
@@ -160,47 +162,37 @@ class TestTracerUnit:
         assert merged == [b, a]  # sorted, the post-horizon span dropped
 
     def test_config_rejects_bad_trace_buffer(self):
+        """Any: the capacity is ``DEFAULT_CAPACITY``, no longer a field, so
+        a config document recorded while it was one is an unknown field."""
         with pytest.raises(ValueError, match="trace_buffer"):
-            SimulationConfig(tracing=True, trace_buffer=0)
-
+            SimulationConfig.from_dict({"tracing": True, "trace_buffer": 1 << 20})
+        assert Tracer().capacity == DEFAULT_CAPACITY
 
 class TestRegistryUnit:
-    def test_counter_monotonic(self):
-        reg = TelemetryRegistry()
-        c = reg.counter("x")
-        c.inc()
-        c.inc(2.0)
-        assert c.value == 3.0
-        with pytest.raises(ValueError, match="decrease"):
-            c.inc(-1.0)
-        assert reg.counter("x") is c  # get-or-create returns the instance
+    """The telemetry document of a finished result (no registry object is
+    left: nothing outside this file ever merged or incremented one)."""
 
     def test_histogram_power_of_two_buckets(self):
-        reg = TelemetryRegistry()
-        h = reg.histogram("h")
-        h.observe_many([0.0, 1.0, 1.5, 8.0, 9.0])
+        metrics = MetricsCollector()
+        for k, response in enumerate([0.0, 1.0, 1.5, 8.0, 9.0]):
+            metrics.record_commit(f"t{k}", 0.0, response, 0)
+        result = SimpleNamespace(
+            metrics=metrics, sim_time=9.0, events=0, timeline_stats=None
+        )
+        document = telemetry_from_result(result)
+        hist = document["histograms"]["response_time_bits"]
         # bucket k covers (2^(k-1), 2^k]; bucket 0 holds <= 1
-        assert h.counts == {0: 2, 1: 1, 3: 1, 4: 1}
-        assert h.total == 5
-        assert h.mean == pytest.approx(19.5 / 5)
-
-    def test_merge_sums_counters_maxes_gauges_adds_buckets(self):
-        a, b = TelemetryRegistry(), TelemetryRegistry()
-        a.counter("n").inc(2)
-        b.counter("n").inc(3)
-        a.gauge("t").set(5.0)
-        b.gauge("t").set(4.0)
-        a.histogram("h").observe(3.0)
-        b.histogram("h").observe(3.0)
-        a.merge_from(b)
-        assert a.counter("n").value == 5.0
-        assert a.gauge("t").value == 5.0
-        assert a.histogram("h").counts == {2: 2}
+        assert hist["buckets"] == {"0": 2, "1": 1, "3": 1, "4": 1}
+        assert hist["total"] == 5
+        assert hist["sum"] / hist["total"] == pytest.approx(19.5 / 5)
+        assert (
+            "response_time_bits: n=5 mean=3.9 "
+            "buckets={2^0: 2, 2^1: 1, 2^3: 1, 2^4: 1}"
+        ) in render_telemetry(document)
 
     def test_registry_from_result_subsumes_metrics(self):
         result = run_config(make_config(tracing=True))
-        registry = registry_from_result(result)
-        payload = registry.as_dict()
+        payload = telemetry_from_result(result)
         m = result.metrics
         assert payload["counters"]["commits"] == m.commit_count
         for name in MetricsCollector._COUNTER_FIELDS:
@@ -210,7 +202,7 @@ class TestRegistryUnit:
         assert payload["histograms"]["response_time_bits"]["total"] == (
             m.commit_count
         )
-        assert result.telemetry().as_dict() == payload  # the result-side hook
+        assert result.telemetry() == payload  # the result-side hook
 
 
 class TestUntracedBitIdentity:
@@ -368,10 +360,9 @@ class TestReconciliation:
 
     def test_chrome_trace_document_shape(self, traced_replay):
         result = traced_replay
-        registry = result.telemetry()
         document = chrome_trace(
             result.shard_spans,
-            counters=registry.as_dict()["counters"],
+            counters=result.telemetry()["counters"],
             profile=result.profile,
         )
         # must survive a JSON round trip (the Perfetto contract)

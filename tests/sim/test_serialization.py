@@ -1,8 +1,11 @@
 """Config/fault/metrics serialization hooks (scenario + trace plumbing)."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.config import SimulationConfig
 from repro.sim.faults import DozeInterval, FaultPlan, ServerCrash
@@ -18,6 +21,49 @@ def full_plan():
         uplink_timeout=1000.0,
         uplink_backoff=1.5,
     )
+
+
+def _slots(node, path=()):
+    """The path of every key / index in a JSON-like document, at any depth."""
+    items = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+#: what a hand-edited or truncated file puts where a value belonged; the
+#: strings never parse as numbers, so a mutant stays as small as its source
+_JUNK = st.one_of(
+    st.none(),
+    st.text(alphabet="xyz-", max_size=4),
+    st.integers(max_value=-1),
+    st.floats(max_value=-0.5, allow_nan=False, allow_infinity=False),
+    st.just([[1], []]),
+)
+
+
+@st.composite
+def one_mutation(draw, document):
+    """``document`` with one key dropped, one unknown key added, or one
+    value replaced by junk — anywhere in it (the document fuzz of
+    ROADMAP aim 3; tests/scenarios/test_schema.py drives it too)."""
+    mutant = copy.deepcopy(document)
+    path = draw(st.sampled_from(list(_slots(mutant))))
+    parent = mutant
+    for key in path[:-1]:
+        parent = parent[key]
+    action = draw(st.sampled_from(["drop", "replace", "add"]))
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "replace" or not isinstance(parent, dict):
+        parent[path[-1]] = draw(_JUNK)
+    else:
+        parent["zz-" + draw(st.text(alphabet="xyz", max_size=3))] = draw(_JUNK)
+    return mutant
 
 
 class TestFaultPlanRoundTrip:
@@ -37,6 +83,38 @@ class TestFaultPlanRoundTrip:
     def test_malformed_doze_rejected(self):
         with pytest.raises(ValueError, match="doze"):
             FaultPlan.from_dict({"doze": "nope"})
+
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            ({"dozee": [], "uplink_loss_probability": 0.1}, "dozee"),
+            ({"doze": [{"client": 0}]}, "start"),
+            ({"doze": [{"client": None, "start": 1.0, "duration": 2.0}]}, "client"),
+            ({"doze": [3]}, "doze interval"),
+            ({"crashes": [{"time": 5.0, "downtime": 1.0, "when": 2}]}, "when"),
+            ({"uplink_max_retries": [[1], []]}, "uplink_max_retries"),
+            ({"uplink_backoff": True}, "uplink_backoff"),
+        ],
+        ids=["unknown-key", "missing-field", "null-field", "entry-not-a-mapping",
+             "unknown-nested-key", "nested-list", "bool"],
+    )
+    def test_typo_missing_or_ill_typed_entry_is_a_named_value_error(
+        self, document, named
+    ):
+        """Not a silent default, a ``KeyError`` or a ``TypeError``."""
+        with pytest.raises(ValueError, match=named):
+            FaultPlan.from_dict(document)
+
+    def test_seeded_horizon_must_be_finite(self):
+        for horizon in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="horizon"):
+                FaultPlan.seeded(
+                    1,
+                    num_clients=1,
+                    horizon=horizon,
+                    mean_time_between_dozes=1.0,
+                    mean_doze_duration=1.0,
+                )
 
     def test_interval_and_crash_round_trip(self):
         interval = DozeInterval(2, 7.5, 3.25)
@@ -66,6 +144,37 @@ class TestConfigRoundTrip:
         payload["num_objcts"] = 10
         with pytest.raises(ValueError, match="num_objcts"):
             SimulationConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_clients", "x"),
+            ("num_clients", True),
+            ("seed", None),
+            ("audit", "yes"),
+            ("cache_capacity", 2.5),
+            ("restart_delay", [[1], []]),
+        ],
+        ids=["string", "bool", "null", "string-for-bool", "float-for-int",
+             "nested-list"],
+    )
+    def test_ill_typed_field_is_a_named_value_error(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig.from_dict({field: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        one_mutation(
+            SimulationConfig(
+                num_clients=2, client_executor="cohort", faults=full_plan()
+            ).to_dict()
+        )
+    )
+    def test_mutated_document_parses_or_raises_value_error(self, document):
+        try:
+            SimulationConfig.from_dict(document)
+        except ValueError:
+            pass
 
     def test_non_mapping_faults_rejected(self):
         payload = SimulationConfig().to_dict()
