@@ -70,14 +70,17 @@ obs-smoke:
 # scenario smoke (docs/SCENARIOS.md): run every library scenario under
 # every protocol it declares and check its calibrated metric envelope,
 # then prove the record/replay determinism contract by recording the
-# zero-fault anchor under the process executor and replaying it
-# bit-identically through the cohort executor.  Exits non-zero on any
-# envelope miss or replay divergence; JSON lands in scenario-smoke.json.
+# zero-fault anchor under the process executor — named: a scenario that
+# names no executor records under cohort, and the replay would compare
+# the kernel with itself — and replaying it bit-identically through the
+# cohort executor (`replay[cohort] vs recording[process]`).  Exits
+# non-zero on any envelope miss or replay divergence; JSON lands in
+# scenario-smoke.json.
 scenario-smoke:
 	$(PYTHON) -m repro.experiments.cli scenario run --all \
 		--output scenario-smoke.json
 	$(PYTHON) -m repro.experiments.cli scenario record table1-baseline \
-		--out scenario-smoke-table1.trace.json
+		--executor process --out scenario-smoke-table1.trace.json
 	$(PYTHON) -m repro.experiments.cli scenario replay \
 		scenario-smoke-table1.trace.json --executor cohort
 

@@ -57,7 +57,6 @@ def smoke_config(
     )
     cb = SimulationConfig(**base).cycle_bits
     return SimulationConfig(
-        client_executor="cohort",
         shards=shards,
         timeline_mode=timeline_mode,
         tracing=True,

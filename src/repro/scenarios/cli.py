@@ -60,7 +60,8 @@ def build_scenario_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=["process", "cohort", "analytic"],
         default=None,
-        help="override the scenario's client executor",
+        help="override the scenario's client executor ('process' is the "
+        "reference implementation)",
     )
     run.add_argument(
         "--no-envelope",
@@ -88,7 +89,8 @@ def build_scenario_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=["process", "cohort"],
         default=None,
-        help="executor to record under (default: scenario's)",
+        help="executor to record under (default: the scenario's — cohort "
+        "unless it names one; 'process' records the reference)",
     )
 
     replay = sub.add_parser(

@@ -103,7 +103,7 @@ def _check_replayable(config: SimulationConfig, *, verb: str) -> None:
         raise ValueError(
             f"cannot {verb} under client_executor="
             f"{config.client_executor!r}: the analytic tier records no "
-            "trace; use 'process' or 'cohort'"
+            "trace; leave client_executor at its default"
         )
     if config.shards != 1:
         raise ValueError(
@@ -167,11 +167,14 @@ class RecordedTrace:
         config = payload.get("config")
         if not isinstance(config, Mapping):
             raise ValueError("trace file has no 'config' mapping")
+        parsed = SimulationConfig.from_dict(dict(config))
         trace = cls(
-            config=SimulationConfig.from_dict(dict(config)),
+            config=parsed,
             observables=payload.get("observables", {}),  # type: ignore[arg-type]
             signature=payload.get("signature", {}),  # type: ignore[arg-type]
-            recorded_executor=str(payload.get("recorded_executor", "process")),
+            recorded_executor=str(
+                payload.get("recorded_executor", parsed.client_executor)
+            ),
             scenario=str(payload.get("scenario", "")),
         )
         stored = payload.get("digest")

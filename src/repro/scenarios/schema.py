@@ -12,8 +12,7 @@ see ``library/``) that composes every axis of a run:
     protocols: [f-matrix, r-matrix]
     config:                    # any SimulationConfig field except
       num_clients: 8           # protocol/seed/faults, which are owned
-      client_executor: cohort  # by the sections around it
-      modulo_timestamps: true
+      modulo_timestamps: true  # by the sections around it
     faults:                    # optional; builds a FaultPlan
       seeded:                  # generator block (doze renewal process)
         horizon: 2.0e7

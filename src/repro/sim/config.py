@@ -64,14 +64,16 @@ class SimulationConfig:
     #: who schedules the clients.  What a client does is the same code
     #: under "cohort" and "analytic" (repro.sim.kernel); the value picks
     #: when it runs, and every value gives bit-identical results:
+    #: "cohort" (the default; accepts every other option) — the kernel
+    #: under a slot-coalesced calendar, one simulator event and one
+    #: batched validation per occupied slot;
     #: "process" — one simulator process per client, an independent
-    #: implementation kept as the reference the others are tested against;
-    #: "cohort" — the kernel under a slot-coalesced calendar, one batched
-    #: validation per occupied slot (far fewer simulator events);
+    #: implementation kept as the reference the others are tested
+    #: against: name it to ask for the reference, it is single-shard;
     #: "analytic" — the kernel of each fault-free read-only client run
     #: straight through against a lazily-extended broadcast timeline
     #: (no events at all; O(1) transient state per client)
-    client_executor: str = "process"
+    client_executor: str = "cohort"
     #: partition the read-only population over N sharded simulations
     #: (docs/PERFORMANCE.md §5); 1 = single in-process run
     shards: int = 1
@@ -235,14 +237,14 @@ class SimulationConfig:
                 raise ValueError(
                     "the analytical tier does not support fault injection "
                     "(doze/crash/uplink loss): faulty trajectories are not "
-                    "closed-form replayable; use client_executor='process' "
-                    "or 'cohort' (both simulate faults bit-identically)"
+                    "closed-form replayable; leave client_executor at its "
+                    "default (it simulates faults)"
                 )
         if self.client_executor == "analytic":
             if self.audit:
                 raise ValueError(
                     "audit runs replay a recorded trace; the analytical "
-                    "tier records none — use 'process' or 'cohort'"
+                    "tier records none — leave client_executor at its default"
                 )
             if self.client_update_fraction > 0.0 and self.num_update_clients is None:
                 raise ValueError(
@@ -268,8 +270,8 @@ class SimulationConfig:
         if self.shards > 1:
             if self.client_executor == "process":
                 raise ValueError(
-                    "sharded runs require the 'cohort' or 'analytic' "
-                    "executor (the per-process oracle is single-shard)"
+                    "the per-process reference executor is single-shard; "
+                    "to shard a run leave client_executor at its default"
                 )
             if self.client_update_fraction > 0.0 and self.num_update_clients is None:
                 raise ValueError(

@@ -120,6 +120,7 @@ class TestRecordReplayExitCodes:
         assert scenario_main(
             ["replay", str(trace_path), "--executor", "cohort"]
         ) == 0
+        assert "replay[cohort] vs recording[process]" in capsys.readouterr().out
 
     def test_divergent_replay_exits_1(self, capsys, tmp_path):
         trace_path = tmp_path / "fleet.trace.json"

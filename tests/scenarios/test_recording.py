@@ -7,24 +7,32 @@ import pytest
 from repro.scenarios import (
     RecordedTrace,
     get_scenario,
+    parse_scenario,
     record_config,
     record_scenario,
     replay_trace,
     result_signature,
 )
 from repro.sim.config import SimulationConfig
+from repro.sim.simulation import run_simulation
 
+from tests.conftest import no_calendar, reference_run
+
+#: names the reference executor: the recordings below are the oracle side
+#: of the cross-executor replays
 SMALL = SimulationConfig(
     num_objects=20,
     num_client_transactions=6,
     object_size_bits=512,
     seed=17,
+    client_executor="process",
 )
 
 
 @pytest.fixture(scope="module")
 def recorded():
-    _result, trace = record_config(SMALL)
+    with no_calendar():
+        _result, trace = record_config(SMALL)
     return trace
 
 
@@ -55,6 +63,34 @@ class TestRecord:
         scenario = get_scenario("table1-baseline")
         _result, trace = record_scenario(scenario, executor="process")
         assert trace.scenario == "table1-baseline"
+
+
+class TestOmittedExecutor:
+    """A document that names no executor runs the default one, and that
+    run is the run of the same document naming the reference."""
+
+    def test_recorded_trace_without_the_field_replays_under_cohort(self, recorded):
+        document = recorded.to_dict()
+        del document["config"]["client_executor"], document["recorded_executor"]
+        loaded = RecordedTrace.from_dict(document)
+        assert loaded.config.client_executor == loaded.recorded_executor == "cohort"
+        # the observables in the file are the reference's (see ``recorded``)
+        _result, report = replay_trace(loaded)
+        assert report.executor == "cohort"
+        assert report.ok, report.describe()
+
+    def test_scenario_document_without_the_field_equals_it_naming_process(self):
+        sizes = {"num_clients": 3, "num_objects": 20, "num_client_transactions": 4}
+        document = {"format_version": 1, "name": "unnamed-executor", "seed": 17}
+        default = parse_scenario({**document, "config": sizes}).config_for()
+        named = parse_scenario(
+            {**document, "config": {**sizes, "client_executor": "process"}}
+        ).config_for()
+        assert default.client_executor == "cohort"
+        assert named == default.replace(client_executor="process")
+        assert result_signature(run_simulation(default)) == result_signature(
+            reference_run(named)
+        )
 
 
 class TestPersistence:
@@ -144,5 +180,7 @@ class TestReplay:
         scenario = get_scenario("commuter-doze")
         _result, trace = record_scenario(scenario)
         assert trace.recorded_executor == "cohort"
-        _result, report = replay_trace(trace, executor="process")
+        with no_calendar():
+            _result, report = replay_trace(trace, executor="process")
+        assert report.executor == "process"
         assert report.ok, report.describe()

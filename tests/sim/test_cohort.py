@@ -28,6 +28,8 @@ from repro.sim.faults import FaultPlan
 from repro.sim.kernel import ClientKernel
 from repro.sim.simulation import run_simulation
 
+from tests.conftest import reference_run
+
 TINY = dict(
     num_objects=40,
     num_clients=5,
@@ -68,7 +70,7 @@ def signature(result):
 
 
 def assert_equivalent(cfg):
-    process = run_simulation(cfg)
+    process = reference_run(cfg)
     cohort = run_simulation(cfg.replace(client_executor="cohort"))
     assert signature(process) == signature(cohort)
     # slot coalescing only ever removes events: one per occupied slot
@@ -183,13 +185,9 @@ class TestFeatureInterplay:
 
     def test_trace_collection_matches(self):
         """With tracing on, the cohort records the same commits."""
-        from repro.sim.simulation import BroadcastSimulation
-
         cfg = tiny_config(protocol="f-matrix", seed=31)
-        a = BroadcastSimulation(cfg, collect_trace=True).run()
-        b = BroadcastSimulation(
-            cfg.replace(client_executor="cohort"), collect_trace=True
-        ).run()
+        a = reference_run(cfg, collect_trace=True)
+        b = run_simulation(cfg.replace(client_executor="cohort"), collect_trace=True)
         reads_of = lambda trace: sorted(
             (r.tid, tuple(r.reads)) for r in trace.client_commits
         )
@@ -265,8 +263,8 @@ class TestCollapsedLanes:
 
         monkeypatch.setattr(CohortExecutor, "_fire", counting_fire)
         monkeypatch.setattr(ClientKernel, "deliver", counting_deliver)
-        process = run_simulation(cfg)
-        assert not fires
+        process = reference_run(cfg)
+        assert not fires and not deliveries
         cohort = run_simulation(cfg.replace(client_executor="cohort"))
         assert signature(process) == signature(cohort)
         assert cohort.metrics.aborts_staleness > 0  # the guard did fire

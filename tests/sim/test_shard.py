@@ -27,6 +27,8 @@ from repro.sim import (
 )
 from repro.sim.simulation import BroadcastSimulation, ShardSlice
 
+from tests.conftest import reference_run
+
 from .test_cohort import COLLAPSED_LANES
 
 SMALL = dict(
@@ -83,7 +85,7 @@ def test_sharded_equals_unsharded(seed, shards, protocol, executor, mixed):
         dict(client_update_fraction=0.3, num_update_clients=3) if mixed else {}
     )
     base = small_config(seed=seed, protocol=protocol, **workload)
-    oracle = signature(run_simulation(base))
+    oracle = signature(reference_run(base))
     sharded = signature(
         run_sharded(
             base.replace(client_executor=executor, shards=shards), workers=0
@@ -94,7 +96,7 @@ def test_sharded_equals_unsharded(seed, shards, protocol, executor, mixed):
 
 def test_sharded_with_real_process_pool():
     base = small_config(seed=5, protocol="f-matrix")
-    oracle = signature(run_simulation(base))
+    oracle = signature(reference_run(base))
     pooled = signature(
         run_sharded(
             base.replace(client_executor="cohort", shards=3), workers=2
@@ -106,7 +108,7 @@ def test_sharded_with_real_process_pool():
 def test_run_simulation_dispatches_on_shards():
     base = small_config(seed=9, client_executor="cohort", shards=2)
     assert signature(run_simulation(base)) == signature(
-        run_simulation(base.replace(shards=1))
+        reference_run(base.replace(shards=1))
     )
 
 
@@ -134,7 +136,7 @@ def test_replay_sharded_equals_unsharded(seed, shards, protocol, executor, mixed
         dict(client_update_fraction=0.3, num_update_clients=3) if mixed else {}
     )
     base = small_config(seed=seed, protocol=protocol, **workload)
-    oracle = signature(run_simulation(base))
+    oracle = signature(reference_run(base))
     replayed = run_sharded(
         base.replace(
             client_executor=executor, shards=shards, timeline_mode="replay"
@@ -147,7 +149,7 @@ def test_replay_sharded_equals_unsharded(seed, shards, protocol, executor, mixed
 
 def test_replay_with_real_process_pool():
     base = small_config(seed=5, protocol="f-matrix")
-    oracle = signature(run_simulation(base))
+    oracle = signature(reference_run(base))
     pooled = run_sharded(
         base.replace(client_executor="cohort", shards=3, timeline_mode="replay"),
         workers=2,
@@ -169,7 +171,7 @@ def test_replay_cache_hit_reuses_the_timeline_across_runs():
     hit = run_sharded(varied, workers=0)
     assert hit.timeline_stats["cache_hit"] is True
     assert hit.server is None  # no live broadcast pass ran at all
-    oracle = signature(run_simulation(small_config(seed=11, num_clients=12)))
+    oracle = signature(reference_run(small_config(seed=11, num_clients=12)))
     assert signature(hit) == oracle
     assert TIMELINE_CACHE.stats.hits >= 1
 
@@ -182,7 +184,7 @@ def test_replay_cache_discards_on_horizon_overrun():
     run_sharded(base, workers=0)  # seeds the cache with a short horizon
     longer = base.replace(num_client_transactions=12)
     oracle = signature(
-        run_simulation(small_config(seed=29, num_client_transactions=12))
+        reference_run(small_config(seed=29, num_client_transactions=12))
     )
     rerecorded = run_sharded(longer, workers=0)
     assert signature(rerecorded) == oracle
@@ -206,7 +208,7 @@ def test_an_outgrown_cache_entry_is_rerecorded_with_the_pool_running():
     rerecorded = run_sharded(longer, workers=1)
     assert _shared_segments() == before
     assert signature(rerecorded) == signature(
-        run_simulation(small_config(seed=29, num_client_transactions=12))
+        reference_run(small_config(seed=29, num_client_transactions=12))
     )
     assert rerecorded.timeline_stats["cache_hit"] is False
     assert TIMELINE_CACHE.stats.horizon_discards == 1
@@ -217,7 +219,7 @@ def test_replay_with_updaters_is_never_cached():
     base = small_config(
         seed=3, client_update_fraction=0.3, num_update_clients=3
     )
-    oracle = signature(run_simulation(base))
+    oracle = signature(reference_run(base))
     replayed = run_sharded(
         base.replace(
             client_executor="cohort", shards=2, timeline_mode="replay"
@@ -352,8 +354,15 @@ class TestReaderSlices:
 
 class TestShardValidation:
     def test_process_executor_cannot_shard(self):
-        with pytest.raises(ValueError, match="cohort"):
-            small_config(shards=2)
+        with pytest.raises(ValueError, match="leave client_executor at its default"):
+            small_config(client_executor="process", shards=2)
+
+    def test_default_executor_shards(self):
+        """Naming no executor is enough: ``shards=2`` alone is a valid config."""
+        config = small_config(seed=7, shards=2)
+        assert signature(run_sharded(config, workers=0)) == signature(
+            reference_run(config.replace(shards=1))
+        )
 
     def test_updates_need_explicit_bound(self):
         with pytest.raises(ValueError, match="num_update_clients"):
@@ -411,7 +420,7 @@ class TestAnalyticTier:
     @pytest.mark.parametrize("seed", [3, 77])
     def test_matches_oracle(self, protocol, seed):
         base = small_config(protocol=protocol, seed=seed)
-        oracle = signature(run_simulation(base))
+        oracle = signature(reference_run(base))
         analytic = signature(
             run_simulation(base.replace(client_executor="analytic"))
         )
@@ -426,7 +435,7 @@ class TestAnalyticTier:
         )
         assert signature(
             run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(run_simulation(base))
+        ) == signature(reference_run(base))
 
     def test_matches_oracle_with_updaters(self):
         base = small_config(
@@ -434,7 +443,7 @@ class TestAnalyticTier:
         )
         assert signature(
             run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(run_simulation(base))
+        ) == signature(reference_run(base))
 
     def test_matches_oracle_multi_disk(self):
         base = small_config(
@@ -442,7 +451,7 @@ class TestAnalyticTier:
         )
         assert signature(
             run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(run_simulation(base))
+        ) == signature(reference_run(base))
 
     @pytest.mark.parametrize("shards,mode", [(1, "recompute"), (2, "replay")])
     @pytest.mark.parametrize("lane", sorted(COLLAPSED_LANES))
@@ -456,11 +465,11 @@ class TestAnalyticTier:
             ),
             workers=0,
         )
-        assert signature(analytic) == signature(run_simulation(base))
+        assert signature(analytic) == signature(reference_run(base))
 
     def test_reader_events_cost_nothing(self):
         """The analytic event count excludes the replayed population."""
         base = small_config(seed=31)
-        oracle = run_simulation(base)
+        oracle = reference_run(base)
         analytic = run_simulation(base.replace(client_executor="analytic"))
         assert analytic.events < oracle.events
