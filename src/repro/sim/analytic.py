@@ -63,21 +63,27 @@ class _Timeline:
     cycle's start instant first if it hasn't got there yet.  Every
     image ever installed stays addressable (replayed clients each start
     from t = 0, so early cycles are re-read arbitrarily late).
+
+    A recording pass with a feed extends to the recording horizon of
+    that instant instead and publishes what that recorded, staying ahead
+    of the shards replaying the feed on other cores.  Safe there and
+    only there: its timeline counters are journalled and folded at the
+    run's own stop time, so running early counts nothing early.
     """
 
-    __slots__ = ("_sim", "_images", "_cycle_bits", "_max_events")
+    __slots__ = ("_sim", "_images", "_cycle_bits", "_max_events", "_recorder")
 
     def __init__(
         self,
-        sim: Simulator,
+        simulation: "BroadcastSimulation",
         images: Dict[int, BroadcastCycle],
-        cycle_bits: float,
         max_events: Optional[int],
     ) -> None:
-        self._sim = sim
+        self._sim: Simulator = simulation.sim
         self._images = images
-        self._cycle_bits = cycle_bits
+        self._cycle_bits = simulation.layout.cycle_bits
         self._max_events = max_events
+        self._recorder = simulation if simulation.feed is not None else None
 
     def broadcast(self, cycle: int) -> BroadcastCycle:
         image = self._images.get(cycle)
@@ -87,7 +93,12 @@ class _Timeline:
         # instant; run(until=) processes events at that instant inclusive
         target = (cycle - 1) * self._cycle_bits
         if target >= self._sim.now:
+            recorder = self._recorder
+            if recorder is not None:
+                target = recorder.recording_horizon(target)
             self._sim.run(until=target, max_events=self._max_events)
+            if recorder is not None:
+                recorder.publish_timeline(target)
         return self._images[cycle]
 
 
@@ -141,11 +152,11 @@ def run_analytic(
             stop_when=lambda: state.clients_done >= updaters,
             max_events=max_events,
         )
+        if simulation.feed is not None:
+            simulation.publish_timeline(sim.now)
 
     # Phase B: fast-forward each read-only client against the timeline.
-    timeline = _Timeline(
-        sim, state.record_images, simulation.layout.cycle_bits, max_events
-    )
+    timeline = _Timeline(simulation, state.record_images, max_events)
     sim_time = _replay(simulation, timeline, sim.now)
     # the event-driven run keeps processing timeline events until the
     # last client's done instant — mirror that, so server-side tallies

@@ -31,15 +31,17 @@ serialises that history into flat append-only buffers:
 :meth:`TimelineArena.share` copies the numpy blocks into one
 ``multiprocessing.shared_memory`` segment and returns a small picklable
 :class:`TimelineHandle`; pool workers :meth:`~TimelineArena.attach` and
-get zero-copy read-only views.  :class:`TimelineView` turns an arena
-back into ``broadcast(cycle)`` — the exact interface
-``SharedState.broadcast_for`` and the analytic tier's replay loop
-consume — rebuilding each :class:`~repro.broadcast.program.BroadcastCycle`
-lazily from the flat buffers (snapshots via
-:func:`repro.broadcast.control_info.rebuild_snapshot`).  Reading past
-the recorded horizon raises :class:`TimelineExhausted`; the shard layer
-falls back to recomputation for that shard, so replay is an
-optimisation, never a correctness risk.
+get zero-copy read-only views.  A run does not wait for the whole
+history: the recording pass publishes **chunks** of it (arenas with a
+``first_cycle``) on a :class:`TimelineFeed` as it records, and the
+replay shards, started before it, read them as they appear.
+:class:`TimelineView` turns the chunks back into ``broadcast(cycle)`` —
+the exact interface ``SharedState.broadcast_for`` and the analytic
+tier's replay loop consume — rebuilding each cycle lazily from the flat
+buffers.  A cycle not published yet blocks the reader; one past the
+horizon the feed was closed at raises :class:`TimelineExhausted`, and
+the shard layer recomputes that shard, so replay is an optimisation,
+never a correctness risk.
 
 On top sits the **cross-run cache** (:data:`TIMELINE_CACHE`): for
 update-free, fault-free configs the timeline is a pure function of the
@@ -51,17 +53,22 @@ zero recomputation.  Hit/miss counts are surfaced for the benchmarks.
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
+import pickle
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from hashlib import sha256
-from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from multiprocessing import resource_tracker, shared_memory
+from secrets import token_hex
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..broadcast.control_info import rebuild_snapshot, snapshot_payload
 from ..broadcast.program import BroadcastCycle, ObjectVersion
 from ..core.group_matrix import Partition
+from ..obs.profiler import PhaseProfiler
 from .engine import Simulator
 from .metrics import MetricsCollector
 
@@ -72,6 +79,7 @@ __all__ = [
     "TimelineExhausted",
     "TimelineArena",
     "TimelineHandle",
+    "TimelineFeed",
     "TimelineView",
     "TimelineCache",
     "TIMELINE_CACHE",
@@ -121,7 +129,15 @@ class TimelineHandle:
     blocks: Tuple[Tuple[Tuple[int, ...], str, int], ...]
     values: Tuple[object, ...]
     writers: Tuple[str, ...]
+    #: the cycle the index blocks start at (> 1: a chunk of a feed)
+    first_cycle: int = 1
 
+
+
+#: what a handle carries of an arena besides the blocks' whereabouts
+_HANDLE_FIELDS = tuple(
+    f.name for f in fields(TimelineHandle) if f.name not in ("shm_name", "blocks")
+)
 
 #: the arena's numpy blocks, in the order they are packed into a segment
 _BLOCK_NAMES = (
@@ -152,11 +168,14 @@ class TimelineArena:
         values: Tuple[object, ...],
         writers: Tuple[str, ...],
         journal: Sequence[JournalEntry] = (),
+        first_cycle: int = 1,
     ) -> None:
         self.kind = kind
         self.num_objects = num_objects
         self.cycle_bits = cycle_bits
         self.horizon_time = horizon_time
+        #: the cycle ``snap_index[0]`` / ``epoch_index[0]`` describe
+        self.first_cycle = first_cycle
         self.partition = partition
         snap_pool.flags.writeable = False
         self.snap_pool = snap_pool
@@ -171,8 +190,8 @@ class TimelineArena:
         #: past the horizon; stays parent-side (never shipped to workers)
         self.journal = journal
         self._shm: Optional[shared_memory.SharedMemory] = None
-        self._owns_shm = False
-        self._offsets: List[int] = []
+        #: set while this arena owns (created, will unlink) the segment
+        self._handle: Optional[TimelineHandle] = None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -184,8 +203,10 @@ class TimelineArena:
         horizon_time: float,
         partition: Optional[Partition],
         journal: Sequence[JournalEntry] = (),
+        first_cycle: int = 1,
     ) -> "TimelineArena":
-        """Serialise a recorded image history into flat buffers.
+        """Serialise a recorded image history — from ``first_cycle`` on:
+        past 1, a self-contained **chunk** — into flat buffers.
 
         Deduplication leans on the server's freeze: the control array
         of a quiescent cycle *is* the previous cycle's array (same
@@ -195,10 +216,11 @@ class TimelineArena:
         one row per distinct image and the epoch table one row per
         commit-separated stretch.
         """
-        if not images:
+        cycles = sorted(cycle for cycle in images if cycle >= first_cycle)
+        if not cycles:
             raise ValueError("cannot seal an empty timeline")
-        num_cycles = max(images)
-        first = next(iter(images.values()))
+        num_cycles = cycles[-1] - first_cycle + 1
+        first = images[cycles[0]]
         kind, _ = snapshot_payload(first.snapshot)
         num_objects = first.num_objects
 
@@ -214,7 +236,7 @@ class TimelineArena:
         prev_versions: Optional[Tuple[ObjectVersion, ...]] = None
         prev_epoch = -1
 
-        for cycle in sorted(images):
+        for cycle in cycles:
             image = images[cycle]
             _, array = snapshot_payload(image.snapshot)
             pool_row = pool_ids.get(id(array))
@@ -222,7 +244,7 @@ class TimelineArena:
                 pool_row = len(pool)
                 pool.append(array)
                 pool_ids[id(array)] = pool_row
-            snap_index[cycle - 1] = pool_row
+            snap_index[cycle - first_cycle] = pool_row
 
             versions = image.versions
             if prev_versions is not None and all(
@@ -242,7 +264,7 @@ class TimelineArena:
                     row[obj] = entry
                 epoch = len(epochs)
                 epochs.append(row)
-            epoch_index[cycle - 1] = epoch
+            epoch_index[cycle - first_cycle] = epoch
             prev_versions = versions
             prev_epoch = epoch
 
@@ -260,6 +282,7 @@ class TimelineArena:
             values=tuple(values),
             writers=tuple(writers),
             journal=journal,
+            first_cycle=first_cycle,
         )
 
     # -- replay ---------------------------------------------------------
@@ -267,8 +290,13 @@ class TimelineArena:
     def num_cycles(self) -> int:
         return len(self.snap_index)
 
+    @property
+    def last_cycle(self) -> int:
+        return self.first_cycle + len(self.snap_index) - 1
+
     def view(self) -> "TimelineView":
-        return TimelineView(self)
+        """This arena as a whole timeline: one chunk, nothing to follow."""
+        return TimelineView(lambda index: self if index == 0 else None)
 
     def apply_journal(
         self, metrics: "MetricsCollector", *, upto: float
@@ -284,132 +312,204 @@ class TimelineArena:
                 setattr(metrics, name, getattr(metrics, name) + delta)
 
     # -- shared memory --------------------------------------------------
-    def share(self) -> TimelineHandle:
+    def share(self, name: Optional[str] = None) -> TimelineHandle:
         """Copy the blocks into shared memory; return the picklable handle.
 
-        Idempotent per arena: the segment is created once and reused by
-        subsequent calls until :meth:`close_shared`.  The arena itself
-        keeps using its local arrays — the segment exists purely for
-        workers to attach to, so closing it never invalidates the
-        parent's views.
+        Idempotent per arena: the segment is created once (called
+        ``name``, if given) and reused by subsequent calls until
+        :meth:`close_shared`.  The arena itself keeps using its local
+        arrays — the segment exists purely for workers to attach to, so
+        closing it never invalidates the parent's views.
         """
-        blocks = [getattr(self, name) for name in _BLOCK_NAMES]
-        if self._shm is None:
+        if self._handle is None:
+            blocks = [getattr(self, block) for block in _BLOCK_NAMES]
             offsets: List[int] = []
             size = 0
             for block in blocks:
                 size = -(-size // 8) * 8  # 8-byte align each block
                 offsets.append(size)
                 size += block.nbytes
-            shm = shared_memory.SharedMemory(create=True, size=max(size, 1))
+            handle = TimelineHandle(
+                shm_name=name or "",
+                blocks=tuple(
+                    (block.shape, block.dtype.str, offset)
+                    for block, offset in zip(blocks, offsets)
+                ),
+                **{field: getattr(self, field) for field in _HANDLE_FIELDS},
+            )
+            trailer = pickle.dumps(handle)  # for attach(name=)
+            # whole pages: the size read back on attach is then the size
+            # asked for on every platform, and the trailer where it ends
+            size += len(trailer) + 8
+            size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
+            shm = shared_memory.SharedMemory(name=name, create=True, size=size)
             for block, offset in zip(blocks, offsets):
                 dest: np.ndarray = np.ndarray(
                     block.shape, dtype=block.dtype, buffer=shm.buf, offset=offset
                 )
                 dest[...] = block
+            end = size - 8
+            shm.buf[end - len(trailer) : end] = trailer
+            shm.buf[end:size] = len(trailer).to_bytes(8, "little")
             self._shm = shm
-            self._owns_shm = True
-            self._offsets = offsets
-        return TimelineHandle(
-            shm_name=self._shm.name,
-            kind=self.kind,
-            num_objects=self.num_objects,
-            cycle_bits=self.cycle_bits,
-            horizon_time=self.horizon_time,
-            partition=self.partition,
-            blocks=tuple(
-                (block.shape, block.dtype.str, offset)
-                for block, offset in zip(blocks, self._offsets)
-            ),
-            values=self.values,
-            writers=self.writers,
-        )
+            self._handle = replace(handle, shm_name=shm.name)
+        return self._handle
 
     def close_shared(self) -> None:
         """Release the shared segment (the local arrays live on)."""
         if self._shm is not None:
             self._shm.close()
-            if self._owns_shm:
+            if self._handle is not None:
                 self._shm.unlink()
-            self._shm = None
-            self._owns_shm = False
+            self._shm = self._handle = None
 
     @classmethod
-    def attach(cls, handle: TimelineHandle) -> "TimelineArena":
-        """Zero-copy attach to a shared arena (worker side).
+    def attach(
+        cls, handle: Optional[TimelineHandle] = None, *, name: str = ""
+    ) -> "TimelineArena":
+        """Zero-copy attach to a shared arena (worker side), by its
+        handle or — read from the segment's end — by ``name`` alone.
 
         The returned arena's arrays are read-only views straight into
         the shared segment; nothing is copied.  The segment stays mapped
         for the worker process's lifetime (the parent owns unlinking).
         """
         # Attach-only segments get (re-)registered with the resource
-        # tracker (bpo-39959).  Pool workers are forked, so they share
-        # the parent's tracker, whose name cache is a set: the worker's
-        # registration is a no-op and the parent's unlink balances the
-        # books — no per-worker unregister needed (one would double-
-        # remove and crash the tracker).
-        shm = shared_memory.SharedMemory(name=handle.shm_name)
-        arrays = []
-        for (shape, dtype, offset), name in zip(handle.blocks, _BLOCK_NAMES):
+        # tracker (bpo-39959).  Pool workers are forked with the tracker
+        # already running (TimelineFeed starts it), so they share the
+        # parent's, whose name cache is a set: the worker's registration
+        # is a no-op and the parent's unlink balances the books — no
+        # per-worker unregister needed (one would double-remove and
+        # crash the tracker).
+        shm = shared_memory.SharedMemory(name=handle.shm_name if handle else name)
+        if handle is None:
+            end = shm.size - 8
+            length = int.from_bytes(shm.buf[end:], "little")
+            handle = pickle.loads(shm.buf[end - length : end])
+        arrays = {}
+        for (shape, dtype, offset), block in zip(handle.blocks, _BLOCK_NAMES):
             array: np.ndarray = np.ndarray(
                 shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
             )
             array.flags.writeable = False
-            arrays.append(array)
-        arena = cls(
-            kind=handle.kind,
-            num_objects=handle.num_objects,
-            cycle_bits=handle.cycle_bits,
-            horizon_time=handle.horizon_time,
-            partition=handle.partition,
-            snap_pool=arrays[0],
-            snap_index=arrays[1],
-            epoch_index=arrays[2],
-            epoch_table=arrays[3],
-            entry_commit_cycles=arrays[4],
-            values=handle.values,
-            writers=handle.writers,
-        )
+            arrays[block] = array
+        meta = {field: getattr(handle, field) for field in _HANDLE_FIELDS}
+        arena = cls(**meta, **arrays)
         arena._shm = shm  # keep the mapping alive as long as the arena
-        arena._owns_shm = False
         return arena
 
 
+class TimelineFeed:
+    """A timeline published in chunks while it is being recorded.
+
+    The recording pass :meth:`publish` es sealed chunks, each starting
+    where the last ended, and :meth:`close` s the feed at its horizon.  A
+    reader's :meth:`chunk` **blocks** until that chunk is published or
+    the feed closed (woken by either, never polling).
+
+    A ``shared`` feed serves a pool: each chunk goes into a segment named
+    after the feed and the chunk's index, where the workers — forked
+    before it existed, handed the feed by the pool's initializer — find
+    it.  An unshared feed creates no segment: its readers are in this
+    process.  :meth:`release` unlinks the segments.
+    """
+
+    def __init__(self, shared: bool) -> None:
+        #: the chunks this process has: published here, or attached
+        self.chunks: List[TimelineArena] = []
+        #: what the segments are called, as SharedMemory names its own
+        self._name = f"psm_{token_hex(4)}" if shared else None
+        if shared:
+            # before the pool forks, so that its workers share this
+            # tracker: one a worker started with its first attach would
+            # "clean up" the parent's segments when the worker exits
+            resource_tracker.ensure_running()
+        self._wake = multiprocessing.Condition()
+        #: [chunks published, feed closed], guarded by ``_wake``'s lock
+        self._state = multiprocessing.RawArray("q", 2)
+
+    def publish(self, chunk: TimelineArena) -> None:
+        if self._name is not None:
+            chunk.share(f"{self._name}_{len(self.chunks)}")
+        self.chunks.append(chunk)
+        with self._wake:
+            self._state[0] += 1
+            self._wake.notify_all()
+
+    def close(self) -> None:
+        """Nothing more will be published; every blocked reader wakes."""
+        with self._wake:
+            self._state[1] = 1
+            self._wake.notify_all()
+
+    def release(self) -> None:
+        """Unlink every chunk's segment (attached mappings live on)."""
+        for chunk in self.chunks:
+            chunk.close_shared()
+
+    def chunk(self, index: int) -> Optional[TimelineArena]:
+        """Chunk ``index`` (at most one past those read so far), waiting
+        for its publication; ``None`` once the feed is closed without it."""
+        chunks = self.chunks
+        if index == len(chunks):
+            state = self._state
+            with self._wake:
+                self._wake.wait_for(lambda: state[0] > index or state[1])
+                if state[0] <= index:
+                    return None
+            chunks.append(TimelineArena.attach(name=f"{self._name}_{index}"))
+        return chunks[index]
+
+
 class TimelineView:
-    """``broadcast(cycle)`` over an arena — the replay-side drop-in for
-    the live ``SharedState.broadcast_for`` / analytic ``_Timeline``.
+    """``broadcast(cycle)`` over a timeline's chunks — the replay-side
+    drop-in for the live ``SharedState.broadcast_for`` / analytic
+    ``_Timeline``.
+
+    ``source(index)`` yields the chunks (:meth:`TimelineFeed.chunk`; a
+    sealed arena is its own one chunk).  A cycle beyond those published
+    waits for its chunk — the ``stall`` phase of :attr:`profiler` — and
+    raises :class:`TimelineExhausted` once there will be none.
 
     Rebuilt cycles are memoised: snapshots wrap zero-copy views of the
     pooled control arrays (one fresh :class:`ControlSnapshot` per cycle,
     since the cycle anchor differs even when the array is shared), and
     each version epoch's :class:`ObjectVersion` tuple is interned once
-    and shared by every cycle in the epoch — mirroring the identity
-    structure the live server produces.
+    and shared by every cycle of the epoch in its chunk — mirroring the
+    identity structure the live server produces.
     """
 
-    __slots__ = ("_arena", "_cycles", "_epochs")
+    __slots__ = ("_source", "_cycles", "_epochs", "profiler")
 
-    def __init__(self, arena: TimelineArena) -> None:
-        self._arena = arena
+    def __init__(self, source: Callable[[int], Optional[TimelineArena]]) -> None:
+        self._source = source
         self._cycles: Dict[int, BroadcastCycle] = {}
-        self._epochs: Dict[int, Tuple[ObjectVersion, ...]] = {}
+        self._epochs: Dict[Tuple[int, int], Tuple[ObjectVersion, ...]] = {}
+        self.profiler = PhaseProfiler()
 
     def broadcast(self, cycle: int) -> BroadcastCycle:
         image = self._cycles.get(cycle)
         if image is not None:
             return image
-        arena = self._arena
-        if cycle > arena.num_cycles:
-            raise TimelineExhausted(cycle, arena.num_cycles)
-        pool_row = int(arena.snap_index[cycle - 1]) if cycle >= 1 else -1
+        index = horizon = 0
+        while True:
+            with self.profiler.phase("stall"):
+                arena = self._source(index)
+            if arena is None:
+                raise TimelineExhausted(cycle, horizon)
+            if cycle <= arena.last_cycle:
+                break
+            index, horizon = index + 1, arena.last_cycle
+        slot = cycle - arena.first_cycle
+        pool_row = int(arena.snap_index[slot]) if slot >= 0 else -1
         if pool_row < 0:
             # dead air (crash outage): mirrors the live broadcast_for
             raise RuntimeError(f"no broadcast image for cycle {cycle}")
         snapshot = rebuild_snapshot(
             arena.kind, cycle, arena.snap_pool[pool_row], arena.partition
         )
-        epoch = int(arena.epoch_index[cycle - 1])
-        versions = self._epochs.get(epoch)
+        epoch = int(arena.epoch_index[slot])
+        versions = self._epochs.get((index, epoch))
         if versions is None:
             row = arena.epoch_table[epoch]
             values = arena.values
@@ -419,7 +519,7 @@ class TimelineView:
                 ObjectVersion(obj, values[entry], writers[entry], int(cycles[entry]))
                 for obj, entry in enumerate(row)
             )
-            self._epochs[epoch] = versions
+            self._epochs[index, epoch] = versions
         image = BroadcastCycle(cycle=cycle, versions=versions, snapshot=snapshot)
         self._cycles[cycle] = image
         return image
@@ -532,31 +632,32 @@ class CacheStats:
 
 
 class TimelineCache:
-    """A small LRU of sealed arenas keyed by timeline fingerprint.
+    """A small LRU of sealed timelines — each the chunks a recording
+    pass published it in — keyed by timeline fingerprint.
 
     Entries hold local (non-shared-memory) arrays only; each run that
-    reuses one shares it into its own segment and releases it when done,
-    so the cache never pins OS-level resources.
+    reuses one shares it into its own segments and releases them when
+    done, so the cache never pins OS-level resources.
     """
 
     def __init__(self, capacity: int = 4) -> None:
         self._capacity = capacity
-        self._entries: "OrderedDict[str, TimelineArena]" = OrderedDict()
+        self._entries: "OrderedDict[str, Sequence[TimelineArena]]" = OrderedDict()
         self.stats = CacheStats()
 
-    def lookup(self, config: "SimulationConfig") -> Optional[TimelineArena]:
+    def lookup(self, config: "SimulationConfig") -> Optional[Sequence[TimelineArena]]:
         key = timeline_fingerprint(config)
-        arena = self._entries.get(key)
-        if arena is None:
+        chunks = self._entries.get(key)
+        if chunks is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return arena
+        return chunks
 
-    def store(self, config: "SimulationConfig", arena: TimelineArena) -> None:
+    def store(self, config: "SimulationConfig", chunks: Sequence[TimelineArena]) -> None:
         key = timeline_fingerprint(config)
-        self._entries[key] = arena
+        self._entries[key] = chunks
         self._entries.move_to_end(key)
         self.stats.stores += 1
         while len(self._entries) > self._capacity:

@@ -14,21 +14,25 @@ provided every shard sees the same broadcast.  Two modes provide it:
 
 * **replay** (``"replay"``; docs/PERFORMANCE.md §6): the timeline is
   simulated **once** — by a recording pass hosting the primary slice
-  (updaters, faulty or not, included) — then sealed into a
-  shared-memory :class:`~repro.sim.arena.TimelineArena`.  Worker shards
-  attach zero-copy and replay their reader range as pure observers: no
-  cycle process, no server process, no crash process, crash dead-air
-  reproduced from the plan's closed outage windows.  A shard that reads
-  past the recorded horizon falls back to recomputation for itself, so
-  replay is an optimisation, never a correctness risk.  For update-free,
-  fault-free configs the sealed arena also lands in the cross-run
-  :data:`~repro.sim.arena.TIMELINE_CACHE`, keyed by the server-side
-  config fingerprint + seed: a later run that varies only client-side
-  parameters skips the recording pass (a *cache hit*) and replays the
-  primary slice too.  Either way the timeline's counters come from the
-  arena's journal, folded at the merged stop time.
+  (updaters, faulty or not, included) — and published *while it is
+  recorded* on a :class:`~repro.sim.arena.TimelineFeed` of sealed
+  shared-memory chunks.  The worker shards start before the recording
+  pass does and replay their reader range as pure observers of the feed
+  (no cycle, server or crash process; crash dead-air reproduced from the
+  plan's closed outage windows), blocking only where nothing is
+  published yet: an analytic pass runs the timeline ahead of its own
+  readers, so they hardly wait; an event-driven one shares its readers'
+  clock and publishes once, at the horizon.  A shard that reads past the
+  horizon the feed was closed at recomputes for itself, so replay is an
+  optimisation, never a correctness risk.  Update-free, fault-free
+  timelines also land in the cross-run
+  :data:`~repro.sim.arena.TIMELINE_CACHE`: a later run that varies only
+  client-side parameters publishes it whole instead of recording (a
+  *cache hit*) and replays the primary slice too.  Either way the
+  timeline's counters come from the journal, folded at the merged stop
+  time.
 
-Both modes are one path: a timeline (live, or recorded and sealed), one
+Both modes are one path: a timeline (live, or a feed), one
 :func:`_gather` of the other shards' :class:`ShardOutcome` s — inline or
 on a pool, the parent's own slice in between — and
 :func:`~repro.sim.simulation.assemble_result`.  Double counting is
@@ -41,8 +45,8 @@ to an unsharded run's — the property tests assert this across shard
 counts, executors and timeline modes.
 
 A worker that dies raises :class:`ShardExecutionError` in the parent,
-naming the shard and its reader range; queued shards are cancelled and
-the arena's shared segment is unlinked on the way out.
+naming the shard and its reader range; on any failure the feed is closed
+(so no worker waits on), queued shards cancelled, every segment unlinked.
 
 ``workers=0`` runs every shard sequentially in-process: same results,
 no pool — the mode tests use to exercise slicing without fork overhead.
@@ -53,15 +57,16 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from dataclasses import replace
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs.profiler import PhaseProfiler
 from .arena import (
     TIMELINE_CACHE,
-    TimelineArena,
     TimelineExhausted,
-    TimelineHandle,
+    TimelineFeed,
+    TimelineView,
     timeline_cacheable,
 )
 from .config import SimulationConfig
@@ -74,11 +79,6 @@ from .simulation import (
 )
 
 __all__ = ["reader_slices", "run_sharded", "ShardExecutionError"]
-
-#: recorded-horizon headroom: record this factor past the recording
-#: pass's own stop, plus a few whole cycles of slack
-_HORIZON_FACTOR = 1.25
-_HORIZON_SLACK_CYCLES = 4.0
 
 
 class ShardExecutionError(RuntimeError):
@@ -137,54 +137,45 @@ def reader_slices(config: SimulationConfig) -> List[ShardSlice]:
     return slices
 
 
-def _observer_slice(slice_: ShardSlice) -> ShardSlice:
-    """The replay form of a shard slice: its readers, nothing else.
+#: one shard's work: config, slice, replay the run's timeline feed
+#: (``False`` = recompute the timeline), event cap
+ShardJob = Tuple[SimulationConfig, ShardSlice, bool, Optional[int]]
 
-    Replay shards host no updaters (those ran in the recording pass) and
-    are never primary (there are no live timeline metrics to record).
-    """
-    return ShardSlice(
-        updaters=0,
-        reader_lo=slice_.reader_lo,
-        reader_hi=slice_.reader_hi,
-        primary=False,
-    )
+#: the feed this process's replay jobs read: a pool worker gets it from
+#: the pool's initializer (the one way a ``multiprocessing.Condition``
+#: reaches it), the parent from :func:`_gather`, for the jobs run inline
+_feed: Optional[TimelineFeed] = None
 
 
-#: one shard's work: config, slice, the sealed timeline to replay (``None``
-#: = recompute it; a handle is attached, an arena used as is), event cap
-ShardJob = Tuple[
-    SimulationConfig,
-    ShardSlice,
-    Union[TimelineHandle, TimelineArena, None],
-    Optional[int],
-]
+def _connect(feed: Optional[TimelineFeed]) -> None:
+    global _feed
+    _feed = feed
 
 
 def _simulate(
     config: SimulationConfig,
     slice_: ShardSlice,
     max_events: Optional[int],
-    arena: Optional[TimelineArena] = None,
+    view: Optional[TimelineView] = None,
     fell_back: bool = False,
 ) -> ShardOutcome:
     """One slice, run in this process until its last client is done.
 
     Live — the slice recomputes the timeline for itself — or, given a
-    sealed ``arena``, as pure observers of it: its readers, nothing else;
-    :class:`TimelineExhausted` if they read past the arena's horizon.
+    ``view`` of the recorded one, as pure observers of it: its readers
+    only (the updaters ran in the recording pass, which also holds the
+    timeline's metrics); :class:`TimelineExhausted` past its end.
     """
-    simulation = (
-        BroadcastSimulation(config, slice_=slice_)
-        if arena is None
-        else BroadcastSimulation(
-            config, slice_=_observer_slice(slice_), timeline=arena.view()
-        )
-    )
+    if view is None:
+        simulation = BroadcastSimulation(config, slice_=slice_)
+    else:
+        observers = replace(slice_, updaters=0, primary=False)
+        simulation = BroadcastSimulation(config, slice_=observers, timeline=view)
     sim_time, events = simulation.execute(max_events)
-    tracer = simulation.tracer
+    stall = view.profiler.as_dict().get("stall", 0.0) if view is not None else 0.0
+    spans, dropped = simulation.tracer.export(), simulation.tracer.dropped
     return ShardOutcome(
-        simulation.metrics, sim_time, events, tracer.export(), tracer.dropped, fell_back
+        simulation.metrics, sim_time, events, spans, dropped, fell_back, stall
     )
 
 
@@ -197,27 +188,23 @@ def _execute(owner: BroadcastSimulation, max_events: Optional[int]) -> ShardOutc
 def _run_shard(job: ShardJob) -> ShardOutcome:
     """Worker entry point: one shard, start to finish.
 
-    Given a timeline the shard attaches to it (zero-copy, when handed a
-    handle) and replays its readers.  A replay that outruns the recorded
-    horizon — like a job with no timeline at all — recomputes the shard
-    live with the *original* slice, so the ghost updaters and the shadow
-    timeline run exactly as in recompute mode.
+    A replay job reads this process's feed from its first chunk on.  A
+    replay that outruns the horizon the feed was closed at — like a
+    recompute job — recomputes the shard live with the *original* slice,
+    so the ghost updaters and the shadow timeline run exactly as in
+    recompute mode.
 
     Module-level so the process pool can pickle it; also the inline path
     for ``workers=0``.
     """
-    config, slice_, source, max_events = job
-    if source is not None:
-        arena = (
-            TimelineArena.attach(source)
-            if isinstance(source, TimelineHandle)
-            else source
-        )
+    config, slice_, replay, max_events = job
+    if replay:
+        assert _feed is not None, "a replay job needs the process's feed"
         try:
-            return _simulate(config, slice_, max_events, arena)
+            return _simulate(config, slice_, max_events, TimelineView(_feed.chunk))
         except TimelineExhausted:
             pass
-    return _simulate(config, slice_, max_events, fell_back=source is not None)
+    return _simulate(config, slice_, max_events, fell_back=replay)
 
 
 def _gather(
@@ -228,25 +215,29 @@ def _gather(
     profiler: PhaseProfiler,
     workers: int,
     max_events: Optional[int],
-    arena: Optional[TimelineArena] = None,
+    feed: Optional[TimelineFeed] = None,
 ) -> List[ShardOutcome]:
     """Every slice's outcome, in shard order.
 
     ``own`` yields the primary slice's: the parent's share of the work,
     done between starting the other slices' jobs and collecting them.
     The jobs go to a pool of ``workers`` processes, or with ``workers=0``
-    run in this process; given a sealed ``arena`` they replay it (shared
-    for the pool's lifetime, unlinked on every way out), otherwise they
+    run in this process afterwards.  Given a ``feed`` they replay it — a
+    pool's workers while ``own`` still publishes it; ``own`` closes it,
+    and the wait after that is the ``replay`` phase — otherwise they
     recompute the timeline.  A job's failure is re-raised as
-    :class:`ShardExecutionError`; on any failure the jobs still queued
-    are cancelled before the pool is joined.
+    :class:`ShardExecutionError`; any failure closes the feed (waking the
+    workers blocked on it) and cancels the queued jobs before the pool is
+    joined; the segments go on every way out.
     """
     rest = slices[1:]
-    pooled = workers > 0 and bool(rest)
+    jobs = [(config, sl, feed is not None, max_events) for sl in rest]
+    _connect(feed)  # for the jobs run inline
     try:
-        source = arena.share() if arena is not None and pooled else arena
         with (
-            ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()
+            ProcessPoolExecutor(workers, initializer=_connect, initargs=(feed,))
+            if workers
+            else nullcontext()
         ) as pool:
             try:
                 with profiler.phase("setup"):
@@ -254,23 +245,26 @@ def _gather(
                         pool.submit(_run_shard, job).result
                         if pool is not None
                         else partial(_run_shard, job)
-                        for job in ((config, sl, source, max_events) for sl in rest)
+                        for job in jobs
                     ]
                 with profiler.phase("primary"):
                     outcomes = [own()]
-                with profiler.phase("shards"):
+                with profiler.phase("shards" if feed is None else "replay"):
                     for sl, wait in zip(rest, waits):
                         try:
                             outcomes.append(wait())
                         except Exception as exc:
                             raise ShardExecutionError(len(outcomes), sl, exc) from exc
             except BaseException:
+                if feed is not None:
+                    feed.close()
                 if pool is not None:
                     pool.shutdown(cancel_futures=True)
                 raise
     finally:
-        if arena is not None:
-            arena.close_shared()
+        _connect(None)
+        if feed is not None:
+            feed.release()
     return outcomes
 
 
@@ -288,13 +282,16 @@ def run_sharded(
     for); ``workers=0`` forces sequential in-process execution.
 
     Recompute mode: the parent runs the primary slice live while the
-    other slices recompute the timeline for themselves.  Replay mode
-    first records: the primary slice runs live — its own readers, the
-    updaters, the crash schedule — keeps the timeline going to a horizon
-    with headroom and seals the arena the other slices replay.  On a
-    timeline-cache hit *every* slice replays instead, the primary's in
-    the parent; if the cached horizon proves too short for this config's
-    clients the entry is discarded and the run records after all.
+    other slices recompute the timeline for themselves.  Replay mode:
+    the other slices' jobs start first, reading a timeline feed; the
+    primary slice then runs live as the recording pass — its own
+    readers, the updaters, the crash schedule — publishing the timeline
+    whenever it has run it on, keeps it going to a horizon with
+    headroom, publishes that and closes the feed.  On a timeline-cache
+    hit the parent publishes the cached timeline whole, closes the feed
+    and replays the primary slice too; if the cached horizon proves too
+    short for this config's clients the entry is discarded and the run
+    records after all.
     """
     if collect_trace:
         raise ValueError(
@@ -304,7 +301,8 @@ def run_sharded(
     profiler = PhaseProfiler()
     slices = reader_slices(config)
     if workers is None:
-        workers = min(len(slices) - 1, max(1, (os.cpu_count() or 1) - 1))
+        workers = max(1, (os.cpu_count() or 1) - 1)
+    workers = min(workers, len(slices) - 1)
     gather = partial(
         _gather,
         config,
@@ -315,63 +313,79 @@ def run_sharded(
     )
     replay = config.timeline_mode == "replay"
     cacheable = replay and timeline_cacheable(config)
-    arena = TIMELINE_CACHE.lookup(config) if cacheable else None
-    cache_hit = arena is not None
+    cached = TIMELINE_CACHE.lookup(config) if cacheable else None
+    feed: Optional[TimelineFeed] = None
 
     outcomes: Optional[List[ShardOutcome]] = None
-    if arena is not None:
+    if cached is not None:
+        hit = feed = TimelineFeed(shared=workers > 0)
+        chunks = cached
+
+        def replay_cached() -> ShardOutcome:
+            for chunk in chunks:
+                hit.publish(chunk)
+            hit.close()
+            return _simulate(config, slices[0], max_events, TimelineView(hit.chunk))
+
         # the parent's replay of the primary slice lets exhaustion
         # through: recomputing *that* slice live would run a second
         # timeline beside the journal's
         try:
-            with profiler.phase("replay"):
-                outcomes = gather(
-                    partial(_simulate, config, slices[0], max_events, arena),
-                    arena=arena,
-                )
+            outcomes = gather(replay_cached, feed=hit)
         except TimelineExhausted:
             pass
-        if outcomes is None or any(o.sim_time > arena.horizon_time for o in outcomes):
+        horizon = cached[-1].horizon_time
+        if outcomes is None or any(o.sim_time > horizon for o in outcomes):
             # the entry is outgrown — by the primary, or by a fallen-back
             # shard that ran on past the journal's end
             TIMELINE_CACHE.discard(config)
-            arena = outcomes = None
-            cache_hit = False
+            cached = outcomes = None
 
     owner: Optional[BroadcastSimulation] = None
-    if outcomes is None:
-        owner = BroadcastSimulation(config, slice_=slices[0], record_timeline=replay)
-        execute = partial(_execute, owner, max_events)
-        if not replay:
-            outcomes = gather(execute)
-        else:
+    if outcomes is None and not replay:
+        owner = BroadcastSimulation(config, slice_=slices[0])
+        outcomes = gather(partial(_execute, owner, max_events))
+    elif outcomes is None:
+        live = feed = TimelineFeed(shared=workers > 0)
+        recorder = owner = BroadcastSimulation(
+            config, slice_=slices[0], record_timeline=True, feed=live
+        )
+
+        def record() -> ShardOutcome:
             with profiler.phase("record"):
-                first = execute()
-            # replay shards may stop later than the recording pass's own
-            # clients did (reader mixes differ): record on past its stop
-            horizon = (
-                first.sim_time * _HORIZON_FACTOR
-                + _HORIZON_SLACK_CYCLES * owner.layout.cycle_bits
-            )
+                first = _execute(recorder, max_events)
+            horizon = recorder.recording_horizon(first.sim_time)
             with profiler.phase("extend"):
-                owner.sim.run(until=horizon, max_events=max_events)
+                recorder.sim.run(until=horizon, max_events=max_events)
             with profiler.phase("seal"):
-                arena = owner.seal_timeline(horizon)
+                recorder.publish_timeline(horizon)
+                live.close()
                 if cacheable:
-                    TIMELINE_CACHE.store(config, arena)
-            with profiler.phase("replay"):
-                outcomes = gather(lambda: first, arena=arena)
+                    TIMELINE_CACHE.store(config, tuple(live.chunks))
+            return first
+
+        outcomes = gather(record, feed=live)
 
     result = assemble_result(
-        config, outcomes, profiler, owner=owner, arena=arena, max_events=max_events
+        config,
+        outcomes,
+        profiler,
+        owner=owner,
+        # any chunk: they share the recording pass's one journal
+        arena=feed.chunks[-1] if feed is not None else None,
+        max_events=max_events,
     )
-    if replay:
+    profile = profiler.as_dict()
+    if feed is not None:
         result.timeline_stats = {
             "mode": "replay",
             "shards": len(slices),
-            "cache_hit": cache_hit,
+            "cache_hit": cached is not None,
+            "chunks": len(feed.chunks),
             "fallbacks": sum(outcome.fell_back for outcome in outcomes),
             "cache": TIMELINE_CACHE.stats.as_dict(),
         }
-    result.profile = profiler.as_dict()
+        # no phase of the parent's: the longest a shard waited on the feed
+        profile["stall"] = max(outcome.stall for outcome in outcomes)
+    result.profile = profile
     return result

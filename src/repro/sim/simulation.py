@@ -57,7 +57,7 @@ from ..obs.telemetry import telemetry_from_result
 from ..obs.tracer import NULL_TRACER, Span, Tracer, canonical_spans
 from ..server.server import BroadcastServer
 from ..server.workload import ClientWorkload, ServerWorkload
-from .arena import RecordingTimelineMetrics, TimelineArena, TimelineView
+from .arena import RecordingTimelineMetrics, TimelineArena, TimelineFeed, TimelineView
 from .cohort import CohortExecutor
 from .config import SimulationConfig
 from .engine import Simulator
@@ -75,6 +75,11 @@ __all__ = [
     "assemble_result",
     "run_simulation",
 ]
+
+#: recorded-horizon headroom (replay shards' readers may stop later than
+#: the recording pass's own): this factor, plus a few whole cycles of slack
+_HORIZON_FACTOR = 1.25
+_HORIZON_SLACK_CYCLES = 4.0
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,8 @@ class ShardOutcome(NamedTuple):
     spans_dropped: int = 0
     #: a replay outran the recorded horizon and recomputed this shard
     fell_back: bool = False
+    #: wall seconds a replay waited for the recording pass to publish
+    stall: float = 0.0
 
 
 @dataclass
@@ -180,6 +187,7 @@ class BroadcastSimulation:
         slice_: Optional[ShardSlice] = None,
         timeline: Optional[TimelineView] = None,
         record_timeline: bool = False,
+        feed: Optional[TimelineFeed] = None,
     ):
         """``client_workloads`` optionally overrides the per-client
         generators — any objects with ``next_transaction()`` (e.g.
@@ -199,10 +207,13 @@ class BroadcastSimulation:
         clients' measurements only, until the arena's journal is folded
         in at the merged stop time), so :meth:`seal_timeline` can build
         the arena replays attach to.  The two are mutually exclusive.
+        A recording pass given a ``feed`` publishes on it what it has
+        recorded whenever it runs the timeline on.
         """
         if timeline is not None and record_timeline:
             raise ValueError("a simulation cannot both replay and record a timeline")
         self.config = config
+        self.feed = feed
         self.slice = _full_slice(config) if slice_ is None else slice_
         self.layout: BroadcastLayout = config.layout()
         self.server = BroadcastServer(
@@ -388,8 +399,20 @@ class BroadcastSimulation:
             )
 
     # -- recording pass (timeline arena) -------------------------------
-    def seal_timeline(self, horizon_time: float) -> TimelineArena:
-        """Serialise the recorded history into a sealed arena.
+    def recording_horizon(self, time: float) -> float:
+        """How far the timeline is recorded once a reader has reached ``time``."""
+        return time * _HORIZON_FACTOR + _HORIZON_SLACK_CYCLES * self.layout.cycle_bits
+
+    def publish_timeline(self, horizon_time: float) -> None:
+        """Publish the cycles recorded since the last publication, if any."""
+        feed = self.feed
+        assert feed is not None, "publish_timeline requires a feed"
+        first_cycle = feed.chunks[-1].last_cycle + 1 if feed.chunks else 1
+        if max(self.state.record_images or (0,)) >= first_cycle:
+            feed.publish(self.seal_timeline(horizon_time, first_cycle))
+
+    def seal_timeline(self, horizon_time: float, first_cycle: int = 1) -> TimelineArena:
+        """Serialise the recorded history from ``first_cycle`` on into an arena.
 
         The arena shares this pass's journal rather than copying it: if
         the timeline is later driven past ``horizon_time`` (a fallen-back
@@ -405,6 +428,7 @@ class BroadcastSimulation:
             horizon_time=horizon_time,
             partition=self.config.partition(),
             journal=journal.journal,
+            first_cycle=first_cycle,
         )
 
     def _run_events(self, max_events: Optional[int]) -> Tuple[float, int]:

@@ -9,10 +9,31 @@ executor (``repro.sim.processes``, the independent implementation) and
 fails if the slot calendar fired at all while it ran.
 """
 
+import os
 from unittest import mock
+
+import pytest
 
 from repro.sim.cohort import CohortExecutor
 from repro.sim.simulation import run_simulation
+
+
+def shared_segments():
+    """The ``multiprocessing.shared_memory`` segments that exist right now."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_shared_memory_outlives_the_session():
+    """Tier 1 fails if a run left a segment behind — the one place that
+    holds every test to it; a test that asserts *when* a segment goes
+    compares :func:`shared_segments` itself."""
+    before = shared_segments()
+    yield
+    leaked = shared_segments() - before
+    assert not leaked, f"shared-memory segments outlived the test session: {leaked}"
 
 
 def _calendar_fired(self, time):

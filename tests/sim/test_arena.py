@@ -8,6 +8,7 @@ lifecycle, view memoisation and exhaustion, the metrics journal, the
 server-side fingerprint, and the cross-run LRU cache.
 """
 
+import itertools
 import pickle
 
 import numpy as np
@@ -21,10 +22,11 @@ from repro.sim import (
     TimelineArena,
     TimelineCache,
     TimelineExhausted,
+    TimelineView,
     timeline_cacheable,
     timeline_fingerprint,
 )
-from repro.sim.arena import RecordingTimelineMetrics
+from repro.sim.arena import RecordingTimelineMetrics, TimelineFeed
 from repro.sim.metrics import MetricsCollector
 from repro.sim.shard import reader_slices
 from repro.sim.simulation import BroadcastSimulation
@@ -65,13 +67,48 @@ def recorded():
     return record(config())
 
 
+def quiet_boundary(arena):
+    """A cycle whose successor is in the same version epoch: cutting
+    after it puts a chunk boundary inside a commit-free stretch."""
+    epochs = arena.epoch_index
+    return next(c for c in range(2, arena.num_cycles) if epochs[c] == epochs[c - 1])
+
+
+def seal_as(images, recording, stop, cuts):
+    """The view of ``images`` sealed whole (``cuts`` empty) or published
+    on a feed as chunks ending at each cycle in ``cuts`` and at the last."""
+    sealed = dict(
+        cycle_bits=float(recording.layout.cycle_bits),
+        horizon_time=stop,
+        partition=recording.config.partition(),
+    )
+    if not cuts:
+        return TimelineArena.from_images(images, **sealed).view()
+    feed = TimelineFeed(shared=False)
+    first = 1
+    for last in (*cuts, max(images)):
+        part = {c: image for c, image in images.items() if first <= c <= last}
+        feed.publish(TimelineArena.from_images(part, first_cycle=first, **sealed))
+        first = last + 1
+    feed.close()
+    return TimelineView(feed.chunk)
+
+
+def whole_and_chunked(arena):
+    """The inputs of the view tests: the history as one arena, and as
+    chunks cut mid-stretch and again three cycles on."""
+    return (), (quiet_boundary(arena), quiet_boundary(arena) + 3)
+
+
 class TestFromImages:
     def test_view_rebuilds_every_recorded_cycle(self, recorded):
-        recording, _, arena = recorded
+        recording, stop, arena = recorded
         images = recording.state.record_images
-        view = arena.view()
         assert images and arena.num_cycles == max(images)
-        for cycle, image in images.items():
+        views = [
+            seal_as(images, recording, stop, cuts) for cuts in whole_and_chunked(arena)
+        ]
+        for view, (cycle, image) in itertools.product(views, images.items()):
             rebuilt = view.broadcast(cycle)
             assert rebuilt.cycle == cycle
             assert rebuilt.num_objects == image.num_objects
@@ -116,29 +153,33 @@ class TestFromImages:
         assert view.broadcast(1) is view.broadcast(1)
 
     def test_reading_past_the_horizon_raises(self, recorded):
-        _, _, arena = recorded
+        recording, stop, arena = recorded
         beyond = arena.num_cycles + 3
-        with pytest.raises(TimelineExhausted) as excinfo:
-            arena.view().broadcast(beyond)
-        assert excinfo.value.cycle == beyond
-        assert excinfo.value.horizon_cycle == arena.num_cycles
+        for cuts in whole_and_chunked(arena):
+            view = seal_as(recording.state.record_images, recording, stop, cuts)
+            with pytest.raises(TimelineExhausted) as excinfo:
+                view.broadcast(beyond)
+            assert excinfo.value.cycle == beyond
+            assert excinfo.value.horizon_cycle == arena.num_cycles
 
     def test_dead_air_cycles_mirror_the_live_error(self, recorded):
         recording, stop, _ = recorded
         images = dict(recording.state.record_images)
         del images[2]  # a crash-outage boundary installs no image
-        arena = TimelineArena.from_images(
+        whole = TimelineArena.from_images(
             images,
             cycle_bits=float(recording.layout.cycle_bits),
             horizon_time=stop,
             partition=recording.config.partition(),
         )
-        assert arena.snap_index[1] == -1
-        view = arena.view()
-        view.broadcast(1)
-        view.broadcast(3)
-        with pytest.raises(RuntimeError, match="no broadcast image"):
-            view.broadcast(2)
+        assert whole.snap_index[1] == -1
+        # whole, then cut so the dead cycle starts, ends, sits inside a chunk
+        for cuts in ((), (1,), (2,), (4,)):
+            view = seal_as(images, recording, stop, cuts)
+            view.broadcast(1)
+            view.broadcast(3)
+            with pytest.raises(RuntimeError, match="no broadcast image"):
+                view.broadcast(2)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError, match="empty timeline"):
@@ -183,23 +224,27 @@ class TestSharedMemory:
         try:
             assert arena.share().shm_name == handle.shm_name  # idempotent
             blob = pickle.dumps(handle)
-            attached = TimelineArena.attach(pickle.loads(blob))
-            for name in (
-                "snap_pool",
-                "snap_index",
-                "epoch_index",
-                "epoch_table",
-                "entry_commit_cycles",
+            # by the handle, and — as a feed's reader does — by name alone
+            for attached in (
+                TimelineArena.attach(pickle.loads(blob)),
+                TimelineArena.attach(name=handle.shm_name),
             ):
-                local = getattr(arena, name)
-                shared = getattr(attached, name)
-                assert np.array_equal(shared, local)
-                assert not shared.flags.writeable  # zero-copy, read-only
-            one = arena.view().broadcast(1)
-            other = attached.view().broadcast(1)
-            assert [
-                (v.value, v.writer, v.commit_cycle) for v in other.versions
-            ] == [(v.value, v.writer, v.commit_cycle) for v in one.versions]
+                for name in (
+                    "snap_pool",
+                    "snap_index",
+                    "epoch_index",
+                    "epoch_table",
+                    "entry_commit_cycles",
+                ):
+                    local = getattr(arena, name)
+                    shared = getattr(attached, name)
+                    assert np.array_equal(shared, local)
+                    assert not shared.flags.writeable  # zero-copy, read-only
+                one = arena.view().broadcast(1)
+                other = attached.view().broadcast(1)
+                assert [
+                    (v.value, v.writer, v.commit_cycle) for v in other.versions
+                ] == [(v.value, v.writer, v.commit_cycle) for v in one.versions]
         finally:
             arena.close_shared()
 

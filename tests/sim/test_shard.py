@@ -10,6 +10,9 @@ tests pin the slicing arithmetic and the failure modes.
 """
 
 import os
+import signal
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -27,7 +30,7 @@ from repro.sim import (
 )
 from repro.sim.simulation import BroadcastSimulation, ShardSlice
 
-from tests.conftest import reference_run
+from tests.conftest import reference_run, shared_segments as _shared_segments
 
 from .test_cohort import COLLAPSED_LANES
 
@@ -232,6 +235,117 @@ def test_replay_with_updaters_is_never_cached():
 
 
 # ----------------------------------------------------------------------
+# the feed: replay while recording, fall back past its end
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_a_late_job_catches_up_from_the_first_chunk(workers):
+    """Three shards on at most one worker: the last job starts when the
+    feed is long closed (inline, ``workers=0``: every job does — nothing
+    may block) and still reads every chunk, from the first."""
+    TIMELINE_CACHE.clear()
+    base = small_config(seed=5)
+    replayed = run_sharded(
+        base.replace(client_executor="analytic", shards=3, timeline_mode="replay"),
+        workers=workers,
+    )
+    assert signature(replayed) == signature(reference_run(base))
+    stats = replayed.timeline_stats
+    assert stats["chunks"] > 1  # the recording pass ran ahead and published
+    assert stats["fallbacks"] == 0 and stats["cache_hit"] is False
+    assert replayed.profile["stall"] >= 0.0
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+@pytest.mark.parametrize("executor", ["analytic", "cohort"])
+@pytest.mark.parametrize("seed", [2, 9])
+def test_readers_that_outlive_the_feed_fall_back(monkeypatch, seed, executor, workers):
+    """With no headroom recorded, slice 1's readers (these seeds: they
+    outlive slice 0's) read past the closed feed; the shard recomputes
+    itself and nothing observable moves."""
+    import repro.sim.simulation as simulation_mod
+
+    monkeypatch.setattr(simulation_mod, "_HORIZON_FACTOR", 1.0)
+    monkeypatch.setattr(simulation_mod, "_HORIZON_SLACK_CYCLES", 0.0)
+    TIMELINE_CACHE.clear()
+    base = small_config(seed=seed)
+    replayed = run_sharded(
+        base.replace(client_executor=executor, shards=2, timeline_mode="replay"),
+        workers=workers,
+    )
+    assert replayed.timeline_stats["fallbacks"] >= 1
+    assert signature(replayed) == signature(reference_run(base))
+
+
+def _run_isolated(script):
+    """``script`` in a fresh interpreter under ``-W error``, killed (with
+    the pool it forked) if it hangs; segments must be as they were."""
+    before = _shared_segments()
+    child = subprocess.Popen(
+        [sys.executable, "-W", "error", "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    try:
+        out, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the sharded run hung")
+    assert child.returncode == 0, err
+    assert _shared_segments() == before
+    return out, err
+
+
+_POOLED_COLD_REPLAY = """
+from tests.sim.test_shard import small_config
+from repro.sim import run_sharded
+config = small_config(client_executor="analytic", shards=2, timeline_mode="replay")
+"""
+
+
+def test_a_pooled_cold_replay_leaves_the_resource_tracker_nothing_to_say():
+    """The pool is forked before the first segment exists: were the
+    tracker started after the fork, each worker would start its own on
+    first attach and "clean up" the parent's segments at exit."""
+    out, err = _run_isolated(
+        _POOLED_COLD_REPLAY
+        + "stats = run_sharded(config, workers=1).timeline_stats\n"
+        "print(stats['chunks'], stats['fallbacks'])"
+    )
+    chunks, fallbacks = map(int, out.split())
+    assert chunks > 1 and fallbacks == 0
+    assert "resource_tracker" not in err and "leaked" not in err
+
+
+def test_a_failed_recording_pass_wakes_the_blocked_worker():
+    """The recorder raises after its first publication while the worker
+    waits for the second: the feed is closed before the pool is joined
+    (no hang), the recorder's own exception surfaces, no segment stays."""
+    out, _ = _run_isolated(
+        _POOLED_COLD_REPLAY
+        + """
+from repro.sim.simulation import BroadcastSimulation
+publish = BroadcastSimulation.publish_timeline
+def publish_once(self, horizon_time):
+    if self.feed.chunks:
+        raise RuntimeError("recorder exploded")
+    publish(self, horizon_time)
+BroadcastSimulation.publish_timeline = publish_once
+try:
+    run_sharded(config, workers=1)
+except RuntimeError as exc:
+    print(type(exc).__name__, exc)
+"""
+    )
+    assert out.strip() == "RuntimeError recorder exploded"
+
+
+# ----------------------------------------------------------------------
 # worker failures carry shard context and leave nothing behind
 # ----------------------------------------------------------------------
 
@@ -242,10 +356,6 @@ def _explode(job):
 
 def _die(job):
     os._exit(1)  # no exception, no cleanup: the worker process is just gone
-
-
-def _shared_segments():
-    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
 
 def _assert_failure_is_contained(monkeypatch, mode, workers, entry, cause):
