@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint typecheck audit perf-smoke figures-smoke faults-smoke consistency-smoke obs-smoke scenario-smoke
+.PHONY: check test lint typecheck perf-smoke figures-smoke consistency-smoke obs-smoke scenario-smoke
 
 check: test lint typecheck
 
@@ -20,9 +20,6 @@ typecheck:
 	else \
 		echo "mypy not installed; skipping typecheck (pip install -e .[check])"; \
 	fi
-
-audit:
-	$(PYTHON) -c "from repro.experiments.cli import audit_main; import sys; sys.exit(audit_main([]))"
 
 # perfbench smoke (perfbench/README.md): the benchmark's own tests, then
 # all five workloads at 1/20 size, one repeat each.  Not a measurement —
@@ -50,35 +47,31 @@ perf-smoke:
 figures-smoke:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only
 
-# fault-injection resilience report (docs/FAULTS.md): doze through a
-# full wrap window, crash the server mid-run, drop uplink submissions —
-# then audit every protocol invariant AND certify the recorded history
-# update-consistent, at 500 transactions per client (the size perfbench
-# runs; ~4 s).  Exits non-zero on any audit or consistency violation.
-faults-smoke:
-	$(PYTHON) -m repro.experiments.cli faults --transactions 500 \
-		--seed 42 --output faults-smoke.json
-
-# observability smoke (docs/OBSERVABILITY.md): one traced faulted
-# 2-shard replay-mode run producing a Perfetto-loadable Chrome trace
-# (obs-trace.json) whose span counts reconcile with the metrics, then
-# the same counts re-derived from the written file.
+# observability smoke (docs/OBSERVABILITY.md): the library's traced
+# faulted 2-shard replay-mode run, producing a Perfetto-loadable Chrome
+# trace (obs-trace.json) whose span counts reconcile with the metrics,
+# then the same counts re-derived from the written file.
 obs-smoke:
-	$(PYTHON) -m repro.obs.trace_cli run --out obs-trace.json --summary
+	$(PYTHON) -m repro.experiments.cli scenario run traced-replay \
+		--trace-out obs-trace.json --summary
 	$(PYTHON) -m repro.obs.trace_cli summarize obs-trace.json
 
 # scenario smoke (docs/SCENARIOS.md): run every library scenario under
-# every protocol it declares and check its calibrated metric envelope,
-# then prove the record/replay determinism contract by recording the
-# zero-fault anchor under the process executor — named: a scenario that
-# names no executor records under cohort, and the replay would compare
-# the kernel with itself — and replaying it bit-identically through the
-# cohort executor (`replay[cohort] vs recording[process]`).  Exits
-# non-zero on any envelope miss or replay divergence; JSON lands in
-# scenario-smoke.json.
+# every protocol it declares — the headline fault run (hostile-wrap:
+# doze through a full wrap window, a server crash, a lossy uplink; 500
+# transactions per client) among them — check its calibrated metric
+# envelope, audit every protocol invariant AND certify the recorded
+# history update-consistent (a run with no global trace is listed as
+# unchecked).  Then prove the record/replay determinism contract by
+# recording the zero-fault anchor under the process executor — named: a
+# scenario that names no executor records under cohort, and the replay
+# would compare the kernel with itself — and replaying it bit-identically
+# through the cohort executor (`replay[cohort] vs recording[process]`).
+# Exits non-zero on any envelope miss, violation or replay divergence;
+# every verdict lands in scenario-smoke.json.
 scenario-smoke:
-	$(PYTHON) -m repro.experiments.cli scenario run --all \
-		--output scenario-smoke.json
+	$(PYTHON) -m repro.experiments.cli scenario run --all --audit \
+		--consistency update --output scenario-smoke.json
 	$(PYTHON) -m repro.experiments.cli scenario record table1-baseline \
 		--executor process --out scenario-smoke-table1.trace.json
 	$(PYTHON) -m repro.experiments.cli scenario replay \
@@ -86,22 +79,14 @@ scenario-smoke:
 
 # consistency smoke (docs/ANALYSIS.md "Consistency levels"): the
 # small-scope model checker exhaustively sweeps the smallest scope for
-# every protocol, then one seeded simulation per protocol is certified —
-# all six levels for datacycle (globally serializable; 40 transactions:
-# the level checkers search), the paper's update-consistency guarantee
-# for all three (f-matrix and r-matrix at 500).  Exits non-zero on any
-# uncertified run; JSON artifacts land in consistency-smoke-*.json.
+# every protocol, then the Table-1 anchor under datacycle — globally
+# serializable — is certified at all six levels (60 transactions: the
+# level checkers search).  The paper's update-consistency guarantee is
+# scenario-smoke's, for every run.  Exits non-zero on any uncertified
+# run; JSON artifacts land in consistency-smoke-*.json.
 consistency-smoke:
 	$(PYTHON) -m repro.analysis.consistency.explore --scope smallest \
 		--output consistency-smoke-explore.json
-	$(PYTHON) -c "from repro.experiments.cli import audit_main; import sys; \
-		sys.exit(audit_main(['--protocol', 'datacycle', '--transactions', '40', \
-		'--objects', '20', '--consistency', 'all', '--consistency', 'update']))"
-	$(PYTHON) -c "from repro.experiments.cli import audit_main; import sys; \
-		sys.exit(audit_main(['--protocol', 'f-matrix', '--transactions', '500', \
-		'--objects', '20', '--consistency', 'update', '--format', 'json']))" \
-		> consistency-smoke-fmatrix.json
-	$(PYTHON) -c "from repro.experiments.cli import audit_main; import sys; \
-		sys.exit(audit_main(['--protocol', 'r-matrix', '--transactions', '500', \
-		'--objects', '20', '--consistency', 'update', '--format', 'json']))" \
-		> consistency-smoke-rmatrix.json
+	$(PYTHON) -m repro.experiments.cli scenario run table1-baseline \
+		--protocol datacycle --consistency all \
+		--output consistency-smoke-datacycle.json

@@ -53,7 +53,7 @@ class Diagnostic:
         return text
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (for ``repro-audit --format json``)."""
+        """JSON-serialisable form (for ``scenario run --output``)."""
         return {
             "invariant": self.invariant,
             "message": self.message,
@@ -104,7 +104,7 @@ class AuditReport:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (for ``repro-audit --format json``)."""
+        """JSON-serialisable form (for ``scenario run --output``)."""
         return {
             "ok": self.ok,
             "checked": list(self.checked),

@@ -1,12 +1,5 @@
 """Evaluation harness: one runnable entry per paper figure/table."""
 
-from .faults import (
-    FAULT_PROTOCOLS,
-    FaultRunSummary,
-    faults_config,
-    format_faults_report,
-    run_faults_report,
-)
 from .figures import (
     EXPERIMENTS,
     PAPER_PROTOCOLS,
@@ -39,11 +32,6 @@ __all__ = [
     "table1_overheads",
     "ablation_group_matrix",
     "ablation_caching",
-    "FAULT_PROTOCOLS",
-    "FaultRunSummary",
-    "faults_config",
-    "run_faults_report",
-    "format_faults_report",
     "run_sweep",
     "ExperimentResult",
     "Series",

@@ -37,6 +37,8 @@ def claim_output(
     the run that produces the artifact: found afterwards, it loses the work."""
     if path is None:
         return
+    if path.is_dir():
+        parser.exit(2, f"error: {flag} {path}: is a directory\n")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -168,7 +170,7 @@ def summarize_spans(spans: Sequence[Span]) -> str:
 
 def summarize_trace_events(document: Dict[str, Any]) -> str:
     """Summarize a loaded Chrome trace document (the ``summarize``
-    subcommand of ``repro-trace``)."""
+    command of ``repro-trace``)."""
     spans = [
         Span(
             float(ev["ts"]),

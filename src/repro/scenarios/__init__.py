@@ -19,7 +19,9 @@ timeline-mode choice and a protocol list — validated into configs by
   file and re-drive any engine or executor from it, asserting
   bit-identity where the determinism contract promises it;
 * :mod:`repro.scenarios.cli` — the ``repro-experiments scenario
-  list|run|record|replay`` subcommand.
+  list|run|record|replay`` subcommand; ``run`` is the one command that
+  runs a configuration, and audit / certification / tracing are checks
+  asked of it.
 """
 
 from __future__ import annotations

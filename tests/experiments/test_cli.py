@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.analysis.consistency.explore import main as explore_main
-from repro.experiments.cli import audit_main, build_audit_parser, build_parser, main
+from repro.experiments.cli import build_parser, main
 from repro.obs.trace_cli import main as trace_main
+from repro.scenarios import get_scenario
+from repro.scenarios.cli import build_scenario_parser
 
 
 class TestParser:
@@ -45,102 +47,171 @@ class TestMain:
         assert "fig4b,f-matrix" in csv_file.read_text()
 
 
+def write_document(tmp_path, name, base=None, config=None, **patches):
+    """A scenario file: ``base`` (a library name) patched, or a bare
+    Table-1 document; ``config`` entries are merged into its section."""
+    if base is not None:
+        doc = get_scenario(base).to_dict()
+    else:
+        doc = {"format_version": 1, "seed": 5, "config": {}}
+    doc["name"] = name
+    doc.update(patches)
+    doc["config"].update(config or {})
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def scenario_run(*argv):
+    return main(["scenario", "run", *map(str, argv)])
+
+
 class TestFaults:
+    """The headline fault run is a library document behind the one door."""
+
     def test_parser_accepts_faults(self):
-        args = build_parser().parse_args(["faults", "--output", "x.json"])
-        assert args.experiment == "faults"
+        args = build_scenario_parser().parse_args(
+            ["run", "hostile-wrap", "--audit", "--output", "x.json"]
+        )
+        assert args.names == ["hostile-wrap"] and args.audit
         assert str(args.output) == "x.json"
+        with pytest.raises(SystemExit):  # the bespoke experiment is gone
+            build_parser().parse_args(["faults"])
 
     def test_faults_report_runs_and_writes_json(self, capsys, tmp_path):
         out_path = tmp_path / "faults.json"
-        code = main(
-            ["faults", "--transactions", "4", "--seed", "3",
-             "--output", str(out_path)]
+        path = write_document(
+            tmp_path, "hostile-small", base="hostile-wrap", seed=3,
+            config={"num_client_transactions": 4},
+        )
+        code = scenario_run(
+            path, "--audit", "--consistency", "update", "--no-envelope",
+            "--output", out_path,
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "f-matrix" in out and "audit" in out
-        summaries = json.loads(out_path.read_text())
-        assert [s["protocol"] for s in summaries] == [
-            "f-matrix", "r-matrix", "datacycle"
-        ]
-        assert all(s["audit_ok"] for s in summaries)
-        assert all(s["consistency_ok"] for s in summaries)
-        assert all(s["commits"] == 12 for s in summaries)  # 3 clients x 4
-        assert "consist" in out  # the report table gained a column
+        assert "hostile-small/f-matrix" in out and "audit:" in out
+        assert "update consistency:" in out
+        payload = json.loads(out_path.read_text())
+        runs = payload["runs"]
+        assert [r["protocol"] for r in runs] == ["f-matrix", "r-matrix", "datacycle"]
+        assert all(r["audit"]["ok"] for r in runs)
+        assert all(r["update_consistency"]["ok"] for r in runs)
+        assert all(r["metrics"]["commits"] == 12 for r in runs)  # 3 clients x 4
+        assert payload["ok"] is True and payload["unchecked"] == []
 
 
-AUDIT_ARGS = ["--transactions", "8", "--objects", "10", "--seed", "5"]
+#: the Table-1 defaults at a size the level checkers search in well under
+#: a second (with ``write_document``'s seed 5)
+SMALL = {"num_client_transactions": 8, "num_objects": 10}
 
 
 class TestAuditConsistency:
-    """repro-audit --consistency: stable exit codes and JSON coverage."""
+    """scenario run --audit --consistency: stable exit codes, JSON coverage."""
 
-    def test_usage_error_exits_2(self):
+    def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
-            build_audit_parser().parse_args(["--consistency", "strictness"])
-        assert err.value.code == 2
+            scenario_run("quasi-cache-fleet", "--consistency", "strictness")
+        stdout = assert_usage_error(err, capsys)
+        assert stdout == ""  # refused before any run
 
-    def test_unknown_invariant_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            audit_main(["--invariant", "no-such-invariant"])
-        assert err.value.code == 2
-
-    def test_clean_run_exits_0_text(self, capsys):
-        code = audit_main(
-            ["--protocol", "datacycle", "--consistency", "all",
-             "--consistency", "update"] + AUDIT_ARGS
+    def test_clean_run_exits_0_text(self, capsys, tmp_path):
+        path = write_document(
+            tmp_path, "small", protocols=["datacycle"], config=SMALL
+        )
+        code = scenario_run(
+            path, "--audit", "--consistency", "all", "--consistency", "update"
         )
         assert code == 0
         out = capsys.readouterr().out
+        assert "no invariant violations" in out
         assert "serializability: PASS" in out
         assert "update consistency:" in out
 
-    def test_json_covers_invariants_and_consistency(self, capsys):
-        code = audit_main(
-            ["--protocol", "f-matrix", "--format", "json",
-             "--consistency", "causal", "--consistency", "update"]
-            + AUDIT_ARGS
+    def test_json_covers_invariants_and_consistency(self, tmp_path):
+        path = write_document(tmp_path, "small", config=SMALL)
+        out_path = tmp_path / "out.json"
+        code = scenario_run(
+            path, "--audit", "--consistency", "causal", "--consistency",
+            "update", "--output", out_path,
         )
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(out_path.read_text())
         assert payload["ok"] is True
-        assert payload["config"]["protocol"] == "f-matrix"
-        assert payload["invariants"]["ok"] is True
-        assert payload["invariants"]["checked"]
-        levels = [v["level"] for v in payload["consistency"]["verdicts"]]
+        (run,) = payload["runs"]
+        assert run["protocol"] == "f-matrix"
+        assert run["audit"]["ok"] is True
+        assert run["audit"]["checked"]
+        levels = [v["level"] for v in run["consistency"]["verdicts"]]
         assert levels == ["causal"]
-        assert payload["update_consistency"]["ok"] is True
-        assert payload["update_consistency"]["readers"]
+        assert run["update_consistency"]["ok"] is True
+        assert run["update_consistency"]["readers"]
 
-    def test_all_expands_every_level_once(self, capsys):
-        code = audit_main(
-            ["--protocol", "datacycle", "--format", "json",
-             "--consistency", "all", "--consistency", "serializability"]
-            + AUDIT_ARGS
+    def test_all_expands_every_level_once(self, tmp_path):
+        path = write_document(
+            tmp_path, "small", protocols=["datacycle"], config=SMALL
+        )
+        out_path = tmp_path / "out.json"
+        code = scenario_run(
+            path, "--consistency", "all", "--consistency", "serializability",
+            "--output", out_path,
         )
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        levels = [v["level"] for v in payload["consistency"]["verdicts"]]
+        (run,) = json.loads(out_path.read_text())["runs"]
+        levels = [v["level"] for v in run["consistency"]["verdicts"]]
         assert len(levels) == len(set(levels)) == 6
+        assert "audit" not in run  # certification alone does not audit
 
-    def test_violation_exits_1_with_witness_json(self, capsys):
+    def test_violation_exits_1_with_witness_json(self, tmp_path):
         # a full f-matrix history is *not* serializable at this seed
         # (readers observe incomparable orders) — requesting SER on it is
         # the deliberate anomaly path: exit 1 and a rendered witness
-        code = audit_main(
-            ["--protocol", "f-matrix", "--format", "json",
-             "--consistency", "serializability", "--transactions", "40",
-             "--objects", "20", "--seed", "42"]
+        path = write_document(
+            tmp_path, "anomaly", seed=42,
+            config={"num_client_transactions": 40, "num_objects": 20},
+        )
+        out_path = tmp_path / "out.json"
+        code = scenario_run(
+            path, "--audit", "--consistency", "serializability",
+            "--output", out_path,
         )
         assert code == 1
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(out_path.read_text())
         assert payload["ok"] is False
-        assert payload["invariants"]["ok"] is True  # invariants still clean
-        verdict = payload["consistency"]["verdicts"][0]
+        (run,) = payload["runs"]
+        assert run["audit"]["ok"] is True  # invariants still clean
+        verdict = run["consistency"]["verdicts"][0]
         assert verdict["ok"] is False
         assert verdict["witness"]["transactions"]
         assert verdict["witness"]["description"]
+
+    def test_a_documents_own_audit_is_reported_and_decides_the_exit_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``config: {audit: true}`` is a verdict like any other: in the
+        JSON, and a violation exits 1 with the envelope inside its bounds."""
+        path = write_document(
+            tmp_path, "self-audited", base="quasi-cache-fleet",
+            config={"audit": True},
+        )
+        out_path = tmp_path / "out.json"
+        assert scenario_run(path, "--output", out_path) == 0
+        (run,) = json.loads(out_path.read_text())["runs"]
+        assert run["audit"]["checked"] and run["envelope"]["ok"]
+
+        import repro.analysis
+        from repro.analysis import AuditReport, Diagnostic
+
+        broken = AuditReport(
+            checked=("forced",),
+            diagnostics=(Diagnostic(invariant="forced", message="forced"),),
+        )
+        monkeypatch.setattr(repro.analysis, "audit_simulation", lambda result: broken)
+        capsys.readouterr()
+        assert scenario_run(path, "--output", out_path) == 1
+        assert "envelope ok" in capsys.readouterr().out
+        payload = json.loads(out_path.read_text())
+        assert payload["ok"] is False and payload["runs"][0]["envelope"]["ok"]
 
 
 def assert_usage_error(err, capsys):
@@ -157,8 +228,9 @@ class TestExitCodeContract:
 
     Module docstring contract: 0 = every requested check passed,
     1 = a violation / envelope miss / replay divergence, 2 = usage
-    errors.  Every entry point (repro-experiments, repro-audit,
-    repro-trace) honours it, including the scenario subcommand.
+    errors.  Every entry point (repro-experiments, repro-trace) honours
+    it, including the scenario subcommand — the one door a configuration
+    is run, audited, certified and traced through.
     """
 
     def test_experiments_success_is_0(self):
@@ -175,13 +247,16 @@ class TestExitCodeContract:
         assert err.value.code == 2
 
     @pytest.mark.parametrize(
-        "entry, argv",
+        "argv, base, config",
         [
-            (main, ["fig2", "--transactions", "0"]),
-            (main, ["fig2", "--transactions", "-1"]),
-            (trace_main, ["run", "--transactions", "0"]),
-            (trace_main, ["run", "--shards", "0"]),
-            (audit_main, ["--transactions", "0"]),
+            (["fig2", "--transactions", "0"], None, None),
+            (["fig2", "--transactions", "-1"], None, None),
+            (["scenario", "run", "{doc}", "--summary"], "traced-replay",
+             {"num_client_transactions": 0}),
+            (["scenario", "run", "{doc}", "--summary"], "traced-replay",
+             {"shards": 0}),
+            (["scenario", "run", "{doc}", "--audit"], None,
+             {"num_client_transactions": 0}),
         ],
         ids=[
             "experiments-transactions-0",
@@ -191,23 +266,21 @@ class TestExitCodeContract:
             "audit-transactions-0",
         ],
     )
-    def test_non_positive_count_is_2(self, entry, argv, capsys):
-        """A count SimulationConfig rejects is a usage error, not a crash."""
+    def test_non_positive_count_is_2(self, argv, base, config, tmp_path, capsys):
+        """A count SimulationConfig rejects is a usage error, not a crash —
+        given as a flag or written in a scenario document."""
+        doc = write_document(tmp_path, "bad-count", base=base, config=config)
         with pytest.raises(SystemExit) as err:
-            entry(argv)
-        assert_usage_error(err, capsys)
+            main([arg.format(doc=doc) for arg in argv])
+        assert assert_usage_error(err, capsys) == ""
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fig4b", "--transactions", "3", "--output", "x.json"],
-            ["faults", "--csv", "out"],
-            ["faults", "--workers", "2"],
             ["table1", "--chart"],
             ["list", "--workers", "1"],
         ],
-        ids=["sweep-output", "faults-csv", "faults-workers", "table1-chart",
-             "list-workers"],
+        ids=["table1-chart", "list-workers"],
     )
     def test_flag_the_experiment_ignores_is_2(self, argv, capsys):
         """A flag that would do nothing is refused before anything runs."""
@@ -233,11 +306,16 @@ class TestExitCodeContract:
         [
             (main, ["fig2", "--transactions", "2", "--csv", "{taken}"]),
             (main, ["scenario", "record", "table1-baseline", "--out", "{taken}/x.json"]),
-            (main, ["faults", "--transactions", "5", "--output", "{taken}/x.json"]),
+            (main, ["scenario", "run", "hostile-wrap", "--output", "{taken}/x.json"]),
             (main, ["scenario", "run", "table1-baseline", "--output", "{taken}/x.json"]),
-            (trace_main, ["run", "--out", "{taken}/x.json"]),
-            (trace_main, ["run", "--spans", "{taken}/x.jsonl"]),
+            (main, ["scenario", "run", "traced-replay", "--trace-out", "{taken}/x.json"]),
+            (main, ["scenario", "run", "traced-replay", "--spans", "{taken}/x.jsonl"]),
             (explore_main, ["--scope", "smallest", "--output", "{taken}/x.json"]),
+            (main, ["scenario", "record", "table1-baseline", "--out", "{folder}"]),
+            (main, ["scenario", "run", "table1-baseline", "--output", "{folder}"]),
+            (main, ["scenario", "run", "traced-replay", "--trace-out", "{folder}"]),
+            (main, ["scenario", "run", "traced-replay", "--spans", "{folder}"]),
+            (explore_main, ["--scope", "smallest", "--output", "{folder}"]),
         ],
         ids=[
             "csv-is-a-file",
@@ -247,16 +325,25 @@ class TestExitCodeContract:
             "trace-out",
             "trace-spans",
             "explore-output",
+            "out-is-a-directory",
+            "scenario-run-output-is-a-directory",
+            "trace-out-is-a-directory",
+            "trace-spans-is-a-directory",
+            "explore-output-is-a-directory",
         ],
     )
     def test_unusable_output_path_is_2(self, entry, argv, tmp_path, capsys):
         """Refused before the simulation runs, not after (losing it)."""
         taken = tmp_path / "taken"
         taken.write_text("")
+        folder = tmp_path / "folder"
+        folder.mkdir()
         with pytest.raises(SystemExit) as err:
-            entry([arg.format(taken=taken) for arg in argv])
+            entry([arg.format(taken=taken, folder=folder) for arg in argv])
         stdout = assert_usage_error(err, capsys)
         assert stdout == ""  # nothing was simulated first
+        assert sorted(tmp_path.iterdir()) == [folder, taken]  # nothing written
+        assert not list(folder.iterdir())
 
     def test_record_creates_the_parent_of_out(self, tmp_path):
         out = tmp_path / "not" / "there" / "x.json"
@@ -264,15 +351,11 @@ class TestExitCodeContract:
         assert out.is_file()
 
     def test_scenario_envelope_miss_is_1(self, tmp_path, capsys):
-        import json as _json
-
-        from repro.scenarios import get_scenario
-
-        doc = get_scenario("quasi-cache-fleet").to_dict()
-        doc["envelope"] = {"commits": [100000, 200000]}
-        path = tmp_path / "impossible.json"
-        path.write_text(_json.dumps(doc))
-        assert main(["scenario", "run", str(path)]) == 1
+        path = write_document(
+            tmp_path, "impossible", base="quasi-cache-fleet",
+            envelope={"commits": [100000, 200000]},
+        )
+        assert scenario_run(path) == 1
         assert "ENVELOPE MISS" in capsys.readouterr().out
 
     def test_scenario_usage_error_is_2(self):
@@ -280,10 +363,59 @@ class TestExitCodeContract:
             main(["scenario", "run", "no-such-scenario"])
         assert err.value.code == 2
 
-    def test_audit_success_is_0(self):
-        assert audit_main(AUDIT_ARGS) == 0
+    def test_audit_success_is_0(self, tmp_path):
+        assert scenario_run(write_document(tmp_path, "small", config=SMALL), "--audit") == 0
 
-    def test_audit_usage_error_is_2(self):
+    def test_audit_usage_error_is_2(self, capsys):
+        """A check the named configuration cannot support is refused in the
+        config's own words; under --all the run is listed as unchecked."""
+        for flags in (["--audit"], ["--consistency", "update"]):
+            with pytest.raises(SystemExit) as err:
+                scenario_run("traced-replay", *flags)
+            assert assert_usage_error(err, capsys) == ""
+
+    def test_untraceable_run_under_all_is_unchecked_not_failed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.scenarios.cli as cli
+
+        library = {
+            name: get_scenario(name)
+            for name in ("quasi-cache-fleet", "traced-replay")
+        }
+        monkeypatch.setattr(cli, "builtin_scenarios", lambda: library)
+        out_path = tmp_path / "out.json"
+        assert scenario_run("--all", "--audit", "--output", out_path) == 0
+        assert "not traceable: audit runs" in capsys.readouterr().out
+        payload = json.loads(out_path.read_text())
+        by_name = {run["scenario"]: run for run in payload["runs"]}
+        assert "audit" in by_name["quasi-cache-fleet"]
+        assert "audit" not in by_name["traced-replay"]
+        assert by_name["traced-replay"]["envelope"]["ok"]
+        (skipped,) = payload["unchecked"]
+        assert skipped["scenario"] == "traced-replay" and skipped["reason"]
+
+    def test_tracing_two_runs_is_2(self, capsys):
         with pytest.raises(SystemExit) as err:
-            audit_main(["--invariant", "no-such-invariant"])
-        assert err.value.code == 2
+            scenario_run("table1-baseline", "--summary")  # three protocols
+        assert assert_usage_error(err, capsys) == ""
+
+    def test_traced_run_reconciles_and_names_itself(self, tmp_path, capsys):
+        trace, spans, out = (tmp_path / n for n in ("t.json", "s.jsonl", "o.json"))
+        code = scenario_run(
+            "traced-replay", "--trace-out", trace, "--spans", spans,
+            "--summary", "--output", out,
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "474 spans across 2 shard lane(s), 0 dropped, 60 commits" in stdout
+        assert "timeline/cycle" in stdout and "counters:" in stdout
+        assert len(spans.read_text().splitlines()) == 474
+        assert trace_main(["summarize", str(trace)]) == 0
+        assert "timeline/cycle" in capsys.readouterr().out
+        (run,) = json.loads(out.read_text())["runs"]
+        config = get_scenario("traced-replay").config_for()
+        assert run["config_fingerprint"] == config.fingerprint()
+        assert (run["shards"], run["timeline_mode"]) == (2, "replay")
+        assert run["timeline_stats"]["mode"] == "replay"
+        assert run["spans"] == 474 and run["spans_dropped"] == 0

@@ -22,7 +22,22 @@ EXPECTED_NAMES = {
     "update-storm",
     "quasi-cache-fleet",
     "crash-midrun",
+    "hostile-wrap",
+    "traced-replay",
 }
+
+#: sharded and replayed: records no global trace to audit or certify
+UNTRACEABLE = {"traced-replay"}
+
+#: documents × checks at tier-1 size (the CLI runs them as written)
+SHRUNK = {"hostile-wrap": {"num_client_transactions": 30}}
+
+TRACEABLE_RUNS = [
+    (name, protocol)
+    for name, scenario in sorted(builtin_scenarios().items())
+    if name not in UNTRACEABLE
+    for protocol in scenario.protocols
+]
 
 
 class TestLibrary:
@@ -73,6 +88,33 @@ class TestLibrary:
         assert config.faults is None
         assert config.shards == 1
         assert config.client_executor in ("process", "cohort")
+
+
+class TestEveryDocumentIsChecked:
+    """Every library run the auditor and the certifier can be asked of
+    passes both — the checks are not wired to two bespoke configs."""
+
+    @pytest.mark.parametrize("name, protocol", TRACEABLE_RUNS)
+    def test_audits_clean_and_certifies_update_consistent(self, name, protocol):
+        from repro.analysis.consistency import certify_update_consistency
+        from repro.sim import run_simulation
+
+        result = run_simulation(
+            get_scenario(name).config_for(
+                protocol, audit=True, **SHRUNK.get(name, {})
+            )
+        )
+        assert result.audit_report.ok, result.audit_report.format()
+        report = certify_update_consistency(
+            result.trace.transactional_history(result.server.database)
+        )
+        assert report.ok, report.format()
+        assert report.reader_verdicts  # a reader was actually certified
+
+    @pytest.mark.parametrize("name", sorted(UNTRACEABLE))
+    def test_a_run_with_no_global_trace_says_so(self, name):
+        with pytest.raises(ValueError, match="audit runs"):
+            get_scenario(name).config_for(audit=True)
 
 
 class TestResolution:

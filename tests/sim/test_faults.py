@@ -286,19 +286,23 @@ class TestUplinkLoss:
 
 class TestHeadlineScenario:
     def test_doze_crash_and_loss_survive_with_clean_audit(self):
-        from repro.experiments.faults import faults_config
+        from repro.scenarios import get_scenario
 
-        config = faults_config("f-matrix", transactions=30, seed=42)
-        result = run_simulation(config)
-        m = result.metrics
-        assert len(m.samples) == config.num_clients * config.num_client_transactions
-        assert m.server_crashes == 1
-        assert m.quiescent_replay_cycles >= 1
-        assert m.aborts_staleness > 0
-        report = result.audit_report
-        assert report is not None
-        assert report.ok, report.format()
-        assert "wrap-gap-safety" in report.checked
+        scenario = get_scenario("hostile-wrap")
+        for protocol in scenario.protocols:
+            config = scenario.config_for(
+                protocol, num_client_transactions=30, audit=True
+            )
+            result = run_simulation(config)
+            m = result.metrics
+            assert len(m.samples) == config.num_clients * config.num_client_transactions
+            assert m.server_crashes == 1
+            assert m.quiescent_replay_cycles >= 1
+            assert m.aborts_staleness > 0, protocol
+            report = result.audit_report
+            assert report is not None
+            assert report.ok, report.format()
+            assert "wrap-gap-safety" in report.checked
 
 
 class TestFaultRuntime:
