@@ -14,8 +14,8 @@ and cross-check protocol decisions against the APPROX theory
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -24,9 +24,8 @@ from ..core.validators import ControlSnapshot
 __all__ = ["ObjectVersion", "BroadcastCycle"]
 
 
-@dataclass(frozen=True)
-class ObjectVersion:
-    """A committed object version with provenance."""
+class ObjectVersion(NamedTuple):
+    """A committed object version with provenance (one made per write)."""
 
     obj: int
     value: object

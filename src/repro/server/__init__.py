@@ -9,13 +9,7 @@ from .locks import DeadlockError, LockManager, LockMode
 from .server import BroadcastServer
 from .twopl import ExecutionResult, TransactionProgram, TwoPLExecutor
 from .validation import BackwardValidator, UpdateSubmission, ValidationOutcome
-from .workload import (
-    ClientUpdateSpec,
-    ClientUpdateWorkload,
-    ClientWorkload,
-    ServerTransactionSpec,
-    ServerWorkload,
-)
+from .workload import ClientWorkload, ServerTransactionSpec, ServerWorkload
 
 __all__ = [
     "Database",
@@ -33,8 +27,6 @@ __all__ = [
     "ServerWorkload",
     "ServerTransactionSpec",
     "ClientWorkload",
-    "ClientUpdateWorkload",
-    "ClientUpdateSpec",
     "OCCExecutor",
     "recover_server",
     "WorkloadTrace",

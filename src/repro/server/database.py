@@ -10,12 +10,19 @@ working slot single-writer at any instant).
 
 Committed versions carry provenance (writer id, commit cycle) so the
 simulation trace can rebuild the induced global history.
+
+The database owns "what committed" and leaves the id check to the one
+door in front of it.  :meth:`Database.apply_commit` installs ids as given:
+:meth:`repro.server.BroadcastServer.commit_update` reaches it only after
+the control state's ``checked_commit`` has refused any id outside
+``0..n-1``, and the executors' programs refuse negative ids (an id past
+the end fails on the version list).  :meth:`Database.stage_write` checks
+its one id itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 from ..broadcast.program import ObjectVersion
 from ..core.model import T0
@@ -23,8 +30,7 @@ from ..core.model import T0
 __all__ = ["Database", "CommitRecord"]
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """One committed update transaction, in serialization order."""
 
     txn: str
@@ -133,16 +139,15 @@ class Database:
         """Install a transaction's writes as the committed versions.
 
         Must be called in serialization order (the executors guarantee
-        commit order == serialization order).  Returns the log record.
+        commit order == serialization order), with ids the caller has
+        checked (module docstring).  Returns the log record.
         """
-        self._commit_seq += 1
+        committed = self._committed
         for obj, value in writes.items():
-            if not 0 <= obj < self._n:
-                raise IndexError(f"object {obj} out of range")
-            self._committed[obj] = ObjectVersion(obj, value, txn, commit_cycle)
-            staged = self._working.get(obj)
-            if staged is not None and staged[1] == txn:
-                del self._working[obj]
+            committed[obj] = ObjectVersion(obj, value, txn, commit_cycle)
+        if self._working:
+            self.discard_writes(txn, writes)
+        self._commit_seq += 1
         record = CommitRecord(
             txn,
             commit_cycle,

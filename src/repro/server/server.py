@@ -176,39 +176,38 @@ class BroadcastServer:
     ) -> CommitRecord:
         """Commit one update transaction in serialization order.
 
-        ``cycle`` defaults to the server's current broadcast cycle.  The
-        database installs the writes and the control structure applies its
-        Theorem 2-style increment.  A commit naming an object outside
-        ``0..n-1`` (``IndexError``) or a cycle before the last commit's
-        (``ValueError``) is refused here, before anything is touched, so
-        the log never holds a record the control state did not apply.
+        ``cycle`` defaults to the server's current broadcast cycle.  One
+        door, each check made once: a cycle before the last commit's is
+        refused here (``ValueError``), an object outside ``0..n-1`` by the
+        control structure's ``apply_commit`` (``IndexError``) before it
+        changes anything — and only once that has applied its Theorem 2
+        increment does the database install the writes, so the log never
+        holds a record the control state did not apply.
         """
         commit_cycle = self.current_cycle if cycle is None else cycle
-        rs = tuple(read_set)
-        self._check_ids(rs)
-        self._check_ids(writes)
-        if commit_cycle < self.database.last_commit_cycle:
+        last = self.database.last_commit_cycle
+        if commit_cycle < last:
             raise ValueError(
-                f"commit cycles must be non-decreasing ({commit_cycle} < "
-                f"{self.database.last_commit_cycle})"
+                f"commit cycles must be non-decreasing ({commit_cycle} < {last})"
             )
-        record = self.database.apply_commit(txn, commit_cycle, rs, writes)
-        self._stale.update(self._control.apply_commit(commit_cycle, rs, writes.keys()))
-        return record
-
-    def _check_ids(self, objs: Iterable[int]) -> None:
-        n = self.num_objects
-        for obj in objs:
-            if not 0 <= obj < n:
-                raise IndexError(f"object id {obj} out of range 0..{n - 1}")
+        rs = tuple(read_set)
+        self._stale.update(self._control.apply_commit(commit_cycle, rs, writes))
+        return self.database.apply_commit(txn, commit_cycle, rs, writes)
 
     # ------------------------------------------------------------------
     def submit_client_update(
         self, submission: UpdateSubmission, *, cycle: Optional[int] = None
     ) -> ValidationOutcome:
-        """Validate a client update transaction; install writes on success."""
+        """Validate a client update transaction; install writes on success.
+
+        A read id outside ``0..n-1`` is refused before validation looks it
+        up; the writes meet :meth:`commit_update`'s door.
+        """
         commit_cycle = self.current_cycle if cycle is None else cycle
-        self._check_ids(obj for obj, _cycle in submission.reads)
+        n = self.num_objects
+        for obj, _cycle in submission.reads:
+            if not 0 <= obj < n:
+                raise IndexError(f"object id {obj} out of range 0..{n - 1}")
         outcome = self._validator.validate(submission, current_cycle=commit_cycle)
         if outcome.committed:
             self.commit_update(

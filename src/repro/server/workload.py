@@ -7,32 +7,65 @@
   once per transaction).
 * :class:`ClientWorkload` — read-only client transactions: ``length``
   distinct objects drawn uniformly.
-* :class:`ClientUpdateWorkload` — the client-update extension: a read-only
-  prefix followed by writes to a subset of read objects plus optionally
-  fresh ones (exercises the uplink/validation path).
 
 All generators draw from a private :class:`random.Random` stream so runs
-are reproducible and independent of each other.
+are reproducible and independent of each other.  The uniform draw is
+:func:`sample_ids`: the stdlib's ``Random.sample`` over ``range(n)``,
+written out on ``getrandbits``.  A Table-1 run makes one per server
+transaction, the generic method's preamble (population and counts
+handling, a method call per draw) cost more than the draws themselves,
+and every pinned digest rests on the draw *order* — so the helper
+replays the stdlib's algorithm call for call rather than drawing some
+other, faster way.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
-__all__ = [
-    "ServerTransactionSpec",
-    "ServerWorkload",
-    "ClientWorkload",
-    "ClientUpdateSpec",
-    "ClientUpdateWorkload",
-]
+__all__ = ["ServerTransactionSpec", "ServerWorkload", "ClientWorkload", "sample_ids"]
 
 
-@dataclass(frozen=True)
-class ServerTransactionSpec:
+def sample_ids(rng: random.Random, n: int, k: int) -> List[int]:
+    """``rng.sample(range(n), k)``, draw for draw, leaving ``rng`` in the same state.
+
+    CPython's ``Random.sample`` swaps out of a pool when ``n`` is no larger
+    than a ``k``-element set would be, and otherwise rejects repeats; both
+    draw ``getrandbits(m.bit_length())`` until the result is below ``m``.
+    A repeat is found by scanning the ids drawn so far: ``k`` is one
+    transaction's length.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result: List[int] = []
+    append = result.append
+    # the stdlib's 21 + 4 ** ceil(log(3k, 4)) for k > 5, in integers: the
+    # smallest power of four not below 3k (3k is never one, so the float
+    # logarithm lands on the same exponent)
+    setsize = 21 if k <= 5 else 21 + 4 ** (((3 * k - 1).bit_length() + 1) // 2)
+    if n <= setsize:
+        pool = list(range(n))
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            append(pool[j])
+            pool[j] = pool[m - 1]
+        return result
+    bits = n.bit_length()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in result:
+            j = getrandbits(bits)
+        append(j)
+    return result
+
+
+class ServerTransactionSpec(NamedTuple):
     """One generated server update transaction."""
 
     tid: str
@@ -70,14 +103,12 @@ class ServerWorkload:
         self._tid_prefix = tid_prefix
 
     def next_transaction(self) -> ServerTransactionSpec:
-        objects = self._rng.sample(range(self.num_objects), self.length)
+        rng, p = self._rng, self.read_probability
+        draw = rng.random
         reads: List[int] = []
         writes: List[int] = []
-        for obj in objects:
-            if self._rng.random() < self.read_probability:
-                reads.append(obj)
-            else:
-                writes.append(obj)
+        for obj in sample_ids(rng, self.num_objects, self.length):
+            (reads if draw() < p else writes).append(obj)
         tid = f"{self._tid_prefix}{next(self._counter)}"
         return ServerTransactionSpec(tid, tuple(reads), tuple(writes))
 
@@ -124,7 +155,7 @@ class ClientWorkload:
 
     def next_read_set(self) -> Tuple[int, ...]:
         if self.access_skew <= 0.0:
-            return tuple(self._rng.sample(range(self.num_objects), self.length))
+            return tuple(sample_ids(self._rng, self.num_objects, self.length))
         hot = list(range(self.hot_set_size))
         cold = list(range(self.hot_set_size, self.num_objects))
         chosen: List[int] = []
@@ -139,60 +170,5 @@ class ClientWorkload:
         return f"{self._tid_prefix}{next(self._counter)}", self.next_read_set()
 
     def __iter__(self) -> Iterator[Tuple[str, Tuple[int, ...]]]:
-        while True:
-            yield self.next_transaction()
-
-
-@dataclass(frozen=True)
-class ClientUpdateSpec:
-    """One generated client update transaction."""
-
-    tid: str
-    read_set: Tuple[int, ...]
-    write_set: Tuple[int, ...]
-
-
-class ClientUpdateWorkload:
-    """Client update transactions: read some objects, then write a few.
-
-    ``write_fraction`` of the read objects are rewritten (at least one);
-    with probability ``blind_write_probability`` one additional unread
-    object is written blindly.
-    """
-
-    def __init__(
-        self,
-        num_objects: int,
-        *,
-        length: int = 4,
-        write_fraction: float = 0.5,
-        blind_write_probability: float = 0.0,
-        seed: int = 0,
-        tid_prefix: str = "u",
-    ):
-        if not 0.0 < write_fraction <= 1.0:
-            raise ValueError("write_fraction must be in (0, 1]")
-        if length > num_objects:
-            raise ValueError("length cannot exceed num_objects (no repeats)")
-        self.num_objects = num_objects
-        self.length = length
-        self.write_fraction = write_fraction
-        self.blind_write_probability = blind_write_probability
-        self._rng = random.Random(seed)
-        self._counter = itertools.count(1)
-        self._tid_prefix = tid_prefix
-
-    def next_transaction(self) -> ClientUpdateSpec:
-        reads = self._rng.sample(range(self.num_objects), self.length)
-        num_writes = max(1, round(self.length * self.write_fraction))
-        writes = list(self._rng.sample(reads, min(num_writes, len(reads))))
-        if self._rng.random() < self.blind_write_probability:
-            fresh = [o for o in range(self.num_objects) if o not in reads]
-            if fresh:
-                writes.append(self._rng.choice(fresh))
-        tid = f"{self._tid_prefix}{next(self._counter)}"
-        return ClientUpdateSpec(tid, tuple(reads), tuple(writes))
-
-    def __iter__(self) -> Iterator[ClientUpdateSpec]:
         while True:
             yield self.next_transaction()

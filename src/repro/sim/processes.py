@@ -170,25 +170,20 @@ def server_process(
         else:
             gap = rng.expovariate(1.0 / config.server_txn_interval)
         yield Timeout(gap)
-        spec = workload.next_transaction()
+        tid, read_set, write_set = workload.next_transaction()
         if faults is not None and faults.server_down:
             # the completion evaporates with the crashed server
             metrics.server_txns_lost += 1
             if tracer.enabled:
-                tracer.emit(
-                    sim.now, sim.now, "timeline", 1, "server.commit", "lost", spec.tid
-                )
+                tracer.emit(sim.now, sim.now, "timeline", 1, "server.commit", "lost", tid)
             continue
-        if not spec.write_set:
+        if not write_set:
             continue  # read-only at the server: nothing to install
         cycle = layout.cycle_of(sim.now)
-        writes = {obj: spec.tid for obj in spec.write_set}
-        server.commit_update(spec.tid, spec.read_set, writes, cycle=cycle)
+        server.commit_update(tid, read_set, dict.fromkeys(write_set, tid), cycle=cycle)
         metrics.server_commits += 1
         if tracer.enabled:
-            tracer.emit(
-                sim.now, sim.now, "timeline", 1, "server.commit", "ok", spec.tid
-            )
+            tracer.emit(sim.now, sim.now, "timeline", 1, "server.commit", "ok", tid)
 
 
 def client_process(

@@ -21,6 +21,12 @@ def make_server(protocol, num_objects=4):
     )
 
 
+def control_array(server):
+    """The one control structure ``server`` keeps, as a dense array."""
+    (state,) = [s for s in (server.matrix, server.vector, server.grouped) if s is not None]
+    return state.array
+
+
 class TestSnapshots:
     def test_fmatrix_snapshot_carries_matrix(self):
         server = BroadcastServer(3, "f-matrix")
@@ -133,6 +139,8 @@ class TestRejectedCommits:
         with pytest.raises(error):
             server.commit_update("bad", reads, writes, cycle=cycle)
         assert server.database.commit_log == twin.database.commit_log
+        assert server.database.committed_snapshot() == twin.database.committed_snapshot()
+        assert np.array_equal(control_array(server), control_array(twin))
         # the next good commit gets the record (and sequence number) it
         # would have had, and everything a client can see is the twin's
         assert server.commit_update("t2", [0], {3: "c"}) == twin.commit_update(

@@ -1,17 +1,66 @@
 """Tests for workload generators (repro.server.workload)."""
 
 import itertools
+import random
 
 import pytest
 
 from repro.server.workload import (
-    ClientUpdateWorkload,
     ClientWorkload,
+    ServerTransactionSpec,
     ServerWorkload,
+    sample_ids,
 )
 
 
+def assert_draws_like_stdlib(n, k, seed):
+    """``sample_ids`` returns what ``Random.sample`` returns and leaves the
+    generator where ``Random.sample`` leaves it."""
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    assert sample_ids(ours, n, k) == stdlib.sample(range(n), k), (n, k, seed)
+    assert ours.getstate() == stdlib.getstate(), (n, k, seed)
+
+
+class TestSampleIds:
+    def test_every_small_population_draws_like_stdlib(self):
+        for n in range(1, 97):
+            for k in range(1, min(n, 12) + 1):
+                for seed in range(3):
+                    assert_draws_like_stdlib(n, k, seed)
+
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_table1_populations_draw_like_stdlib(self, n):
+        for seed in range(3):
+            assert_draws_like_stdlib(n, 8, seed)
+
+    @pytest.mark.parametrize("k, setsize", [(5, 21), (8, 85), (22, 277), (86, 1045)])
+    def test_branch_boundary(self, k, setsize):
+        """The stdlib swaps out of a pool up to n = 21 + 4**ceil(log(3k, 4))
+        (k = 8: 85) and rejects into a set past it: both sides agree."""
+        for n in (setsize, setsize + 1):
+            for seed in range(10):
+                assert_draws_like_stdlib(n, k, seed)
+
+    def test_bad_k_refused(self):
+        with pytest.raises(ValueError):
+            sample_ids(random.Random(0), 3, 4)
+        with pytest.raises(ValueError):
+            sample_ids(random.Random(0), 3, -1)
+
+
 class TestServerWorkload:
+    def test_first_specs_pinned(self):
+        """The draw order every pinned digest rests on, as literals: an
+        interpreter whose ``random`` differs fails here by name."""
+        wl = ServerWorkload(300, seed=42)
+        assert [wl.next_transaction() for _ in range(5)] == [
+            ServerTransactionSpec("s1", (57, 12, 140, 125, 71, 52), (114, 279)),
+            ServerTransactionSpec("s2", (279, 214, 229, 142, 3), (112, 81, 216)),
+            ServerTransactionSpec("s3", (40, 282, 150), (22, 235, 274, 63, 193)),
+            ServerTransactionSpec("s4", (40, 119, 51, 186), (194, 142, 232, 83)),
+            ServerTransactionSpec("s5", (83, 236, 194, 138, 285, 28), (112, 166)),
+        ]
+
     def test_length_and_uniqueness(self):
         wl = ServerWorkload(20, length=8, seed=1)
         for spec in itertools.islice(wl, 50):
@@ -100,24 +149,3 @@ class TestClientWorkload:
         wl = ClientWorkload(10, length=5, seed=7, access_skew=1.0, hot_fraction=0.1)
         objs = wl.next_read_set()
         assert len(set(objs)) == 5
-
-
-class TestClientUpdateWorkload:
-    def test_writes_subset_of_reads_plus_blind(self):
-        wl = ClientUpdateWorkload(10, length=4, write_fraction=0.5, seed=1)
-        for _ in range(20):
-            spec = wl.next_transaction()
-            non_blind = [w for w in spec.write_set if w in spec.read_set]
-            assert len(non_blind) >= 1
-
-    def test_blind_writes_optional(self):
-        wl = ClientUpdateWorkload(
-            10, length=2, blind_write_probability=1.0, seed=3
-        )
-        spec = wl.next_transaction()
-        blind = [w for w in spec.write_set if w not in spec.read_set]
-        assert len(blind) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ClientUpdateWorkload(10, write_fraction=0.0)
