@@ -5,8 +5,9 @@ contract: what ships to a pool worker is a :class:`SimulationConfig`
 (frozen, declarative), a :class:`TimelineHandle` (a *name* for a
 shared-memory arena, no payload), and what ships back is a
 :class:`MetricsCollector` plus scalars.  A live
-:class:`BroadcastSimulation` — its :class:`Simulator` event queue,
-:class:`BroadcastServer`, :class:`SharedState`, fault runtime — is none
+:class:`BroadcastSimulation` — its :class:`Simulator` event queue, its
+:class:`LiveTimeline` and :class:`BroadcastServer`, :class:`SharedState`,
+fault runtime — is none
 of those things: pickling one either fails outright (generator-based
 processes don't pickle) or, worse, silently forks divergent copies of
 state whose whole point is to be authoritative and singular.
@@ -40,6 +41,7 @@ _FORBIDDEN_CLASSES = frozenset(
         "BroadcastServer",
         "Simulator",
         "SharedState",
+        "LiveTimeline",
         "FaultRuntime",
         "CohortExecutor",
     }

@@ -8,7 +8,7 @@ Responsibilities, exactly as the paper lists them:
 2. ensure conflict serializability of transactions submitted to it —
    server-resident transactions commit through
    :meth:`BroadcastServer.commit_update` in serialization order (the
-   strict-2PL executor or the simulation's completion process provide
+   strict-2PL executor or the simulation's completion stream provide
    that order), and client-submitted update transactions go through
    backward validation (:meth:`BroadcastServer.submit_client_update`);
 3. transmit the control information each cycle — the per-cycle
@@ -146,11 +146,11 @@ class BroadcastServer:
     def restore_from(self, revived: "BroadcastServer") -> None:
         """Adopt a revived server's state in place (mid-run crash recovery).
 
-        The fault-injection crash process rebuilds a server from the
-        durable state via :func:`repro.server.recovery.recover_server` and
-        then swaps the rebuilt state into the live object, so every
-        process holding a reference to the original server transparently
-        talks to the recovered one.
+        Crash recovery in the broadcast timeline rebuilds a server from
+        the durable state via :func:`repro.server.recovery.recover_server`
+        and then swaps the rebuilt state into the live object, so
+        everything holding a reference to the original server
+        transparently talks to the recovered one.
         """
         if revived.protocol != self.protocol:
             raise ValueError(

@@ -1,13 +1,14 @@
 """Timeline arena: record the authoritative broadcast once, replay it anywhere.
 
 Sharded recompute has every shard derive the authoritative timeline —
-cycle process, server process, crash schedule, update clients — from the
-config's seeds: correct, but k shards pay k× the timeline cost.  This
+the live broadcast timeline (:mod:`repro.sim.timeline`: cycles, server
+completions, crashes) and the update clients — from the config's seeds:
+correct, but k shards pay k× the timeline cost.  This
 module materialises the paper's own asymmetry instead: *one* broadcast,
 many observers.
 
-The **recording pass** (the primary shard, run live) retains every
-installed broadcast image; :meth:`TimelineArena.from_images` then
+The **recording pass** (the primary shard, run live) has its timeline
+retain every installed broadcast image; :meth:`TimelineArena.from_images` then
 serialises that history into flat append-only buffers:
 
 * a **snapshot pool** — the distinct frozen control arrays, deduplicated
@@ -36,9 +37,9 @@ history: the recording pass publishes **chunks** of it (arenas with a
 ``first_cycle``) on a :class:`TimelineFeed` as it records, and the
 replay shards, started before it, read them as they appear.
 :class:`TimelineView` turns the chunks back into ``broadcast(cycle)`` —
-the exact interface ``SharedState.broadcast_for`` and the analytic
-tier's replay loop consume — rebuilding each cycle lazily from the flat
-buffers.  A cycle not published yet blocks the reader; one past the
+the interface of the live :class:`~repro.sim.timeline.LiveTimeline`,
+which the clients and the analytic tier's replay loop consume —
+rebuilding each cycle lazily from the flat buffers.  A cycle not published yet blocks the reader; one past the
 horizon the feed was closed at raises :class:`TimelineExhausted`, and
 the shard layer recomputes that shard, so replay is an optimisation,
 never a correctness risk.
@@ -61,7 +62,7 @@ from dataclasses import dataclass, fields, replace
 from hashlib import sha256
 from multiprocessing import resource_tracker, shared_memory
 from secrets import token_hex
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +70,6 @@ from ..broadcast.control_info import rebuild_snapshot, snapshot_payload
 from ..broadcast.program import BroadcastCycle, ObjectVersion
 from ..core.group_matrix import Partition
 from ..obs.profiler import PhaseProfiler
-from .engine import Simulator
 from .metrics import MetricsCollector
 
 if TYPE_CHECKING:  # type-only: config imports faults, never arena
@@ -303,9 +303,9 @@ class TimelineArena:
     ) -> None:
         """Fold the recorded timeline counters at stop time ``upto``.
 
-        Equivalent to driving the live timeline to ``upto`` (inclusive,
-        matching ``Simulator.run(until=...)``) with ``metrics`` as its
-        collector.
+        Equivalent to advancing the live timeline to ``upto`` (inclusive,
+        as :meth:`~repro.sim.timeline.LiveTimeline.advance_to` is) with
+        ``metrics`` as its collector.
         """
         for time, name, delta in self.journal:
             if time <= upto:
@@ -463,8 +463,7 @@ class TimelineFeed:
 
 class TimelineView:
     """``broadcast(cycle)`` over a timeline's chunks — the replay-side
-    drop-in for the live ``SharedState.broadcast_for`` / analytic
-    ``_Timeline``.
+    drop-in for :class:`~repro.sim.timeline.LiveTimeline`.
 
     ``source(index)`` yields the chunks (:meth:`TimelineFeed.chunk`; a
     sealed arena is its own one chunk).  A cycle beyond those published
@@ -487,6 +486,9 @@ class TimelineView:
         self._epochs: Dict[Tuple[int, int], Tuple[ObjectVersion, ...]] = {}
         self.profiler = PhaseProfiler()
 
+    def advance_to(self, time: float) -> None:
+        """Nothing to run: a sealed timeline has already happened."""
+
     def broadcast(self, cycle: int) -> BroadcastCycle:
         image = self._cycles.get(cycle)
         if image is not None:
@@ -503,7 +505,7 @@ class TimelineView:
         slot = cycle - arena.first_cycle
         pool_row = int(arena.snap_index[slot]) if slot >= 0 else -1
         if pool_row < 0:
-            # dead air (crash outage): mirrors the live broadcast_for
+            # dead air (crash outage): mirrors the live timeline
             raise RuntimeError(f"no broadcast image for cycle {cycle}")
         snapshot = rebuild_snapshot(
             arena.kind, cycle, arena.snap_pool[pool_row], arena.partition
@@ -528,10 +530,11 @@ class TimelineView:
 class RecordingTimelineMetrics(MetricsCollector):
     """The timeline's collector on a recording pass: a journal.
 
-    The cycle, server and crash processes and the fault runtime get this
-    in place of the run's measured collector.  A counter write keeps the
-    running total here (``+=`` reads back what it wrote) and is appended
-    to :attr:`journal` as ``(now, field, delta)``; nothing reaches the
+    The live timeline gets this in place of the run's measured collector.
+    A counter write keeps the running total here (``+=`` reads back what
+    it wrote) and is appended to :attr:`journal` as ``(clock.now, field,
+    delta)`` — the instant of the timeline event making it, which may lie
+    behind or ahead of the clients' clock; nothing reaches the
     measured collector until :meth:`TimelineArena.apply_journal` folds
     the journal at the merged stop time.  The pass therefore needs no
     shielding while it records past its own clients' stop, and a run
@@ -540,11 +543,12 @@ class RecordingTimelineMetrics(MetricsCollector):
     """
 
     _JOURNALLED = frozenset(MetricsCollector._COUNTER_FIELDS)
-    _sim: Simulator
+    _clock: Any
     journal: List[JournalEntry]
 
-    def __init__(self, sim: Simulator) -> None:
-        self.__dict__["_sim"] = sim
+    def __init__(self, clock: Any) -> None:
+        """``clock.now`` stamps each entry (the live timeline is one)."""
+        self.__dict__["_clock"] = clock
         self.__dict__["journal"] = []
         super().__init__()
 
@@ -552,7 +556,7 @@ class RecordingTimelineMetrics(MetricsCollector):
         # the zeroing in MetricsCollector.__init__ is not an increment
         old = self.__dict__.get(name)
         if old is not None and name in self._JOURNALLED:
-            self.journal.append((self._sim.now, name, value - old))  # type: ignore[operator]
+            self.journal.append((self._clock.now, name, value - old))  # type: ignore[operator]
         self.__dict__[name] = value
 
 

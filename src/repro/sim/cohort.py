@@ -42,8 +42,8 @@ on randomized configs.
 Clients off the air — an update transaction's submission travelling the
 uplink, a finished client sitting out its trailing delay — own one real
 simulator event at the instant the kernel names (``wake``): the
-submission reaches the server (where loss draws and the server's
-backward validation happen) exactly when the per-process
+submission reaches the timeline's uplink door (where loss draws and the
+server's backward validation happen) exactly when the per-process
 ``_submit_update`` generator would have resumed.
 
 Fault plans (docs/FAULTS.md) need nothing extra here: the kernel shifts
@@ -172,7 +172,7 @@ class CohortExecutor:
                     ends.append(kernel.retune(time))
             survivors = heard
         if survivors:
-            broadcast = self.state.broadcast_for(bucket.cycle)
+            broadcast = self.state.broadcast_for(bucket.cycle, time)
             verdicts: Sequence[Optional[bool]]
             if env.staleness is not None:
                 verdicts = [None] * len(survivors)  # the kernel validates

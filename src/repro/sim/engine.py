@@ -141,7 +141,10 @@ class Simulator:
           fires first;
         * ``stop_when`` — predicate evaluated after every event; stops at
           the current event's time;
-        * ``max_events`` — hard safety cap.
+        * ``max_events`` — hard safety cap on :attr:`events_processed`.
+          A broadcast simulation puts only its clients on the engine (the
+          server side, :mod:`repro.sim.timeline`, is advanced on demand
+          and costs no event), so there the cap counts client events.
 
         Returns the simulation time at stop.
         """

@@ -12,21 +12,20 @@ deterministic simulation inputs:
   :class:`DozeInterval` radio-off windows, :class:`ServerCrash`
   crash+recovery events, and uplink submission loss with
   retry/timeout/backoff for client update transactions;
-* :class:`FaultRuntime` — the per-run mutable state the simulation
-  processes consult (is the server down? is this client dozing? was
-  this slot heard?), charging every missed slot to a cause-attributed
-  metric;
-* :func:`crash_process` — a simulator process that kills the server at
-  each scheduled crash, rebuilds it from the durable state via
-  :func:`repro.server.recovery.recover_server`, replays the downtime as
-  quiescent cycles, and swaps the rebuilt state into the live server
-  object (:meth:`repro.server.server.BroadcastServer.restore_from`).
+* :class:`FaultRuntime` — what a run asks of the plan (is the server
+  down at this instant? is this client dozing? was this slot heard? was
+  this submission lost?), charging every missed slot to a
+  cause-attributed metric.
+
+The crashes themselves — the server killed, rebuilt from its durable
+state by :func:`repro.server.recovery.recover_server`, the downtime
+replayed as quiescent cycles — are events of the broadcast timeline
+(:mod:`repro.sim.timeline`).
 
 Everything is derived from the plan and the config seed: two runs with
 the same config (including its plan) are bit-identical.  A ``None`` (or
-no-op) plan leaves every process on its exact pre-fault event sequence,
-so zero-fault runs are bit-identical to runs of a build without this
-module.
+no-op) plan builds no runtime at all, so zero-fault runs are
+bit-identical to runs of a build without this module.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Generator,
     List,
     Mapping,
     Optional,
@@ -48,34 +46,21 @@ from typing import (
     Tuple,
     Type,
     TypeVar,
-    Union,
 )
 
 import numpy as np
 
 from ..core.cycles import CycleArithmetic, ModuloCycles
-from ..server.recovery import recover_server
-from .engine import Simulator, Timeout, WaitUntil
 
-if TYPE_CHECKING:  # type-only: avoid import cycles with config/processes
-    from ..broadcast.layout import BroadcastLayout
-    from ..server.server import BroadcastServer
-    from .config import SimulationConfig
+if TYPE_CHECKING:  # type-only: metrics is not needed to build a plan
     from .metrics import MetricsCollector
-    from .processes import SharedState
-    from .trace import TraceRecorder
 
 __all__ = [
     "DozeInterval",
     "ServerCrash",
     "FaultPlan",
     "FaultRuntime",
-    "crash_process",
 ]
-
-#: what the crash process generator yields
-FaultEvents = Generator[Union[Timeout, WaitUntil], None, None]
-
 
 _T = TypeVar("_T")
 
@@ -263,8 +248,7 @@ class FaultPlan:
         """Does this plan inject nothing at all?
 
         A no-op plan is treated exactly like ``faults=None``: no fault
-        runtime is built, no crash process is spawned, and the run is
-        bit-identical to a zero-fault run.
+        runtime is built and the run is bit-identical to a zero-fault run.
         """
         return (
             not self.doze
@@ -356,28 +340,31 @@ class FaultPlan:
         )
 
 
+
+
 class FaultRuntime:
-    """Per-run mutable fault state the simulation processes consult."""
+    """What a run's clients and timeline ask of the plan, answered from it.
+
+    Everything here is plan data plus one random stream per client: the
+    server's outage windows, the clients' doze windows, the uplink-loss
+    draws.  The crashes themselves happen in the broadcast timeline
+    (:class:`repro.sim.timeline.LiveTimeline`); nothing here follows it.
+    """
 
     def __init__(
         self,
         plan: FaultPlan,
         arithmetic: CycleArithmetic,
-        metrics: "MetricsCollector",
         seed: int = 0,
     ) -> None:
         self.plan = plan
-        self.metrics = metrics
         #: root of the per-client uplink-loss stream tree (config seed)
         self._seed = seed
         self._uplink_streams: Dict[int, np.random.Generator] = {}
-        #: True between a crash and the completed recovery
-        self.server_down = False
-        self._outage_start: Optional[float] = None
-        #: completed outages as closed [start, end] pairs — a slot whose
-        #: wait began before a crash may end after the recovery and must
-        #: still count as unheard
-        self._outages: List[Tuple[float, float]] = []
+        #: every outage as a closed ``[crash.time, crash.end]`` window
+        self._outages: Tuple[Tuple[float, float], ...] = tuple(
+            (crash.time, crash.end) for crash in plan.crashes
+        )
         per_client: Dict[int, List[DozeInterval]] = {}
         for interval in plan.doze:
             per_client.setdefault(interval.client, []).append(interval)
@@ -393,29 +380,15 @@ class FaultRuntime:
         )
 
     # -- server outages -------------------------------------------------
-    def preload_outages(self, outages: Sequence[Tuple[float, float]]) -> None:
-        """Install the complete outage history up front (replay shards).
+    def down_at(self, time: float) -> bool:
+        """Is the server down for an uplink submission arriving at ``time``?
 
-        A replay shard hosts no crash process — the dead air is already
-        baked into the arena's recorded timeline — but its *readers*
-        still lose slots that overlap an outage.  Crash windows are plan
-        data (``[crash.time, crash.time + downtime]``), so the replay
-        runtime starts with every outage closed; ``slot_heard`` then
-        makes exactly the live run's decisions without ``server_down``
-        ever being raised.
+        A crash takes effect at its own instant and so does its recovery:
+        a submission arriving exactly at the crash finds the server dead,
+        one arriving exactly at the recovery finds it back
+        (``crash.time <= time < crash.end``).
         """
-        self._outages = list(outages)
-
-    def begin_outage(self, time: float) -> None:
-        self.server_down = True
-        self._outage_start = time
-        self.metrics.server_crashes += 1
-
-    def end_outage(self, time: float) -> None:
-        assert self._outage_start is not None
-        self._outages.append((self._outage_start, time))
-        self._outage_start = None
-        self.server_down = False
+        return any(start <= time < end for start, end in self._outages)
 
     # -- client radio ---------------------------------------------------
     def doze_wake(self, client: int, now: float) -> Optional[float]:
@@ -430,22 +403,17 @@ class FaultRuntime:
         client: int,
         start: float,
         end: float,
-        metrics: Optional["MetricsCollector"] = None,
+        metrics: "MetricsCollector",
     ) -> bool:
         """Was the broadcast slot ``[start, end]`` fully received?
 
-        A slot overlapping a server outage carried dead air; a slot
-        overlapping one of the client's doze intervals found the radio
-        off.  Either way the read re-tunes at the object's next
-        appearance.  Each miss is charged to its cause — into
-        ``metrics`` when given (shards route a client's misses to the
-        collector that measures that client), else the run collector.
+        A slot overlapping a server outage carried dead air — also one
+        whose wait began before the crash and ends after the recovery; a
+        slot overlapping one of the client's doze intervals found the
+        radio off.  Either way the read re-tunes at the object's next
+        appearance, and the miss is charged to its cause in ``metrics``,
+        the collector that measures ``client``.
         """
-        if metrics is None:
-            metrics = self.metrics
-        if self._outage_start is not None and end > self._outage_start:
-            metrics.crash_slot_stalls += 1
-            return False
         for outage_start, outage_end in self._outages:
             if outage_start < end and start < outage_end:
                 metrics.crash_slot_stalls += 1
@@ -470,89 +438,3 @@ class FaultRuntime:
             stream = np.random.default_rng(np.random.SeedSequence((self._seed, client)))
             self._uplink_streams[client] = stream
         return float(stream.random()) < self.plan.uplink_loss_probability
-
-
-def crash_process(
-    sim: Simulator,
-    config: "SimulationConfig",
-    server: "BroadcastServer",
-    layout: "BroadcastLayout",
-    state: "SharedState",
-    metrics: "MetricsCollector",
-    trace: Optional["TraceRecorder"] = None,
-) -> FaultEvents:
-    """Kill and recover the server at each scheduled crash.
-
-    The crash snapshots the durable state (the database carries the
-    commit log and the last-broadcast-cycle mark), marks the server down
-    for the scheduled downtime — during which the cycle process
-    broadcasts nothing, the completion process loses its transactions
-    and the uplink returns no verdicts — then rebuilds a server via
-    :func:`repro.server.recovery.recover_server`, replays every cycle
-    boundary that passed during the downtime as a quiescent cycle, and
-    installs the result into the live server object in place.
-    """
-    faults = state.faults
-    assert faults is not None
-    tracer = state.tracer
-    for crash in faults.plan.crashes:
-        yield WaitUntil(crash.time)
-        # volatile state dies here; only the database's log + cycle mark
-        # survive (snapshotted before anything else can touch them)
-        durable_log = server.database.commit_log
-        durable_cycle = server.database.last_broadcast_cycle
-        crash_start = sim.now
-        faults.begin_outage(sim.now)
-        yield Timeout(crash.downtime)
-        revived = recover_server(
-            durable_log,
-            config.num_objects,
-            config.protocol,
-            arithmetic=config.arithmetic(),
-            partition=config.partition(),
-            current_cycle=durable_cycle,
-        )
-        # cycles whose boundaries fell inside the outage were dead air;
-        # the recovered server re-issues them as quiescent cycles so its
-        # cycle counter — and every ModuloCycles anchor derived from it —
-        # lines up with wall-clock broadcast time again
-        current = layout.cycle_of(sim.now)
-        replayed = None
-        replayed_count = 0
-        for cycle in range(durable_cycle + 1, current + 1):
-            replayed = revived.begin_cycle(cycle)
-            metrics.quiescent_replay_cycles += 1
-            replayed_count += 1
-        server.restore_from(revived)
-        if replayed is not None:
-            # the in-progress cycle's image: clients whose slots end
-            # after the recovery read from it
-            state.advance(replayed)
-            metrics.cycles_broadcast += 1
-            if tracer.enabled:
-                # the re-issued image goes on air *now*, mid-cycle: the
-                # span starts at the recovery instant (the same time the
-                # counter increment is journalled at) and runs to the
-                # boundary the image nominally covers
-                tracer.emit(
-                    sim.now,
-                    replayed.cycle * layout.cycle_bits,
-                    "timeline",
-                    0,
-                    "cycle",
-                    "ok",
-                    str(replayed.cycle),
-                )
-            if trace is not None and trace.record_cycles:
-                trace.record_cycle(replayed)
-        faults.end_outage(sim.now)
-        if tracer.enabled:
-            tracer.emit(
-                crash_start,
-                sim.now,
-                "timeline",
-                2,
-                "crash",
-                "ok",
-                f"replayed={replayed_count}",
-            )

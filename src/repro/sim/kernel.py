@@ -46,10 +46,10 @@ from ..client.cache import QuasiCache
 from ..client.runtime import ClientUpdateTransactionRuntime, ReadOnlyTransactionRuntime
 from ..core.validators import ReadValidator
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..server.server import BroadcastServer
 from .config import SimulationConfig
 from .faults import FaultRuntime
 from .metrics import MetricsCollector
+from .timeline import LiveTimeline
 from .trace import TraceRecorder
 
 __all__ = ["ClientEnv", "ClientKernel"]
@@ -63,7 +63,7 @@ class ClientEnv:
         "layout",
         "metrics",
         "faults",
-        "server",
+        "timeline",
         "trace",
         "tracer",
         "staleness",
@@ -84,7 +84,7 @@ class ClientEnv:
         layout: BroadcastLayout,
         metrics: MetricsCollector,
         faults: Optional[FaultRuntime] = None,
-        server: Optional[BroadcastServer] = None,
+        timeline: Optional[LiveTimeline] = None,
         trace: Optional[TraceRecorder] = None,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
@@ -92,7 +92,8 @@ class ClientEnv:
         self.layout = layout
         self.metrics = metrics
         self.faults = faults
-        self.server = server
+        #: the uplink's far end; None where no client may update
+        self.timeline = timeline
         self.trace = trace
         self.tracer = tracer
         #: the paper's max-cycles rejoin bound, active under modulo
@@ -436,9 +437,9 @@ class ClientKernel:
     def uplink_arrival(self, now: float) -> Optional[float]:
         """The submission reaches the server at ``now`` — or doesn't.
 
-        Fault outcomes (dead server, in-transit loss from the client's
-        own numpy stream) are decided at the arrival instant and the
-        server's backward validation runs here; the verdict's client-side
+        The timeline's uplink door decides at the arrival instant: lost
+        to a dead server or in transit (from the client's own numpy
+        stream), or validated by the server.  The verdict's client-side
         consequences touch only private state, so they are computed on
         the spot, dated ``now + half_rtt``.
         """
@@ -447,44 +448,38 @@ class ClientKernel:
         tracer = env.tracer
         runtime = self.runtime
         assert isinstance(runtime, ClientUpdateTransactionRuntime)
-        assert env.server is not None
+        assert env.timeline is not None
         client, tid = self.client_id, runtime.tid
-        faults = env.faults
-        if faults is not None:
-            plan = faults.plan
-            cause: Optional[str] = None
-            if faults.server_down:
-                # the submission reaches a dead uplink: no verdict ever
+        status = env.timeline.uplink(now, client, runtime.submission())
+        if status in ("crash", "uplink"):
+            # no verdict ever comes back
+            if status == "crash":
                 metrics.uplink_crash_losses += 1
-                cause = "crash"
-            elif plan.uplink_loss_probability > 0.0 and faults.uplink_lost(client):
+            else:
                 metrics.uplink_losses += 1
-                cause = "uplink"
-            if cause is not None:
-                if self.uplink_retries >= plan.uplink_max_retries:
-                    metrics.record_abort(cause)
-                    if tracer.enabled:
-                        tracer.emit(
-                            self.uplink_start, now, "client", client,
-                            "uplink", cause, tid,
-                        )
-                    return self.advance(self._restart(now, cause), True)
+            assert env.faults is not None
+            plan = env.faults.plan
+            if self.uplink_retries >= plan.uplink_max_retries:
+                metrics.record_abort(status)
                 if tracer.enabled:
-                    tracer.emit(now, now, "client", client, "uplink.retry", cause, tid)
-                # wait out the verdict timeout, back off, resubmit
-                delay = plan.uplink_timeout * plan.uplink_backoff**self.uplink_retries
-                self.uplink_retries += 1
-                metrics.uplink_retries += 1
-                self.wake = now + delay + env.half_rtt
-                return None
-        outcome = env.server.submit_client_update(runtime.submission())
+                    tracer.emit(
+                        self.uplink_start, now, "client", client, "uplink", status, tid
+                    )
+                return self.advance(self._restart(now, status), True)
+            if tracer.enabled:
+                tracer.emit(now, now, "client", client, "uplink.retry", status, tid)
+            # wait out the verdict timeout, back off, resubmit
+            delay = plan.uplink_timeout * plan.uplink_backoff**self.uplink_retries
+            self.uplink_retries += 1
+            metrics.uplink_retries += 1
+            self.wake = now + delay + env.half_rtt
+            return None
         verdict_time = now + env.half_rtt
-        status = "ok" if outcome.committed else "conflict"
         if tracer.enabled:
             tracer.emit(
                 self.uplink_start, verdict_time, "client", client, "uplink", status, tid
             )
-        if outcome.committed:
+        if status == "ok":
             metrics.client_updates_committed += 1
             start_time = self.finish(verdict_time)
             return None if start_time is None else self.advance(start_time, True)

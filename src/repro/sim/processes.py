@@ -1,32 +1,35 @@
-"""Simulation processes: the broadcast cycle, the server, and clients.
+"""Simulation processes: the per-process reference client.
 
 Event choreography (all times in bit-units):
 
-* the **cycle process** fires at every cycle boundary, freezing the
-  committed database + control info into the cycle's broadcast image;
-* the **server process** completes update transactions with exponential
-  (or deterministic) inter-completion gaps — rate 1 per
-  ``server_txn_interval`` (Table 1) — committing them in completion
-  order, which is therefore the serialization order the control matrix
-  needs;
-* each **client process** runs read-only transactions back to back: an
-  exponential think time before each read (except the first, matching
+* the **broadcast timeline** (:mod:`repro.sim.timeline`) holds the server
+  side — a broadcast image frozen at every cycle boundary, server
+  transactions committed in completion order, crashes and recoveries —
+  and is no process at all: every client observation first advances it
+  to the observer's instant;
+* each **client process** runs transactions back to back: an exponential
+  think time before each read (except the first, matching
   "inter-operation delay"), a wait until the object's slot in the
   broadcast, validation against the cycle's control snapshot, abort and
-  restart from scratch on rejection, and an exponential inter-transaction
-  delay after commit.  Response time spans submission to commit,
-  including restarts (Sec. 4's metric).
+  restart from scratch on rejection, an uplink submission at commit for
+  an update transaction, and an exponential inter-transaction delay
+  after commit.  Response time spans submission to commit, including
+  restarts (Sec. 4's metric).
 
-Object slots lie strictly inside a cycle and cycle-boundary events are
-scheduled before same-time reads, so a read at slot time ``t`` always
-observes the broadcast image of the cycle containing ``t``.
+So the engine schedules clients only.  Object slots lie strictly inside a
+cycle, and advancing the timeline to a read's instant processes the
+boundary at that instant first, so a read at slot time ``t`` always
+observes the broadcast image of the cycle its slot lies in.
+
+The cohort and analytical executors schedule :mod:`repro.sim.kernel`
+instead; this module is the independent reference they are tested against.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Generator, Optional, Sequence, Union
 
 from ..broadcast.layout import FlatLayout
 from ..broadcast.program import BroadcastCycle
@@ -34,18 +37,18 @@ from ..client.cache import QuasiCache
 from ..client.runtime import ClientUpdateTransactionRuntime, ReadOnlyTransactionRuntime
 from ..core.validators import ReadValidator
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..server.server import BroadcastServer
-from ..server.workload import ClientWorkload, ServerWorkload
+from ..server.workload import ClientWorkload
 from .config import SimulationConfig
 from .engine import Simulator, Timeout, WaitUntil
 from .metrics import MetricsCollector
 from .trace import TraceRecorder
 
-if TYPE_CHECKING:  # type-only: faults/arena import engine, never processes
+if TYPE_CHECKING:  # type-only: arena/faults/timeline never import processes
     from .arena import TimelineView
     from .faults import FaultRuntime
+    from .timeline import LiveTimeline
 
-__all__ = ["SharedState", "cycle_process", "server_process", "client_process"]
+__all__ = ["SharedState", "client_process"]
 
 #: what a simulation process generator yields / returns
 SimEvents = Generator[Union[Timeout, WaitUntil], None, None]
@@ -58,132 +61,28 @@ _LOSS_RETUNE = Timeout(1.0)
 
 @dataclass
 class SharedState:
-    """State shared between the simulation's processes."""
+    """What a run's client schedulers share."""
 
-    current_broadcast: Optional[BroadcastCycle] = None
-    previous_broadcast: Optional[BroadcastCycle] = None
-    clients_done: int = 0
+    #: the broadcast the clients hear: the live timeline, or on a replay
+    #: shard a sealed one (:class:`repro.sim.arena.TimelineView`)
+    timeline: "LiveTimeline | TimelineView"
     num_clients: int = 1
+    clients_done: int = 0
     #: per-run fault state; None on zero-fault runs — every fault hook in
     #: the processes below is guarded on it, so fault-free event sequences
     #: are untouched
     faults: Optional["FaultRuntime"] = None
-    #: when set (the analytical tier and the arena recording pass), every
-    #: installed broadcast image is retained here by cycle number, so
-    #: replays can read arbitrarily far behind the live pair
-    record_images: Optional[Dict[int, BroadcastCycle]] = None
-    #: when set (a replay shard), broadcast images come from a sealed
-    #: timeline arena instead of live cycle/server processes — the shard
-    #: hosts no timeline at all (docs/PERFORMANCE.md §6)
-    timeline: Optional["TimelineView"] = None
-    #: span sink for the timeline-side processes (cycle/server/crash);
-    #: the no-op singleton unless tracing is on *and* this shard owns
-    #: the timeline (exactly one primary emits timeline spans, mirroring
-    #: the primary-only timeline-metrics rule)
-    tracer: Tracer = NULL_TRACER
 
     @property
     def all_clients_done(self) -> bool:
         return self.clients_done >= self.num_clients
 
-    def advance(self, broadcast: BroadcastCycle) -> None:
-        if self.record_images is not None:
-            self.record_images[broadcast.cycle] = broadcast
-        self.previous_broadcast = self.current_broadcast
-        self.current_broadcast = broadcast
-
-    def broadcast_for(self, cycle: int) -> BroadcastCycle:
-        """The broadcast image of ``cycle``.
-
-        The last object's slot ends exactly on the cycle boundary, at
-        which instant the next image has already been installed — hence
-        the previous image is retained one cycle.
-        """
-        if self.timeline is not None:
-            return self.timeline.broadcast(cycle)
-        for candidate in (self.current_broadcast, self.previous_broadcast):
-            if candidate is not None and candidate.cycle == cycle:
-                return candidate
-        raise RuntimeError(f"no broadcast image for cycle {cycle}")
-
-
-def cycle_process(
-    sim: Simulator,
-    server: BroadcastServer,
-    layout: FlatLayout,
-    state: SharedState,
-    trace: Optional[TraceRecorder] = None,
-    metrics: Optional[MetricsCollector] = None,
-) -> "SimEvents":
-    """Freeze and 'transmit' one broadcast image per cycle, forever."""
-    cycle = 0
-    # the events are immutable descriptors: one instance serves every cycle
-    cycle_tick = Timeout(layout.cycle_bits)
-    tracer = state.tracer
-    while True:
-        cycle += 1
-        faults = state.faults
-        if faults is not None and (
-            faults.server_down or server.current_cycle >= cycle
-        ):
-            # dead air: the server is down — or crash recovery already
-            # re-issued this cycle as a quiescent replay — so no fresh
-            # image goes out at this boundary
-            yield cycle_tick
-            continue
-        broadcast = server.begin_cycle(cycle)
-        state.advance(broadcast)
-        if metrics is not None:
-            metrics.cycles_broadcast += 1
-        if tracer.enabled:
-            tracer.emit(
-                sim.now,
-                sim.now + layout.cycle_bits,
-                "timeline",
-                0,
-                "cycle",
-                "ok",
-                str(cycle),
-            )
-        if trace is not None and trace.record_cycles:
-            trace.record_cycle(broadcast)
-        yield cycle_tick
-
-
-def server_process(
-    sim: Simulator,
-    config: SimulationConfig,
-    server: BroadcastServer,
-    workload: ServerWorkload,
-    layout: FlatLayout,
-    rng: random.Random,
-    metrics: MetricsCollector,
-    state: Optional[SharedState] = None,
-) -> "SimEvents":
-    """Complete server update transactions at the configured rate."""
-    deterministic = config.server_interval_distribution == "deterministic"
-    faults = state.faults if state is not None else None
-    tracer = state.tracer if state is not None else NULL_TRACER
-    while True:
-        if deterministic:
-            gap = config.server_txn_interval
-        else:
-            gap = rng.expovariate(1.0 / config.server_txn_interval)
-        yield Timeout(gap)
-        tid, read_set, write_set = workload.next_transaction()
-        if faults is not None and faults.server_down:
-            # the completion evaporates with the crashed server
-            metrics.server_txns_lost += 1
-            if tracer.enabled:
-                tracer.emit(sim.now, sim.now, "timeline", 1, "server.commit", "lost", tid)
-            continue
-        if not write_set:
-            continue  # read-only at the server: nothing to install
-        cycle = layout.cycle_of(sim.now)
-        server.commit_update(tid, read_set, dict.fromkeys(write_set, tid), cycle=cycle)
-        metrics.server_commits += 1
-        if tracer.enabled:
-            tracer.emit(sim.now, sim.now, "timeline", 1, "server.commit", "ok", tid)
+    def broadcast_for(self, cycle: int, time: float) -> BroadcastCycle:
+        """The image of ``cycle``, as a reader whose slot ends at ``time``
+        hears it: the timeline is advanced to that instant first."""
+        timeline = self.timeline
+        timeline.advance_to(time)
+        return timeline.broadcast(cycle)
 
 
 def client_process(
@@ -196,7 +95,7 @@ def client_process(
     state: SharedState,
     metrics: MetricsCollector,
     rng: random.Random,
-    server: Optional[BroadcastServer] = None,
+    timeline: Optional["LiveTimeline"] = None,
     trace: Optional[TraceRecorder] = None,
     cache: Optional[QuasiCache] = None,
     tracer: Tracer = NULL_TRACER,
@@ -217,7 +116,7 @@ def client_process(
         tid = f"cl{client_id}.{tid}"
         is_update = (
             config.client_update_fraction > 0.0
-            and server is not None
+            and timeline is not None
             and config.update_capable(client_id)
             and rng.random() < config.client_update_fraction
         )
@@ -258,7 +157,7 @@ def client_process(
                     config,
                     runtime,
                     write_objs,
-                    server,
+                    timeline,
                     metrics,
                     state=state,
                     client_id=client_id,
@@ -293,85 +192,75 @@ def _submit_update(
     config: SimulationConfig,
     runtime: ReadOnlyTransactionRuntime,
     write_objs: Sequence[int],
-    server: "BroadcastServer",
+    timeline: "LiveTimeline",
     metrics: MetricsCollector,
-    state: Optional[SharedState] = None,
+    state: SharedState,
     client_id: int = 0,
     tracer: Tracer = NULL_TRACER,
     attempt_start: float = 0.0,
 ) -> "SimAttempt":
     """Ship a finished update transaction up the uplink; True iff committed.
 
-    With faults active a submission can be lost — in transit (the plan's
+    With faults active a submission can be lost — because the server is
+    down when it arrives, or in transit (the plan's
     ``uplink_loss_probability``, drawn from the client's own seeded
-    stream so the sequence is independent of executor and shard layout)
-    or because the server is down when it arrives.  Either way no
-    verdict comes back: the client waits out the plan's verdict timeout,
-    backs off multiplicatively, and resubmits, up to
+    stream so the sequence is independent of executor and shard layout).
+    Either way no verdict comes back: the client waits out the plan's
+    verdict timeout, backs off multiplicatively, and resubmits, up to
     ``uplink_max_retries`` times before the attempt aborts with a
     cause-attributed metric.
     """
     assert isinstance(runtime, ClientUpdateTransactionRuntime)
     for obj in write_objs:
         runtime.write(obj, f"{runtime.tid}#{runtime.attempt}")
-    faults = state.faults if state is not None else None
-    plan = faults.plan if faults is not None else None
     half_rtt = Timeout(config.uplink_round_trip / 2)
     retries = 0
     uplink_start = sim.now
     tid = runtime.tid
     while True:
         yield half_rtt
-        if plan is not None and faults is not None:
-            if faults.server_down:
-                # the submission reaches a dead uplink: no verdict ever
+        status = timeline.uplink(sim.now, client_id, runtime.submission())
+        if status in ("crash", "uplink"):
+            # no verdict ever comes back
+            if status == "crash":
                 metrics.uplink_crash_losses += 1
-                cause = "crash"
-            elif plan.uplink_loss_probability > 0.0 and faults.uplink_lost(
-                client_id
-            ):
-                metrics.uplink_losses += 1
-                cause = "uplink"
             else:
-                cause = None
-            if cause is not None:
-                if retries >= plan.uplink_max_retries:
-                    metrics.record_abort(cause)
-                    if tracer.enabled:
-                        tracer.emit(
-                            uplink_start, sim.now, "client", client_id,
-                            "uplink", cause, tid,
-                        )
-                        tracer.emit(
-                            attempt_start, sim.now, "client", client_id,
-                            "attempt", cause, tid,
-                        )
-                    return False
+                metrics.uplink_losses += 1
+            assert state.faults is not None
+            plan = state.faults.plan
+            if retries >= plan.uplink_max_retries:
+                metrics.record_abort(status)
                 if tracer.enabled:
                     tracer.emit(
-                        sim.now, sim.now, "client", client_id,
-                        "uplink.retry", cause, tid,
+                        uplink_start, sim.now, "client", client_id,
+                        "uplink", status, tid,
                     )
-                # wait out the verdict timeout, back off, resubmit
-                yield Timeout(plan.uplink_timeout * plan.uplink_backoff**retries)
-                retries += 1
-                metrics.uplink_retries += 1
-                continue
-        outcome = server.submit_client_update(runtime.submission())
-        yield half_rtt
-        if outcome.committed:
-            metrics.client_updates_committed += 1
+                    tracer.emit(
+                        attempt_start, sim.now, "client", client_id,
+                        "attempt", status, tid,
+                    )
+                return False
             if tracer.enabled:
                 tracer.emit(
-                    uplink_start, sim.now, "client", client_id, "uplink", "ok", tid
+                    sim.now, sim.now, "client", client_id,
+                    "uplink.retry", status, tid,
                 )
+            # wait out the verdict timeout, back off, resubmit
+            yield Timeout(plan.uplink_timeout * plan.uplink_backoff**retries)
+            retries += 1
+            metrics.uplink_retries += 1
+            continue
+        yield half_rtt
+        if tracer.enabled:
+            tracer.emit(
+                uplink_start, sim.now, "client", client_id, "uplink", status, tid
+            )
+        if status == "ok":
+            metrics.client_updates_committed += 1
             return True
         metrics.client_updates_rejected += 1
         metrics.record_abort("conflict")
         if tracer.enabled:
-            tracer.emit(
-                uplink_start, sim.now, "client", client_id, "uplink", "conflict", tid
-            )
             tracer.emit(
                 attempt_start, sim.now, "client", client_id, "attempt", "conflict", tid
             )
@@ -417,7 +306,7 @@ def _attempt(
                 hit = layout.next_read(obj, sim.now)
                 yield WaitUntil(hit.time)
                 if faults is not None and not faults.slot_heard(
-                    client_id, hit.time - layout.slot_bits, hit.time
+                    client_id, hit.time - layout.slot_bits, hit.time, metrics
                 ):
                     # dozed or dead air through (part of) the slot: same
                     # re-tune as a radio loss, but charged to its cause
@@ -433,7 +322,7 @@ def _attempt(
                     yield _LOSS_RETUNE
                     continue
                 break
-            broadcast = state.broadcast_for(hit.cycle)
+            broadcast = state.broadcast_for(hit.cycle, hit.time)
             # tuning time: the client listened for the whole slot (data +
             # its control share); a cache hit costs nothing — the battery
             # argument of Secs. 2.1/3.3 made measurable

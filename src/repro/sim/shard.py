@@ -7,8 +7,8 @@ provided every shard sees the same broadcast.  Two modes provide it:
 
 * **recompute** (``config.timeline_mode == "recompute"``, the default):
   each shard deterministically recomputes the authoritative timeline
-  from the config's seeds — the cycle process, the server process, the
-  crash schedule, and every update-capable client (whose uplink
+  from the config's seeds — the live broadcast timeline (cycles, server
+  completions, crashes) and every update-capable client (whose uplink
   submissions mutate the server) run in *every* shard, bit-identically.
   Correct, but k shards pay k× the timeline cost.
 
@@ -18,8 +18,8 @@ provided every shard sees the same broadcast.  Two modes provide it:
   recorded* on a :class:`~repro.sim.arena.TimelineFeed` of sealed
   shared-memory chunks.  The worker shards start before the recording
   pass does and replay their reader range as pure observers of the feed
-  (no cycle, server or crash process; crash dead-air reproduced from the
-  plan's closed outage windows), blocking only where nothing is
+  (no live timeline; crash dead-air reproduced from the plan's closed
+  outage windows), blocking only where nothing is
   published yet: an analytic pass runs the timeline ahead of its own
   readers, so they hardly wait; an event-driven one shares its readers'
   clock and publishes once, at the horizon.  A shard that reads past the
@@ -170,7 +170,7 @@ def _simulate(
         simulation = BroadcastSimulation(config, slice_=slice_)
     else:
         observers = replace(slice_, updaters=0, primary=False)
-        simulation = BroadcastSimulation(config, slice_=observers, timeline=view)
+        simulation = BroadcastSimulation(config, slice_=observers, view=view)
     sim_time, events = simulation.execute(max_events)
     stall = view.profiler.as_dict().get("stall", 0.0) if view is not None else 0.0
     spans, dropped = simulation.tracer.export(), simulation.tracer.dropped
@@ -356,7 +356,8 @@ def run_sharded(
                 first = _execute(recorder, max_events)
             horizon = recorder.recording_horizon(first.sim_time)
             with profiler.phase("extend"):
-                recorder.sim.run(until=horizon, max_events=max_events)
+                assert recorder.timeline is not None
+                recorder.timeline.advance_to(horizon)
             with profiler.phase("seal"):
                 recorder.publish_timeline(horizon)
                 live.close()
@@ -373,7 +374,6 @@ def run_sharded(
         owner=owner,
         # any chunk: they share the recording pass's one journal
         arena=feed.chunks[-1] if feed is not None else None,
-        max_events=max_events,
     )
     profile = profiler.as_dict()
     if feed is not None:

@@ -8,16 +8,18 @@ experiments, benchmarks and examples::
     result = run_simulation(SimulationConfig(protocol="f-matrix"))
     print(result.response_time.mean, result.restart_ratio.mean)
 
-One simulator instance hosts: the cycle process, the server completion
-process, and ``num_clients`` client processes (the paper simulates one
-client — protocol decisions at distinct clients are independent, so a
-single client suffices for response-time statistics; more are supported).
+One run is a :class:`~repro.sim.timeline.LiveTimeline` — the server
+side: broadcast cycles, server completions, crashes — advanced on demand,
+plus ``num_clients`` clients scheduled on a
+:class:`~repro.sim.engine.Simulator` (the paper simulates one client —
+protocol decisions at distinct clients are independent, so a single
+client suffices for response-time statistics; more are supported).
 
 Sharded runs (``config.shards > 1``; :mod:`repro.sim.shard`) give each
 shard a :class:`ShardSlice`: every shard deterministically *recomputes*
-the authoritative timeline — the cycle, server, crash and update-client
-processes — from the shared seeds, and simulates only its own contiguous
-range of read-only clients on top of it.  Read-only clients never touch
+the authoritative timeline — the live timeline and the update clients —
+from the shared seeds, and simulates only its own contiguous range of
+read-only clients on top of it.  Read-only clients never touch
 shared state, so the timeline each shard derives is bit-identical to the
 unsharded run's; the only data shards exchange is a
 :class:`ShardOutcome`.  Exactly one shard (the primary) records the
@@ -56,15 +58,16 @@ from ..obs.profiler import PhaseProfiler
 from ..obs.telemetry import telemetry_from_result
 from ..obs.tracer import NULL_TRACER, Span, Tracer, canonical_spans
 from ..server.server import BroadcastServer
-from ..server.workload import ClientWorkload, ServerWorkload
+from ..server.workload import ClientWorkload
 from .arena import RecordingTimelineMetrics, TimelineArena, TimelineFeed, TimelineView
 from .cohort import CohortExecutor
 from .config import SimulationConfig
 from .engine import Simulator
-from .faults import FaultRuntime, crash_process
+from .faults import FaultRuntime
 from .kernel import ClientEnv, ClientKernel
 from .metrics import MetricsCollector, SummaryStat
-from .processes import SharedState, client_process, cycle_process, server_process
+from .processes import SharedState, client_process
+from .timeline import LiveTimeline
 from .trace import TraceRecorder
 
 __all__ = [
@@ -123,6 +126,7 @@ class ShardOutcome(NamedTuple):
     metrics: MetricsCollector
     #: when this shard's last client finished
     sim_time: float
+    #: client-side engine events (the timeline costs none)
     events: int
     #: the shard's raw span stream (empty when tracing is off, and for
     #: the in-process timeline owner, whose stream is read at assembly)
@@ -147,6 +151,8 @@ class SimulationResult:
     server: Optional[BroadcastServer]
     trace: Optional[TraceRecorder]
     sim_time: float
+    #: engine events, summed over shards: client scheduling only — the
+    #: broadcast timeline is advanced on demand and costs none
     events: int
     #: invariant-audit report, populated when the config sets ``audit=True``
     audit_report: Optional["AuditReport"] = None
@@ -185,7 +191,7 @@ class BroadcastSimulation:
         collect_trace: bool = False,
         client_workloads: Optional[List] = None,
         slice_: Optional[ShardSlice] = None,
-        timeline: Optional[TimelineView] = None,
+        view: Optional[TimelineView] = None,
         record_timeline: bool = False,
         feed: Optional[TimelineFeed] = None,
     ):
@@ -198,88 +204,77 @@ class BroadcastSimulation:
         (:mod:`repro.sim.shard` builds these); ``None`` simulates and
         measures everyone.
 
-        ``timeline`` makes this a **replay** simulation: broadcast images
-        come from a sealed arena and no cycle/server/crash process is
-        spawned — the slice must contain observers (readers) only.
-        ``record_timeline`` makes this a **recording** pass: every
-        installed image is retained and the timeline's counters are
-        journalled instead of counted (``self.metrics`` holds the
-        clients' measurements only, until the arena's journal is folded
-        in at the merged stop time), so :meth:`seal_timeline` can build
-        the arena replays attach to.  The two are mutually exclusive.
-        A recording pass given a ``feed`` publishes on it what it has
-        recorded whenever it runs the timeline on.
+        ``view`` makes this a **replay** simulation: broadcast images
+        come from a sealed arena and there is no live timeline — the
+        slice must contain observers (readers) only.
+        ``record_timeline`` makes this a **recording** pass: the timeline
+        retains every installed image and journals its counters instead
+        of counting them (``self.metrics`` holds the clients'
+        measurements only, until the arena's journal is folded in at the
+        merged stop time), so :meth:`seal_timeline` can build the arena
+        replays attach to.  The two are mutually exclusive.  A recording
+        pass given a ``feed`` publishes on it what it has recorded
+        whenever it runs the timeline on.
         """
-        if timeline is not None and record_timeline:
+        if view is not None and record_timeline:
             raise ValueError("a simulation cannot both replay and record a timeline")
         self.config = config
         self.feed = feed
         self.slice = _full_slice(config) if slice_ is None else slice_
         self.layout: BroadcastLayout = config.layout()
-        self.server = BroadcastServer(
-            config.num_objects,
-            config.protocol,
-            arithmetic=config.arithmetic(),
-            partition=config.partition(),
-        )
         self.sim = Simulator()
         self.metrics = MetricsCollector()
         #: span sink for everything this shard measures; the no-op
         #: singleton keeps untraced runs allocation-free
         self.tracer: Tracer = Tracer() if config.tracing else NULL_TRACER
-        #: where the shared timeline's metrics (server process, crash
-        #: recovery, fault runtime, ghost update clients) land: the
-        #: measured collector on the primary shard, a discarded shadow
-        #: elsewhere, a journal on a recording pass
-        self._timeline_metrics: MetricsCollector
-        if record_timeline:
-            self._timeline_metrics = RecordingTimelineMetrics(self.sim)
-        elif self.slice.primary:
-            self._timeline_metrics = self.metrics
-        else:
-            self._timeline_metrics = MetricsCollector()
-        self.timeline_view = timeline
         if (collect_trace or config.audit) and slice_ is not None:
             raise ValueError("trace/audit runs cannot be sliced into shards")
-        if (collect_trace or config.audit) and timeline is not None:
+        if (collect_trace or config.audit) and view is not None:
             raise ValueError("trace/audit runs cannot replay a timeline")
         self.trace = TraceRecorder() if (collect_trace or config.audit) else None
         if self.trace is not None and config.audit:
             self.trace.record_cycles = True
-        local_clients = self.slice.updaters + self.slice.num_readers
-        self.state = SharedState(num_clients=local_clients)
-        # timeline spans (cycle/server/crash) are primary-only, exactly
-        # like timeline metrics: ghost timelines recompute the same
-        # history and would double-emit
-        self.state.tracer = self.tracer if self.slice.primary else NULL_TRACER
-        if timeline is not None:
-            self.state.timeline = timeline
-        if record_timeline:
-            self.state.record_images = {}
-        # a no-op plan is indistinguishable from no plan: no runtime, no
-        # crash process, bit-identical event sequences
+        # a no-op plan is indistinguishable from no plan: no runtime,
+        # bit-identical event sequences
+        faults = None
         if config.faults is not None and not config.faults.is_noop:
-            self.state.faults = FaultRuntime(
-                config.faults,
-                config.arithmetic(),
-                self._timeline_metrics,
-                seed=config.seed,
+            faults = FaultRuntime(config.faults, config.arithmetic(), seed=config.seed)
+        #: the server side, advanced on demand; None on a replay shard,
+        #: whose clients hear the sealed ``view`` instead
+        self.timeline: Optional[LiveTimeline] = None
+        heard: "LiveTimeline | TimelineView"
+        if view is None:
+            heard = self.timeline = LiveTimeline(
+                config,
+                self.layout,
+                faults=faults,
+                trace=self.trace,
+                # timeline spans are primary-only, exactly like timeline
+                # metrics: ghost timelines recompute the same history
+                # and would double-emit
+                tracer=self.tracer if self.slice.primary else NULL_TRACER,
+                keep_images=record_timeline or config.client_executor == "analytic",
             )
-            if timeline is not None:
-                # a replay shard hosts no crash process; the dead-air
-                # windows its readers must observe are plan data
-                self.state.faults.preload_outages(
-                    [(crash.time, crash.end) for crash in config.faults.crashes]
-                )
-
-        base_seed = config.seed
-        self._server_workload = ServerWorkload(
-            config.num_objects,
-            length=config.server_txn_length,
-            read_probability=config.server_read_probability,
-            seed=base_seed * 1_000_003 + 1,
+        else:
+            heard = view
+        #: where the shared timeline's metrics (server completions, crash
+        #: recovery, ghost update clients) land: the measured collector
+        #: on the primary shard, a discarded shadow elsewhere, a journal
+        #: on a recording pass
+        self._timeline_metrics: MetricsCollector
+        if record_timeline:
+            self._timeline_metrics = RecordingTimelineMetrics(self.timeline)
+        elif self.slice.primary:
+            self._timeline_metrics = self.metrics
+        else:
+            self._timeline_metrics = MetricsCollector()
+        if self.timeline is not None:
+            self.timeline.metrics = self._timeline_metrics
+        self.state = SharedState(
+            heard,
+            num_clients=self.slice.updaters + self.slice.num_readers,
+            faults=faults,
         )
-        self._server_rng = random.Random(base_seed * 1_000_003 + 2)
         if client_workloads is not None and len(client_workloads) != config.num_clients:
             raise ValueError(
                 f"need {config.num_clients} client workloads, "
@@ -331,7 +326,7 @@ class BroadcastSimulation:
             layout=self.layout,
             metrics=metrics,
             faults=self.state.faults,
-            server=self.server,
+            timeline=self.timeline,
             trace=self.trace,
             tracer=tracer,
         )
@@ -350,65 +345,25 @@ class BroadcastSimulation:
         sl = self.slice
         return list(range(sl.updaters)) + list(range(sl.reader_lo, sl.reader_hi))
 
-    # ------------------------------------------------------------------
-    def spawn_timeline(self) -> None:
-        """Spawn the authoritative processes: cycle and server."""
-        sim = self.sim
-        sim.spawn(
-            cycle_process(
-                sim,
-                self.server,
-                self.layout,
-                self.state,
-                self.trace,
-                metrics=self._timeline_metrics,
-            ),
-            name="cycle",
-        )
-        sim.spawn(
-            server_process(
-                sim,
-                self.config,
-                self.server,
-                self._server_workload,
-                self.layout,
-                self._server_rng,
-                self._timeline_metrics,
-                state=self.state,
-            ),
-            name="server",
-        )
-
-    def spawn_crash_process(self) -> None:
-        """Spawn crash recovery (after the clients: spawn order is part
-        of the determinism contract for same-instant tie-breaking)."""
-        if self.timeline_view is not None:
-            return  # replay shards observe outages; they don't host them
-        if self.state.faults is not None and self.state.faults.plan.crashes:
-            self.sim.spawn(
-                crash_process(
-                    self.sim,
-                    self.config,
-                    self.server,
-                    self.layout,
-                    self.state,
-                    self._timeline_metrics,
-                    trace=self.trace,
-                ),
-                name="fault-crash",
-            )
-
     # -- recording pass (timeline arena) -------------------------------
     def recording_horizon(self, time: float) -> float:
         """How far the timeline is recorded once a reader has reached ``time``."""
         return time * _HORIZON_FACTOR + _HORIZON_SLACK_CYCLES * self.layout.cycle_bits
 
     def publish_timeline(self, horizon_time: float) -> None:
-        """Publish the cycles recorded since the last publication, if any."""
+        """Advance the timeline to ``horizon_time`` and publish the cycles
+        recorded since the last publication, if any.
+
+        Running the timeline ahead of the clients is safe here and only
+        here: its counters are journalled and folded at the run's own
+        stop, and its spans are truncated there.
+        """
         feed = self.feed
         assert feed is not None, "publish_timeline requires a feed"
+        assert self.timeline is not None
+        self.timeline.advance_to(horizon_time)
         first_cycle = feed.chunks[-1].last_cycle + 1 if feed.chunks else 1
-        if max(self.state.record_images or (0,)) >= first_cycle:
+        if max(self.timeline.images, default=0) >= first_cycle:
             feed.publish(self.seal_timeline(horizon_time, first_cycle))
 
     def seal_timeline(self, horizon_time: float, first_cycle: int = 1) -> TimelineArena:
@@ -418,12 +373,11 @@ class BroadcastSimulation:
         the timeline is later driven past ``horizon_time`` (a fallen-back
         shard outlived it), the fold at the merged stop still covers it.
         """
-        images = self.state.record_images
-        assert images, "seal_timeline requires a record_timeline=True run"
         journal = self._timeline_metrics
         assert isinstance(journal, RecordingTimelineMetrics)
+        assert self.timeline is not None
         return TimelineArena.from_images(
-            images,
+            self.timeline.images,
             cycle_bits=float(self.layout.cycle_bits),
             horizon_time=horizon_time,
             partition=self.config.partition(),
@@ -436,8 +390,6 @@ class BroadcastSimulation:
         config = self.config
         sim = self.sim
         sl = self.slice
-        if self.timeline_view is None:
-            self.spawn_timeline()
         # ghost updaters (non-primary shards) record into the shadow
         # collector; everyone this shard measures records into the real one
         cohorts: List[Tuple[ClientEnv, List[ClientKernel]]] = []
@@ -463,14 +415,13 @@ class BroadcastSimulation:
                     self.state,
                     self.metrics,
                     self.rng_for(k),
-                    server=self.server,
+                    timeline=self.timeline,
                     trace=self.trace,
                     cache=self.cache_for(k),
                     tracer=self.tracer,
                 ),
                 name=f"client-{k}",
             )
-        self.spawn_crash_process()
         for env, group in cohorts:
             if group:
                 CohortExecutor(
@@ -483,6 +434,9 @@ class BroadcastSimulation:
     def execute(self, max_events: Optional[int] = None) -> Tuple[float, int]:
         """Run the simulation; returns ``(sim_time, events)``.
 
+        ``sim_time`` is when this shard's last client finished, and the
+        live timeline, if any, is left advanced to it; ``events`` counts
+        the engine's client-side events, which ``max_events`` caps.
         Metrics land in ``self.metrics``; :meth:`run` wraps this with the
         summary statistics.  Shard workers call this directly — a
         secondary shard's partial sample set isn't summarisable on its
@@ -492,8 +446,12 @@ class BroadcastSimulation:
             # imported lazily: the analytical tier is optional machinery
             from .analytic import run_analytic
 
-            return run_analytic(self, max_events=max_events)
-        return self._run_events(max_events)
+            sim_time, events = run_analytic(self, max_events=max_events)
+        else:
+            sim_time, events = self._run_events(max_events)
+        if self.timeline is not None:
+            self.timeline.advance_to(sim_time)
+        return sim_time, events
 
     def run(self, *, max_events: Optional[int] = None) -> SimulationResult:
         outcome = ShardOutcome(self.metrics, *self.execute(max_events))
@@ -515,7 +473,6 @@ def assemble_result(
     *,
     owner: Optional[BroadcastSimulation] = None,
     arena: Optional[TimelineArena] = None,
-    max_events: Optional[int] = None,
 ) -> SimulationResult:
     """The one place a run's measurements become a :class:`SimulationResult`.
 
@@ -534,8 +491,8 @@ def assemble_result(
     # keeps going until the globally-last client finishes; the timeline
     # whose metrics are recorded must cover the same span
     with profiler.phase("drive"):
-        if owner is not None and sim_time > owner.sim.now:
-            owner.sim.run(until=sim_time, max_events=max_events)
+        if owner is not None and owner.timeline is not None:
+            owner.timeline.advance_to(sim_time)
         if arena is not None:
             arena.apply_journal(merged, upto=sim_time)
 
@@ -559,7 +516,7 @@ def assemble_result(
         response_time=merged.response_time(config.measure_fraction),
         restart_ratio=merged.restart_ratio(config.measure_fraction),
         metrics=merged,
-        server=owner.server if owner is not None else None,
+        server=owner.timeline.server if owner and owner.timeline else None,
         trace=owner.trace if owner is not None else None,
         sim_time=sim_time,
         events=sum(outcome.events for outcome in outcomes),
@@ -580,6 +537,9 @@ def run_simulation(
     ``config.timeline_mode == "replay"`` also routes through the shard
     layer (even at one shard): the run records or reuses a sealed
     timeline arena and replays observers against it.
+
+    ``max_events`` caps each shard's engine events — client scheduling
+    only: the broadcast timeline is advanced on demand and costs none.
     """
     if config.shards > 1 or config.timeline_mode == "replay":
         from .shard import run_sharded

@@ -1,0 +1,280 @@
+"""The broadcast timeline: the server side of a run, as a function of time.
+
+In the paper (Sec. 3.2.1) a server commit reaches clients only through the
+image frozen at the next cycle boundary, and every server draw comes from
+the server's own seeded streams.  So the whole server side — completions,
+commits, cycle freezes, crashes and recoveries — is fixed by the config
+before the run starts, and a client can observe it only three ways: by
+reading a frozen image, by submitting an update over the uplink, and by
+the counters read at run end.  :class:`LiveTimeline` computes it on
+demand: :meth:`~LiveTimeline.advance_to` processes every timeline event at
+or before an instant, and the observers call it with theirs::
+
+    read at t          ─► advance_to(t) ─► broadcast(cycle)
+    uplink arrival at t ─► uplink(t, …)  ─► advance_to(t), plan, server
+    recording horizon  ─► advance_to(horizon)      (repro.sim.simulation)
+    run end            ─► advance_to(stop)         (assemble_result)
+
+Three streams make the events; each schedules its next event when the
+current one fires:
+
+* **cycles** — at every boundary, freeze the committed database and the
+  control state into the cycle's broadcast image, unless the server is
+  down or crash recovery already re-issued that cycle;
+* **completions** — one server transaction per exponential (or
+  deterministic) gap of mean ``server_txn_interval`` (Table 1), committed
+  in completion order, which is the serialization order the control
+  matrix needs; a completion while the server is down is lost;
+* **crashes** — at each of the plan's crashes the volatile state dies;
+  after the downtime the server is rebuilt from its durable log by
+  :func:`repro.server.recovery.recover_server`, the boundaries that fell
+  inside the outage are replayed as quiescent cycles, and the image of
+  the cycle in progress goes on air at the recovery instant.
+
+Same-instant events fire in ``(time, seq)`` order, ``seq`` counting
+schedulings in this timeline in the streams' order (cycles, completions,
+crashes) — exactly the order a discrete-event engine hosting the three as
+processes fires them, so a completion that lands on a boundary commits in
+the cycle that boundary opens.  An observer at instant ``t`` sees every
+event at or before ``t``: a boundary at a read's instant has installed its
+image (the slot ending on it read the previous image, which is retained),
+and a completion — or a crash, or a recovery — at an uplink arrival's
+instant has happened when the submission is validated.
+
+The timeline keeps the last two images, or every image when asked
+(the analytical tier and a recording pass read arbitrarily far back).
+Nothing here touches :mod:`repro.sim.engine`: clients are scheduled on the
+engine, the server side never is.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+
+from ..broadcast.layout import BroadcastLayout
+from ..broadcast.program import BroadcastCycle
+from ..obs.tracer import NULL_TRACER, Tracer
+from ..server.recovery import recover_server
+from ..server.server import BroadcastServer
+from ..server.validation import UpdateSubmission
+from ..server.workload import ServerWorkload
+from .metrics import MetricsCollector
+
+if TYPE_CHECKING:  # type-only: config imports faults, never this module
+    from .config import SimulationConfig
+    from .faults import FaultRuntime
+    from .trace import TraceRecorder
+
+__all__ = ["LiveTimeline"]
+
+#: a stream yields the instant of its next event; it runs that event when
+#: it is resumed
+Stream = Iterator[float]
+
+
+class LiveTimeline:
+    """The server, its broadcast images and its crashes, advanced on demand."""
+
+    def __init__(
+        self,
+        config: "SimulationConfig",
+        layout: BroadcastLayout,
+        *,
+        faults: Optional["FaultRuntime"] = None,
+        trace: Optional["TraceRecorder"] = None,
+        tracer: Tracer = NULL_TRACER,
+        keep_images: bool = False,
+    ) -> None:
+        self.config = config
+        self.layout = layout
+        self.server = BroadcastServer(
+            config.num_objects,
+            config.protocol,
+            arithmetic=config.arithmetic(),
+            partition=config.partition(),
+        )
+        self.faults = faults
+        self.trace = trace
+        self.tracer = tracer
+        #: where the timeline's counters land; the owner points it at the
+        #: measured collector, a discarded shadow, or a journal before the
+        #: first advance
+        self.metrics = MetricsCollector()
+        #: installed images by cycle: the last two, or all of them
+        self.images: Dict[int, BroadcastCycle] = {}
+        self._keep_images = keep_images
+        #: the instant of the event being (or last) processed
+        self.now = 0.0
+        #: between a crash and its recovery
+        self._down = False
+        base_seed = config.seed * 1_000_003
+        self._workload = ServerWorkload(
+            config.num_objects,
+            length=config.server_txn_length,
+            read_probability=config.server_read_probability,
+            seed=base_seed + 1,
+        )
+        self._rng = random.Random(base_seed + 2)
+        self._seq = itertools.count()
+        streams = [self._cycles(), self._completions()]
+        if faults is not None and faults.plan.crashes:
+            streams.append(self._crashes())
+        self._queue: List[Tuple[float, int, Stream]] = [
+            (0.0, next(self._seq), stream) for stream in streams
+        ]
+
+    # -- the doors ------------------------------------------------------
+    def advance_to(self, time: float) -> None:
+        """Process every event at or before ``time``, in ``(time, seq)`` order."""
+        queue = self._queue
+        seq = self._seq
+        while queue and queue[0][0] <= time:
+            self.now, _, stream = heappop(queue)
+            at = next(stream, None)
+            if at is not None:
+                heappush(queue, (at, next(seq), stream))
+
+    def broadcast(self, cycle: int) -> BroadcastCycle:
+        """The installed image of ``cycle``.
+
+        The last object's slot ends exactly on the cycle boundary, at
+        which instant the next image is already installed — hence the
+        previous image is retained one cycle.
+        """
+        image = self.images.get(cycle)
+        if image is None:
+            raise RuntimeError(f"no broadcast image for cycle {cycle}")
+        return image
+
+    def uplink(self, time: float, client: int, submission: UpdateSubmission) -> str:
+        """A client's update submission reaching the server at ``time``.
+
+        Returns what happened to it: ``"crash"`` — the server is down
+        (the plan's outage windows); ``"uplink"`` — lost in transit (one
+        draw from the client's own stream, made only if the server is
+        up); otherwise the server's verdict, ``"ok"`` or ``"conflict"``,
+        after backward validation against every commit at or before
+        ``time``.
+        """
+        self.advance_to(time)
+        faults = self.faults
+        if faults is not None:
+            if faults.down_at(time):
+                return "crash"
+            if faults.plan.uplink_loss_probability > 0.0 and faults.uplink_lost(
+                client
+            ):
+                return "uplink"
+        committed = self.server.submit_client_update(submission).committed
+        return "ok" if committed else "conflict"
+
+    # -- the streams ----------------------------------------------------
+    def _install(self, image: BroadcastCycle, end: float) -> None:
+        """Put ``image`` on air now, nominally until ``end``."""
+        images = self.images
+        images[image.cycle] = image
+        if len(images) > 2 and not self._keep_images:
+            del images[next(iter(images))]
+        self.metrics.cycles_broadcast += 1
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.now, end, "timeline", 0, "cycle", "ok", str(image.cycle)
+            )
+        trace = self.trace
+        if trace is not None and trace.record_cycles:
+            trace.record_cycle(image)
+
+    def _cycles(self) -> Stream:
+        cycle_bits = self.layout.cycle_bits
+        server = self.server
+        cycle = 0
+        while True:
+            cycle += 1
+            # dead air: the server is down — or crash recovery already
+            # re-issued this cycle as a quiescent replay
+            if not self._down and server.current_cycle < cycle:
+                self._install(server.begin_cycle(cycle), self.now + cycle_bits)
+            yield self.now + cycle_bits
+
+    def _completions(self) -> Stream:
+        config = self.config
+        server = self.server
+        next_transaction = self._workload.next_transaction
+        expovariate = self._rng.expovariate
+        cycle_of = self.layout.cycle_of
+        tracer = self.tracer
+        interval = config.server_txn_interval
+        deterministic = config.server_interval_distribution == "deterministic"
+        while True:
+            gap = interval if deterministic else expovariate(1.0 / interval)
+            yield self.now + gap
+            tid, read_set, write_set = next_transaction()
+            now = self.now
+            if self._down:
+                # the completion evaporates with the crashed server
+                self.metrics.server_txns_lost += 1
+                if tracer.enabled:
+                    tracer.emit(now, now, "timeline", 1, "server.commit", "lost", tid)
+                continue
+            if not write_set:
+                continue  # read-only at the server: nothing to install
+            server.commit_update(
+                tid, read_set, dict.fromkeys(write_set, tid), cycle=cycle_of(now)
+            )
+            self.metrics.server_commits += 1
+            if tracer.enabled:
+                tracer.emit(now, now, "timeline", 1, "server.commit", "ok", tid)
+
+    def _crashes(self) -> Stream:
+        config = self.config
+        server = self.server
+        faults = self.faults
+        assert faults is not None
+        for crash in faults.plan.crashes:
+            yield crash.time
+            # volatile state dies here; only the database's log and cycle
+            # mark survive (snapshotted before anything can touch them)
+            durable_log = server.database.commit_log
+            durable_cycle = server.database.last_broadcast_cycle
+            self._down = True
+            self.metrics.server_crashes += 1
+            yield self.now + crash.downtime
+            revived = recover_server(
+                durable_log,
+                config.num_objects,
+                config.protocol,
+                arithmetic=config.arithmetic(),
+                partition=config.partition(),
+                current_cycle=durable_cycle,
+            )
+            # cycles whose boundaries fell inside the outage were dead air;
+            # the recovered server re-issues them as quiescent cycles so its
+            # counter — and every ModuloCycles anchor derived from it —
+            # lines up with wall-clock broadcast time again
+            replayed = [
+                revived.begin_cycle(cycle)
+                for cycle in range(durable_cycle + 1, self.layout.cycle_of(self.now) + 1)
+            ]
+            if replayed:
+                self.metrics.quiescent_replay_cycles += len(replayed)
+            server.restore_from(revived)
+            if replayed:
+                # the in-progress cycle's image goes on air now, mid-cycle,
+                # for the boundary it nominally covers: readers whose slots
+                # end after the recovery read it
+                image = replayed[-1]
+                self._install(image, image.cycle * self.layout.cycle_bits)
+            self._down = False
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    crash.time,
+                    self.now,
+                    "timeline",
+                    2,
+                    "crash",
+                    "ok",
+                    f"replayed={len(replayed)}",
+                )

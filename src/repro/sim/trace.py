@@ -57,7 +57,7 @@ class TraceRecorder:
         #: the cycle's frozen versions and control snapshot, which is what
         #: the invariant auditor checks monotonicity/agreement over
         self.cycles: List[BroadcastCycle] = []
-        #: whether the cycle process should record broadcast images
+        #: whether the broadcast timeline should record its images
         self.record_cycles: bool = False
 
     def record_client_commit(

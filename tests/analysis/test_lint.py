@@ -216,6 +216,21 @@ class TestRules:
         assert len(findings) == 1
         assert "BroadcastSimulation" in findings[0].message
 
+    def test_rep009_catches_the_live_timeline(self, tmp_path):
+        """The server side of a run is singular too: a worker handed a
+        copy of the live timeline would advance a divergent server."""
+        path = write_fixture(
+            tmp_path,
+            "timelinecross.py",
+            "__all__ = []\nimport pickle\n\n\n"
+            "def ship(owner):\n"
+            "    return pickle.dumps(LiveTimeline(owner.config, owner.layout))\n",
+        )
+        findings = [f for f in lint_file(path) if f.rule == "REP009"]
+        assert len(findings) == 1
+        assert "LiveTimeline" in findings[0].message
+
+
 class TestDriver:
     def test_repo_source_is_clean(self):
         findings = lint_paths([REPO_SRC])

@@ -116,6 +116,30 @@ class TestEveryDocumentIsChecked:
         with pytest.raises(ValueError, match="audit runs"):
             get_scenario(name).config_for(audit=True)
 
+    @pytest.mark.parametrize("name", sorted(UNTRACEABLE))
+    def test_its_timeline_audits_clean_unsharded(self, name):
+        """The same clients and timeline, one shard recomputing it: the
+        history the sharded replay reproduces bit for bit."""
+        from repro.analysis.consistency import certify_update_consistency
+        from repro.sim import run_simulation
+
+        for protocol in get_scenario(name).protocols:
+            result = run_simulation(
+                get_scenario(name).config_for(
+                    protocol,
+                    shards=1,
+                    timeline_mode="recompute",
+                    tracing=False,
+                    audit=True,
+                )
+            )
+            assert result.audit_report.ok, result.audit_report.format()
+            report = certify_update_consistency(
+                result.trace.transactional_history(result.server.database)
+            )
+            assert report.ok, report.format()
+            assert report.reader_verdicts
+
 
 class TestResolution:
     def test_get_scenario_by_name(self):

@@ -103,7 +103,7 @@ def whole_and_chunked(arena):
 class TestFromImages:
     def test_view_rebuilds_every_recorded_cycle(self, recorded):
         recording, stop, arena = recorded
-        images = recording.state.record_images
+        images = recording.timeline.images
         assert images and arena.num_cycles == max(images)
         views = [
             seal_as(images, recording, stop, cuts) for cuts in whole_and_chunked(arena)
@@ -125,7 +125,7 @@ class TestFromImages:
 
     def test_snapshot_pool_dedups_quiescent_cycles(self, recorded):
         recording, _, arena = recorded
-        images = recording.state.record_images
+        images = recording.timeline.images
         distinct = {id(snapshot_payload(im.snapshot)[1]) for im in images.values()}
         assert arena.snap_pool.shape[0] == len(distinct)
         # copy-on-write freeze: quiescent cycles reuse the frozen array,
@@ -156,7 +156,7 @@ class TestFromImages:
         recording, stop, arena = recorded
         beyond = arena.num_cycles + 3
         for cuts in whole_and_chunked(arena):
-            view = seal_as(recording.state.record_images, recording, stop, cuts)
+            view = seal_as(recording.timeline.images, recording, stop, cuts)
             with pytest.raises(TimelineExhausted) as excinfo:
                 view.broadcast(beyond)
             assert excinfo.value.cycle == beyond
@@ -164,7 +164,7 @@ class TestFromImages:
 
     def test_dead_air_cycles_mirror_the_live_error(self, recorded):
         recording, stop, _ = recorded
-        images = dict(recording.state.record_images)
+        images = dict(recording.timeline.images)
         del images[2]  # a crash-outage boundary installs no image
         whole = TimelineArena.from_images(
             images,
@@ -192,7 +192,7 @@ class TestJournal:
     def _arena_with_journal(self, recorded, journal):
         recording, stop, _ = recorded
         return TimelineArena.from_images(
-            recording.state.record_images,
+            recording.timeline.images,
             cycle_bits=float(recording.layout.cycle_bits),
             horizon_time=stop,
             partition=recording.config.partition(),
@@ -382,10 +382,10 @@ class TestRecordingProxy:
         assert recording.metrics.cycles_broadcast == 0
         assert recording.metrics.reads_delivered == live.metrics.reads_delivered
         horizon = 2 * stop
-        recording.sim.run(until=horizon)
+        recording.timeline.advance_to(horizon)
         arena = recording.seal_timeline(horizon_time=horizon)
         for upto in (stop, 1.5 * stop, horizon):  # ascending: one live run
-            live.sim.run(until=upto)
+            live.timeline.advance_to(upto)
             replayed = MetricsCollector()
             replayed.merge_from(recording.metrics)
             arena.apply_journal(replayed, upto=upto)

@@ -48,7 +48,6 @@ def signature(result):
             (s.tid, s.submit_time, s.commit_time, s.restarts) for s in m.samples
         ),
         "sim_time": result.sim_time,
-        "events": result.events,
         "listening_bits": m.listening_bits,
         "reads": (m.reads_delivered, m.reads_rejected),
     }
@@ -307,7 +306,7 @@ class TestHeadlineScenario:
 
 class TestFaultRuntime:
     def _runtime(self, plan):
-        return FaultRuntime(plan, faulty_config().arithmetic(), MetricsCollector())
+        return FaultRuntime(plan, faulty_config().arithmetic())
 
     def test_staleness_window_is_paper_max_cycles(self):
         runtime = self._runtime(FaultPlan())
@@ -315,52 +314,57 @@ class TestFaultRuntime:
 
     def test_unbounded_arithmetic_has_no_window(self):
         config = faulty_config(modulo_timestamps=False)
-        runtime = FaultRuntime(FaultPlan(), config.arithmetic(), MetricsCollector())
+        runtime = FaultRuntime(FaultPlan(), config.arithmetic())
         assert runtime.staleness_window is None
 
     def test_doze_wake_and_slot_heard(self):
         runtime = self._runtime(FaultPlan(doze=(DozeInterval(0, 10.0, 5.0),)))
+        metrics = MetricsCollector()
         assert runtime.doze_wake(0, 12.0) == 15.0
         assert runtime.doze_wake(0, 20.0) is None
         assert runtime.doze_wake(1, 12.0) is None
-        assert not runtime.slot_heard(0, 9.0, 11.0)  # overlaps the doze
-        assert runtime.slot_heard(0, 15.0, 16.0)
-        assert runtime.slot_heard(1, 9.0, 11.0)
-        assert runtime.metrics.doze_slots_missed == 1
+        assert not runtime.slot_heard(0, 9.0, 11.0, metrics)  # overlaps the doze
+        assert runtime.slot_heard(0, 15.0, 16.0, metrics)
+        assert runtime.slot_heard(1, 9.0, 11.0, metrics)
+        assert metrics.doze_slots_missed == 1
 
     def test_outage_blocks_slots_even_across_recovery(self):
+        """The outage windows are plan data: down at the crash instant,
+        up at the recovery instant, and every slot overlapping the
+        closed window was dead air."""
         runtime = self._runtime(FaultPlan(crashes=(ServerCrash(10.0, 5.0),)))
-        runtime.begin_outage(10.0)
-        assert runtime.server_down
-        assert not runtime.slot_heard(0, 12.0, 13.0)
-        runtime.end_outage(15.0)
-        assert not runtime.server_down
+        metrics = MetricsCollector()
+        assert not runtime.down_at(9.5)
+        assert runtime.down_at(10.0) and runtime.down_at(14.9)
+        assert not runtime.down_at(15.0)
+        assert not runtime.slot_heard(0, 12.0, 13.0, metrics)
         # a slot that started before the crash and ended inside it was
         # dead air even though the wait completes after recovery
-        assert not runtime.slot_heard(0, 9.0, 11.0)
-        assert runtime.slot_heard(0, 15.0, 16.0)
-        assert runtime.metrics.server_crashes == 1
-        assert runtime.metrics.crash_slot_stalls == 2
+        assert not runtime.slot_heard(0, 9.0, 11.0, metrics)
+        # one that ended exactly on the crash was heard in full
+        assert runtime.slot_heard(0, 9.0, 10.0, metrics)
+        assert runtime.slot_heard(0, 15.0, 16.0, metrics)
+        assert metrics.crash_slot_stalls == 2
 
     def test_slot_heard_routes_to_explicit_collector(self):
-        # sharded runs charge doze misses to the *measured* shard's
-        # collector, not the runtime's default (shadow) one
+        # sharded runs charge doze misses to the collector that measures
+        # the client; the runtime keeps none of its own
         runtime = self._runtime(FaultPlan(doze=(DozeInterval(0, 10.0, 5.0),)))
         shard_metrics = MetricsCollector()
         assert not runtime.slot_heard(0, 9.0, 11.0, shard_metrics)
         assert shard_metrics.doze_slots_missed == 1
-        assert runtime.metrics.doze_slots_missed == 0
+        assert not hasattr(runtime, "metrics")
 
     def test_uplink_streams_are_per_client_and_seed(self):
         plan = FaultPlan(uplink_loss_probability=0.5)
         config = faulty_config()
-        a = FaultRuntime(plan, config.arithmetic(), MetricsCollector(), seed=7)
-        b = FaultRuntime(plan, config.arithmetic(), MetricsCollector(), seed=7)
+        a = FaultRuntime(plan, config.arithmetic(), seed=7)
+        b = FaultRuntime(plan, config.arithmetic(), seed=7)
         draws_a = [a.uplink_lost(2) for _ in range(32)]
         draws_b = [b.uplink_lost(2) for _ in range(32)]
         assert draws_a == draws_b
         # interleaving another client's draws must not perturb client 2
-        c = FaultRuntime(plan, config.arithmetic(), MetricsCollector(), seed=7)
+        c = FaultRuntime(plan, config.arithmetic(), seed=7)
         draws_c = []
         for _ in range(32):
             c.uplink_lost(0)

@@ -70,7 +70,7 @@ def make_kernel(script, *, tracer=NULL_TRACER, **overrides):
     metrics = MetricsCollector()
     faults = None
     if config.faults is not None:
-        faults = FaultRuntime(config.faults, config.arithmetic(), metrics)
+        faults = FaultRuntime(config.faults, config.arithmetic())
     env = ClientEnv(
         config=config,
         layout=FlatLayout(OBJECTS, SLOT),

@@ -99,7 +99,6 @@ def signature_digest(result):
                 for s in m.samples
             ),
             result.sim_time,
-            result.events,
             m.listening_bits,
             m.reads_delivered,
             m.reads_rejected,
@@ -121,17 +120,20 @@ def metrics_signature(result):
     }
 
 
-#: digests of untraced runs captured from the commit before the obs
-#: subsystem landed (c1142d4) — tracing off must stay bit-identical
+#: digests of untraced runs — tracing off must stay bit-identical, and
+#: every executor and shard layout gives the same one.  The engine's
+#: event count is left out: it counts client scheduling, which differs
+#: by design.  Computed where the digests with events still held their
+#: pins from the commit before the obs subsystem landed (c1142d4)
 PINNED = {
     ("process", 1, "recompute"): (
-        "cb4c98cefb30f5d61da912f0193cbc96e4646f7bb9df54cb0f6da743ac12e920"
+        "437fb9df7f74a957a17e745c970d538c16386342b75f6f6261993554963bfc77"
     ),
     ("cohort", 1, "recompute"): (
-        "27bf43e096fcecede55a47fe340c9cdd04e9bdccb72d7946b9cd38df88e9e6c2"
+        "437fb9df7f74a957a17e745c970d538c16386342b75f6f6261993554963bfc77"
     ),
     ("cohort", 2, "replay"): (
-        "c89d020ce985609d17456c05623b0ab17b69ae5b6894d1f1c9479fc2c3b931fe"
+        "437fb9df7f74a957a17e745c970d538c16386342b75f6f6261993554963bfc77"
     ),
 }
 

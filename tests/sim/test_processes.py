@@ -1,16 +1,11 @@
-"""Unit tests for the simulation processes (repro.sim.processes)."""
-
-import random
+"""Unit tests for what the clients hear: the shared state and the broadcast
+timeline's cycle and server streams (repro.sim.processes, repro.sim.timeline)."""
 
 import pytest
 
-from repro.broadcast.layout import FlatLayout
-from repro.server.server import BroadcastServer
-from repro.server.workload import ClientWorkload, ServerWorkload
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricsCollector
-from repro.sim.processes import SharedState, cycle_process, server_process
+from repro.sim.processes import SharedState
+from repro.sim.timeline import LiveTimeline
 
 
 def tiny_config(**overrides):
@@ -26,25 +21,37 @@ def tiny_config(**overrides):
     return SimulationConfig(**params)
 
 
+def quiet_timeline(**overrides):
+    """A timeline whose server completes nothing for the first cycles."""
+    config = tiny_config(server_txn_interval=1e12, **overrides)
+    return LiveTimeline(config, config.layout()), config.layout().cycle_bits
+
+
 class TestSharedState:
     def test_broadcast_for_current_and_previous(self):
-        server = BroadcastServer(4, "f-matrix")
-        state = SharedState()
-        state.advance(server.begin_cycle(1))
-        state.advance(server.begin_cycle(2))
-        assert state.broadcast_for(2).cycle == 2
-        assert state.broadcast_for(1).cycle == 1
+        timeline, cycle_bits = quiet_timeline()
+        state = SharedState(timeline)
+        # a read in cycle 2 advances the timeline there: both images held
+        assert state.broadcast_for(2, 1.5 * cycle_bits).cycle == 2
+        assert state.broadcast_for(1, 1.5 * cycle_bits).cycle == 1
+        # the last slot of cycle 1 ends on the boundary that opens cycle 2
+        assert state.broadcast_for(1, cycle_bits).cycle == 1
 
     def test_older_broadcasts_dropped(self):
-        server = BroadcastServer(4, "f-matrix")
-        state = SharedState()
-        for cycle in (1, 2, 3):
-            state.advance(server.begin_cycle(cycle))
-        with pytest.raises(RuntimeError):
-            state.broadcast_for(1)
+        timeline, cycle_bits = quiet_timeline()
+        timeline.advance_to(2.5 * cycle_bits)
+        assert sorted(timeline.images) == [2, 3]
+        with pytest.raises(RuntimeError, match="no broadcast image"):
+            SharedState(timeline).broadcast_for(1, 2.5 * cycle_bits)
+        # ...unless the timeline retains them (analytic tier, recording)
+        config = tiny_config(server_txn_interval=1e12)
+        keeping = LiveTimeline(config, config.layout(), keep_images=True)
+        keeping.advance_to(2.5 * cycle_bits)
+        assert keeping.broadcast(1).cycle == 1
 
     def test_all_clients_done(self):
-        state = SharedState(num_clients=2)
+        timeline, _ = quiet_timeline()
+        state = SharedState(timeline, num_clients=2)
         assert not state.all_clients_done
         state.clients_done = 2
         assert state.all_clients_done
@@ -52,79 +59,60 @@ class TestSharedState:
 
 class TestCycleProcess:
     def test_one_snapshot_per_cycle(self):
-        config = tiny_config()
-        layout = config.layout()
-        server = BroadcastServer(config.num_objects, config.protocol)
-        state = SharedState()
-        sim = Simulator()
-        sim.spawn(cycle_process(sim, server, layout, state))
-        sim.run(until=layout.cycle_bits * 3.5)
+        timeline, cycle_bits = quiet_timeline()
+        timeline.advance_to(cycle_bits * 3.5)
         # cycles 1..4 began (the 4th at t = 3*cycle_bits)
-        assert state.current_broadcast.cycle == 4
-        assert state.previous_broadcast.cycle == 3
+        assert max(timeline.images) == 4
+        assert timeline.broadcast(3).cycle == 3
+        assert timeline.metrics.cycles_broadcast == 4
+        assert timeline.now == 3 * cycle_bits
 
     def test_snapshot_frozen_at_cycle_start(self):
-        config = tiny_config()
-        layout = config.layout()
-        server = BroadcastServer(config.num_objects, config.protocol)
-        state = SharedState()
-        sim = Simulator()
-        sim.spawn(cycle_process(sim, server, layout, state))
-        mid_cycle = layout.cycle_bits * 0.5
-        sim.schedule(
-            mid_cycle,
-            lambda: server.commit_update("w", [], {0: "x"}, cycle=1),
-        )
-        sim.run(until=layout.cycle_bits * 1.5)
+        timeline, cycle_bits = quiet_timeline()
+        timeline.advance_to(cycle_bits * 0.5)
+        timeline.server.commit_update("w", [], {0: "x"}, cycle=1)
+        timeline.advance_to(cycle_bits * 1.5)
         # the cycle-1 image predates the commit; the cycle-2 image sees it
-        assert state.previous_broadcast.version(0).writer == "t0"
-        assert state.current_broadcast.version(0).writer == "w"
+        assert timeline.broadcast(1).version(0).writer == "t0"
+        assert timeline.broadcast(2).version(0).writer == "w"
+
+    def test_advancing_backwards_is_a_no_op(self):
+        timeline, cycle_bits = quiet_timeline()
+        timeline.advance_to(cycle_bits * 2.5)
+        timeline.advance_to(cycle_bits * 0.5)
+        assert max(timeline.images) == 3 and timeline.now == 2 * cycle_bits
 
 
 class TestServerProcess:
     def _run(self, config, duration_cycles=20):
         layout = config.layout()
-        server = BroadcastServer(config.num_objects, config.protocol)
-        server.begin_cycle(1)
-        server.current_cycle = 10 ** 9  # commits use layout cycle stamps
-        metrics = MetricsCollector()
-        workload = ServerWorkload(
-            config.num_objects,
-            length=config.server_txn_length,
-            read_probability=config.server_read_probability,
-            seed=3,
-        )
-        sim = Simulator()
-        sim.spawn(
-            server_process(
-                sim, config, server, workload, layout, random.Random(4), metrics
-            )
-        )
-        sim.run(until=layout.cycle_bits * duration_cycles)
-        return server, metrics, sim
+        timeline = LiveTimeline(config, layout)
+        timeline.advance_to(layout.cycle_bits * duration_cycles)
+        return timeline.server, timeline.metrics, layout.cycle_bits * duration_cycles
 
     def test_commit_rate_close_to_configured(self):
         config = tiny_config(
             server_txn_interval=5_000.0,
             server_interval_distribution="deterministic",
         )
-        server, metrics, sim = self._run(config)
-        completions = int(sim.now // config.server_txn_interval)
+        server, metrics, until = self._run(config)
+        completions = int(until // config.server_txn_interval)
         # read_probability 0.5 & length 3: ~1/8 of txns are read-only noops
         assert metrics.server_commits <= completions
         assert metrics.server_commits >= completions * 0.5
+        assert len(server.database.commit_log) == metrics.server_commits
 
     def test_read_only_server_txns_skipped(self):
         config = tiny_config(
             server_txn_interval=5_000.0, server_read_probability=1.0
         )
-        server, metrics, _sim = self._run(config)
+        server, metrics, _until = self._run(config)
         assert metrics.server_commits == 0
         assert not server.database.commit_log
 
     def test_commit_cycles_match_layout(self):
         config = tiny_config(server_txn_interval=3_000.0)
-        server, _metrics, _sim = self._run(config, duration_cycles=6)
-        layout = config.layout()
+        server, _metrics, _until = self._run(config, duration_cycles=6)
+        assert server.database.commit_log
         for record in server.database.commit_log:
             assert 1 <= record.commit_cycle <= 7
