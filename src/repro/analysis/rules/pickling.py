@@ -6,9 +6,8 @@ contract: what ships to a pool worker is a :class:`SimulationConfig`
 shared-memory arena, no payload), and what ships back is a
 :class:`MetricsCollector` plus scalars.  A live
 :class:`BroadcastSimulation` — its :class:`Simulator` event queue, its
-:class:`LiveTimeline` and :class:`BroadcastServer`, :class:`SharedState`,
-fault runtime — is none
-of those things: pickling one either fails outright (generator-based
+:class:`LiveTimeline` and :class:`BroadcastServer`, fault runtime — is
+none of those things: pickling one either fails outright (generator-based
 processes don't pickle) or, worse, silently forks divergent copies of
 state whose whole point is to be authoritative and singular.
 
@@ -40,7 +39,6 @@ _FORBIDDEN_CLASSES = frozenset(
         "BroadcastSimulation",
         "BroadcastServer",
         "Simulator",
-        "SharedState",
         "LiveTimeline",
         "FaultRuntime",
         "CohortExecutor",
@@ -84,7 +82,7 @@ class NoSimStatePicklingRule(LintRule):
     rule_id = "REP009"
     description = (
         "no live simulation state (BroadcastSimulation, Simulator, "
-        "server, SharedState) across pickle/process boundaries; only "
+        "server, LiveTimeline) across pickle/process boundaries; only "
         "configs, MetricsCollector and arena handles may cross"
     )
     scopes = ()  # the whole tree: every boundary call is in scope

@@ -43,6 +43,8 @@ class BroadcastLayout:
 
     #: total length of one broadcast cycle in bit-units
     cycle_bits: int
+    #: length of one object's slot (data + its control share) in bit-units
+    slot_bits: int
 
     def cycle_of(self, time: float) -> int:
         """1-based cycle number containing bit-time ``time``."""

@@ -2,7 +2,7 @@
 
 :func:`telemetry_from_result` reads the *merged* collector of a finished
 ``SimulationResult`` — its counters already crossed the shard and replay
-boundaries via ``MetricsCollector.merge_from`` / ``apply_journal`` — so
+boundaries via ``MetricsCollector.merge_from`` / ``fold_journal`` — so
 the document inherits shard-order and replay correctness and needs no
 merge rule of its own.
 """

@@ -13,7 +13,7 @@ from .arena import (
 from .batch import ReplicatedResult, replicate, replication_seeds
 from .cohort import CohortExecutor
 from .config import KILOBYTE_BITS, SimulationConfig
-from .engine import Process, Simulator, Timeout, WaitUntil, Waive
+from .engine import Process, Simulator, Timeout, WaitUntil
 from .faults import DozeInterval, FaultPlan, FaultRuntime, ServerCrash
 from .kernel import ClientEnv, ClientKernel
 from .metrics import (
@@ -39,7 +39,6 @@ __all__ = [
     "Process",
     "Timeout",
     "WaitUntil",
-    "Waive",
     "MetricsCollector",
     "SummaryStat",
     "TransactionSample",

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from ..obs.tracer import NULL_TRACER
 from .cohort import CohortExecutor
 
 if TYPE_CHECKING:
@@ -55,9 +54,7 @@ if TYPE_CHECKING:
 __all__ = ["run_analytic"]
 
 
-def run_analytic(
-    simulation: "BroadcastSimulation", *, max_events: Optional[int] = None
-) -> Tuple[float, int]:
+def run_analytic(simulation: "BroadcastSimulation") -> Tuple[float, int]:
     """Run ``simulation`` through the analytical tier.
 
     Returns ``(sim_time, events)``: the instant the last client finished
@@ -67,9 +64,7 @@ def run_analytic(
     """
     if simulation.trace is not None:
         raise ValueError("the analytical tier records no trace")
-    state = simulation.state
     sim = simulation.sim
-    sl = simulation.slice
 
     timeline = simulation.timeline
     if timeline is None:
@@ -77,29 +72,22 @@ def run_analytic(
         # there is no Phase A at all, just Phase B against the arena.
         # Reading past the arena's horizon raises TimelineExhausted,
         # which the shard layer turns into a recompute fallback.
-        return _replay(simulation, state.timeline, None, 0.0), sim.events_processed
+        return _replay(simulation, simulation.on_air, None, 0.0), sim.events_processed
 
     # Phase A: the update-capable clients, event-driven under the cohort
-    # executor, until every one is done.  Their same-time interleaving
+    # executor, until the engine drains.  Their same-time interleaving
     # with reader events in the oracle run is unobservable — readers
     # mutate nothing — so the history they leave is bit-identical.
-    updaters = sl.updaters
+    updaters = simulation.slice.updaters
     if updaters > 0:
-        # measured on the primary, ghosts (shadow collector) elsewhere
-        env = simulation.client_env(
-            simulation.metrics if sl.primary else simulation._timeline_metrics,
-            simulation.tracer if sl.primary else NULL_TRACER,
-        )
+        env = simulation.updater_env()
         CohortExecutor(
             sim=sim,
-            state=state,
+            timeline=timeline,
             env=env,
             clients=[simulation.kernel_for(env, k) for k in range(updaters)],
         ).start()
-        sim.run(
-            stop_when=lambda: state.clients_done >= updaters,
-            max_events=max_events,
-        )
+        sim.run()
         if simulation.feed is not None:
             simulation.publish_timeline(sim.now)
 

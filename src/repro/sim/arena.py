@@ -21,13 +21,12 @@ serialises that history into flat append-only buffers:
 * a **version-epoch table** — per-object indices into an interned
   version-entry store (value, writer, commit cycle), one epoch per
   maximal run of cycles whose committed state is unchanged;
-* the **timeline journal** — every timeline-side counter increment as a
-  ``(time, field, delta)`` triple.  Under replay this is the *only* form
-  the timeline's counters take: the recording pass journals them from
-  t = 0 (:class:`RecordingTimelineMetrics`) and
-  :meth:`TimelineArena.apply_journal` folds them into the merged
-  collector at the run's stop time — the same way whether the arena was
-  recorded by this run or reused from the cache.
+* the **timeline journal** — the recording timeline's own
+  (:attr:`~repro.sim.timeline.LiveTimeline.journal`), shared, not
+  copied: per timeline counter, the instant of every increment.  A run
+  folds it at its stop time (:func:`~repro.sim.timeline.fold_journal`)
+  — the same way whether the arena was recorded by this run or reused
+  from the cache.
 
 :meth:`TimelineArena.share` copies the numpy blocks into one
 ``multiprocessing.shared_memory`` segment and returns a small picklable
@@ -62,7 +61,7 @@ from dataclasses import dataclass, fields, replace
 from hashlib import sha256
 from multiprocessing import resource_tracker, shared_memory
 from secrets import token_hex
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,10 +69,10 @@ from ..broadcast.control_info import rebuild_snapshot, snapshot_payload
 from ..broadcast.program import BroadcastCycle, ObjectVersion
 from ..core.group_matrix import Partition
 from ..obs.profiler import PhaseProfiler
-from .metrics import MetricsCollector
 
 if TYPE_CHECKING:  # type-only: config imports faults, never arena
     from .config import SimulationConfig
+    from .timeline import Journal
 
 __all__ = [
     "TimelineExhausted",
@@ -83,13 +82,9 @@ __all__ = [
     "TimelineView",
     "TimelineCache",
     "TIMELINE_CACHE",
-    "RecordingTimelineMetrics",
     "timeline_fingerprint",
     "timeline_cacheable",
 ]
-
-#: one recorded timeline-counter increment: (sim time, field name, delta)
-JournalEntry = Tuple[float, str, int]
 
 
 class TimelineExhausted(RuntimeError):
@@ -167,7 +162,7 @@ class TimelineArena:
         entry_commit_cycles: np.ndarray,
         values: Tuple[object, ...],
         writers: Tuple[str, ...],
-        journal: Sequence[JournalEntry] = (),
+        journal: Optional["Journal"] = None,
         first_cycle: int = 1,
     ) -> None:
         self.kind = kind
@@ -185,10 +180,10 @@ class TimelineArena:
         self.entry_commit_cycles = entry_commit_cycles
         self.values = values
         self.writers = writers
-        #: timeline-counter increments in time order — the recording
-        #: pass's own list, so it keeps growing if that pass is driven
-        #: past the horizon; stays parent-side (never shipped to workers)
-        self.journal = journal
+        #: the recording timeline's own journal, so it keeps growing if
+        #: that timeline is driven past the horizon; stays parent-side
+        #: (never shipped)
+        self.journal: "Journal" = {} if journal is None else journal
         self._shm: Optional[shared_memory.SharedMemory] = None
         #: set while this arena owns (created, will unlink) the segment
         self._handle: Optional[TimelineHandle] = None
@@ -202,7 +197,7 @@ class TimelineArena:
         cycle_bits: float,
         horizon_time: float,
         partition: Optional[Partition],
-        journal: Sequence[JournalEntry] = (),
+        journal: Optional["Journal"] = None,
         first_cycle: int = 1,
     ) -> "TimelineArena":
         """Serialise a recorded image history — from ``first_cycle`` on:
@@ -297,19 +292,6 @@ class TimelineArena:
     def view(self) -> "TimelineView":
         """This arena as a whole timeline: one chunk, nothing to follow."""
         return TimelineView(lambda index: self if index == 0 else None)
-
-    def apply_journal(
-        self, metrics: "MetricsCollector", *, upto: float
-    ) -> None:
-        """Fold the recorded timeline counters at stop time ``upto``.
-
-        Equivalent to advancing the live timeline to ``upto`` (inclusive,
-        as :meth:`~repro.sim.timeline.LiveTimeline.advance_to` is) with
-        ``metrics`` as its collector.
-        """
-        for time, name, delta in self.journal:
-            if time <= upto:
-                setattr(metrics, name, getattr(metrics, name) + delta)
 
     # -- shared memory --------------------------------------------------
     def share(self, name: Optional[str] = None) -> TimelineHandle:
@@ -525,39 +507,6 @@ class TimelineView:
         image = BroadcastCycle(cycle=cycle, versions=versions, snapshot=snapshot)
         self._cycles[cycle] = image
         return image
-
-
-class RecordingTimelineMetrics(MetricsCollector):
-    """The timeline's collector on a recording pass: a journal.
-
-    The live timeline gets this in place of the run's measured collector.
-    A counter write keeps the running total here (``+=`` reads back what
-    it wrote) and is appended to :attr:`journal` as ``(clock.now, field,
-    delta)`` — the instant of the timeline event making it, which may lie
-    behind or ahead of the clients' clock; nothing reaches the
-    measured collector until :meth:`TimelineArena.apply_journal` folds
-    the journal at the merged stop time.  The pass therefore needs no
-    shielding while it records past its own clients' stop, and a run
-    that recorded its arena and a run that found it cached count the
-    timeline by the same rule.
-    """
-
-    _JOURNALLED = frozenset(MetricsCollector._COUNTER_FIELDS)
-    _clock: Any
-    journal: List[JournalEntry]
-
-    def __init__(self, clock: Any) -> None:
-        """``clock.now`` stamps each entry (the live timeline is one)."""
-        self.__dict__["_clock"] = clock
-        self.__dict__["journal"] = []
-        super().__init__()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        # the zeroing in MetricsCollector.__init__ is not an increment
-        old = self.__dict__.get(name)
-        if old is not None and name in self._JOURNALLED:
-            self.journal.append((self._clock.now, name, value - old))  # type: ignore[operator]
-        self.__dict__[name] = value
 
 
 # -- cross-run cache ----------------------------------------------------

@@ -55,12 +55,15 @@ consults per-runtime rejoin state that batch validation cannot see).
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.validators import validate_read_batch, validate_read_batch_inorder
 from .engine import Simulator
 from .kernel import ClientEnv, ClientKernel
-from .processes import SharedState
+
+if TYPE_CHECKING:  # annotations only
+    from .arena import TimelineView
+    from .timeline import LiveTimeline
 
 __all__ = ["CohortExecutor"]
 
@@ -86,12 +89,13 @@ class CohortExecutor:
         self,
         *,
         sim: Simulator,
-        state: SharedState,
+        timeline: "LiveTimeline | TimelineView",
         env: ClientEnv,
         clients: Sequence[ClientKernel],
     ) -> None:
         self.sim = sim
-        self.state = state
+        #: the broadcast the clients hear: live, or sealed on a replay shard
+        self.timeline = timeline
         self.env = env
         self.clients = list(clients)
         self._buckets: Dict[float, _Bucket] = {}
@@ -140,12 +144,10 @@ class CohortExecutor:
     def _wake(self, kernel: ClientKernel) -> None:
         """An off-air client's event: its retirement, or its submission
         reaching the server."""
-        if kernel.done:
-            # the per-process client is done only after its trailing
-            # inter-transaction delay elapses — a real event, so the
-            # run's stop time matches exactly
-            self.state.clients_done += 1
-        else:
+        # the per-process client is done only after its trailing
+        # inter-transaction delay elapses — a real event, which does
+        # nothing but end the run there once it is the last
+        if not kernel.done:
             self._place((kernel,), (kernel.uplink_arrival(self.sim.now),))
 
     def _fire(self, time: float) -> None:
@@ -172,7 +174,9 @@ class CohortExecutor:
                     ends.append(kernel.retune(time))
             survivors = heard
         if survivors:
-            broadcast = self.state.broadcast_for(bucket.cycle, time)
+            timeline = self.timeline
+            timeline.advance_to(time)
+            broadcast = timeline.broadcast(bucket.cycle)
             verdicts: Sequence[Optional[bool]]
             if env.staleness is not None:
                 verdicts = [None] * len(survivors)  # the kernel validates

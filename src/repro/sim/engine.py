@@ -5,9 +5,11 @@ rebuild the abstraction: a priority queue of timestamped events plus
 generator-based *processes* (simpy-style, but self-contained).  A process
 is a Python generator that yields scheduling directives:
 
-* ``Timeout(delay)``   — resume after ``delay`` time units;
-* ``WaitUntil(time)``  — resume at absolute time ``time`` (>= now);
-* ``Waive()``          — resume immediately, after already-due events.
+* ``Timeout(delay)``   — resume after ``delay`` time units (``0``:
+  immediately, after already-due events);
+* ``WaitUntil(time)``  — resume at absolute time ``time`` (>= now).
+
+A run ends when the queue drains: :meth:`Simulator.run` takes no limits.
 
 Time is a float in *bit-units* (the time to broadcast one bit — the
 paper's unit).  Determinism: simultaneous events fire in scheduling
@@ -31,9 +33,9 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Generator, List, Tuple, Union
 
-__all__ = ["Timeout", "WaitUntil", "Waive", "Process", "Simulator", "SimClockError"]
+__all__ = ["Timeout", "WaitUntil", "Process", "Simulator", "SimClockError"]
 
 
 class SimClockError(RuntimeError):
@@ -58,12 +60,7 @@ class WaitUntil:
     time: float
 
 
-@dataclass(frozen=True)
-class Waive:
-    """Yield the processor: resume at the same time, after due events."""
-
-
-Directive = Union[Timeout, WaitUntil, Waive]
+Directive = Union[Timeout, WaitUntil]
 ProcessGen = Generator[Directive, None, None]
 
 
@@ -125,48 +122,23 @@ class Simulator:
         return process
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        *,
-        until: Optional[float] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Process events until the queue drains or a limit triggers.
+    def run(self) -> float:
+        """Process events until the queue drains; returns the time of the
+        last one.
 
-        * ``until`` — process every event at time <= ``until``, then stop
-          with the clock advanced to exactly ``until`` — also when the
-          queue drains earlier, so ``run(until=T)`` always returns ``T``
-          ("simulate through T") unless ``stop_when``/``max_events``
-          fires first;
-        * ``stop_when`` — predicate evaluated after every event; stops at
-          the current event's time;
-        * ``max_events`` — hard safety cap on :attr:`events_processed`.
-          A broadcast simulation puts only its clients on the engine (the
-          server side, :mod:`repro.sim.timeline`, is advanced on demand
-          and costs no event), so there the cap counts client events.
-
-        Returns the simulation time at stop.
+        A broadcast simulation puts only its clients on the engine (the
+        server side, :mod:`repro.sim.timeline`, is advanced on demand and
+        costs no event), so its queue drains when the last client retires.
         """
         queue = self._queue
+        heappop = heapq.heappop
         while queue:
-            entry = queue[0]
-            time = entry[0]
-            if until is not None and time > until:
-                self._now = until
-                return until
-            heapq.heappop(queue)
+            time, _, action = heappop(queue)
             if time < self._now:  # pragma: no cover - guarded at insert
                 raise SimClockError("event queue went backwards")
             self._now = time
             self._event_count += 1
-            entry[2]()
-            if stop_when is not None and stop_when():
-                return self._now
-            if max_events is not None and self._event_count >= max_events:
-                raise RuntimeError(f"exceeded max_events={max_events}")
-        if until is not None and until > self._now:
-            self._now = until
+            action()
         return self._now
 
     def _step_process(self, process: Process) -> None:
@@ -175,9 +147,8 @@ class Simulator:
         except StopIteration:
             process.alive = False
             return
-        # exact-class dispatch on the hot path (directives are frozen
-        # dataclasses, virtually never subclassed); subclass directives
-        # take the isinstance fallback
+        # exact-class dispatch on the hot path: a directive is one of
+        # two frozen dataclasses
         cls = directive.__class__
         if cls is Timeout:
             resume_at = self._now + directive.delay
@@ -187,24 +158,8 @@ class Simulator:
                     f"WaitUntil({directive.time}) in the past (now {self._now})"
                 )
             resume_at = directive.time
-        elif cls is Waive:
-            resume_at = self._now
         else:
-            resume_at = self._resume_time(directive)
+            raise TypeError(f"process yielded {directive!r}, not a directive")
         heapq.heappush(
             self._queue, (resume_at, next(self._seq), process._step)
         )
-
-    def _resume_time(self, directive: Directive) -> float:
-        """Directive resolution for subclassed directives (cold path)."""
-        if isinstance(directive, Timeout):
-            return self._now + directive.delay
-        if isinstance(directive, WaitUntil):
-            if directive.time < self._now:
-                raise SimClockError(
-                    f"WaitUntil({directive.time}) in the past (now {self._now})"
-                )
-            return directive.time
-        if isinstance(directive, Waive):
-            return self._now
-        raise TypeError(f"process yielded {directive!r}, not a directive")

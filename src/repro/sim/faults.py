@@ -12,15 +12,14 @@ deterministic simulation inputs:
   :class:`DozeInterval` radio-off windows, :class:`ServerCrash`
   crash+recovery events, and uplink submission loss with
   retry/timeout/backoff for client update transactions;
-* :class:`FaultRuntime` — what a run asks of the plan (is the server
-  down at this instant? is this client dozing? was this slot heard? was
-  this submission lost?), charging every missed slot to a
-  cause-attributed metric.
+* :class:`FaultRuntime` — what a run asks of the plan (is this client
+  dozing? was this slot heard? was this submission lost?), charging
+  every missed slot to a cause-attributed metric.
 
 The crashes themselves — the server killed, rebuilt from its durable
 state by :func:`repro.server.recovery.recover_server`, the downtime
 replayed as quiescent cycles — are events of the broadcast timeline
-(:mod:`repro.sim.timeline`).
+(:mod:`repro.sim.timeline`), which alone says whether the server is up.
 
 Everything is derived from the plan and the config seed: two runs with
 the same config (including its plan) are bit-identical.  A ``None`` (or
@@ -361,7 +360,8 @@ class FaultRuntime:
         #: root of the per-client uplink-loss stream tree (config seed)
         self._seed = seed
         self._uplink_streams: Dict[int, np.random.Generator] = {}
-        #: every outage as a closed ``[crash.time, crash.end]`` window
+        #: every outage as an open ``(crash.time, crash.end)`` window: a
+        #: slot carried dead air iff it overlaps one (see slot_heard)
         self._outages: Tuple[Tuple[float, float], ...] = tuple(
             (crash.time, crash.end) for crash in plan.crashes
         )
@@ -378,17 +378,6 @@ class FaultRuntime:
         self.staleness_window: Optional[int] = (
             arithmetic.window - 1 if isinstance(arithmetic, ModuloCycles) else None
         )
-
-    # -- server outages -------------------------------------------------
-    def down_at(self, time: float) -> bool:
-        """Is the server down for an uplink submission arriving at ``time``?
-
-        A crash takes effect at its own instant and so does its recovery:
-        a submission arriving exactly at the crash finds the server dead,
-        one arriving exactly at the recovery finds it back
-        (``crash.time <= time < crash.end``).
-        """
-        return any(start <= time < end for start, end in self._outages)
 
     # -- client radio ---------------------------------------------------
     def doze_wake(self, client: int, now: float) -> Optional[float]:

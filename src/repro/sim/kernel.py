@@ -119,7 +119,7 @@ class ClientEnv:
                 layout.slot_end_offset(obj) for obj in range(layout.num_objects)
             ]
         self.cycle_bits = layout.cycle_bits
-        self.slot_bits = layout.slot_bits  # type: ignore[attr-defined]
+        self.slot_bits = layout.slot_bits
 
 
 class ClientKernel:

@@ -16,10 +16,11 @@ Event choreography (all times in bit-units):
   after commit.  Response time spans submission to commit, including
   restarts (Sec. 4's metric).
 
-So the engine schedules clients only.  Object slots lie strictly inside a
-cycle, and advancing the timeline to a read's instant processes the
-boundary at that instant first, so a read at slot time ``t`` always
-observes the broadcast image of the cycle its slot lies in.
+So the engine schedules clients only, and its queue drains when the last
+client retires.  Object slots lie strictly inside a cycle, and advancing
+the timeline to a read's instant processes the boundary at that instant
+first, so a read at slot time ``t`` always observes the broadcast image of
+the cycle its slot lies in.
 
 The cohort and analytical executors schedule :mod:`repro.sim.kernel`
 instead; this module is the independent reference they are tested against.
@@ -28,7 +29,6 @@ instead; this module is the independent reference they are tested against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional, Sequence, Union
 
 from ..broadcast.layout import FlatLayout
@@ -41,14 +41,14 @@ from ..server.workload import ClientWorkload
 from .config import SimulationConfig
 from .engine import Simulator, Timeout, WaitUntil
 from .metrics import MetricsCollector
+from .timeline import LiveTimeline
 from .trace import TraceRecorder
 
-if TYPE_CHECKING:  # type-only: arena/faults/timeline never import processes
+if TYPE_CHECKING:  # type-only: arena/faults never import processes
     from .arena import TimelineView
     from .faults import FaultRuntime
-    from .timeline import LiveTimeline
 
-__all__ = ["SharedState", "client_process"]
+__all__ = ["client_process"]
 
 #: what a simulation process generator yields / returns
 SimEvents = Generator[Union[Timeout, WaitUntil], None, None]
@@ -59,32 +59,6 @@ SimAttempt = Generator[Union[Timeout, WaitUntil], None, bool]
 _LOSS_RETUNE = Timeout(1.0)
 
 
-@dataclass
-class SharedState:
-    """What a run's client schedulers share."""
-
-    #: the broadcast the clients hear: the live timeline, or on a replay
-    #: shard a sealed one (:class:`repro.sim.arena.TimelineView`)
-    timeline: "LiveTimeline | TimelineView"
-    num_clients: int = 1
-    clients_done: int = 0
-    #: per-run fault state; None on zero-fault runs — every fault hook in
-    #: the processes below is guarded on it, so fault-free event sequences
-    #: are untouched
-    faults: Optional["FaultRuntime"] = None
-
-    @property
-    def all_clients_done(self) -> bool:
-        return self.clients_done >= self.num_clients
-
-    def broadcast_for(self, cycle: int, time: float) -> BroadcastCycle:
-        """The image of ``cycle``, as a reader whose slot ends at ``time``
-        hears it: the timeline is advanced to that instant first."""
-        timeline = self.timeline
-        timeline.advance_to(time)
-        return timeline.broadcast(cycle)
-
-
 def client_process(
     sim: Simulator,
     config: SimulationConfig,
@@ -92,10 +66,10 @@ def client_process(
     workload: ClientWorkload,
     validator: ReadValidator,
     layout: FlatLayout,
-    state: SharedState,
+    timeline: "LiveTimeline | TimelineView",
+    faults: Optional["FaultRuntime"],
     metrics: MetricsCollector,
     rng: random.Random,
-    timeline: Optional["LiveTimeline"] = None,
     trace: Optional[TraceRecorder] = None,
     cache: Optional[QuasiCache] = None,
     tracer: Tracer = NULL_TRACER,
@@ -107,16 +81,20 @@ def client_process(
     everyone else, buffer writes locally, and at commit ship the
     submission over the uplink for backward validation — a rejection
     restarts the transaction just like a failed read.
+
+    ``timeline`` is the broadcast the client hears: the live one, or on a
+    replay shard a sealed one (:class:`repro.sim.arena.TimelineView`);
+    ``faults`` is the run's fault state, None on zero-fault runs — every
+    fault hook below is guarded on it, so fault-free event sequences are
+    untouched.
     """
     restart_pause = Timeout(config.restart_delay) if config.restart_delay > 0 else None
-    faults = state.faults
     staleness_window = faults.staleness_window if faults is not None else None
     for _txn_index in range(config.num_client_transactions):
         tid, objects = workload.next_transaction()
         tid = f"cl{client_id}.{tid}"
         is_update = (
             config.client_update_fraction > 0.0
-            and timeline is not None
             and config.update_capable(client_id)
             and rng.random() < config.client_update_fraction
         )
@@ -143,7 +121,8 @@ def client_process(
                 config,
                 runtime,
                 layout,
-                state,
+                timeline,
+                faults,
                 metrics,
                 rng,
                 cache,
@@ -158,8 +137,8 @@ def client_process(
                     runtime,
                     write_objs,
                     timeline,
+                    faults,
                     metrics,
-                    state=state,
                     client_id=client_id,
                     tracer=tracer,
                     attempt_start=attempt_start,
@@ -184,17 +163,15 @@ def client_process(
                 trace.record_client_commit(tid, runtime.versions, runtime.reads)
         yield Timeout(rng.expovariate(1.0 / config.mean_inter_transaction_delay))
 
-    state.clients_done += 1
-
 
 def _submit_update(
     sim: Simulator,
     config: SimulationConfig,
     runtime: ReadOnlyTransactionRuntime,
     write_objs: Sequence[int],
-    timeline: "LiveTimeline",
+    timeline: "LiveTimeline | TimelineView",
+    faults: Optional["FaultRuntime"],
     metrics: MetricsCollector,
-    state: SharedState,
     client_id: int = 0,
     tracer: Tracer = NULL_TRACER,
     attempt_start: float = 0.0,
@@ -211,6 +188,8 @@ def _submit_update(
     cause-attributed metric.
     """
     assert isinstance(runtime, ClientUpdateTransactionRuntime)
+    # replay shards host readers only: an updater hears the live timeline
+    assert isinstance(timeline, LiveTimeline)
     for obj in write_objs:
         runtime.write(obj, f"{runtime.tid}#{runtime.attempt}")
     half_rtt = Timeout(config.uplink_round_trip / 2)
@@ -226,8 +205,8 @@ def _submit_update(
                 metrics.uplink_crash_losses += 1
             else:
                 metrics.uplink_losses += 1
-            assert state.faults is not None
-            plan = state.faults.plan
+            assert faults is not None
+            plan = faults.plan
             if retries >= plan.uplink_max_retries:
                 metrics.record_abort(status)
                 if tracer.enabled:
@@ -272,7 +251,8 @@ def _attempt(
     config: SimulationConfig,
     runtime: ReadOnlyTransactionRuntime,
     layout: FlatLayout,
-    state: SharedState,
+    timeline: "LiveTimeline | TimelineView",
+    faults: Optional["FaultRuntime"],
     metrics: MetricsCollector,
     rng: random.Random,
     cache: Optional[QuasiCache],
@@ -281,7 +261,6 @@ def _attempt(
     attempt_start: float = 0.0,
 ) -> "SimAttempt":
     """One attempt of a client transaction; True iff it commits."""
-    faults = state.faults
     first = True
     while not runtime.is_done:
         if not first or config.delay_before_first_operation:
@@ -322,7 +301,9 @@ def _attempt(
                     yield _LOSS_RETUNE
                     continue
                 break
-            broadcast = state.broadcast_for(hit.cycle, hit.time)
+            # the image of the slot's cycle, as heard at the slot's end
+            timeline.advance_to(hit.time)
+            broadcast = timeline.broadcast(hit.cycle)
             # tuning time: the client listened for the whole slot (data +
             # its control share); a cache hit costs nothing — the battery
             # argument of Secs. 2.1/3.3 made measurable

@@ -35,13 +35,12 @@ provided every shard sees the same broadcast.  Two modes provide it:
 Both modes are one path: a timeline (live, or a feed), one
 :func:`_gather` of the other shards' :class:`ShardOutcome` s — inline or
 on a pool, the parent's own slice in between — and
-:func:`~repro.sim.simulation.assemble_result`.  Double counting is
-prevented by the primary/ghost split
-(:class:`~repro.sim.simulation.ShardSlice`): exactly one shard — the
-primary — records the timeline's metrics; the others route them into a
-discarded shadow collector.  Summary statistics sort the merged samples
-by a layout-independent key, so the reported numbers are bit-identical
-to an unsharded run's — the property tests assert this across shard
+:func:`~repro.sim.simulation.assemble_result`.  Nothing is counted twice:
+the timeline's counters are one journal, the parent's, and only the
+primary shard measures the updaters
+(:class:`~repro.sim.simulation.ShardSlice`).  Summary statistics sort
+the merged samples by a layout-independent key, so the reported numbers
+are bit-identical to an unsharded run's — the property tests assert this across shard
 counts, executors and timeline modes.
 
 A worker that dies raises :class:`ShardExecutionError` in the parent,
@@ -138,8 +137,8 @@ def reader_slices(config: SimulationConfig) -> List[ShardSlice]:
 
 
 #: one shard's work: config, slice, replay the run's timeline feed
-#: (``False`` = recompute the timeline), event cap
-ShardJob = Tuple[SimulationConfig, ShardSlice, bool, Optional[int]]
+#: (``False`` = recompute the timeline)
+ShardJob = Tuple[SimulationConfig, ShardSlice, bool]
 
 #: the feed this process's replay jobs read: a pool worker gets it from
 #: the pool's initializer (the one way a ``multiprocessing.Condition``
@@ -155,7 +154,6 @@ def _connect(feed: Optional[TimelineFeed]) -> None:
 def _simulate(
     config: SimulationConfig,
     slice_: ShardSlice,
-    max_events: Optional[int],
     view: Optional[TimelineView] = None,
     fell_back: bool = False,
 ) -> ShardOutcome:
@@ -163,15 +161,15 @@ def _simulate(
 
     Live — the slice recomputes the timeline for itself — or, given a
     ``view`` of the recorded one, as pure observers of it: its readers
-    only (the updaters ran in the recording pass, which also holds the
-    timeline's metrics); :class:`TimelineExhausted` past its end.
+    only (the updaters ran in the recording pass, whose timeline keeps
+    the journal); :class:`TimelineExhausted` past its end.
     """
     if view is None:
         simulation = BroadcastSimulation(config, slice_=slice_)
     else:
         observers = replace(slice_, updaters=0, primary=False)
         simulation = BroadcastSimulation(config, slice_=observers, view=view)
-    sim_time, events = simulation.execute(max_events)
+    sim_time, events = simulation.execute()
     stall = view.profiler.as_dict().get("stall", 0.0) if view is not None else 0.0
     spans, dropped = simulation.tracer.export(), simulation.tracer.dropped
     return ShardOutcome(
@@ -179,10 +177,10 @@ def _simulate(
     )
 
 
-def _execute(owner: BroadcastSimulation, max_events: Optional[int]) -> ShardOutcome:
+def _execute(owner: BroadcastSimulation) -> ShardOutcome:
     """Run the in-process timeline owner to its clients' stop (its span
     stream is read at assembly, once the timeline covers the merged stop)."""
-    return ShardOutcome(owner.metrics, *owner.execute(max_events))
+    return ShardOutcome(owner.metrics, *owner.execute())
 
 
 def _run_shard(job: ShardJob) -> ShardOutcome:
@@ -197,14 +195,14 @@ def _run_shard(job: ShardJob) -> ShardOutcome:
     Module-level so the process pool can pickle it; also the inline path
     for ``workers=0``.
     """
-    config, slice_, replay, max_events = job
+    config, slice_, replay = job
     if replay:
         assert _feed is not None, "a replay job needs the process's feed"
         try:
-            return _simulate(config, slice_, max_events, TimelineView(_feed.chunk))
+            return _simulate(config, slice_, TimelineView(_feed.chunk))
         except TimelineExhausted:
             pass
-    return _simulate(config, slice_, max_events, fell_back=replay)
+    return _simulate(config, slice_, fell_back=replay)
 
 
 def _gather(
@@ -214,7 +212,6 @@ def _gather(
     *,
     profiler: PhaseProfiler,
     workers: int,
-    max_events: Optional[int],
     feed: Optional[TimelineFeed] = None,
 ) -> List[ShardOutcome]:
     """Every slice's outcome, in shard order.
@@ -231,7 +228,7 @@ def _gather(
     joined; the segments go on every way out.
     """
     rest = slices[1:]
-    jobs = [(config, sl, feed is not None, max_events) for sl in rest]
+    jobs = [(config, sl, feed is not None) for sl in rest]
     _connect(feed)  # for the jobs run inline
     try:
         with (
@@ -273,7 +270,6 @@ def run_sharded(
     *,
     workers: Optional[int] = None,
     collect_trace: bool = False,
-    max_events: Optional[int] = None,
 ) -> SimulationResult:
     """Run ``config`` as ``config.shards`` cooperating simulations.
 
@@ -303,14 +299,7 @@ def run_sharded(
     if workers is None:
         workers = max(1, (os.cpu_count() or 1) - 1)
     workers = min(workers, len(slices) - 1)
-    gather = partial(
-        _gather,
-        config,
-        slices,
-        profiler=profiler,
-        workers=workers,
-        max_events=max_events,
-    )
+    gather = partial(_gather, config, slices, profiler=profiler, workers=workers)
     replay = config.timeline_mode == "replay"
     cacheable = replay and timeline_cacheable(config)
     cached = TIMELINE_CACHE.lookup(config) if cacheable else None
@@ -325,7 +314,7 @@ def run_sharded(
             for chunk in chunks:
                 hit.publish(chunk)
             hit.close()
-            return _simulate(config, slices[0], max_events, TimelineView(hit.chunk))
+            return _simulate(config, slices[0], TimelineView(hit.chunk))
 
         # the parent's replay of the primary slice lets exhaustion
         # through: recomputing *that* slice live would run a second
@@ -344,7 +333,7 @@ def run_sharded(
     owner: Optional[BroadcastSimulation] = None
     if outcomes is None and not replay:
         owner = BroadcastSimulation(config, slice_=slices[0])
-        outcomes = gather(partial(_execute, owner, max_events))
+        outcomes = gather(partial(_execute, owner))
     elif outcomes is None:
         live = feed = TimelineFeed(shared=workers > 0)
         recorder = owner = BroadcastSimulation(
@@ -353,7 +342,7 @@ def run_sharded(
 
         def record() -> ShardOutcome:
             with profiler.phase("record"):
-                first = _execute(recorder, max_events)
+                first = _execute(recorder)
             horizon = recorder.recording_horizon(first.sim_time)
             with profiler.phase("extend"):
                 assert recorder.timeline is not None
@@ -372,7 +361,7 @@ def run_sharded(
         outcomes,
         profiler,
         owner=owner,
-        # any chunk: they share the recording pass's one journal
+        # on a cache hit, any chunk: they share the recorded journal
         arena=feed.chunks[-1] if feed is not None else None,
     )
     profile = profiler.as_dict()

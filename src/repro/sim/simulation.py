@@ -22,14 +22,15 @@ from the shared seeds, and simulates only its own contiguous range of
 read-only clients on top of it.  Read-only clients never touch
 shared state, so the timeline each shard derives is bit-identical to the
 unsharded run's; the only data shards exchange is a
-:class:`ShardOutcome`.  Exactly one shard (the primary) records the
-infrastructure's and the update clients' metrics; the others route those
-"ghost" measurements into a shadow collector that is dropped on the
-floor, so the merge counts everything exactly once.
+:class:`ShardOutcome`.  Exactly one shard (the primary) measures the
+update clients; the others' "ghost" updaters report into a collector
+that is dropped on the floor.  The timeline keeps its own books (its
+journal, :mod:`repro.sim.timeline`), and only one journal is ever
+folded — so the merge counts everything exactly once.
 
 Every path — unsharded, sharded recompute, timeline replay — ends in
-:func:`assemble_result`: merge the shards' outcomes, make the timeline
-cover the merged stop time, collect the spans, build the one
+:func:`assemble_result`: merge the shards' outcomes, fold the timeline's
+journal at the merged stop time, collect the spans, build the one
 :class:`SimulationResult`.
 """
 
@@ -59,15 +60,15 @@ from ..obs.telemetry import telemetry_from_result
 from ..obs.tracer import NULL_TRACER, Span, Tracer, canonical_spans
 from ..server.server import BroadcastServer
 from ..server.workload import ClientWorkload
-from .arena import RecordingTimelineMetrics, TimelineArena, TimelineFeed, TimelineView
+from .arena import TimelineArena, TimelineFeed, TimelineView
 from .cohort import CohortExecutor
 from .config import SimulationConfig
 from .engine import Simulator
 from .faults import FaultRuntime
 from .kernel import ClientEnv, ClientKernel
 from .metrics import MetricsCollector, SummaryStat
-from .processes import SharedState, client_process
-from .timeline import LiveTimeline
+from .processes import client_process
+from .timeline import LiveTimeline, fold_journal
 from .trace import TraceRecorder
 
 __all__ = [
@@ -101,7 +102,7 @@ class ShardSlice:
     #: this shard's contiguous read-only client range (half-open)
     reader_lo: int
     reader_hi: int
-    #: does this shard record the timeline's (server/crash/updater) metrics?
+    #: does this shard measure the updaters and emit the timeline's spans?
     primary: bool
 
     @property
@@ -208,11 +209,11 @@ class BroadcastSimulation:
         come from a sealed arena and there is no live timeline — the
         slice must contain observers (readers) only.
         ``record_timeline`` makes this a **recording** pass: the timeline
-        retains every installed image and journals its counters instead
-        of counting them (``self.metrics`` holds the clients'
-        measurements only, until the arena's journal is folded in at the
-        merged stop time), so :meth:`seal_timeline` can build the arena
-        replays attach to.  The two are mutually exclusive.  A recording
+        retains every installed image, so :meth:`seal_timeline` can build
+        the arena replays attach to (its journal goes with it).  The two
+        are mutually exclusive.  Either way ``self.metrics`` holds the
+        clients' measurements only: the timeline's counters are its
+        journal until :func:`assemble_result` folds it.  A recording
         pass given a ``feed`` publishes on it what it has recorded
         whenever it runs the timeline on.
         """
@@ -236,45 +237,29 @@ class BroadcastSimulation:
             self.trace.record_cycles = True
         # a no-op plan is indistinguishable from no plan: no runtime,
         # bit-identical event sequences
-        faults = None
+        self.faults: Optional[FaultRuntime] = None
         if config.faults is not None and not config.faults.is_noop:
-            faults = FaultRuntime(config.faults, config.arithmetic(), seed=config.seed)
+            self.faults = FaultRuntime(
+                config.faults, config.arithmetic(), seed=config.seed
+            )
         #: the server side, advanced on demand; None on a replay shard,
         #: whose clients hear the sealed ``view`` instead
         self.timeline: Optional[LiveTimeline] = None
-        heard: "LiveTimeline | TimelineView"
+        #: what is on the air for the clients: the live timeline, or the view
+        self.on_air: "LiveTimeline | TimelineView"
         if view is None:
-            heard = self.timeline = LiveTimeline(
+            self.on_air = self.timeline = LiveTimeline(
                 config,
                 self.layout,
-                faults=faults,
+                faults=self.faults,
                 trace=self.trace,
-                # timeline spans are primary-only, exactly like timeline
-                # metrics: ghost timelines recompute the same history
-                # and would double-emit
+                # timeline spans are primary-only: ghost timelines
+                # recompute the same history and would double-emit
                 tracer=self.tracer if self.slice.primary else NULL_TRACER,
                 keep_images=record_timeline or config.client_executor == "analytic",
             )
         else:
-            heard = view
-        #: where the shared timeline's metrics (server completions, crash
-        #: recovery, ghost update clients) land: the measured collector
-        #: on the primary shard, a discarded shadow elsewhere, a journal
-        #: on a recording pass
-        self._timeline_metrics: MetricsCollector
-        if record_timeline:
-            self._timeline_metrics = RecordingTimelineMetrics(self.timeline)
-        elif self.slice.primary:
-            self._timeline_metrics = self.metrics
-        else:
-            self._timeline_metrics = MetricsCollector()
-        if self.timeline is not None:
-            self.timeline.metrics = self._timeline_metrics
-        self.state = SharedState(
-            heard,
-            num_clients=self.slice.updaters + self.slice.num_readers,
-            faults=faults,
-        )
+            self.on_air = view
         if client_workloads is not None and len(client_workloads) != config.num_clients:
             raise ValueError(
                 f"need {config.num_clients} client workloads, "
@@ -325,11 +310,19 @@ class BroadcastSimulation:
             config=self.config,
             layout=self.layout,
             metrics=metrics,
-            faults=self.state.faults,
+            faults=self.faults,
             timeline=self.timeline,
             trace=self.trace,
             tracer=tracer,
         )
+
+    def updater_env(self) -> ClientEnv:
+        """The update-capable clients' env: measured on the primary shard;
+        elsewhere they are ghosts, recomputing the shared timeline, and
+        what they report is dropped."""
+        if self.slice.primary:
+            return self.client_env(self.metrics, self.tracer)
+        return self.client_env(MetricsCollector(), NULL_TRACER)
 
     def kernel_for(self, env: ClientEnv, k: int) -> ClientKernel:
         return ClientKernel(
@@ -354,9 +347,8 @@ class BroadcastSimulation:
         """Advance the timeline to ``horizon_time`` and publish the cycles
         recorded since the last publication, if any.
 
-        Running the timeline ahead of the clients is safe here and only
-        here: its counters are journalled and folded at the run's own
-        stop, and its spans are truncated there.
+        Running the timeline ahead of the clients is safe: its journal is
+        folded at the run's own stop, and its spans are truncated there.
         """
         feed = self.feed
         assert feed is not None, "publish_timeline requires a feed"
@@ -369,92 +361,84 @@ class BroadcastSimulation:
     def seal_timeline(self, horizon_time: float, first_cycle: int = 1) -> TimelineArena:
         """Serialise the recorded history from ``first_cycle`` on into an arena.
 
-        The arena shares this pass's journal rather than copying it: if
+        The arena shares the timeline's journal rather than copying it: if
         the timeline is later driven past ``horizon_time`` (a fallen-back
         shard outlived it), the fold at the merged stop still covers it.
         """
-        journal = self._timeline_metrics
-        assert isinstance(journal, RecordingTimelineMetrics)
         assert self.timeline is not None
         return TimelineArena.from_images(
             self.timeline.images,
             cycle_bits=float(self.layout.cycle_bits),
             horizon_time=horizon_time,
             partition=self.config.partition(),
-            journal=journal.journal,
+            journal=self.timeline.journal,
             first_cycle=first_cycle,
         )
 
-    def _run_events(self, max_events: Optional[int]) -> Tuple[float, int]:
-        """The event-driven path: process or cohort executor."""
+    def _run_events(self) -> Tuple[float, int]:
+        """The event-driven path: process or cohort executor, until the
+        engine's queue drains — the instant the last client retires."""
         config = self.config
         sim = self.sim
-        sl = self.slice
-        # ghost updaters (non-primary shards) record into the shadow
-        # collector; everyone this shard measures records into the real one
-        cohorts: List[Tuple[ClientEnv, List[ClientKernel]]] = []
+        ids = self._local_client_ids()
         if config.client_executor == "cohort":
-            cohorts = [
-                (self.client_env(self._timeline_metrics, NULL_TRACER), []),
-                (self.client_env(self.metrics, self.tracer), []),
-            ]
-        for k in self._local_client_ids():
-            if cohorts:
-                is_ghost = not sl.primary and k < sl.updaters
-                env, group = cohorts[0] if is_ghost else cohorts[1]
-                group.append(self.kernel_for(env, k))
-                continue
-            sim.spawn(
-                client_process(
-                    sim,
-                    config,
-                    k,
-                    self.workload_for(k),
-                    self.validator_for(k),
-                    self.layout,
-                    self.state,
-                    self.metrics,
-                    self.rng_for(k),
-                    timeline=self.timeline,
-                    trace=self.trace,
-                    cache=self.cache_for(k),
-                    tracer=self.tracer,
-                ),
-                name=f"client-{k}",
-            )
-        for env, group in cohorts:
-            if group:
-                CohortExecutor(
-                    sim=sim, state=self.state, env=env, clients=group
-                ).start()
+            # ghost updaters (non-primary shards) are a population of
+            # their own; everyone this shard measures is the other one
+            ghosts = 0 if self.slice.primary else self.slice.updaters
+            for env, group in (
+                (self.updater_env(), ids[:ghosts]),
+                (self.client_env(self.metrics, self.tracer), ids[ghosts:]),
+            ):
+                if group:
+                    kernels = [self.kernel_for(env, k) for k in group]
+                    CohortExecutor(
+                        sim=sim, timeline=self.on_air, env=env, clients=kernels
+                    ).start()
+        else:
+            for k in ids:
+                sim.spawn(
+                    client_process(
+                        sim,
+                        config,
+                        k,
+                        self.workload_for(k),
+                        self.validator_for(k),
+                        self.layout,
+                        self.on_air,
+                        self.faults,
+                        self.metrics,
+                        self.rng_for(k),
+                        trace=self.trace,
+                        cache=self.cache_for(k),
+                        tracer=self.tracer,
+                    ),
+                    name=f"client-{k}",
+                )
+        return sim.run(), sim.events_processed
 
-        sim.run(stop_when=lambda: self.state.all_clients_done, max_events=max_events)
-        return sim.now, sim.events_processed
-
-    def execute(self, max_events: Optional[int] = None) -> Tuple[float, int]:
+    def execute(self) -> Tuple[float, int]:
         """Run the simulation; returns ``(sim_time, events)``.
 
         ``sim_time`` is when this shard's last client finished, and the
         live timeline, if any, is left advanced to it; ``events`` counts
-        the engine's client-side events, which ``max_events`` caps.
-        Metrics land in ``self.metrics``; :meth:`run` wraps this with the
-        summary statistics.  Shard workers call this directly — a
-        secondary shard's partial sample set isn't summarisable on its
-        own.
+        the engine's client-side events.  Metrics land in
+        ``self.metrics``; :meth:`run` wraps this with the summary
+        statistics.  Shard workers call this directly — a secondary
+        shard's partial sample set isn't summarisable on its own.
         """
         if self.config.client_executor == "analytic":
             # imported lazily: the analytical tier is optional machinery
             from .analytic import run_analytic
 
-            sim_time, events = run_analytic(self, max_events=max_events)
+            sim_time, events = run_analytic(self)
         else:
-            sim_time, events = self._run_events(max_events)
+            sim_time, events = self._run_events()
         if self.timeline is not None:
             self.timeline.advance_to(sim_time)
         return sim_time, events
 
-    def run(self, *, max_events: Optional[int] = None) -> SimulationResult:
-        outcome = ShardOutcome(self.metrics, *self.execute(max_events))
+    def run(self) -> SimulationResult:
+        outcome = ShardOutcome(self.metrics, *self.execute())
         result = assemble_result(self.config, [outcome], PhaseProfiler(), owner=self)
         if self.config.audit:
             # Imported here (not at module top) so repro.sim never depends
@@ -478,23 +462,28 @@ def assemble_result(
 
     ``outcomes`` are the shards' in shard order — the first is the
     primary slice's, and its collector becomes the merged one.  ``owner``
-    is the simulation that ran the timeline live in this process (none
-    on a timeline-cache hit); ``arena`` is given on a replay run, whose
-    timeline counters exist only as the arena's journal.
+    is the simulation that ran the timeline live in this process; on a
+    timeline-cache hit there is none, and ``arena`` — any chunk of the
+    replayed timeline — carries the journal instead.  Exactly one journal
+    is folded, at the merged stop: the owner's, else the arena's.
     """
     merged = outcomes[0].metrics
     sim_time = max(outcome.sim_time for outcome in outcomes)
     with profiler.phase("merge"):
         for outcome in outcomes[1:]:
             merged.merge_from(outcome.metrics)
-    # an unsharded run's timeline (server completions, crash recovery)
-    # keeps going until the globally-last client finishes; the timeline
-    # whose metrics are recorded must cover the same span
+    # the timeline (server completions, crash recovery) keeps going
+    # until the globally-last client finishes, and its counters count
+    # exactly that far
     with profiler.phase("drive"):
-        if owner is not None and owner.timeline is not None:
+        if owner is not None:
+            assert owner.timeline is not None
             owner.timeline.advance_to(sim_time)
-        if arena is not None:
-            arena.apply_journal(merged, upto=sim_time)
+            journal = owner.timeline.journal
+        else:
+            assert arena is not None
+            journal = arena.journal
+        fold_journal(merged, journal, upto=sim_time)
 
     spans: Optional[List[Span]] = None
     shard_spans: Optional[List[List[Span]]] = None
@@ -506,8 +495,8 @@ def assemble_result(
             # read only now: covering the merged stop (and, on a
             # recording pass, the horizon) emitted the tail of the
             # owner's timeline spans; canonical_spans truncates them
-            # with the journal fold's ``start <= sim_time`` predicate,
-            # so span counts reconcile with counters
+            # with fold_journal's ``start <= sim_time`` predicate, so
+            # span counts reconcile with counters
             shard_spans[0] = owner.tracer.export()
             spans_dropped += owner.tracer.dropped
         spans = canonical_spans(shard_spans, sim_time)
@@ -527,27 +516,21 @@ def assemble_result(
 
 
 def run_simulation(
-    config: SimulationConfig,
-    *,
-    collect_trace: bool = False,
-    max_events: Optional[int] = None,
+    config: SimulationConfig, *, collect_trace: bool = False
 ) -> SimulationResult:
     """Build and run one simulation (sharded when ``config.shards > 1``).
 
     ``config.timeline_mode == "replay"`` also routes through the shard
     layer (even at one shard): the run records or reuses a sealed
     timeline arena and replays observers against it.
-
-    ``max_events`` caps each shard's engine events — client scheduling
-    only: the broadcast timeline is advanced on demand and costs none.
     """
     if config.shards > 1 or config.timeline_mode == "replay":
         from .shard import run_sharded
 
-        return run_sharded(config, collect_trace=collect_trace, max_events=max_events)
+        return run_sharded(config, collect_trace=collect_trace)
     profiler = PhaseProfiler()
     simulation = BroadcastSimulation(config, collect_trace=collect_trace)
     with profiler.phase("execute"):
-        result = simulation.run(max_events=max_events)
+        result = simulation.run()
     result.profile = profiler.as_dict()
     return result

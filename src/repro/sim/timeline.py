@@ -43,6 +43,14 @@ instant has happened when the submission is validated.
 
 The timeline keeps the last two images, or every image when asked
 (the analytical tier and a recording pass read arbitrarily far back).
+It keeps its own books: its :attr:`~LiveTimeline.journal` holds, per
+counter it changes, the instant of every increment, and a run's
+timeline counters are that journal folded at the run's stop
+(:func:`fold_journal`) — so a timeline may run ahead of its clients, or
+be recomputed by a shard that does not own it, without counting
+anything twice.  The instants are raw doubles (``array('d')``): a
+journal allocates no object per increment.
+
 Nothing here touches :mod:`repro.sim.engine`: clients are scheduled on the
 engine, the server side never is.
 """
@@ -51,6 +59,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
+from bisect import bisect_right
+from collections import defaultdict
+from functools import partial
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -68,11 +80,22 @@ if TYPE_CHECKING:  # type-only: config imports faults, never this module
     from .faults import FaultRuntime
     from .trace import TraceRecorder
 
-__all__ = ["LiveTimeline"]
+__all__ = ["Journal", "LiveTimeline", "fold_journal"]
 
 #: a stream yields the instant of its next event; it runs that event when
 #: it is resumed
 Stream = Iterator[float]
+
+#: per counter field, the instant of each unit increment, in time order
+Journal = Dict[str, "array[float]"]
+
+
+def fold_journal(metrics: MetricsCollector, journal: Journal, *, upto: float) -> None:
+    """Add every increment at or before ``upto`` to ``metrics``: the
+    counters of a timeline advanced to ``upto`` (inclusive, as
+    :meth:`LiveTimeline.advance_to` is) and no further."""
+    for name, instants in journal.items():
+        setattr(metrics, name, getattr(metrics, name) + bisect_right(instants, upto))
 
 
 class LiveTimeline:
@@ -99,10 +122,8 @@ class LiveTimeline:
         self.faults = faults
         self.trace = trace
         self.tracer = tracer
-        #: where the timeline's counters land; the owner points it at the
-        #: measured collector, a discarded shadow, or a journal before the
-        #: first advance
-        self.metrics = MetricsCollector()
+        #: the timeline's own books; read with fold_journal
+        self.journal: Journal = defaultdict(partial(array, "d"))
         #: installed images by cycle: the last two, or all of them
         self.images: Dict[int, BroadcastCycle] = {}
         self._keep_images = keep_images
@@ -152,22 +173,23 @@ class LiveTimeline:
     def uplink(self, time: float, client: int, submission: UpdateSubmission) -> str:
         """A client's update submission reaching the server at ``time``.
 
-        Returns what happened to it: ``"crash"`` — the server is down
-        (the plan's outage windows); ``"uplink"`` — lost in transit (one
-        draw from the client's own stream, made only if the server is
-        up); otherwise the server's verdict, ``"ok"`` or ``"conflict"``,
-        after backward validation against every commit at or before
-        ``time``.
+        Returns what happened to it: ``"crash"`` — the server is down (a
+        crash at or before ``time`` whose recovery is after it);
+        ``"uplink"`` — lost in transit (one draw from the client's own
+        stream, made only if the server is up); otherwise the server's
+        verdict, ``"ok"`` or ``"conflict"``, after backward validation
+        against every commit at or before ``time``.
         """
         self.advance_to(time)
+        if self._down:
+            return "crash"
         faults = self.faults
-        if faults is not None:
-            if faults.down_at(time):
-                return "crash"
-            if faults.plan.uplink_loss_probability > 0.0 and faults.uplink_lost(
-                client
-            ):
-                return "uplink"
+        if (
+            faults is not None
+            and faults.plan.uplink_loss_probability > 0.0
+            and faults.uplink_lost(client)
+        ):
+            return "uplink"
         committed = self.server.submit_client_update(submission).committed
         return "ok" if committed else "conflict"
 
@@ -178,7 +200,7 @@ class LiveTimeline:
         images[image.cycle] = image
         if len(images) > 2 and not self._keep_images:
             del images[next(iter(images))]
-        self.metrics.cycles_broadcast += 1
+        self.journal["cycles_broadcast"].append(self.now)
         if self.tracer.enabled:
             self.tracer.emit(
                 self.now, end, "timeline", 0, "cycle", "ok", str(image.cycle)
@@ -206,6 +228,8 @@ class LiveTimeline:
         expovariate = self._rng.expovariate
         cycle_of = self.layout.cycle_of
         tracer = self.tracer
+        committed = self.journal["server_commits"].append
+        lost = self.journal["server_txns_lost"].append
         interval = config.server_txn_interval
         deterministic = config.server_interval_distribution == "deterministic"
         while True:
@@ -215,7 +239,7 @@ class LiveTimeline:
             now = self.now
             if self._down:
                 # the completion evaporates with the crashed server
-                self.metrics.server_txns_lost += 1
+                lost(now)
                 if tracer.enabled:
                     tracer.emit(now, now, "timeline", 1, "server.commit", "lost", tid)
                 continue
@@ -224,7 +248,7 @@ class LiveTimeline:
             server.commit_update(
                 tid, read_set, dict.fromkeys(write_set, tid), cycle=cycle_of(now)
             )
-            self.metrics.server_commits += 1
+            committed(now)
             if tracer.enabled:
                 tracer.emit(now, now, "timeline", 1, "server.commit", "ok", tid)
 
@@ -240,7 +264,7 @@ class LiveTimeline:
             durable_log = server.database.commit_log
             durable_cycle = server.database.last_broadcast_cycle
             self._down = True
-            self.metrics.server_crashes += 1
+            self.journal["server_crashes"].append(self.now)
             yield self.now + crash.downtime
             revived = recover_server(
                 durable_log,
@@ -258,10 +282,10 @@ class LiveTimeline:
                 revived.begin_cycle(cycle)
                 for cycle in range(durable_cycle + 1, self.layout.cycle_of(self.now) + 1)
             ]
-            if replayed:
-                self.metrics.quiescent_replay_cycles += len(replayed)
             server.restore_from(revived)
             if replayed:
+                replays = self.journal["quiescent_replay_cycles"]
+                replays.extend([self.now] * len(replayed))
                 # the in-progress cycle's image goes on air now, mid-cycle,
                 # for the boundary it nominally covers: readers whose slots
                 # end after the recovery read it

@@ -4,11 +4,12 @@ The integration contract — replay-mode sharded runs bit-identical to
 the unsharded oracle — lives in test_shard.py / test_faults.py; this
 module pins the arena's own mechanics: flat-buffer serialisation and
 its identity-based deduplication, the zero-copy shared-memory
-lifecycle, view memoisation and exhaustion, the metrics journal, the
+lifecycle, view memoisation and exhaustion, the timeline's journal, the
 server-side fingerprint, and the cross-run LRU cache.
 """
 
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -18,18 +19,22 @@ from repro.broadcast.control_info import snapshot_payload
 from repro.sim import (
     DozeInterval,
     FaultPlan,
+    FaultRuntime,
+    ServerCrash,
     SimulationConfig,
     TimelineArena,
     TimelineCache,
     TimelineExhausted,
     TimelineView,
+    run_simulation,
     timeline_cacheable,
     timeline_fingerprint,
 )
-from repro.sim.arena import RecordingTimelineMetrics, TimelineFeed
+from repro.sim.arena import TimelineFeed
 from repro.sim.metrics import MetricsCollector
 from repro.sim.shard import reader_slices
 from repro.sim.simulation import BroadcastSimulation
+from repro.sim.timeline import LiveTimeline, fold_journal
 
 BASE = dict(
     num_objects=16,
@@ -189,31 +194,21 @@ class TestFromImages:
 
 
 class TestJournal:
-    def _arena_with_journal(self, recorded, journal):
-        recording, stop, _ = recorded
-        return TimelineArena.from_images(
-            recording.timeline.images,
-            cycle_bits=float(recording.layout.cycle_bits),
-            horizon_time=stop,
-            partition=recording.config.partition(),
-            journal=journal,
-        )
-
     def test_apply_journal_honours_the_stop_time(self, recorded):
-        arena = self._arena_with_journal(
-            recorded,
-            (
-                (1.0, "reads_delivered", 2),
-                (5.0, "server_commits", 1),
-                (9.0, "reads_delivered", 3),
-            ),
-        )
+        """A fold is inclusive — an increment at the stop time counts —
+        and a sealed arena carries the recording timeline's own journal."""
+        recording, _, arena = recorded
+        assert arena.journal is recording.timeline.journal  # shared, not copied
+        journal = {
+            "reads_delivered": [1.0, 1.0, 9.0, 9.0, 9.0],
+            "server_commits": [5.0],
+        }
         metrics = MetricsCollector()
-        arena.apply_journal(metrics, upto=5.0)
+        fold_journal(metrics, journal, upto=5.0)
         assert metrics.reads_delivered == 2
         assert metrics.server_commits == 1
         full = MetricsCollector()
-        arena.apply_journal(full, upto=9.0)
+        fold_journal(full, journal, upto=9.0)
         assert full.reads_delivered == 5
 
 
@@ -338,55 +333,70 @@ class TestTimelineCache:
         assert cache.lookup(config(num_clients=64)) is arena
 
 
-class _Clock:
-    def __init__(self):
-        self.now = 0.0
-
-
 class TestRecordingProxy:
     def test_counter_writes_journal_and_pass_through(self):
-        """Counter writes are journalled with their time and delta; the
-        running total stays with the recorder (``+=`` reads it back) and
-        reaches a measured collector only through the journal fold."""
-        clock = _Clock()
-        recorder = RecordingTimelineMetrics(clock)
-        assert recorder.journal == []  # zeroing the counters is no increment
-        recorder.reads_delivered += 2
-        clock.now = 4.0
-        recorder.server_commits += 1
-        recorder.reads_delivered += 3
-        recorder.listening_bits += 512.0
-        assert recorder.reads_delivered == 5
-        assert recorder.journal == [
-            (0.0, "reads_delivered", 2),
-            (4.0, "server_commits", 1),
-            (4.0, "reads_delivered", 3),
-            (4.0, "listening_bits", 512.0),
-        ]
-        arena = TestJournal()._arena_with_journal(record(config()), recorder.journal)
-        early, late = MetricsCollector(), MetricsCollector()
-        arena.apply_journal(early, upto=3.9)
-        arena.apply_journal(late, upto=4.0)
-        assert early.counters() == {**MetricsCollector().counters(), "reads_delivered": 2}
-        assert late.counters() == recorder.counters()
+        """Every increment of a counter the timeline changes is journalled
+        at its instant — cycles, commits, a crash, the completions it
+        swallows, the cycle its recovery replays — and nothing else holds
+        a count: the journal folded at ``t`` is the timeline at ``t``."""
+        base = config(server_read_probability=0.0)
+        cb = float(base.cycle_bits)
+        cfg = base.replace(
+            server_txn_interval=cb / 2,
+            server_interval_distribution="deterministic",
+            faults=FaultPlan(crashes=(ServerCrash(1.25 * cb, cb),)),
+        )
+        timeline = LiveTimeline(
+            cfg, cfg.layout(), faults=FaultRuntime(cfg.faults, cfg.arithmetic())
+        )
+        timeline.advance_to(2.5 * cb)
+        journal = {name: list(instants) for name, instants in timeline.journal.items()}
+        assert journal == {
+            "cycles_broadcast": [0.0, cb, 2.25 * cb],
+            "server_commits": [0.5 * cb, cb, 2.5 * cb],
+            "server_txns_lost": [1.5 * cb, 2 * cb],
+            "server_crashes": [1.25 * cb],
+            "quiescent_replay_cycles": [2.25 * cb],
+        }
+        assert not hasattr(timeline, "metrics")
+        early = MetricsCollector()
+        fold_journal(early, timeline.journal, upto=1.25 * cb)
+        assert early.counters() == {
+            **MetricsCollector().counters(),
+            "cycles_broadcast": 2,
+            "server_commits": 2,
+            "server_crashes": 1,
+        }
 
     def test_a_recording_pass_counts_the_timeline_in_the_journal_only(self):
-        """One rule under replay: the pass's measured collector holds what
-        its clients did; what the timeline did is the journal, from t = 0
-        through the horizon extension, folded at whatever stop is asked."""
+        """One rule for every run: a simulation's collector holds what its
+        clients did, and what the timeline did is its journal, from t = 0
+        through any horizon extension, folded at whatever stop is asked.
+        A live unsharded run's counters are its journal folded at its stop."""
         cfg = config()
         recording, stop, _ = record(cfg)
         live = BroadcastSimulation(cfg, slice_=reader_slices(cfg)[0])
         assert live.execute()[0] == stop
-        assert recording.metrics.server_commits == 0
-        assert recording.metrics.cycles_broadcast == 0
+        for simulation in (recording, live):
+            assert simulation.metrics.server_commits == 0
+            assert simulation.metrics.cycles_broadcast == 0
         assert recording.metrics.reads_delivered == live.metrics.reads_delivered
+        result = run_simulation(cfg)
+        assert result.sim_time == stop
+        assert result.metrics.server_commits == len(result.server.database.commit_log)
+        folded = MetricsCollector()
+        folded.merge_from(live.metrics)
+        fold_journal(folded, live.timeline.journal, upto=stop)
+        assert folded.counters() == result.metrics.counters()
         horizon = 2 * stop
         recording.timeline.advance_to(horizon)
         arena = recording.seal_timeline(horizon_time=horizon)
         for upto in (stop, 1.5 * stop, horizon):  # ascending: one live run
             live.timeline.advance_to(upto)
+            advanced = MetricsCollector()
+            advanced.merge_from(live.metrics)
+            fold_journal(advanced, live.timeline.journal, upto=math.inf)
             replayed = MetricsCollector()
             replayed.merge_from(recording.metrics)
-            arena.apply_journal(replayed, upto=upto)
-            assert replayed.counters() == live.metrics.counters()
+            fold_journal(replayed, arena.journal, upto=upto)
+            assert replayed.counters() == advanced.counters()

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import (
-    SimClockError,
-    Simulator,
-    Timeout,
-    WaitUntil,
-    Waive,
-)
+from repro.sim.engine import SimClockError, Simulator, Timeout, WaitUntil
 
 
 class TestDirectives:
@@ -51,26 +45,6 @@ class TestDirectives:
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):
             Timeout(-1)
-
-    def test_waive_keeps_time_but_yields(self):
-        sim = Simulator()
-        order = []
-
-        def a():
-            order.append("a1")
-            yield Waive()
-            order.append("a2")
-
-        def b():
-            order.append("b1")
-            yield Waive()
-            order.append("b2")
-
-        sim.spawn(a())
-        sim.spawn(b())
-        sim.run()
-        assert order == ["a1", "b1", "a2", "b2"]
-        assert sim.now == 0
 
     def test_bad_directive_raises(self):
         sim = Simulator()
@@ -127,78 +101,13 @@ class TestScheduling:
 
 
 class TestRunLimits:
-    def _ticker(self, sim, log):
-        while True:
-            yield Timeout(10)
-            log.append(sim.now)
-
-    def test_until_stops_before_later_events(self):
-        sim = Simulator()
-        log = []
-        sim.spawn(self._ticker(sim, log))
-        sim.run(until=35)
-        assert log == [10, 20, 30]
-        assert sim.now == 35
-
-    def test_stop_when_predicate(self):
-        sim = Simulator()
-        log = []
-        sim.spawn(self._ticker(sim, log))
-        sim.run(stop_when=lambda: len(log) >= 5)
-        assert len(log) == 5
-
-    def test_max_events_guard(self):
-        sim = Simulator()
-        sim.spawn(self._ticker(sim, []))
-        with pytest.raises(RuntimeError):
-            sim.run(max_events=10)
-
-    def test_resume_after_until(self):
-        sim = Simulator()
-        log = []
-        sim.spawn(self._ticker(sim, log))
-        sim.run(until=25)
-        sim.run(until=45)
-        assert log == [10, 20, 30, 40]
-
     def test_events_processed_counter(self):
         sim = Simulator()
-        log = []
-        sim.spawn(self._ticker(sim, log))
-        sim.run(until=50)
+
+        def ticker():
+            for _ in range(5):
+                yield Timeout(10)
+
+        sim.spawn(ticker())
+        assert sim.run() == 50  # the queue drains at the last event
         assert sim.events_processed == 6  # spawn step + 5 ticks
-
-    def test_until_returned_when_queue_drains_early(self):
-        # run(until=T) means "simulate through T": even when the last
-        # event fires before T the clock ends (and the call returns) at T
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(10)
-
-        sim.spawn(proc())
-        assert sim.run(until=100) == 100
-        assert sim.now == 100
-
-    def test_until_on_empty_queue_advances_clock(self):
-        sim = Simulator()
-        assert sim.run(until=7) == 7
-        assert sim.now == 7
-
-    def test_until_in_past_of_drained_clock_is_noop(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(10)
-
-        sim.spawn(proc())
-        sim.run()
-        assert sim.now == 10
-        assert sim.run(until=5) == 10  # never move time backwards
-
-    def test_stop_when_beats_until_normalization(self):
-        sim = Simulator()
-        log = []
-        sim.spawn(self._ticker(sim, log))
-        assert sim.run(until=100, stop_when=lambda: len(log) >= 2) == 20
-

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Simulator, Timeout, WaitUntil, Waive
+from repro.sim.engine import Simulator, Timeout, WaitUntil
 
 
 class TestMixedScheduling:
@@ -56,7 +56,7 @@ class TestMixedScheduling:
 
         def b():
             order.append("b1")
-            yield Waive()
+            yield Timeout(0)
             order.append("b2")
 
         sim.spawn(a())

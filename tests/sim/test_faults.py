@@ -9,6 +9,7 @@ alone still refuses them).
 
 import pytest
 
+from repro.server.validation import UpdateSubmission
 from repro.sim import (
     DozeInterval,
     FaultPlan,
@@ -18,6 +19,7 @@ from repro.sim import (
     SimulationConfig,
     run_simulation,
 )
+from repro.sim.timeline import LiveTimeline
 
 from tests.conftest import reference_run
 
@@ -329,14 +331,22 @@ class TestFaultRuntime:
         assert metrics.doze_slots_missed == 1
 
     def test_outage_blocks_slots_even_across_recovery(self):
-        """The outage windows are plan data: down at the crash instant,
-        up at the recovery instant, and every slot overlapping the
-        closed window was dead air."""
-        runtime = self._runtime(FaultPlan(crashes=(ServerCrash(10.0, 5.0),)))
+        """The server is down from the crash instant to the recovery
+        instant — as the timeline's uplink door finds it: an arrival at
+        ``crash.time`` is lost, one at ``crash.end`` validated — and
+        every slot overlapping the open outage window was dead air."""
+        plan = FaultPlan(crashes=(ServerCrash(10.0, 5.0),))
+        config = faulty_config(server_txn_interval=1e12, faults=plan)
+        timeline = LiveTimeline(
+            config, config.layout(), faults=self._runtime(plan)
+        )
+        submission = UpdateSubmission("cl0.c1", reads=(), writes=((0, "x"),))
+        assert timeline.uplink(9.5, 0, submission) == "ok"
+        assert timeline.uplink(10.0, 0, submission) == "crash"
+        assert timeline.uplink(14.9, 0, submission) == "crash"
+        assert timeline.uplink(15.0, 0, submission) == "ok"
+        runtime = self._runtime(plan)
         metrics = MetricsCollector()
-        assert not runtime.down_at(9.5)
-        assert runtime.down_at(10.0) and runtime.down_at(14.9)
-        assert not runtime.down_at(15.0)
         assert not runtime.slot_heard(0, 12.0, 13.0, metrics)
         # a slot that started before the crash and ended inside it was
         # dead air even though the wait completes after recovery

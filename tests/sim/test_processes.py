@@ -1,11 +1,13 @@
-"""Unit tests for what the clients hear: the shared state and the broadcast
-timeline's cycle and server streams (repro.sim.processes, repro.sim.timeline)."""
+"""Unit tests for what the clients hear: the broadcast timeline's images
+and its cycle and server streams (repro.sim.timeline)."""
+
+import math
 
 import pytest
 
 from repro.sim.config import SimulationConfig
-from repro.sim.processes import SharedState
-from repro.sim.timeline import LiveTimeline
+from repro.sim.metrics import MetricsCollector
+from repro.sim.timeline import LiveTimeline, fold_journal
 
 
 def tiny_config(**overrides):
@@ -27,34 +29,40 @@ def quiet_timeline(**overrides):
     return LiveTimeline(config, config.layout()), config.layout().cycle_bits
 
 
+def counters(timeline):
+    """What the timeline counted so far: its journal, folded."""
+    metrics = MetricsCollector()
+    fold_journal(metrics, timeline.journal, upto=math.inf)
+    return metrics
+
+
 class TestSharedState:
+    """What a read hears: the image of its slot's cycle, with the timeline
+    advanced to the slot's end first."""
+
     def test_broadcast_for_current_and_previous(self):
         timeline, cycle_bits = quiet_timeline()
-        state = SharedState(timeline)
         # a read in cycle 2 advances the timeline there: both images held
-        assert state.broadcast_for(2, 1.5 * cycle_bits).cycle == 2
-        assert state.broadcast_for(1, 1.5 * cycle_bits).cycle == 1
+        timeline.advance_to(1.5 * cycle_bits)
+        assert timeline.broadcast(2).cycle == 2
+        assert timeline.broadcast(1).cycle == 1
         # the last slot of cycle 1 ends on the boundary that opens cycle 2
-        assert state.broadcast_for(1, cycle_bits).cycle == 1
+        fresh, _ = quiet_timeline()
+        fresh.advance_to(cycle_bits)
+        assert sorted(fresh.images) == [1, 2]
+        assert fresh.broadcast(1).cycle == 1
 
     def test_older_broadcasts_dropped(self):
         timeline, cycle_bits = quiet_timeline()
         timeline.advance_to(2.5 * cycle_bits)
         assert sorted(timeline.images) == [2, 3]
         with pytest.raises(RuntimeError, match="no broadcast image"):
-            SharedState(timeline).broadcast_for(1, 2.5 * cycle_bits)
+            timeline.broadcast(1)
         # ...unless the timeline retains them (analytic tier, recording)
         config = tiny_config(server_txn_interval=1e12)
         keeping = LiveTimeline(config, config.layout(), keep_images=True)
         keeping.advance_to(2.5 * cycle_bits)
         assert keeping.broadcast(1).cycle == 1
-
-    def test_all_clients_done(self):
-        timeline, _ = quiet_timeline()
-        state = SharedState(timeline, num_clients=2)
-        assert not state.all_clients_done
-        state.clients_done = 2
-        assert state.all_clients_done
 
 
 class TestCycleProcess:
@@ -64,7 +72,7 @@ class TestCycleProcess:
         # cycles 1..4 began (the 4th at t = 3*cycle_bits)
         assert max(timeline.images) == 4
         assert timeline.broadcast(3).cycle == 3
-        assert timeline.metrics.cycles_broadcast == 4
+        assert counters(timeline).cycles_broadcast == 4
         assert timeline.now == 3 * cycle_bits
 
     def test_snapshot_frozen_at_cycle_start(self):
@@ -88,7 +96,7 @@ class TestServerProcess:
         layout = config.layout()
         timeline = LiveTimeline(config, layout)
         timeline.advance_to(layout.cycle_bits * duration_cycles)
-        return timeline.server, timeline.metrics, layout.cycle_bits * duration_cycles
+        return timeline.server, counters(timeline), layout.cycle_bits * duration_cycles
 
     def test_commit_rate_close_to_configured(self):
         config = tiny_config(

@@ -1,10 +1,18 @@
 """End-to-end simulation tests (repro.sim.simulation)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.validators import PROTOCOL_NAMES
+from repro.scenarios import result_signature
+from repro.sim import TIMELINE_CACHE, FaultPlan, ServerCrash
 from repro.sim.config import SimulationConfig
+from repro.sim.shard import run_sharded
 from repro.sim.simulation import run_simulation
+
+from tests.conftest import reference_run
 
 TINY = dict(
     num_objects=40,
@@ -217,3 +225,145 @@ class TestSemantics:
         assert result.metrics.cache_hits > 0
         report = result.trace.verify(result.server.database)
         assert report.accepted, report.rejected_readers
+
+
+# ----------------------------------------------------------------------
+# where a run stops, pinned
+# ----------------------------------------------------------------------
+#: a population with updaters, for the fleet cases below
+FLEET = dict(
+    protocol="f-matrix",
+    num_objects=16,
+    object_size_bits=512,
+    num_clients=12,
+    num_update_clients=2,
+    client_update_fraction=0.3,
+    num_client_transactions=4,
+    client_txn_length=3,
+    mean_inter_operation_delay=4000.0,
+    mean_inter_transaction_delay=8000.0,
+    server_txn_interval=30000.0,
+    seed=21,
+)
+
+
+def faulted():
+    """Doze, a crash, uplink loss, updates, modulo timestamps and a cache."""
+    base = SimulationConfig(
+        protocol="f-matrix",
+        num_objects=40,
+        object_size_bits=1024,
+        timestamp_bits=4,
+        modulo_timestamps=True,
+        num_clients=6,
+        num_update_clients=2,
+        client_update_fraction=0.3,
+        num_client_transactions=8,
+        client_txn_length=4,
+        seed=7,
+    )
+    cb = base.cycle_bits
+    return base.replace(
+        cache_currency_bound=4.0 * cb,
+        faults=FaultPlan.seeded(
+            3,
+            num_clients=base.num_clients,
+            horizon=200 * cb,
+            mean_time_between_dozes=3 * cb,
+            mean_doze_duration=cb,
+            crashes=(ServerCrash(14.5 * cb, 2.5 * cb),),
+            uplink_loss_probability=0.3,
+        ),
+    )
+
+
+def drain_case(name):
+    """The result of pinned run ``name``."""
+    table1 = SimulationConfig(num_client_transactions=100, seed=42)
+    fleet = SimulationConfig(**FLEET)
+    if name == "table1-process":
+        return reference_run(table1)
+    if name == "table1-cohort":
+        return run_simulation(table1)
+    if name == "faulted-process":
+        return reference_run(faulted())
+    if name == "faulted-cohort":
+        return run_simulation(faulted())
+    if name == "analytic-updaters":
+        return run_simulation(
+            fleet.replace(client_executor="analytic", num_update_clients=4)
+        )
+    if name == "recompute-3-shards":
+        return run_sharded(fleet.replace(shards=3), workers=0)
+    if name == "replay-analytic":
+        TIMELINE_CACHE.clear()  # a cold replay: record, then replay
+        readers = fleet.replace(
+            client_executor="analytic",
+            client_update_fraction=0.0,
+            num_update_clients=None,
+            shards=2,
+            timeline_mode="replay",
+        )
+        return run_sharded(readers, workers=0)
+    assert name == "replay-cohort-updaters"
+    return run_sharded(fleet.replace(shards=2, timeline_mode="replay"), workers=0)
+
+
+#: ``(digest(result_signature), events, sim_time)`` per case: a run stops
+#: when its last client retires — the instant its engine queue drains.
+#: Computed when the engine still stopped on a retired-client count.
+DRAIN_PINS = {
+    "table1-process": (
+        "78435291f43fa6acf8e7327a5947847d8a12c1474f9bb70238123660f74f6fe6",
+        801,
+        642430063.4482079,
+    ),
+    "table1-cohort": (
+        "78435291f43fa6acf8e7327a5947847d8a12c1474f9bb70238123660f74f6fe6",
+        401,
+        642430063.4482079,
+    ),
+    "faulted-process": (
+        "9e0de2ec01ae1eb8b2d4180bf40d5372b9845ad0b2e30f97a0547d5a94220516",
+        1000,
+        9351697.817066208,
+    ),
+    "faulted-cohort": (
+        "9e0de2ec01ae1eb8b2d4180bf40d5372b9845ad0b2e30f97a0547d5a94220516",
+        471,
+        9351697.817066208,
+    ),
+    "analytic-updaters": (
+        "fb195b4dc9045d6f23cb2e0851aa37892e613f237f6e34f336d14977412070e2",
+        69,
+        265577.8972808899,
+    ),
+    "recompute-3-shards": (
+        "bd1a0a27aba24acf3c537c7b60f3dcd19a48c7e011eed47275b52c7240d268ac",
+        253,
+        265577.8972808899,
+    ),
+    "replay-analytic": (
+        "962d1259e310d33698a55a7149def18ca223b72cee259536b39d50af5ecb7d06",
+        0,
+        165452.3993218089,
+    ),
+    "replay-cohort-updaters": (
+        "bd1a0a27aba24acf3c537c7b60f3dcd19a48c7e011eed47275b52c7240d268ac",
+        158,
+        265577.8972808899,
+    ),
+}
+
+
+def signature_digest(result):
+    text = json.dumps(result_signature(result), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDrainPins:
+    @pytest.mark.parametrize("name", sorted(DRAIN_PINS))
+    def test_a_run_stops_where_its_last_client_retires(self, name):
+        result = drain_case(name)
+        pinned = (signature_digest(result), result.events, result.sim_time)
+        assert pinned == DRAIN_PINS[name]
