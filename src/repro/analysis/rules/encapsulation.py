@@ -2,7 +2,8 @@
 
 :class:`repro.core.model.History` is "conceptually immutable", the
 control matrix advances only through the Theorem 2 increment, and the
-database installs writes only through ``apply_commit`` — the invariant
+database installs writes only through its batch door ``apply_batch``
+(``apply_commit`` is that door for one transaction) — the invariant
 auditor depends on exactly this.  Reaching into another object's
 underscore attributes from outside the module that owns them bypasses
 every one of those contracts, so this rule forbids it.

@@ -11,8 +11,9 @@ value of ``ob_j`` wrote ``ob_i``.
 
 Two computations are provided:
 
-* :meth:`ControlMatrix.apply_commit` — the incremental maintenance of
-  Theorem 2, used by the server on every commit;
+* :meth:`ControlMatrix.apply_batch` — the incremental maintenance of
+  Theorem 2, used by the server once per cycle's commits
+  (:meth:`~ControlMatrix.apply_commit` is its one-commit call);
 * :func:`matrix_from_history` — the definitional computation from a full
   history, used as the oracle in the Theorem 2 property tests.
 
@@ -26,15 +27,21 @@ dense ``n × n`` array exists only where a caller asks for one.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .model import History, T0
 from .readsfrom import last_committed_writer, live_set
 
-#: ``checked_commit`` / ``commit_column`` are shared with ``group_matrix``
-__all__ = ["ColumnImage", "ControlMatrix", "matrix_from_history"]
+#: ``checked_batch`` / ``commit_column`` are shared with ``group_matrix``
+__all__ = ["ColumnImage", "Commit", "ControlMatrix", "matrix_from_history"]
+
+#: one commit offered to a batch door: ``(txn, read_set, writes)``, where
+#: ``writes`` iterates the written ids — a tuple of them (each takes the
+#: transaction id as its value; a ``ServerTransactionSpec`` is such a
+#: commit) or a dict of id -> value.  A control state reads the ids only.
+Commit = Tuple[str, Sequence[int], Collection[int]]
 
 
 class ColumnImage:
@@ -60,36 +67,38 @@ class ColumnImage:
         return self._dense
 
 
-def checked_commit(
-    num_objects: int,
-    last_cycle: int,
-    commit_cycle: int,
-    read_set: Iterable[int],
-    write_set: Iterable[int],
-) -> Tuple[List[int], List[int]]:
-    """The door of every control state: sorted ``(rs, ws)`` or an exception.
+def checked_batch(
+    num_objects: int, last_cycle: int, commit_cycle: int, batch: Sequence[Commit]
+) -> Set[int]:
+    """The door of every control state, once per batch: the union of the
+    batch's write sets, or an exception.
 
-    An object id outside ``0..n-1`` raises ``IndexError``, a writing commit
-    before ``last_cycle`` ``ValueError`` (one that writes nothing installs
-    nothing and is not held to it) — checked before the caller changes
-    anything, so a refused commit leaves no trace.
+    An object id outside ``0..n-1`` anywhere in the batch raises
+    ``IndexError``, a batch that writes before ``last_cycle`` ``ValueError``
+    (one that writes nothing installs nothing and is not held to it) —
+    checked before the caller changes anything, so a refused batch leaves
+    no trace.
     """
-    rs, ws = sorted(set(read_set)), sorted(set(write_set))
-    for ids in (rs, ws):
-        if ids and not (0 <= ids[0] and ids[-1] < num_objects):
-            bad = ids[0] if ids[0] < 0 else ids[-1]
+    read: Set[int] = set()
+    written: Set[int] = set()
+    for _, rs, ws in batch:
+        read.update(rs)
+        written.update(ws)
+    for ids in (read, written):
+        if ids and not (0 <= min(ids) and max(ids) < num_objects):
+            bad = min(ids) if min(ids) < 0 else max(ids)
             raise IndexError(f"object id {bad} out of range 0..{num_objects - 1}")
-    if ws and commit_cycle < last_cycle:
+    if written and commit_cycle < last_cycle:
         raise ValueError(
             f"commit cycles must be non-decreasing ({commit_cycle} < {last_cycle})"
         )
-    return rs, ws
+    return written
 
 
 def commit_column(
     num_objects: int,
     read_columns: Sequence[np.ndarray],
-    ws: Sequence[int],
+    ws: Iterable[int],
     commit_cycle: int,
 ) -> np.ndarray:
     """The one column a commit makes (Theorem 2): ``commit_cycle`` at
@@ -125,7 +134,7 @@ class ControlMatrix:
         if num_objects <= 0:
             raise ValueError("num_objects must be positive")
         self._n = num_objects
-        #: column ``j`` of ``C``, immutable; only ``apply_commit`` rebinds
+        #: column ``j`` of ``C``, immutable; only ``apply_batch`` rebinds
         #: an entry, and objects last written together share one array
         self.columns = [commit_column(num_objects, (), (), 0)] * num_objects
         self._last_cycle_applied = 0
@@ -158,26 +167,34 @@ class ControlMatrix:
         read_set: Iterable[int],
         write_set: Iterable[int],
     ) -> Collection[int]:
-        """Apply one committed update transaction (Theorem 2 algorithm).
+        """Apply one committed update transaction: :meth:`apply_batch` of one."""
+        return self.apply_batch(commit_cycle, [("", tuple(read_set), tuple(write_set))])
+
+    def apply_batch(self, commit_cycle: int, batch: Sequence[Commit]) -> Collection[int]:
+        """Apply a cycle's committed update transactions, in serialization
+        order (Theorem 2 algorithm, per commit):
 
         * ``C(i, j) = commit_cycle``            for i, j ∈ WS;
         * ``C(i, j) = max_{k ∈ RS} C_old(i, k)`` for i ∉ WS, j ∈ WS
           (0 when RS is empty);
         * unchanged otherwise.
 
-        Returns the ids of the columns it rebound — none for a commit that
-        wrote nothing, which has no effect on the matrix.
+        Order matters — a commit reads the columns the ones before it
+        rebound — so the columns are chained commit by commit; the ids
+        are checked once for the batch (:func:`checked_batch`).  Returns
+        the ids of the columns rebound — none for a batch that wrote
+        nothing, which has no effect on the matrix.
         """
-        rs, ws = checked_commit(
-            self._n, self._last_cycle_applied, commit_cycle, read_set, write_set
-        )
-        if ws:
+        written = checked_batch(self._n, self._last_cycle_applied, commit_cycle, batch)
+        if written:
             self._last_cycle_applied = commit_cycle
-            columns = self.columns
-            column = commit_column(self._n, [columns[k] for k in rs], ws, commit_cycle)
-            for j in ws:
-                columns[j] = column
-        return ws
+            columns, n = self.columns, self._n
+            for _, rs, ws in batch:
+                if ws:
+                    column = commit_column(n, [columns[k] for k in rs], ws, commit_cycle)
+                    for j in ws:
+                        columns[j] = column
+        return written
 
     # ------------------------------------------------------------------
     def reduce_to_vector(self) -> np.ndarray:

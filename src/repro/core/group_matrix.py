@@ -21,7 +21,7 @@ from typing import Collection, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .control_matrix import ColumnImage, checked_commit, commit_column
+from .control_matrix import ColumnImage, Commit, checked_batch, commit_column
 
 __all__ = [
     "Partition",
@@ -104,14 +104,20 @@ class LastWriteVector:
     def apply_commit(
         self, commit_cycle: int, read_set: Iterable[int], write_set: Iterable[int]
     ) -> Collection[int]:
-        """Stamp the written entries; returns their ids (see ``checked_commit``)."""
-        _rs, ws = checked_commit(
-            len(self._mc), self._last_cycle_applied, commit_cycle, read_set, write_set
+        """:meth:`apply_batch` of one commit."""
+        return self.apply_batch(commit_cycle, [("", tuple(read_set), tuple(write_set))])
+
+    def apply_batch(self, commit_cycle: int, batch: Sequence[Commit]) -> Collection[int]:
+        """Stamp every entry the batch writes with one store; returns their
+        ids (see ``checked_batch``).  Every commit of a batch has the same
+        cycle, so order within it does not matter here."""
+        written = checked_batch(
+            len(self._mc), self._last_cycle_applied, commit_cycle, batch
         )
-        if ws:
+        if written:
             self._last_cycle_applied = commit_cycle
-            self._mc[ws] = commit_cycle
-        return ws
+            self._mc[list(written)] = commit_cycle
+        return written
 
 
 class GroupedControlState:
@@ -133,7 +139,7 @@ class GroupedControlState:
     def __init__(self, partition: Partition):
         self.partition = partition
         n, g = partition.num_objects, partition.num_groups
-        #: column ``s`` of ``MC``, immutable; only ``apply_commit`` rebinds
+        #: column ``s`` of ``MC``, immutable; only ``apply_batch`` rebinds
         #: (:mod:`repro.core.control_matrix`, "Columns, not a block")
         self.columns = [commit_column(n, (), (), 0)] * g
         self._exact = g == n
@@ -153,28 +159,36 @@ class GroupedControlState:
     def apply_commit(
         self, commit_cycle: int, read_set: Iterable[int], write_set: Iterable[int]
     ) -> Collection[int]:
-        """Theorem 2 on group columns; returns the ids of the groups rebound."""
+        """:meth:`apply_batch` of one commit."""
+        return self.apply_batch(commit_cycle, [("", tuple(read_set), tuple(write_set))])
+
+    def apply_batch(self, commit_cycle: int, batch: Sequence[Commit]) -> Collection[int]:
+        """Theorem 2 on group columns, commit by commit in serialization
+        order, ids checked once for the batch; returns the ids of the
+        groups rebound."""
         part = self.partition
-        rs, ws = checked_commit(
-            part.num_objects, self._last_cycle_applied, commit_cycle, read_set, write_set
+        written = checked_batch(
+            part.num_objects, self._last_cycle_applied, commit_cycle, batch
         )
-        if not ws:
-            return ws
+        if not written:
+            return written
         self._last_cycle_applied = commit_cycle
-        columns, group_of = self.columns, part.group_of
-        # max over the groups containing read objects over-approximates
-        # max over read columns of C; exact when groups are singletons.
-        # Writes dominate: entries (i ∈ WS, group of j ∈ WS) become the
-        # cycle — no entry exceeds it, commit cycles being non-decreasing
-        reads = [columns[g] for g in {group_of(r) for r in rs}]
-        column = commit_column(part.num_objects, reads, ws, commit_cycle)
-        written = {group_of(w) for w in ws}
-        for g in written:
-            merged = column
-            if not self._exact:
-                # the group keeps its other members' contributions: a new
-                # array, never ``out=`` one that an image may already share
-                merged = np.maximum(columns[g], column)
-                merged.setflags(write=False)
-            columns[g] = merged
-        return written
+        columns, group_of = self.columns, part._group_of
+        for _, rs, ws in batch:
+            if not ws:
+                continue
+            # max over the groups containing read objects over-approximates
+            # max over read columns of C; exact when groups are singletons.
+            # Writes dominate: entries (i ∈ WS, group of j ∈ WS) become the
+            # cycle — no entry exceeds it, commit cycles being non-decreasing
+            reads = [columns[g] for g in {group_of[r] for r in rs}]
+            column = commit_column(part.num_objects, reads, ws, commit_cycle)
+            for g in {group_of[w] for w in ws}:
+                merged = column
+                if not self._exact:
+                    # the group keeps its other members' contributions: a new
+                    # array, never ``out=`` one that an image may already share
+                    merged = np.maximum(columns[g], column)
+                    merged.setflags(write=False)
+                columns[g] = merged
+        return {group_of[w] for w in written}

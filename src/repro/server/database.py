@@ -12,19 +12,37 @@ Committed versions carry provenance (writer id, commit cycle) so the
 simulation trace can rebuild the induced global history.
 
 The database owns "what committed" and leaves the id check to the one
-door in front of it.  :meth:`Database.apply_commit` installs ids as given:
-:meth:`repro.server.BroadcastServer.commit_update` reaches it only after
-the control state's ``checked_commit`` has refused any id outside
+door in front of it.  :meth:`Database.apply_batch` installs a cycle's
+commits with ids as given (:meth:`Database.apply_commit` is its call for
+one): :meth:`repro.server.BroadcastServer.commit_batch` reaches it only
+after the control state's ``checked_batch`` has refused any id outside
 ``0..n-1``, and the executors' programs refuse negative ids (an id past
 the end fails on the version list).  :meth:`Database.stage_write` checks
 its one id itself.
+
+The log keeps each commit *raw*, as installed — ``(txn, commit_cycle,
+commit_seq, read_set, writes)`` holding the committer's own set objects
+(a server transaction's spec tuples: no per-commit dict) — and builds
+the sorted records (:class:`CommitRecord`) only when
+:attr:`Database.commit_log` is read (a crash, the trace, the audit): a
+run that never asks builds none.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    Tuple,
+)
 
 from ..broadcast.program import ObjectVersion
+from ..core.control_matrix import Commit
 from ..core.model import T0
 
 __all__ = ["Database", "CommitRecord"]
@@ -38,6 +56,24 @@ class CommitRecord(NamedTuple):
     commit_seq: int
     read_set: Tuple[int, ...]
     writes: Tuple[Tuple[int, object], ...]
+
+
+#: a log entry as installed: ``(txn, commit_cycle, commit_seq, read_set,
+#: writes)``, ``writes`` as :data:`~repro.core.control_matrix.Commit` has it
+LogEntry = Tuple[str, int, int, Sequence[int], Collection[int]]
+
+
+def _as_record(entry: LogEntry) -> CommitRecord:
+    """The sorted record of a log entry."""
+    txn, commit_cycle, commit_seq, read_set, writes = entry
+    pairs: Tuple[Tuple[int, object], ...]
+    if type(writes) is dict:
+        pairs = tuple(sorted(writes.items()))
+    else:  # the ids a transaction wrote its own id to
+        pairs = tuple((obj, txn) for obj in sorted(set(writes)))
+    return CommitRecord(
+        txn, commit_cycle, commit_seq, tuple(sorted(set(read_set))), pairs
+    )
 
 
 class Database:
@@ -56,8 +92,9 @@ class Database:
             ObjectVersion(obj, initial_value, T0, 0) for obj in range(num_objects)
         ]
         self._working: Dict[int, Tuple[object, str]] = {}
-        self._commit_seq = 0
-        self._log: List[CommitRecord] = []
+        #: raw entries, in serialization order; an entry's ``commit_seq``
+        #: is its position + 1
+        self._log: List[LogEntry] = []
         self._last_broadcast_cycle = 0
 
     # ------------------------------------------------------------------
@@ -68,12 +105,17 @@ class Database:
     @property
     def commit_log(self) -> Tuple[CommitRecord, ...]:
         """All committed update transactions, in serialization order."""
-        return tuple(self._log)
+        return tuple(map(_as_record, self._log))
+
+    @property
+    def last_record(self) -> CommitRecord:
+        """The newest commit's record."""
+        return _as_record(self._log[-1])
 
     @property
     def last_commit_cycle(self) -> int:
-        """The commit cycle of the newest log record (0 before any)."""
-        return self._log[-1].commit_cycle if self._log else 0
+        """The commit cycle of the newest log entry (0 before any)."""
+        return self._log[-1][1] if self._log else 0
 
     @property
     def last_broadcast_cycle(self) -> int:
@@ -136,24 +178,27 @@ class Database:
         read_set: Iterable[int],
         writes: Mapping[int, object],
     ) -> CommitRecord:
-        """Install a transaction's writes as the committed versions.
+        """Install one transaction's writes: :meth:`apply_batch` of one,
+        on copies of its sets.  Returns the log record."""
+        self.apply_batch(commit_cycle, [(txn, tuple(read_set), dict(writes))])
+        return self.last_record
+
+    def apply_batch(self, commit_cycle: int, batch: Sequence[Commit]) -> None:
+        """Install a cycle's transactions' writes as the committed versions.
 
         Must be called in serialization order (the executors guarantee
         commit order == serialization order), with ids the caller has
-        checked (module docstring).  Returns the log record.
+        checked (module docstring).  The log keeps each commit's sets as
+        given, so they must be ones nobody changes afterwards.
         """
-        committed = self._committed
-        for obj, value in writes.items():
-            committed[obj] = ObjectVersion(obj, value, txn, commit_cycle)
-        if self._working:
-            self.discard_writes(txn, writes)
-        self._commit_seq += 1
-        record = CommitRecord(
-            txn,
-            commit_cycle,
-            self._commit_seq,
-            tuple(sorted(set(read_set))),
-            tuple(sorted(writes.items())),
-        )
-        self._log.append(record)
-        return record
+        committed, log = self._committed, self._log
+        for txn, read_set, writes in batch:
+            if type(writes) is dict:
+                for obj, value in writes.items():
+                    committed[obj] = ObjectVersion(obj, value, txn, commit_cycle)
+            else:
+                for obj in writes:
+                    committed[obj] = ObjectVersion(obj, txn, txn, commit_cycle)
+            if self._working:
+                self.discard_writes(txn, writes)
+            log.append((txn, commit_cycle, len(log) + 1, read_set, writes))

@@ -27,6 +27,8 @@ matters; the mid-run crash injection does.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from ..core.cycles import CycleArithmetic
@@ -76,14 +78,11 @@ def recover_server(
         initial_value=initial_value,
     )
     last_cycle = 0
-    for record in records:
-        server.commit_update(
-            record.txn,
-            record.read_set,
-            dict(record.writes),
-            cycle=record.commit_cycle,
+    # one batch per commit cycle, through the door the live server used
+    for last_cycle, group in groupby(records, key=attrgetter("commit_cycle")):
+        server.commit_batch(
+            last_cycle, [(r.txn, r.read_set, dict(r.writes)) for r in group]
         )
-        last_cycle = max(last_cycle, record.commit_cycle)
     server.current_cycle = current_cycle if current_cycle is not None else last_cycle
     server.database.record_broadcast_cycle(server.current_cycle)
     return server

@@ -6,10 +6,12 @@ Responsibilities, exactly as the paper lists them:
    values of all objects — :meth:`BroadcastServer.begin_cycle` freezes
    them into a :class:`repro.broadcast.BroadcastCycle`;
 2. ensure conflict serializability of transactions submitted to it —
-   server-resident transactions commit through
-   :meth:`BroadcastServer.commit_update` in serialization order (the
-   strict-2PL executor or the simulation's completion stream provide
-   that order), and client-submitted update transactions go through
+   server-resident transactions commit in serialization order through
+   one door, :meth:`BroadcastServer.commit_batch`, a cycle's commits at
+   a time (the simulation's completion stream provides that order and
+   hands over what completed since the server was last observed;
+   :meth:`BroadcastServer.commit_update` is the door for one
+   transaction), and client-submitted update transactions go through
    backward validation (:meth:`BroadcastServer.submit_client_update`);
 3. transmit the control information each cycle — the per-cycle
    :class:`repro.core.validators.ControlSnapshot` carries the full matrix,
@@ -23,12 +25,12 @@ updates validate against it).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
 
 import numpy as np
 
 from ..broadcast.program import BroadcastCycle
-from ..core.control_matrix import ColumnImage, ControlMatrix
+from ..core.control_matrix import ColumnImage, Commit, ControlMatrix
 from ..core.cycles import CycleArithmetic, UnboundedCycles
 from ..core.group_matrix import GroupedControlState, LastWriteVector, Partition
 from ..core.validators import PROTOCOL_NAMES, ControlSnapshot
@@ -174,25 +176,30 @@ class BroadcastServer:
         *,
         cycle: Optional[int] = None,
     ) -> CommitRecord:
-        """Commit one update transaction in serialization order.
-
-        ``cycle`` defaults to the server's current broadcast cycle.  One
-        door, each check made once: a cycle before the last commit's is
-        refused here (``ValueError``), an object outside ``0..n-1`` by the
-        control structure's ``apply_commit`` (``IndexError``) before it
-        changes anything — and only once that has applied its Theorem 2
-        increment does the database install the writes, so the log never
-        holds a record the control state did not apply.
-        """
+        """Commit one update transaction: :meth:`commit_batch` of one, on
+        copies of its sets.  ``cycle`` defaults to the server's current
+        broadcast cycle.  Returns the log record."""
         commit_cycle = self.current_cycle if cycle is None else cycle
+        self.commit_batch(commit_cycle, [(txn, tuple(read_set), dict(writes))])
+        return self.database.last_record
+
+    def commit_batch(self, cycle: int, batch: Sequence[Commit]) -> None:
+        """Commit a cycle's update transactions, in serialization order.
+
+        One door, each check made once per batch: a cycle before the last
+        commit's is refused here (``ValueError``), an object outside
+        ``0..n-1`` anywhere in the batch by the control structure's
+        ``apply_batch`` (``IndexError``) before it changes anything — and
+        only once that has applied every Theorem 2 increment does the
+        database install the writes, so the log never holds a record the
+        control state did not apply.  The log keeps the commits' sets (see
+        :meth:`Database.apply_batch`).
+        """
         last = self.database.last_commit_cycle
-        if commit_cycle < last:
-            raise ValueError(
-                f"commit cycles must be non-decreasing ({commit_cycle} < {last})"
-            )
-        rs = tuple(read_set)
-        self._stale.update(self._control.apply_commit(commit_cycle, rs, writes))
-        return self.database.apply_commit(txn, commit_cycle, rs, writes)
+        if cycle < last:
+            raise ValueError(f"commit cycles must be non-decreasing ({cycle} < {last})")
+        self._stale.update(self._control.apply_batch(cycle, batch))
+        self.database.apply_batch(cycle, batch)
 
     # ------------------------------------------------------------------
     def submit_client_update(

@@ -474,12 +474,16 @@ def assemble_result(
             merged.merge_from(outcome.metrics)
     # the timeline (server completions, crash recovery) keeps going
     # until the globally-last client finishes, and its counters count
-    # exactly that far
+    # exactly that far; then it is done, and the result keeps its server
+    server = None
     with profiler.phase("drive"):
         if owner is not None:
-            assert owner.timeline is not None
-            owner.timeline.advance_to(sim_time)
-            journal = owner.timeline.journal
+            timeline = owner.timeline
+            assert timeline is not None
+            timeline.advance_to(sim_time)
+            journal = timeline.journal
+            server = timeline.server
+            timeline.close()
         else:
             assert arena is not None
             journal = arena.journal
@@ -505,7 +509,7 @@ def assemble_result(
         response_time=merged.response_time(config.measure_fraction),
         restart_ratio=merged.restart_ratio(config.measure_fraction),
         metrics=merged,
-        server=owner.timeline.server if owner and owner.timeline else None,
+        server=server,
         trace=owner.trace if owner is not None else None,
         sim_time=sim_time,
         events=sum(outcome.events for outcome in outcomes),

@@ -31,6 +31,10 @@ current one fires:
   inside the outage are replayed as quiescent cycles, and the image of
   the cycle in progress goes on air at the recovery instant.
 
+A completion is journalled (and traced) at its own instant, but installed
+only when something can tell — a cycle's completions at a time
+(:class:`LiveTimeline` states the flush contract).
+
 Same-instant events fire in ``(time, seq)`` order, ``seq`` counting
 schedulings in this timeline in the streams' order (cycles, completions,
 crashes) — exactly the order a discrete-event engine hosting the three as
@@ -72,7 +76,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from ..server.recovery import recover_server
 from ..server.server import BroadcastServer
 from ..server.validation import UpdateSubmission
-from ..server.workload import ServerWorkload
+from ..server.workload import ServerTransactionSpec, ServerWorkload
 from .metrics import MetricsCollector
 
 if TYPE_CHECKING:  # type-only: config imports faults, never this module
@@ -99,7 +103,18 @@ def fold_journal(metrics: MetricsCollector, journal: Journal, *, upto: float) ->
 
 
 class LiveTimeline:
-    """The server, its broadcast images and its crashes, advanced on demand."""
+    """The server, its broadcast images and its crashes, advanced on demand.
+
+    **The flush contract.**  A completion waits in a pending batch — all of
+    one commit cycle, in completion order — that goes through
+    :meth:`BroadcastServer.commit_batch` in one piece when the server is
+    observed: before a cycle freeze, before an uplink submission is
+    validated, before a crash snapshots the durable log, when the commit
+    cycle changes, and on every read of :attr:`server`.  So whoever reads
+    :attr:`server` sees every completion up to :attr:`now`; a handle kept
+    from an earlier read (``timeline.server.database``) may lag — read
+    through ``timeline.server`` after advancing.
+    """
 
     def __init__(
         self,
@@ -113,12 +128,15 @@ class LiveTimeline:
     ) -> None:
         self.config = config
         self.layout = layout
-        self.server = BroadcastServer(
+        self._server = BroadcastServer(
             config.num_objects,
             config.protocol,
             arithmetic=config.arithmetic(),
             partition=config.partition(),
         )
+        #: completions not yet installed, all of commit cycle _pending_cycle
+        self._pending: List[ServerTransactionSpec] = []
+        self._pending_cycle = 0
         self.faults = faults
         self.trace = trace
         self.tracer = tracer
@@ -148,6 +166,28 @@ class LiveTimeline:
         ]
 
     # -- the doors ------------------------------------------------------
+    @property
+    def server(self) -> BroadcastServer:
+        """The server, every completion so far installed."""
+        self._flush()
+        return self._server
+
+    def _flush(self) -> None:
+        """Install the pending completions, one batch (the flush contract)."""
+        if self._pending:
+            self._server.commit_batch(self._pending_cycle, self._pending)
+            self._pending.clear()
+
+    def close(self) -> None:
+        """End the timeline: nothing advances it again.
+
+        Its streams refer back to it; dropping them lets the timeline —
+        server, images, log — go with its last reference instead of at
+        the cyclic collector's next pass, which in a sweep is often after
+        the next run has peaked.
+        """
+        self._queue.clear()
+
     def advance_to(self, time: float) -> None:
         """Process every event at or before ``time``, in ``(time, seq)`` order."""
         queue = self._queue
@@ -211,19 +251,18 @@ class LiveTimeline:
 
     def _cycles(self) -> Stream:
         cycle_bits = self.layout.cycle_bits
-        server = self.server
         cycle = 0
         while True:
             cycle += 1
             # dead air: the server is down — or crash recovery already
             # re-issued this cycle as a quiescent replay
-            if not self._down and server.current_cycle < cycle:
-                self._install(server.begin_cycle(cycle), self.now + cycle_bits)
+            if not self._down and self._server.current_cycle < cycle:
+                self._install(self.server.begin_cycle(cycle), self.now + cycle_bits)
             yield self.now + cycle_bits
 
     def _completions(self) -> Stream:
         config = self.config
-        server = self.server
+        pending = self._pending
         next_transaction = self._workload.next_transaction
         expovariate = self._rng.expovariate
         cycle_of = self.layout.cycle_of
@@ -235,7 +274,8 @@ class LiveTimeline:
         while True:
             gap = interval if deterministic else expovariate(1.0 / interval)
             yield self.now + gap
-            tid, read_set, write_set = next_transaction()
+            spec = next_transaction()
+            tid = spec.tid
             now = self.now
             if self._down:
                 # the completion evaporates with the crashed server
@@ -243,24 +283,26 @@ class LiveTimeline:
                 if tracer.enabled:
                     tracer.emit(now, now, "timeline", 1, "server.commit", "lost", tid)
                 continue
-            if not write_set:
+            if not spec.write_set:
                 continue  # read-only at the server: nothing to install
-            server.commit_update(
-                tid, read_set, dict.fromkeys(write_set, tid), cycle=cycle_of(now)
-            )
+            cycle = cycle_of(now)
+            if cycle != self._pending_cycle:
+                self._flush()
+                self._pending_cycle = cycle
+            pending.append(spec)  # writes its tid: a spec is a Commit
             committed(now)
             if tracer.enabled:
                 tracer.emit(now, now, "timeline", 1, "server.commit", "ok", tid)
 
     def _crashes(self) -> Stream:
         config = self.config
-        server = self.server
         faults = self.faults
         assert faults is not None
         for crash in faults.plan.crashes:
             yield crash.time
             # volatile state dies here; only the database's log and cycle
             # mark survive (snapshotted before anything can touch them)
+            server = self.server
             durable_log = server.database.commit_log
             durable_cycle = server.database.last_broadcast_cycle
             self._down = True

@@ -47,6 +47,23 @@ class TestQuiescentCycleRecovery:
         revived = recover_server(crashed.database, 5, current_cycle=9)
         assert revived.current_cycle == 9
 
+    def test_replay_is_one_batch_per_commit_cycle(self, monkeypatch):
+        crashed = _crashed_server()
+        crashed.commit_update("s3", [2], {4: "d"}, cycle=5)
+        crashed.commit_update("s4", [4], {3: "e"}, cycle=5)
+        batches = []
+        door = BroadcastServer.commit_batch
+
+        def counted(server, cycle, batch):
+            batches.append((cycle, [txn for txn, _, _ in batch]))
+            door(server, cycle, batch)
+
+        monkeypatch.setattr(BroadcastServer, "commit_batch", counted)
+        revived = recover_server(crashed.database, 5, "f-matrix")
+        assert batches == [(1, ["s1"]), (2, ["s2"]), (5, ["s3", "s4"])]
+        assert revived.database.commit_log == crashed.database.commit_log
+        assert np.array_equal(revived.matrix.array, crashed.matrix.array)
+
     def test_recovered_database_carries_the_cycle_mark(self):
         crashed = _crashed_server()
         revived = recover_server(crashed.database, 5, "f-matrix")

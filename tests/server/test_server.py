@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.broadcast.control_info import snapshot_payload
 from repro.core.cycles import ModuloCycles
@@ -123,7 +124,8 @@ BAD_COMMITS = [
 class TestRejectedCommits:
     """A commit the server refuses is refused whole, under every protocol:
     no version, log record or control entry changes, so the durable log
-    never holds a record the control state (or a replay) cannot apply."""
+    never holds a record the control state (or a replay) cannot apply.
+    A batch is refused whole too, wherever in it the bad commit sits."""
 
     def _server(self, protocol):
         server = make_server(protocol)
@@ -138,6 +140,21 @@ class TestRejectedCommits:
         server, twin = self._server(protocol), self._server(protocol)
         with pytest.raises(error):
             server.commit_update("bad", reads, writes, cycle=cycle)
+        self._assert_untouched(protocol, server, twin)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("reads, writes, cycle, error", BAD_COMMITS)
+    def test_a_bad_commit_anywhere_refuses_the_whole_batch(
+        self, protocol, reads, writes, cycle, error, position
+    ):
+        server, twin = self._server(protocol), self._server(protocol)
+        batch = [("g1", (0,), (1,)), ("g2", (1, 3), {3: "v"})]
+        batch.insert(position, ("bad", tuple(reads), dict(writes)))
+        with pytest.raises(error):
+            server.commit_batch(5 if cycle is None else cycle, batch)
+        self._assert_untouched(protocol, server, twin)
+
+    def _assert_untouched(self, protocol, server, twin):
         assert server.database.commit_log == twin.database.commit_log
         assert server.database.committed_snapshot() == twin.database.committed_snapshot()
         assert np.array_equal(control_array(server), control_array(twin))
@@ -212,3 +229,101 @@ class TestClientUpdatePath:
         history = trace.build_history(server.database)
         assert is_conflict_serializable(history)
         assert [r.txn for r in server.database.commit_log] == ["s1", "u1", "u2"]
+
+
+# ----------------------------------------------------------------------
+# the batch door
+# ----------------------------------------------------------------------
+#: objects of the batch tests: enough for the 16 groups Table-1 runs use
+N = 20
+
+
+@st.composite
+def cycles_of_commits(draw):
+    """Per cycle, the commits of one batch: (read ids, written ids, whether
+    the writes carry their own values or the transaction id)."""
+    ids = st.integers(0, N - 1)
+    commit = st.tuples(
+        st.lists(ids, max_size=4),  # repeats allowed
+        st.lists(ids, max_size=4, unique=True),  # read-only commits too
+        st.booleans(),
+    )
+    return draw(st.lists(st.lists(commit, max_size=5), min_size=1, max_size=6))
+
+
+def batch_server(protocol, bits=None):
+    return BroadcastServer(
+        N,
+        protocol,
+        arithmetic=None if bits is None else ModuloCycles(bits),
+        partition=uniform_partition(N, 16) if protocol == "group-matrix" else None,
+    )
+
+
+def assert_same_images(left, right):
+    assert left.versions == right.versions
+    assert np.array_equal(
+        snapshot_payload(left.snapshot)[1], snapshot_payload(right.snapshot)[1]
+    )
+
+
+class TestBatchDoor:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cycles=cycles_of_commits(),
+        protocol=st.sampled_from(PROTOCOL_NAMES),
+        bits=st.sampled_from([None, 3]),
+    )
+    def test_one_batch_equals_its_commits_one_at_a_time(self, cycles, protocol, bits):
+        """Theorem 2 is order-dependent inside a cycle; the batch chains
+        its columns in order, so state, versions, log and the next frozen
+        image are those of the same commits made one by one."""
+        batched, sequential = batch_server(protocol, bits), batch_server(protocol, bits)
+        for cycle, commits in enumerate(cycles, start=1):
+            assert_same_images(batched.begin_cycle(cycle), sequential.begin_cycle(cycle))
+            batch = []
+            for k, (reads, written, valued) in enumerate(commits):
+                txn = f"t{cycle}.{k}"
+                writes = {obj: f"v{cycle}.{obj}" for obj in written}
+                batch.append((txn, tuple(reads), writes if valued else tuple(written)))
+                if not valued:
+                    writes = dict.fromkeys(written, txn)
+                sequential.commit_update(txn, reads, writes, cycle=cycle)
+            batched.commit_batch(cycle, batch)
+            assert np.array_equal(control_array(batched), control_array(sequential))
+            assert (
+                batched.database.committed_snapshot()
+                == sequential.database.committed_snapshot()
+            )
+        assert batched.database.commit_log == sequential.database.commit_log
+        after = len(cycles) + 1
+        assert_same_images(batched.begin_cycle(after), sequential.begin_cycle(after))
+
+    def test_the_log_keeps_no_reference_to_a_callers_sets(self):
+        server = BroadcastServer(4, "f-matrix")
+        reads, writes = [1], {0: "a", 2: "b"}
+        record = server.commit_update("t1", reads, writes, cycle=1)
+        reads.append(3)
+        writes[3] = "c"
+        del writes[0]
+        assert server.database.commit_log == (record,)
+        assert record.read_set == (1,) and record.writes == ((0, "a"), (2, "b"))
+        assert server.database.committed(3).writer == "t0"
+
+    def test_reading_the_log_mid_run_changes_nothing_after(self):
+        """A crash reads the log mid-run; commits after that read must log
+        exactly what a server nobody read would have logged."""
+        read, unread = BroadcastServer(6, "r-matrix"), BroadcastServer(6, "r-matrix")
+        first = [("s1", (0,), (1, 2)), ("u1", (), {3: "x"})]
+        later = [("s2", (1, 1), (0,)), ("s3", (), (4, 5))]
+        for server in (read, unread):
+            server.commit_batch(1, first)
+        prefix = read.database.commit_log
+        for server in (read, unread):
+            server.commit_batch(2, later)
+            server.commit_update("u2", [4], {5: "y"}, cycle=2)
+        assert read.database.commit_log == unread.database.commit_log
+        assert read.database.commit_log[:2] == prefix
+        assert [r.commit_seq for r in read.database.commit_log] == [1, 2, 3, 4, 5]
+        assert read.database.commit_log[2].read_set == (1,)
+        assert read.database.commit_log[3].writes == ((4, "s3"), (5, "s3"))

@@ -11,9 +11,11 @@ clean and certifies update-consistent.
 """
 
 import ast
+import gc
 import hashlib
 import json
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -120,18 +122,21 @@ class TestSameInstantOrder:
 
 
 class TestUplinkDoor:
+    """Completions wait in a batch until the server is observed, so every
+    read below goes through ``timeline.server`` after advancing — a
+    database handle kept from before may lag (the flush contract)."""
+
     def test_a_completion_at_the_arrival_instant_commits_first(self):
         timeline, _ = bare(
             server_txn_interval=1000.0, server_interval_distribution="deterministic"
         )
-        database = timeline.server.database
         timeline.advance_to(2999.0)
-        assert [record.txn for record in database.commit_log] == ["s1", "s2"]
+        log = timeline.server.database.commit_log
+        assert [record.txn for record in log] == ["s1", "s2"]
         submission = UpdateSubmission("cl0.c1", reads=(), writes=((0, "x"),))
         assert timeline.uplink(3000.0, 0, submission) == "ok"
-        assert [record.txn for record in database.commit_log] == [
-            "s1", "s2", "s3", "cl0.c1"
-        ]
+        log = timeline.server.database.commit_log
+        assert [record.txn for record in log] == ["s1", "s2", "s3", "cl0.c1"]
 
     def test_the_server_is_down_from_the_crash_to_the_recovery(self):
         plan = FaultPlan(crashes=(ServerCrash(5000.0, 2000.0),))
@@ -146,11 +151,37 @@ class TestUplinkDoor:
         timeline, _ = bare(
             server_txn_interval=1000.0, server_interval_distribution="deterministic"
         )
-        written = timeline.server.database
         timeline.advance_to(1000.0)
+        written = timeline.server.database
         obj = next(o for o in range(10) if written.committed(o).writer == "s1")
         stale = UpdateSubmission("cl0.c1", reads=((obj, 1),), writes=((obj, "x"),))
         assert timeline.uplink(1000.0, 0, stale) == "conflict"
+
+
+def test_a_finished_run_frees_its_timeline_without_the_cyclic_collector():
+    """The streams refer back to their timeline; a run closes it at its
+    end, so its server, images and log go with their last reference — in
+    a sweep, before the next run allocates — and the result keeps only
+    the server, every completion installed."""
+    created = []
+    original = LiveTimeline.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        created.append(weakref.ref(self))
+
+    config = SimulationConfig(num_objects=20, num_client_transactions=5, seed=4)
+    gc.disable()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LiveTimeline, "__init__", recording_init)
+            result = run_simulation(config)
+        assert len(created) == 1
+        assert created[0]() is None
+        commits = result.metrics.server_commits
+        assert commits > 0 and len(result.server.database.commit_log) == commits
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
