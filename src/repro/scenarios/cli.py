@@ -14,7 +14,9 @@ Four verbs over the scenario library (docs/SCENARIOS.md):
 Exit codes follow the repo-wide contract: **0** every requested check
 passed, **1** an envelope missed, an invariant or consistency check
 found a violation, or a replay diverged, **2** usage errors (one
-``error:`` line, before anything runs).
+``error:`` line, before anything runs) and an ``OSError`` the run
+raised, such as a full ``/dev/shm`` refusing a timeline segment (one
+``error:`` line, no traceback).
 """
 
 from __future__ import annotations
@@ -28,16 +30,24 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..obs.export import chrome_trace, claim_output, spans_to_jsonl, summarize_spans
 from ..obs.profiler import PhaseProfiler
 from ..obs.telemetry import render_telemetry
+from ..sim.config import EXECUTORS, SimulationConfig
 from .envelope import scenario_metrics
 from .loader import builtin_scenarios, get_scenario
 from .recording import RecordedTrace, record_scenario, replay_trace
 from .schema import Scenario, ScenarioError
 
 if TYPE_CHECKING:
-    from ..sim.config import SimulationConfig
     from ..sim.simulation import SimulationResult
 
 __all__ = ["build_scenario_parser", "scenario_main"]
+
+#: the executors `record` / `replay` offer: those under which a run keeps
+#: one global trace
+_TRACEABLE_EXECUTORS = tuple(
+    name
+    for name in EXECUTORS
+    if SimulationConfig(client_executor=name).readers_apart is None
+)
 
 
 def build_scenario_parser() -> argparse.ArgumentParser:
@@ -68,7 +78,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--executor",
-        choices=["process", "cohort", "analytic"],
+        choices=EXECUTORS,
         default=None,
         help="override the scenario's client executor ('process' is the "
         "reference implementation)",
@@ -133,7 +143,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
     )
     record.add_argument(
         "--executor",
-        choices=["process", "cohort"],
+        choices=_TRACEABLE_EXECUTORS,
         default=None,
         help="executor to record under (default: the scenario's — cohort "
         "unless it names one; 'process' records the reference)",
@@ -145,7 +155,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
     replay.add_argument("trace", type=pathlib.Path, help="recorded trace file")
     replay.add_argument(
         "--executor",
-        choices=["process", "cohort"],
+        choices=_TRACEABLE_EXECUTORS,
         default=None,
         help="executor to replay through (default: the recorded one); "
         "picking the other executor is the cross-engine identity check",
@@ -251,10 +261,10 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         overrides["tracing"] = True
     # every configuration is built before the first run: a usage error
     # costs no simulation.  Audit and certification read a global trace,
-    # which a sharded, timeline-replaying or analytic run does not record
-    # (the config says which, in its own words): asked for by name that is
-    # a usage error; under --all the run keeps its envelope check and is
-    # listed as unchecked.
+    # which a run whose readers_apart is set does not keep (the config's
+    # audit refusal says why): asked for by name that is a usage error;
+    # under --all the run keeps its envelope check and is listed as
+    # unchecked.
     plans: List[Tuple[Scenario, SimulationConfig, Optional[str]]] = []
     for scenario in scenarios:
         for protocol in [args.protocol] if args.protocol else scenario.protocols:
@@ -405,7 +415,7 @@ def scenario_main(argv: Optional[List[str]] = None) -> int:
         if args.verb == "record":
             return _cmd_record(parser, args)
         return _cmd_replay(args)
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2  # pragma: no cover - exit() raises
 

@@ -15,10 +15,9 @@ module turns that promise into an executable artefact:
   *bit-identical* to the recording, reporting the first divergence
   otherwise.
 
-Eligibility is the contract's own boundary: the ``analytic`` executor
-records no trace, and sharded runs keep no global trace, so replays are
-restricted to unsharded ``process``/``cohort`` runs — exactly where
-bit-identity is promised.
+Eligibility is the contract's own boundary: a run records and replays
+only where it keeps one global trace, which
+:attr:`SimulationConfig.readers_apart` decides.
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ __all__ = [
 
 #: on-disk trace format revision; bump on incompatible changes
 TRACE_FORMAT_VERSION = 1
-
-#: executors a trace can be recorded under / replayed through
-_REPLAYABLE_EXECUTORS = ("process", "cohort")
 
 
 def result_signature(result: "SimulationResult") -> Dict[str, object]:
@@ -99,21 +95,9 @@ def _canonical_observables(
 
 
 def _check_replayable(config: SimulationConfig, *, verb: str) -> None:
-    if config.client_executor not in _REPLAYABLE_EXECUTORS:
+    if config.readers_apart:
         raise ValueError(
-            f"cannot {verb} under client_executor="
-            f"{config.client_executor!r}: the analytic tier records no "
-            "trace; leave client_executor at its default"
-        )
-    if config.shards != 1:
-        raise ValueError(
-            f"cannot {verb} a sharded run: shards keep no global trace; "
-            "use shards=1"
-        )
-    if config.timeline_mode != "recompute":
-        raise ValueError(
-            f"cannot {verb} with timeline_mode="
-            f"{config.timeline_mode!r}: use 'recompute'"
+            f"cannot {verb} a run with no global trace: {config.readers_apart}"
         )
 
 

@@ -35,7 +35,7 @@ So the tier splits the run in two:
 
 The tier refuses fault plans (a dozing or crash-affected client's
 trajectory is not closed-form replayable — config validation enforces
-this) and trace collection (nothing event-driven happens for readers).
+this); it keeps no global trace (``SimulationConfig.readers_apart``).
 Memory is O(cycles simulated) for the retained images plus O(commits)
 for metrics (24 bytes and a tid per commit; no sample objects).
 """
@@ -62,8 +62,6 @@ def run_analytic(simulation: "BroadcastSimulation") -> Tuple[float, int]:
     of engine events the updaters took — replayed readers, by
     construction, cost none.
     """
-    if simulation.trace is not None:
-        raise ValueError("the analytical tier records no trace")
     sim = simulation.sim
 
     timeline = simulation.timeline

@@ -23,10 +23,13 @@ from ..core.group_matrix import Partition, uniform_partition
 from ..core.validators import PROTOCOL_NAMES
 from .faults import FaultPlan
 
-__all__ = ["SimulationConfig", "KILOBYTE_BITS"]
+__all__ = ["SimulationConfig", "EXECUTORS", "KILOBYTE_BITS"]
 
 #: bits in the paper's 1 KB object
 KILOBYTE_BITS = 8 * 1024
+
+#: the ``client_executor`` values (the field's comment says what each does)
+EXECUTORS = ("process", "cohort", "analytic")
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,9 @@ class SimulationConfig:
     #: shards replay it zero-copy (§6); bit-identical either way
     timeline_mode: str = "recompute"
     #: only clients with id < N ever draw update transactions; None means
-    #: every client may (the pre-existing behaviour).  Sharded or analytic
-    #: runs with updates require an explicit bound so the read-only
-    #: population is well defined.
+    #: every client may (the pre-existing behaviour).  A run with updates
+    #: whose ``readers_apart`` is set requires an explicit bound so the
+    #: read-only population is well defined.
     num_update_clients: Optional[int] = None
 
     # -- modelling choices (documented in DESIGN.md) ----------------------
@@ -133,8 +136,9 @@ class SimulationConfig:
     uplink_round_trip: float = 8_192.0
 
     # -- analysis hooks -----------------------------------------------------
-    #: record per-cycle broadcast images + the induced history and run the
-    #: invariant auditor (:mod:`repro.analysis`) after the run
+    #: keep every broadcast image the timeline installs, record the
+    #: induced history and run the invariant auditor (:mod:`repro.analysis`)
+    #: after the run; refused where ``readers_apart`` is set
     audit: bool = False
 
     # -- observability (docs/OBSERVABILITY.md) ------------------------------
@@ -178,10 +182,8 @@ class SimulationConfig:
             raise ValueError("unknown server_interval_distribution")
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
-        if self.client_executor not in ("process", "cohort", "analytic"):
-            raise ValueError(
-                "client_executor must be 'process', 'cohort' or 'analytic'"
-            )
+        if self.client_executor not in EXECUTORS:
+            raise ValueError(f"client_executor must be one of {EXECUTORS}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.num_update_clients is not None and not (
@@ -240,49 +242,24 @@ class SimulationConfig:
                     "closed-form replayable; leave client_executor at its "
                     "default (it simulates faults)"
                 )
-        if self.client_executor == "analytic":
-            if self.audit:
-                raise ValueError(
-                    "audit runs replay a recorded trace; the analytical "
-                    "tier records none — leave client_executor at its default"
-                )
-            if self.client_update_fraction > 0.0 and self.num_update_clients is None:
-                raise ValueError(
-                    "the analytical tier fast-forwards read-only clients; "
-                    "with client_update_fraction > 0 set num_update_clients "
-                    "so the update population is bounded (those clients run "
-                    "event-driven under the cohort executor)"
-                )
         if self.timeline_mode not in ("recompute", "replay"):
             raise ValueError("timeline_mode must be 'recompute' or 'replay'")
-        if self.timeline_mode == "replay":
+        if self.shards > 1 and self.client_executor == "process":
+            raise ValueError(
+                "the per-process reference executor is single-shard; "
+                "to shard a run leave client_executor at its default"
+            )
+        apart = self.readers_apart
+        if apart is not None:
             if self.audit:
                 raise ValueError(
-                    "audit runs replay a recorded trace of their own run; "
-                    "use timeline_mode='recompute'"
+                    f"audit runs read one global trace, and this run keeps "
+                    f"none: {apart}"
                 )
             if self.client_update_fraction > 0.0 and self.num_update_clients is None:
                 raise ValueError(
-                    "timeline replay partitions the read-only population; "
-                    "with client_update_fraction > 0 set num_update_clients "
-                    "so the recording pass owns a bounded update population"
-                )
-        if self.shards > 1:
-            if self.client_executor == "process":
-                raise ValueError(
-                    "the per-process reference executor is single-shard; "
-                    "to shard a run leave client_executor at its default"
-                )
-            if self.client_update_fraction > 0.0 and self.num_update_clients is None:
-                raise ValueError(
-                    "sharded runs with client_update_fraction > 0 require "
-                    "num_update_clients: only the read-only population is "
-                    "partitioned across shards"
-                )
-            if self.audit:
-                raise ValueError(
-                    "audit runs record a global trace and cannot be sharded; "
-                    "use shards=1"
+                    f"{apart}; with client_update_fraction > 0 set "
+                    "num_update_clients so the update population is bounded"
                 )
 
     # ----------------------------------------------------------------
@@ -342,6 +319,33 @@ class SimulationConfig:
         return digest.hexdigest()[:12]
 
     # -- derived quantities -------------------------------------------
+    @property
+    def readers_apart(self) -> Optional[str]:
+        """What splits the read-only clients off from the rest, if anything.
+
+        ``None`` when every client runs in one event loop against one live
+        timeline: the run then has one global history, which is what an
+        audit, a certification and a recorded trace read.  Otherwise one
+        sentence naming the cause (and the setting that removes it).  Every
+        rule about who keeps a global trace reads this.
+        """
+        if self.client_executor == "analytic":
+            return (
+                "the analytical tier runs the read-only clients outside the "
+                "event loop (leave client_executor at its default)"
+            )
+        if self.timeline_mode == "replay":
+            return (
+                "timeline replay runs the read-only clients against a "
+                "recorded timeline (use timeline_mode='recompute')"
+            )
+        if self.shards > 1:
+            return (
+                f"shards={self.shards} splits the read-only clients over "
+                "separate simulations (use shards=1)"
+            )
+        return None
+
     def update_capable_clients(self) -> int:
         """Clients ``[0, n)`` that may draw update transactions.
 

@@ -291,8 +291,8 @@ def run_sharded(
     """
     if collect_trace:
         raise ValueError(
-            "sharded runs record no trace (each shard sees only its own "
-            "clients); use shards=1 for trace/audit runs"
+            "the shard layer keeps no global trace: "
+            + (config.readers_apart or "each slice runs as its own simulation")
         )
     profiler = PhaseProfiler()
     slices = reader_slices(config)

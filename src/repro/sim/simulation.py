@@ -228,13 +228,14 @@ class BroadcastSimulation:
         #: span sink for everything this shard measures; the no-op
         #: singleton keeps untraced runs allocation-free
         self.tracer: Tracer = Tracer() if config.tracing else NULL_TRACER
-        if (collect_trace or config.audit) and slice_ is not None:
-            raise ValueError("trace/audit runs cannot be sliced into shards")
-        if (collect_trace or config.audit) and view is not None:
-            raise ValueError("trace/audit runs cannot replay a timeline")
         self.trace = TraceRecorder() if (collect_trace or config.audit) else None
-        if self.trace is not None and config.audit:
-            self.trace.record_cycles = True
+        if self.trace is not None and (
+            config.readers_apart or slice_ is not None or view is not None
+        ):
+            raise ValueError(
+                "trace/audit runs need every client in this simulation: "
+                + (config.readers_apart or "it was given one shard's slice or view")
+            )
         # a no-op plan is indistinguishable from no plan: no runtime,
         # bit-identical event sequences
         self.faults: Optional[FaultRuntime] = None
@@ -252,11 +253,14 @@ class BroadcastSimulation:
                 config,
                 self.layout,
                 faults=self.faults,
-                trace=self.trace,
                 # timeline spans are primary-only: ghost timelines
                 # recompute the same history and would double-emit
                 tracer=self.tracer if self.slice.primary else NULL_TRACER,
-                keep_images=record_timeline or config.client_executor == "analytic",
+                # the one image history: a recording pass seals it, the
+                # analytical tier reads far back in it, an audit checks it
+                keep_images=record_timeline
+                or config.client_executor == "analytic"
+                or config.audit,
             )
         else:
             self.on_air = view
@@ -483,6 +487,8 @@ def assemble_result(
             timeline.advance_to(sim_time)
             journal = timeline.journal
             server = timeline.server
+            if owner.trace is not None and config.audit:
+                owner.trace.cycles = list(timeline.images.values())
             timeline.close()
         else:
             assert arena is not None
@@ -528,10 +534,12 @@ def run_simulation(
     layer (even at one shard): the run records or reuses a sealed
     timeline arena and replays observers against it.
     """
+    if collect_trace and config.readers_apart:
+        raise ValueError(f"this run keeps no global trace: {config.readers_apart}")
     if config.shards > 1 or config.timeline_mode == "replay":
         from .shard import run_sharded
 
-        return run_sharded(config, collect_trace=collect_trace)
+        return run_sharded(config)
     profiler = PhaseProfiler()
     simulation = BroadcastSimulation(config, collect_trace=collect_trace)
     with profiler.phase("execute"):

@@ -46,7 +46,8 @@ and a completion — or a crash, or a recovery — at an uplink arrival's
 instant has happened when the submission is validated.
 
 The timeline keeps the last two images, or every image when asked
-(the analytical tier and a recording pass read arbitrarily far back).
+(the analytical tier and a recording pass read arbitrarily far back,
+and an audit checks them all: they are the run's one image history).
 It keeps its own books: its :attr:`~LiveTimeline.journal` holds, per
 counter it changes, the instant of every increment, and a run's
 timeline counters are that journal folded at the run's stop
@@ -82,7 +83,6 @@ from .metrics import MetricsCollector
 if TYPE_CHECKING:  # type-only: config imports faults, never this module
     from .config import SimulationConfig
     from .faults import FaultRuntime
-    from .trace import TraceRecorder
 
 __all__ = ["Journal", "LiveTimeline", "fold_journal"]
 
@@ -122,7 +122,6 @@ class LiveTimeline:
         layout: BroadcastLayout,
         *,
         faults: Optional["FaultRuntime"] = None,
-        trace: Optional["TraceRecorder"] = None,
         tracer: Tracer = NULL_TRACER,
         keep_images: bool = False,
     ) -> None:
@@ -138,11 +137,10 @@ class LiveTimeline:
         self._pending: List[ServerTransactionSpec] = []
         self._pending_cycle = 0
         self.faults = faults
-        self.trace = trace
         self.tracer = tracer
         #: the timeline's own books; read with fold_journal
         self.journal: Journal = defaultdict(partial(array, "d"))
-        #: installed images by cycle: the last two, or all of them
+        #: installed images by cycle, in install order: the last two, or all
         self.images: Dict[int, BroadcastCycle] = {}
         self._keep_images = keep_images
         #: the instant of the event being (or last) processed
@@ -245,9 +243,6 @@ class LiveTimeline:
             self.tracer.emit(
                 self.now, end, "timeline", 0, "cycle", "ok", str(image.cycle)
             )
-        trace = self.trace
-        if trace is not None and trace.record_cycles:
-            trace.record_cycle(image)
 
     def _cycles(self) -> Stream:
         cycle_bits = self.layout.cycle_bits

@@ -52,13 +52,12 @@ class TraceRecorder:
         #: (read-only and update alike), recorded at verdict time — the
         #: exact session order, no cycle-number reconstruction needed
         self.session_commits: List[Tuple[int, str]] = []
-        #: per-cycle broadcast images, recorded only when cycle recording
-        #: is enabled (``SimulationConfig(audit=True)``) — each image holds
-        #: the cycle's frozen versions and control snapshot, which is what
-        #: the invariant auditor checks monotonicity/agreement over
+        #: per-cycle broadcast images in install order, on audit runs only
+        #: (``SimulationConfig(audit=True)``): the timeline's own retained
+        #: images, handed over at assembly — each holds the cycle's frozen
+        #: versions and control snapshot, which is what the invariant
+        #: auditor checks monotonicity/agreement over
         self.cycles: List[BroadcastCycle] = []
-        #: whether the broadcast timeline should record its images
-        self.record_cycles: bool = False
 
     def record_client_commit(
         self,
@@ -73,10 +72,6 @@ class TraceRecorder:
     def record_session_commit(self, client_id: int, tid: str) -> None:
         """Note that ``client_id`` committed ``tid`` (program order)."""
         self.session_commits.append((client_id, tid))
-
-    def record_cycle(self, broadcast: BroadcastCycle) -> None:
-        """Retain one frozen broadcast image (audit runs only)."""
-        self.cycles.append(broadcast)
 
     # ------------------------------------------------------------------
     def observables(self) -> Dict[str, object]:

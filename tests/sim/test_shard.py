@@ -9,6 +9,7 @@ shard counts, protocols, and mixed read/update workloads; deterministic
 tests pin the slicing arithmetic and the failure modes.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -343,6 +344,59 @@ except RuntimeError as exc:
 """
     )
     assert out.strip() == "RuntimeError recorder exploded"
+
+
+#: /dev/shm is full by the feed's second chunk: creating its segment
+#: raises ENOSPC in the parent (pool workers, forked with the patch, only
+#: attach, which still works)
+_FULL_SHM = """
+import errno, types
+from multiprocessing import shared_memory
+import repro.sim.arena as arena
+def full_on_second_chunk(name=None, create=False, size=0):
+    if create and name.endswith("_1"):
+        raise OSError(errno.ENOSPC, "No space left on device", name)
+    return shared_memory.SharedMemory(name=name, create=create, size=size)
+arena.shared_memory = types.SimpleNamespace(SharedMemory=full_on_second_chunk)
+"""
+
+
+def test_a_full_dev_shm_fails_the_run_and_leaks_no_segment():
+    """The recording pass cannot publish its second chunk while the one
+    worker replays the first: the run raises the OSError — it does not
+    hang — and the first chunk's segment is unlinked."""
+    out, _ = _run_isolated(
+        _POOLED_COLD_REPLAY
+        + _FULL_SHM
+        + """
+try:
+    run_sharded(config, workers=1)
+except OSError as exc:
+    print(errno.errorcode[exc.errno])
+"""
+    )
+    assert out.strip() == "ENOSPC"
+
+
+def test_scenario_run_reports_a_full_dev_shm_in_one_line(tmp_path):
+    document = tmp_path / "full-shm.json"
+    config = dict(SMALL, client_executor="analytic", shards=2, timeline_mode="replay")
+    document.write_text(
+        json.dumps({"format_version": 1, "name": "full-shm", "seed": 5, "config": config})
+    )
+    out, err = _run_isolated(
+        _FULL_SHM
+        + f"""
+from repro.experiments.cli import main
+try:
+    main(["scenario", "run", {str(document)!r}])
+except SystemExit as exc:
+    print("exit", exc.code)
+"""
+    )
+    assert out.splitlines()[-1] == "exit 2"
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "No space left on device" in err
 
 
 # ----------------------------------------------------------------------
