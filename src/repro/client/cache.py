@@ -19,8 +19,7 @@ interval can be tailored on a per client per object basis").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..broadcast.program import BroadcastCycle, ObjectVersion
 from ..core.validators import ControlSnapshot
@@ -28,9 +27,12 @@ from ..core.validators import ControlSnapshot
 __all__ = ["CacheEntry", "QuasiCache"]
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    """One cached object version plus its validation context."""
+class CacheEntry(NamedTuple):
+    """One cached object version plus its validation context.
+
+    A named tuple: immutable, and built without the per-field
+    ``object.__setattr__`` a frozen dataclass pays on every insert.
+    """
 
     version: ObjectVersion
     snapshot: ControlSnapshot
@@ -62,7 +64,22 @@ class _CacheEntryCycle(BroadcastCycle):
     Only the cached object is present; :meth:`version` rejects every
     other id eagerly so a mis-indexed access fails at the read site with
     a clear message instead of handing a ``None`` downstream.
+
+    One is built per cache hit, so it stores its (frozen) fields straight
+    into its ``__dict__`` instead of paying a frozen dataclass's per-field
+    ``object.__setattr__``.
     """
+
+    def __init__(
+        self,
+        cycle: int,
+        versions: Tuple[ObjectVersion, ...],
+        snapshot: ControlSnapshot,
+    ) -> None:
+        fields = self.__dict__
+        fields["cycle"] = cycle
+        fields["versions"] = versions
+        fields["snapshot"] = snapshot
 
     def version(self, obj: int) -> ObjectVersion:
         (cached,) = self.versions

@@ -16,8 +16,7 @@ examples and the theory cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..broadcast.program import BroadcastCycle, ObjectVersion
 from ..core.validators import ControlSnapshot, ReadValidator
@@ -41,9 +40,12 @@ class TransactionAborted(Exception):
         self.cycle = cycle
 
 
-@dataclass(frozen=True)
-class ReadOutcome:
-    """Result of delivering one broadcast read to a runtime."""
+class ReadOutcome(NamedTuple):
+    """Result of delivering one broadcast read to a runtime.
+
+    A named tuple: immutable, and built without the per-field
+    ``object.__setattr__`` a frozen dataclass pays on every read.
+    """
 
     ok: bool
     obj: int
@@ -88,7 +90,8 @@ class ReadOnlyTransactionRuntime:
         #: after missing ``staleness_window`` (= window - 1, the paper's
         #: ``max_cycles``) cycles can no longer trust re-anchored control
         #: entries against its retained reads; :meth:`deliver` then aborts
-        #: conservatively instead of validating.  ``None`` disables it.
+        #: conservatively instead of validating (:meth:`stale`).  ``None``
+        #: disables it.
         self.staleness_window = staleness_window
         #: most recent broadcast cycle delivered to this runtime off the
         #: air; survives :meth:`restart` (the radio's knowledge, not the
@@ -134,24 +137,9 @@ class ReadOnlyTransactionRuntime:
         if obj is None:
             raise RuntimeError(f"{self.tid}: no pending read")
         snapshot = broadcast.snapshot
-        window = self.staleness_window
-        if window is not None:
-            last = self.last_heard_cycle
-            if last is None or snapshot.cycle > last:
-                self.last_heard_cycle = snapshot.cycle
-            if self.validator.records:
-                first = self.validator.first_read_cycle
-                assert first is not None
-                # conservative abort, two triggers: the client dozed
-                # through >= window cycles since its last delivery, or the
-                # attempt's read span exceeds the window (> max_cycles) —
-                # past either bound, re-anchored control entries can no
-                # longer be compared against the retained reads
-                if (last is not None and snapshot.cycle - last >= window) or (
-                    snapshot.cycle - first > window
-                ):
-                    self.aborted = True
-                    return ReadOutcome(False, obj, snapshot.cycle, stale=True)
+        if self.staleness_window is not None and self.stale(snapshot.cycle):
+            self.aborted = True
+            return ReadOutcome(False, obj, snapshot.cycle, stale=True)
         if self.validator.validate_read(obj, snapshot):
             version = broadcast.version(obj)
             self._versions.append(version)
@@ -159,6 +147,34 @@ class ReadOnlyTransactionRuntime:
             return ReadOutcome(True, obj, snapshot.cycle, version)
         self.aborted = True
         return ReadOutcome(False, obj, snapshot.cycle)
+
+    def stale(self, cycle: int) -> bool:
+        """The staleness guard for a delivery off broadcast cycle ``cycle``.
+
+        Records ``cycle`` as heard, then says whether the attempt must
+        abort instead of validating the read.  :meth:`deliver` runs it
+        before its validation; a scheduler that validates a whole slot
+        bucket in one sweep runs it per member first and sweeps only the
+        members it lets through (the guard reads this runtime's rejoin
+        state, which a sweep cannot see).  Without a window nothing is
+        ever stale.
+        """
+        window = self.staleness_window
+        if window is None:
+            return False
+        last = self.last_heard_cycle
+        if last is None or cycle > last:
+            self.last_heard_cycle = cycle
+        records = self.validator.records
+        # conservative abort, two triggers: the client dozed through >=
+        # window cycles since its last delivery, or the attempt's read
+        # span exceeds the window (> max_cycles) — past either bound,
+        # re-anchored control entries can no longer be compared against
+        # the retained reads
+        return bool(records) and (
+            (last is not None and cycle - last >= window)
+            or cycle - records[0].cycle > window
+        )
 
     def apply_read_ok(
         self, broadcast: Optional[BroadcastCycle] = None

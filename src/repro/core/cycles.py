@@ -28,6 +28,18 @@ class CycleArithmetic:
     #: number of bits one encoded timestamp occupies on the broadcast
     timestamp_bits: int
 
+    @property
+    def anchor_mask(self) -> int:
+        """The mask ``m`` for which ``reference - ((reference - a) & m)`` is
+        the absolute cycle encoded entry ``a`` denotes at ``reference``.
+
+        So ``less_encoded_absolute(a, b, reference=r)`` is
+        ``r - ((r - a) & m) < b``: the form validators inline, per entry or
+        once for a whole column.  ``-1`` (every bit set) makes the anchor
+        the identity.
+        """
+        raise NotImplementedError
+
     def encode(self, cycle: int) -> int:
         raise NotImplementedError
 
@@ -70,6 +82,10 @@ class UnboundedCycles(CycleArithmetic):
 
     timestamp_bits: int = 8
 
+    @property
+    def anchor_mask(self) -> int:
+        return -1
+
     def encode(self, cycle: int) -> int:
         return cycle
 
@@ -99,6 +115,12 @@ class ModuloCycles(CycleArithmetic):
     @property
     def window(self) -> int:
         return 1 << self.timestamp_bits
+
+    @property
+    def anchor_mask(self) -> int:
+        # the window is a power of two: ``x % window == x & (window - 1)``
+        # for every int, negative ones included
+        return self.window - 1
 
     def encode(self, cycle: int) -> int:
         return cycle % self.window

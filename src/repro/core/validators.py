@@ -42,9 +42,12 @@ after the cached version's cycle.  For in-order reads the backward
 condition is vacuous (every entry of a cycle-``c_i`` column is < ``c_i``
 ≤ ``c_j``), so plain broadcast behaviour is unchanged.
 
-Timestamp comparison is delegated to a
+Timestamps are compared under a
 :class:`repro.core.cycles.CycleArithmetic`, so the same logic runs with
-absolute cycle numbers or the paper's 8-bit modulo timestamps.
+absolute cycle numbers or the paper's 8-bit modulo timestamps: each wire
+entry is anchored at the reference cycle through the arithmetic's
+``anchor_mask`` (``less_encoded_absolute``, inlined) and then compared
+with the absolute cycle the client holds.
 
 **Two loops, no threshold.**  One client is validated by the scalar loop
 :meth:`ReadValidator._condition_holds` (the semantics oracle), a cohort
@@ -152,7 +155,7 @@ def _column(held: Union[np.ndarray, ColumnImage, None], k: int) -> np.ndarray:
     return held[:, k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReadRecord:
     """One validated read in ``R_t``: object, cycle, retained control slice.
 
@@ -160,9 +163,11 @@ class ReadRecord:
     the read — the object's matrix column (F-Matrix), the vector
     (Datacycle/R-Matrix), or the object's group column (group-matrix) —
     and is what a caching client keeps alongside the object (Sec. 3.3).
-    Slotted because the scalar validation sweeps touch ``obj``/``cycle``
-    once per retained read per validation — the hottest attribute reads
-    in the whole simulation.
+    Slotted because the validation sweeps touch ``obj``/``cycle`` once
+    per retained read per validation — the hottest attribute reads in
+    the whole simulation, and CPython (3.11+) specializes reads of slots,
+    not of a named tuple's field getters.  Frozen because a bucket's
+    members share one instance.
     """
 
     __slots__ = ("obj", "cycle", "slice_")
@@ -170,6 +175,13 @@ class ReadRecord:
     obj: int
     cycle: int
     slice_: np.ndarray
+
+    def __init__(self, obj: int, cycle: int, slice_: np.ndarray) -> None:
+        # the slots' own setters: the frozen dataclass ``__init__`` would
+        # pay one ``object.__setattr__`` per field
+        _set_obj(self, obj)
+        _set_cycle(self, cycle)
+        _set_slice(self, slice_)
 
     def __iter__(self) -> Iterator[int]:
         # unpacking compatibility: (obj, cycle) = record
@@ -181,6 +193,11 @@ class ReadRecord:
         return (self.__class__, (self.obj, self.cycle, self.slice_))
 
 
+_set_obj = ReadRecord.__dict__["obj"].__set__
+_set_cycle = ReadRecord.__dict__["cycle"].__set__
+_set_slice = ReadRecord.__dict__["slice_"].__set__
+
+
 class ReadValidator:
     """Base class: tracks ``R_t``; subclasses name the control column."""
 
@@ -190,8 +207,9 @@ class ReadValidator:
     def __init__(self, arithmetic: Optional[CycleArithmetic] = None):
         self.arithmetic = arithmetic or UnboundedCycles()
         self.records: List[ReadRecord] = []
-        #: absolute timestamps: ``<`` on encoded entries is integer order
-        self._absolute = isinstance(self.arithmetic, UnboundedCycles)
+        #: ``now - ((now - entry) & mask)`` anchors a wire entry at cycle
+        #: ``now`` (``CycleArithmetic.anchor_mask``; -1: absolute, identity)
+        self._mask = self.arithmetic.anchor_mask
         #: latest cycle in ``R_t``; ``<= now`` iff every read was in-order
         self._max_cycle = 0
 
@@ -241,25 +259,23 @@ class ReadValidator:
         cached, out-of-order read is being validated), the symmetric
         backward condition on that read's own retained slice (module
         docstring).  The protocols differ only in which column applies.
+
+        Each comparison is ``less_encoded_absolute`` inlined: the wire
+        entry is anchored (``self._mask``) at the cycle of the snapshot it
+        rode in, the retained cycle stays absolute — re-anchoring it too
+        would flip the comparison whenever it lies outside the modulo
+        window (cached out-of-order reads, or a transaction spanning the
+        wrap gap).
         """
+        mask = self._mask
         for record in self.records:
-            if not self._less(int(column[record.obj]), record.cycle, now=now):
+            cycle = record.cycle
+            if now - ((now - int(column[record.obj])) & mask) >= cycle:
                 return False
-            if record.cycle > now:  # cached (out-of-order) read: backward
-                if not self._less(int(record.slice_[obj]), now, now=record.cycle):
+            if cycle > now:  # cached (out-of-order) read: backward
+                if cycle - ((cycle - int(record.slice_[obj])) & mask) >= now:
                     return False
         return True
-
-    def _less(self, entry: int, cycle: int, *, now: int) -> bool:
-        """entry < cycle under the configured timestamp arithmetic.
-
-        ``entry`` is wire-format (encoded); ``cycle`` is an absolute cycle
-        number the client tracked itself, so it is compared as such —
-        encoding it first would re-anchor it against ``now`` and flip the
-        comparison whenever it lies outside the modulo window (cached
-        out-of-order reads, or a transaction spanning the wrap gap).
-        """
-        return self.arithmetic.less_encoded_absolute(entry, cycle, reference=now)
 
 
 class FMatrixValidator(ReadValidator):
@@ -327,7 +343,7 @@ class RMatrixValidator(ReadValidator):
             return False  # a retained read postdates the snapshot: strict only
         c1 = self.first_read_cycle
         assert c1 is not None  # the strict condition holds vacuously on empty R_t
-        return self._less(int(column[obj]), c1, now=now)
+        return now - ((now - int(column[obj])) & self._mask) < c1
 
 
 class GroupMatrixValidator(ReadValidator):
@@ -394,24 +410,27 @@ def validate_read_batch(
     All ``validators`` belong to clients reading the *same* object from
     the *same* broadcast cycle (the cohort executor buckets clients by
     broadcast slot, and a slot determines both).  Each validator keeps
-    its own ``R_t``; the members that can share one control column and
-    the plain integer order go through :func:`_validate_bucket` together.
+    its own ``R_t``; the members that share the first member's protocol
+    class and timestamp arithmetic and retain no read postdating the
+    snapshot go through :func:`_validate_bucket` together.
 
     Per validator the result (and the recorded ``R_t`` on success) is
-    exactly what :meth:`ReadValidator.validate_read` would produce:
-    validators that are not batchable — modulo timestamps, or a retained
-    cached read postdating the snapshot — are evaluated through their
-    scalar path, which remains the semantics oracle.  Returns a list of
+    exactly what :meth:`ReadValidator.validate_read` would produce: the
+    other members — another class or arithmetic, or a retained cached
+    read postdating the snapshot — are evaluated through their scalar
+    path, which remains the semantics oracle.  Returns a list of
     booleans aligned with ``validators``.
     """
     results = [False] * len(validators)
+    if not validators:
+        return results
     now = snapshot.cycle
-    proto = validators[0].__class__ if validators else None
+    proto, mask = validators[0].__class__, validators[0]._mask
     batch: List[int] = []
     for i, validator in enumerate(validators):
         if (
             validator.__class__ is proto
-            and validator._absolute
+            and validator._mask == mask
             and validator._max_cycle <= now
         ):
             batch.append(i)
@@ -431,8 +450,8 @@ def validate_read_batch_inorder(
     """:func:`validate_read_batch` minus the per-member eligibility test.
 
     Precondition (the caller's to guarantee): every validator shares one
-    protocol class, uses absolute (unbounded) timestamps, and retains no
-    read postdating the snapshot — which holds for any cache-less client
+    protocol class and one timestamp arithmetic, and retains no read
+    postdating the snapshot — which holds for any cache-less client
     population, since every retained read then came off an earlier (or
     this) broadcast cycle.  The cohort executor checks these properties
     once at construction; per bucket the eligibility loop is a third of
@@ -449,18 +468,24 @@ def _validate_bucket(
     """``validate_read`` for every member of one bucket, in one sweep.
 
     Precondition: :func:`validate_read_batch_inorder`'s.  One protocol
-    means one control column for the bucket; absolute timestamps make
-    ``<`` the integer order; in-order reads make the backward condition
-    vacuous — so the one-directional comparison is the whole strict
-    condition — and R-Matrix's first-read-state disjunct admissible.
+    means one control column for the bucket, and one arithmetic means
+    one anchoring of it: every entry anchored at the snapshot cycle is
+    what :meth:`ReadValidator._condition_holds` compares per entry, so
+    ``<`` on the anchored column is the integer order.  In-order reads
+    make the backward condition vacuous — so the one-directional
+    comparison is the whole strict condition — and R-Matrix's
+    first-read-state disjunct admissible.
     """
     if not validators:
         return []
     now = snapshot.cycle
     shared = validators[0]._slice(obj, snapshot)
-    # the column as a plain python list, once per bucket: each R_t entry
-    # then costs a list index + int compare, with no numpy call overhead
-    column = shared.tolist()
+    mask = validators[0]._mask
+    # the column as a plain python list, once per bucket, its entries
+    # anchored at ``now`` (absolute timestamps are their own anchor): each
+    # R_t entry then costs a list index + int compare, with no numpy call
+    # overhead
+    column = (shared if mask == -1 else now - ((now - shared) & mask)).tolist()
     disjunct = isinstance(validators[0], RMatrixValidator)
     # one frozen record serves every successful member: the content
     # (object, cycle, control slice) is bucket-wide identical and

@@ -27,10 +27,14 @@ simulated outcome:
 
 3. **Validation batches.**  Within a bucket all clients evaluate the same
    protocol's read condition against the same control snapshot, so the
-   control column is fetched once and swept over every member's ``R_t``
+   control column is fetched — and, under modulo timestamps, anchored at
+   the snapshot cycle — once and swept over every member's ``R_t``
    (:func:`repro.core.validators.validate_read_batch`) and each kernel is
    handed its verdict.  A bucket of one goes through ``validate_read``:
-   ``_fire``'s ``len(survivors) > 1`` is the only place that chooses.
+   ``_validate``'s ``len(kernels) > 1`` is the only place that chooses.
+   Under a staleness window (modulo timestamps with faults) each
+   member's runtime guard runs first, in issue order; the members it
+   refuses get :data:`~repro.sim.kernel.STALE` and the rest are swept.
 
 Determinism is preserved exactly: bucket members are processed in the
 order their slot waits would have been *issued* (think-expiry or doze
@@ -46,20 +50,25 @@ submission reaches the timeline's uplink door (where loss draws and the
 server's backward validation happen) exactly when the per-process
 ``_submit_update`` generator would have resumed.
 
-Fault plans (docs/FAULTS.md) need nothing extra here: the kernel shifts
-a dozing client's seek, decides per member whether a slot was heard, and
-under a modulo staleness guard validates each delivery itself (the guard
-consults per-runtime rejoin state that batch validation cannot see).
+Fault plans (docs/FAULTS.md) need little here: the kernel shifts a
+dozing client's seek and decides per member whether a slot was heard;
+under a modulo staleness window :meth:`_fire` runs each survivor's
+staleness guard (``runtime.stale``, which consults per-runtime rejoin
+state a sweep cannot see) before the bucket's sweep.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.validators import validate_read_batch, validate_read_batch_inorder
+from ..core.validators import (
+    ControlSnapshot,
+    validate_read_batch,
+    validate_read_batch_inorder,
+)
 from .engine import Simulator
-from .kernel import ClientEnv, ClientKernel
+from .kernel import STALE, ClientEnv, ClientKernel, Stale
 
 if TYPE_CHECKING:  # annotations only
     from .arena import TimelineView
@@ -100,14 +109,14 @@ class CohortExecutor:
         self.clients = list(clients)
         self._buckets: Dict[float, _Bucket] = {}
         self._enqueue_order = 0
-        # cache-less uniform populations with absolute timestamps satisfy
-        # validate_read_batch_inorder's precondition for every bucket
-        # (checked once here instead of per member per bucket)
+        # cache-less populations of one protocol class and one timestamp
+        # arithmetic satisfy validate_read_batch_inorder's precondition
+        # for every bucket (checked once here instead of per member per
+        # bucket)
         self._batch_validate = validate_read_batch
-        if (
-            all(c.cache is None for c in self.clients)
-            and len({c.validator.__class__ for c in self.clients}) == 1
-            and all(c.validator._absolute for c in self.clients)
+        if all(c.cache is None for c in self.clients) and (
+            len({(c.validator.__class__, c.validator._mask) for c in self.clients})
+            == 1
         ):
             self._batch_validate = validate_read_batch_inorder
 
@@ -177,20 +186,27 @@ class CohortExecutor:
             timeline = self.timeline
             timeline.advance_to(time)
             broadcast = timeline.broadcast(bucket.cycle)
-            verdicts: Sequence[Optional[bool]]
-            if env.staleness is not None:
-                verdicts = [None] * len(survivors)  # the kernel validates
-            elif len(survivors) > 1:
-                # one batched read-condition evaluation for the bucket
-                verdicts = self._batch_validate(
-                    [kernel.validator for kernel in survivors],
-                    obj,
-                    broadcast.snapshot,
-                )
+            snapshot = broadcast.snapshot
+            verdicts: Sequence[Union[bool, Stale]]
+            if env.staleness is None:
+                verdicts = self._validate(survivors, obj, snapshot)
             else:
-                verdicts = [
-                    survivors[0].validator.validate_read(obj, broadcast.snapshot)
-                ]
+                # each runtime's staleness guard, in issue order; the
+                # members it lets through are validated together
+                cycle = bucket.cycle
+                stale = []
+                for kernel in survivors:
+                    runtime = kernel.runtime
+                    assert runtime is not None  # set before the first wait
+                    stale.append(runtime.stale(cycle))
+                swept = iter(
+                    self._validate(
+                        [k for k, refused in zip(survivors, stale) if not refused],
+                        obj,
+                        snapshot,
+                    )
+                )
+                verdicts = [STALE if refused else next(swept) for refused in stale]
             # consequences per client, in issue order
             ends += [
                 kernel.deliver(time, broadcast, ok)
@@ -198,3 +214,14 @@ class CohortExecutor:
             ]
             moved += survivors
         self._place(moved, ends)
+
+    def _validate(
+        self, kernels: Sequence[ClientKernel], obj: int, snapshot: ControlSnapshot
+    ) -> List[bool]:
+        """The read condition for every kernel of a bucket: one sweep, or
+        the scalar ``validate_read`` for a bucket of one."""
+        if len(kernels) > 1:
+            return self._batch_validate(
+                [kernel.validator for kernel in kernels], obj, snapshot
+            )
+        return [kernel.validator.validate_read(obj, snapshot) for kernel in kernels]

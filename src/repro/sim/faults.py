@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -368,10 +369,19 @@ class FaultRuntime:
         per_client: Dict[int, List[DozeInterval]] = {}
         for interval in plan.doze:
             per_client.setdefault(interval.client, []).append(interval)
-        self._doze: Dict[int, Tuple[DozeInterval, ...]] = {
-            client: tuple(sorted(intervals, key=lambda iv: iv.start))
-            for client, intervals in per_client.items()
-        }
+        #: each client's doze windows as sorted starts and their
+        #: durations: the plan refuses overlaps, so the ends ascend too,
+        #: and a lookup bisects to the one window that can hold the
+        #: instant or overlap the slot, then adds that window's end
+        #: exactly as ``DozeInterval.end`` does (the plan's own floats,
+        #: no end stored per window)
+        self._doze: Dict[int, Tuple[Tuple[float, ...], Tuple[float, ...]]] = {}
+        for client, intervals in per_client.items():
+            intervals.sort(key=lambda iv: iv.start)
+            self._doze[client] = (
+                tuple(iv.start for iv in intervals),
+                tuple(iv.duration for iv in intervals),
+            )
         #: cycles a rejoining client may safely span under the configured
         #: arithmetic: the paper's ``max_cycles = window - 1`` for modulo
         #: timestamps, unlimited (``None``) for unbounded ones
@@ -382,9 +392,16 @@ class FaultRuntime:
     # -- client radio ---------------------------------------------------
     def doze_wake(self, client: int, now: float) -> Optional[float]:
         """The wake-up time if ``client`` is dozing at ``now``, else None."""
-        for interval in self._doze.get(client, ()):
-            if interval.start <= now < interval.end:
-                return interval.end
+        windows = self._doze.get(client)
+        if windows is not None:
+            starts, durations = windows
+            # the last window starting at or before ``now`` is the only
+            # one that can hold it
+            i = bisect_right(starts, now) - 1
+            if i >= 0:
+                end = starts[i] + durations[i]
+                if now < end:
+                    return end
         return None
 
     def slot_heard(
@@ -407,8 +424,14 @@ class FaultRuntime:
             if outage_start < end and start < outage_end:
                 metrics.crash_slot_stalls += 1
                 return False
-        for interval in self._doze.get(client, ()):
-            if interval.start < end and start < interval.end:
+        windows = self._doze.get(client)
+        if windows is not None:
+            starts, durations = windows
+            # the last window starting before the slot ends is the only
+            # one that can overlap it: every earlier one ends before that
+            # one starts
+            i = bisect_left(starts, end) - 1
+            if i >= 0 and start < starts[i] + durations[i]:
                 metrics.doze_slots_missed += 1
                 return False
         return True

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from math import log as _log
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from ..broadcast.layout import BroadcastLayout, FlatLayout
 from ..broadcast.program import BroadcastCycle
@@ -52,7 +52,25 @@ from .metrics import MetricsCollector
 from .timeline import LiveTimeline
 from .trace import TraceRecorder
 
-__all__ = ["ClientEnv", "ClientKernel"]
+__all__ = ["ClientEnv", "ClientKernel", "STALE"]
+
+
+class Stale:
+    """The type of :data:`STALE`, its one instance."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return "STALE"
+
+
+#: the verdict a scheduler hands :meth:`ClientKernel.deliver` for a read
+#: the runtime's staleness guard refused: falsy like ``False`` (the read
+#: is rejected), but charged to ``staleness`` instead of ``conflict``
+STALE = Stale()
 
 
 class ClientEnv:
@@ -97,9 +115,9 @@ class ClientEnv:
         self.trace = trace
         self.tracer = tracer
         #: the paper's max-cycles rejoin bound, active under modulo
-        #: timestamps with faults: the wrap check consults per-runtime
-        #: rejoin state (last-heard cycle) that batch validation cannot
-        #: see, so every delivery then takes the scalar ``runtime.deliver``
+        #: timestamps with faults: each runtime's staleness guard
+        #: (``runtime.stale``) then runs per delivery, before validation —
+        #: a scheduler runs it per bucket member ahead of the sweep
         self.staleness = faults.staleness_window if faults is not None else None
         # exponential-delay rates, evaluated exactly as the per-process
         # path does (1.0 / mean), so inline draws divide by the
@@ -310,7 +328,7 @@ class ClientKernel:
         self,
         time: float,
         broadcast: Optional[BroadcastCycle],
-        ok: Optional[bool] = None,
+        ok: Union[bool, Stale, None] = None,
         *,
         first: bool = False,
         seek_only: bool = False,
@@ -319,7 +337,9 @@ class ClientKernel:
 
         ``ok`` is the read condition's verdict when the scheduler already
         evaluated it (batch validation, which also recorded a successful
-        read into ``R_t``); ``None`` has the runtime validate.
+        read into ``R_t``), or :data:`STALE` when the runtime's staleness
+        guard refused the read before validation; ``None`` has the
+        runtime guard and validate.
 
         This is the client step, whole: settle the read, think, serve what
         the cache can (each hit is settled by the same code on the next
@@ -345,12 +365,9 @@ class ClientKernel:
                 cache.insert(broadcast, self.obj, time)
         while True:
             if broadcast is not None:
-                cause = "conflict"
-                if ok is None or env.staleness is not None:
+                if ok is None:
                     outcome = runtime.deliver(broadcast)
-                    ok = outcome.ok
-                    if outcome.stale:
-                        cause = "staleness"
+                    ok = STALE if outcome.stale else outcome.ok
                     next_obj = runtime.next_object
                 elif ok:
                     # versions are retained only for the trace recorder
@@ -372,6 +389,7 @@ class ClientKernel:
                             return None
                         now, first, runtime = start_time, True, self.runtime
                 else:
+                    cause = "staleness" if ok is STALE else "conflict"
                     metrics.reads_rejected += 1
                     metrics.record_abort(cause)
                     if cache is not None:

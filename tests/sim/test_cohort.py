@@ -8,14 +8,19 @@ tests compare full result signatures across protocols and feature
 combinations (cache, broadcast loss, mixed update transactions).
 """
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.control_matrix import ControlMatrix
 from repro.core.cycles import ModuloCycles
 from repro.core.group_matrix import uniform_partition
 from repro.core.validators import (
     ControlSnapshot,
+    DatacycleValidator,
     FMatrixValidator,
     RMatrixValidator,
     make_validator,
@@ -25,7 +30,7 @@ from repro.core.validators import (
 from repro.sim.cohort import CohortExecutor
 from repro.sim.config import SimulationConfig
 from repro.sim.faults import FaultPlan
-from repro.sim.kernel import ClientKernel
+from repro.sim.kernel import STALE, ClientKernel
 from repro.sim.simulation import run_simulation
 
 from tests.conftest import reference_run
@@ -223,8 +228,9 @@ class TestCollapsedLanes:
         assert_equivalent(tiny_config(protocol="f-matrix", **COLLAPSED_LANES[lane]))
 
     def test_staleness_lane_with_shared_buckets(self, monkeypatch):
-        """Modulo timestamps + faults: the kernel validates each delivery
-        itself, several survivors per bucket, one event per slot."""
+        """Modulo timestamps + faults: each member's staleness guard runs
+        first and the bucket's sweep hands the rest their verdicts —
+        several survivors per bucket, one event per slot."""
         cfg = SimulationConfig(
             protocol="f-matrix",
             num_objects=16,
@@ -268,7 +274,9 @@ class TestCollapsedLanes:
         cohort = run_simulation(cfg.replace(client_executor="cohort"))
         assert signature(process) == signature(cohort)
         assert cohort.metrics.aborts_staleness > 0  # the guard did fire
-        assert set(deliveries) == {None}  # no batch verdict under the guard
+        # every delivery arrives with a verdict: the sweep's, or the guard's
+        assert None not in deliveries
+        assert {True, False, STALE} <= set(deliveries)
         assert len(deliveries) > 2 * len(fires)  # buckets were shared
 
 
@@ -310,6 +318,40 @@ def grow_history(validators, rng, cycles=6, num_objects=12):
             if rng.random() < 0.7:
                 v.validate_read(rng.randrange(num_objects), snap)
     return full_snapshot(cycles + 1, cm)
+
+
+def encoded_snapshot(cycle, cm, arithmetic):
+    """:func:`full_snapshot` on the wire: every entry encoded."""
+    return ControlSnapshot(
+        cycle,
+        matrix=arithmetic.encode_array(cm.snapshot()),
+        vector=arithmetic.encode_array(cm.reduce_to_vector()),
+        grouped=arithmetic.encode_array(cm.reduce_to_groups(PARTITION.groups)),
+        partition=PARTITION,
+    )
+
+
+def grow_wrapping_history(pairs, rng, arithmetic, cycles, num_objects=12):
+    """Feed each (batch, oracle) validator pair the same random in-order
+    read history over ``cycles`` cycles of encoded snapshots: restarts at
+    random and after each rejection, so retained reads span anything
+    from one cycle to several windows."""
+    cm = ControlMatrix(num_objects)
+    for cycle in range(1, cycles + 1):
+        if rng.random() < 0.6:
+            reads = rng.sample(range(num_objects), rng.randrange(3))
+            cm.apply_commit(cycle, reads, rng.sample(range(num_objects), 2))
+        snap = encoded_snapshot(cycle, cm, arithmetic)
+        for pair in pairs:
+            if rng.random() < 0.1:
+                for v in pair:
+                    v.begin()
+            if rng.random() < 0.6:
+                obj = rng.randrange(num_objects)
+                for v in pair:
+                    if not v.validate_read(obj, snap):
+                        v.begin()
+    return encoded_snapshot(cycles + 1, cm, arithmetic)
 
 
 class TestBatchValidation:
@@ -362,6 +404,108 @@ class TestBatchValidation:
             # the sweep saw accepts, rejects and the R-Matrix disjunct
             assert 0 < accepted["datacycle"] < accepted["r-matrix"]
             assert accepted["r-matrix"] < accepted["f-matrix"] < 600
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bits=st.sampled_from((3, 4)),
+        n_clients=st.integers(1, 12),
+        protocol=st.sampled_from(
+            ("f-matrix", "datacycle", "r-matrix", "group-matrix")
+        ),
+        inorder=st.booleans(),
+    )
+    def test_sweep_matches_scalar_across_the_wrap(
+        self, seed, bits, n_clients, protocol, inorder
+    ):
+        """Modulo timestamps over a history that crosses ``2**bits`` four
+        to six times: one batched call ≡ ``validate_read`` per member,
+        verdicts and ``R_t``, for every protocol and both entry points.
+
+        ``validate_read_batch`` gets a bucket that mixes arithmetics — its
+        odd members count cycles in a window twice as wide — plus one
+        member retaining a read from a later cycle; exactly those must
+        fall back to their scalar path.
+        """
+        rng = random.Random(seed)
+        arithmetic = ModuloCycles(bits)
+
+        def make(i):
+            other = not inorder and i % 2 == 1
+            return make_validator(
+                protocol,
+                arithmetic=ModuloCycles(bits + 1) if other else arithmetic,
+                partition=PARTITION,
+            )
+
+        pairs = [(make(i), make(i)) for i in range(n_clients)]
+        cycles = rng.randrange(4, 7) * arithmetic.window
+        snap = grow_wrapping_history(pairs, rng, arithmetic, cycles)
+        batch = [b for b, _ in pairs]
+        oracle = [o for _, o in pairs]
+        fallbacks = {i for i in range(n_clients) if not inorder and i % 2 == 1}
+        if not inorder:
+            later = encoded_snapshot(snap.cycle + 2, ControlMatrix(12), arithmetic)
+            for side in (batch, oracle):
+                cached = make_validator(
+                    protocol, arithmetic=arithmetic, partition=PARTITION
+                )
+                assert cached.validate_read(5, later)
+                side.append(cached)
+            fallbacks.add(n_clients)
+        scalar = set()
+
+        def spy(i, v):
+            def validate_read(obj, snapshot):
+                scalar.add(i)
+                return type(v).validate_read(v, obj, snapshot)
+
+            return validate_read
+
+        for i, v in enumerate(batch):
+            # an instance attribute shadows the method: who took the scalar path
+            v.validate_read = spy(i, v)
+        obj = rng.randrange(12)
+        entry = validate_read_batch_inorder if inorder else validate_read_batch
+        got = entry(batch, obj, snap)
+        want = [v.validate_read(obj, snap) for v in oracle]
+        assert list(got) == want
+        assert scalar == fallbacks
+        for vb, vo in zip(batch, oracle):
+            assert vb.reads == vo.reads
+            assert [r.slice_.tolist() for r in vb.records] == [
+                r.slice_.tolist() for r in vo.records
+            ]
+
+    def test_r_matrix_disjunct_across_the_wrap(self):
+        """The first-read disjunct decides on anchored entries: three
+        windows in, the strict condition fails on an overwritten read and
+        the untouched object is admitted, by the sweep as by the scalar
+        path."""
+        from repro.core.group_matrix import LastWriteVector
+
+        arithmetic = ModuloCycles(3)
+        vec = LastWriteVector(12)
+        vec.apply_commit(16, [], [3])  # residue 0, three windows in
+
+        def snap(cycle):
+            return ControlSnapshot(
+                cycle, vector=arithmetic.encode_array(vec.snapshot())
+            )
+
+        batch, oracle, strict = (
+            [cls(arithmetic) for _ in range(5)]
+            for cls in (RMatrixValidator, RMatrixValidator, DatacycleValidator)
+        )
+        first = snap(17)
+        for v in batch + oracle + strict:
+            assert v.validate_read(0, first)
+        vec.apply_commit(19, [], [0])  # poisons the strict condition
+        now = snap(21)
+        assert validate_read_batch(strict, 3, now) == [False] * 5
+        got = validate_read_batch(batch, 3, now)
+        assert got == [v.validate_read(3, now) for v in oracle] == [True] * 5
+        assert [v.reads for v in batch] == [[(0, 17), (3, 21)]] * 5
 
     def test_inorder_variant_matches_general(self):
         import random as random_mod

@@ -8,7 +8,10 @@ alone still refuses them).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.validators import PROTOCOL_NAMES
 from repro.server.validation import UpdateSubmission
 from repro.sim import (
     DozeInterval,
@@ -543,3 +546,184 @@ class TestCohortFaultEquivalence:
         )
         assert _fault_signature(replayed) == _fault_signature(oracle)
         assert replayed.timeline_stats["cache_hit"] is False
+
+
+def linear_doze_wake(plan, client, now):
+    """:meth:`FaultRuntime.doze_wake` by its definition: scan every window."""
+    for interval in plan.doze:
+        if interval.client == client and interval.start <= now < interval.end:
+            return interval.end
+    return None
+
+
+def linear_miss(plan, client, start, end):
+    """What :meth:`FaultRuntime.slot_heard` charges for the slot
+    ``[start, end]`` by its definition: ``"crash"`` if it overlaps an
+    outage, else ``"doze"`` if it overlaps one of the client's windows,
+    else ``None`` (heard)."""
+    for crash in plan.crashes:
+        if crash.time < end and start < crash.end:
+            return "crash"
+    for interval in plan.doze:
+        if interval.client != client:
+            continue
+        if interval.start < end and start < interval.end:
+            return "doze"
+    return None
+
+
+def assert_lookups_match(plan, probes):
+    """Every ``(client, start, end)`` probe: ``doze_wake`` at both ends and
+    ``slot_heard`` with the counter it charges, against the scans."""
+    runtime = FaultRuntime(plan, faulty_config().arithmetic())
+    for client, start, end in probes:
+        for now in (start, end):
+            assert runtime.doze_wake(client, now) == linear_doze_wake(
+                plan, client, now
+            ), (client, now)
+        metrics = MetricsCollector()
+        heard = runtime.slot_heard(client, start, end, metrics)
+        miss = linear_miss(plan, client, start, end)
+        assert heard == (miss is None), (client, start, end)
+        assert (metrics.crash_slot_stalls, metrics.doze_slots_missed) == (
+            int(miss == "crash"),
+            int(miss == "doze"),
+        ), (client, start, end)
+
+
+class TestDozeLookups:
+    """The bisecting lookups ≡ a linear scan of the plan."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        clients=st.integers(1, 4),
+        crashed=st.booleans(),
+        probes=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.floats(0.0, 1200.0, allow_nan=False),
+                st.floats(0.0, 40.0, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_seeded_plans(self, seed, clients, crashed, probes):
+        plan = FaultPlan.seeded(
+            seed,
+            num_clients=clients,
+            horizon=1000.0,
+            mean_time_between_dozes=60.0,
+            mean_doze_duration=25.0,
+            crashes=(ServerCrash(400.0, 30.0),) if crashed else (),
+        )
+        slots = [(client, start, start + width) for client, start, width in probes]
+        # every window's edges: slots ending exactly at its start or
+        # starting exactly at its end, and ones straddling either edge
+        for iv in plan.doze:
+            for edge in (iv.start, iv.end):
+                slots += [
+                    (iv.client, edge - 5.0, edge),
+                    (iv.client, edge, edge + 5.0),
+                    (iv.client, edge - 1.0, edge + 1.0),
+                ]
+        assert_lookups_match(plan, slots)
+
+    def test_hand_built_edges(self):
+        plan = FaultPlan(
+            doze=(
+                DozeInterval(0, 10.0, 5.0),
+                DozeInterval(0, 15.0, 5.0),  # back to back with the first
+                DozeInterval(0, 40.0, 2.0),
+            ),
+            crashes=(ServerCrash(30.0, 20.0),),  # covers the third window
+        )
+        runtime = FaultRuntime(plan, faulty_config().arithmetic())
+        metrics = MetricsCollector()
+        # a slot ending exactly at a window's start, one starting exactly
+        # at a (final) window's end: both heard
+        assert runtime.slot_heard(0, 5.0, 10.0, metrics)
+        assert runtime.slot_heard(0, 20.0, 25.0, metrics)
+        assert runtime.doze_wake(0, 10.0) == 15.0
+        assert runtime.doze_wake(0, 15.0) == 20.0  # the next window, not None
+        assert runtime.doze_wake(0, 20.0) is None
+        # a client with no windows hears everything outside the outage
+        assert runtime.doze_wake(1, 12.0) is None
+        assert runtime.slot_heard(1, 9.0, 21.0, metrics)
+        assert (metrics.crash_slot_stalls, metrics.doze_slots_missed) == (0, 0)
+        # outage precedence: dead air is charged before the dozing radio
+        assert not runtime.slot_heard(0, 39.0, 41.0, metrics)
+        assert (metrics.crash_slot_stalls, metrics.doze_slots_missed) == (1, 0)
+        assert not runtime.slot_heard(0, 14.0, 16.0, metrics)
+        assert (metrics.crash_slot_stalls, metrics.doze_slots_missed) == (1, 1)
+        assert_lookups_match(
+            plan,
+            [
+                (client, start, start + width)
+                for client in (0, 1)
+                for start in (0.0, 5.0, 9.5, 10.0, 14.0, 15.0, 19.9, 20.0, 39.0, 42.0)
+                for width in (0.5, 5.0)
+            ],
+        )
+
+
+class TestWrapAtTableOneSize:
+    """Reads straddling the 2^TS wrap with Table-1's 300 objects and 8-bit
+    modulo timestamps: six caching, dozing clients over ~800 cycles, so
+    the run crosses cycle 256 three times.  Under every protocol the
+    default cohort run equals the per-process reference, counters and
+    all, and audits clean — wrap-gap safety included."""
+
+    @staticmethod
+    def config(protocol):
+        base = SimulationConfig(
+            protocol=protocol,
+            num_objects=300,
+            object_size_bits=1024,
+            modulo_timestamps=True,
+            timestamp_bits=8,
+            num_groups=10,
+            num_clients=6,
+            client_txn_length=4,
+            num_client_transactions=50,
+            seed=11,
+        )
+        # times in cycles of this protocol's broadcast; few server commits
+        # keep the audit's distinct cycle images (300 x 300 each) few
+        cycle = base.cycle_bits
+        return base.replace(
+            server_txn_interval=20 * cycle,
+            mean_inter_operation_delay=1.5 * cycle,
+            mean_inter_transaction_delay=4 * cycle,
+            cache_currency_bound=60 * cycle,
+            faults=FaultPlan.seeded(
+                3,
+                num_clients=6,
+                horizon=800 * cycle,
+                mean_time_between_dozes=80 * cycle,
+                mean_doze_duration=30 * cycle,
+            ),
+            audit=True,
+        )
+
+    def test_every_protocol_matches_the_reference_and_audits_clean(self):
+        straddling = {256: 0, 512: 0}
+        for protocol in PROTOCOL_NAMES:
+            config = self.config(protocol)
+            cohort = run_simulation(config)
+            process = reference_run(config)
+            assert signature(cohort) == signature(process), protocol
+            assert cohort.metrics.counters() == process.metrics.counters(), protocol
+            m = cohort.metrics
+            assert m.cache_hits > 0 and m.doze_slots_missed > 0, protocol
+            assert cohort.trace.cycles[-1].cycle > 3 * 256, protocol
+            report = cohort.audit_report
+            assert report is not None and report.ok, report.format()
+            assert "wrap-gap-safety" in report.checked
+            for txn in cohort.trace.client_commits:
+                cycles = [cycle for _obj, cycle in txn.reads]
+                for wrap in straddling:
+                    straddling[wrap] += min(cycles) < wrap <= max(cycles)
+        # committed read sets span each wrap (under F-Matrix an entry
+        # older than the window re-anchors into it and aborts such reads)
+        assert all(straddling.values()), straddling
