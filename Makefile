@@ -1,11 +1,16 @@
-# Development gates. `make check` is what CI runs.
+# Development gates.  `make check` is the quick local gate (tier 1, lint,
+# typecheck); `make ci` runs every gate of .github/workflows/check.yml, in
+# the workflow's order.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint typecheck perf-smoke figures-smoke consistency-smoke obs-smoke scenario-smoke
+.PHONY: check ci test lint typecheck perf-smoke figures-smoke consistency-smoke obs-smoke scenario-smoke
 
 check: test lint typecheck
+
+# one gate after another (no -j), stopping at the first that fails
+ci: test lint typecheck perf-smoke figures-smoke consistency-smoke scenario-smoke obs-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q

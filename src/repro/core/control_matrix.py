@@ -27,7 +27,7 @@ dense ``n × n`` array exists only where a caller asks for one.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Optional, Sequence, Set, Tuple
+from typing import Collection, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -68,26 +68,28 @@ class ColumnImage:
 
 
 def checked_batch(
-    num_objects: int, last_cycle: int, commit_cycle: int, batch: Sequence[Commit]
+    ids: FrozenSet[int], last_cycle: int, commit_cycle: int, batch: Sequence[Commit]
 ) -> Set[int]:
     """The door of every control state, once per batch: the union of the
     batch's write sets, or an exception.
 
-    An object id outside ``0..n-1`` anywhere in the batch raises
-    ``IndexError``, a batch that writes before ``last_cycle`` ``ValueError``
-    (one that writes nothing installs nothing and is not held to it) —
-    checked before the caller changes anything, so a refused batch leaves
-    no trace.
+    ``ids`` is the state's valid ids, ``frozenset(range(n))``, and each
+    commit's read and write sets are tested against it by two C-level
+    ``issuperset`` calls.  An object id outside ``0..n-1`` anywhere in the
+    batch raises ``IndexError`` naming it (the lowest negative id, else
+    the highest, of the batch's reads, then of its writes), a batch that
+    writes before ``last_cycle`` ``ValueError`` (one that writes nothing
+    installs nothing and is not held to it) — checked before the caller
+    changes anything, so a refused batch leaves no trace.
     """
-    read: Set[int] = set()
     written: Set[int] = set()
     for _, rs, ws in batch:
-        read.update(rs)
+        if not (ids.issuperset(rs) and ids.issuperset(ws)):
+            bad = {i for _, reads, _ in batch for i in reads} - ids
+            bad = bad or {i for _, _, writes in batch for i in writes} - ids
+            worst = min(bad) if min(bad) < 0 else max(bad)
+            raise IndexError(f"object id {worst} out of range 0..{len(ids) - 1}")
         written.update(ws)
-    for ids in (read, written):
-        if ids and not (0 <= min(ids) and max(ids) < num_objects):
-            bad = min(ids) if min(ids) < 0 else max(ids)
-            raise IndexError(f"object id {bad} out of range 0..{num_objects - 1}")
     if written and commit_cycle < last_cycle:
         raise ValueError(
             f"commit cycles must be non-decreasing ({commit_cycle} < {last_cycle})"
@@ -137,6 +139,7 @@ class ControlMatrix:
         #: column ``j`` of ``C``, immutable; only ``apply_batch`` rebinds
         #: an entry, and objects last written together share one array
         self.columns = [commit_column(num_objects, (), (), 0)] * num_objects
+        self._ids = frozenset(range(num_objects))
         self._last_cycle_applied = 0
 
     # ------------------------------------------------------------------
@@ -185,7 +188,7 @@ class ControlMatrix:
         the ids of the columns rebound — none for a batch that wrote
         nothing, which has no effect on the matrix.
         """
-        written = checked_batch(self._n, self._last_cycle_applied, commit_cycle, batch)
+        written = checked_batch(self._ids, self._last_cycle_applied, commit_cycle, batch)
         if written:
             self._last_cycle_applied = commit_cycle
             columns, n = self.columns, self._n

@@ -89,6 +89,7 @@ class LastWriteVector:
 
     def __init__(self, num_objects: int):
         self._mc = np.zeros(num_objects, dtype=np.int64)
+        self._ids = frozenset(range(num_objects))
         self._last_cycle_applied = 0
 
     @property
@@ -111,9 +112,7 @@ class LastWriteVector:
         """Stamp every entry the batch writes with one store; returns their
         ids (see ``checked_batch``).  Every commit of a batch has the same
         cycle, so order within it does not matter here."""
-        written = checked_batch(
-            len(self._mc), self._last_cycle_applied, commit_cycle, batch
-        )
+        written = checked_batch(self._ids, self._last_cycle_applied, commit_cycle, batch)
         if written:
             self._last_cycle_applied = commit_cycle
             self._mc[list(written)] = commit_cycle
@@ -143,6 +142,7 @@ class GroupedControlState:
         #: (:mod:`repro.core.control_matrix`, "Columns, not a block")
         self.columns = [commit_column(n, (), (), 0)] * g
         self._exact = g == n
+        self._ids = frozenset(range(n))
         self._last_cycle_applied = 0
 
     @property
@@ -167,9 +167,7 @@ class GroupedControlState:
         order, ids checked once for the batch; returns the ids of the
         groups rebound."""
         part = self.partition
-        written = checked_batch(
-            part.num_objects, self._last_cycle_applied, commit_cycle, batch
-        )
+        written = checked_batch(self._ids, self._last_cycle_applied, commit_cycle, batch)
         if not written:
             return written
         self._last_cycle_applied = commit_cycle
@@ -181,13 +179,15 @@ class GroupedControlState:
             # max over read columns of C; exact when groups are singletons.
             # Writes dominate: entries (i ∈ WS, group of j ∈ WS) become the
             # cycle — no entry exceeds it, commit cycles being non-decreasing
-            reads = [columns[g] for g in {group_of[r] for r in rs}]
+            read_groups = {group_of[r] for r in rs}
+            reads = [columns[g] for g in read_groups]
             column = commit_column(part.num_objects, reads, ws, commit_cycle)
             for g in {group_of[w] for w in ws}:
                 merged = column
-                if not self._exact:
+                if not (self._exact or g in read_groups):
                     # the group keeps its other members' contributions: a new
                     # array, never ``out=`` one that an image may already share
+                    # (a group the commit read is in ``column``, already ≥ it)
                     merged = np.maximum(columns[g], column)
                     merged.setflags(write=False)
                 columns[g] = merged

@@ -189,16 +189,20 @@ class Database:
         Must be called in serialization order (the executors guarantee
         commit order == serialization order), with ids the caller has
         checked (module docstring).  The log keeps each commit's sets as
-        given, so they must be ones nobody changes afterwards.
+        given, so they must be ones nobody changes afterwards.  One
+        :class:`ObjectVersion` per written object is the whole per-write
+        cost: each is built as ``_make`` builds it (``tuple.__new__``),
+        skipping the generated ``__new__``'s Python-level call.
         """
         committed, log = self._committed, self._log
+        new = tuple.__new__  # what ObjectVersion._make does, one call less
         for txn, read_set, writes in batch:
             if type(writes) is dict:
                 for obj, value in writes.items():
-                    committed[obj] = ObjectVersion(obj, value, txn, commit_cycle)
+                    committed[obj] = new(ObjectVersion, (obj, value, txn, commit_cycle))
             else:
                 for obj in writes:
-                    committed[obj] = ObjectVersion(obj, txn, txn, commit_cycle)
+                    committed[obj] = new(ObjectVersion, (obj, txn, txn, commit_cycle))
             if self._working:
                 self.discard_writes(txn, writes)
             log.append((txn, commit_cycle, len(log) + 1, read_set, writes))

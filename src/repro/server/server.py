@@ -75,9 +75,10 @@ class BroadcastServer:
         self._validator = BackwardValidator(self.database)
         self.current_cycle = 0
         #: the last frozen (wire-encoded, read-only) control image; a
-        #: matrix's columns as of that freeze (a vector has none; at birth
-        #: the live ones stand in); and the ids a commit stamped or rebound
-        #: since — every column at birth, nothing being frozen yet
+        #: matrix's wire columns as of that freeze (the live ones themselves
+        #: under absolute timestamps; a vector has none; at birth the live
+        #: ones stand in); and the ids a commit stamped or rebound since —
+        #: every column at birth, nothing being frozen yet
         self._frozen: Union[np.ndarray, ColumnImage, None] = None
         columns = () if self.vector is not None else self._control.columns
         self._wire: List[np.ndarray] = list(columns)
@@ -114,10 +115,15 @@ class BroadcastServer:
         the *same object*, its dense array included once stacked — rides
         again, which is also what lets
         :meth:`repro.sim.arena.TimelineArena.from_images` store a quiescent
-        stretch once.  Otherwise a vector is encoded afresh (``8n`` bytes)
-        and a matrix is frozen by *sharing*: the image is the tuple of
-        current columns, only those replaced since the last freeze being
-        wire-encoded, once per distinct column.  Nothing ``n × n`` is copied.
+        stretch once.  Otherwise a vector is encoded afresh (``8n`` bytes:
+        it is stamped in place, so even its absolute form is a copy) and a
+        matrix is frozen by *sharing*: the image is the tuple of current
+        columns.  Under absolute timestamps a sealed column is already its
+        own wire form (``commit_column`` made it read-only), so the image
+        holds the live columns themselves and the freeze allocates no
+        column; under modulo timestamps only the columns replaced since
+        the last freeze are wire-encoded, once per distinct column.
+        Nothing ``n × n`` is copied.
         """
         if self._stale or self._frozen is None:
             encode = self.arithmetic.encode_array
@@ -127,9 +133,10 @@ class BroadcastServer:
             else:
                 live = self._control.columns
                 encoded: Dict[int, np.ndarray] = {}
+                sealed = self.arithmetic.anchor_mask == -1
                 for k in self._stale:
                     column = live[k]
-                    wire = encoded.get(id(column))
+                    wire = column if sealed else encoded.get(id(column))
                     if wire is None:
                         wire = encoded[id(column)] = encode(column)
                         wire.setflags(write=False)

@@ -16,20 +16,33 @@ transaction, the generic method's preamble (population and counts
 handling, a method call per draw) cost more than the draws themselves,
 and every pinned digest rests on the draw *order* — so the helper
 replays the stdlib's algorithm call for call rather than drawing some
-other, faster way.
+other, faster way.  Its one copy is :func:`id_sampler`, which does the
+per-call setup once for a fixed ``(n, k)``; :class:`ServerWorkload`
+holds one.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, List, NamedTuple, Tuple
+from functools import lru_cache
+from typing import Callable, Iterator, List, NamedTuple, Tuple
 
-__all__ = ["ServerTransactionSpec", "ServerWorkload", "ClientWorkload", "sample_ids"]
+__all__ = [
+    "ServerTransactionSpec",
+    "ServerWorkload",
+    "ClientWorkload",
+    "id_sampler",
+    "sample_ids",
+]
 
 
-def sample_ids(rng: random.Random, n: int, k: int) -> List[int]:
-    """``rng.sample(range(n), k)``, draw for draw, leaving ``rng`` in the same state.
+@lru_cache(maxsize=64)
+def id_sampler(n: int, k: int) -> Callable[[random.Random], List[int]]:
+    """:func:`sample_ids` for one ``(n, k)``, as a function of the stream
+    alone: the checks and the per-call setup (the stdlib's set size, the
+    bit lengths) are done here, once per ``(n, k)`` — cached, so the
+    thousands of clients of one run share one sampler.
 
     CPython's ``Random.sample`` swaps out of a pool when ``n`` is no larger
     than a ``k``-element set would be, and otherwise rejects repeats; both
@@ -39,30 +52,46 @@ def sample_ids(rng: random.Random, n: int, k: int) -> List[int]:
     """
     if not 0 <= k <= n:
         raise ValueError("sample larger than population or is negative")
-    getrandbits = rng.getrandbits
-    result: List[int] = []
-    append = result.append
     # the stdlib's 21 + 4 ** ceil(log(3k, 4)) for k > 5, in integers: the
     # smallest power of four not below 3k (3k is never one, so the float
     # logarithm lands on the same exponent)
     setsize = 21 if k <= 5 else 21 + 4 ** (((3 * k - 1).bit_length() + 1) // 2)
     if n <= setsize:
-        pool = list(range(n))
-        for m in range(n, n - k, -1):
-            bits = m.bit_length()
-            j = getrandbits(bits)
-            while j >= m:
+        widths = [(m, m.bit_length()) for m in range(n, n - k, -1)]
+
+        def from_pool(rng: random.Random) -> List[int]:
+            getrandbits = rng.getrandbits
+            pool = list(range(n))
+            result: List[int] = []
+            for m, bits in widths:
                 j = getrandbits(bits)
-            append(pool[j])
-            pool[j] = pool[m - 1]
-        return result
+                while j >= m:
+                    j = getrandbits(bits)
+                result.append(pool[j])
+                pool[j] = pool[m - 1]
+            return result
+
+        return from_pool
     bits = n.bit_length()
-    for _ in range(k):
-        j = getrandbits(bits)
-        while j >= n or j in result:
+    draws = range(k)
+
+    def by_rejection(rng: random.Random) -> List[int]:
+        getrandbits = rng.getrandbits
+        result: List[int] = []
+        append = result.append
+        for _ in draws:
             j = getrandbits(bits)
-        append(j)
-    return result
+            while j >= n or j in result:
+                j = getrandbits(bits)
+            append(j)
+        return result
+
+    return by_rejection
+
+
+def sample_ids(rng: random.Random, n: int, k: int) -> List[int]:
+    """``rng.sample(range(n), k)``, draw for draw, leaving ``rng`` in the same state."""
+    return id_sampler(n, k)(rng)
 
 
 class ServerTransactionSpec(NamedTuple):
@@ -99,6 +128,7 @@ class ServerWorkload:
         self.length = length
         self.read_probability = read_probability
         self._rng = random.Random(seed)
+        self._sample = id_sampler(num_objects, length)
         self._counter = itertools.count(1)
         self._tid_prefix = tid_prefix
 
@@ -107,10 +137,11 @@ class ServerWorkload:
         draw = rng.random
         reads: List[int] = []
         writes: List[int] = []
-        for obj in sample_ids(rng, self.num_objects, self.length):
+        for obj in self._sample(rng):
             (reads if draw() < p else writes).append(obj)
         tid = f"{self._tid_prefix}{next(self._counter)}"
-        return ServerTransactionSpec(tid, tuple(reads), tuple(writes))
+        # what ``_make`` does, without the generated ``__new__``'s call
+        return tuple.__new__(ServerTransactionSpec, (tid, tuple(reads), tuple(writes)))
 
     def __iter__(self) -> Iterator[ServerTransactionSpec]:
         while True:

@@ -43,7 +43,14 @@ the cycle that boundary opens.  An observer at instant ``t`` sees every
 event at or before ``t``: a boundary at a read's instant has installed its
 image (the slot ending on it read the previous image, which is retained),
 and a completion — or a crash, or a recovery — at an uplink arrival's
-instant has happened when the submission is validated.
+instant has happened when the submission is validated.  A completion
+that nothing precedes — its instant strictly before the queue's head and
+within the current :meth:`~LiveTimeline.advance_to` bound — runs inline
+in its stream, without a push and a pop: it is what the queue would pop
+next, and as ``seq`` numbers are only ever compared, skipping its push
+keeps every other pair's order.  A tie with the head, or anything at or
+after it, still goes through ``(time, seq)``, where the earlier
+scheduling wins.
 
 The timeline keeps the last two images, or every image when asked
 (the analytical tier and a recording pass read arbitrarily far back,
@@ -143,8 +150,10 @@ class LiveTimeline:
         #: installed images by cycle, in install order: the last two, or all
         self.images: Dict[int, BroadcastCycle] = {}
         self._keep_images = keep_images
-        #: the instant of the event being (or last) processed
+        #: the instant of the event being (or last) processed, and the
+        #: instant the current advance_to processes events up to
         self.now = 0.0
+        self._bound = 0.0
         #: between a crash and its recovery
         self._down = False
         base_seed = config.seed * 1_000_003
@@ -190,6 +199,7 @@ class LiveTimeline:
         """Process every event at or before ``time``, in ``(time, seq)`` order."""
         queue = self._queue
         seq = self._seq
+        self._bound = time
         while queue and queue[0][0] <= time:
             self.now, _, stream = heappop(queue)
             at = next(stream, None)
@@ -257,10 +267,11 @@ class LiveTimeline:
 
     def _completions(self) -> Stream:
         config = self.config
+        queue = self._queue
         pending = self._pending
         next_transaction = self._workload.next_transaction
         expovariate = self._rng.expovariate
-        cycle_of = self.layout.cycle_of
+        cycle_bits = self.layout.cycle_bits
         tracer = self.tracer
         committed = self.journal["server_commits"].append
         lost = self.journal["server_txns_lost"].append
@@ -268,7 +279,13 @@ class LiveTimeline:
         deterministic = config.server_interval_distribution == "deterministic"
         while True:
             gap = interval if deterministic else expovariate(1.0 / interval)
-            yield self.now + gap
+            at = self.now + gap
+            if at < queue[0][0] and at <= self._bound:
+                # nothing precedes it, and the current advance covers it:
+                # run it here, not through the queue
+                self.now = at
+            else:
+                yield at
             spec = next_transaction()
             tid = spec.tid
             now = self.now
@@ -280,7 +297,7 @@ class LiveTimeline:
                 continue
             if not spec.write_set:
                 continue  # read-only at the server: nothing to install
-            cycle = cycle_of(now)
+            cycle = int(now // cycle_bits) + 1  # layout.cycle_of(now)
             if cycle != self._pending_cycle:
                 self._flush()
                 self._pending_cycle = cycle

@@ -293,3 +293,101 @@ def test_a_plain_run_never_stacks_a_dense_image(protocol, monkeypatch):
         SimulationConfig(protocol=protocol, num_client_transactions=50, seed=7)
     )
     assert result.metrics.commit_count == 50
+
+
+# ----------------------------------------------------------------------
+# what a freeze shares with the live state, and what it must not
+# ----------------------------------------------------------------------
+
+ARITHMETICS = [
+    pytest.param(UnboundedCycles, id="absolute"),
+    pytest.param(lambda: ModuloCycles(8), id="modulo-8bit"),
+]
+
+
+def reachable_arrays(snapshot):
+    """Every array a frozen image holds: its columns (or vector) and the
+    dense array stacked from them."""
+    if snapshot.kind == "vector":
+        return [snapshot.vector]
+    column = snapshot.column if snapshot.kind == "matrix" else snapshot.group_column
+    dense = getattr(snapshot, snapshot.kind)
+    return [column(k) for k in range(dense.shape[1])] + [dense]
+
+
+def numpy_bytes_kept(action):
+    """``(result, bytes)``: numpy buffers that ``action`` allocated and that
+    are still alive once it returns (what a freeze keeps: its image)."""
+    only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def numpy_bytes():
+        traces = tracemalloc.take_snapshot().filter_traces(only_numpy).traces
+        return sum(trace.size for trace in traces)
+
+    tracemalloc.start()
+    try:
+        before = numpy_bytes()
+        result = action()
+        return result, numpy_bytes() - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("arithmetic_factory", ARITHMETICS)
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_every_array_a_retained_image_holds_is_read_only(protocol, arithmetic_factory):
+    n = 12
+    server = BroadcastServer(
+        n, protocol, arithmetic=arithmetic_factory(), partition=uniform_partition(n, 4)
+    )
+    images = []
+    for cycle, commits in random_schedule(random.Random(2), n, cycles=30):
+        images.append(server.begin_cycle(cycle))
+        for k, (rs, ws) in enumerate(commits):
+            server.commit_update(f"t{cycle}.{k}", rs, dict.fromkeys(ws, cycle))
+    for image in images:
+        for array in reachable_arrays(image.snapshot):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = -1
+
+
+@pytest.mark.parametrize("arithmetic_factory", ARITHMETICS)
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_a_dirty_freeze_shares_sealed_columns_only_under_absolute_timestamps(
+    protocol, arithmetic_factory
+):
+    """n = 500 and 40 commits of four writes before the freeze.  Absolute:
+    the image's columns *are* the live ones and the freeze keeps no new
+    numpy buffer.  Modulo: each wire column is the live one encoded, a
+    fresh buffer per distinct replaced column.  A vector is stamped in
+    place, so its freeze copies under both."""
+    n = 500
+    arithmetic = arithmetic_factory()
+    server = BroadcastServer(
+        n, protocol, arithmetic=arithmetic, partition=uniform_partition(n, 16)
+    )
+    rng = random.Random(9)
+    server.begin_cycle(1)
+    for k in range(40):
+        objs = rng.sample(range(n), 8)
+        server.commit_update(f"w{k}", objs[:4], dict.fromkeys(objs[4:], 0))
+    image, kept = numpy_bytes_kept(lambda: server.begin_cycle(2))
+    snapshot = image.snapshot
+    state = server.matrix or server.grouped
+    if state is None:
+        assert snapshot.vector is not server.vector.array
+        assert np.array_equal(snapshot.vector, arithmetic.encode_array(server.vector.array))
+        assert kept >= 8 * n
+        return
+    column = snapshot.column if protocol != "group-matrix" else snapshot.group_column
+    live = state.columns
+    wire = [column(k) for k in range(len(live))]
+    if isinstance(arithmetic, UnboundedCycles):
+        assert all(w is c for w, c in zip(wire, live))
+        assert kept == 0
+    else:
+        for w, c in zip(wire, live):
+            assert w is not c
+            assert np.array_equal(w, arithmetic.encode_array(c))
+        assert kept >= 8 * n

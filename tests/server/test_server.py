@@ -154,6 +154,20 @@ class TestRejectedCommits:
             server.commit_batch(5 if cycle is None else cycle, batch)
         self._assert_untouched(protocol, server, twin)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("obj", [-1, 4])
+    @pytest.mark.parametrize("side", ["reads", "writes"])
+    def test_the_id_door_names_the_bad_id(self, protocol, side, obj, position):
+        """One id outside ``0..3``, in the reads only or in the writes
+        only, anywhere in the batch: the ``IndexError`` names it."""
+        server, twin = self._server(protocol), self._server(protocol)
+        bad = ("bad", (obj,), {0: "x"}) if side == "reads" else ("bad", (1,), {obj: "x"})
+        batch = [("g1", (0,), (1,)), ("g2", (1, 3), {3: "v"})]
+        batch.insert(position, bad)
+        with pytest.raises(IndexError, match=rf"^object id {obj} out of range 0\.\.3$"):
+            server.commit_batch(5, batch)
+        self._assert_untouched(protocol, server, twin)
+
     def _assert_untouched(self, protocol, server, twin):
         assert server.database.commit_log == twin.database.commit_log
         assert server.database.committed_snapshot() == twin.database.committed_snapshot()

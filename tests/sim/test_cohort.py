@@ -104,7 +104,8 @@ class TestOracleEquivalence:
         )
 
     def test_modulo_timestamps(self):
-        """Modulo arithmetic disables batching; scalar fallback stays exact."""
+        """Modulo arithmetic keeps batching: a bucket's column is anchored at
+        the snapshot cycle once and swept; the verdicts stay exact."""
         assert_equivalent(
             tiny_config(protocol="f-matrix", modulo_timestamps=True, seed=5)
         )

@@ -19,8 +19,11 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import audit_context, context_from_simulation
+from repro.broadcast.control_info import snapshot_payload
+from repro.core.validators import PROTOCOL_NAMES
 from repro.analysis.consistency import certify_update_consistency
 from repro.scenarios import result_signature
 from repro.server.validation import UpdateSubmission
@@ -182,6 +185,97 @@ def test_a_finished_run_frees_its_timeline_without_the_cyclic_collector():
         assert commits > 0 and len(result.server.database.commit_log) == commits
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# any partition of an advance gives the same history
+# ----------------------------------------------------------------------
+#: the horizon of every partitioned advance, in cycles
+CYCLES = 12
+
+
+def history(timeline):
+    """Everything a timeline has done: its journal, the commit log, every
+    retained image (cycle, versions, control payload values) and the live
+    control columns."""
+    journal = {name: list(at) for name, at in timeline.journal.items() if at}
+    server = timeline.server
+    images = [
+        (cycle, image.cycle, image.versions, snapshot_payload(image.snapshot)[1].tolist())
+        for cycle, image in timeline.images.items()
+    ]
+    state = server.matrix or server.grouped
+    live = [c.tolist() for c in state.columns] if state else server.vector.array.tolist()
+    return journal, server.database.commit_log, images, live
+
+
+@st.composite
+def partitioned_advances(draw):
+    """A timeline's config and fault plan, and the cuts of one advance to
+    the horizon: instants drawn in it, cycle boundaries, and (by index,
+    resolved against the run) completion instants."""
+    protocol = draw(st.sampled_from(PROTOCOL_NAMES))
+    deterministic = draw(st.booleans())
+    _, cycle_bits = bare()
+    overrides = dict(
+        protocol=protocol,
+        num_groups=4,
+        server_read_probability=0.5,
+        server_txn_length=3,
+        # a quarter cycle, exact in binary: deterministic completions tie
+        # with every boundary
+        server_txn_interval=cycle_bits / 4 if deterministic else cycle_bits / 3,
+        server_interval_distribution="deterministic" if deterministic else "exponential",
+        seed=draw(st.integers(0, 2**16)),
+    )
+    plan = None
+    if draw(st.booleans()):
+        at = draw(st.integers(1, CYCLES - 3)) + draw(st.sampled_from([0.0, 0.5]))
+        downtime = draw(st.sampled_from([1.0, 1.5, 2.0]))
+        plan = FaultPlan(crashes=(ServerCrash(at * cycle_bits, downtime * cycle_bits),))
+    cut = st.one_of(
+        st.tuples(st.just("instant"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("boundary"), st.integers(1, CYCLES)),
+        st.tuples(st.just("completion"), st.integers(0, 10**6)),
+    )
+    return overrides, plan, draw(st.lists(cut, max_size=25)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=partitioned_advances())
+def test_any_partition_of_an_advance_gives_the_same_history(case):
+    """One ``advance_to(T)`` against the same advance cut anywhere — on
+    boundaries, on completion instants, in between — and, when ``observe``,
+    the server read at every cut (which flushes the pending batch early).
+    After each cut the journal holds exactly the events at or before it,
+    so an advance never runs ahead of its bound."""
+    overrides, plan, cuts, observe = case
+    whole, cycle_bits = bare(plan, **overrides)
+    horizon = CYCLES * cycle_bits
+    whole.advance_to(horizon)
+    expected = history(whole)
+    events = expected[0]
+    completions = sorted(events.get("server_commits", []) + events.get("server_txns_lost", []))
+    instants = []
+    for kind, value in cuts:
+        if kind == "instant":
+            instants.append(value * horizon)
+        elif kind == "boundary":
+            instants.append(value * cycle_bits)
+        elif completions:
+            instants.append(completions[value % len(completions)])
+    assert all(at <= horizon for times in events.values() for at in times)
+
+    parts, _ = bare(plan, **overrides)
+    for instant in sorted(instants) + [horizon]:
+        parts.advance_to(instant)
+        done = {name: [at for at in times if at <= instant] for name, times in events.items()}
+        assert {name: list(at) for name, at in parts.journal.items() if at} == {
+            name: times for name, times in done.items() if times
+        }
+        if observe:
+            parts.server
+    assert history(parts) == expected
 
 
 # ----------------------------------------------------------------------
