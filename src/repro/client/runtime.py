@@ -181,12 +181,12 @@ class ReadOnlyTransactionRuntime:
     ) -> Optional[int]:
         """Record the pending read as delivered, validation already done.
 
-        Schedulers that validate a whole slot bucket with one call to
-        :func:`repro.core.validators.validate_read_batch` — which also
-        records the successful reads into each validator's ``R_t`` —
-        apply the per-client consequences here: exactly what
-        :meth:`deliver` does after ``validate_read`` returned true,
-        without allocating a :class:`ReadOutcome` on the hot path.
+        The client kernel applies every accepted read here — one a slot
+        bucket's sweep (:func:`repro.core.validators.validate_read_batch`,
+        which also records it into ``R_t``) accepted, or one it ran
+        ``validate_read`` on itself: exactly what :meth:`deliver` does
+        after ``validate_read`` returned true, without allocating a
+        :class:`ReadOutcome` on the hot path.
 
         ``broadcast`` retains the version read; drivers that never
         inspect :attr:`versions` / :attr:`values` leave it out, and

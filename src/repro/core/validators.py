@@ -52,7 +52,11 @@ with the absolute cycle the client holds.
 **Two loops, no threshold.**  One client is validated by the scalar loop
 :meth:`ReadValidator._condition_holds` (the semantics oracle), a cohort
 bucket by the sweep :func:`_validate_bucket`; callers choose from what
-they observe, never from a size constant (docs/PERFORMANCE.md §2).
+they observe, never from a size constant (docs/PERFORMANCE.md §2).  The
+sweep first tries one bound per member: when the bucket's anchored column
+peaks below the member's oldest retained cycle, every ``C(i, j) < c_i``
+holds and its ``R_t`` is not walked — exact under either arithmetic, and
+in the broadcast-bound regime nearly every read.
 """
 
 from __future__ import annotations
@@ -197,6 +201,9 @@ _set_obj = ReadRecord.__dict__["obj"].__set__
 _set_cycle = ReadRecord.__dict__["cycle"].__set__
 _set_slice = ReadRecord.__dict__["slice_"].__set__
 
+#: ``ReadValidator._min_cycle`` of an empty ``R_t``: above every column
+_NO_READ = float("inf")
+
 
 class ReadValidator:
     """Base class: tracks ``R_t``; subclasses name the control column."""
@@ -212,12 +219,17 @@ class ReadValidator:
         self._mask = self.arithmetic.anchor_mask
         #: latest cycle in ``R_t``; ``<= now`` iff every read was in-order
         self._max_cycle = 0
+        #: oldest cycle in ``R_t`` (infinite while it is empty) — not
+        #: ``records[0].cycle``: a cached, out-of-order read retained
+        #: later can be older than the first read
+        self._min_cycle: float = _NO_READ
 
     # ------------------------------------------------------------------
     def begin(self) -> None:
         """Start (or restart) a transaction: clear ``R_t``."""
         self.records = []
         self._max_cycle = 0
+        self._min_cycle = _NO_READ
 
     @property
     def reads(self) -> List[Tuple[int, int]]:
@@ -241,6 +253,8 @@ class ReadValidator:
             self.records.append(ReadRecord(obj, cycle, column))
             if cycle > self._max_cycle:
                 self._max_cycle = cycle
+            if cycle < self._min_cycle:
+                self._min_cycle = cycle
             return True
         return False
 
@@ -454,8 +468,9 @@ def validate_read_batch_inorder(
     postdating the snapshot — which holds for any cache-less client
     population, since every retained read then came off an earlier (or
     this) broadcast cycle.  The cohort executor checks these properties
-    once at construction; per bucket the eligibility loop is a third of
-    the validation cost, which is why this entry point exists.
+    once at construction instead of paying the eligibility loop per
+    bucket member: on ``reader-fleet`` that loop is about a quarter of
+    :func:`validate_read_batch`'s time (docs/PERFORMANCE.md §2).
     """
     return _validate_bucket(validators, obj, snapshot)
 
@@ -475,17 +490,26 @@ def _validate_bucket(
     make the backward condition vacuous — so the one-directional
     comparison is the whole strict condition — and R-Matrix's
     first-read-state disjunct admissible.
+
+    **The column bound.**  Every anchored entry is at most the column's
+    maximum and every ``R_t`` entry at least the member's oldest
+    retained cycle (``_min_cycle``), so when the maximum is below that
+    cycle the strict condition holds without walking ``R_t`` — under
+    either arithmetic, since the comparison is on anchored entries.
     """
     if not validators:
         return []
     now = snapshot.cycle
     shared = validators[0]._slice(obj, snapshot)
     mask = validators[0]._mask
-    # the column as a plain python list, once per bucket, its entries
-    # anchored at ``now`` (absolute timestamps are their own anchor): each
-    # R_t entry then costs a list index + int compare, with no numpy call
-    # overhead
-    column = (shared if mask == -1 else now - ((now - shared) & mask)).tolist()
+    # the column anchored at ``now`` (absolute timestamps are their own
+    # anchor) and its maximum, once per bucket
+    anchored = shared if mask == -1 else now - ((now - shared) & mask)
+    top = int(anchored.max())
+    # the walk's column as a plain python list, built by the first member
+    # the bound does not decide: each R_t entry then costs a list index +
+    # int compare, with no numpy call overhead
+    column: Optional[List[int]] = None
     disjunct = isinstance(validators[0], RMatrixValidator)
     # one frozen record serves every successful member: the content
     # (object, cycle, control slice) is bucket-wide identical and
@@ -494,17 +518,23 @@ def _validate_bucket(
     record = ReadRecord(obj, now, shared)
     verdicts = []
     for validator in validators:
-        records = validator.records
+        floor = validator._min_cycle
         ok = True
-        for retained in records:
-            if column[retained.obj] >= retained.cycle:
-                # R-Matrix only: the value being read is unchanged since
-                # the transaction's first read (strict failed => R_t is
-                # non-empty => a first read exists)
-                ok = disjunct and column[obj] < records[0].cycle
-                break
+        if floor <= top:
+            if column is None:
+                column = anchored.tolist()
+            records = validator.records
+            for retained in records:
+                if column[retained.obj] >= retained.cycle:
+                    # R-Matrix only: the value being read is unchanged
+                    # since the transaction's first read (strict failed
+                    # => R_t is non-empty => a first read exists)
+                    ok = disjunct and column[obj] < records[0].cycle
+                    break
         if ok:
-            records.append(record)
+            validator.records.append(record)
             validator._max_cycle = now  # in-order: now is the latest cycle
+            if floor > now:  # R_t was empty
+                validator._min_cycle = now
         verdicts.append(ok)
     return verdicts

@@ -25,16 +25,23 @@ simulated outcome:
    time) fires **one** simulator event per occupied slot instead of one
    per client.
 
-3. **Validation batches.**  Within a bucket all clients evaluate the same
-   protocol's read condition against the same control snapshot, so the
-   control column is fetched — and, under modulo timestamps, anchored at
-   the snapshot cycle — once and swept over every member's ``R_t``
-   (:func:`repro.core.validators.validate_read_batch`) and each kernel is
-   handed its verdict.  A bucket of one goes through ``validate_read``:
-   ``_validate``'s ``len(kernels) > 1`` is the only place that chooses.
-   Under a staleness window (modulo timestamps with faults) each
-   member's runtime guard runs first, in issue order; the members it
-   refuses get :data:`~repro.sim.kernel.STALE` and the rest are swept.
+3. **Validation batches, settled in one pass.**  Within a bucket all
+   clients evaluate the same protocol's read condition against the same
+   control snapshot, so the control column is fetched — and, under
+   modulo timestamps, anchored at the snapshot cycle — once, its maximum
+   taken once, and swept over the members
+   (:func:`repro.core.validators.validate_read_batch`): a member whose
+   oldest retained read postdates that maximum passes on the bound
+   alone, the rest have their ``R_t`` walked.  A bucket of one goes
+   through ``validate_read``: ``_validate``'s ``len(kernels) > 1`` is
+   the only place that chooses.  Under a staleness window (modulo
+   timestamps with faults) each member's runtime guard runs first, in
+   issue order; the members it refuses get
+   :data:`~repro.sim.kernel.STALE` and the rest are swept.  Then one
+   loop settles the bucket: :meth:`ClientKernel.settle
+   <repro.sim.kernel.ClientKernel.settle>` runs each member's client
+   step with its verdict and :meth:`CohortExecutor._place` puts the
+   member in its next bucket as it is yielded.
 
 Determinism is preserved exactly: bucket members are processed in the
 order their slot waits would have been *issued* (think-expiry or doze
@@ -51,8 +58,9 @@ server's backward validation happen) exactly when the per-process
 ``_submit_update`` generator would have resumed.
 
 Fault plans (docs/FAULTS.md) need little here: the kernel shifts a
-dozing client's seek and decides per member whether a slot was heard;
-under a modulo staleness window :meth:`_fire` runs each survivor's
+dozing client's seek and decides per member whether a slot was heard
+(the members that missed it re-seek and are placed first); under a
+modulo staleness window :meth:`_verdicts` runs each survivor's
 staleness guard (``runtime.stale``, which consults per-runtime rejoin
 state a sweep cannot see) before the bucket's sweep.
 """
@@ -60,7 +68,8 @@ state a sweep cannot see) before the bucket's sweep.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.validators import (
     ControlSnapshot,
@@ -76,6 +85,9 @@ if TYPE_CHECKING:  # annotations only
 
 __all__ = ["CohortExecutor"]
 
+_issue = attrgetter("issue")
+_validator = attrgetter("validator")
+
 
 class _Bucket:
     """Clients awaiting one broadcast slot (same object, same cycle)."""
@@ -85,10 +97,10 @@ class _Bucket:
     def __init__(self, obj: int, cycle: int) -> None:
         self.obj = obj
         self.cycle = cycle
-        #: (issue time, enqueue order, client) — sorted before processing
-        #: so clients fire in the order their per-process WaitUntil
-        #: events would have been pushed
-        self.members: List[Tuple[float, int, ClientKernel]] = []
+        #: clients in enqueue order — stably sorted by issue time before
+        #: processing, so clients fire in the order their per-process
+        #: WaitUntil events would have been pushed
+        self.members: List[ClientKernel] = []
 
 
 class CohortExecutor:
@@ -108,7 +120,6 @@ class CohortExecutor:
         self.env = env
         self.clients = list(clients)
         self._buckets: Dict[float, _Bucket] = {}
-        self._enqueue_order = 0
         # cache-less populations of one protocol class and one timestamp
         # arithmetic satisfy validate_read_batch_inorder's precondition
         # for every bucket (checked once here instead of per member per
@@ -135,9 +146,10 @@ class CohortExecutor:
         self, kernels: Iterable[ClientKernel], ends: Iterable[Optional[float]]
     ) -> None:
         """Put each kernel where its wait says: the bucket of the slot
-        ending at ``end``, or — off the air — an event of its own."""
+        ending at ``end``, or — off the air — an event of its own.
+        ``ends`` may be lazy (:meth:`ClientKernel.settle`): each end is
+        drawn just before its kernel is placed."""
         buckets = self._buckets
-        order = self._enqueue_order
         for kernel, end in zip(kernels, ends):
             if end is None:
                 self.sim.schedule(kernel.wake, partial(self._wake, kernel))
@@ -146,9 +158,7 @@ class CohortExecutor:
             if bucket is None:
                 bucket = buckets[end] = _Bucket(kernel.obj, kernel.cycle)
                 self.sim.schedule(end, partial(self._fire, end))
-            bucket.members.append((kernel.issue, order, kernel))
-            order += 1
-        self._enqueue_order = order
+            bucket.members.append(kernel)
 
     def _wake(self, kernel: ClientKernel) -> None:
         """An off-air client's event: its retirement, or its submission
@@ -162,58 +172,63 @@ class CohortExecutor:
     def _fire(self, time: float) -> None:
         """Process one occupied slot: every client whose wait ends now."""
         bucket = self._buckets.pop(time)
-        members = bucket.members
-        if len(members) > 1:
-            members.sort()
+        kernels = bucket.members
+        if len(kernels) > 1:
+            # stable: ties keep their enqueue order
+            kernels.sort(key=_issue)
         env = self.env
-        obj = bucket.obj
-        survivors = [member[2] for member in members]
-        moved: List[ClientKernel] = []
-        ends: List[Optional[float]] = []
         if env.faults is not None or env.loss > 0.0:
             # each client that missed the slot re-seeks the object's next
             # appearance — decided per client, in issue order, as the
-            # per-process loop would at its own slot event
+            # per-process loop would at its own slot event — and is
+            # placed before the clients that heard it
             heard = []
-            for kernel in survivors:
+            for kernel in kernels:
                 if kernel.heard(time):
                     heard.append(kernel)
                 else:
-                    moved.append(kernel)
-                    ends.append(kernel.retune(time))
-            survivors = heard
-        if survivors:
-            timeline = self.timeline
-            timeline.advance_to(time)
-            broadcast = timeline.broadcast(bucket.cycle)
-            snapshot = broadcast.snapshot
-            verdicts: Sequence[Union[bool, Stale]]
-            if env.staleness is None:
-                verdicts = self._validate(survivors, obj, snapshot)
-            else:
-                # each runtime's staleness guard, in issue order; the
-                # members it lets through are validated together
-                cycle = bucket.cycle
-                stale = []
-                for kernel in survivors:
-                    runtime = kernel.runtime
-                    assert runtime is not None  # set before the first wait
-                    stale.append(runtime.stale(cycle))
-                swept = iter(
-                    self._validate(
-                        [k for k, refused in zip(survivors, stale) if not refused],
-                        obj,
-                        snapshot,
-                    )
-                )
-                verdicts = [STALE if refused else next(swept) for refused in stale]
-            # consequences per client, in issue order
-            ends += [
-                kernel.deliver(time, broadcast, ok)
-                for ok, kernel in zip(verdicts, survivors)
-            ]
-            moved += survivors
-        self._place(moved, ends)
+                    self._place((kernel,), (kernel.retune(time),))
+            if not heard:
+                return
+            kernels = heard
+        timeline = self.timeline
+        timeline.advance_to(time)
+        broadcast = timeline.broadcast(bucket.cycle)
+        # one pass: each member takes its verdict, runs the client step
+        # and joins its next bucket, in issue order
+        self._place(
+            kernels,
+            ClientKernel.settle(
+                env,
+                kernels,
+                time,
+                broadcast,
+                self._verdicts(kernels, bucket, broadcast.snapshot),
+            ),
+        )
+
+    def _verdicts(
+        self, kernels: List[ClientKernel], bucket: _Bucket, snapshot: ControlSnapshot
+    ) -> Sequence[Union[bool, Stale]]:
+        """Every member's verdict, aligned with ``kernels``.  Under a
+        staleness window each runtime's guard runs first, in issue order;
+        the members it refuses get :data:`~repro.sim.kernel.STALE` and
+        the rest are validated together."""
+        if self.env.staleness is None:
+            return self._validate(kernels, bucket.obj, snapshot)
+        stale = []
+        for kernel in kernels:
+            runtime = kernel.runtime
+            assert runtime is not None  # set before the first wait
+            stale.append(runtime.stale(bucket.cycle))
+        swept = iter(
+            self._validate(
+                [k for k, refused in zip(kernels, stale) if not refused],
+                bucket.obj,
+                snapshot,
+            )
+        )
+        return [STALE if refused else next(swept) for refused in stale]
 
     def _validate(
         self, kernels: Sequence[ClientKernel], obj: int, snapshot: ControlSnapshot
@@ -221,7 +236,5 @@ class CohortExecutor:
         """The read condition for every kernel of a bucket: one sweep, or
         the scalar ``validate_read`` for a bucket of one."""
         if len(kernels) > 1:
-            return self._batch_validate(
-                [kernel.validator for kernel in kernels], obj, snapshot
-            )
+            return self._batch_validate(list(map(_validator, kernels)), obj, snapshot)
         return [kernel.validator.validate_read(obj, snapshot) for kernel in kernels]

@@ -24,7 +24,9 @@ event — an uplink arrival, or, once ``done`` is set, its retirement.
 There is no :class:`~repro.sim.engine.Simulator`, no calendar and no
 clock in here.  *When* a method runs is the scheduler's business: the
 cohort executor (:mod:`repro.sim.cohort`) coalesces slot waits into
-buckets and validates each bucket in one batch, the analytical tier
+buckets, validates each bucket in one batch and settles it with one
+call of :meth:`ClientKernel.settle` (``deliver`` is that step for a
+bucket of one), the analytical tier
 (:mod:`repro.sim.analytic`) runs one client at a time against a recorded
 timeline.  :mod:`repro.sim.processes` stays the event-level reference
 both are tested against: every RNG draw, cache probe, slot seek and
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import random
 from math import log as _log
-from typing import List, Optional, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 from ..broadcast.layout import BroadcastLayout, FlatLayout
 from ..broadcast.program import BroadcastCycle
@@ -67,7 +69,7 @@ class Stale:
         return "STALE"
 
 
-#: the verdict a scheduler hands :meth:`ClientKernel.deliver` for a read
+#: the verdict a scheduler hands :meth:`ClientKernel.settle` for a read
 #: the runtime's staleness guard refused: falsy like ``False`` (the read
 #: is rejected), but charged to ``staleness`` instead of ``conflict``
 STALE = Stale()
@@ -125,11 +127,11 @@ class ClientEnv:
         self.op_lambd = 1.0 / config.mean_inter_operation_delay
         self.txn_lambd = 1.0 / config.mean_inter_transaction_delay
         self.half_rtt = config.uplink_round_trip / 2.0
-        # read once per read by every client: kept one attribute hop away
+        # read by every client step: kept one attribute hop away
         self.delay_first = config.delay_before_first_operation
         self.loss = config.broadcast_loss_probability
         #: flat layouts are the common case: their slot timing is pure
-        #: arithmetic, inlined in ``ClientKernel.deliver``; other layouts go
+        #: arithmetic, inlined in ``ClientKernel.settle``; other layouts go
         #: through ``layout.next_read``
         self.flat_offsets: Optional[List[int]] = None
         if isinstance(layout, FlatLayout):
@@ -339,104 +341,143 @@ class ClientKernel:
         evaluated it (batch validation, which also recorded a successful
         read into ``R_t``), or :data:`STALE` when the runtime's staleness
         guard refused the read before validation; ``None`` has the
-        runtime guard and validate.
-
-        This is the client step, whole: settle the read, think, serve what
-        the cache can (each hit is settled by the same code on the next
-        turn of the loop), then seek the next slot.  It is one method so
-        that a scheduler pays one call per read and every piece — the
-        reject block, the flat-slot arithmetic — exists once.
-        :meth:`advance` and :meth:`retune` enter it with ``broadcast=None``
-        (nothing was heard: move on from ``time``), the latter past the
-        think time and the cache too.
+        runtime guard and validate.  :meth:`settle` for a bucket of one:
+        :meth:`advance` and :meth:`retune` enter it with
+        ``broadcast=None`` (nothing was heard: move on from ``time``),
+        the latter past the think time and the cache too.
         """
-        env = self.env
+        (end,) = ClientKernel.settle(
+            self.env, (self,), time, broadcast, (ok,),
+            first=first, seek_only=seek_only,
+        )
+        return end
+
+    @staticmethod
+    def settle(
+        env: ClientEnv,
+        kernels: Sequence["ClientKernel"],
+        time: float,
+        broadcast: Optional[BroadcastCycle],
+        verdicts: Sequence[Union[bool, Stale, None]],
+        *,
+        first: bool = False,
+        seek_only: bool = False,
+    ) -> Iterator[Optional[float]]:
+        """The client step, whole, for every client that heard one slot
+        (or, with ``broadcast=None``, moves on from ``time`` unheard).
+
+        Yields, member by member and in order, what :meth:`deliver`
+        returns for it: settle the read (``verdicts`` aligned with
+        ``kernels``, as :meth:`deliver`'s ``ok``), think, serve what the
+        cache can (each hit is settled by the same code on the next turn
+        of the loop), then seek the next slot.  This is the one copy of
+        the step — the reject block, the think draw, the flat-slot
+        arithmetic — and a scheduler that hears a slot for many clients
+        pays one call and one read of the shared ``env`` for all of
+        them; the slot's tuning time and its handed-in accepts are
+        counted once.  A lazy generator: a scheduler places each member
+        as it is yielded, before the next member's step runs.
+        """
         metrics = env.metrics
-        cache = self.cache
-        runtime = self.runtime
-        assert runtime is not None
-        now = time
+        # versions are retained only for the trace recorder
+        tracing = env.trace is not None
+        staleness = env.staleness
+        faults = env.faults
+        offsets = env.flat_offsets
+        cycle_bits = env.cycle_bits
+        op_lambd = env.op_lambd
+        delay_first = env.delay_first
         if broadcast is not None:
-            # tuning time: the client listened for the whole slot (data +
+            # tuning time: each client listened for the whole slot (data +
             # its control share); a cache hit costs nothing — the battery
             # argument of Secs. 2.1/3.3 made measurable
-            metrics.listening_bits += env.slot_bits
-            if cache is not None:
-                cache.insert(broadcast, self.obj, time)
-        while True:
-            if broadcast is not None:
-                if ok is None:
-                    outcome = runtime.deliver(broadcast)
-                    ok = STALE if outcome.stale else outcome.ok
-                    next_obj = runtime.next_object
-                elif ok:
-                    # versions are retained only for the trace recorder
-                    next_obj = runtime.apply_read_ok(
-                        broadcast if env.trace is not None else None
-                    )
-                if ok:
-                    metrics.reads_delivered += 1
-                    if next_obj is not None:
-                        self.obj = next_obj
-                        first = False
+            metrics.listening_bits += env.slot_bits * len(kernels)
+            metrics.reads_delivered += verdicts.count(True)
+        for kernel, ok in zip(kernels, verdicts):
+            cache = kernel.cache
+            runtime = kernel.runtime
+            assert runtime is not None
+            now, heard, opening = time, broadcast, first
+            end: Optional[float] = None
+            if heard is not None and cache is not None:
+                cache.insert(heard, kernel.obj, time)
+            while True:
+                if heard is not None:
+                    if ok is None:
+                        # no verdict handed in: the runtime's staleness
+                        # guard, then the read condition, as a scheduler
+                        # runs them for a bucket
+                        snapshot = heard.snapshot
+                        if staleness is not None and runtime.stale(snapshot.cycle):
+                            ok = STALE
+                        elif kernel.validator.validate_read(kernel.obj, snapshot):
+                            ok = True
+                            metrics.reads_delivered += 1
+                        else:
+                            ok = False
+                    if ok:
+                        next_obj = runtime.apply_read_ok(heard if tracing else None)
+                        if next_obj is not None:
+                            kernel.obj = next_obj
+                            opening = False
+                        elif kernel.write_objs:
+                            # the last read validated: the transaction is
+                            # done reading, so it needs no commit() check
+                            kernel._begin_uplink(now)
+                            break
+                        else:
+                            start_time = kernel.finish(now)
+                            if start_time is None:
+                                break
+                            now, opening, runtime = start_time, True, kernel.runtime
                     else:
-                        runtime.commit()
-                        if self.write_objs:
-                            self._begin_uplink(now)
-                            return None
-                        start_time = self.finish(now)
-                        if start_time is None:
-                            return None
-                        now, first, runtime = start_time, True, self.runtime
-                else:
-                    cause = "staleness" if ok is STALE else "conflict"
-                    metrics.reads_rejected += 1
-                    metrics.record_abort(cause)
+                        cause = "staleness" if ok is STALE else "conflict"
+                        metrics.reads_rejected += 1
+                        metrics.record_abort(cause)
+                        if cache is not None:
+                            # every read of this attempt is a staleness
+                            # suspect — evict them so the retry re-fetches
+                            # off the air instead of re-aborting on the
+                            # same cached versions
+                            cache.evict(kernel.obj)
+                            for read_obj, _cycle in runtime.reads:
+                                cache.evict(read_obj)
+                        now, opening = kernel._restart(now, cause), True
+                issue = now
+                if not seek_only:
+                    if not opening or delay_first:
+                        issue = now - _log(1.0 - kernel.rng.random()) / op_lambd
                     if cache is not None:
-                        # every read of this attempt is a staleness
-                        # suspect — evict them so the retry re-fetches off
-                        # the air instead of re-aborting on the same
-                        # cached versions
-                        cache.evict(self.obj)
-                        for read_obj, _cycle in runtime.reads:
-                            cache.evict(read_obj)
-                    now, first = self._restart(now, cause), True
-            issue = now
-            if not seek_only:
-                if not first or env.delay_first:
-                    issue = now - _log(1.0 - self.rng.random()) / env.op_lambd
-                if cache is not None:
-                    entry = cache.lookup(self.obj, issue)
-                    if entry is not None:
-                        metrics.cache_hits += 1
-                        now, broadcast, ok = issue, entry.as_broadcast(), None
-                        continue
-            # wait for the first slot of ``obj`` ending at or after ``issue``
-            if env.faults is not None:
-                # the (static) doze schedule is checked at seek time and
-                # the client fast-forwards to its rejoin; the wait is
-                # issued then
-                wake = env.faults.doze_wake(self.client_id, issue)
-                if wake is not None:
-                    issue = wake
-            offsets = env.flat_offsets
-            if offsets is not None:
-                # FlatLayout.next_read, inlined (pure arithmetic, no SlotHit)
-                cycle_bits = env.cycle_bits
-                cycle = int(issue // cycle_bits) + 1
-                end = (cycle - 1) * cycle_bits + offsets[self.obj]
-                if cycle > 1 and end - cycle_bits >= issue:
-                    cycle -= 1
-                    end -= cycle_bits
-                elif end < issue:
-                    cycle += 1
-                    end += cycle_bits
-            else:
-                hit = env.layout.next_read(self.obj, issue)
-                end, cycle = hit.time, hit.cycle
-            self.cycle = cycle
-            self.issue = issue
-            return end
+                        entry = cache.lookup(kernel.obj, issue)
+                        if entry is not None:
+                            metrics.cache_hits += 1
+                            now, heard, ok = issue, entry.as_broadcast(), None
+                            continue
+                # wait for the first slot of ``obj`` ending at or after ``issue``
+                if faults is not None:
+                    # the (static) doze schedule is checked at seek time
+                    # and the client fast-forwards to its rejoin; the wait
+                    # is issued then
+                    wake = faults.doze_wake(kernel.client_id, issue)
+                    if wake is not None:
+                        issue = wake
+                if offsets is not None:
+                    # FlatLayout.next_read, inlined (pure arithmetic, no SlotHit)
+                    cycle = int(issue // cycle_bits) + 1
+                    end = (cycle - 1) * cycle_bits + offsets[kernel.obj]
+                    if cycle > 1 and end - cycle_bits >= issue:
+                        cycle -= 1
+                        end -= cycle_bits
+                    elif end < issue:
+                        cycle += 1
+                        end += cycle_bits
+                else:
+                    hit = env.layout.next_read(kernel.obj, issue)
+                    end, cycle = hit.time, hit.cycle
+                kernel.cycle = cycle
+                kernel.issue = issue
+                break
+            yield end
 
     # ------------------------------------------------------------------
     # update transactions: the uplink

@@ -223,6 +223,10 @@ class BroadcastSimulation:
         self.feed = feed
         self.slice = _full_slice(config) if slice_ is None else slice_
         self.layout: BroadcastLayout = config.layout()
+        #: built once, shared by every client's validator: neither
+        #: object has a mutator
+        self.arithmetic = config.arithmetic()
+        self.partition = config.partition()
         self.sim = Simulator()
         self.metrics = MetricsCollector()
         #: span sink for everything this shard measures; the no-op
@@ -241,7 +245,7 @@ class BroadcastSimulation:
         self.faults: Optional[FaultRuntime] = None
         if config.faults is not None and not config.faults.is_noop:
             self.faults = FaultRuntime(
-                config.faults, config.arithmetic(), seed=config.seed
+                config.faults, self.arithmetic, seed=config.seed
             )
         #: the server side, advanced on demand; None on a replay shard,
         #: whose clients hear the sealed ``view`` instead
@@ -300,11 +304,8 @@ class BroadcastSimulation:
         return QuasiCache(config.cache_currency_bound, capacity=config.cache_capacity)
 
     def validator_for(self, _k: int) -> ReadValidator:
-        config = self.config
         return make_validator(
-            config.protocol,
-            arithmetic=config.arithmetic(),
-            partition=config.partition(),
+            self.config.protocol, arithmetic=self.arithmetic, partition=self.partition
         )
 
     def client_env(self, metrics: MetricsCollector, tracer: Tracer) -> ClientEnv:
@@ -374,7 +375,7 @@ class BroadcastSimulation:
             self.timeline.images,
             cycle_bits=float(self.layout.cycle_bits),
             horizon_time=horizon_time,
-            partition=self.config.partition(),
+            partition=self.partition,
             journal=self.timeline.journal,
             first_cycle=first_cycle,
         )

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import validators as validators_module
 from repro.core.control_matrix import ControlMatrix
-from repro.core.cycles import ModuloCycles
+from repro.core.cycles import ModuloCycles, UnboundedCycles
 from repro.core.group_matrix import uniform_partition
 from repro.core.validators import (
     ControlSnapshot,
@@ -147,6 +148,39 @@ class TestOracleEquivalence:
             )
         )
 
+    @pytest.mark.parametrize(
+        "protocol", ("r-matrix", "datacycle", "group-matrix", "f-matrix-no")
+    )
+    def test_dense_population_other_protocols(self, protocol, monkeypatch):
+        """The dense population under every other protocol, at a server
+        rate where the sweep's column bound decides most members and
+        fails for others within the one run."""
+        decided = []
+        sweep = validators_module._validate_bucket
+
+        def spy(validators, obj, snapshot):
+            # absolute timestamps: the column is its own anchoring
+            top = validators[0]._slice(obj, snapshot).max()
+            decided.extend(v._min_cycle > top for v in validators if v.records)
+            return sweep(validators, obj, snapshot)
+
+        monkeypatch.setattr(validators_module, "_validate_bucket", spy)
+        assert_equivalent(
+            SimulationConfig(
+                protocol=protocol,
+                num_groups=4,
+                num_objects=16,
+                num_clients=48,
+                client_txn_length=8,
+                num_client_transactions=8,
+                mean_inter_operation_delay=4096.0,
+                server_txn_interval=100_000.0,
+                object_size_bits=1024,
+                seed=3,
+            )
+        )
+        assert True in decided and False in decided
+
 
 class TestFeatureInterplay:
     """Cohort equivalence composed with the optional subsystems."""
@@ -257,19 +291,19 @@ class TestCollapsedLanes:
             )
         )
         fires, deliveries = [], []
-        fire, deliver = CohortExecutor._fire, ClientKernel.deliver
+        fire, settle = CohortExecutor._fire, ClientKernel.settle
 
         def counting_fire(self, time):
             fires.append(time)
             return fire(self, time)
 
-        def counting_deliver(self, time, broadcast, ok=None, **entry):
+        def counting_settle(env, kernels, time, broadcast, verdicts, **entry):
             if broadcast is not None:  # advance / retune enter with None
-                deliveries.append(ok)
-            return deliver(self, time, broadcast, ok, **entry)
+                deliveries.extend(verdicts)
+            return settle(env, kernels, time, broadcast, verdicts, **entry)
 
         monkeypatch.setattr(CohortExecutor, "_fire", counting_fire)
-        monkeypatch.setattr(ClientKernel, "deliver", counting_deliver)
+        monkeypatch.setattr(ClientKernel, "settle", staticmethod(counting_settle))
         process = reference_run(cfg)
         assert not fires and not deliveries
         cohort = run_simulation(cfg.replace(client_executor="cohort"))
@@ -507,6 +541,64 @@ class TestBatchValidation:
         got = validate_read_batch(batch, 3, now)
         assert got == [v.validate_read(3, now) for v in oracle] == [True] * 5
         assert [v.reads for v in batch] == [[(0, 17), (3, 21)]] * 5
+
+    @pytest.mark.parametrize(
+        "entry", (validate_read_batch, validate_read_batch_inorder)
+    )
+    @pytest.mark.parametrize(
+        "arithmetic", (UnboundedCycles(), ModuloCycles(3)), ids=("absolute", "modulo3")
+    )
+    @pytest.mark.parametrize(
+        "protocol", ("f-matrix", "datacycle", "r-matrix", "group-matrix")
+    )
+    def test_column_bound_uses_the_oldest_retained_read(
+        self, protocol, arithmetic, entry
+    ):
+        """A member whose oldest retained read is not its first: it read
+        object 0 off the air in cycle 13, then object 5 from its cache as
+        of cycle 10.  The bucket (cycle 14, object 3) carries an entry for
+        object 5 from cycle 11 — below ``records[0].cycle`` but not below
+        the cached read — so the column bound must not decide the member:
+        every strict protocol rejects it, as the scalar path does."""
+        reader, cached, obj = 0, 5, 3
+
+        def snap(cycle, marked=None):
+            # every entry from cycle 7: inside a 3-bit window of each
+            # snapshot here, so both arithmetics compare the same cycles
+            matrix = np.full((12, 12), 7, dtype=np.int64)
+            vector = np.full(12, 7, dtype=np.int64)
+            grouped = np.full((12, PARTITION.num_groups), 7, dtype=np.int64)
+            if marked is not None:
+                matrix[cached, obj] = vector[cached] = marked
+                grouped[cached, PARTITION.group_of(obj)] = marked
+            return ControlSnapshot(
+                cycle,
+                matrix=arithmetic.encode_array(matrix),
+                vector=arithmetic.encode_array(vector),
+                grouped=arithmetic.encode_array(grouped),
+                partition=PARTITION,
+            )
+
+        def population():
+            edge, plain, fresh = (
+                make_validator(protocol, arithmetic=arithmetic, partition=PARTITION)
+                for _ in range(3)
+            )
+            assert edge.validate_read(reader, snap(13))
+            assert edge.validate_read(cached, snap(10))  # cached, out of order
+            assert plain.validate_read(reader, snap(13))
+            return [plain, edge, fresh]
+
+        batch, oracle = population(), population()
+        assert [r.cycle for r in batch[1].records] == [13, 10]
+        bucket = snap(14, marked=11)
+        got = entry(batch, obj, bucket)
+        want = [v.validate_read(obj, bucket) for v in oracle]
+        assert list(got) == want
+        # R-Matrix's first-read disjunct admits what the bound would have
+        assert want == [True, protocol == "r-matrix", True]
+        for vb, vo in zip(batch, oracle):
+            assert vb.reads == vo.reads
 
     def test_inorder_variant_matches_general(self):
         import random as random_mod
