@@ -34,11 +34,18 @@ validator call below happens in the order ``client_process`` makes it,
 and exponential delays are drawn as ``-log(1 - random()) / lambd`` — the
 exact formula of :meth:`random.Random.expovariate` on the same single
 draw — so every simulated outcome is bit-identical across the three.
+
+A client holds no generator.  Both of its streams are tapes
+(:mod:`repro.server.workload`): the workload hands out read sets, and
+``rng``, a :class:`~repro.server.workload.UniformTape`, the ``random()``
+draws — update gate, radio loss and think times, the last read by index
+in :meth:`ClientKernel.settle`.  Each is its seed, a cursor and a few
+pre-drawn values, refilled from one shared generator, and equal to the
+``random.Random`` stream it replaces draw for draw.
 """
 
 from __future__ import annotations
 
-import random
 from math import log as _log
 from typing import Iterator, List, Optional, Sequence, Union
 
@@ -48,6 +55,7 @@ from ..client.cache import QuasiCache
 from ..client.runtime import ClientUpdateTransactionRuntime, ReadOnlyTransactionRuntime
 from ..core.validators import ReadValidator
 from ..obs.tracer import NULL_TRACER, Tracer
+from ..server.workload import UniformTape
 from .config import SimulationConfig
 from .faults import FaultRuntime
 from .metrics import MetricsCollector
@@ -172,7 +180,7 @@ class ClientKernel:
         client_id: int,
         workload: object,
         validator: ReadValidator,
-        rng: random.Random,
+        rng: UniformTape,
         cache: Optional[QuasiCache],
     ) -> None:
         self.env = env
@@ -446,7 +454,13 @@ class ClientKernel:
                 issue = now
                 if not seek_only:
                     if not opening or delay_first:
-                        issue = now - _log(1.0 - kernel.rng.random()) / op_lambd
+                        # the think draw: ``rng.random()``, inlined
+                        tape = kernel.rng
+                        uniforms, i = tape.uniforms, tape.cursor
+                        if i == len(uniforms):
+                            uniforms, i = tape.refill(), 0
+                        tape.cursor = i + 1
+                        issue = now - _log(1.0 - uniforms[i]) / op_lambd
                     if cache is not None:
                         entry = cache.lookup(kernel.obj, issue)
                         if entry is not None:

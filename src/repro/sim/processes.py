@@ -28,7 +28,7 @@ instead; this module is the independent reference they are tested against.
 
 from __future__ import annotations
 
-import random
+from math import log as _log
 from typing import TYPE_CHECKING, Generator, Optional, Sequence, Union
 
 from ..broadcast.layout import FlatLayout
@@ -37,7 +37,7 @@ from ..client.cache import QuasiCache
 from ..client.runtime import ClientUpdateTransactionRuntime, ReadOnlyTransactionRuntime
 from ..core.validators import ReadValidator
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..server.workload import ClientWorkload
+from ..server.workload import ClientWorkload, UniformTape
 from .config import SimulationConfig
 from .engine import Simulator, Timeout, WaitUntil
 from .metrics import MetricsCollector
@@ -69,7 +69,7 @@ def client_process(
     timeline: "LiveTimeline | TimelineView",
     faults: Optional["FaultRuntime"],
     metrics: MetricsCollector,
-    rng: random.Random,
+    rng: UniformTape,
     trace: Optional[TraceRecorder] = None,
     cache: Optional[QuasiCache] = None,
     tracer: Tracer = NULL_TRACER,
@@ -90,6 +90,8 @@ def client_process(
     """
     restart_pause = Timeout(config.restart_delay) if config.restart_delay > 0 else None
     staleness_window = faults.staleness_window if faults is not None else None
+    # exponential delays are expovariate's formula on one tape draw
+    txn_lambd = 1.0 / config.mean_inter_transaction_delay
     for _txn_index in range(config.num_client_transactions):
         tid, objects = workload.next_transaction()
         tid = f"cl{client_id}.{tid}"
@@ -161,7 +163,7 @@ def client_process(
             trace.record_session_commit(client_id, tid)
             if not is_update:
                 trace.record_client_commit(tid, runtime.versions, runtime.reads)
-        yield Timeout(rng.expovariate(1.0 / config.mean_inter_transaction_delay))
+        yield Timeout(-_log(1.0 - rng.random()) / txn_lambd)
 
 
 def _submit_update(
@@ -254,17 +256,18 @@ def _attempt(
     timeline: "LiveTimeline | TimelineView",
     faults: Optional["FaultRuntime"],
     metrics: MetricsCollector,
-    rng: random.Random,
+    rng: UniformTape,
     cache: Optional[QuasiCache],
     client_id: int = 0,
     tracer: Tracer = NULL_TRACER,
     attempt_start: float = 0.0,
 ) -> "SimAttempt":
     """One attempt of a client transaction; True iff it commits."""
+    op_lambd = 1.0 / config.mean_inter_operation_delay
     first = True
     while not runtime.is_done:
         if not first or config.delay_before_first_operation:
-            yield Timeout(rng.expovariate(1.0 / config.mean_inter_operation_delay))
+            yield Timeout(-_log(1.0 - rng.random()) / op_lambd)
         first = False
         obj = runtime.next_object
         assert obj is not None

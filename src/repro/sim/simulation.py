@@ -36,7 +36,6 @@ journal at the merged stop time, collect the spans, build the one
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -59,7 +58,7 @@ from ..obs.profiler import PhaseProfiler
 from ..obs.telemetry import telemetry_from_result
 from ..obs.tracer import NULL_TRACER, Span, Tracer, canonical_spans
 from ..server.server import BroadcastServer
-from ..server.workload import ClientWorkload
+from ..server.workload import ClientWorkload, UniformTape
 from .arena import TimelineArena, TimelineFeed, TimelineView
 from .cohort import CohortExecutor
 from .config import SimulationConfig
@@ -294,8 +293,10 @@ class BroadcastSimulation:
             hot_fraction=config.hot_fraction,
         )
 
-    def rng_for(self, k: int) -> random.Random:
-        return random.Random(self.config.seed * 1_000_003 + 200 + k)
+    def rng_for(self, k: int) -> UniformTape:
+        # the seed of workload_for(k + 100)'s stream too: a known alias,
+        # kept because every pinned digest rests on it (DESIGN.md Sec. 4)
+        return UniformTape(self.config.seed * 1_000_003 + 200 + k)
 
     def cache_for(self, _k: int) -> Optional[QuasiCache]:
         config = self.config

@@ -7,6 +7,8 @@ executors' oracle tests check that schedulers over the kernel reproduce
 the per-process reference; these check the kernel's own contract.
 """
 
+import tracemalloc
+from array import array
 from collections import deque
 from math import log
 
@@ -17,7 +19,9 @@ from repro.broadcast.program import BroadcastCycle, ObjectVersion
 from repro.client.cache import QuasiCache
 from repro.core.validators import ControlSnapshot, make_validator
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.server.workload import UniformTape
 from repro.sim import (
+    BroadcastSimulation,
     ClientEnv,
     ClientKernel,
     DozeInterval,
@@ -32,15 +36,21 @@ SLOT = 100  # slot ends at 100, 200, 300, 400 past each 400-bit cycle start
 THINK = 250.0
 
 
-class Script:
-    """Stands in for the client's RNG and workload: scripted, in order."""
+class Script(UniformTape):
+    """Stands in for the client's RNG tape and workload: scripted, in order."""
 
     def __init__(self, draws, transactions):
-        self.draws = deque(draws)
+        super().__init__(seed=0)
+        self.uniforms = array("d", draws)
         self.transactions = deque(transactions)
 
-    def random(self):
-        return self.draws.popleft()
+    @property
+    def draws(self):
+        """The scripted draws not consumed yet."""
+        return self.uniforms[self.cursor :]
+
+    def refill(self):
+        raise AssertionError("the kernel drew past its script")
 
     def next_transaction(self):
         return self.transactions.popleft()
@@ -198,3 +208,36 @@ def test_prevalidated_verdicts_and_the_cache_hit_chain():
     assert kernel.deliver(300, first, False) == 700
     assert metrics.reads_rejected == 1 and metrics.aborts_conflict == 1
     assert kernel.runtime.attempt == 1 and kernel.cycle == 2
+
+
+def test_a_begun_client_costs_bytes_not_a_generator():
+    """1,024 cohort kernels, each begun and at its first slot wait, with a
+    think time drawn: 2.5 KiB each at most.  That is the size of one
+    Mersenne-Twister state, so a client holding a ``random.Random`` — or
+    a per-client sampler, or a think chunk past MT's size — fails here;
+    the two tapes, a validator, a runtime and the read sets stay under."""
+    clients = 1024
+    config = SimulationConfig(
+        protocol="f-matrix",
+        num_objects=16,
+        client_txn_length=12,
+        num_clients=clients,
+        num_client_transactions=4,
+        delay_before_first_operation=True,
+        seed=1999,
+    )
+    simulation = BroadcastSimulation(config)
+    env = simulation.client_env(MetricsCollector(), NULL_TRACER)
+    simulation.kernel_for(env, clients).begin(0.0)  # warm the shared caches
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        kernels = [simulation.kernel_for(env, k) for k in range(clients)]
+        for kernel in kernels:
+            kernel.begin(0.0)
+            kernel.advance(0.0, True)
+        held = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert all(kernel.rng.cursor == 1 for kernel in kernels)
+    assert held / clients <= 2.5 * 1024
