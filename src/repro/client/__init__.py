@@ -2,7 +2,6 @@
 quasi-cache for weak currency requirements."""
 
 from .cache import CacheEntry, QuasiCache
-from .session import ClientSession, ConsistencyAbort, SessionTransaction
 from .runtime import (
     ClientUpdateTransactionRuntime,
     ReadOnlyTransactionRuntime,
@@ -17,7 +16,4 @@ __all__ = [
     "TransactionAborted",
     "QuasiCache",
     "CacheEntry",
-    "ClientSession",
-    "SessionTransaction",
-    "ConsistencyAbort",
 ]

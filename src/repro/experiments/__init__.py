@@ -15,8 +15,8 @@ from .figures import (
 )
 from .plotting import protocol_glyphs, render_chart
 from .sensitivity import VARIANTS, sensitivity_table
-from .store import compare_results, load_result, save_result
-from .suite import compare_to_baseline, generate_report
+from .store import load_result, save_result
+from .suite import generate_report
 from .report import format_csv, format_overheads, format_table
 from .sweeps import ExperimentResult, Point, Series, run_sweep
 
@@ -43,9 +43,7 @@ __all__ = [
     "format_overheads",
     "save_result",
     "load_result",
-    "compare_results",
     "generate_report",
-    "compare_to_baseline",
     "sensitivity_table",
     "VARIANTS",
 ]

@@ -1,28 +1,20 @@
-"""Persist experiment results as JSON; compare runs for regressions.
+"""Persist experiment results as JSON.
 
-A results archive turns the harness into a living benchmark: save a run
-per commit/machine, then diff shapes across runs.
-
-* :func:`save_result` / :func:`load_result` — lossless JSON round-trip of
-  an :class:`repro.experiments.sweeps.ExperimentResult` (means, CIs,
-  sample counts, sim metadata);
-* :func:`compare_results` — align two runs point-by-point and report
-  relative response-time drift, flagging points beyond a tolerance;
-  pooled CI half-widths are honoured (overlapping intervals are never
-  flagged).
+:func:`save_result` / :func:`load_result` are a lossless JSON round-trip
+of an :class:`repro.experiments.sweeps.ExperimentResult` (means, CIs,
+sample counts, sim metadata).
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Union
 
 from ..sim.metrics import SummaryStat
 from .sweeps import ExperimentResult, Point, Series
 
-__all__ = ["save_result", "load_result", "Drift", "compare_results"]
+__all__ = ["save_result", "load_result"]
 
 _FORMAT_VERSION = 1
 
@@ -92,63 +84,3 @@ def load_result(path: Union[str, pathlib.Path]) -> ExperimentResult:
             )
         result.series[protocol] = series
     return result
-
-
-@dataclass(frozen=True)
-class Drift:
-    """One aligned point's change between two runs."""
-
-    protocol: str
-    x: float
-    baseline_mean: float
-    current_mean: float
-    relative_change: float
-    #: True when the two 95% intervals do not overlap AND the relative
-    #: change exceeds the tolerance
-    significant: bool
-
-
-def compare_results(
-    baseline: ExperimentResult,
-    current: ExperimentResult,
-    *,
-    tolerance: float = 0.10,
-) -> List[Drift]:
-    """Point-by-point response-time drift, worst first.
-
-    Points present in only one run are ignored (sweeps may differ); a
-    drift is *significant* only if the confidence intervals are disjoint
-    and the relative change exceeds ``tolerance``.
-    """
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
-    drifts: List[Drift] = []
-    for protocol, base_series in baseline.series.items():
-        cur_series = current.series.get(protocol)
-        if cur_series is None:
-            continue
-        cur_points = {p.x: p for p in cur_series.points}
-        for base_point in base_series.points:
-            cur_point = cur_points.get(base_point.x)
-            if cur_point is None:
-                continue
-            b, c = base_point.response_time, cur_point.response_time
-            if b.mean == 0:
-                relative = 0.0 if c.mean == 0 else float("inf")
-            else:
-                relative = (c.mean - b.mean) / b.mean
-            intervals_disjoint = (
-                b.ci[1] < c.ci[0] or c.ci[1] < b.ci[0]
-            )
-            drifts.append(
-                Drift(
-                    protocol=protocol,
-                    x=base_point.x,
-                    baseline_mean=b.mean,
-                    current_mean=c.mean,
-                    relative_change=relative,
-                    significant=intervals_disjoint and abs(relative) > tolerance,
-                )
-            )
-    drifts.sort(key=lambda d: abs(d.relative_change), reverse=True)
-    return drifts

@@ -4,24 +4,22 @@
 table, the ablations), writes per-experiment JSON archives + CSVs + text
 tables + ASCII charts into ``out_dir``, and emits a single
 ``REPORT.md`` summarising paper-vs-measured — the artifact a referee or
-CI job consumes.  ``compare_to_baseline`` diffs a fresh run against a
-previously archived directory and reports significant drifts
-(:mod:`repro.experiments.store`).
+CI job consumes.
 """
 
 from __future__ import annotations
 
 import pathlib
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from ..obs.profiler import PhaseProfiler
 from .figures import EXPERIMENTS, table1_overheads
 from .plotting import render_chart
 from .report import format_csv, format_overheads, format_table
-from .store import Drift, compare_results, load_result, save_result
+from .store import save_result
 from .sweeps import ExperimentResult
 
-__all__ = ["generate_report", "compare_to_baseline"]
+__all__ = ["generate_report"]
 
 
 def generate_report(
@@ -95,29 +93,3 @@ def generate_report(
     report = out / "REPORT.md"
     report.write_text("\n".join(lines))
     return report
-
-
-def compare_to_baseline(
-    baseline_dir: Union[str, pathlib.Path],
-    current_dir: Union[str, pathlib.Path],
-    *,
-    tolerance: float = 0.10,
-) -> Dict[str, List[Drift]]:
-    """Diff two archived report trees; returns significant drifts only.
-
-    Experiments missing on either side are skipped (sweeps evolve).
-    """
-    baseline = pathlib.Path(baseline_dir)
-    current = pathlib.Path(current_dir)
-    out: Dict[str, List[Drift]] = {}
-    for path in sorted(baseline.glob("*.json")):
-        other = current / path.name
-        if not other.exists():
-            continue
-        drifts = compare_results(
-            load_result(path), load_result(other), tolerance=tolerance
-        )
-        significant = [d for d in drifts if d.significant]
-        if significant:
-            out[path.stem] = significant
-    return out

@@ -4,7 +4,6 @@ client-update validation, workload generators, and the broadcast server."""
 from .database import CommitRecord, Database
 from .occ import OCCExecutor
 from .recovery import recover_server
-from .traces import TraceWorkload, WorkloadTrace, record_trace
 from .locks import DeadlockError, LockManager, LockMode
 from .server import BroadcastServer
 from .twopl import ExecutionResult, TransactionProgram, TwoPLExecutor
@@ -29,7 +28,4 @@ __all__ = [
     "ClientWorkload",
     "OCCExecutor",
     "recover_server",
-    "WorkloadTrace",
-    "TraceWorkload",
-    "record_trace",
 ]

@@ -149,7 +149,6 @@ class ServerWorkload:
         length: int = 8,
         read_probability: float = 0.5,
         seed: int = 0,
-        tid_prefix: str = "s",
     ):
         if length < 1:
             raise ValueError("length must be >= 1")
@@ -163,7 +162,6 @@ class ServerWorkload:
         self._rng = random.Random(seed)
         self._sample = id_sampler(num_objects, length)
         self._counter = itertools.count(1)
-        self._tid_prefix = tid_prefix
 
     def next_transaction(self) -> ServerTransactionSpec:
         rng, p = self._rng, self.read_probability
@@ -172,7 +170,7 @@ class ServerWorkload:
         writes: List[int] = []
         for obj in self._sample(rng):
             (reads if draw() < p else writes).append(obj)
-        tid = f"{self._tid_prefix}{next(self._counter)}"
+        tid = f"s{next(self._counter)}"
         # what ``_make`` does, without the generated ``__new__``'s call
         return tuple.__new__(ServerTransactionSpec, (tid, tuple(reads), tuple(writes)))
 
@@ -247,7 +245,6 @@ class ClientWorkload:
         "_block",
         "_drawn",
         "_serial",
-        "_tid_prefix",
     )
 
     def __init__(
@@ -256,7 +253,6 @@ class ClientWorkload:
         *,
         length: int = 4,
         seed: int = 0,
-        tid_prefix: str = "c",
         access_skew: float = 0.0,
         hot_fraction: float = 0.2,
     ):
@@ -278,7 +274,6 @@ class ClientWorkload:
         self._block: List[Tuple[int, ...]] = []
         self._drawn = 0
         self._serial = 0
-        self._tid_prefix = tid_prefix
 
     def _skewed(self, rng: random.Random) -> List[int]:
         """One skewed read set off ``rng``: each read picks the hot set
@@ -325,7 +320,7 @@ class ClientWorkload:
 
     def next_transaction(self) -> Tuple[str, Tuple[int, ...]]:
         self._serial += 1
-        return f"{self._tid_prefix}{self._serial}", self.next_read_set()
+        return f"c{self._serial}", self.next_read_set()
 
     def __iter__(self) -> Iterator[Tuple[str, Tuple[int, ...]]]:
         while True:

@@ -55,7 +55,7 @@ from ..client.cache import QuasiCache
 from ..client.runtime import ClientUpdateTransactionRuntime, ReadOnlyTransactionRuntime
 from ..core.validators import ReadValidator
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..server.workload import UniformTape
+from ..server.workload import ClientWorkload, UniformTape
 from .config import SimulationConfig
 from .faults import FaultRuntime
 from .metrics import MetricsCollector
@@ -178,7 +178,7 @@ class ClientKernel:
         self,
         env: ClientEnv,
         client_id: int,
-        workload: object,
+        workload: ClientWorkload,
         validator: ReadValidator,
         rng: UniformTape,
         cache: Optional[QuasiCache],
@@ -220,7 +220,7 @@ class ClientKernel:
         short-circuit, so clients that cannot update consume no RNG value.
         """
         config = self.env.config
-        tid, objects = self.workload.next_transaction()  # type: ignore[attr-defined]
+        tid, objects = self.workload.next_transaction()
         tid = f"cl{self.client_id}.{tid}"
         staleness = self.env.staleness
         if (

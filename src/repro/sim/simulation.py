@@ -189,18 +189,12 @@ class BroadcastSimulation:
         config: SimulationConfig,
         *,
         collect_trace: bool = False,
-        client_workloads: Optional[List] = None,
         slice_: Optional[ShardSlice] = None,
         view: Optional[TimelineView] = None,
         record_timeline: bool = False,
         feed: Optional[TimelineFeed] = None,
     ):
-        """``client_workloads`` optionally overrides the per-client
-        generators — any objects with ``next_transaction()`` (e.g.
-        :class:`repro.server.traces.TraceWorkload` for replayable
-        workloads); one per client (indexed by global client id).
-
-        ``slice_`` restricts this simulation to one shard's clients
+        """``slice_`` restricts this simulation to one shard's clients
         (:mod:`repro.sim.shard` builds these); ``None`` simulates and
         measures everyone.
 
@@ -267,14 +261,6 @@ class BroadcastSimulation:
             )
         else:
             self.on_air = view
-        if client_workloads is not None and len(client_workloads) != config.num_clients:
-            raise ValueError(
-                f"need {config.num_clients} client workloads, "
-                f"got {len(client_workloads)}"
-            )
-        self._workload_overrides = (
-            list(client_workloads) if client_workloads is not None else None
-        )
 
     # -- per-client stream factories -----------------------------------
     # Built on demand (never a list over the whole population): client
@@ -282,8 +268,6 @@ class BroadcastSimulation:
     # ``k``, so any shard — or the analytical tier, one client at a
     # time — reconstructs exactly the streams the unsharded run uses.
     def workload_for(self, k: int) -> ClientWorkload:
-        if self._workload_overrides is not None:
-            return self._workload_overrides[k]
         config = self.config
         return ClientWorkload(
             config.num_objects,

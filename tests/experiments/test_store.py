@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.store import Drift, compare_results, load_result, save_result
+from repro.experiments.store import load_result, save_result
 from repro.experiments.sweeps import ExperimentResult, Point, Series
 from repro.sim.metrics import SummaryStat
 
@@ -53,60 +53,3 @@ class TestRoundTrip:
         save_result(make_result(), a)
         save_result(make_result(), b)
         assert a.read_text() == b.read_text()
-
-
-class TestCompare:
-    def test_no_drift_when_identical(self):
-        drifts = compare_results(make_result(), make_result())
-        assert drifts and all(not d.significant for d in drifts)
-        assert all(d.relative_change == 0.0 for d in drifts)
-
-    def test_large_drift_flagged(self):
-        drifts = compare_results(make_result(), make_result(scale=1.5))
-        worst = drifts[0]
-        assert worst.relative_change == pytest.approx(0.5)
-        assert worst.significant
-
-    def test_within_tolerance_not_significant(self):
-        drifts = compare_results(
-            make_result(), make_result(scale=1.5), tolerance=0.6
-        )
-        assert all(not d.significant for d in drifts)
-
-    def test_overlapping_cis_never_flagged(self):
-        base = make_result()
-        # same means but huge CIs: any drift is statistically invisible
-        wide = make_result(scale=1.5)
-        for series in list(base.series.values()) + list(wide.series.values()):
-            series.points = [
-                Point(
-                    p.x,
-                    SummaryStat(p.response_time.mean, 1.0, 20, p.response_time.mean),
-                    p.restart_ratio,
-                    p.sim_time,
-                    p.events,
-                )
-                for p in series.points
-            ]
-        drifts = compare_results(base, wide)
-        assert all(not d.significant for d in drifts)
-
-    def test_mismatched_points_ignored(self):
-        base = make_result()
-        current = make_result()
-        del current.series["datacycle"]
-        current.series["f-matrix"].points.pop()
-        drifts = compare_results(base, current)
-        assert len(drifts) == 1  # only the shared (f-matrix, x=2) point
-
-    def test_sorted_worst_first(self):
-        base = make_result()
-        current = make_result()
-        pts = current.series["f-matrix"].points
-        pts[0] = Point(2.0, stat(4e6), stat(0.5), 1e7, 42)  # 2e6 -> 4e6
-        drifts = compare_results(base, current)
-        assert drifts[0].protocol == "f-matrix" and drifts[0].x == 2.0
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            compare_results(make_result(), make_result(), tolerance=-0.1)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.store import load_result
-from repro.experiments.suite import compare_to_baseline, generate_report
+from repro.experiments.suite import generate_report
 
 
 @pytest.fixture(scope="module")
@@ -46,27 +46,3 @@ class TestGenerateReport:
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_report(tmp_path, transactions=5, experiments=["figz"])
-
-
-class TestCompareToBaseline:
-    def test_identical_runs_no_drift(self, tiny_report, tmp_path):
-        out, _ = tiny_report
-        again = tmp_path / "again"
-        generate_report(again, transactions=6, seed=3, experiments=["fig4b"])
-        assert compare_to_baseline(out, again) == {}
-
-    def test_changed_run_flags_drift(self, tiny_report, tmp_path):
-        out, _ = tiny_report
-        other = tmp_path / "other"
-        # different seed AND different load: real drift
-        generate_report(other, transactions=18, seed=99, experiments=["fig4b"])
-        drifts = compare_to_baseline(out, other, tolerance=0.0)
-        # may or may not be significant depending on CI width; the call
-        # must at least return cleanly with fig4b considered
-        assert isinstance(drifts, dict)
-
-    def test_missing_experiment_skipped(self, tiny_report, tmp_path):
-        out, _ = tiny_report
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert compare_to_baseline(out, empty) == {}

@@ -60,6 +60,30 @@ class TestDeterminism:
         b = run_simulation(tiny_config(seed=2))
         assert a.response_time.mean != b.response_time.mean
 
+    def test_seed_fixes_every_clients_read_sets(self):
+        """Client ``k``'s read sets depend on the seed and ``k`` alone:
+        every protocol and executor commits each client transaction id
+        with the same objects, so protocols compare on one workload."""
+        committed = {}
+        for protocol in PROTOCOL_NAMES:
+            for executor in ("process", "cohort"):
+                cfg = tiny_config(
+                    protocol=protocol,
+                    num_groups=4,
+                    num_clients=3,
+                    seed=9,
+                    client_executor=executor,
+                )
+                result = run_simulation(cfg, collect_trace=True)
+                committed[protocol, executor] = {
+                    c.tid: tuple(v.obj for v in c.versions)
+                    for c in result.trace.client_commits
+                }
+        reference = committed["datacycle", "process"]
+        assert len(reference) == 3 * TINY["num_client_transactions"]
+        for run, reads in committed.items():
+            assert reads == reference, run
+
 
 class TestSemantics:
     def test_response_time_excludes_think_time_between_txns(self):

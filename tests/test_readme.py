@@ -44,6 +44,27 @@ def test_readme_mentions_every_example_script():
         assert script.name in text, f"README does not mention {script.name}"
 
 
+def architecture_tree(text):
+    """The paths the README's ``src/repro/`` tree lists, relative to it.
+
+    A line is ``<prefix>├── name`` (or ``└──``), four columns of prefix
+    per level; a line may list several modules (``a.py, b.py``), and a
+    name ending in ``/`` is a directory whose lines follow, one level in.
+    """
+    block = re.search(r"```\nsrc/repro/\n(.*?)```", text, flags=re.DOTALL).group(1)
+    listed, parents = set(), []
+    for line in block.splitlines():
+        entry = re.match(r"([│ ]*)[├└]── ((?:[a-z_]+\.py, )*[a-z_]+(?:\.py|/))", line)
+        if entry is None:
+            continue  # a description's continuation line
+        del parents[len(entry.group(1)) // 4 :]
+        for name in entry.group(2).split(", "):
+            listed.add("/".join(parents + [name.rstrip("/")]))
+        if name.endswith("/"):
+            parents.append(name[:-1])
+    return listed
+
+
 def test_readme_architecture_lists_real_modules():
     text = README.read_text()
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -52,3 +73,16 @@ def test_readme_architecture_lists_real_modules():
     for mentioned in re.findall(r"([a-z_]+\.py)\b", text):
         hits = list(src.rglob(mentioned)) + list(examples.glob(mentioned))
         assert hits, f"README mentions {mentioned}, which does not exist"
+
+    # and the other way: the tree names every module, where a listed
+    # directory with no entries of its own (``rules/``) covers its files
+    listed = architecture_tree(text)
+    for path in listed:
+        assert (src / path).exists(), f"README's tree lists {path}, which does not exist"
+    leaves = {d for d in listed if not any(p.startswith(d + "/") for p in listed)}
+    for module in src.rglob("*.py"):
+        rel = module.relative_to(src).as_posix()
+        if module.name == "__init__.py" or rel in listed:
+            continue
+        covered = any(rel.startswith(d + "/") for d in leaves)
+        assert covered, f"README's architecture tree does not name {rel}"
