@@ -1,14 +1,12 @@
-"""The analytical tier: closed-form replay of fault-free read-only clients.
+"""The analytical tier: fault-free read-only clients, replayed in waves.
 
-The cohort executor (:mod:`repro.sim.cohort`) already collapses a
-client's think-time events and coalesces its slot waits, but it still
-keeps every client's transaction state resident and pays one bucket
-membership per read.  For the regimes the scaling benchmarks probe —
-10⁵–10⁶ *read-only* clients over one shared broadcast — even that is
-more machinery than the physics requires, because a fault-free read-only
-client **never influences anything**: not the server, not the broadcast,
-not any other client.  Its entire trajectory is a deterministic function
-of (a) its private seeded streams and (b) the broadcast image sequence.
+A fault-free read-only client **never influences anything**: not the
+server, not the broadcast, not any other client (it commits without the
+uplink, Sec. 3.2.1).  Its entire trajectory is a deterministic function
+of (a) its private seeded streams and (b) the broadcast image sequence,
+so once the timeline is fixed readers may be run in any grouping, in
+any order, and each still does exactly what it does in the event-driven
+run.
 
 So the tier splits the run in two:
 
@@ -21,120 +19,109 @@ So the tier splits the run in two:
   run's, because read-only clients never perturb it — the oracle
   equivalence tests assert exactly that.
 
-* **Phase B — the replay.**  Each read-only client is fast-forwarded by
-  a straight-line loop over its :class:`~repro.sim.kernel.ClientKernel`
-  — the same kernel the cohort executor schedules, so the same RNG draws
-  in the same order, the same slot arithmetic, the same cache/validator
-  interactions — with a plain float for the clock instead of simulator
-  events: the slot end the kernel returns *is* the next instant.  Each
-  read advances the timeline to its own instant first; replayed clients
-  each start from t = 0, so early cycles are re-read arbitrarily late.
-  Transient state is O(1) per client: one kernel (workload, RNG,
-  validator, cache) is alive at a time and dropped when its client
-  finishes.
+* **Phase B — the readers, a wave at a time.**  The shard's readers go
+  through the cohort executor (:mod:`repro.sim.cohort`) :data:`WAVE` at
+  a time: each wave is a fresh engine from t = 0 whose slot buckets
+  settle all its members that wait for one slot together (one sweep,
+  one pass), drained before the next wave is built.  Every wave hears
+  the same timeline — live (its images retained), a replay shard's
+  sealed view, or, on a recording pass, the live one run on to a
+  recording horizon (and published) whenever a reader reaches past it.
+  Loss, re-tuning and multi-disk layouts are the cohort's own; reading
+  past a sealed view raises
+  :class:`~repro.sim.arena.TimelineExhausted` for the shard layer's
+  fallback.  Transient state is O(wave): a wave's kernels (workload,
+  tapes, validator, cache) go when it drains.
 
-The tier refuses fault plans (a dozing or crash-affected client's
-trajectory is not closed-form replayable — config validation enforces
-this); it keeps no global trace (``SimulationConfig.readers_apart``).
-Memory is O(cycles simulated) for the retained images plus O(commits)
-for metrics (24 bytes and a tid per commit; no sample objects).
+The tier refuses fault plans (config validation enforces this): a doze
+or a crash makes a reader's trajectory depend on its own fault state,
+which a replay shard's observers cannot recompute from a sealed view.
+It keeps no global trace (``SimulationConfig.readers_apart``).  Memory
+is O(cycles simulated) for the retained images, O(commits) for metrics
+(24 bytes and a tid per commit) and O(wave) for the readers in flight.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from .cohort import CohortExecutor
+from .cohort import CohortExecutor, OnAir
+from .engine import Simulator
 
 if TYPE_CHECKING:
-    from .arena import TimelineView
+    from ..broadcast.program import BroadcastCycle
     from .simulation import BroadcastSimulation
-    from .timeline import LiveTimeline
 
-__all__ = ["run_analytic"]
+__all__ = ["WAVE", "run_analytic"]
+
+#: readers replayed together: bounded, so a shard's working set is one
+#: wave's kernels and buckets (docs/PERFORMANCE.md §5 has the table)
+WAVE = 128
+
+
+class _Recording:
+    """A recording pass's live timeline as its readers hear it: reaching
+    past the recorded horizon runs it on to a new one and publishes it,
+    staying ahead of the shards replaying the feed on other cores."""
+
+    __slots__ = ("simulation", "reach")
+
+    def __init__(self, simulation: "BroadcastSimulation", reach: float) -> None:
+        self.simulation = simulation
+        self.reach = reach
+
+    def advance_to(self, time: float) -> None:
+        if time > self.reach:
+            self.reach = self.simulation.recording_horizon(time)
+            self.simulation.publish_timeline(self.reach)
+
+    def broadcast(self, cycle: int) -> "BroadcastCycle":
+        assert self.simulation.timeline is not None
+        return self.simulation.timeline.broadcast(cycle)
 
 
 def run_analytic(simulation: "BroadcastSimulation") -> Tuple[float, int]:
     """Run ``simulation`` through the analytical tier.
 
     Returns ``(sim_time, events)``: the instant the last client finished
-    (bit-identical to the event-driven run's stop time) and the number
-    of engine events the updaters took — replayed readers, by
-    construction, cost none.
+    (bit-identical to the event-driven run's stop time — the latest
+    drain of Phase A and the waves) and the engine events of Phase A
+    plus every wave's bucket and retirement events.
     """
     sim = simulation.sim
-
-    timeline = simulation.timeline
-    if timeline is None:
-        # replay shard: the timeline already happened (a sealed arena) —
-        # there is no Phase A at all, just Phase B against the arena.
-        # Reading past the arena's horizon raises TimelineExhausted,
-        # which the shard layer turns into a recompute fallback.
-        return _replay(simulation, simulation.on_air, None, 0.0), sim.events_processed
-
-    # Phase A: the update-capable clients, event-driven under the cohort
+    on_air: OnAir = simulation.on_air
+    sl = simulation.slice
+    # Phase A (never on a replay shard: its slice holds observers only):
+    # the update-capable clients, event-driven under the cohort
     # executor, until the engine drains.  Their same-time interleaving
     # with reader events in the oracle run is unobservable — readers
     # mutate nothing — so the history they leave is bit-identical.
-    updaters = simulation.slice.updaters
-    if updaters > 0:
+    if sl.updaters > 0:
         env = simulation.updater_env()
         CohortExecutor(
             sim=sim,
-            timeline=timeline,
+            timeline=on_air,
             env=env,
-            clients=[simulation.kernel_for(env, k) for k in range(updaters)],
+            clients=[simulation.kernel_for(env, k) for k in range(sl.updaters)],
         ).start()
         sim.run()
         if simulation.feed is not None:
             simulation.publish_timeline(sim.now)
-
-    # Phase B: fast-forward each read-only client against the timeline
-    advance: Callable[[float], None] = timeline.advance_to
     if simulation.feed is not None:
-        # a recording pass runs the timeline to the recording horizon of
-        # the instant a reader needs, and publishes what that recorded,
-        # staying ahead of the shards replaying the feed on other cores
-        reach = sim.now
+        on_air = _Recording(simulation, sim.now)
 
-        def advance(time: float) -> None:
-            nonlocal reach
-            if time > reach:
-                reach = simulation.recording_horizon(time)
-                simulation.publish_timeline(reach)
-
-    return _replay(simulation, timeline, advance, sim.now), sim.events_processed
-
-
-def _replay(
-    simulation: "BroadcastSimulation",
-    timeline: "LiveTimeline | TimelineView",
-    advance: Optional[Callable[[float], None]],
-    sim_time: float,
-) -> float:
-    """Phase B: run this shard's readers one by one against ``timeline``.
-
-    ``advance`` (None for a sealed timeline) runs the live timeline to a
-    read's instant before the read.  Returns the latest finish time (at
-    least ``sim_time``).  The loop is the whole scheduler: a fault-free
-    reader's next instant is the slot end its kernel returns, so there is
-    no calendar to keep.
-    """
+    # Phase B: the readers, a bounded wave at a time
+    sim_time, events = sim.now, sim.events_processed
     env = simulation.client_env(simulation.metrics, simulation.tracer)
-    lossy = env.loss > 0.0
-    sl = simulation.slice
-    for k in range(sl.reader_lo, sl.reader_hi):
-        kernel = simulation.kernel_for(env, k)
-        kernel.begin(0.0)
-        end = kernel.advance(0.0, True)
-        while end is not None:
-            if lossy and not kernel.heard(end):
-                end = kernel.retune(end)
-            else:
-                if advance is not None:
-                    advance(end)
-                end = kernel.deliver(end, timeline.broadcast(kernel.cycle))
-        # readers never use the uplink: off the air means retired
-        if kernel.wake > sim_time:
-            sim_time = kernel.wake
-    return sim_time
+    for lo in range(sl.reader_lo, sl.reader_hi, WAVE):
+        wave = Simulator()
+        ids = range(lo, min(lo + WAVE, sl.reader_hi))
+        CohortExecutor(
+            sim=wave,
+            timeline=on_air,
+            env=env,
+            clients=[simulation.kernel_for(env, k) for k in ids],
+        ).start()
+        sim_time = max(sim_time, wave.run())
+        events += wave.events_processed
+    return sim_time, events

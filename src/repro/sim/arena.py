@@ -37,7 +37,7 @@ history: the recording pass publishes **chunks** of it (arenas with a
 replay shards, started before it, read them as they appear.
 :class:`TimelineView` turns the chunks back into ``broadcast(cycle)`` —
 the interface of the live :class:`~repro.sim.timeline.LiveTimeline`,
-which the clients and the analytic tier's replay loop consume —
+which the clients consume, under any executor —
 rebuilding each cycle lazily from the flat buffers.  A cycle not published yet blocks the reader; one past the
 horizon the feed was closed at raises :class:`TimelineExhausted`, and
 the shard layer recomputes that shard, so replay is an optimisation,

@@ -69,7 +69,16 @@ from __future__ import annotations
 
 from functools import partial
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Union,
+)
 
 from ..core.validators import (
     ControlSnapshot,
@@ -80,13 +89,22 @@ from .engine import Simulator
 from .kernel import STALE, ClientEnv, ClientKernel, Stale
 
 if TYPE_CHECKING:  # annotations only
-    from .arena import TimelineView
-    from .timeline import LiveTimeline
+    from ..broadcast.program import BroadcastCycle
 
-__all__ = ["CohortExecutor"]
+__all__ = ["CohortExecutor", "OnAir"]
 
 _issue = attrgetter("issue")
 _validator = attrgetter("validator")
+
+
+class OnAir(Protocol):
+    """What a population hears: the timeline run on to an instant, then
+    a cycle's image — a live timeline, a sealed view, or a recording
+    pass's (:mod:`repro.sim.analytic`)."""
+
+    def advance_to(self, time: float) -> None: ...
+
+    def broadcast(self, cycle: int) -> "BroadcastCycle": ...
 
 
 class _Bucket:
@@ -110,7 +128,7 @@ class CohortExecutor:
         self,
         *,
         sim: Simulator,
-        timeline: "LiveTimeline | TimelineView",
+        timeline: OnAir,
         env: ClientEnv,
         clients: Sequence[ClientKernel],
     ) -> None:

@@ -73,9 +73,9 @@ class SimulationConfig:
     #: "process" — one simulator process per client, an independent
     #: implementation kept as the reference the others are tested
     #: against: name it to ask for the reference, it is single-shard;
-    #: "analytic" — the kernel of each fault-free read-only client run
-    #: straight through against a lazily-extended broadcast timeline
-    #: (no events at all; O(1) transient state per client)
+    #: "analytic" — the updaters under the cohort calendar first, then
+    #: the fault-free read-only clients under it a bounded wave at a time
+    #: against the recorded broadcast timeline (O(wave) transient state)
     client_executor: str = "cohort"
     #: partition the read-only population over N sharded simulations
     #: (docs/PERFORMANCE.md §5); 1 = single in-process run
@@ -238,9 +238,9 @@ class SimulationConfig:
             if self.client_executor == "analytic" and not self.faults.is_noop:
                 raise ValueError(
                     "the analytical tier does not support fault injection "
-                    "(doze/crash/uplink loss): faulty trajectories are not "
-                    "closed-form replayable; leave client_executor at its "
-                    "default (it simulates faults)"
+                    "(doze/crash/uplink loss): its reader waves are held to "
+                    "the reference on fault-free runs only; leave "
+                    "client_executor at its default (it simulates faults)"
                 )
         if self.timeline_mode not in ("recompute", "replay"):
             raise ValueError("timeline_mode must be 'recompute' or 'replay'")
@@ -331,8 +331,9 @@ class SimulationConfig:
         """
         if self.client_executor == "analytic":
             return (
-                "the analytical tier runs the read-only clients outside the "
-                "event loop (leave client_executor at its default)"
+                "the analytical tier runs the read-only clients in waves "
+                "outside the updaters' event loop (leave client_executor at "
+                "its default)"
             )
         if self.timeline_mode == "replay":
             return (

@@ -26,9 +26,9 @@ clock in here.  *When* a method runs is the scheduler's business: the
 cohort executor (:mod:`repro.sim.cohort`) coalesces slot waits into
 buckets, validates each bucket in one batch and settles it with one
 call of :meth:`ClientKernel.settle` (``deliver`` is that step for a
-bucket of one), the analytical tier
-(:mod:`repro.sim.analytic`) runs one client at a time against a recorded
-timeline.  :mod:`repro.sim.processes` stays the event-level reference
+bucket of one), and the analytical tier (:mod:`repro.sim.analytic`)
+runs its readers under that calendar a bounded wave at a time against a
+recorded timeline.  :mod:`repro.sim.processes` stays the event-level reference
 both are tested against: every RNG draw, cache probe, slot seek and
 validator call below happens in the order ``client_process`` makes it,
 and exponential delays are drawn as ``-log(1 - random()) / lambd`` — the

@@ -152,7 +152,8 @@ class SimulationResult:
     trace: Optional[TraceRecorder]
     sim_time: float
     #: engine events, summed over shards: client scheduling only — the
-    #: broadcast timeline is advanced on demand and costs none
+    #: broadcast timeline is advanced on demand and costs none; under the
+    #: analytical tier, its updaters' events plus every reader wave's
     events: int
     #: invariant-audit report, populated when the config sets ``audit=True``
     audit_report: Optional["AuditReport"] = None
@@ -265,7 +266,7 @@ class BroadcastSimulation:
     # -- per-client stream factories -----------------------------------
     # Built on demand (never a list over the whole population): client
     # ``k``'s workload and RNG are pure functions of the config seed and
-    # ``k``, so any shard — or the analytical tier, one client at a
+    # ``k``, so any shard — or the analytical tier, one wave at a
     # time — reconstructs exactly the streams the unsharded run uses.
     def workload_for(self, k: int) -> ClientWorkload:
         config = self.config

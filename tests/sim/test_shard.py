@@ -632,8 +632,130 @@ class TestAnalyticTier:
         assert signature(analytic) == signature(reference_run(base))
 
     def test_reader_events_cost_nothing(self):
-        """The analytic event count excludes the replayed population."""
+        """Readers cost the analytic tier slot-bucket events, shared by a
+        wave's members, never one per read: fewer than the oracle's."""
         base = small_config(seed=31)
         oracle = reference_run(base)
         analytic = run_simulation(base.replace(client_executor="analytic"))
         assert analytic.events < oracle.events
+
+
+# ----------------------------------------------------------------------
+# the analytical tier's reader waves: every case above fits one wave
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def waves_of_three(monkeypatch):
+    """The readers go three at a time, so every run below spans waves."""
+    import repro.sim.analytic as analytic_mod
+
+    monkeypatch.setattr(analytic_mod, "WAVE", 3)
+    return analytic_mod
+
+
+WAVE_CASES = {
+    "plain": dict(seed=3),
+    "updaters": dict(seed=19, client_update_fraction=0.4, num_update_clients=3),
+    "loss": dict(seed=13, broadcast_loss_probability=0.1),
+    "multi-disk": dict(seed=23, layout_kind="multi-disk", client_access_skew=0.5),
+}
+
+
+class TestAnalyticWaves:
+    @pytest.mark.parametrize("case", sorted(WAVE_CASES))
+    def test_matches_oracle_across_waves(self, waves_of_three, case):
+        base = small_config(**WAVE_CASES[case])
+        assert signature(
+            run_simulation(base.replace(client_executor="analytic"))
+        ) == signature(reference_run(base))
+
+    @pytest.mark.parametrize("mode", ["recompute", "replay"])
+    def test_two_shards_match_oracle_across_waves(self, waves_of_three, mode):
+        TIMELINE_CACHE.clear()
+        base = small_config(seed=7, num_clients=16)
+        sharded = run_sharded(
+            base.replace(client_executor="analytic", shards=2, timeline_mode=mode),
+            workers=0,
+        )
+        assert signature(sharded) == signature(reference_run(base))
+
+    def test_a_later_wave_outlives_the_feed_and_falls_back(
+        self, waves_of_three, monkeypatch
+    ):
+        """Seed 9, no headroom recorded: slice 1's first wave (readers
+        4-6) replays within the closed feed, its second (reader 7) reads
+        past it; the shard recomputes itself and nothing observable moves."""
+        import repro.sim.simulation as simulation_mod
+        from repro.sim.arena import TimelineExhausted, TimelineView
+        from repro.sim.engine import Simulator
+
+        steps = []
+
+        class Wave(Simulator):
+            def run(self):
+                now = super().run()
+                steps.append("drained")
+                return now
+
+        broadcast = TimelineView.broadcast
+
+        def broadcast_spy(view, cycle):
+            try:
+                return broadcast(view, cycle)
+            except TimelineExhausted:
+                steps.append("exhausted")
+                raise
+
+        monkeypatch.setattr(waves_of_three, "Simulator", Wave)
+        monkeypatch.setattr(TimelineView, "broadcast", broadcast_spy)
+        monkeypatch.setattr(simulation_mod, "_HORIZON_FACTOR", 1.0)
+        monkeypatch.setattr(simulation_mod, "_HORIZON_SLACK_CYCLES", 0.0)
+        TIMELINE_CACHE.clear()
+        base = small_config(seed=9)
+        replayed = run_sharded(
+            base.replace(client_executor="analytic", shards=2, timeline_mode="replay"),
+            workers=0,
+        )
+        # the recording pass's two waves, slice 1's first, then its second
+        # runs out; the recompute runs both of slice 1's waves again
+        assert steps == ["drained"] * 3 + ["exhausted"] + ["drained"] * 2
+        assert replayed.timeline_stats["fallbacks"] == 1
+        assert signature(replayed) == signature(reference_run(base))
+
+    def test_a_run_holds_one_wave_of_readers_at_a_time(
+        self, waves_of_three, monkeypatch
+    ):
+        """Every slot a reader hears, the kernels alive are at most the
+        updaters and one wave: a drained wave's readers are gone, which
+        is what keeps a shard's memory flat in its population."""
+        import weakref
+
+        import repro.sim.simulation as simulation_mod
+        from repro.sim.cohort import CohortExecutor
+        from repro.sim.kernel import ClientKernel
+
+        alive = weakref.WeakSet()
+
+        class Counted(ClientKernel):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                alive.add(self)
+
+        peaks = []
+        fire = CohortExecutor._fire
+
+        def fire_spy(executor, time):
+            peaks.append(len(alive))
+            fire(executor, time)
+
+        monkeypatch.setattr(simulation_mod, "ClientKernel", Counted)
+        monkeypatch.setattr(CohortExecutor, "_fire", fire_spy)
+        base = small_config(
+            seed=19, num_clients=20, client_update_fraction=0.4, num_update_clients=3
+        )
+        result = run_simulation(base.replace(client_executor="analytic"))
+        assert result.metrics.commit_count == 20 * base.num_client_transactions
+        assert max(peaks) <= 3 + 3 < base.num_clients

@@ -335,7 +335,8 @@ def drain_case(name):
 
 #: ``(digest(result_signature), events, sim_time)`` per case: a run stops
 #: when its last client retires — the instant its engine queue drains.
-#: Computed when the engine still stopped on a retired-client count.
+#: Computed when the engine still stopped on a retired-client count; the
+#: analytic cases' events count their reader waves' bucket events too.
 DRAIN_PINS = {
     "table1-process": (
         "78435291f43fa6acf8e7327a5947847d8a12c1474f9bb70238123660f74f6fe6",
@@ -359,7 +360,7 @@ DRAIN_PINS = {
     ),
     "analytic-updaters": (
         "fb195b4dc9045d6f23cb2e0851aa37892e613f237f6e34f336d14977412070e2",
-        69,
+        158,
         265577.8972808899,
     ),
     "recompute-3-shards": (
@@ -369,7 +370,7 @@ DRAIN_PINS = {
     ),
     "replay-analytic": (
         "962d1259e310d33698a55a7149def18ca223b72cee259536b39d50af5ecb7d06",
-        0,
+        139,
         165452.3993218089,
     ),
     "replay-cohort-updaters": (
