@@ -71,9 +71,13 @@ obs-smoke:
 # recording the zero-fault anchor under the process executor — named: a
 # scenario that names no executor records under cohort, and the replay
 # would compare the kernel with itself — and replaying it bit-identically
-# through the cohort executor (`replay[cohort] vs recording[process]`).
-# Exits non-zero on any envelope miss, violation or replay divergence;
-# every verdict lands in scenario-smoke.json.
+# through the cohort executor (`replay[cohort] vs recording[process]`)
+# and the analytical tier (`replay[analytic] vs recording[process]`).
+# Last, every library run again under the analytical tier, audited and
+# certified: an executor picks when clients run, so doze, crash, uplink
+# loss, caches and wrap all hold there too.  Exits non-zero on any
+# envelope miss, violation or replay divergence; the verdicts land in
+# scenario-smoke.json and scenario-smoke-analytic.json.
 scenario-smoke:
 	$(PYTHON) -m repro.experiments.cli scenario run --all --audit \
 		--consistency update --output scenario-smoke.json
@@ -81,6 +85,10 @@ scenario-smoke:
 		--executor process --out scenario-smoke-table1.trace.json
 	$(PYTHON) -m repro.experiments.cli scenario replay \
 		scenario-smoke-table1.trace.json --executor cohort
+	$(PYTHON) -m repro.experiments.cli scenario replay \
+		scenario-smoke-table1.trace.json --executor analytic
+	$(PYTHON) -m repro.experiments.cli scenario run --all --executor analytic \
+		--audit --consistency update --output scenario-smoke-analytic.json
 
 # consistency smoke (docs/ANALYSIS.md "Consistency levels"): the
 # small-scope model checker exhaustively sweeps the smallest scope for

@@ -41,15 +41,6 @@ if TYPE_CHECKING:
 
 __all__ = ["build_scenario_parser", "scenario_main"]
 
-#: the executors `record` / `replay` offer: those under which a run keeps
-#: one global trace
-_TRACEABLE_EXECUTORS = tuple(
-    name
-    for name in EXECUTORS
-    if SimulationConfig(client_executor=name).readers_apart is None
-)
-
-
 def build_scenario_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments scenario",
@@ -143,7 +134,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
     )
     record.add_argument(
         "--executor",
-        choices=_TRACEABLE_EXECUTORS,
+        choices=EXECUTORS,
         default=None,
         help="executor to record under (default: the scenario's — cohort "
         "unless it names one; 'process' records the reference)",
@@ -155,10 +146,10 @@ def build_scenario_parser() -> argparse.ArgumentParser:
     replay.add_argument("trace", type=pathlib.Path, help="recorded trace file")
     replay.add_argument(
         "--executor",
-        choices=_TRACEABLE_EXECUTORS,
+        choices=EXECUTORS,
         default=None,
         help="executor to replay through (default: the recorded one); "
-        "picking the other executor is the cross-engine identity check",
+        "picking another executor is the cross-engine identity check",
     )
     return parser
 

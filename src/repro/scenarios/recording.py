@@ -1,8 +1,8 @@
 """Record a run's observable outcome; re-drive engines from the file.
 
 The determinism contract (docs/DESIGN.md, docs/PERFORMANCE.md) promises
-that a config plus its seed pins a run bit-for-bit, and that the
-``process`` and ``cohort`` executors produce identical results.  This
+that a config plus its seed pins a run bit-for-bit, and that every
+executor in ``EXECUTORS`` produces identical results.  This
 module turns that promise into an executable artefact:
 
 * :func:`record_scenario` / :func:`record_config` run a simulation with
@@ -318,8 +318,8 @@ def replay_trace(
 ) -> "Tuple[SimulationResult, ReplayReport]":
     """Re-drive a recorded run; assert bit-identity with the recording.
 
-    ``executor`` defaults to the recorded one; passing the *other*
-    eligible executor is the cross-engine check — the contract says the
+    ``executor`` defaults to the recorded one; passing another executor
+    is the cross-engine check — the contract says the
     digest must come out identical either way.
     """
     from ..sim.simulation import run_simulation

@@ -1,18 +1,18 @@
-"""The analytical tier: fault-free read-only clients, replayed in waves.
+"""The analytical tier: read-only clients, replayed in waves.
 
-A fault-free read-only client **never influences anything**: not the
-server, not the broadcast, not any other client (it commits without the
-uplink, Sec. 3.2.1).  Its entire trajectory is a deterministic function
-of (a) its private seeded streams and (b) the broadcast image sequence,
-so once the timeline is fixed readers may be run in any grouping, in
-any order, and each still does exactly what it does in the event-driven
-run.
+A read-only client **never influences anything**: not the server, not
+the broadcast, not any other client (it commits without the uplink,
+Sec. 3.2.1).  Its entire trajectory is a deterministic function of (a)
+its private seeded streams and doze windows and (b) the broadcast image
+sequence, so once the timeline is fixed readers may be run in any
+grouping, in any order, and each still does exactly what it does in the
+event-driven run.
 
 So the tier splits the run in two:
 
-* **Phase A — the updaters.**  When the config bounds the update
-  population via ``num_update_clients``, the update-capable clients run
-  event-driven under the cohort executor, advancing the live timeline
+* **Phase A — the updaters.**  The update-capable clients (every
+  client, when ``num_update_clients`` leaves the population unbounded)
+  run event-driven under the cohort executor, advancing the live timeline
   (:mod:`repro.sim.timeline`) through their reads and uplink
   submissions.  The timeline retains every installed image by cycle
   number.  The history this produces is bit-identical to the unsharded
@@ -27,17 +27,15 @@ So the tier splits the run in two:
   the same timeline — live (its images retained), a replay shard's
   sealed view, or, on a recording pass, the live one run on to a
   recording horizon (and published) whenever a reader reaches past it.
-  Loss, re-tuning and multi-disk layouts are the cohort's own; reading
-  past a sealed view raises
+  Loss, doze, crash stalls, re-tuning and multi-disk layouts are the
+  cohort's own; reading past a sealed view raises
   :class:`~repro.sim.arena.TimelineExhausted` for the shard layer's
   fallback.  Transient state is O(wave): a wave's kernels (workload,
   tapes, validator, cache) go when it drains.
 
-The tier refuses fault plans (config validation enforces this): a doze
-or a crash makes a reader's trajectory depend on its own fault state,
-which a replay shard's observers cannot recompute from a sealed view.
-It keeps no global trace (``SimulationConfig.readers_apart``).  Memory
-is O(cycles simulated) for the retained images, O(commits) for metrics
+The waves share the simulation's metrics, tracer and trace recorder, so
+an unsharded run keeps one global trace under this tier too.  Memory is
+O(cycles simulated) for the retained images, O(commits) for metrics
 (24 bytes and a tid per commit) and O(wave) for the readers in flight.
 """
 

@@ -64,18 +64,19 @@ class SimulationConfig:
     measure_fraction: float = 0.5
     num_clients: int = 1
     seed: int = 42
-    #: who schedules the clients.  What a client does is the same code
-    #: under "cohort" and "analytic" (repro.sim.kernel); the value picks
-    #: when it runs, and every value gives bit-identical results:
-    #: "cohort" (the default; accepts every other option) — the kernel
-    #: under a slot-coalesced calendar, one simulator event and one
-    #: batched validation per occupied slot;
+    #: who schedules the clients, never what a run may do.  What a client
+    #: does is the same code under "cohort" and "analytic"
+    #: (repro.sim.kernel); the value picks when it runs, and every value
+    #: gives bit-identical results:
+    #: "cohort" (the default) — the kernel under a slot-coalesced
+    #: calendar, one simulator event and one batched validation per
+    #: occupied slot;
     #: "process" — one simulator process per client, an independent
     #: implementation kept as the reference the others are tested
     #: against: name it to ask for the reference, it is single-shard;
     #: "analytic" — the updaters under the cohort calendar first, then
-    #: the fault-free read-only clients under it a bounded wave at a time
-    #: against the recorded broadcast timeline (O(wave) transient state)
+    #: the read-only clients under it a bounded wave at a time against
+    #: the recorded broadcast timeline (O(wave) transient state)
     client_executor: str = "cohort"
     #: partition the read-only population over N sharded simulations
     #: (docs/PERFORMANCE.md §5); 1 = single in-process run
@@ -235,13 +236,6 @@ class SimulationConfig:
                     f"{self.faults.max_doze_client} but the run has only "
                     f"{self.num_clients} client(s)"
                 )
-            if self.client_executor == "analytic" and not self.faults.is_noop:
-                raise ValueError(
-                    "the analytical tier does not support fault injection "
-                    "(doze/crash/uplink loss): its reader waves are held to "
-                    "the reference on fault-free runs only; leave "
-                    "client_executor at its default (it simulates faults)"
-                )
         if self.timeline_mode not in ("recompute", "replay"):
             raise ValueError("timeline_mode must be 'recompute' or 'replay'")
         if self.shards > 1 and self.client_executor == "process":
@@ -323,18 +317,12 @@ class SimulationConfig:
     def readers_apart(self) -> Optional[str]:
         """What splits the read-only clients off from the rest, if anything.
 
-        ``None`` when every client runs in one event loop against one live
-        timeline: the run then has one global history, which is what an
-        audit, a certification and a recorded trace read.  Otherwise one
-        sentence naming the cause (and the setting that removes it).  Every
-        rule about who keeps a global trace reads this.
+        ``None`` when every client runs in one simulation against one live
+        timeline, under any executor: the run then has one global history,
+        which is what an audit, a certification and a recorded trace read.
+        Otherwise one sentence naming the cause (and the setting that
+        removes it).  Every rule about who keeps a global trace reads this.
         """
-        if self.client_executor == "analytic":
-            return (
-                "the analytical tier runs the read-only clients in waves "
-                "outside the updaters' event loop (leave client_executor at "
-                "its default)"
-            )
         if self.timeline_mode == "replay":
             return (
                 "timeline replay runs the read-only clients against a "

@@ -1,7 +1,7 @@
 """Sharded simulation: partition the read-only population over processes.
 
-One broadcast serves every client, but fault-free read-only clients are
-pure *observers*: nothing they do reaches the server, the cycle images,
+One broadcast serves every client, but read-only clients are pure
+*observers*: nothing they do reaches the server, the cycle images,
 or each other.  That makes the population embarrassingly parallel —
 provided every shard sees the same broadcast.  Two modes provide it:
 

@@ -151,9 +151,10 @@ class SimulationResult:
     server: Optional[BroadcastServer]
     trace: Optional[TraceRecorder]
     sim_time: float
-    #: engine events, summed over shards: client scheduling only — the
-    #: broadcast timeline is advanced on demand and costs none; under the
-    #: analytical tier, its updaters' events plus every reader wave's
+    #: engine events, summed over shards: client scheduling only, so the
+    #: one observable the executor moves (under the analytical tier, its
+    #: updaters' events plus every reader wave's); the broadcast
+    #: timeline is advanced on demand and costs none
     events: int
     #: invariant-audit report, populated when the config sets ``audit=True``
     audit_report: Optional["AuditReport"] = None

@@ -49,9 +49,12 @@ class TestRecord:
         result, trace = record_config(SMALL)
         assert trace.signature == result_signature(result)
 
-    def test_record_rejects_analytic(self):
-        with pytest.raises(ValueError, match="analytic"):
-            record_config(SMALL.replace(client_executor="analytic"))
+    def test_analytic_recording_replays_through_process(self):
+        _result, trace = record_config(SMALL.replace(client_executor="analytic"))
+        assert trace.recorded_executor == "analytic"
+        with no_calendar():
+            _result, report = replay_trace(trace, executor="process")
+        assert report.ok, report.describe()
 
     def test_record_rejects_sharded(self):
         with pytest.raises(ValueError, match="shard"):
@@ -170,9 +173,10 @@ class TestReplay:
         assert "signature.commits" in where
         assert report.replayed_digest != forged.digest
 
-    def test_replay_rejects_analytic(self, recorded):
-        with pytest.raises(ValueError, match="analytic"):
-            replay_trace(recorded, executor="analytic")
+    def test_process_recording_replays_through_analytic(self, recorded):
+        _result, report = replay_trace(recorded, executor="analytic")
+        assert report.executor == "analytic"
+        assert report.ok, report.describe()
 
     def test_faulted_scenario_replays_across_executors(self):
         # faults are simulated bit-identically by process and cohort;

@@ -3,8 +3,8 @@
 Covers the plan's validation rules, the zero-fault bit-identity
 guarantee, the doze/staleness guard under modulo timestamps, mid-run
 server crash + recovery, uplink loss with retry/backoff, and the cohort
-executor's bit-identical handling of faulty plans (the analytical tier
-alone still refuses them).
+executor's and the analytical tier's bit-identical handling of faulty
+plans.
 """
 
 import pytest
@@ -171,10 +171,17 @@ class TestConfigIntegration:
         config = faulty_config(client_executor="cohort", faults=FaultPlan())
         assert config.faults is not None and config.faults.is_noop
 
-    def test_analytic_tier_rejects_faulty_plan(self):
+    def test_analytic_tier_runs_faulty_plan(self):
+        # an executor picks when clients run, never which plans they may;
+        # TestAnalyticFaultEquivalence holds the tier to bit-identity
         plan = FaultPlan(uplink_loss_probability=0.1)
-        with pytest.raises(ValueError, match="analytical tier"):
-            faulty_config(client_executor="analytic", faults=plan)
+        config = faulty_config(
+            client_executor="analytic", client_update_fraction=0.5, faults=plan
+        )
+        assert config.faults is plan and config.readers_apart is None
+        result = run_simulation(config)
+        assert result.metrics.commit_count == 3 * FAULTY["num_client_transactions"]
+        assert result.metrics.uplink_retries > 0
 
     def test_analytic_tier_accepts_noop_plan(self):
         config = faulty_config(client_executor="analytic", faults=FaultPlan())
@@ -401,13 +408,16 @@ def _fault_signature(result):
 
 
 class TestCohortFaultEquivalence:
-    """PR 7: faults run *inside* the batched path, bit-identically.
+    """Faults run *inside* the batched path, bit-identically.
 
     Every scenario runs once per executor; the full observable signature
     (commit multiset, fault-attributed counters, stop time) must match
     the per-process oracle exactly.  Crash times follow the x.5-cycle
     convention so outage boundaries never collide with slot events.
     """
+
+    #: the executor held to the oracle (subclasses name another)
+    executor = "cohort"
 
     def _scenarios(self):
         cb = faulty_config().cycle_bits
@@ -480,10 +490,10 @@ class TestCohortFaultEquivalence:
     def test_cohort_matches_process_oracle(self, scenario, seed):
         params = self._scenarios()[scenario]
         oracle = reference_run(faulty_config(seed=seed, **params))
-        cohort = run_simulation(
-            faulty_config(seed=seed, client_executor="cohort", **params)
+        batched = run_simulation(
+            faulty_config(seed=seed, client_executor=self.executor, **params)
         )
-        assert _fault_signature(cohort) == _fault_signature(oracle)
+        assert _fault_signature(batched) == _fault_signature(oracle)
 
     def test_sharded_cohort_matches_oracle_under_faults(self):
         cb = faulty_config().cycle_bits
@@ -505,7 +515,7 @@ class TestCohortFaultEquivalence:
 
         oracle = reference_run(faulty_config(**params))
         sharded = run_sharded(
-            faulty_config(client_executor="cohort", shards=3, **params),
+            faulty_config(client_executor=self.executor, shards=3, **params),
             workers=0,
         )
         assert _fault_signature(sharded) == _fault_signature(oracle)
@@ -537,7 +547,7 @@ class TestCohortFaultEquivalence:
         oracle = reference_run(faulty_config(**params))
         replayed = run_sharded(
             faulty_config(
-                client_executor="cohort",
+                client_executor=self.executor,
                 shards=shards,
                 timeline_mode="replay",
                 **params,
@@ -546,6 +556,20 @@ class TestCohortFaultEquivalence:
         )
         assert _fault_signature(replayed) == _fault_signature(oracle)
         assert replayed.timeline_stats["cache_hit"] is False
+
+
+class TestAnalyticFaultEquivalence(TestCohortFaultEquivalence):
+    """The same three oracle tests under the analytical tier, its
+    readers three to a wave so every run spans several waves: a dozing
+    or crash-stalled reader still changes nothing but itself."""
+
+    executor = "analytic"
+
+    @pytest.fixture(autouse=True)
+    def waves_of_three(self, monkeypatch):
+        import repro.sim.analytic as analytic_mod
+
+        monkeypatch.setattr(analytic_mod, "WAVE", 3)
 
 
 def linear_doze_wake(plan, client, now):

@@ -268,6 +268,28 @@ class TestTracedDeterminism:
         assert streams["cohort"] == streams["process"]
         assert streams["analytic"] == streams["process"]
 
+    def test_span_stream_identical_across_executors_under_faults(
+        self, monkeypatch
+    ):
+        """process vs cohort vs analytic under one faulted plan (an
+        updater and a reader doze, a crash, a lossy uplink), the
+        analytical tier's readers two to a wave: one span stream."""
+        import repro.sim.analytic as analytic_mod
+
+        monkeypatch.setattr(analytic_mod, "WAVE", 2)
+        cb = SimulationConfig(**BASE).cycle_bits
+        plan = FaultPlan(
+            doze=(DozeInterval(1, 5 * cb, 3 * cb), DozeInterval(4, 5 * cb, 3 * cb)),
+            crashes=(ServerCrash(14.5 * cb, 2.5 * cb),),
+            uplink_loss_probability=0.3,
+        )
+        config = make_config(faults=plan, tracing=True)
+        process = reference_run(config)
+        assert process.spans and process.metrics.doze_slots_missed
+        for executor in ("cohort", "analytic"):
+            result = run_config(config.replace(client_executor=executor))
+            assert result.spans == process.spans, executor
+
     def test_jsonl_export_byte_identical_across_executors(self):
         """Equal spans must also serialise equally: the process executor
         stamps an int ``sim.now`` where the others compute a float."""

@@ -31,7 +31,7 @@ from repro.sim import (
 )
 from repro.sim.simulation import BroadcastSimulation, ShardSlice
 
-from tests.conftest import reference_run, shared_segments as _shared_segments
+from tests.conftest import no_calendar, reference_run, shared_segments as _shared_segments
 
 from .test_cohort import COLLAPSED_LANES
 
@@ -551,25 +551,21 @@ class TestShardValidation:
 
 
 class TestAnalyticValidation:
-    def test_faults_refused(self):
-        from repro.sim import FaultPlan
-
-        with pytest.raises(ValueError, match="analytical tier"):
-            small_config(
-                client_executor="analytic",
-                faults=FaultPlan(uplink_loss_probability=0.1),
-            )
+    """The tier refuses nothing of its own: sharded, it keeps no global
+    trace for the reason any executor's sharded run keeps none."""
 
     def test_updates_need_explicit_bound(self):
         with pytest.raises(ValueError, match="num_update_clients"):
-            small_config(client_executor="analytic", client_update_fraction=0.2)
+            small_config(
+                client_executor="analytic", shards=2, client_update_fraction=0.2
+            )
 
     def test_audit_refused(self):
         with pytest.raises(ValueError, match="audit"):
-            small_config(client_executor="analytic", audit=True)
+            small_config(client_executor="analytic", shards=2, audit=True)
 
     def test_trace_refused_at_run_time(self):
-        config = small_config(client_executor="analytic")
+        config = small_config(client_executor="analytic", shards=2)
         with pytest.raises(ValueError, match="trace"):
             BroadcastSimulation(config, collect_trace=True).run()
 
@@ -659,6 +655,8 @@ WAVE_CASES = {
     "updaters": dict(seed=19, client_update_fraction=0.4, num_update_clients=3),
     "loss": dict(seed=13, broadcast_loss_probability=0.1),
     "multi-disk": dict(seed=23, layout_kind="multi-disk", client_access_skew=0.5),
+    # no update bound: every client may update, so all run in Phase A
+    "all-updaters": dict(seed=5, client_update_fraction=0.3),
 }
 
 
@@ -679,6 +677,34 @@ class TestAnalyticWaves:
             workers=0,
         )
         assert signature(sharded) == signature(reference_run(base))
+
+    def test_an_audited_run_across_waves_is_the_oracles(self, waves_of_three):
+        """Updaters, a quasi-cache and radio loss: the waves leave one
+        global trace that audits clean, certifies update-consistent and
+        holds the reference run's commits, read for read."""
+        from repro.analysis.consistency import certify_update_consistency
+        from repro.scenarios import record_config
+
+        base = small_config(
+            seed=29,
+            num_clients=10,
+            client_update_fraction=0.3,
+            num_update_clients=3,
+            cache_currency_bound=2e5,
+            broadcast_loss_probability=0.1,
+            audit=True,
+        )
+        with no_calendar():
+            oracle, reference = record_config(base.replace(client_executor="process"))
+        waved, recorded = record_config(base.replace(client_executor="analytic"))
+        assert waved.audit_report.ok, waved.audit_report.format()
+        report = certify_update_consistency(
+            waved.trace.transactional_history(waved.server.database)
+        )
+        assert report.ok and report.reader_verdicts, report.format()
+        assert recorded.observables == reference.observables
+        assert signature(waved) == signature(oracle)
+        assert waved.metrics.cache_hits and waved.metrics.broadcast_losses
 
     def test_a_later_wave_outlives_the_feed_and_falls_back(
         self, waves_of_three, monkeypatch
