@@ -24,11 +24,13 @@ So the tier splits the run in two:
   a time: each wave is a fresh engine from t = 0 whose slot buckets
   settle all its members that wait for one slot together (one sweep,
   one pass), drained before the next wave is built.  Every wave hears
-  the same timeline — live (its images retained), a replay shard's
-  sealed view, or, on a recording pass, the live one run on to a
-  recording horizon (and published) whenever a reader reaches past it.
-  Loss, doze, crash stalls, re-tuning and multi-disk layouts are the
-  cohort's own; reading past a sealed view raises
+  the same timeline, its env's :attr:`~repro.sim.kernel.ClientEnv.on_air`
+  — live (its images retained), a replay shard's sealed view, or, on a
+  recording pass, a hook that runs the live one on to a recording
+  horizon (and publishes it) whenever a reader reaches past it.  Loss,
+  doze, crash stalls, re-tuning and multi-disk layouts are the kernel's
+  own (:meth:`~repro.sim.kernel.ClientKernel.settle`); reading past a
+  sealed view raises
   :class:`~repro.sim.arena.TimelineExhausted` for the shard layer's
   fallback.  Transient state is O(wave): a wave's kernels (workload,
   tapes, validator, cache) go when it drains.
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Tuple
 
-from .cohort import CohortExecutor, OnAir
+from .cohort import CohortExecutor
 from .engine import Simulator
 
 if TYPE_CHECKING:
@@ -87,7 +89,6 @@ def run_analytic(simulation: "BroadcastSimulation") -> Tuple[float, int]:
     plus every wave's bucket and retirement events.
     """
     sim = simulation.sim
-    on_air: OnAir = simulation.on_air
     sl = simulation.slice
     # Phase A (never on a replay shard: its slice holds observers only):
     # the update-capable clients, event-driven under the cohort
@@ -98,25 +99,23 @@ def run_analytic(simulation: "BroadcastSimulation") -> Tuple[float, int]:
         env = simulation.updater_env()
         CohortExecutor(
             sim=sim,
-            timeline=on_air,
             env=env,
             clients=[simulation.kernel_for(env, k) for k in range(sl.updaters)],
         ).start()
         sim.run()
         if simulation.feed is not None:
             simulation.publish_timeline(sim.now)
-    if simulation.feed is not None:
-        on_air = _Recording(simulation, sim.now)
 
-    # Phase B: the readers, a bounded wave at a time
+    # Phase B: the readers, a bounded wave at a time; on a recording pass
+    # they hear the recording hook, elsewhere the simulation's broadcast
     sim_time, events = sim.now, sim.events_processed
-    env = simulation.client_env(simulation.metrics, simulation.tracer)
+    recording = None if simulation.feed is None else _Recording(simulation, sim.now)
+    env = simulation.client_env(simulation.metrics, simulation.tracer, recording)
     for lo in range(sl.reader_lo, sl.reader_hi, WAVE):
         wave = Simulator()
         ids = range(lo, min(lo + WAVE, sl.reader_hi))
         CohortExecutor(
             sim=wave,
-            timeline=on_air,
             env=env,
             clients=[simulation.kernel_for(env, k) for k in ids],
         ).start()

@@ -7,7 +7,7 @@ every read of every client.  With hundreds or thousands of clients the
 simulation kernel, not the protocol work, dominates wall-clock time.
 
 What a client *does* lives in :mod:`repro.sim.kernel`; this module only
-decides *when*.  The cohort executor is a scheduler over
+decides *when*.  The cohort executor is a calendar over
 :class:`~repro.sim.kernel.ClientKernel` that removes the per-client
 constant factor with three observations, none of which changes a single
 simulated outcome:
@@ -25,23 +25,22 @@ simulated outcome:
    time) fires **one** simulator event per occupied slot instead of one
    per client.
 
-3. **Validation batches, settled in one pass.**  Within a bucket all
+3. **A fired bucket is one call.**  :meth:`CohortExecutor._fire` orders
+   the bucket and hands it to :meth:`ClientKernel.settle
+   <repro.sim.kernel.ClientKernel.settle>`, which decides what the slot
+   means to each member — missed or heard, the staleness guard, the read
+   condition, the step — and :meth:`CohortExecutor._place` puts each
+   member in its next bucket as it is yielded.  Within a bucket all
    clients evaluate the same protocol's read condition against the same
    control snapshot, so the control column is fetched — and, under
    modulo timestamps, anchored at the snapshot cycle — once, its maximum
    taken once, and swept over the members
    (:func:`repro.core.validators.validate_read_batch`): a member whose
    oldest retained read postdates that maximum passes on the bound
-   alone, the rest have their ``R_t`` walked.  A bucket of one goes
-   through ``validate_read``: ``_validate``'s ``len(kernels) > 1`` is
-   the only place that chooses.  Under a staleness window (modulo
-   timestamps with faults) each member's runtime guard runs first, in
-   issue order; the members it refuses get
-   :data:`~repro.sim.kernel.STALE` and the rest are swept.  Then one
-   loop settles the bucket: :meth:`ClientKernel.settle
-   <repro.sim.kernel.ClientKernel.settle>` runs each member's client
-   step with its verdict and :meth:`CohortExecutor._place` puts the
-   member in its next bucket as it is yielded.
+   alone, the rest have their ``R_t`` walked.  Which sweep is the
+   population's, chosen here once: a cache-less population of one
+   protocol and one timestamp arithmetic reads every object in order and
+   takes :func:`~repro.core.validators.validate_read_batch_inorder`.
 
 Determinism is preserved exactly: bucket members are processed in the
 order their slot waits would have been *issued* (think-expiry or doze
@@ -57,68 +56,24 @@ submission reaches the timeline's uplink door (where loss draws and the
 server's backward validation happen) exactly when the per-process
 ``_submit_update`` generator would have resumed.
 
-Fault plans (docs/FAULTS.md) need little here: the kernel shifts a
-dozing client's seek and decides per member whether a slot was heard
-(the members that missed it re-seek and are placed first); under a
-modulo staleness window :meth:`_verdicts` runs each survivor's
-staleness guard (``runtime.stale``, which consults per-runtime rejoin
-state a sweep cannot see) before the bucket's sweep.
+Fault plans (docs/FAULTS.md) need nothing here: doze, loss, re-tuning
+and the staleness window are the kernel's, decided in
+:meth:`~repro.sim.kernel.ClientKernel.settle`.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from operator import attrgetter
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.validators import (
-    ControlSnapshot,
-    validate_read_batch,
-    validate_read_batch_inorder,
-)
+from ..core.validators import validate_read_batch, validate_read_batch_inorder
 from .engine import Simulator
-from .kernel import STALE, ClientEnv, ClientKernel, Stale
+from .kernel import ClientEnv, ClientKernel
 
-if TYPE_CHECKING:  # annotations only
-    from ..broadcast.program import BroadcastCycle
-
-__all__ = ["CohortExecutor", "OnAir"]
+__all__ = ["CohortExecutor"]
 
 _issue = attrgetter("issue")
-_validator = attrgetter("validator")
-
-
-class OnAir(Protocol):
-    """What a population hears: the timeline run on to an instant, then
-    a cycle's image — a live timeline, a sealed view, or a recording
-    pass's (:mod:`repro.sim.analytic`)."""
-
-    def advance_to(self, time: float) -> None: ...
-
-    def broadcast(self, cycle: int) -> "BroadcastCycle": ...
-
-
-class _Bucket:
-    """Clients awaiting one broadcast slot (same object, same cycle)."""
-
-    __slots__ = ("obj", "cycle", "members")
-
-    def __init__(self, obj: int, cycle: int) -> None:
-        self.obj = obj
-        self.cycle = cycle
-        #: clients in enqueue order — stably sorted by issue time before
-        #: processing, so clients fire in the order their per-process
-        #: WaitUntil events would have been pushed
-        self.members: List[ClientKernel] = []
 
 
 class CohortExecutor:
@@ -128,55 +83,53 @@ class CohortExecutor:
         self,
         *,
         sim: Simulator,
-        timeline: OnAir,
         env: ClientEnv,
         clients: Sequence[ClientKernel],
     ) -> None:
         self.sim = sim
-        #: the broadcast the clients hear: live, or sealed on a replay shard
-        self.timeline = timeline
         self.env = env
         self.clients = list(clients)
-        self._buckets: Dict[float, _Bucket] = {}
+        #: clients awaiting each slot, by its end time, in enqueue order —
+        #: stably sorted by issue time when the slot fires, so clients run
+        #: in the order their per-process WaitUntil events would be pushed
+        self._buckets: Dict[float, List[ClientKernel]] = {}
         # cache-less populations of one protocol class and one timestamp
         # arithmetic satisfy validate_read_batch_inorder's precondition
         # for every bucket (checked once here instead of per member per
         # bucket)
-        self._batch_validate = validate_read_batch
+        self._sweep = validate_read_batch
         if all(c.cache is None for c in self.clients) and (
             len({(c.validator.__class__, c.validator._mask) for c in self.clients})
             == 1
         ):
-            self._batch_validate = validate_read_batch_inorder
+            self._sweep = validate_read_batch_inorder
 
     def start(self) -> None:
         """Begin every client's first transaction (call before run)."""
-        ends = []
+        waits = []
         for kernel in self.clients:
             kernel.begin(0.0)
-            ends.append(kernel.advance(0.0, True))
-        self._place(self.clients, ends)
+            waits.append((kernel, kernel.advance(0.0, True)))
+        self._place(waits)
 
     # ------------------------------------------------------------------
     # the calendar
     # ------------------------------------------------------------------
-    def _place(
-        self, kernels: Iterable[ClientKernel], ends: Iterable[Optional[float]]
-    ) -> None:
+    def _place(self, waits: Iterable[Tuple[ClientKernel, Optional[float]]]) -> None:
         """Put each kernel where its wait says: the bucket of the slot
         ending at ``end``, or — off the air — an event of its own.
-        ``ends`` may be lazy (:meth:`ClientKernel.settle`): each end is
-        drawn just before its kernel is placed."""
+        ``waits`` may be lazy (:meth:`ClientKernel.settle`): each is drawn
+        just before its kernel is placed."""
         buckets = self._buckets
-        for kernel, end in zip(kernels, ends):
+        for kernel, end in waits:
             if end is None:
                 self.sim.schedule(kernel.wake, partial(self._wake, kernel))
                 continue
             bucket = buckets.get(end)
             if bucket is None:
-                bucket = buckets[end] = _Bucket(kernel.obj, kernel.cycle)
+                bucket = buckets[end] = []
                 self.sim.schedule(end, partial(self._fire, end))
-            bucket.members.append(kernel)
+            bucket.append(kernel)
 
     def _wake(self, kernel: ClientKernel) -> None:
         """An off-air client's event: its retirement, or its submission
@@ -185,74 +138,14 @@ class CohortExecutor:
         # inter-transaction delay elapses — a real event, which does
         # nothing but end the run there once it is the last
         if not kernel.done:
-            self._place((kernel,), (kernel.uplink_arrival(self.sim.now),))
+            self._place(((kernel, kernel.uplink_arrival(self.sim.now)),))
 
     def _fire(self, time: float) -> None:
-        """Process one occupied slot: every client whose wait ends now."""
-        bucket = self._buckets.pop(time)
-        kernels = bucket.members
+        """Process one occupied slot: every client whose wait ends now,
+        in issue order (stable: ties keep their enqueue order)."""
+        kernels = self._buckets.pop(time)
         if len(kernels) > 1:
-            # stable: ties keep their enqueue order
             kernels.sort(key=_issue)
-        env = self.env
-        if env.faults is not None or env.loss > 0.0:
-            # each client that missed the slot re-seeks the object's next
-            # appearance — decided per client, in issue order, as the
-            # per-process loop would at its own slot event — and is
-            # placed before the clients that heard it
-            heard = []
-            for kernel in kernels:
-                if kernel.heard(time):
-                    heard.append(kernel)
-                else:
-                    self._place((kernel,), (kernel.retune(time),))
-            if not heard:
-                return
-            kernels = heard
-        timeline = self.timeline
-        timeline.advance_to(time)
-        broadcast = timeline.broadcast(bucket.cycle)
-        # one pass: each member takes its verdict, runs the client step
-        # and joins its next bucket, in issue order
         self._place(
-            kernels,
-            ClientKernel.settle(
-                env,
-                kernels,
-                time,
-                broadcast,
-                self._verdicts(kernels, bucket, broadcast.snapshot),
-            ),
+            ClientKernel.settle(self.env, kernels, time, kernels[0].cycle, self._sweep)
         )
-
-    def _verdicts(
-        self, kernels: List[ClientKernel], bucket: _Bucket, snapshot: ControlSnapshot
-    ) -> Sequence[Union[bool, Stale]]:
-        """Every member's verdict, aligned with ``kernels``.  Under a
-        staleness window each runtime's guard runs first, in issue order;
-        the members it refuses get :data:`~repro.sim.kernel.STALE` and
-        the rest are validated together."""
-        if self.env.staleness is None:
-            return self._validate(kernels, bucket.obj, snapshot)
-        stale = []
-        for kernel in kernels:
-            runtime = kernel.runtime
-            assert runtime is not None  # set before the first wait
-            stale.append(runtime.stale(bucket.cycle))
-        swept = iter(
-            self._validate(
-                [k for k, refused in zip(kernels, stale) if not refused],
-                bucket.obj,
-                snapshot,
-            )
-        )
-        return [STALE if refused else next(swept) for refused in stale]
-
-    def _validate(
-        self, kernels: Sequence[ClientKernel], obj: int, snapshot: ControlSnapshot
-    ) -> List[bool]:
-        """The read condition for every kernel of a bucket: one sweep, or
-        the scalar ``validate_read`` for a bucket of one."""
-        if len(kernels) > 1:
-            return self._batch_validate(list(map(_validator, kernels)), obj, snapshot)
-        return [kernel.validator.validate_read(obj, snapshot) for kernel in kernels]

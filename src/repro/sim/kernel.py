@@ -10,9 +10,11 @@ return *what the client waits for next*::
 
     begin(t) ─► advance(t, first) ─► slot end ──┐        (scheduler waits)
                    ▲                            ▼
-                   │               heard(t)? ── no ─► retune(t) ─► slot end
-                   │                            │ yes
-                   └── next read / restart ◄─ deliver(t, image, ok)
+                   │       settle(env, bucket, t, cycle, sweep): per member
+                   │         missed? ── yes ─► 1-bit re-tune ─► slot end
+                   │            │ no: the image, read once
+                   │         staleness guard, then the read condition
+                   └── next read / restart ◄── step
                                                 │ last read validated
                              finish(t) ◄────────┴─► uplink_arrival(t) …
 
@@ -24,14 +26,16 @@ event — an uplink arrival, or, once ``done`` is set, its retirement.
 There is no :class:`~repro.sim.engine.Simulator`, no calendar and no
 clock in here.  *When* a method runs is the scheduler's business: the
 cohort executor (:mod:`repro.sim.cohort`) coalesces slot waits into
-buckets, validates each bucket in one batch and settles it with one
-call of :meth:`ClientKernel.settle` (``deliver`` is that step for a
-bucket of one), and the analytical tier (:mod:`repro.sim.analytic`)
-runs its readers under that calendar a bounded wave at a time against a
-recorded timeline.  :mod:`repro.sim.processes` stays the event-level reference
-both are tested against: every RNG draw, cache probe, slot seek and
-validator call below happens in the order ``client_process`` makes it,
-and exponential delays are drawn as ``-log(1 - random()) / lambd`` — the
+buckets and hands each fired bucket to one call of
+:meth:`ClientKernel.settle`, which decides everything a slot means to
+its members — heard or missed, the staleness guard, the read condition
+(one sweep for the bucket), the step — and the analytical tier
+(:mod:`repro.sim.analytic`) runs its readers under that calendar a
+bounded wave at a time against a recorded timeline.
+:mod:`repro.sim.processes` stays the event-level reference both are
+tested against: every RNG draw, cache probe, slot seek and validator
+call below happens in the order ``client_process`` makes it, and
+exponential delays are drawn as ``-log(1 - random()) / lambd`` — the
 exact formula of :meth:`random.Random.expovariate` on the same single
 draw — so every simulated outcome is bit-identical across the three.
 
@@ -47,13 +51,13 @@ pre-drawn values, refilled from one shared generator, and equal to the
 from __future__ import annotations
 
 from math import log as _log
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from ..broadcast.layout import BroadcastLayout, FlatLayout
 from ..broadcast.program import BroadcastCycle
 from ..client.cache import QuasiCache
 from ..client.runtime import ClientUpdateTransactionRuntime, ReadOnlyTransactionRuntime
-from ..core.validators import ReadValidator
+from ..core.validators import ControlSnapshot, ReadValidator
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..server.workload import ClientWorkload, UniformTape
 from .config import SimulationConfig
@@ -62,34 +66,35 @@ from .metrics import MetricsCollector
 from .timeline import LiveTimeline
 from .trace import TraceRecorder
 
-__all__ = ["ClientEnv", "ClientKernel", "STALE"]
+__all__ = ["ClientEnv", "ClientKernel", "OnAir"]
+
+#: a population's read condition over one bucket: ``sweep(validators,
+#: obj, snapshot)``, one verdict per validator
+Sweep = Callable[[List[ReadValidator], int, ControlSnapshot], List[bool]]
+
+#: the verdicts of a step that heard nothing
+_UNHEARD = (None,)
 
 
-class Stale:
-    """The type of :data:`STALE`, its one instance."""
+class OnAir(Protocol):
+    """What a population hears: the timeline run on to an instant, then
+    a cycle's image — a live timeline, a sealed view, or a recording
+    pass's (:mod:`repro.sim.analytic`)."""
 
-    __slots__ = ()
+    def advance_to(self, time: float) -> None: ...
 
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "STALE"
-
-
-#: the verdict a scheduler hands :meth:`ClientKernel.settle` for a read
-#: the runtime's staleness guard refused: falsy like ``False`` (the read
-#: is rejected), but charged to ``staleness`` instead of ``conflict``
-STALE = Stale()
+    def broadcast(self, cycle: int) -> BroadcastCycle: ...
 
 
 class ClientEnv:
-    """What the clients of one scheduler share: parameters and sinks."""
+    """What the clients of one scheduler share: parameters, the broadcast
+    they hear, and sinks."""
 
     __slots__ = (
         "config",
         "layout",
         "metrics",
+        "on_air",
         "faults",
         "timeline",
         "trace",
@@ -111,6 +116,7 @@ class ClientEnv:
         config: SimulationConfig,
         layout: BroadcastLayout,
         metrics: MetricsCollector,
+        on_air: OnAir,
         faults: Optional[FaultRuntime] = None,
         timeline: Optional[LiveTimeline] = None,
         trace: Optional[TraceRecorder] = None,
@@ -119,6 +125,8 @@ class ClientEnv:
         self.config = config
         self.layout = layout
         self.metrics = metrics
+        #: the broadcast the clients hear
+        self.on_air = on_air
         self.faults = faults
         #: the uplink's far end; None where no client may update
         self.timeline = timeline
@@ -126,8 +134,7 @@ class ClientEnv:
         self.tracer = tracer
         #: the paper's max-cycles rejoin bound, active under modulo
         #: timestamps with faults: each runtime's staleness guard
-        #: (``runtime.stale``) then runs per delivery, before validation —
-        #: a scheduler runs it per bucket member ahead of the sweep
+        #: (``runtime.stale``) then runs per delivery, before validation
         self.staleness = faults.staleness_window if faults is not None else None
         # exponential-delay rates, evaluated exactly as the per-process
         # path does (1.0 / mean), so inline draws divide by the
@@ -306,57 +313,8 @@ class ClientKernel:
         nothing the rest of the simulation does between ``now`` and the
         returned wait can change the outcome.
         """
-        return self.deliver(now, None, first=first)
-
-    def heard(self, time: float) -> bool:
-        """Did the client receive the slot that ends at ``time``?
-
-        Doze and dead air first, then the radio-loss draw — an unheard
-        slot consumes no loss randomness — exactly as the per-process
-        loop decides at its own slot event.
-        """
-        env = self.env
-        faults = env.faults
-        if faults is not None and not faults.slot_heard(
-            self.client_id, time - env.slot_bits, time, env.metrics
-        ):
-            return False
-        loss = env.loss
-        if loss > 0.0 and self.rng.random() < loss:
-            env.metrics.broadcast_losses += 1
-            return False
-        return True
-
-    def retune(self, time: float) -> float:
-        """The slot at ``time`` went by unheard: a 1-bit re-tune, then the
-        object's next appearance."""
-        end = self.deliver(time + 1.0, None, seek_only=True)
-        assert end is not None  # a seek always ends in a slot wait
-        return end
-
-    def deliver(
-        self,
-        time: float,
-        broadcast: Optional[BroadcastCycle],
-        ok: Union[bool, Stale, None] = None,
-        *,
-        first: bool = False,
-        seek_only: bool = False,
-    ) -> Optional[float]:
-        """The awaited slot was heard at ``time``; carry on from there.
-
-        ``ok`` is the read condition's verdict when the scheduler already
-        evaluated it (batch validation, which also recorded a successful
-        read into ``R_t``), or :data:`STALE` when the runtime's staleness
-        guard refused the read before validation; ``None`` has the
-        runtime guard and validate.  :meth:`settle` for a bucket of one:
-        :meth:`advance` and :meth:`retune` enter it with
-        ``broadcast=None`` (nothing was heard: move on from ``time``),
-        the latter past the think time and the cache too.
-        """
-        (end,) = ClientKernel.settle(
-            self.env, (self,), time, broadcast, (ok,),
-            first=first, seek_only=seek_only,
+        ((_kernel, end),) = ClientKernel._steps(
+            self.env, (self,), now, None, _UNHEARD, first=first
         )
         return end
 
@@ -365,42 +323,126 @@ class ClientKernel:
         env: ClientEnv,
         kernels: Sequence["ClientKernel"],
         time: float,
+        cycle: int,
+        sweep: Sweep,
+    ) -> Iterator[Tuple["ClientKernel", Optional[float]]]:
+        """Everything the slot ending at ``time`` (cycle ``cycle``) means
+        to the clients that waited for it, ``kernels`` in issue order.
+
+        Yields each member with what it waits for next.  First the
+        members that missed the slot — doze or dead air, then the loss
+        draw, so an unheard slot consumes no loss randomness — each after
+        a 1-bit re-tune and a seek of the object's next appearance, as
+        the per-process loop decides at its own slot event.  The rest
+        run ``env.on_air`` on to ``time``, read the image once and take
+        their verdicts from :meth:`_verdicts` (``sweep`` is the
+        population's read condition for a bucket), then their steps.  A
+        lazy generator: a scheduler places each member as it is yielded,
+        before the next member's step runs.
+        """
+        metrics = env.metrics
+        faults, loss = env.faults, env.loss
+        if faults is not None or loss > 0.0:
+            heard = []
+            start = time - env.slot_bits
+            for kernel in kernels:
+                if faults is None or faults.slot_heard(
+                    kernel.client_id, start, time, metrics
+                ):
+                    if not (loss > 0.0 and kernel.rng.random() < loss):
+                        heard.append(kernel)
+                        continue
+                    metrics.broadcast_losses += 1
+                yield from ClientKernel._steps(
+                    env, (kernel,), time + 1.0, None, _UNHEARD, seek_only=True
+                )
+            if not heard:
+                return
+            kernels = heard
+        on_air = env.on_air
+        on_air.advance_to(time)
+        broadcast = on_air.broadcast(cycle)
+        # tuning time: each client listened for the whole slot (data + its
+        # control share); a cache hit costs nothing — the battery argument
+        # of Secs. 2.1/3.3 made measurable
+        metrics.listening_bits += env.slot_bits * len(kernels)
+        yield from ClientKernel._steps(
+            env,
+            kernels,
+            time,
+            broadcast,
+            ClientKernel._verdicts(
+                env, kernels, kernels[0].obj, broadcast.snapshot, sweep
+            ),
+        )
+
+    @staticmethod
+    def _verdicts(
+        env: ClientEnv,
+        kernels: Sequence["ClientKernel"],
+        obj: int,
+        snapshot: ControlSnapshot,
+        sweep: Optional[Sweep],
+    ) -> Sequence[Optional[bool]]:
+        """Each member's verdict on reading ``obj`` off ``snapshot``:
+        ``True`` admits the read (and records it into ``R_t``), ``False``
+        is a conflict, ``None`` a staleness abort.
+
+        Under a staleness window each runtime's guard runs first, in
+        order — it reads per-runtime rejoin state a sweep cannot see —
+        and the read condition then runs over the members it passes: one
+        ``sweep``, or ``validate_read`` for one.
+        """
+        passed = kernels
+        refused: Optional[List[bool]] = None
+        if env.staleness is not None:
+            cycle = snapshot.cycle
+            refused = [
+                kernel.runtime.stale(cycle)  # type: ignore[union-attr]
+                for kernel in kernels
+            ]
+            passed = [k for k, stale in zip(kernels, refused) if not stale]
+        if len(passed) > 1:
+            assert sweep is not None
+            oks = sweep([kernel.validator for kernel in passed], obj, snapshot)
+        else:
+            oks = [kernel.validator.validate_read(obj, snapshot) for kernel in passed]
+        env.metrics.reads_delivered += oks.count(True)
+        if refused is None:
+            return oks
+        swept = iter(oks)
+        return [None if stale else next(swept) for stale in refused]
+
+    @staticmethod
+    def _steps(
+        env: ClientEnv,
+        kernels: Sequence["ClientKernel"],
+        time: float,
         broadcast: Optional[BroadcastCycle],
-        verdicts: Sequence[Union[bool, Stale, None]],
+        verdicts: Sequence[Optional[bool]],
         *,
         first: bool = False,
         seek_only: bool = False,
-    ) -> Iterator[Optional[float]]:
-        """The client step, whole, for every client that heard one slot
-        (or, with ``broadcast=None``, moves on from ``time`` unheard).
+    ) -> Iterator[Tuple["ClientKernel", Optional[float]]]:
+        """The client step, whole: each member settles the read it heard
+        at ``time`` (its verdict aligned in ``verdicts``; with
+        ``broadcast=None`` nothing was heard and it moves on from
+        ``time``), thinks, serves what the cache can (each hit is settled
+        by the same code on the next turn of the loop), then seeks the
+        next slot — past the think time and the cache if ``seek_only``.
 
-        Yields, member by member and in order, what :meth:`deliver`
-        returns for it: settle the read (``verdicts`` aligned with
-        ``kernels``, as :meth:`deliver`'s ``ok``), think, serve what the
-        cache can (each hit is settled by the same code on the next turn
-        of the loop), then seek the next slot.  This is the one copy of
-        the step — the reject block, the think draw, the flat-slot
-        arithmetic — and a scheduler that hears a slot for many clients
-        pays one call and one read of the shared ``env`` for all of
-        them; the slot's tuning time and its handed-in accepts are
-        counted once.  A lazy generator: a scheduler places each member
-        as it is yielded, before the next member's step runs.
+        This is the one copy of the step — the reject block, the think
+        draw, the flat-slot arithmetic — read from the shared ``env`` once
+        for a whole bucket.
         """
         metrics = env.metrics
         # versions are retained only for the trace recorder
         tracing = env.trace is not None
-        staleness = env.staleness
         faults = env.faults
         offsets = env.flat_offsets
         cycle_bits = env.cycle_bits
         op_lambd = env.op_lambd
         delay_first = env.delay_first
-        if broadcast is not None:
-            # tuning time: each client listened for the whole slot (data +
-            # its control share); a cache hit costs nothing — the battery
-            # argument of Secs. 2.1/3.3 made measurable
-            metrics.listening_bits += env.slot_bits * len(kernels)
-            metrics.reads_delivered += verdicts.count(True)
         for kernel, ok in zip(kernels, verdicts):
             cache = kernel.cache
             runtime = kernel.runtime
@@ -411,18 +453,6 @@ class ClientKernel:
                 cache.insert(heard, kernel.obj, time)
             while True:
                 if heard is not None:
-                    if ok is None:
-                        # no verdict handed in: the runtime's staleness
-                        # guard, then the read condition, as a scheduler
-                        # runs them for a bucket
-                        snapshot = heard.snapshot
-                        if staleness is not None and runtime.stale(snapshot.cycle):
-                            ok = STALE
-                        elif kernel.validator.validate_read(kernel.obj, snapshot):
-                            ok = True
-                            metrics.reads_delivered += 1
-                        else:
-                            ok = False
                     if ok:
                         next_obj = runtime.apply_read_ok(heard if tracing else None)
                         if next_obj is not None:
@@ -439,7 +469,7 @@ class ClientKernel:
                                 break
                             now, opening, runtime = start_time, True, kernel.runtime
                     else:
-                        cause = "staleness" if ok is STALE else "conflict"
+                        cause = "staleness" if ok is None else "conflict"
                         metrics.reads_rejected += 1
                         metrics.record_abort(cause)
                         if cache is not None:
@@ -465,7 +495,10 @@ class ClientKernel:
                         entry = cache.lookup(kernel.obj, issue)
                         if entry is not None:
                             metrics.cache_hits += 1
-                            now, heard, ok = issue, entry.as_broadcast(), None
+                            now, heard = issue, entry.as_broadcast()
+                            (ok,) = ClientKernel._verdicts(
+                                env, (kernel,), kernel.obj, heard.snapshot, None
+                            )
                             continue
                 # wait for the first slot of ``obj`` ending at or after ``issue``
                 if faults is not None:
@@ -491,7 +524,7 @@ class ClientKernel:
                 kernel.cycle = cycle
                 kernel.issue = issue
                 break
-            yield end
+            yield kernel, end
 
     # ------------------------------------------------------------------
     # update transactions: the uplink

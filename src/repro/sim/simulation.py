@@ -64,7 +64,7 @@ from .cohort import CohortExecutor
 from .config import SimulationConfig
 from .engine import Simulator
 from .faults import FaultRuntime
-from .kernel import ClientEnv, ClientKernel
+from .kernel import ClientEnv, ClientKernel, OnAir
 from .metrics import MetricsCollector, SummaryStat
 from .processes import client_process
 from .timeline import LiveTimeline, fold_journal
@@ -295,13 +295,17 @@ class BroadcastSimulation:
             self.config.protocol, arithmetic=self.arithmetic, partition=self.partition
         )
 
-    def client_env(self, metrics: MetricsCollector, tracer: Tracer) -> ClientEnv:
+    def client_env(
+        self, metrics: MetricsCollector, tracer: Tracer, on_air: Optional[OnAir] = None
+    ) -> ClientEnv:
         """The shared half of a kernel population reporting into
-        ``metrics`` / ``tracer`` (one per scheduler)."""
+        ``metrics`` / ``tracer`` (one per scheduler), hearing ``on_air``
+        (by default, this simulation's)."""
         return ClientEnv(
             config=self.config,
             layout=self.layout,
             metrics=metrics,
+            on_air=self.on_air if on_air is None else on_air,
             faults=self.faults,
             timeline=self.timeline,
             trace=self.trace,
@@ -383,9 +387,7 @@ class BroadcastSimulation:
             ):
                 if group:
                     kernels = [self.kernel_for(env, k) for k in group]
-                    CohortExecutor(
-                        sim=sim, timeline=self.on_air, env=env, clients=kernels
-                    ).start()
+                    CohortExecutor(sim=sim, env=env, clients=kernels).start()
         else:
             for k in ids:
                 sim.spawn(

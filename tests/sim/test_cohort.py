@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.client.runtime import ReadOnlyTransactionRuntime
 from repro.core import validators as validators_module
 from repro.core.control_matrix import ControlMatrix
 from repro.core.cycles import ModuloCycles, UnboundedCycles
@@ -28,10 +29,10 @@ from repro.core.validators import (
     validate_read_batch,
     validate_read_batch_inorder,
 )
+from repro.sim import cohort as cohort_module
 from repro.sim.cohort import CohortExecutor
 from repro.sim.config import SimulationConfig
 from repro.sim.faults import FaultPlan
-from repro.sim.kernel import STALE, ClientKernel
 from repro.sim.simulation import run_simulation
 
 from tests.conftest import reference_run
@@ -254,6 +255,22 @@ COLLAPSED_LANES = {
         tracing=True,
         seed=41,
     ),
+    # shared buckets under caches and radio loss: hundreds of sweeps of a
+    # cached population, and members that missed a slot placed beside
+    # those that heard it
+    "dense+cache+loss": dict(
+        num_objects=16,
+        num_clients=48,
+        client_txn_length=8,
+        num_client_transactions=6,
+        mean_inter_operation_delay=4096.0,
+        server_txn_interval=200_000.0,
+        object_size_bits=1024,
+        cache_currency_bound=150_000.0,
+        cache_capacity=6,
+        broadcast_loss_probability=0.2,
+        seed=47,
+    ),
 }
 
 
@@ -264,8 +281,8 @@ class TestCollapsedLanes:
 
     def test_staleness_lane_with_shared_buckets(self, monkeypatch):
         """Modulo timestamps + faults: each member's staleness guard runs
-        first and the bucket's sweep hands the rest their verdicts —
-        several survivors per bucket, one event per slot."""
+        first and the bucket's sweep decides the rest — several survivors
+        per bucket, one event per slot."""
         cfg = SimulationConfig(
             protocol="f-matrix",
             num_objects=16,
@@ -290,29 +307,43 @@ class TestCollapsedLanes:
                 mean_doze_duration=8 * cfg.cycle_bits,
             )
         )
-        fires, deliveries = [], []
-        fire, settle = CohortExecutor._fire, ClientKernel.settle
+        fires, refusals, swept = [], [], []
+        fire, stale = CohortExecutor._fire, ReadOnlyTransactionRuntime.stale
 
         def counting_fire(self, time):
             fires.append(time)
             return fire(self, time)
 
-        def counting_settle(env, kernels, time, broadcast, verdicts, **entry):
-            if broadcast is not None:  # advance / retune enter with None
-                deliveries.extend(verdicts)
-            return settle(env, kernels, time, broadcast, verdicts, **entry)
+        def counting_stale(self, cycle):
+            refused = stale(self, cycle)
+            refusals.append(refused)
+            return refused
+
+        def counting(sweep):
+            def counted(validators, obj, snapshot):
+                verdicts = sweep(validators, obj, snapshot)
+                swept.extend(verdicts)
+                return verdicts
+
+            return counted
 
         monkeypatch.setattr(CohortExecutor, "_fire", counting_fire)
-        monkeypatch.setattr(ClientKernel, "settle", staticmethod(counting_settle))
         process = reference_run(cfg)
-        assert not fires and not deliveries
+        assert not fires
+        # spied from here on: the reference's runtimes run the guard too
+        monkeypatch.setattr(ReadOnlyTransactionRuntime, "stale", counting_stale)
+        for name in ("validate_read_batch", "validate_read_batch_inorder"):
+            monkeypatch.setattr(
+                cohort_module, name, counting(getattr(cohort_module, name))
+            )
         cohort = run_simulation(cfg.replace(client_executor="cohort"))
         assert signature(process) == signature(cohort)
         assert cohort.metrics.aborts_staleness > 0  # the guard did fire
-        # every delivery arrives with a verdict: the sweep's, or the guard's
-        assert None not in deliveries
-        assert {True, False, STALE} <= set(deliveries)
-        assert len(deliveries) > 2 * len(fires)  # buckets were shared
+        # the guard refused some members; the sweep, over the ones it
+        # passed, admitted and rejected the rest
+        assert True in refusals and {True, False} <= set(swept)
+        assert len(swept) <= refusals.count(False)
+        assert len(refusals) > 2 * len(fires)  # buckets were shared
 
 
 # ----------------------------------------------------------------------

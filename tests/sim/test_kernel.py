@@ -17,7 +17,7 @@ import numpy as np
 from repro.broadcast.layout import FlatLayout
 from repro.broadcast.program import BroadcastCycle, ObjectVersion
 from repro.client.cache import QuasiCache
-from repro.core.validators import ControlSnapshot, make_validator
+from repro.core.validators import ControlSnapshot, make_validator, validate_read_batch
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.server.workload import UniformTape
 from repro.sim import (
@@ -65,6 +65,34 @@ def image(cycle, entries=None):
     return BroadcastCycle(cycle, versions, ControlSnapshot(cycle, matrix=matrix))
 
 
+class OnAir:
+    """Stands in for the timeline: the one image a test puts on the air,
+    and every instant the clients run it on to."""
+
+    def __init__(self):
+        self.image = None
+        self.advanced = []
+
+    def advance_to(self, time):
+        self.advanced.append(time)
+
+    def broadcast(self, cycle):
+        assert self.image is not None and self.image.cycle == cycle
+        return self.image
+
+
+def settle(kernel, time, on_air=None):
+    """Fire the slot ending at ``time`` for ``kernel`` alone, ``on_air``
+    the image broadcast (``None``: nothing may be read); returns the
+    kernel's next wait."""
+    kernel.env.on_air.image = on_air
+    ((member, end),) = ClientKernel.settle(
+        kernel.env, [kernel], time, kernel.cycle, validate_read_batch
+    )
+    assert member is kernel
+    return end
+
+
 def make_kernel(script, *, tracer=NULL_TRACER, **overrides):
     params = dict(
         protocol="f-matrix",
@@ -85,6 +113,7 @@ def make_kernel(script, *, tracer=NULL_TRACER, **overrides):
         config=config,
         layout=FlatLayout(OBJECTS, SLOT),
         metrics=metrics,
+        on_air=OnAir(),
         faults=faults,
         tracer=tracer,
     )
@@ -115,20 +144,20 @@ def test_reject_restart_retune_staleness_commit():
         faults=FaultPlan(doze=(DozeInterval(0, 1300.0, 2500.0),)),
     )
     cache = kernel.cache
+    on_air = kernel.env.on_air
 
     # -- begin, first read: no think time, object 0's slot in cycle 1 ------
     kernel.begin(0.0)
     assert kernel.advance(0.0, True) == 100
     assert (kernel.obj, kernel.cycle, kernel.issue) == (0, 1, 0.0)
-    assert kernel.heard(100)
-    # delivered; a think time later object 1's cycle-1 slot is gone
-    assert kernel.deliver(100, image(1)) == 600
+    # heard and delivered; a think time later object 1's cycle-1 slot is gone
+    assert settle(kernel, 100, image(1)) == 600
+    assert on_air.advanced == [100]  # the slot was heard: the image read
     assert (kernel.obj, kernel.cycle, kernel.issue) == (1, 2, 100 + think)
     assert metrics.reads_delivered == 1 and 0 in cache
 
     # -- reject: a cycle-1 commit overwrote what the first read saw --------
-    assert kernel.heard(600)
-    assert kernel.deliver(600, image(2, {(0, 1): 1})) == 900
+    assert settle(kernel, 600, image(2, {(0, 1): 1})) == 900
     assert metrics.reads_rejected == 1 and metrics.aborts_conflict == 1
     assert 0 not in cache and 1 not in cache  # every suspect evicted
     assert kernel.runtime.attempt == 1
@@ -136,36 +165,33 @@ def test_reject_restart_retune_staleness_commit():
     assert (kernel.obj, kernel.cycle, kernel.issue) == (0, 3, 650.0)
 
     # -- radio loss: one bit to re-tune, then the next appearance ----------
-    assert not kernel.heard(900)
+    assert settle(kernel, 900) == 1300
     assert metrics.broadcast_losses == 1
-    assert kernel.retune(900) == 1300
+    assert on_air.advanced[-1] == 600  # a missed slot reads no image
     assert (kernel.cycle, kernel.issue) == (4, 901.0)
 
     # -- delivered in cycle 4, then the radio dozes through to 3800 --------
-    assert kernel.heard(1300)
-    assert kernel.deliver(1300, image(4)) == 3800
+    assert settle(kernel, 1300, image(4)) == 3800
     assert (kernel.obj, kernel.cycle, kernel.issue) == (1, 10, 3800.0)
     # the slot ending at the wake instant was only half heard: charged to
     # the doze, and no loss randomness is consumed for it
     draws_left = len(script.draws)
-    assert not kernel.heard(3800)
+    assert settle(kernel, 3800) == 4200
     assert metrics.doze_slots_missed == 1 and len(script.draws) == draws_left
-    assert kernel.retune(3800) == 4200
+    assert on_air.advanced[-1] == 1300
 
     # -- staleness: 7 cycles since the last delivery, R_t not empty --------
-    assert kernel.heard(4200)
-    assert kernel.deliver(4200, image(11)) == 4500
+    assert settle(kernel, 4200, image(11)) == 4500
     assert metrics.reads_rejected == 2 and metrics.aborts_staleness == 1
     assert kernel.runtime.attempt == 2
     assert (kernel.obj, kernel.cycle, kernel.issue) == (0, 12, 4250.0)
 
     # -- commit: both reads in cycle 12, then the trailing delay -----------
-    assert kernel.heard(4500)
-    assert kernel.deliver(4500, image(12)) == 4600
-    assert kernel.heard(4600)
-    assert kernel.deliver(4600, image(12)) is None
+    assert settle(kernel, 4500, image(12)) == 4600
+    assert settle(kernel, 4600, image(12)) is None
     assert kernel.done and kernel.wake == 4600.0
     assert not script.draws  # every scripted draw consumed, none extra
+    assert on_air.advanced == [100, 600, 1300, 4200, 4500, 4600]
 
     [sample] = metrics.samples
     assert (sample.tid, sample.submit_time, sample.commit_time, sample.restarts) == (
@@ -182,30 +208,41 @@ def test_reject_restart_retune_staleness_commit():
     ]
 
 
-def test_prevalidated_verdicts_and_the_cache_hit_chain():
-    """A scheduler's batch verdict is applied as given, and a transaction
-    the cache can serve completes inside the call that started it."""
+def test_prevalidated_verdicts_and_the_cache_hit_chain(monkeypatch):
+    """The read condition runs once per heard read and its verdict is
+    applied as given, and a transaction the cache can serve completes
+    inside the call that started it."""
     script = Script([0.0] * 4, [("t0", (0, 1)), ("t1", (1, 0)), ("t2", (2, 3))])
     kernel, metrics = make_kernel(script, restart_delay=1.0)
     first = image(1)
+    validate_read = kernel.validator.validate_read
+    verdicts = []
+
+    def condition(obj, snapshot):
+        verdicts.append(validate_read(obj, snapshot))
+        return verdicts[-1]
+
+    monkeypatch.setattr(kernel.validator, "validate_read", condition)
 
     kernel.begin(0.0)
     assert kernel.advance(0.0, True) == 100
-    # the scheduler validated (and thereby recorded) the read itself
-    assert kernel.validator.validate_read(0, first.snapshot)
-    assert kernel.deliver(100, first, True) == 200
-    assert kernel.validator.validate_read(1, first.snapshot)
+    # the kernel validated (and thereby recorded) the read itself
+    assert settle(kernel, 100, first) == 200
+    assert verdicts == [True]
     # t0 commits at 200; t1 = (1, 0) is served from the cache on the spot,
     # commits at 200 too, and t2's first read seeks object 2's slot
-    assert kernel.deliver(200, first, True) == 300
+    assert settle(kernel, 200, first) == 300
+    assert verdicts == [True] * 4  # the slot's read and both cache hits
     assert (kernel.obj, kernel.cycle, kernel.txn_index) == (2, 1, 2)
     assert metrics.cache_hits == 2 and metrics.reads_delivered == 4
     assert metrics.listening_bits == 2 * SLOT  # cache hits cost no tuning
     assert [s.commit_time for s in metrics.samples] == [200.0, 200.0]
     assert not script.draws  # two think times, two inter-transaction delays
 
-    # a prevalidated rejection: nothing is re-validated, the attempt restarts
-    assert kernel.deliver(300, first, False) == 700
+    # a rejection by the condition: nothing is re-validated, the attempt
+    # restarts
+    monkeypatch.setattr(kernel.validator, "validate_read", lambda obj, snap: False)
+    assert settle(kernel, 300, first) == 700
     assert metrics.reads_rejected == 1 and metrics.aborts_conflict == 1
     assert kernel.runtime.attempt == 1 and kernel.cycle == 2
 

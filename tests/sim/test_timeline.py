@@ -437,3 +437,18 @@ def test_the_server_side_and_the_client_step_never_import_the_engine(module):
     names = imported_modules(SIM_SRC / module)
     assert names  # the walk saw the module's imports
     assert "repro.sim.engine" not in names
+
+
+#: what a slot means to a client — heard, the staleness guard, the read
+#: condition, the image — is the kernel's (ClientKernel.settle)
+CLIENT_INTERNALS = {
+    "runtime", "stale", "heard", "retune", "validate_read", "advance_to", "broadcast"
+}
+
+
+@pytest.mark.parametrize("module", ["cohort.py"])
+def test_the_calendar_touches_no_client_internals(module):
+    tree = ast.parse((SIM_SRC / module).read_text())
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "settle" in attrs  # the walk saw the calendar hand buckets over
+    assert not attrs & CLIENT_INTERNALS
