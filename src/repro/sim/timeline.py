@@ -319,7 +319,20 @@ class LiveTimeline:
             durable_cycle = server.database.last_broadcast_cycle
             self._down = True
             self.journal["server_crashes"].append(self.now)
-            yield self.now + crash.downtime
+            end = self.now + crash.downtime
+            if self.tracer.enabled:
+                # emitted at the outage's start, as its counter is: a run
+                # that stops mid-outage still holds the span
+                self.tracer.emit(
+                    self.now,
+                    end,
+                    "timeline",
+                    2,
+                    "crash",
+                    "ok",
+                    f"replayed={max(0, self.layout.cycle_of(end) - durable_cycle)}",
+                )
+            yield end
             revived = recover_server(
                 durable_log,
                 config.num_objects,
@@ -346,13 +359,3 @@ class LiveTimeline:
                 image = replayed[-1]
                 self._install(image, image.cycle * self.layout.cycle_bits)
             self._down = False
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    crash.time,
-                    self.now,
-                    "timeline",
-                    2,
-                    "crash",
-                    "ok",
-                    f"replayed={len(replayed)}",
-                )

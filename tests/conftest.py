@@ -14,6 +14,10 @@ from unittest import mock
 
 import pytest
 
+# the differential harness asserts outside test modules: rewrite its
+# asserts too, so a failing equivalence shows both sides
+pytest.register_assert_rewrite("tests.differential")
+
 from repro.sim.cohort import CohortExecutor
 from repro.sim.simulation import run_simulation
 

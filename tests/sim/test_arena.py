@@ -1,7 +1,8 @@
 """Timeline-arena unit tests (repro.sim.arena).
 
 The integration contract — replay-mode sharded runs bit-identical to
-the unsharded oracle — lives in test_shard.py / test_faults.py; this
+the unsharded oracle — is the differential harness's
+(tests/differential.py); this
 module pins the arena's own mechanics: flat-buffer serialisation and
 its identity-based deduplication, the zero-copy shared-memory
 lifecycle, view memoisation and exhaustion, the timeline's journal, the

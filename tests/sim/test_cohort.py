@@ -1,11 +1,11 @@
-"""Cohort executor oracle tests (repro.sim.cohort).
+"""Cohort executor tests (repro.sim.cohort) beyond path equivalence.
 
-The per-process path is the semantics oracle: for every configuration
-the slot-coalesced cohort executor must produce **bit-identical**
-results — same commits with the same submit/commit times and restart
-counts, same counters, same listening bits, same final clock.  These
-tests compare full result signatures across protocols and feature
-combinations (cache, broadcast loss, mixed update transactions).
+That the slot-coalesced calendar reproduces the per-process reference
+bit for bit is the differential harness's (tests/differential.py, every
+corpus row and generated document; trace collection is held to it
+here too).  Here: that its staleness guard and batched sweep share
+buckets as designed, and batch validation — the sweep a bucket's
+members share — against ``validate_read`` per member.
 """
 
 import random
@@ -36,249 +36,10 @@ from repro.sim.faults import FaultPlan
 from repro.sim.simulation import run_simulation
 
 from tests.conftest import reference_run
-
-TINY = dict(
-    num_objects=40,
-    num_clients=5,
-    num_client_transactions=12,
-    client_txn_length=4,
-    server_txn_length=6,
-    object_size_bits=1024,
-    seed=77,
-)
-
-
-def tiny_config(**overrides):
-    params = dict(TINY)
-    params.update(overrides)
-    return SimulationConfig(**params)
-
-
-def signature(result):
-    """Everything observable about a run, commit order normalised.
-
-    Commits are compared as a sorted multiset: within one simulated
-    instant the two executors may interleave *different clients'*
-    commits differently (client state is private, so the interleaving
-    is unobservable), which permutes the sample list without changing
-    any sample.
-    """
-    m = result.metrics
-    return {
-        "commits": sorted(
-            (s.tid, s.submit_time, s.commit_time, s.restarts) for s in m.samples
-        ),
-        "counters": m.counters(),
-        "sim_time": result.sim_time,
-        "response_mean": result.response_time.mean,
-        "restart_mean": result.restart_ratio.mean,
-        "spans": result.spans,  # None unless the config enables tracing
-    }
-
-
-def assert_equivalent(cfg):
-    process = reference_run(cfg)
-    cohort = run_simulation(cfg.replace(client_executor="cohort"))
-    assert signature(process) == signature(cohort)
-    # slot coalescing only ever removes events: one per occupied slot
-    # where the reference pays one per waiting client
-    assert cohort.events <= process.events
-
-
-class TestOracleEquivalence:
-    """Cohort ≡ per-process, bit for bit, on seeded configurations."""
-
-    @pytest.mark.parametrize("seed", (1, 42, 1234))
-    def test_f_matrix(self, seed):
-        assert_equivalent(tiny_config(protocol="f-matrix", seed=seed))
-
-    @pytest.mark.parametrize("seed", (1, 42, 1234))
-    def test_datacycle(self, seed):
-        assert_equivalent(tiny_config(protocol="datacycle", seed=seed))
-
-    @pytest.mark.parametrize("seed", (1, 42, 1234))
-    def test_r_matrix(self, seed):
-        assert_equivalent(tiny_config(protocol="r-matrix", seed=seed))
-
-    def test_group_matrix(self):
-        assert_equivalent(
-            tiny_config(protocol="group-matrix", num_groups=8, seed=11)
-        )
-
-    def test_modulo_timestamps(self):
-        """Modulo arithmetic keeps batching: a bucket's column is anchored at
-        the snapshot cycle once and swept; the verdicts stay exact."""
-        assert_equivalent(
-            tiny_config(protocol="f-matrix", modulo_timestamps=True, seed=5)
-        )
-
-    def test_multi_disk_layout(self):
-        """Non-flat layouts use layout.next_read and the general lane."""
-        assert_equivalent(
-            tiny_config(
-                protocol="f-matrix",
-                layout_kind="multi-disk",
-                client_access_skew=0.6,
-                seed=13,
-            )
-        )
-
-    def test_delay_before_first_operation(self):
-        assert_equivalent(
-            tiny_config(
-                protocol="f-matrix",
-                delay_before_first_operation=True,
-                restart_delay=500.0,
-                seed=21,
-            )
-        )
-
-    def test_dense_population(self):
-        """Many clients per bucket: exercises the batched-validation tiers."""
-        assert_equivalent(
-            SimulationConfig(
-                protocol="f-matrix",
-                num_objects=16,
-                num_clients=48,
-                client_txn_length=8,
-                num_client_transactions=8,
-                mean_inter_operation_delay=4096.0,
-                server_txn_interval=500_000.0,
-                object_size_bits=1024,
-                seed=3,
-            )
-        )
-
-    @pytest.mark.parametrize(
-        "protocol", ("r-matrix", "datacycle", "group-matrix", "f-matrix-no")
-    )
-    def test_dense_population_other_protocols(self, protocol, monkeypatch):
-        """The dense population under every other protocol, at a server
-        rate where the sweep's column bound decides most members and
-        fails for others within the one run."""
-        decided = []
-        sweep = validators_module._validate_bucket
-
-        def spy(validators, obj, snapshot):
-            # absolute timestamps: the column is its own anchoring
-            top = validators[0]._slice(obj, snapshot).max()
-            decided.extend(v._min_cycle > top for v in validators if v.records)
-            return sweep(validators, obj, snapshot)
-
-        monkeypatch.setattr(validators_module, "_validate_bucket", spy)
-        assert_equivalent(
-            SimulationConfig(
-                protocol=protocol,
-                num_groups=4,
-                num_objects=16,
-                num_clients=48,
-                client_txn_length=8,
-                num_client_transactions=8,
-                mean_inter_operation_delay=4096.0,
-                server_txn_interval=100_000.0,
-                object_size_bits=1024,
-                seed=3,
-            )
-        )
-        assert True in decided and False in decided
-
-
-class TestFeatureInterplay:
-    """Cohort equivalence composed with the optional subsystems."""
-
-    def test_with_cache(self):
-        assert_equivalent(
-            tiny_config(
-                protocol="f-matrix",
-                cache_currency_bound=2e6,
-                cache_capacity=30,
-                seed=17,
-            )
-        )
-
-    def test_with_broadcast_loss(self):
-        assert_equivalent(
-            tiny_config(
-                protocol="f-matrix", broadcast_loss_probability=0.2, seed=19
-            )
-        )
-
-    def test_with_update_transactions(self):
-        """Update clients run per-process; populations compose exactly."""
-        assert_equivalent(
-            tiny_config(
-                protocol="f-matrix", client_update_fraction=0.3, seed=23
-            )
-        )
-
-    def test_everything_at_once(self):
-        assert_equivalent(
-            tiny_config(
-                protocol="f-matrix",
-                cache_currency_bound=2e6,
-                cache_capacity=30,
-                broadcast_loss_probability=0.1,
-                client_update_fraction=0.25,
-                restart_delay=1000.0,
-                seed=29,
-            )
-        )
-
-    def test_trace_collection_matches(self):
-        """With tracing on, the cohort records the same commits."""
-        cfg = tiny_config(protocol="f-matrix", seed=31)
-        a = reference_run(cfg, collect_trace=True)
-        b = run_simulation(cfg.replace(client_executor="cohort"), collect_trace=True)
-        reads_of = lambda trace: sorted(
-            (r.tid, tuple(r.reads)) for r in trace.client_commits
-        )
-        assert reads_of(a.trace) == reads_of(b.trace)
-
-
-#: feature combinations that used to run through different copies of the
-#: client step (the cache-hit chain, the general lane, the scalar
-#: staleness lane) and now share the kernel's one — the analytic tier's
-#: oracle matrix (test_shard.py) runs the fault-free ones too
-COLLAPSED_LANES = {
-    "cache+tracing+multi-disk": dict(
-        cache_currency_bound=2e6,
-        cache_capacity=30,
-        tracing=True,
-        layout_kind="multi-disk",
-        client_access_skew=0.6,
-        seed=37,
-    ),
-    "restart-delay+delay-first+loss": dict(
-        restart_delay=500.0,
-        delay_before_first_operation=True,
-        broadcast_loss_probability=0.1,
-        tracing=True,
-        seed=41,
-    ),
-    # shared buckets under caches and radio loss: hundreds of sweeps of a
-    # cached population, and members that missed a slot placed beside
-    # those that heard it
-    "dense+cache+loss": dict(
-        num_objects=16,
-        num_clients=48,
-        client_txn_length=8,
-        num_client_transactions=6,
-        mean_inter_operation_delay=4096.0,
-        server_txn_interval=200_000.0,
-        object_size_bits=1024,
-        cache_currency_bound=150_000.0,
-        cache_capacity=6,
-        broadcast_loss_probability=0.2,
-        seed=47,
-    ),
-}
+from tests.differential import CORPUS, check, run, signature
 
 
 class TestCollapsedLanes:
-    @pytest.mark.parametrize("lane", sorted(COLLAPSED_LANES))
-    def test_fault_free_lanes(self, lane):
-        assert_equivalent(tiny_config(protocol="f-matrix", **COLLAPSED_LANES[lane]))
-
     def test_staleness_lane_with_shared_buckets(self, monkeypatch):
         """Modulo timestamps + faults: each member's staleness guard runs
         first and the bucket's sweep decides the rest — several survivors
@@ -351,6 +112,18 @@ class TestCollapsedLanes:
 # ----------------------------------------------------------------------
 
 
+class TestFeatureInterplay:
+    def test_trace_collection_matches(self):
+        """With trace collection on, the cohort records the reference's
+        history: the same commits read for read, session order and log."""
+        check(
+            CORPUS["tiny/f-matrix/seed=1"].replace(seed=31),
+            client_executor="cohort",
+            shards=1,
+            timeline_mode="recompute",
+        )
+
+
 def snapshot_at(cycle, num_objects=12, commits=()):
     cm = ControlMatrix(num_objects)
     for at_cycle, reads, writes in commits:
@@ -421,6 +194,29 @@ def grow_wrapping_history(pairs, rng, arithmetic, cycles, num_objects=12):
 
 
 class TestBatchValidation:
+    @pytest.mark.parametrize(
+        "protocol", ("r-matrix", "datacycle", "group-matrix", "f-matrix-no")
+    )
+    def test_dense_population_other_protocols(self, protocol, monkeypatch):
+        """The dense corpus rows under every other protocol, at a server
+        rate where the sweep's column bound decides most members and
+        fails for others within the one run (the harness holds the run
+        to the reference)."""
+        decided = []
+        sweep = validators_module._validate_bucket
+
+        def spy(validators, obj, snapshot):
+            # absolute timestamps: the column is its own anchoring
+            top = validators[0]._slice(obj, snapshot).max()
+            decided.extend(v._min_cycle > top for v in validators if v.records)
+            return sweep(validators, obj, snapshot)
+
+        monkeypatch.setattr(validators_module, "_validate_bucket", spy)
+        config = CORPUS[f"dense/{protocol}"]
+        assert config.client_executor == "cohort"
+        run(config)
+        assert True in decided and False in decided
+
     @pytest.mark.parametrize("n_clients", (1, 2, 3, 7, 8, 12, 40, 600))
     def test_matches_sequential_validate_read(self, n_clients):
         """One batched call ≡ validate_read per member, verdicts and R_t —
@@ -703,7 +499,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("protocol", ("f-matrix", "group-matrix"))
     def test_make_validator_round_trip(self, protocol):
-        cfg = tiny_config(protocol=protocol, num_groups=4)
+        cfg = SimulationConfig(protocol=protocol, num_groups=4)
         v = make_validator(
             cfg.protocol, arithmetic=cfg.arithmetic(), partition=cfg.partition()
         )

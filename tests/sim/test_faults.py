@@ -2,9 +2,11 @@
 
 Covers the plan's validation rules, the zero-fault bit-identity
 guarantee, the doze/staleness guard under modulo timestamps, mid-run
-server crash + recovery, uplink loss with retry/backoff, and the cohort
-executor's and the analytical tier's bit-identical handling of faulty
-plans.
+server crash + recovery, and uplink loss with retry/backoff.  That
+every executor, shard split and timeline mode handles a faulty plan
+bit-identically is the differential harness's (tests/differential.py:
+the ``faults/*`` corpus rows and generated documents with a fault
+section); the equivalence classes here narrow it to one executor.
 """
 
 import pytest
@@ -25,37 +27,13 @@ from repro.sim import (
 from repro.sim.timeline import LiveTimeline
 
 from tests.conftest import reference_run
-
-FAULTY = dict(
-    protocol="f-matrix",
-    num_objects=40,
-    object_size_bits=1024,
-    timestamp_bits=4,
-    modulo_timestamps=True,
-    num_clients=3,
-    num_client_transactions=10,
-    client_txn_length=4,
-    seed=7,
-)
+from tests.differential import CORPUS, FAULTY, check, signature
 
 
 def faulty_config(**overrides):
     params = dict(FAULTY)
     params.update(overrides)
     return SimulationConfig(**params)
-
-
-def signature(result):
-    """Everything observable about a run (commit order normalised)."""
-    m = result.metrics
-    return {
-        "commits": sorted(
-            (s.tid, s.submit_time, s.commit_time, s.restarts) for s in m.samples
-        ),
-        "sim_time": result.sim_time,
-        "listening_bits": m.listening_bits,
-        "reads": (m.reads_delivered, m.reads_rejected),
-    }
 
 
 class TestDozeIntervalValidation:
@@ -161,8 +139,8 @@ class TestConfigIntegration:
             faulty_config(num_clients=3, faults=plan)
 
     def test_cohort_executor_accepts_faulty_plan(self):
-        # PR 3 refused faults in the batched path; lifted since —
-        # TestCohortFaultEquivalence holds the executor to bit-identity
+        # the batched path once refused faults; the differential
+        # harness holds the executor to bit-identity under them
         plan = FaultPlan(uplink_loss_probability=0.1)
         config = faulty_config(client_executor="cohort", faults=plan)
         assert config.faults is plan
@@ -173,7 +151,7 @@ class TestConfigIntegration:
 
     def test_analytic_tier_runs_faulty_plan(self):
         # an executor picks when clients run, never which plans they may;
-        # TestAnalyticFaultEquivalence holds the tier to bit-identity
+        # the differential harness holds the tier to bit-identity
         plan = FaultPlan(uplink_loss_probability=0.1)
         config = faulty_config(
             client_executor="analytic", client_update_fraction=0.5, faults=plan
@@ -392,184 +370,74 @@ class TestFaultRuntime:
         assert draws_c == draws_a
 
 
-def _fault_signature(result):
-    """Executor-independent observables (event counts excluded: the
-    cohort executor legitimately coalesces kernel events)."""
-    m = result.metrics
-    return {
-        "commits": sorted(
-            (s.tid, s.submit_time, s.commit_time, s.restarts) for s in m.samples
-        ),
-        "sim_time": result.sim_time,
-        "counters": {
-            name: getattr(m, name) for name in MetricsCollector._COUNTER_FIELDS
-        },
-    }
+#: the fault plans of the differential corpus (``faults/<plan>/seed=7|21``)
+PLANS = [
+    "doze-wrap",
+    "doze-multi-client",
+    "crash-recovery",
+    "uplink-loss",
+    "uplink-exhausted",
+    "combined",
+    "unbounded-timestamps",
+]
 
 
 class TestCohortFaultEquivalence:
     """Faults run *inside* the batched path, bit-identically.
 
-    Every scenario runs once per executor; the full observable signature
-    (commit multiset, fault-attributed counters, stop time) must match
-    the per-process oracle exactly.  Crash times follow the x.5-cycle
-    convention so outage boundaries never collide with slot events.
+    Every plan is held to the per-process reference by the differential
+    harness, narrowed to this class's executor: the full observable
+    signature (commit multiset, fault-attributed counters, stop time)
+    and, untraced and traced, the reference's history.
     """
 
     #: the executor held to the oracle (subclasses name another)
     executor = "cohort"
 
-    def _scenarios(self):
-        cb = faulty_config().cycle_bits
-        window = 2 ** FAULTY["timestamp_bits"]
-        return {
-            "doze-wrap": dict(
-                num_clients=2,
-                num_client_transactions=20,
-                faults=FaultPlan(
-                    doze=tuple(
-                        DozeInterval(0, start * cb, (window + 1) * cb)
-                        for start in (8, 30, 52, 74)
-                    )
-                ),
-            ),
-            "doze-multi-client": dict(
-                faults=FaultPlan(
-                    doze=(
-                        DozeInterval(0, 3 * cb, 2 * cb),
-                        DozeInterval(2, 9 * cb, 4 * cb),
-                    )
-                ),
-            ),
-            "crash-recovery": dict(
-                num_client_transactions=8,
-                faults=FaultPlan(crashes=(ServerCrash(10.5 * cb, 2.5 * cb),)),
-            ),
-            "uplink-loss": dict(
-                num_client_transactions=15,
-                client_update_fraction=0.5,
-                faults=FaultPlan(uplink_loss_probability=0.4),
-            ),
-            "uplink-exhausted": dict(
-                num_client_transactions=15,
-                client_update_fraction=0.5,
-                faults=FaultPlan(
-                    uplink_loss_probability=0.8, uplink_max_retries=0
-                ),
-            ),
-            "combined": dict(
-                num_client_transactions=12,
-                client_update_fraction=0.3,
-                faults=FaultPlan(
-                    doze=(DozeInterval(1, 5 * cb, 3 * cb),),
-                    crashes=(ServerCrash(14.5 * cb, 2.5 * cb),),
-                    uplink_loss_probability=0.3,
-                ),
-            ),
-            "unbounded-timestamps": dict(
-                modulo_timestamps=False,
-                num_client_transactions=12,
-                client_update_fraction=0.3,
-                faults=FaultPlan(uplink_loss_probability=0.3),
-            ),
-        }
-
-    @pytest.mark.parametrize(
-        "scenario",
-        [
-            "doze-wrap",
-            "doze-multi-client",
-            "crash-recovery",
-            "uplink-loss",
-            "uplink-exhausted",
-            "combined",
-            "unbounded-timestamps",
-        ],
-    )
+    @pytest.mark.parametrize("scenario", PLANS)
     @pytest.mark.parametrize("seed", [7, 21])
     def test_cohort_matches_process_oracle(self, scenario, seed):
-        params = self._scenarios()[scenario]
-        oracle = reference_run(faulty_config(seed=seed, **params))
-        batched = run_simulation(
-            faulty_config(seed=seed, client_executor=self.executor, **params)
+        check(
+            CORPUS[f"faults/{scenario}/seed={seed}"],
+            client_executor=self.executor,
+            shards=1,
+            timeline_mode="recompute",
         )
-        assert _fault_signature(batched) == _fault_signature(oracle)
 
     def test_sharded_cohort_matches_oracle_under_faults(self):
-        cb = faulty_config().cycle_bits
-        params = dict(
-            num_clients=6,
-            num_client_transactions=8,
-            client_update_fraction=0.4,
-            num_update_clients=2,
-            faults=FaultPlan(
-                doze=(
-                    DozeInterval(1, 5 * cb, 3 * cb),
-                    DozeInterval(4, 9 * cb, 2 * cb),
-                ),
-                crashes=(ServerCrash(14.5 * cb, 2.5 * cb),),
-                uplink_loss_probability=0.3,
-            ),
+        check(
+            CORPUS["faults/two-dozers+crash+uplink/bounded"],
+            client_executor=self.executor,
+            shards=3,
+            timeline_mode="recompute",
         )
-        from repro.sim.shard import run_sharded
 
-        oracle = reference_run(faulty_config(**params))
-        sharded = run_sharded(
-            faulty_config(client_executor=self.executor, shards=3, **params),
-            workers=0,
-        )
-        assert _fault_signature(sharded) == _fault_signature(oracle)
-
-    @pytest.mark.parametrize(
-        "scenario",
-        [
-            "doze-wrap",
-            "doze-multi-client",
-            "crash-recovery",
-            "uplink-loss",
-            "uplink-exhausted",
-            "combined",
-            "unbounded-timestamps",
-        ],
-    )
+    @pytest.mark.parametrize("scenario", PLANS)
     @pytest.mark.parametrize("shards", [2, 3])
     def test_replay_sharded_matches_oracle_under_faults(self, scenario, shards):
-        """Timeline replay under every fault scenario, bit for bit.
+        """Timeline replay under every fault plan, bit for bit.
 
         Faulty timelines are never cacheable, and shards whose readers
         outlive the recorded horizon (dozers catching up) must fall back
         to live recomputation without disturbing a single observable.
         """
-        from repro.sim.shard import run_sharded
-
-        params = dict(self._scenarios()[scenario])
-        params.update(num_clients=6, num_update_clients=2)
-        oracle = reference_run(faulty_config(**params))
-        replayed = run_sharded(
-            faulty_config(
-                client_executor=self.executor,
-                shards=shards,
-                timeline_mode="replay",
-                **params,
-            ),
-            workers=0,
+        cfg = CORPUS[f"faults/{scenario}/seed=7"].replace(
+            num_clients=6, num_update_clients=2
         )
-        assert _fault_signature(replayed) == _fault_signature(oracle)
-        assert replayed.timeline_stats["cache_hit"] is False
+        runs = check(
+            cfg, client_executor=self.executor, shards=shards, timeline_mode="replay"
+        )
+        for _, replayed in runs:
+            assert replayed.timeline_stats["cache_hit"] is False
 
 
 class TestAnalyticFaultEquivalence(TestCohortFaultEquivalence):
     """The same three oracle tests under the analytical tier, its
-    readers three to a wave so every run spans several waves: a dozing
-    or crash-stalled reader still changes nothing but itself."""
+    readers three to a wave (the harness's ``WAVE``) so every run spans
+    several waves: a dozing or crash-stalled reader still changes
+    nothing but itself."""
 
     executor = "analytic"
-
-    @pytest.fixture(autouse=True)
-    def waves_of_three(self, monkeypatch):
-        import repro.sim.analytic as analytic_mod
-
-        monkeypatch.setattr(analytic_mod, "WAVE", 3)
 
 
 def linear_doze_wake(plan, client, now):
@@ -737,7 +605,6 @@ class TestWrapAtTableOneSize:
             cohort = run_simulation(config)
             process = reference_run(config)
             assert signature(cohort) == signature(process), protocol
-            assert cohort.metrics.counters() == process.metrics.counters(), protocol
             m = cohort.metrics
             assert m.cache_hits > 0 and m.doze_slots_missed > 0, protocol
             assert cohort.trace.cycles[-1].cycle > 3 * 256, protocol

@@ -8,14 +8,17 @@ Three contracts, in increasing order of subtlety:
   preceding the obs subsystem.
 
 * **Enabled tracing is deterministic and non-perturbing.**  A traced
-  run's metrics equal the untraced run's exactly, and the canonical
-  span stream is identical across executors, shard counts, and both
-  timeline modes — the same bit-identity contract the metrics already
-  honour, extended to spans.
+  run's metrics equal the untraced run's exactly, and its spans
+  serialise identically across executors.  That the canonical span
+  stream is the same under every executor, shard count and timeline
+  mode is the differential harness's (tests/differential.py): every
+  corpus row and generated document runs traced and untraced; the
+  span-stream tests here narrow it to the ``obs/*`` rows.
 
 * **Spans reconcile with counters.**  Span counts are not decorative:
-  txn spans == commits, per-cause attempt aborts == abort counters,
-  cycle spans == cycles_broadcast, all on a faulted sharded replay run.
+  the harness's ``reconcile`` holds txn spans == commits, per-cause
+  attempt aborts == abort counters, cycle spans == cycles_broadcast,
+  crash spans == server_crashes on every traced run.
 """
 
 import json
@@ -34,61 +37,19 @@ from repro.obs import (
     spans_to_jsonl,
     telemetry_from_result,
 )
-from repro.sim import (
-    DozeInterval,
-    FaultPlan,
-    MetricsCollector,
-    ServerCrash,
-    SimulationConfig,
-    run_simulation,
-)
+from repro.sim import MetricsCollector, SimulationConfig
 from repro.obs.tracer import DEFAULT_CAPACITY
-from repro.sim.shard import run_sharded
 
-from tests.conftest import reference_run
+from tests.differential import CORPUS, check, run
 
-BASE = dict(
-    protocol="f-matrix",
-    num_objects=40,
-    object_size_bits=1024,
-    timestamp_bits=4,
-    modulo_timestamps=True,
-    num_clients=6,
-    num_update_clients=2,
-    client_update_fraction=0.3,
-    num_client_transactions=8,
-    client_txn_length=4,
-    seed=7,
-)
-
-
-def fault_plan(cb):
-    return FaultPlan(
-        doze=(DozeInterval(1, 5 * cb, 3 * cb),),
-        crashes=(ServerCrash(14.5 * cb, 2.5 * cb),),
-        uplink_loss_probability=0.3,
-    )
-
-
-def make_config(**overrides):
-    params = dict(BASE)
-    params.update(overrides)
-    if "faults" not in params:
-        cb = SimulationConfig(**BASE).cycle_bits
-        params["faults"] = fault_plan(cb)
-    return SimulationConfig(**params)
-
-
-def run_config(config, workers=0):
-    if config.shards > 1:
-        return run_sharded(config, workers=workers)
-    if config.client_executor == "process":
-        return reference_run(config)
-    return run_simulation(config)
+#: two updaters, a dozer, a crash and a lossy uplink under 4-bit modulo
+#: timestamps: the run the pins and the traced-run tests below use
+FAULTED = CORPUS["obs/faulted"]
 
 
 def signature_digest(result):
-    """sha256 over the full observable signature (see test_faults)."""
+    """sha256 over the observables the pins were taken of: commits, stop
+    time, listening bits and read tallies."""
     import hashlib
 
     m = result.metrics
@@ -105,19 +66,6 @@ def signature_digest(result):
         )
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def metrics_signature(result):
-    m = result.metrics
-    return {
-        "commits": sorted(
-            (s.tid, s.submit_time, s.commit_time, s.restarts) for s in m.samples
-        ),
-        "sim_time": result.sim_time,
-        "counters": {
-            name: getattr(m, name) for name in MetricsCollector._COUNTER_FIELDS
-        },
-    }
 
 
 #: digests of untraced runs — tracing off must stay bit-identical, and
@@ -197,7 +145,7 @@ class TestRegistryUnit:
         ) in render_telemetry(document)
 
     def test_registry_from_result_subsumes_metrics(self):
-        result = run_config(make_config(tracing=True))
+        result = run(FAULTED.replace(tracing=True))
         payload = telemetry_from_result(result)
         m = result.metrics
         assert payload["counters"]["commits"] == m.commit_count
@@ -214,11 +162,11 @@ class TestRegistryUnit:
 class TestUntracedBitIdentity:
     @pytest.mark.parametrize("executor,shards,mode", sorted(PINNED))
     def test_untraced_signature_pinned(self, executor, shards, mode):
-        config = make_config(
+        config = FAULTED.replace(
             client_executor=executor, shards=shards, timeline_mode=mode
         )
         assert config.tracing is False  # the default stays off
-        result = run_config(config)
+        result = run(config)
         assert signature_digest(result) == PINNED[(executor, shards, mode)]
         assert result.spans is None and result.spans_dropped == 0
 
@@ -226,69 +174,57 @@ class TestUntracedBitIdentity:
 class TestTracedDeterminism:
     def test_traced_metrics_equal_untraced(self):
         for executor, shards, mode in sorted(PINNED):
-            config = make_config(
+            config = FAULTED.replace(
                 client_executor=executor,
                 shards=shards,
                 timeline_mode=mode,
                 tracing=True,
             )
-            result = run_config(config)
+            result = run(config)
             assert signature_digest(result) == PINNED[(executor, shards, mode)]
 
     @pytest.mark.parametrize("mode", ["recompute", "replay"])
     def test_span_stream_identical_across_shards(self, mode):
-        reference = None
-        for shards in (1, 2, 3):
-            if shards == 1 and mode == "replay":
-                continue  # replay requires a shard split
-            config = make_config(
-                client_executor="cohort",
-                shards=shards,
-                timeline_mode=mode,
-                tracing=True,
-            )
-            result = run_config(config)
-            assert result.spans, f"no spans at shards={shards} mode={mode}"
-            if reference is None:
-                reference = result.spans
-            else:
-                assert result.spans == reference, (
-                    f"span stream diverged at shards={shards} mode={mode}"
-                )
+        runs = check(
+            FAULTED,
+            client_executor="cohort",
+            shards=(1, 2, 3),
+            timeline_mode=mode,
+            tracing=True,
+        )
+        for setting, result in runs:
+            assert result.spans, f"no spans at shards={setting.shards} mode={mode}"
 
     def test_span_stream_identical_across_executors_fault_free(self):
         """process vs cohort vs analytic, fault-free: one span stream."""
-        streams = {}
-        for executor in ("process", "cohort", "analytic"):
-            config = make_config(
-                client_executor=executor, faults=None, tracing=True
-            )
-            streams[executor] = run_config(config).spans
-        assert streams["process"]
-        assert streams["cohort"] == streams["process"]
-        assert streams["analytic"] == streams["process"]
+        check(
+            CORPUS["obs/fault-free"],
+            shards=1,
+            timeline_mode="recompute",
+            tracing=True,
+        )
 
-    def test_span_stream_identical_across_executors_under_faults(
-        self, monkeypatch
-    ):
+    def test_span_stream_identical_across_executors_under_faults(self):
         """process vs cohort vs analytic under one faulted plan (an
         updater and a reader doze, a crash, a lossy uplink), the
-        analytical tier's readers two to a wave: one span stream."""
-        import repro.sim.analytic as analytic_mod
-
-        monkeypatch.setattr(analytic_mod, "WAVE", 2)
-        cb = SimulationConfig(**BASE).cycle_bits
-        plan = FaultPlan(
-            doze=(DozeInterval(1, 5 * cb, 3 * cb), DozeInterval(4, 5 * cb, 3 * cb)),
-            crashes=(ServerCrash(14.5 * cb, 2.5 * cb),),
-            uplink_loss_probability=0.3,
+        analytical tier's readers three to a wave: one span stream."""
+        runs = check(
+            CORPUS["obs/two-dozers"],
+            shards=1,
+            timeline_mode="recompute",
+            tracing=True,
         )
-        config = make_config(faults=plan, tracing=True)
-        process = reference_run(config)
-        assert process.spans and process.metrics.doze_slots_missed
-        for executor in ("cohort", "analytic"):
-            result = run_config(config.replace(client_executor=executor))
-            assert result.spans == process.spans, executor
+        for _, result in runs:
+            assert result.spans and result.metrics.doze_slots_missed
+
+    def test_traced_process_vs_cohort_under_faults(self):
+        check(
+            FAULTED,
+            client_executor="cohort",
+            shards=1,
+            timeline_mode="recompute",
+            tracing=True,
+        )
 
     def test_jsonl_export_byte_identical_across_executors(self):
         """Equal spans must also serialise equally: the process executor
@@ -307,32 +243,24 @@ class TestTracedDeterminism:
         )
         exports = {
             executor: spans_to_jsonl(
-                run_config(config.replace(client_executor=executor)).spans
+                run(config.replace(client_executor=executor)).spans
             )
             for executor in ("process", "cohort", "analytic")
         }
         assert exports["cohort"] == exports["process"]
         assert exports["analytic"] == exports["process"]
 
-    def test_traced_process_vs_cohort_under_faults(self):
-        process = reference_run(make_config(tracing=True))
-        cohort = run_config(
-            make_config(client_executor="cohort", tracing=True)
-        )
-        assert metrics_signature(process) == metrics_signature(cohort)
-        assert process.spans == cohort.spans
-
     def test_traced_runs_never_populate_or_hit_the_timeline_cache(self):
         from repro.sim.arena import timeline_cacheable
 
-        fault_free = make_config(
+        fault_free = FAULTED.replace(
             faults=None,
             client_update_fraction=0.0,
             num_update_clients=None,
             tracing=True,
         )
         assert not timeline_cacheable(fault_free)
-        untraced = make_config(
+        untraced = FAULTED.replace(
             faults=None, client_update_fraction=0.0, num_update_clients=None
         )
         assert timeline_cacheable(untraced)
@@ -341,50 +269,11 @@ class TestTracedDeterminism:
 class TestReconciliation:
     @pytest.fixture(scope="class")
     def traced_replay(self):
-        config = make_config(
-            client_executor="cohort",
-            shards=2,
-            timeline_mode="replay",
-            tracing=True,
+        return run(
+            FAULTED.replace(
+                client_executor="cohort", shards=2, timeline_mode="replay", tracing=True
+            )
         )
-        return run_config(config)
-
-    def test_span_counts_reconcile_with_metrics(self, traced_replay):
-        result = traced_replay
-        m = result.metrics
-        spans = result.spans
-        assert result.spans_dropped == 0
-        txns = [s for s in spans if s.track == "client" and s.name == "txn"]
-        assert len(txns) == m.commit_count
-        attempts = [
-            s for s in spans if s.track == "client" and s.name == "attempt"
-        ]
-        ok = [s for s in attempts if s.status == "ok"]
-        assert len(ok) == m.commit_count
-        by_cause = {}
-        for s in attempts:
-            if s.status != "ok":
-                by_cause[s.status] = by_cause.get(s.status, 0) + 1
-        for cause in ("conflict", "staleness", "crash", "uplink"):
-            assert by_cause.get(cause, 0) == getattr(m, f"aborts_{cause}"), cause
-        cycles = [
-            s for s in spans if s.track == "timeline" and s.name == "cycle"
-        ]
-        assert len(cycles) == m.cycles_broadcast
-        commits = [
-            s
-            for s in spans
-            if s.track == "timeline"
-            and s.name == "server.commit"
-            and s.status == "ok"
-        ]
-        assert len(commits) == m.server_commits
-        crashes = [
-            s for s in spans if s.track == "timeline" and s.name == "crash"
-        ]
-        assert len(crashes) == m.server_crashes
-        retries = [s for s in spans if s.name == "uplink.retry"]
-        assert len(retries) == m.uplink_retries
 
     def test_chrome_trace_document_shape(self, traced_replay):
         result = traced_replay

@@ -1,12 +1,14 @@
-"""Sharded execution and analytical-tier tests (repro.sim.shard/analytic).
+"""Shard-layer and analytical-tier tests (repro.sim.shard/analytic).
 
-The unsharded run is the semantics oracle: for every configuration,
-partitioning the read-only population over shards — or fast-forwarding
-it through the analytical tier — must change **nothing observable**:
-same commit multiset, same counters, same listening bits, same final
-clock.  A hypothesis property drives the equivalence across seeds,
-shard counts, protocols, and mixed read/update workloads; deterministic
-tests pin the slicing arithmetic and the failure modes.
+That a sharded, replayed or analytic run changes nothing observable is
+the differential harness's (tests/differential.py: every corpus row and
+generated document runs under one and two shards, both timeline modes
+and every executor).  Here: what the harness runs in-process cannot
+show — real process pools, the timeline cache, the feed and its
+fallbacks, worker failures and leaked segments, the slicing arithmetic,
+the validation rules, and the analytical tier's waves.  The named
+equivalence tests below are the harness's ``check`` narrowed to a
+shard count, a timeline mode or the analytical tier.
 """
 
 import json
@@ -22,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     TIMELINE_CACHE,
-    MetricsCollector,
     ShardExecutionError,
     SimulationConfig,
     reader_slices,
@@ -32,48 +33,22 @@ from repro.sim import (
 from repro.sim.simulation import BroadcastSimulation, ShardSlice
 
 from tests.conftest import no_calendar, reference_run, shared_segments as _shared_segments
+from tests.differential import CORPUS, SMALL, check, signature
 
-from .test_cohort import COLLAPSED_LANES
-
-SMALL = dict(
-    num_objects=24,
-    num_clients=8,
-    num_client_transactions=4,
-    client_txn_length=3,
-    server_txn_length=5,
-    object_size_bits=512,
-    mean_inter_operation_delay=6000.0,
-    mean_inter_transaction_delay=10000.0,
-    server_txn_interval=40000.0,
-)
-
-
-def small_config(**overrides):
-    params = dict(SMALL)
-    params.update(overrides)
-    return SimulationConfig(**params)
-
-
-def signature(result):
-    """Everything observable about a run, commit order normalised."""
-    m = result.metrics
-    return {
-        "commits": sorted(
-            (s.tid, s.submit_time, s.commit_time, s.restarts) for s in m.samples
-        ),
-        "counters": {
-            name: getattr(m, name) for name in MetricsCollector._COUNTER_FIELDS
-        },
-        "sim_time": result.sim_time,
-        "response_mean": result.response_time.mean,
-        "restart_mean": result.restart_ratio.mean,
-        "spans": result.spans,  # None unless the config enables tracing
-    }
+#: the shard layer's base run (the harness's ``small/*`` corpus rows)
+BASE = SimulationConfig(**SMALL)
 
 
 # ----------------------------------------------------------------------
 # the property: sharded ≡ shards=1, bit for bit
 # ----------------------------------------------------------------------
+
+
+def small_workload(seed, protocol, mixed):
+    """The shard layer's base run; ``mixed`` adds a bounded update
+    population (replicated on every shard)."""
+    workload = dict(client_update_fraction=0.3, num_update_clients=3) if mixed else {}
+    return BASE.replace(seed=seed, protocol=protocol, **workload)
 
 
 @settings(max_examples=12, deadline=None)
@@ -85,40 +60,12 @@ def signature(result):
     mixed=st.booleans(),
 )
 def test_sharded_equals_unsharded(seed, shards, protocol, executor, mixed):
-    workload = (
-        dict(client_update_fraction=0.3, num_update_clients=3) if mixed else {}
+    check(
+        small_workload(seed, protocol, mixed),
+        client_executor=executor,
+        shards=shards,
+        timeline_mode="recompute",
     )
-    base = small_config(seed=seed, protocol=protocol, **workload)
-    oracle = signature(reference_run(base))
-    sharded = signature(
-        run_sharded(
-            base.replace(client_executor=executor, shards=shards), workers=0
-        )
-    )
-    assert sharded == oracle
-
-
-def test_sharded_with_real_process_pool():
-    base = small_config(seed=5, protocol="f-matrix")
-    oracle = signature(reference_run(base))
-    pooled = signature(
-        run_sharded(
-            base.replace(client_executor="cohort", shards=3), workers=2
-        )
-    )
-    assert pooled == oracle
-
-
-def test_run_simulation_dispatches_on_shards():
-    base = small_config(seed=9, client_executor="cohort", shards=2)
-    assert signature(run_simulation(base)) == signature(
-        reference_run(base.replace(shards=1))
-    )
-
-
-# ----------------------------------------------------------------------
-# timeline replay: record once, replay everywhere, bit for bit
-# ----------------------------------------------------------------------
 
 
 @settings(max_examples=12, deadline=None)
@@ -130,29 +77,52 @@ def test_run_simulation_dispatches_on_shards():
     mixed=st.booleans(),
 )
 def test_replay_sharded_equals_unsharded(seed, shards, protocol, executor, mixed):
-    """The tentpole gate: arena replay is invisible to every observable.
+    """Arena replay is invisible to every observable.
 
     Cache interference across examples is intentional — a cacheable
     example may hit an arena stored by an earlier one, and bit-identity
     must hold either way.
     """
-    workload = (
-        dict(client_update_fraction=0.3, num_update_clients=3) if mixed else {}
+    runs = check(
+        small_workload(seed, protocol, mixed),
+        client_executor=executor,
+        shards=shards,
+        timeline_mode="replay",
     )
-    base = small_config(seed=seed, protocol=protocol, **workload)
+    for _, replayed in runs:
+        assert replayed.timeline_stats["mode"] == "replay"
+
+
+def test_run_simulation_dispatches_on_shards():
+    base = BASE.replace(seed=9, client_executor="cohort", shards=2)
+    assert signature(run_simulation(base)) == signature(
+        reference_run(base.replace(shards=1))
+    )
+
+
+# ----------------------------------------------------------------------
+# a real process pool (the harness runs every shard in-process)
+# ----------------------------------------------------------------------
+
+
+def test_sharded_with_real_process_pool():
+    base = BASE.replace(seed=5, protocol="f-matrix")
     oracle = signature(reference_run(base))
-    replayed = run_sharded(
-        base.replace(
-            client_executor=executor, shards=shards, timeline_mode="replay"
-        ),
-        workers=0,
+    pooled = signature(
+        run_sharded(
+            base.replace(client_executor="cohort", shards=3), workers=2
+        )
     )
-    assert signature(replayed) == oracle
-    assert replayed.timeline_stats["mode"] == "replay"
+    assert pooled == oracle
+
+
+# ----------------------------------------------------------------------
+# timeline replay: record once, replay everywhere, through the cache
+# ----------------------------------------------------------------------
 
 
 def test_replay_with_real_process_pool():
-    base = small_config(seed=5, protocol="f-matrix")
+    base = BASE.replace(seed=5, protocol="f-matrix")
     oracle = signature(reference_run(base))
     pooled = run_sharded(
         base.replace(client_executor="cohort", shards=3, timeline_mode="replay"),
@@ -164,7 +134,7 @@ def test_replay_with_real_process_pool():
 
 def test_replay_cache_hit_reuses_the_timeline_across_runs():
     TIMELINE_CACHE.clear()
-    base = small_config(
+    base = BASE.replace(
         seed=11, client_executor="cohort", shards=2, timeline_mode="replay"
     )
     first = run_sharded(base, workers=0)
@@ -175,20 +145,20 @@ def test_replay_cache_hit_reuses_the_timeline_across_runs():
     hit = run_sharded(varied, workers=0)
     assert hit.timeline_stats["cache_hit"] is True
     assert hit.server is None  # no live broadcast pass ran at all
-    oracle = signature(reference_run(small_config(seed=11, num_clients=12)))
+    oracle = signature(reference_run(BASE.replace(seed=11, num_clients=12)))
     assert signature(hit) == oracle
     assert TIMELINE_CACHE.stats.hits >= 1
 
 
 def test_replay_cache_discards_on_horizon_overrun():
     TIMELINE_CACHE.clear()
-    base = small_config(
+    base = BASE.replace(
         seed=29, client_executor="cohort", shards=2, timeline_mode="replay"
     )
     run_sharded(base, workers=0)  # seeds the cache with a short horizon
     longer = base.replace(num_client_transactions=12)
     oracle = signature(
-        reference_run(small_config(seed=29, num_client_transactions=12))
+        reference_run(BASE.replace(seed=29, num_client_transactions=12))
     )
     rerecorded = run_sharded(longer, workers=0)
     assert signature(rerecorded) == oracle
@@ -203,7 +173,7 @@ def test_an_outgrown_cache_entry_is_rerecorded_with_the_pool_running():
     parent's own replay outgrows the cached horizon, the queued shards are
     cancelled, the first pass's segment is unlinked, the run records."""
     TIMELINE_CACHE.clear()
-    base = small_config(
+    base = BASE.replace(
         seed=29, client_executor="cohort", shards=3, timeline_mode="replay"
     )
     run_sharded(base, workers=1)
@@ -212,7 +182,7 @@ def test_an_outgrown_cache_entry_is_rerecorded_with_the_pool_running():
     rerecorded = run_sharded(longer, workers=1)
     assert _shared_segments() == before
     assert signature(rerecorded) == signature(
-        reference_run(small_config(seed=29, num_client_transactions=12))
+        reference_run(BASE.replace(seed=29, num_client_transactions=12))
     )
     assert rerecorded.timeline_stats["cache_hit"] is False
     assert TIMELINE_CACHE.stats.horizon_discards == 1
@@ -220,7 +190,7 @@ def test_an_outgrown_cache_entry_is_rerecorded_with_the_pool_running():
 
 def test_replay_with_updaters_is_never_cached():
     TIMELINE_CACHE.clear()
-    base = small_config(
+    base = BASE.replace(
         seed=3, client_update_fraction=0.3, num_update_clients=3
     )
     oracle = signature(reference_run(base))
@@ -246,7 +216,7 @@ def test_a_late_job_catches_up_from_the_first_chunk(workers):
     feed is long closed (inline, ``workers=0``: every job does — nothing
     may block) and still reads every chunk, from the first."""
     TIMELINE_CACHE.clear()
-    base = small_config(seed=5)
+    base = BASE.replace(seed=5)
     replayed = run_sharded(
         base.replace(client_executor="analytic", shards=3, timeline_mode="replay"),
         workers=workers,
@@ -270,7 +240,7 @@ def test_readers_that_outlive_the_feed_fall_back(monkeypatch, seed, executor, wo
     monkeypatch.setattr(simulation_mod, "_HORIZON_FACTOR", 1.0)
     monkeypatch.setattr(simulation_mod, "_HORIZON_SLACK_CYCLES", 0.0)
     TIMELINE_CACHE.clear()
-    base = small_config(seed=seed)
+    base = BASE.replace(seed=seed)
     replayed = run_sharded(
         base.replace(client_executor=executor, shards=2, timeline_mode="replay"),
         workers=workers,
@@ -303,9 +273,11 @@ def _run_isolated(script):
 
 
 _POOLED_COLD_REPLAY = """
-from tests.sim.test_shard import small_config
-from repro.sim import run_sharded
-config = small_config(client_executor="analytic", shards=2, timeline_mode="replay")
+from tests.differential import SMALL
+from repro.sim import SimulationConfig, run_sharded
+config = SimulationConfig(
+    **SMALL, client_executor="analytic", shards=2, timeline_mode="replay"
+)
 """
 
 
@@ -421,7 +393,7 @@ def _assert_failure_is_contained(monkeypatch, mode, workers, entry, cause):
 
     monkeypatch.setattr(shard_mod, "_run_shard", entry)
     TIMELINE_CACHE.clear()
-    config = small_config(client_executor="cohort", shards=2, timeline_mode=mode)
+    config = BASE.replace(client_executor="cohort", shards=2, timeline_mode=mode)
     slices = reader_slices(config)
     before = _shared_segments()
     with pytest.raises(ShardExecutionError) as excinfo:
@@ -469,7 +441,7 @@ def test_a_failed_worker_is_named_and_leaves_no_segment(
 
 class TestReaderSlices:
     def test_partitions_are_contiguous_and_cover(self):
-        config = small_config(num_clients=11, client_executor="cohort", shards=3)
+        config = BASE.replace(num_clients=11, client_executor="cohort", shards=3)
         slices = reader_slices(config)
         assert [s.primary for s in slices] == [True, False, False]
         assert slices[0].reader_lo == 0
@@ -482,7 +454,7 @@ class TestReaderSlices:
         assert sizes == sorted(sizes, reverse=True)
 
     def test_updaters_replicated_on_every_slice(self):
-        config = small_config(
+        config = BASE.replace(
             num_clients=10,
             client_executor="cohort",
             shards=2,
@@ -495,12 +467,12 @@ class TestReaderSlices:
         assert slices[-1].reader_hi == 10
 
     def test_shards_clamped_to_reader_count(self):
-        config = small_config(num_clients=3, client_executor="cohort", shards=8)
+        config = BASE.replace(num_clients=3, client_executor="cohort", shards=8)
         slices = reader_slices(config)
         assert len(slices) == 3
 
     def test_single_slice_when_no_readers(self):
-        config = small_config(
+        config = BASE.replace(
             num_clients=4,
             client_executor="cohort",
             shards=4,
@@ -519,32 +491,32 @@ class TestReaderSlices:
 class TestShardValidation:
     def test_process_executor_cannot_shard(self):
         with pytest.raises(ValueError, match="leave client_executor at its default"):
-            small_config(client_executor="process", shards=2)
+            BASE.replace(client_executor="process", shards=2)
 
     def test_default_executor_shards(self):
         """Naming no executor is enough: ``shards=2`` alone is a valid config."""
-        config = small_config(seed=7, shards=2)
+        config = BASE.replace(seed=7, shards=2)
         assert signature(run_sharded(config, workers=0)) == signature(
             reference_run(config.replace(shards=1))
         )
 
     def test_updates_need_explicit_bound(self):
         with pytest.raises(ValueError, match="num_update_clients"):
-            small_config(
+            BASE.replace(
                 client_executor="cohort", shards=2, client_update_fraction=0.2
             )
 
     def test_audit_cannot_shard(self):
         with pytest.raises(ValueError, match="audit"):
-            small_config(client_executor="cohort", shards=2, audit=True)
+            BASE.replace(client_executor="cohort", shards=2, audit=True)
 
     def test_sharded_trace_refused(self):
-        config = small_config(client_executor="cohort", shards=2)
+        config = BASE.replace(client_executor="cohort", shards=2)
         with pytest.raises(ValueError, match="trace"):
             run_sharded(config, collect_trace=True, workers=0)
 
     def test_sliced_simulation_refuses_trace(self):
-        config = small_config(client_executor="cohort")
+        config = BASE.replace(client_executor="cohort")
         slice_ = ShardSlice(updaters=0, reader_lo=0, reader_hi=4, primary=True)
         with pytest.raises(ValueError, match="shard"):
             BroadcastSimulation(config, collect_trace=True, slice_=slice_)
@@ -556,88 +528,76 @@ class TestAnalyticValidation:
 
     def test_updates_need_explicit_bound(self):
         with pytest.raises(ValueError, match="num_update_clients"):
-            small_config(
+            BASE.replace(
                 client_executor="analytic", shards=2, client_update_fraction=0.2
             )
 
     def test_audit_refused(self):
         with pytest.raises(ValueError, match="audit"):
-            small_config(client_executor="analytic", shards=2, audit=True)
+            BASE.replace(client_executor="analytic", shards=2, audit=True)
 
     def test_trace_refused_at_run_time(self):
-        config = small_config(client_executor="analytic", shards=2)
+        config = BASE.replace(client_executor="analytic", shards=2)
         with pytest.raises(ValueError, match="trace"):
             BroadcastSimulation(config, collect_trace=True).run()
 
 
 # ----------------------------------------------------------------------
-# the analytical tier against the oracle (single shard)
+# the analytical tier's event count
 # ----------------------------------------------------------------------
+
+
+#: the kernel merge's collapsed lanes, by their corpus rows
+LANES = {
+    "cache+tracing+multi-disk": "tiny/lane/cache+multi-disk",
+    "dense+cache+loss": "tiny/lane/dense+cache+loss",
+    "restart-delay+delay-first+loss": "tiny/lane/restart-delay+delay-first+loss",
+}
+
+
+def analytic_matches_oracle(row, shards=1, timeline_mode="recompute"):
+    """The corpus row, analytic tier against the reference, untraced and
+    traced, its readers three to a wave (the harness's ``WAVE``)."""
+    check(
+        CORPUS[row],
+        client_executor="analytic",
+        shards=shards,
+        timeline_mode=timeline_mode,
+    )
 
 
 class TestAnalyticTier:
     @pytest.mark.parametrize("protocol", ["f-matrix", "r-matrix", "datacycle"])
     @pytest.mark.parametrize("seed", [3, 77])
     def test_matches_oracle(self, protocol, seed):
-        base = small_config(protocol=protocol, seed=seed)
-        oracle = signature(reference_run(base))
-        analytic = signature(
-            run_simulation(base.replace(client_executor="analytic"))
-        )
-        assert analytic == oracle
+        analytic_matches_oracle(f"small/{protocol}/seed={seed}")
 
     def test_matches_oracle_with_cache_and_loss(self):
-        base = small_config(
-            seed=13,
-            cache_currency_bound=300000.0,
-            cache_capacity=16,
-            broadcast_loss_probability=0.1,
-        )
-        assert signature(
-            run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(reference_run(base))
+        analytic_matches_oracle("small/cache+loss")
 
     def test_matches_oracle_with_updaters(self):
-        base = small_config(
-            seed=19, client_update_fraction=0.4, num_update_clients=3
-        )
-        assert signature(
-            run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(reference_run(base))
+        analytic_matches_oracle("small/updaters")
 
     def test_matches_oracle_multi_disk(self):
-        base = small_config(
-            seed=23, layout_kind="multi-disk", client_access_skew=0.5
-        )
-        assert signature(
-            run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(reference_run(base))
+        analytic_matches_oracle("small/multi-disk")
 
     @pytest.mark.parametrize("shards,mode", [(1, "recompute"), (2, "replay")])
-    @pytest.mark.parametrize("lane", sorted(COLLAPSED_LANES))
+    @pytest.mark.parametrize("lane", sorted(LANES))
     def test_matches_oracle_on_collapsed_lanes(self, lane, shards, mode):
-        """The combinations the kernel merge folded into one code path
-        (fault plans excepted: the tier refuses them)."""
-        base = small_config(**COLLAPSED_LANES[lane])
-        analytic = run_sharded(
-            base.replace(
-                client_executor="analytic", shards=shards, timeline_mode=mode
-            ),
-            workers=0,
-        )
-        assert signature(analytic) == signature(reference_run(base))
+        """The combinations the kernel merge folded into one code path."""
+        analytic_matches_oracle(LANES[lane], shards, mode)
 
     def test_reader_events_cost_nothing(self):
         """Readers cost the analytic tier slot-bucket events, shared by a
         wave's members, never one per read: fewer than the oracle's."""
-        base = small_config(seed=31)
+        base = BASE.replace(seed=31)
         oracle = reference_run(base)
         analytic = run_simulation(base.replace(client_executor="analytic"))
         assert analytic.events < oracle.events
 
 
 # ----------------------------------------------------------------------
-# the analytical tier's reader waves: every case above fits one wave
+# the analytical tier's reader waves
 # ----------------------------------------------------------------------
 
 
@@ -650,33 +610,26 @@ def waves_of_three(monkeypatch):
     return analytic_mod
 
 
+#: runs of more than one wave of three readers, by their corpus rows
 WAVE_CASES = {
-    "plain": dict(seed=3),
-    "updaters": dict(seed=19, client_update_fraction=0.4, num_update_clients=3),
-    "loss": dict(seed=13, broadcast_loss_probability=0.1),
-    "multi-disk": dict(seed=23, layout_kind="multi-disk", client_access_skew=0.5),
+    "plain": "small/f-matrix/seed=3",
+    "updaters": "small/updaters",
+    "loss": "small/loss",
+    "multi-disk": "small/multi-disk",
     # no update bound: every client may update, so all run in Phase A
-    "all-updaters": dict(seed=5, client_update_fraction=0.3),
+    "all-updaters": "small/all-updaters",
 }
 
 
 class TestAnalyticWaves:
     @pytest.mark.parametrize("case", sorted(WAVE_CASES))
-    def test_matches_oracle_across_waves(self, waves_of_three, case):
-        base = small_config(**WAVE_CASES[case])
-        assert signature(
-            run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(reference_run(base))
+    def test_matches_oracle_across_waves(self, case):
+        analytic_matches_oracle(WAVE_CASES[case])
 
     @pytest.mark.parametrize("mode", ["recompute", "replay"])
-    def test_two_shards_match_oracle_across_waves(self, waves_of_three, mode):
+    def test_two_shards_match_oracle_across_waves(self, mode):
         TIMELINE_CACHE.clear()
-        base = small_config(seed=7, num_clients=16)
-        sharded = run_sharded(
-            base.replace(client_executor="analytic", shards=2, timeline_mode=mode),
-            workers=0,
-        )
-        assert signature(sharded) == signature(reference_run(base))
+        analytic_matches_oracle("small/sixteen-clients", 2, mode)
 
     def test_an_audited_run_across_waves_is_the_oracles(self, waves_of_three):
         """Updaters, a quasi-cache and radio loss: the waves leave one
@@ -685,7 +638,7 @@ class TestAnalyticWaves:
         from repro.analysis.consistency import certify_update_consistency
         from repro.scenarios import record_config
 
-        base = small_config(
+        base = BASE.replace(
             seed=29,
             num_clients=10,
             client_update_fraction=0.3,
@@ -738,7 +691,7 @@ class TestAnalyticWaves:
         monkeypatch.setattr(simulation_mod, "_HORIZON_FACTOR", 1.0)
         monkeypatch.setattr(simulation_mod, "_HORIZON_SLACK_CYCLES", 0.0)
         TIMELINE_CACHE.clear()
-        base = small_config(seed=9)
+        base = BASE.replace(seed=9)
         replayed = run_sharded(
             base.replace(client_executor="analytic", shards=2, timeline_mode="replay"),
             workers=0,
@@ -779,7 +732,7 @@ class TestAnalyticWaves:
 
         monkeypatch.setattr(simulation_mod, "ClientKernel", Counted)
         monkeypatch.setattr(CohortExecutor, "_fire", fire_spy)
-        base = small_config(
+        base = BASE.replace(
             seed=19, num_clients=20, client_update_fraction=0.4, num_update_clients=3
         )
         result = run_simulation(base.replace(client_executor="analytic"))
