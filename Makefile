@@ -48,9 +48,10 @@ perf-smoke:
 # regenerated at 120 transactions per point, asserting the shape the
 # paper reports — who wins, by what factor, where the curves steepen.
 # Deterministic for (txns, seed); keep the default scale — at
-# REPRO_BENCH_TXNS=60 test_fig2_client_txn_length fails on noise.
+# REPRO_BENCH_TXNS=60 test_fig2_client_txn_length fails on noise.  Plain
+# pytest: nothing here is timed (host time is perf-smoke's harness).
 figures-smoke:
-	$(PYTHON) -m pytest benchmarks -q --benchmark-only
+	$(PYTHON) -m pytest benchmarks -q
 
 # observability smoke (docs/OBSERVABILITY.md): the library's traced
 # faulted 2-shard replay-mode run, producing a Perfetto-loadable Chrome

@@ -1,8 +1,9 @@
-"""Shared knobs for the benchmark suite.
+"""Shared knobs for the paper's shape checks.
 
-Every benchmark regenerates one of the paper's tables/figures at a
-laptop-friendly scale and asserts the *shape* the paper reports (who
-wins, by roughly what factor, where the curves steepen).  Scale knobs:
+Every test here regenerates one of the paper's tables/figures or an
+ablation at a laptop-friendly scale and asserts the *shape* the paper
+reports (who wins, by roughly what factor, where the curves steepen).
+Nothing is timed: host time is perfbench's to measure.  Scale knobs:
 
 * ``REPRO_BENCH_TXNS`` — committed client transactions per data point
   (default 120; the paper used 1000 — set 1000 to reproduce
@@ -32,7 +33,3 @@ def bench_txns() -> int:
 def bench_seed() -> int:
     return _int_env("REPRO_BENCH_SEED", 42)
 
-
-def run_once(benchmark, fn):
-    """Run a whole experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

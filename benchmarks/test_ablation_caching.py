@@ -11,19 +11,14 @@ trace cross-check in the test suite covers cached reads).
 from repro.experiments.figures import ablation_caching
 from repro.experiments.report import format_table
 
-from .conftest import run_once
-
 BOUNDS = (0.0, 1.0, 4.0, 16.0)
 
 
-def test_ablation_caching(benchmark, bench_txns, bench_seed):
-    result = run_once(
-        benchmark,
-        lambda: ablation_caching(
-            max(bench_txns // 2, 30),
-            currency_bounds_cycles=BOUNDS,
-            seed=bench_seed,
-        ),
+def test_ablation_caching(bench_txns, bench_seed):
+    result = ablation_caching(
+        max(bench_txns // 2, 30),
+        currency_bounds_cycles=BOUNDS,
+        seed=bench_seed,
     )
     print()
     print(format_table(result))

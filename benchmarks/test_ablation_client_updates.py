@@ -13,30 +13,26 @@ from repro.sim.config import SimulationConfig
 from repro.sim.simulation import run_simulation
 
 
-def test_ablation_client_updates(benchmark, bench_txns, bench_seed):
+def test_ablation_client_updates(bench_txns, bench_seed):
     base = SimulationConfig(
         num_client_transactions=max(bench_txns // 2, 40),
         client_txn_length=4,
         seed=bench_seed,
     )
 
-    def sweep():
-        rows = []
-        for fraction in (0.0, 0.25, 0.5, 1.0):
-            result = run_simulation(base.replace(client_update_fraction=fraction))
-            m = result.metrics
-            rows.append(
-                (
-                    fraction,
-                    result.response_time.mean,
-                    result.restart_ratio.mean,
-                    m.client_updates_committed,
-                    m.client_updates_rejected,
-                )
+    rows = []
+    for fraction in (0.0, 0.25, 0.5, 1.0):
+        result = run_simulation(base.replace(client_update_fraction=fraction))
+        m = result.metrics
+        rows.append(
+            (
+                fraction,
+                result.response_time.mean,
+                result.restart_ratio.mean,
+                m.client_updates_committed,
+                m.client_updates_rejected,
             )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+        )
     print()
     print("== client update transactions over the uplink ==")
     print(f"{'update fraction':>16} | {'resp (x1e6)':>12} | {'restarts':>9} | "

@@ -34,20 +34,16 @@ def frames_for_rate(num_objects: int, commits_per_cycle: float, cycles: int = 60
     return frames
 
 
-def test_ablation_delta_encoding(benchmark):
+def test_ablation_delta_encoding():
     num_objects = 300
     # Table 1: cycle ≈ 3.18M bit-units, one completion per 250k bit-units
     table1_rate = SimulationConfig().cycle_bits / SimulationConfig().server_txn_interval
 
-    def sweep():
-        rows = []
-        for rate in (table1_rate / 4, table1_rate, table1_rate * 4):
-            frames = frames_for_rate(num_objects, rate)
-            encoded, dense = replay_sizes(frames[1:])  # skip the anchor
-            rows.append((rate, encoded, dense))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = []
+    for rate in (table1_rate / 4, table1_rate, table1_rate * 4):
+        frames = frames_for_rate(num_objects, rate)
+        encoded, dense = replay_sizes(frames[1:])  # skip the anchor
+        rows.append((rate, encoded, dense))
     print()
     print("== delta-encoded control info vs dense F-Matrix transmission ==")
     print(f"{'commits/cycle':>14} | {'delta bits/cycle':>17} | {'dense bits/cycle':>17} | ratio")

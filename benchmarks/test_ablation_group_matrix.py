@@ -11,17 +11,12 @@ from repro.experiments.figures import ablation_group_matrix
 from repro.experiments.report import format_table
 from repro.sim.config import SimulationConfig
 
-from .conftest import run_once
-
 GROUPS = (1, 4, 16, 64)
 
 
-def test_ablation_group_matrix(benchmark, bench_txns, bench_seed):
-    result = run_once(
-        benchmark,
-        lambda: ablation_group_matrix(
-            max(bench_txns // 2, 30), group_counts=GROUPS, seed=bench_seed
-        ),
+def test_ablation_group_matrix(bench_txns, bench_seed):
+    result = ablation_group_matrix(
+        max(bench_txns // 2, 30), group_counts=GROUPS, seed=bench_seed
     )
     print()
     print(format_table(result))

@@ -13,7 +13,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.simulation import run_simulation
 
 
-def test_ablation_multi_disk(benchmark, bench_txns, bench_seed):
+def test_ablation_multi_disk(bench_txns, bench_seed):
     base = SimulationConfig(
         num_objects=120,
         num_client_transactions=max(bench_txns // 2, 40),
@@ -24,15 +24,10 @@ def test_ablation_multi_disk(benchmark, bench_txns, bench_seed):
         seed=bench_seed,
     )
 
-    def sweep():
-        rows = []
-        rows.append(("flat", run_simulation(base)))
-        for freq in (2, 4, 8):
-            cfg = base.replace(layout_kind="multi-disk", hot_frequency=freq)
-            rows.append((f"multi x{freq}", run_simulation(cfg)))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = [("flat", run_simulation(base))]
+    for freq in (2, 4, 8):
+        cfg = base.replace(layout_kind="multi-disk", hot_frequency=freq)
+        rows.append((f"multi x{freq}", run_simulation(cfg)))
     print()
     print("== hot/cold broadcast disks, 90% of reads on 10% of objects ==")
     print(f"{'layout':>10} | {'cycle bits':>11} | {'resp (x1e6)':>12} | {'restarts':>9}")

@@ -13,16 +13,14 @@ from repro.experiments.sensitivity import VARIANTS, sensitivity_table
 from repro.sim.config import SimulationConfig
 
 
-def test_ablation_sensitivity(benchmark, bench_txns, bench_seed):
+def test_ablation_sensitivity(bench_txns, bench_seed):
     config = SimulationConfig(
         num_client_transactions=max(bench_txns // 2, 40),
         client_txn_length=6,
         seed=bench_seed,
     )
 
-    rows = benchmark.pedantic(
-        lambda: sensitivity_table(config, replications=3), rounds=1, iterations=1
-    )
+    rows = sensitivity_table(config, replications=3)
     print()
     print("== modelling-substitution sensitivity (response time) ==")
     print(f"{'variant':>22} | {'baseline':>10} | {'variant':>10} | {'dev':>7}")

@@ -34,17 +34,13 @@ def _run(executor_cls, programs, num_objects, seed):
     return result
 
 
-def test_ablation_server_cc(benchmark):
-    def sweep():
-        rows = []
-        for num_objects in (32, 12, 6):  # rising contention
-            programs = make_programs(24, num_objects, seed=5)
-            twopl = _run(TwoPLExecutor, programs, num_objects, seed=9)
-            occ = _run(OCCExecutor, programs, num_objects, seed=9)
-            rows.append((num_objects, twopl, occ))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_ablation_server_cc():
+    rows = []
+    for num_objects in (32, 12, 6):  # rising contention
+        programs = make_programs(24, num_objects, seed=5)
+        twopl = _run(TwoPLExecutor, programs, num_objects, seed=9)
+        occ = _run(OCCExecutor, programs, num_objects, seed=9)
+        rows.append((num_objects, twopl, occ))
     print()
     print("== server CC under rising contention (24 txns, 4 ops each) ==")
     print(f"{'objects':>8} | {'2PL restarts':>12} | {'OCC restarts':>12}")

@@ -16,29 +16,25 @@ from repro.sim.config import SimulationConfig
 from repro.sim.simulation import run_simulation
 
 
-def test_ablation_tuning_time(benchmark, bench_txns, bench_seed):
+def test_ablation_tuning_time(bench_txns, bench_seed):
     base = SimulationConfig(
         num_client_transactions=max(bench_txns // 2, 40),
         client_txn_length=8,
         seed=bench_seed,
     )
 
-    def sweep():
-        rows = []
-        for protocol in ("datacycle", "r-matrix", "f-matrix"):
-            result = run_simulation(base.replace(protocol=protocol))
-            rows.append((protocol, result))
-        cached = run_simulation(
-            base.replace(
-                protocol="f-matrix",
-                server_txn_interval=2_000_000.0,
-                cache_currency_bound=float(base.cycle_bits) * 8,
-            )
+    rows = []
+    for protocol in ("datacycle", "r-matrix", "f-matrix"):
+        result = run_simulation(base.replace(protocol=protocol))
+        rows.append((protocol, result))
+    cached = run_simulation(
+        base.replace(
+            protocol="f-matrix",
+            server_txn_interval=2_000_000.0,
+            cache_currency_bound=float(base.cycle_bits) * 8,
         )
-        rows.append(("f-matrix+cache", cached))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    )
+    rows.append(("f-matrix+cache", cached))
     print()
     print("== tuning time (bits listened per committed transaction) ==")
     print(f"{'protocol':>16} | {'listen/commit':>13} | {'restarts':>8} | {'slot bits':>9}")

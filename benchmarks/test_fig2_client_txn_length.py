@@ -13,16 +13,11 @@ Paper shape (Sec. 4.2):
 from repro.experiments.figures import fig2_client_txn_length
 from repro.experiments.report import format_table
 
-from .conftest import run_once
-
 LENGTHS = (2, 4, 6, 8, 10)
 
 
-def test_fig2_client_txn_length(benchmark, bench_txns, bench_seed):
-    result = run_once(
-        benchmark,
-        lambda: fig2_client_txn_length(bench_txns, lengths=LENGTHS, seed=bench_seed),
-    )
+def test_fig2_client_txn_length(bench_txns, bench_seed):
+    result = fig2_client_txn_length(bench_txns, lengths=LENGTHS, seed=bench_seed)
     print()
     print(format_table(result))
 

@@ -4,7 +4,7 @@ Paper shape (Sec. 4.3): longer server transactions mean more updates per
 cycle, so response times rise — but F-Matrix shows very little increase
 compared to R-Matrix and especially Datacycle.
 
-Two operating points are benchmarked:
+Two operating points are checked:
 
 * the paper's Table 1 defaults (client length 4).  There, abort rates
   are low and our simulation charges F-Matrix's full 23% control-
@@ -19,16 +19,11 @@ Two operating points are benchmarked:
 from repro.experiments.figures import fig3a_server_txn_length
 from repro.experiments.report import format_table
 
-from .conftest import run_once
-
 LENGTHS = (2, 4, 8, 12, 16)
 
 
-def test_fig3a_server_txn_length_table1(benchmark, bench_txns, bench_seed):
-    result = run_once(
-        benchmark,
-        lambda: fig3a_server_txn_length(bench_txns, lengths=LENGTHS, seed=bench_seed),
-    )
+def test_fig3a_server_txn_length_table1(bench_txns, bench_seed):
+    result = fig3a_server_txn_length(bench_txns, lengths=LENGTHS, seed=bench_seed)
     print()
     print(format_table(result))
 
@@ -57,15 +52,12 @@ def test_fig3a_server_txn_length_table1(benchmark, bench_txns, bench_seed):
     assert fm.restart_at(16) < rm.restart_at(16) + 0.5
 
 
-def test_fig3a_server_txn_length_len8(benchmark, bench_txns, bench_seed):
-    result = run_once(
-        benchmark,
-        lambda: fig3a_server_txn_length(
-            max(bench_txns // 2, 40),
-            lengths=(2, 8, 16),
-            client_txn_length=8,
-            seed=bench_seed,
-        ),
+def test_fig3a_server_txn_length_len8(bench_txns, bench_seed):
+    result = fig3a_server_txn_length(
+        max(bench_txns // 2, 40),
+        lengths=(2, 8, 16),
+        client_txn_length=8,
+        seed=bench_seed,
     )
     print()
     print(format_table(result))

@@ -10,18 +10,11 @@ F-Matrix shows almost no degradation.
 from repro.experiments.figures import fig3b_server_txn_rate
 from repro.experiments.report import format_table
 
-from .conftest import run_once
-
 INTERVALS = (50_000, 150_000, 250_000, 350_000, 450_000)
 
 
-def test_fig3b_server_txn_rate(benchmark, bench_txns, bench_seed):
-    result = run_once(
-        benchmark,
-        lambda: fig3b_server_txn_rate(
-            bench_txns, intervals=INTERVALS, seed=bench_seed
-        ),
-    )
+def test_fig3b_server_txn_rate(bench_txns, bench_seed):
+    result = fig3b_server_txn_rate(bench_txns, intervals=INTERVALS, seed=bench_seed)
     print()
     print(format_table(result))
 

@@ -15,16 +15,11 @@ the paper's F < R < Datacycle ordering is unambiguous.
 from repro.experiments.figures import fig4a_num_objects
 from repro.experiments.report import format_table
 
-from .conftest import run_once
-
 SIZES = (100, 200, 300, 400, 500)
 
 
-def test_fig4a_num_objects_table1(benchmark, bench_txns, bench_seed):
-    result = run_once(
-        benchmark,
-        lambda: fig4a_num_objects(bench_txns, sizes=SIZES, seed=bench_seed),
-    )
+def test_fig4a_num_objects_table1(bench_txns, bench_seed):
+    result = fig4a_num_objects(bench_txns, sizes=SIZES, seed=bench_seed)
     print()
     print(format_table(result))
 
@@ -45,15 +40,12 @@ def test_fig4a_num_objects_table1(benchmark, bench_txns, bench_seed):
     assert fm.response_at(400) < 1.35 * rm.response_at(400)
 
 
-def test_fig4a_num_objects_len8(benchmark, bench_txns, bench_seed):
-    result = run_once(
-        benchmark,
-        lambda: fig4a_num_objects(
-            max(bench_txns // 2, 40),
-            sizes=(200, 400),
-            client_txn_length=8,
-            seed=bench_seed,
-        ),
+def test_fig4a_num_objects_len8(bench_txns, bench_seed):
+    result = fig4a_num_objects(
+        max(bench_txns // 2, 40),
+        sizes=(200, 400),
+        client_txn_length=8,
+        seed=bench_seed,
     )
     print()
     print(format_table(result))

@@ -10,16 +10,11 @@ approach each other as objects grow.
 from repro.experiments.figures import fig4b_object_size
 from repro.experiments.report import format_table
 
-from .conftest import run_once
-
 SIZES_KB = (0.5, 1.0, 2.0, 4.0)
 
 
-def test_fig4b_object_size(benchmark, bench_txns, bench_seed):
-    result = run_once(
-        benchmark,
-        lambda: fig4b_object_size(bench_txns, sizes_kb=SIZES_KB, seed=bench_seed),
-    )
+def test_fig4b_object_size(bench_txns, bench_seed):
+    result = fig4b_object_size(bench_txns, sizes_kb=SIZES_KB, seed=bench_seed)
     print()
     print(format_table(result))
 

@@ -2,21 +2,18 @@
 
 Regenerates the paper's overhead arithmetic — F-Matrix spends ≈23% of the
 broadcast cycle on control information at the Table 1 defaults, the
-vector protocols ≈0.1% — and benchmarks the server-side cost of
-maintaining the control matrix at the paper's update rate.
+vector protocols ≈0.1% — and the cycle lengths behind those fractions.
 """
 
 import pytest
 
-from repro.core.control_matrix import ControlMatrix
 from repro.experiments.figures import table1_overheads
 from repro.experiments.report import format_overheads
-from repro.server.workload import ServerWorkload
 from repro.sim.config import SimulationConfig
 
 
-def test_table1_overhead_fractions(benchmark):
-    overheads = benchmark(table1_overheads)
+def test_table1_overhead_fractions():
+    overheads = table1_overheads()
     print()
     print(format_overheads(overheads))
     assert overheads["f-matrix"] == pytest.approx(0.2266, abs=2e-3)  # "about 23%"
@@ -25,30 +22,13 @@ def test_table1_overhead_fractions(benchmark):
     assert overheads["f-matrix-no"] == 0.0
 
 
-def test_table1_cycle_lengths(benchmark):
-    def cycle_lengths():
-        return {
-            protocol: SimulationConfig(protocol=protocol).cycle_bits
-            for protocol in ("f-matrix", "datacycle", "f-matrix-no")
-        }
-
-    lengths = benchmark(cycle_lengths)
+def test_table1_cycle_lengths():
+    lengths = {
+        protocol: SimulationConfig(protocol=protocol).cycle_bits
+        for protocol in ("f-matrix", "datacycle", "f-matrix-no")
+    }
     assert lengths["f-matrix"] == 300 * 8192 + 300 * 300 * 8
     assert lengths["datacycle"] == 300 * 8192 + 300 * 8
     assert lengths["f-matrix-no"] == 300 * 8192
     print(f"\ncycle bits: {lengths}")
 
-
-def test_bench_matrix_maintenance(benchmark):
-    """Server-side Theorem 2 updates at Table 1 scale (n=300, length 8)."""
-    workload = ServerWorkload(300, length=8, read_probability=0.5, seed=1)
-    specs = [workload.next_transaction() for _ in range(500)]
-
-    def maintain():
-        cm = ControlMatrix(300)
-        for cycle, spec in enumerate(specs, start=1):
-            cm.apply_commit(cycle, spec.read_set, spec.write_set)
-        return cm
-
-    cm = benchmark(maintain)
-    assert cm.entry(0, 0) >= 0

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .approx import ApproxReport, approx_report
 from .model import History, T0
 from .readsfrom import live_set
+from .viewser import final_writes, serial_replay
 
 __all__ = [
     "Certificate",
@@ -50,22 +51,6 @@ class Certificate:
 
     update_order: Tuple[str, ...]
     reader_orders: Dict[str, Tuple[str, ...]]
-
-
-def _serial_replay(
-    history: History, order: Tuple[str, ...]
-) -> Tuple[Dict[Tuple[str, str], str], Dict[str, str]]:
-    """Reads-from and final writes of executing ``order`` serially."""
-    txns = history.transactions
-    last_writer: Dict[str, str] = {}
-    reads_from: Dict[Tuple[str, str], str] = {}
-    for tid in order:
-        txn = txns[tid]
-        for obj in sorted(txn.read_set):
-            reads_from[(tid, obj)] = last_writer.get(obj, T0)
-        for obj in sorted(txn.write_set):
-            last_writer[obj] = tid
-    return reads_from, last_writer
 
 
 def certificate_from_report(
@@ -114,14 +99,7 @@ def verify_update_certificate(history: History, order: Tuple[str, ...]) -> bool:
     update = history.committed_projection().update_subhistory()
     if sorted(order) != sorted(update.transaction_ids):
         return False
-    replay_rf, replay_final = _serial_replay(update, order)
-    if replay_rf != update.reads_from:
-        return False
-    actual_final: Dict[str, str] = {}
-    for op in update:
-        if op.is_write:
-            actual_final[op.obj or ""] = op.txn
-    return replay_final == actual_final
+    return serial_replay(update, order) == (update.reads_from, final_writes(update))
 
 
 def verify_reader_certificate(
@@ -135,7 +113,7 @@ def verify_reader_certificate(
     if sorted(order) != sorted(live):
         return False
     projection = committed.projection(order)
-    replay_rf, _final = _serial_replay(projection, tuple(order))
+    replay_rf, _final = serial_replay(projection, order)
     for (tid, obj), writer in projection.reads_from.items():
         # live transactions read either from live writers or from t0 /
         # outside-live writers; replay can only be checked for reads whose

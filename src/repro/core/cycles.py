@@ -10,7 +10,10 @@ semantics.  The evaluation uses 8-bit timestamps.
 ints); :class:`ModuloCycles` implements the wrap-around comparison.  Both
 satisfy the same protocol so validators are parameterised by either; the
 test suite checks they agree whenever the compared cycles lie within the
-window, which is the regime the paper's protocols guarantee.
+window.  The paper's assumption bounds the cycles a transaction spans,
+not the age of a control entry, so an entry older than the window falls
+outside that regime (ROADMAP, "Modulo timestamps that mean what the
+paper says").
 """
 
 from __future__ import annotations
@@ -66,7 +69,9 @@ class CycleArithmetic:
         and the comparison silently flips.  Anchoring only the wire-format
         side against ``reference`` and comparing with the absolute value
         directly is exact whenever the *entry* is within the window of
-        ``reference`` — the one assumption the paper actually grants.
+        ``reference`` — a bound on the entry's age, which the paper's
+        assumption (no transaction spans ``max_cycles`` cycles) does not
+        give.
         """
         raise NotImplementedError
 
@@ -106,8 +111,9 @@ class ModuloCycles(CycleArithmetic):
     The comparison ``less(a, b, reference=now)`` re-anchors both encoded
     values to the most recent absolute cycle ≤ ``now`` with the given
     residue, then compares.  This is correct provided both absolute values
-    lie within ``window`` cycles of ``now`` — i.e. provided no transaction
-    spans ``max_cycles = window - 1`` cycles, the paper's assumption.
+    lie within ``window`` cycles of ``now``.  The paper's assumption — no
+    transaction spans ``max_cycles = window - 1`` cycles — bounds the
+    client's cycles only; a control entry can be older.
     """
 
     timestamp_bits: int = 8
@@ -152,11 +158,16 @@ class ModuloCycles(CycleArithmetic):
           anchors back *onto* recent cycles, silently accepting reads the
           unbounded arithmetic rejects — an unsound validation.
 
-        Keeping ``b`` absolute removes both failure modes; the comparison
-        is then exact whenever the *entry* ``a`` is within ``window``
-        cycles of ``reference``, which holds for every control entry a
-        client consults while it obeys the paper's ``max_cycles`` bound
-        (the client-side staleness guard enforces exactly that bound on
-        rejoin after a doze).
+        Keeping ``b`` absolute removes both failure modes.  The comparison
+        is then exact when every compared entry ``a`` is younger than the
+        window: ``reference - window < a <= reference``.  The paper's
+        ``max_cycles`` bound (no attempt spans ``window - 1`` cycles; the
+        client-side staleness guard enforces it on rejoin after a doze)
+        bounds ``b``, not ``a``.  A ``C(i,j)`` or ``MC(i)`` entry last
+        written more than a window ago re-anchors into the window and
+        reads as a recent write, so validation rejects reads the unbounded
+        arithmetic accepts — docs/FAULTS.md, "What the wrap window costs".
+        The server-side fix is ROADMAP's "Modulo timestamps that mean what
+        the paper says".
         """
         return self._anchor(a, reference) < b

@@ -25,6 +25,7 @@ from .model import History, T0
 
 __all__ = [
     "final_writes",
+    "serial_replay",
     "view_equivalent",
     "is_view_serializable",
     "view_serialization_order",
@@ -48,18 +49,22 @@ def final_writes(history: History) -> Dict[str, str]:
     return result
 
 
-def _serial_reads_from(order: Sequence[str], history: History) -> Dict[Tuple[str, str], str]:
-    """Reads-from of the serial execution of ``order`` (same op sets)."""
+def serial_replay(
+    history: History, order: Sequence[str]
+) -> Tuple[Dict[Tuple[str, str], str], Dict[str, str]]:
+    """Reads-from and final writes of executing ``order`` serially — the
+    transactions of ``history``, each reading before it writes.  Plain
+    bookkeeping, no graph: certificate checking relies on that."""
     txns = history.transactions
     last_writer: Dict[str, str] = {}
-    rf: Dict[Tuple[str, str], str] = {}
+    reads_from: Dict[Tuple[str, str], str] = {}
     for tid in order:
         txn = txns[tid]
         for obj in txn.read_set:
-            rf[(tid, obj)] = last_writer.get(obj, T0)
+            reads_from[(tid, obj)] = last_writer.get(obj, T0)
         for obj in txn.write_set:
             last_writer[obj] = tid
-    return rf
+    return reads_from, last_writer
 
 
 def view_equivalent(history: History, order: Sequence[str]) -> bool:
@@ -75,14 +80,10 @@ def view_equivalent(history: History, order: Sequence[str]) -> bool:
     tids = set(committed.transaction_ids)
     if set(order) != tids or len(order) != len(tids):
         raise ValueError("order must be a permutation of committed transactions")
-    if _serial_reads_from(order, committed) != committed.reads_from:
-        return False
-    serial_final: Dict[str, str] = {}
-    txns = committed.transactions
-    for tid in order:
-        for obj in txns[tid].write_set:
-            serial_final[obj] = tid
-    return serial_final == final_writes(committed)
+    return serial_replay(committed, order) == (
+        committed.reads_from,
+        final_writes(committed),
+    )
 
 
 def view_serialization_order(history: History) -> Optional[List[str]]:

@@ -4,17 +4,21 @@ Installed as ``repro-experiments``.  Examples::
 
     repro-experiments list
     repro-experiments table1
-    repro-experiments fig2 --transactions 200 --seed 7
-    repro-experiments all --transactions 200 --csv results/
-    repro-experiments all --workers 4   # parallel grid, identical results
+    repro-experiments fig2 --transactions 200 --seed 7 --out report/
+    repro-experiments all --transactions 200 --out results/
+    repro-experiments all --out results/ --workers 4   # parallel grid, same files
     repro-experiments scenario list     # the declarative scenario library
     repro-experiments scenario run --all          # envelope-checked runs
     repro-experiments scenario run hostile-wrap --audit --consistency update
     repro-experiments scenario record commuter-doze --out doze.trace.json
     repro-experiments scenario replay doze.trace.json --executor cohort
 
-``--transactions`` trades statistical tightness for wall-clock time; the
-paper's setting is 1000 (and takes minutes per figure in pure Python).
+A figure or ablation run is :func:`repro.experiments.suite.generate_report`:
+``--out DIR`` receives each experiment's JSON archive, CSV and text
+table + chart, and ``REPORT.md``; each table is also printed with its
+wall-clock seconds.  ``--transactions`` trades statistical tightness for
+wall-clock time; the paper's setting is 1000 (and takes minutes per
+figure in pure Python).
 
 The figures sweep the paper's own grid; any *other* configuration is a
 scenario document, and ``scenario run`` (:mod:`repro.scenarios.cli`) is
@@ -35,9 +39,9 @@ import sys
 from typing import List, Optional
 
 from ..obs.export import claim_output
-from ..obs.profiler import PhaseProfiler
 from .figures import EXPERIMENTS, default_config, table1_overheads
-from .report import format_csv, format_overheads, format_table
+from .report import format_overheads
+from .suite import generate_report
 
 __all__ = ["main", "build_parser"]
 
@@ -68,42 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
         "to a sequential run; speedup is bounded by the core count)",
     )
     parser.add_argument(
-        "--csv",
+        "--out",
         type=pathlib.Path,
         default=None,
-        help="directory to write per-experiment CSV files into",
-    )
-    parser.add_argument(
-        "--chart",
-        action="store_true",
-        help="also draw the curves as an ASCII chart (log-scale y)",
+        help="directory to write the report into: per-experiment JSON, CSV "
+        "and table + chart text files, and REPORT.md",
     )
     return parser
-
-
-def _run_one(
-    name: str,
-    transactions: int,
-    seed: int,
-    csv_dir,
-    chart: bool = False,
-    workers: Optional[int] = None,
-) -> None:
-    runner = EXPERIMENTS[name]
-    profiler = PhaseProfiler()
-    with profiler.phase(name):
-        result = runner(transactions, seed=seed, workers=workers)
-    elapsed = profiler.as_dict()[name]
-    print(format_table(result))
-    if chart:
-        from .plotting import render_chart
-
-        print(render_chart(result, log_y=True))
-    print(f"[{name}] {elapsed:.1f}s wall clock\n")
-    if csv_dir is not None:  # main() created it before the first grid point
-        path = csv_dir / f"{name}.csv"
-        path.write_text(format_csv(result))
-        print(f"wrote {path}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -120,8 +95,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ignored = [
         flag
         for flag, given, read in (
-            ("--csv", args.csv is not None, sweeps),
-            ("--chart", args.chart, sweeps),
+            ("--out", args.out is not None, sweeps),
             ("--workers", args.workers is not None, sweeps),
         )
         if given and not read
@@ -136,6 +110,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default_config(args.transactions, args.seed)
     except ValueError as exc:  # a flag value SimulationConfig rejects
         parser.exit(2, f"error: {exc}\n")
+    if sweeps and args.out is None:
+        parser.exit(2, f"error: '{args.experiment}' writes a report: give --out DIR\n")
 
     if args.experiment == "list":
         print("available experiments:")
@@ -152,19 +128,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    if args.csv is not None:  # the directory of the first file _run_one writes
-        claim_output(parser, "--csv", args.csv / f"{names[0]}.csv")
-    if args.experiment == "all":
-        print(format_overheads(table1_overheads()))
-    for name in names:
-        _run_one(
-            name,
-            args.transactions,
-            args.seed,
-            args.csv,
-            chart=args.chart,
-            workers=args.workers,
-        )
+    claim_output(parser, "--out", args.out / "REPORT.md")
+
+    def progress(name: str, elapsed: float) -> None:
+        print((args.out / f"{name}.txt").read_text())
+        print(f"[{name}] {elapsed:.1f}s wall clock\n")
+
+    report = generate_report(
+        args.out,
+        transactions=args.transactions,
+        seed=args.seed,
+        experiments=names,
+        workers=args.workers,
+        progress=progress,
+    )
+    print(f"wrote {report}")
     return 0
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.consistency.explore import main as explore_main
 from repro.experiments.cli import build_parser, main
+from repro.experiments.suite import generate_report
 from repro.obs.trace_cli import main as trace_main
 from repro.scenarios import get_scenario
 from repro.scenarios.cli import build_scenario_parser
@@ -37,14 +38,29 @@ class TestMain:
 
     def test_run_small_experiment(self, capsys, tmp_path):
         code = main(
-            ["fig4b", "--transactions", "6", "--seed", "3", "--csv", str(tmp_path)]
+            ["fig4b", "--transactions", "6", "--seed", "3", "--out", str(tmp_path)]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "fig4b" in out
+        assert "fig4b" in out and f"wrote {tmp_path / 'REPORT.md'}" in out
+        assert (tmp_path / "fig4b.txt").read_text() in out
         csv_file = tmp_path / "fig4b.csv"
-        assert csv_file.exists()
         assert "fig4b,f-matrix" in csv_file.read_text()
+
+    def test_out_writes_what_generate_report_writes(self, tmp_path):
+        """The command is the library call: the same files, and archives
+        byte for byte — under one worker or two."""
+        cli, lib, pooled = (tmp_path / name for name in ("cli", "lib", "pooled"))
+        argv = ["fig4b", "--transactions", "6", "--seed", "3", "--out"]
+        assert main([*argv, str(cli), "--workers", "1"]) == 0
+        generate_report(lib, transactions=6, seed=3, experiments=["fig4b"])
+        assert main([*argv, str(pooled), "--workers", "2"]) == 0
+        files = sorted(path.name for path in lib.iterdir())
+        assert files == ["REPORT.md", "fig4b.csv", "fig4b.json", "fig4b.txt"]
+        for other in (cli, pooled):
+            assert sorted(path.name for path in other.iterdir()) == files
+            for name in ("fig4b.csv", "fig4b.json", "fig4b.txt"):
+                assert (other / name).read_bytes() == (lib / name).read_bytes()
 
 
 def write_document(tmp_path, name, base=None, config=None, **patches):
@@ -277,16 +293,29 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["table1", "--chart"],
+            ["table1", "--out", "report"],
             ["list", "--workers", "1"],
         ],
-        ids=["table1-chart", "list-workers"],
+        ids=["table1-out", "list-workers"],
     )
     def test_flag_the_experiment_ignores_is_2(self, argv, capsys):
         """A flag that would do nothing is refused before anything runs."""
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert assert_usage_error(err, capsys) == ""
+
+    def test_a_figure_without_out_is_2(self, capsys):
+        """A figure run writes its report: with nowhere to write it, nothing runs."""
+        with pytest.raises(SystemExit) as err:
+            main(["fig4b", "--transactions", "6"])
+        assert assert_usage_error(err, capsys) == ""
+
+    @pytest.mark.parametrize("flag", [["--csv", "results"], ["--chart"]])
+    def test_the_old_report_flags_are_2(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fig4b", "--transactions", "6", "--out", str(tmp_path), *flag])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == "" and not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "content",
@@ -304,7 +333,7 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "entry, argv",
         [
-            (main, ["fig2", "--transactions", "2", "--csv", "{taken}"]),
+            (main, ["fig2", "--transactions", "2", "--out", "{taken}"]),
             (main, ["scenario", "record", "table1-baseline", "--out", "{taken}/x.json"]),
             (main, ["scenario", "run", "hostile-wrap", "--output", "{taken}/x.json"]),
             (main, ["scenario", "run", "table1-baseline", "--output", "{taken}/x.json"]),
@@ -318,7 +347,7 @@ class TestExitCodeContract:
             (explore_main, ["--scope", "smallest", "--output", "{folder}"]),
         ],
         ids=[
-            "csv-is-a-file",
+            "out-is-a-file",
             "out-parent-is-a-file",
             "faults-output",
             "scenario-run-output",

@@ -32,13 +32,14 @@ class TestExplainCli:
 
 
 class TestChartFlag:
-    def test_cli_chart_output(self, capsys):
+    def test_cli_chart_output(self, capsys, tmp_path):
         from repro.experiments.cli import main as experiments_main
 
         code = experiments_main(
-            ["fig4b", "--transactions", "6", "--seed", "3", "--chart"]
+            ["fig4b", "--transactions", "6", "--seed", "3", "--out", str(tmp_path)]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "response time" in out
-        assert "F=f-matrix" in out  # the chart legend
+        assert "F=f-matrix" in out  # the chart legend, printed
+        assert "F=f-matrix" in (tmp_path / "fig4b.txt").read_text()  # and written

@@ -33,15 +33,27 @@ class TestGenerateReport:
         assert "f-matrix" in loaded.series
 
     def test_progress_callback(self, tmp_path):
+        """Called once an experiment's files are written (the command
+        prints the text file from it)."""
         calls = []
         generate_report(
             tmp_path,
             transactions=6,
             seed=3,
             experiments=["fig4b"],
-            progress=lambda name, secs: calls.append(name),
+            progress=lambda name, secs: calls.append(
+                (name, (tmp_path / f"{name}.txt").exists())
+            ),
         )
-        assert calls == ["fig4b"]
+        assert calls == [("fig4b", True)]
+
+    def test_workers_write_the_same_archives(self, tiny_report, tmp_path):
+        out, _path = tiny_report
+        generate_report(
+            tmp_path, transactions=6, seed=3, experiments=["fig4b"], workers=2
+        )
+        for name in ("fig4b.json", "fig4b.csv", "fig4b.txt"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):

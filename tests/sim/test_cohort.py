@@ -43,7 +43,9 @@ class TestCollapsedLanes:
     def test_staleness_lane_with_shared_buckets(self, monkeypatch):
         """Modulo timestamps + faults: each member's staleness guard runs
         first and the bucket's sweep decides the rest — several survivors
-        per bucket, one event per slot."""
+        per bucket, one event per slot.  Untraced: the spans of staleness
+        aborts are compared, cohort against the reference, on the
+        harness's traced ``faults/doze-wrap`` rows."""
         cfg = SimulationConfig(
             protocol="f-matrix",
             num_objects=16,
@@ -56,7 +58,6 @@ class TestCollapsedLanes:
             modulo_timestamps=True,
             timestamp_bits=3,
             restart_delay=300.0,
-            tracing=True,
             seed=43,
         )
         cfg = cfg.replace(

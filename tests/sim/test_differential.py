@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.scenarios.schema import parse_scenario
 
+from tests.conftest import reference_run
 from tests.differential import CORPUS, admissible, check, documents
 
 #: documents generated per tier-1 run (derandomized: the same ones each time)
@@ -43,3 +44,11 @@ def test_a_split_run_is_admissible_only_where_the_config_allows_one():
     bounded = admissible(CORPUS["faults/uplink-loss/bounded"])
     assert len(bounded) == 20
     assert not any(s.client_executor == "process" and s.shards > 1 for s in bounded)
+
+
+def test_a_traced_row_fires_the_staleness_guard():
+    """``test_corpus`` compares this row's spans, staleness aborts among
+    them, under every executor against the traced reference — which is
+    why the collapsed staleness lane (tests/sim/test_cohort.py) can run
+    untraced."""
+    assert reference_run(CORPUS["faults/doze-wrap/seed=7"]).metrics.aborts_staleness > 0
