@@ -13,7 +13,7 @@ check: test lint typecheck
 ci: test lint typecheck perf-smoke figures-smoke consistency-smoke scenario-smoke obs-smoke
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x
 
 lint:
 	$(PYTHON) -m repro.analysis.lint src/repro

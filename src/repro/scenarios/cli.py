@@ -298,6 +298,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "seed": scenario.seed,
             "config_fingerprint": config.fingerprint(),
             "executor": config.client_executor,
+            "schedule": result.schedule.to_dict(),
             "shards": config.shards,
             "timeline_mode": config.timeline_mode,
             "metrics": metrics,

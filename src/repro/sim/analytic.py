@@ -1,4 +1,8 @@
-"""The analytical tier: read-only clients, replayed in waves.
+"""The waved schedule: read-only clients, replayed in waves.
+
+A ``cohort`` run takes it when the schedule model
+(:mod:`repro.sim.schedule`) says so, with the model's wave size;
+``client_executor="analytic"`` forces it, with :data:`WAVE`.
 
 A read-only client **never influences anything**: not the server, not
 the broadcast, not any other client (it commits without the uplink,
@@ -20,8 +24,8 @@ So the tier splits the run in two:
   equivalence tests assert exactly that.
 
 * **Phase B — the readers, a wave at a time.**  The shard's readers go
-  through the cohort executor (:mod:`repro.sim.cohort`) :data:`WAVE` at
-  a time: each wave is a fresh engine from t = 0 whose slot buckets
+  through the cohort executor (:mod:`repro.sim.cohort`) a wave at a
+  time: each wave is a fresh engine from t = 0 whose slot buckets
   settle all its members that wait for one slot together (one sweep,
   one pass), drained before the next wave is built.  Every wave hears
   the same timeline, its env's :attr:`~repro.sim.kernel.ClientEnv.on_air`
@@ -54,8 +58,9 @@ if TYPE_CHECKING:
 
 __all__ = ["WAVE", "run_analytic"]
 
-#: readers replayed together: bounded, so a shard's working set is one
-#: wave's kernels and buckets (docs/PERFORMANCE.md §5 has the table)
+#: readers replayed together under ``client_executor="analytic"``:
+#: bounded, so a shard's working set is one wave's kernels and buckets
+#: (docs/PERFORMANCE.md §5 has the table)
 WAVE = 128
 
 
@@ -80,8 +85,10 @@ class _Recording:
         return self.simulation.timeline.broadcast(cycle)
 
 
-def run_analytic(simulation: "BroadcastSimulation") -> Tuple[float, int]:
-    """Run ``simulation`` through the analytical tier.
+def run_analytic(simulation: "BroadcastSimulation", wave: int) -> Tuple[float, int]:
+    """Run ``simulation`` through the analytical tier, ``wave`` readers
+    at a time (:data:`WAVE` under ``client_executor="analytic"``, the
+    schedule's wave under ``"cohort"``: :mod:`repro.sim.schedule`).
 
     Returns ``(sim_time, events)``: the instant the last client finished
     (bit-identical to the event-driven run's stop time — the latest
@@ -111,14 +118,14 @@ def run_analytic(simulation: "BroadcastSimulation") -> Tuple[float, int]:
     sim_time, events = sim.now, sim.events_processed
     recording = None if simulation.feed is None else _Recording(simulation, sim.now)
     env = simulation.client_env(simulation.metrics, simulation.tracer, recording)
-    for lo in range(sl.reader_lo, sl.reader_hi, WAVE):
-        wave = Simulator()
-        ids = range(lo, min(lo + WAVE, sl.reader_hi))
+    for lo in range(sl.reader_lo, sl.reader_hi, wave):
+        engine = Simulator()
+        ids = range(lo, min(lo + wave, sl.reader_hi))
         CohortExecutor(
-            sim=wave,
+            sim=engine,
             env=env,
             clients=[simulation.kernel_for(env, k) for k in ids],
         ).start()
-        sim_time = max(sim_time, wave.run())
-        events += wave.events_processed
+        sim_time = max(sim_time, engine.run())
+        events += engine.events_processed
     return sim_time, events

@@ -70,13 +70,14 @@ class SimulationConfig:
     #: gives bit-identical results:
     #: "cohort" (the default) — the kernel under a slot-coalesced
     #: calendar, one simulator event and one batched validation per
-    #: occupied slot;
+    #: occupied slot; the run picks its own schedule from the config
+    #: (repro.sim.schedule): the read-only clients interleaved, or after
+    #: the updaters in waves sized by a bucket-occupancy model;
     #: "process" — one simulator process per client, an independent
     #: implementation kept as the reference the others are tested
     #: against: name it to ask for the reference, it is single-shard;
-    #: "analytic" — the updaters under the cohort calendar first, then
-    #: the read-only clients under it a bounded wave at a time against
-    #: the recorded broadcast timeline (O(wave) transient state)
+    #: "analytic" — cohort with waves forced at repro.sim.analytic.WAVE
+    #: readers; kept only while the benchmark harness names it
     client_executor: str = "cohort"
     #: partition the read-only population over N sharded simulations
     #: (docs/PERFORMANCE.md §5); 1 = single in-process run

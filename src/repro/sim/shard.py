@@ -20,10 +20,11 @@ provided every shard sees the same broadcast.  Two modes provide it:
   pass does and replay their reader range as pure observers of the feed
   (no live timeline; crash dead-air reproduced from the plan's closed
   outage windows), blocking only where nothing is
-  published yet: an analytic pass runs the timeline ahead of its own
-  readers, so they hardly wait; an event-driven one shares its readers'
-  clock and publishes once, at the horizon.  A shard that reads past the
-  horizon the feed was closed at recomputes for itself, so replay is an
+  published yet: a waved pass (:mod:`repro.sim.schedule`) runs the
+  timeline ahead of its own readers, so they hardly wait; an interleaved
+  one shares its readers' clock and publishes once, at the horizon.  A
+  shard that reads past the horizon the feed was closed at recomputes
+  for itself, so replay is an
   optimisation, never a correctness risk.  Update-free, fault-free
   timelines also land in the cross-run
   :data:`~repro.sim.arena.TIMELINE_CACHE`: a later run that varies only
@@ -173,14 +174,21 @@ def _simulate(
     stall = view.profiler.as_dict().get("stall", 0.0) if view is not None else 0.0
     spans, dropped = simulation.tracer.export(), simulation.tracer.dropped
     return ShardOutcome(
-        simulation.metrics, sim_time, events, spans, dropped, fell_back, stall
+        simulation.metrics,
+        sim_time,
+        events,
+        simulation.schedule,
+        spans,
+        dropped,
+        fell_back,
+        stall,
     )
 
 
 def _execute(owner: BroadcastSimulation) -> ShardOutcome:
     """Run the in-process timeline owner to its clients' stop (its span
     stream is read at assembly, once the timeline covers the merged stop)."""
-    return ShardOutcome(owner.metrics, *owner.execute())
+    return ShardOutcome(owner.metrics, *owner.execute(), owner.schedule)
 
 
 def _run_shard(job: ShardJob) -> ShardOutcome:

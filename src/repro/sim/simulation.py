@@ -59,6 +59,7 @@ from ..obs.telemetry import telemetry_from_result
 from ..obs.tracer import NULL_TRACER, Span, Tracer, canonical_spans
 from ..server.server import BroadcastServer
 from ..server.workload import ClientWorkload, UniformTape
+from . import analytic
 from .arena import TimelineArena, TimelineFeed, TimelineView
 from .cohort import CohortExecutor
 from .config import SimulationConfig
@@ -67,6 +68,7 @@ from .faults import FaultRuntime
 from .kernel import ClientEnv, ClientKernel, OnAir
 from .metrics import MetricsCollector, SummaryStat
 from .processes import client_process
+from .schedule import Schedule, schedule_for
 from .timeline import LiveTimeline, fold_journal
 from .trace import TraceRecorder
 
@@ -128,6 +130,8 @@ class ShardOutcome(NamedTuple):
     sim_time: float
     #: client-side engine events (the timeline costs none)
     events: int
+    #: how the shard ran its readers
+    schedule: Schedule
     #: the shard's raw span stream (empty when tracing is off, and for
     #: the in-process timeline owner, whose stream is read at assembly)
     spans: Sequence[Span] = ()
@@ -152,10 +156,14 @@ class SimulationResult:
     trace: Optional[TraceRecorder]
     sim_time: float
     #: engine events, summed over shards: client scheduling only, so the
-    #: one observable the executor moves (under the analytical tier, its
+    #: one observable the executor and the schedule move (when waved, the
     #: updaters' events plus every reader wave's); the broadcast
     #: timeline is advanced on demand and costs none
     events: int
+    #: how the readers were scheduled — interleaved or waved, the wave,
+    #: the readers, and why (:mod:`repro.sim.schedule`); a sharded run
+    #: reports its primary slice's
+    schedule: Schedule
     #: invariant-audit report, populated when the config sets ``audit=True``
     audit_report: Optional["AuditReport"] = None
     #: replay/cache telemetry from the shard layer (``timeline_mode``,
@@ -224,6 +232,8 @@ class BroadcastSimulation:
         self.partition = config.partition()
         self.sim = Simulator()
         self.metrics = MetricsCollector()
+        #: interleaved or waved readers, chosen from the config alone
+        self.schedule = schedule_for(config, self.slice.num_readers)
         #: span sink for everything this shard measures; the no-op
         #: singleton keeps untraced runs allocation-free
         self.tracer: Tracer = Tracer() if config.tracing else NULL_TRACER
@@ -255,10 +265,10 @@ class BroadcastSimulation:
                 # timeline spans are primary-only: ghost timelines
                 # recompute the same history and would double-emit
                 tracer=self.tracer if self.slice.primary else NULL_TRACER,
-                # the one image history: a recording pass seals it, the
-                # analytical tier reads far back in it, an audit checks it
+                # the one image history: a recording pass seals it, a
+                # later wave reads far back in it, an audit checks it
                 keep_images=record_timeline
-                or config.client_executor == "analytic"
+                or self.schedule.mode == "waved"
                 or config.audit,
             )
         else:
@@ -420,11 +430,8 @@ class BroadcastSimulation:
         statistics.  Shard workers call this directly — a secondary
         shard's partial sample set isn't summarisable on its own.
         """
-        if self.config.client_executor == "analytic":
-            # imported lazily: the analytical tier is optional machinery
-            from .analytic import run_analytic
-
-            sim_time, events = run_analytic(self)
+        if self.schedule.mode == "waved":
+            sim_time, events = analytic.run_analytic(self, self.schedule.wave)
         else:
             sim_time, events = self._run_events()
         if self.timeline is not None:
@@ -432,7 +439,7 @@ class BroadcastSimulation:
         return sim_time, events
 
     def run(self) -> SimulationResult:
-        outcome = ShardOutcome(self.metrics, *self.execute())
+        outcome = ShardOutcome(self.metrics, *self.execute(), self.schedule)
         result = assemble_result(self.config, [outcome], PhaseProfiler(), owner=self)
         if self.config.audit:
             # Imported here (not at module top) so repro.sim never depends
@@ -509,6 +516,7 @@ def assemble_result(
         trace=owner.trace if owner is not None else None,
         sim_time=sim_time,
         events=sum(outcome.events for outcome in outcomes),
+        schedule=outcomes[0].schedule,
         spans=spans,
         shard_spans=shard_spans,
         spans_dropped=spans_dropped,

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 from repro.analysis.consistency import certify_update_consistency
 from repro.core.validators import PROTOCOL_NAMES
 from repro.scenarios.schema import SCENARIO_FORMAT_VERSION
-from repro.sim import analytic
+from repro.sim import analytic, schedule
 from repro.sim.config import EXECUTORS, SimulationConfig
 from repro.sim.faults import DozeInterval, FaultPlan, ServerCrash
 from repro.sim.shard import run_sharded
@@ -55,8 +55,10 @@ AXES = {
 #: the reference's setting, untraced and traced: each run the oracle
 REFERENCE = dict(client_executor="process", shards=1, timeline_mode="recompute")
 
-#: analytic readers per wave under the harness (``repro.sim.analytic.WAVE``
-#: is patched, not configured): any run with four readers spans waves
+#: readers per wave under the harness, patched, not configured: the
+#: analytic executor's (``repro.sim.analytic.WAVE``), so any run with four
+#: readers spans waves, and the bound on a wave the schedule model
+#: chooses (``repro.sim.schedule``)
 WAVE = 3
 
 
@@ -160,9 +162,14 @@ def certify(result):
     assert report.ok, report.format()
 
 
-def check(cfg, **axes):
+def check(cfg, *, model=False, **axes):
     """Hold every admissible setting of ``cfg`` to the reference run;
     given ``axes``, only the settings :func:`admissible` narrows them to.
+
+    ``cohort`` runs interleaved — the calendar is what the harness
+    covers, and ``analytic`` covers waves — unless ``model`` leaves the
+    choice to the schedule model; a wave it picks is bounded by
+    :data:`WAVE` either way.
 
     The reference is ``cfg`` at :data:`REFERENCE`, once for each
     ``tracing`` value.  The untraced one is audited and certified; every
@@ -174,7 +181,10 @@ def check(cfg, **axes):
     held = [s for s in admissible(cfg, **axes) if s not in references]
     assert held, f"no admissible setting has {axes}"
     oracles, runs = {}, []
-    with mock.patch.object(analytic, "WAVE", WAVE):
+    pinned = None if model else "interleaved"
+    with mock.patch.object(analytic, "WAVE", WAVE), mock.patch.object(
+        schedule, "_pinned_mode", pinned
+    ), mock.patch.object(schedule, "_wave_bound", WAVE):
         for setting in references + held:
             where = describe(setting)
             traceable = setting.readers_apart is None
@@ -381,6 +391,19 @@ def _corpus():
     # submissions reach the server at one instant (``_fire``'s issue-order
     # sort; smaller populations share no such instant)
     rows["dense/updaters"] = dict(DENSE, client_update_fraction=0.3)
+    # more readers than the schedule model's wave (W = 269 here): left to
+    # the model, a cohort run of this row waves
+    rows["dense/waves"] = dict(
+        DENSE,
+        num_objects=8,
+        client_txn_length=4,
+        server_txn_length=4,
+        mean_inter_operation_delay=512.0,
+        mean_inter_transaction_delay=16384.0,
+        server_txn_interval=50_000.0,
+        num_clients=300,
+        num_client_transactions=2,
+    )
 
     cb = SimulationConfig(**FAULTY).cycle_bits
     for plan, overrides in fault_plans(cb).items():

@@ -88,6 +88,11 @@ class TestRunExitCodes:
         assert run["scenario"] == "quasi-cache-fleet"
         assert run["envelope"]["ok"] is True
         assert run["metrics"]["commits"] == 48
+        # next to the executor: how it scheduled the readers, and why
+        schedule = run["schedule"]
+        assert run["executor"] == "cohort"
+        assert schedule["mode"] == "interleaved" and schedule["wave"] == 0
+        assert "W = " in schedule["reason"]
 
     def test_protocol_override(self, capsys):
         code = scenario_main(

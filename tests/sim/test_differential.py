@@ -52,3 +52,12 @@ def test_a_traced_row_fires_the_staleness_guard():
     why the collapsed staleness lane (tests/sim/test_cohort.py) can run
     untraced."""
     assert reference_run(CORPUS["faults/doze-wrap/seed=7"]).metrics.aborts_staleness > 0
+
+
+def test_the_schedule_model_waves_a_dense_row():
+    """``test_corpus`` runs cohort interleaved; here the model chooses,
+    and on this row it waves the unsplit cohort runs (each shard of a
+    split run holds too few readers to)."""
+    runs = check(CORPUS["dense/waves"], model=True, client_executor="cohort")
+    modes = {(s.shards, r.schedule.mode, r.schedule.wave) for s, r in runs}
+    assert modes == {(1, "waved", 3), (2, "interleaved", 0)}
