@@ -40,7 +40,7 @@ typecheck:
 # dense materialiser disabled, tests/server/test_control_snapshots.py).
 # perfbench puts src/ on sys.path itself; JSON lands in perfbench/out/.
 perf-smoke:
-	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) -m pytest perfbench/tests
 	$(PYTHON) -m perfbench run --all --smoke
 	$(PYTHON) -m perfbench trace --all --smoke
 
@@ -51,7 +51,7 @@ perf-smoke:
 # REPRO_BENCH_TXNS=60 test_fig2_client_txn_length fails on noise.  Plain
 # pytest: nothing here is timed (host time is perf-smoke's harness).
 figures-smoke:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m pytest benchmarks
 
 # observability smoke (docs/OBSERVABILITY.md): the library's traced
 # faulted 2-shard replay-mode run, producing a Perfetto-loadable Chrome

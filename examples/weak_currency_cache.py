@@ -29,7 +29,7 @@ X, Y, Z = 0, 1, 2
 def mechanism_demo() -> None:
     print("-- mechanism: cached reads validate like off-air reads --")
     server = BroadcastServer(num_objects=3, protocol="f-matrix")
-    cache = QuasiCache(default_currency_bound=10_000.0)
+    cache = QuasiCache(currency_bound=10_000.0)
 
     b1 = server.begin_cycle(1)
     cache.insert(b1, X, now=0.0)  # prefetch X from cycle 1 at t=0

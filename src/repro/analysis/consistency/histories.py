@@ -126,15 +126,6 @@ class TransactionalHistory:
             if op.is_read
         )
 
-    # ------------------------------------------------------------------
-    def restrict(self, tids: Sequence[str]) -> "TransactionalHistory":
-        """The sub-history over ``tids``, sessions projected accordingly."""
-        keep = set(tids)
-        projected = [
-            [tid for tid in session if tid in keep] for session in self.sessions
-        ]
-        return TransactionalHistory(self.history.projection(keep), projected)
-
     def __repr__(self) -> str:
         return (
             f"TransactionalHistory(|T|={len(self.tids)}, "

@@ -82,12 +82,6 @@ class AuditReport:
     def violations_of(self, invariant_id: str) -> Tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.invariant == invariant_id)
 
-    def by_invariant(self) -> Dict[str, Tuple[Diagnostic, ...]]:
-        out: Dict[str, List[Diagnostic]] = {}
-        for diag in self.diagnostics:
-            out.setdefault(diag.invariant, []).append(diag)
-        return {k: tuple(v) for k, v in out.items()}
-
     def format(self) -> str:
         lines: List[str] = []
         if self.config_hash is not None:

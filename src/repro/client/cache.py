@@ -13,8 +13,9 @@ just the relevant column/vector).  A cached read
 is then validated through the *same* read-condition code path as an
 off-air read, anchored at the cached cycle.
 
-Currency bounds are per client *and* per object ("the invalidation
-interval can be tailored on a per client per object basis").
+A cache has one currency bound ``T``, the paper's per-client bound; the
+paper allows tailoring it per object too, which no configuration here
+does.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class CacheEntry(NamedTuple):
     @property
     def obj(self) -> int:
         return self.version.obj
-
-    @property
-    def cached_cycle(self) -> int:
-        return self.snapshot.cycle
 
     def as_broadcast(self) -> BroadcastCycle:
         """Present the entry as a one-object broadcast for the runtime.
@@ -96,29 +93,20 @@ class QuasiCache:
 
     def __init__(
         self,
-        default_currency_bound: float,
+        currency_bound: float,
         *,
         capacity: Optional[int] = None,
     ):
-        if default_currency_bound < 0:
+        if currency_bound < 0:
             raise ValueError("currency bound must be non-negative")
-        self.default_currency_bound = default_currency_bound
+        #: T: an entry serves hits until it is this many bit-units old
+        self.currency_bound = currency_bound
         self.capacity = capacity
         self._entries: Dict[int, CacheEntry] = {}
-        self._bounds: Dict[int, float] = {}
         self.hits = 0
         self.misses = 0
 
     # ------------------------------------------------------------------
-    def set_currency_bound(self, obj: int, bound: float) -> None:
-        """Tailor the invalidation interval for one object."""
-        if bound < 0:
-            raise ValueError("currency bound must be non-negative")
-        self._bounds[obj] = bound
-
-    def currency_bound(self, obj: int) -> float:
-        return self._bounds.get(obj, self.default_currency_bound)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -156,7 +144,7 @@ class QuasiCache:
         if entry is None:
             self.misses += 1
             return None
-        if now - entry.cached_at > self.currency_bound(obj):
+        if now - entry.cached_at > self.currency_bound:
             del self._entries[obj]
             self.misses += 1
             return None
@@ -173,7 +161,7 @@ class QuasiCache:
         stale = [
             obj
             for obj, entry in self._entries.items()
-            if now - entry.cached_at > self.currency_bound(obj)
+            if now - entry.cached_at > self.currency_bound
         ]
         for obj in stale:
             del self._entries[obj]

@@ -7,10 +7,11 @@ time (bit-units) and restart ratio, with 95% confidence intervals.
 
 Grid points are independent seeded simulations, so ``run_sweep`` can fan
 them over a :class:`concurrent.futures.ProcessPoolExecutor`
-(``workers=N``) exactly like :mod:`repro.sim.batch` does for
-replications.  Results are gathered in submission order and every
-simulation derives its randomness from its config's seed, so the
-assembled :class:`ExperimentResult` is bit-identical to a sequential run.
+(``workers=N``); :func:`repro.sim.batch.replicate` is a sweep over its
+replication seeds and uses the same pool.  Results are gathered in
+submission order and every simulation derives its randomness from its
+config's seed, so the assembled :class:`ExperimentResult` is
+bit-identical to a sequential run.
 """
 
 from __future__ import annotations

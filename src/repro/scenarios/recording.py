@@ -45,8 +45,10 @@ __all__ = [
     "replay_trace",
 ]
 
-#: on-disk trace format revision; bump on incompatible changes
-TRACE_FORMAT_VERSION = 1
+#: on-disk trace format revision; bump on incompatible changes (2: the
+#: embedded config and fault plan lost the uplink retry, write-fraction
+#: and steady-state-window keys, now constants)
+TRACE_FORMAT_VERSION = 2
 
 
 def result_signature(result: "SimulationResult") -> Dict[str, object]:

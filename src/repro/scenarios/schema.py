@@ -74,9 +74,7 @@ _RESERVED_CONFIG_FIELDS = frozenset({"protocol", "seed", "faults"})
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SimulationConfig))
 
-_SEEDED_KEYS = frozenset(
-    {"seed", "horizon", "mean_time_between_dozes", "mean_doze_duration"}
-)
+_SEEDED_KEYS = frozenset({"horizon", "mean_time_between_dozes", "mean_doze_duration"})
 
 
 class ScenarioError(ValueError):
@@ -169,9 +167,9 @@ def _parse_faults(
         # settings are the plan's (one construction: a plan validates its
         # thousands of intervals when built)
         return FaultPlan.seeded(
-            int(seeded.get("seed", seed)),
+            seed,
             num_clients=num_clients,
-            **{key: float(seeded[key]) for key in seeded if key != "seed"},
+            **{key: float(value) for key, value in seeded.items()},
             **{key: value for key, value in vars(plan).items() if key != "doze"},
         )
     except (ValueError, TypeError, OverflowError) as exc:

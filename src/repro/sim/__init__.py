@@ -16,13 +16,7 @@ from .config import KILOBYTE_BITS, SimulationConfig
 from .engine import Process, Simulator, Timeout, WaitUntil
 from .faults import DozeInterval, FaultPlan, FaultRuntime, ServerCrash
 from .kernel import ClientEnv, ClientKernel
-from .metrics import (
-    MetricsCollector,
-    SummaryStat,
-    TransactionSample,
-    batch_means,
-    summarize,
-)
+from .metrics import MetricsCollector, SummaryStat, TransactionSample, summarize
 from .shard import ShardExecutionError, reader_slices, run_sharded
 from .simulation import (
     BroadcastSimulation,
@@ -43,7 +37,6 @@ __all__ = [
     "SummaryStat",
     "TransactionSample",
     "summarize",
-    "batch_means",
     "replicate",
     "ReplicatedResult",
     "replication_seeds",

@@ -5,8 +5,9 @@ share broadcast cycles and server state), so the per-sample t-interval of
 :mod:`repro.sim.metrics` is optimistic.  The methodologically clean
 estimate replicates the whole simulation across independent seeds and
 treats per-replication means as i.i.d. samples; this module provides
-that, with optional process-level parallelism (each replication is an
-independent simulation, embarrassingly parallel).
+that.  The replications are one sweep over their seeds
+(:func:`repro.experiments.sweeps.run_sweep`), so they fan out over
+processes through the same pool as a figure's grid points.
 
     from repro.sim.batch import replicate
     pooled = replicate(config, replications=8, workers=4)
@@ -15,13 +16,11 @@ independent simulation, embarrassingly parallel).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .config import SimulationConfig
 from .metrics import SummaryStat, summarize
-from .simulation import run_simulation
 
 __all__ = ["ReplicatedResult", "replication_seeds", "replicate"]
 
@@ -51,12 +50,6 @@ def replication_seeds(base_seed: int, replications: int) -> Tuple[int, ...]:
     return tuple(base_seed + 7919 * k for k in range(replications))
 
 
-def _one_replication(args: Tuple[SimulationConfig, int]) -> Tuple[float, float]:
-    config, seed = args
-    result = run_simulation(config.replace(seed=seed))
-    return (result.response_time.mean, result.restart_ratio.mean)
-
-
 def replicate(
     config: SimulationConfig,
     *,
@@ -69,15 +62,23 @@ def replicate(
     and results are plain picklable values).  ``workers=None`` or 1 runs
     sequentially.
     """
+    # the sweep machinery imports this package: bind it at call time
+    from ..experiments.sweeps import run_sweep
+
     seeds = replication_seeds(config.seed, replications)
-    jobs = [(config, seed) for seed in seeds]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_one_replication, jobs))
-    else:
-        outcomes = [_one_replication(job) for job in jobs]
-    response_means = tuple(r for r, _x in outcomes)
-    restart_means = tuple(x for _r, x in outcomes)
+    sweep = run_sweep(
+        "replicate",
+        "replication",
+        config,
+        "seed",
+        range(replications),
+        [config.protocol],
+        config_hook=lambda base, k: base.replace(seed=seeds[k]),
+        workers=workers,
+    )
+    points = sweep.series[config.protocol].points
+    response_means = tuple(point.response_time.mean for point in points)
+    restart_means = tuple(point.restart_ratio.mean for point in points)
     return ReplicatedResult(
         config=config,
         seeds=seeds,

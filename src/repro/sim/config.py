@@ -23,10 +23,25 @@ from ..core.group_matrix import Partition, uniform_partition
 from ..core.validators import PROTOCOL_NAMES
 from .faults import FaultPlan
 
-__all__ = ["SimulationConfig", "EXECUTORS", "KILOBYTE_BITS"]
+__all__ = [
+    "SimulationConfig",
+    "EXECUTORS",
+    "KILOBYTE_BITS",
+    "UPLINK_ROUND_TRIP",
+    "CLIENT_UPDATE_WRITE_FRACTION",
+]
 
 #: bits in the paper's 1 KB object
 KILOBYTE_BITS = 8 * 1024
+
+#: round-trip bit-time for submit + verdict on the scarce uplink
+#: (Sec. 3.2.1 gives it no value; a submission reaches the server half of
+#: it after the read phase ends, the verdict is back the other half later)
+UPLINK_ROUND_TRIP = 8_192.0
+
+#: fraction of a client update transaction's read set it rewrites (at
+#: least one object)
+CLIENT_UPDATE_WRITE_FRACTION = 0.5
 
 #: the ``client_executor`` values (the field's comment says what each does)
 EXECUTORS = ("process", "cohort", "analytic")
@@ -60,8 +75,6 @@ class SimulationConfig:
     # -- run shape --------------------------------------------------------
     #: client transactions to commit before the run ends
     num_client_transactions: int = 1000
-    #: fraction of final transactions used for steady-state statistics
-    measure_fraction: float = 0.5
     num_clients: int = 1
     seed: int = 42
     #: who schedules the clients, never what a run may do.  What a client
@@ -132,10 +145,6 @@ class SimulationConfig:
     #: fraction of client transactions that also write (0 = paper's Sec. 4
     #: setting: read-only clients)
     client_update_fraction: float = 0.0
-    #: fraction of an update transaction's read set it rewrites
-    client_update_write_fraction: float = 0.5
-    #: round-trip bit-time for submit + verdict on the scarce uplink
-    uplink_round_trip: float = 8_192.0
 
     # -- analysis hooks -----------------------------------------------------
     #: keep every broadcast image the timeline installs, record the
@@ -178,8 +187,6 @@ class SimulationConfig:
             raise ValueError("client transactions read distinct objects")
         if self.num_objects < self.server_txn_length:
             raise ValueError("server transactions access distinct objects")
-        if not 0 < self.measure_fraction <= 1:
-            raise ValueError("measure_fraction must be in (0, 1]")
         if self.server_interval_distribution not in ("exponential", "deterministic"):
             raise ValueError("unknown server_interval_distribution")
         if self.num_clients < 1:
@@ -194,10 +201,6 @@ class SimulationConfig:
             raise ValueError("num_update_clients must be in [0, num_clients]")
         if not 0.0 <= self.client_update_fraction <= 1.0:
             raise ValueError("client_update_fraction must be in [0, 1]")
-        if not 0.0 < self.client_update_write_fraction <= 1.0:
-            raise ValueError("client_update_write_fraction must be in (0, 1]")
-        if self.uplink_round_trip < 0:
-            raise ValueError("uplink_round_trip must be non-negative")
         if not 0.0 <= self.broadcast_loss_probability < 1.0:
             raise ValueError("broadcast_loss_probability must be in [0, 1)")
         if self.layout_kind not in ("flat", "multi-disk"):

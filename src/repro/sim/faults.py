@@ -10,8 +10,8 @@ deterministic simulation inputs:
 * :class:`FaultPlan` — a frozen, seedable schedule attached to
   :class:`repro.sim.config.SimulationConfig`: per-client
   :class:`DozeInterval` radio-off windows, :class:`ServerCrash`
-  crash+recovery events, and uplink submission loss with
-  retry/timeout/backoff for client update transactions;
+  crash+recovery events, and uplink submission loss for client update
+  transactions (retried under the module's fixed timeout and backoff);
 * :class:`FaultRuntime` — what a run asks of the plan (is this client
   dozing? was this slot heard? was this submission lost?), charging
   every missed slot to a cause-attributed metric.
@@ -60,7 +60,17 @@ __all__ = [
     "ServerCrash",
     "FaultPlan",
     "FaultRuntime",
+    "UPLINK_MAX_RETRIES",
+    "UPLINK_TIMEOUT",
+    "UPLINK_BACKOFF",
 ]
+
+#: resubmissions before a lost update transaction gives up and aborts
+UPLINK_MAX_RETRIES = 3
+#: bit-units a client waits for a verdict before declaring loss
+UPLINK_TIMEOUT = 16_384.0
+#: verdict-timeout multiplier per successive retry
+UPLINK_BACKOFF = 2.0
 
 _T = TypeVar("_T")
 
@@ -203,26 +213,15 @@ class FaultPlan:
     doze: Tuple[DozeInterval, ...] = ()
     #: mid-run server crash + recovery events (validated non-overlapping)
     crashes: Tuple[ServerCrash, ...] = ()
-    #: probability an uplink submission is lost in transit
+    #: probability an uplink submission is lost in transit (a lost one is
+    #: retried under UPLINK_MAX_RETRIES / UPLINK_TIMEOUT / UPLINK_BACKOFF)
     uplink_loss_probability: float = 0.0
-    #: resubmissions before the update transaction gives up and aborts
-    uplink_max_retries: int = 3
-    #: bit-units a client waits for a verdict before declaring loss
-    uplink_timeout: float = 16_384.0
-    #: verdict-timeout multiplier per successive retry (>= 1)
-    uplink_backoff: float = 2.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "doze", tuple(self.doze))
         object.__setattr__(self, "crashes", tuple(self.crashes))
         if not 0.0 <= self.uplink_loss_probability < 1.0:
             raise ValueError("uplink_loss_probability must be in [0, 1)")
-        if self.uplink_max_retries < 0:
-            raise ValueError("uplink_max_retries must be >= 0")
-        if self.uplink_timeout <= 0:
-            raise ValueError("uplink_timeout must be > 0")
-        if self.uplink_backoff < 1.0:
-            raise ValueError("uplink_backoff must be >= 1")
         per_client: Dict[int, List[DozeInterval]] = {}
         for interval in self.doze:
             per_client.setdefault(interval.client, []).append(interval)
@@ -272,9 +271,6 @@ class FaultPlan:
             "doze": [interval.to_dict() for interval in self.doze],
             "crashes": [crash.to_dict() for crash in self.crashes],
             "uplink_loss_probability": self.uplink_loss_probability,
-            "uplink_max_retries": self.uplink_max_retries,
-            "uplink_timeout": self.uplink_timeout,
-            "uplink_backoff": self.uplink_backoff,
         }
 
     @classmethod
@@ -287,9 +283,6 @@ class FaultPlan:
                 "doze": _list_of(DozeInterval),
                 "crashes": _list_of(ServerCrash),
                 "uplink_loss_probability": float,
-                "uplink_max_retries": int,
-                "uplink_timeout": float,
-                "uplink_backoff": float,
             },
         )
 
@@ -304,9 +297,6 @@ class FaultPlan:
         mean_doze_duration: float = 0.0,
         crashes: Sequence[ServerCrash] = (),
         uplink_loss_probability: float = 0.0,
-        uplink_max_retries: int = 3,
-        uplink_timeout: float = 16_384.0,
-        uplink_backoff: float = 2.0,
     ) -> "FaultPlan":
         """A reproducible plan drawn from its own seed.
 
@@ -334,12 +324,7 @@ class FaultPlan:
             doze=tuple(doze),
             crashes=tuple(crashes),
             uplink_loss_probability=uplink_loss_probability,
-            uplink_max_retries=uplink_max_retries,
-            uplink_timeout=uplink_timeout,
-            uplink_backoff=uplink_backoff,
         )
-
-
 
 
 class FaultRuntime:

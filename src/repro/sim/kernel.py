@@ -60,8 +60,8 @@ from ..client.runtime import ClientUpdateTransactionRuntime, ReadOnlyTransaction
 from ..core.validators import ControlSnapshot, ReadValidator
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..server.workload import ClientWorkload, UniformTape
-from .config import SimulationConfig
-from .faults import FaultRuntime
+from .config import CLIENT_UPDATE_WRITE_FRACTION, UPLINK_ROUND_TRIP, SimulationConfig
+from .faults import UPLINK_BACKOFF, UPLINK_MAX_RETRIES, UPLINK_TIMEOUT, FaultRuntime
 from .metrics import MetricsCollector
 from .timeline import LiveTimeline
 from .trace import TraceRecorder
@@ -141,7 +141,7 @@ class ClientEnv:
         # bit-identical lambda
         self.op_lambd = 1.0 / config.mean_inter_operation_delay
         self.txn_lambd = 1.0 / config.mean_inter_transaction_delay
-        self.half_rtt = config.uplink_round_trip / 2.0
+        self.half_rtt = UPLINK_ROUND_TRIP / 2.0
         # read by every client step: kept one attribute hop away
         self.delay_first = config.delay_before_first_operation
         self.loss = config.broadcast_loss_probability
@@ -238,9 +238,7 @@ class ClientKernel:
             self.runtime = ClientUpdateTransactionRuntime(
                 tid, objects, self.validator, staleness_window=staleness
             )
-            num_writes = max(
-                1, round(len(objects) * config.client_update_write_fraction)
-            )
+            num_writes = max(1, round(len(objects) * CLIENT_UPDATE_WRITE_FRACTION))
             self.write_objs = list(objects[:num_writes])
         else:
             self.runtime = ReadOnlyTransactionRuntime(
@@ -563,9 +561,7 @@ class ClientKernel:
                 metrics.uplink_crash_losses += 1
             else:
                 metrics.uplink_losses += 1
-            assert env.faults is not None
-            plan = env.faults.plan
-            if self.uplink_retries >= plan.uplink_max_retries:
+            if self.uplink_retries >= UPLINK_MAX_RETRIES:
                 metrics.record_abort(status)
                 if tracer.enabled:
                     tracer.emit(
@@ -575,7 +571,7 @@ class ClientKernel:
             if tracer.enabled:
                 tracer.emit(now, now, "client", client, "uplink.retry", status, tid)
             # wait out the verdict timeout, back off, resubmit
-            delay = plan.uplink_timeout * plan.uplink_backoff**self.uplink_retries
+            delay = UPLINK_TIMEOUT * UPLINK_BACKOFF**self.uplink_retries
             self.uplink_retries += 1
             metrics.uplink_retries += 1
             self.wake = now + delay + env.half_rtt

@@ -21,7 +21,17 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["TransactionSample", "SummaryStat", "MetricsCollector", "summarize"]
+__all__ = [
+    "TransactionSample",
+    "SummaryStat",
+    "MetricsCollector",
+    "summarize",
+    "MEASURE_FRACTION",
+]
+
+#: the steady-state window: the final half of a run's commits, the
+#: paper's "last 500 of 1000" (Sec. 4)
+MEASURE_FRACTION = 0.5
 
 #: 97.5% standard-normal quantile: the Student-t quantile's limit, and a
 #: starting point below it for every finite dof
@@ -115,26 +125,6 @@ def summarize(values: Sequence[float]) -> SummaryStat:
     stddev = math.sqrt(var)
     half = _t_quantile_975(n - 1) * stddev / math.sqrt(n)
     return SummaryStat(mean, stddev, n, half)
-
-
-def batch_means(values: Sequence[float], num_batches: int = 10) -> SummaryStat:
-    """Batch-means estimate for autocorrelated series.
-
-    Successive response times within one run are correlated (they share
-    cycles and server state), so the naive per-sample t-interval is
-    optimistic.  The classic remedy splits the series into ``num_batches``
-    contiguous batches and treats the batch means as (approximately)
-    independent samples; the returned CI is over those.
-    """
-    if num_batches < 2:
-        raise ValueError("need at least two batches")
-    if len(values) < num_batches:
-        raise ValueError("fewer samples than batches")
-    size = len(values) // num_batches
-    means = [
-        sum(values[k * size : (k + 1) * size]) / size for k in range(num_batches)
-    ]
-    return summarize(means)
 
 
 class MetricsCollector:
@@ -333,11 +323,11 @@ class MetricsCollector:
         return [samples[i] for i in order]
 
     # ------------------------------------------------------------------
-    def response_time(self, measure_fraction: float = 0.5) -> SummaryStat:
+    def response_time(self, measure_fraction: float = MEASURE_FRACTION) -> SummaryStat:
         window = self._steady_order(measure_fraction)
         return summarize(self.response_times()[window].tolist())
 
-    def restart_ratio(self, measure_fraction: float = 0.5) -> SummaryStat:
+    def restart_ratio(self, measure_fraction: float = MEASURE_FRACTION) -> SummaryStat:
         window = self._steady_order(measure_fraction)
         return summarize(self.restart_counts()[window].astype(np.float64).tolist())
 
@@ -345,10 +335,3 @@ class MetricsCollector:
         """Tuning time (bits listened) per committed transaction."""
         count = self.commit_count
         return self.listening_bits / count if count else 0.0
-
-    def response_time_batch_means(
-        self, measure_fraction: float = 0.5, num_batches: int = 10
-    ) -> SummaryStat:
-        """Batch-means CI for the steady-state response times."""
-        window = self._steady_order(measure_fraction)
-        return batch_means(self.response_times()[window].tolist(), num_batches)

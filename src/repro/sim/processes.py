@@ -38,15 +38,15 @@ from ..client.runtime import ClientUpdateTransactionRuntime, ReadOnlyTransaction
 from ..core.validators import ReadValidator
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..server.workload import ClientWorkload, UniformTape
-from .config import SimulationConfig
+from .config import CLIENT_UPDATE_WRITE_FRACTION, UPLINK_ROUND_TRIP, SimulationConfig
 from .engine import Simulator, Timeout, WaitUntil
+from .faults import UPLINK_BACKOFF, UPLINK_MAX_RETRIES, UPLINK_TIMEOUT, FaultRuntime
 from .metrics import MetricsCollector
 from .timeline import LiveTimeline
 from .trace import TraceRecorder
 
-if TYPE_CHECKING:  # type-only: arena/faults never import processes
+if TYPE_CHECKING:  # type-only: arena never imports processes
     from .arena import TimelineView
-    from .faults import FaultRuntime
 
 __all__ = ["client_process"]
 
@@ -67,7 +67,7 @@ def client_process(
     validator: ReadValidator,
     layout: FlatLayout,
     timeline: "LiveTimeline | TimelineView",
-    faults: Optional["FaultRuntime"],
+    faults: Optional[FaultRuntime],
     metrics: MetricsCollector,
     rng: UniformTape,
     trace: Optional[TraceRecorder] = None,
@@ -104,9 +104,7 @@ def client_process(
             runtime: ReadOnlyTransactionRuntime = ClientUpdateTransactionRuntime(
                 tid, objects, validator, staleness_window=staleness_window
             )
-            num_writes = max(
-                1, round(len(objects) * config.client_update_write_fraction)
-            )
+            num_writes = max(1, round(len(objects) * CLIENT_UPDATE_WRITE_FRACTION))
             write_objs = list(objects[:num_writes])
         else:
             runtime = ReadOnlyTransactionRuntime(
@@ -135,11 +133,9 @@ def client_process(
             if committed and is_update:
                 committed = yield from _submit_update(
                     sim,
-                    config,
                     runtime,
                     write_objs,
                     timeline,
-                    faults,
                     metrics,
                     client_id=client_id,
                     tracer=tracer,
@@ -168,11 +164,9 @@ def client_process(
 
 def _submit_update(
     sim: Simulator,
-    config: SimulationConfig,
     runtime: ReadOnlyTransactionRuntime,
     write_objs: Sequence[int],
     timeline: "LiveTimeline | TimelineView",
-    faults: Optional["FaultRuntime"],
     metrics: MetricsCollector,
     client_id: int = 0,
     tracer: Tracer = NULL_TRACER,
@@ -184,17 +178,17 @@ def _submit_update(
     down when it arrives, or in transit (the plan's
     ``uplink_loss_probability``, drawn from the client's own seeded
     stream so the sequence is independent of executor and shard layout).
-    Either way no verdict comes back: the client waits out the plan's
-    verdict timeout, backs off multiplicatively, and resubmits, up to
-    ``uplink_max_retries`` times before the attempt aborts with a
-    cause-attributed metric.
+    Either way no verdict comes back: the client waits out the verdict
+    timeout, backs off multiplicatively, and resubmits, up to
+    ``UPLINK_MAX_RETRIES`` times before the attempt aborts with a
+    cause-attributed metric (:mod:`repro.sim.faults`).
     """
     assert isinstance(runtime, ClientUpdateTransactionRuntime)
     # replay shards host readers only: an updater hears the live timeline
     assert isinstance(timeline, LiveTimeline)
     for obj in write_objs:
         runtime.write(obj, f"{runtime.tid}#{runtime.attempt}")
-    half_rtt = Timeout(config.uplink_round_trip / 2)
+    half_rtt = Timeout(UPLINK_ROUND_TRIP / 2)
     retries = 0
     uplink_start = sim.now
     tid = runtime.tid
@@ -207,9 +201,7 @@ def _submit_update(
                 metrics.uplink_crash_losses += 1
             else:
                 metrics.uplink_losses += 1
-            assert faults is not None
-            plan = faults.plan
-            if retries >= plan.uplink_max_retries:
+            if retries >= UPLINK_MAX_RETRIES:
                 metrics.record_abort(status)
                 if tracer.enabled:
                     tracer.emit(
@@ -227,7 +219,7 @@ def _submit_update(
                     "uplink.retry", status, tid,
                 )
             # wait out the verdict timeout, back off, resubmit
-            yield Timeout(plan.uplink_timeout * plan.uplink_backoff**retries)
+            yield Timeout(UPLINK_TIMEOUT * UPLINK_BACKOFF**retries)
             retries += 1
             metrics.uplink_retries += 1
             continue
@@ -254,7 +246,7 @@ def _attempt(
     runtime: ReadOnlyTransactionRuntime,
     layout: FlatLayout,
     timeline: "LiveTimeline | TimelineView",
-    faults: Optional["FaultRuntime"],
+    faults: Optional[FaultRuntime],
     metrics: MetricsCollector,
     rng: UniformTape,
     cache: Optional[QuasiCache],

@@ -47,7 +47,7 @@ from typing import Dict, Optional
 
 from ..broadcast.layout import MultiDiskLayout
 from . import analytic
-from .config import SimulationConfig
+from .config import CLIENT_UPDATE_WRITE_FRACTION, SimulationConfig
 
 __all__ = [
     "READERS_PER_SLOT",
@@ -111,7 +111,13 @@ def _reads_per_cycle(config: SimulationConfig) -> float:
 
 def retained_image_bytes(config: SimulationConfig) -> float:
     """What keeping every image costs: cycles spanned × columns replaced
-    per cycle × n × 8 (sealed columns are shared between images)."""
+    per cycle × n × 8 (sealed columns are shared between images).
+
+    The cycles spanned count one attempt per transaction, so where
+    restarts are common the estimate is a lower bound.  On Table 1 at one
+    client × 500 transactions it estimates 1,062 cycles for f-matrix,
+    which spans 1,053, and 1,080 for datacycle, which restarts most and
+    spans 1,567."""
     cycle = config.cycle_bits
     n = config.num_objects
     transaction = config.mean_inter_transaction_delay + config.client_txn_length * (
@@ -123,7 +129,7 @@ def retained_image_bytes(config: SimulationConfig) -> float:
         config.update_capable_clients()
         * config.client_update_fraction
         * config.client_txn_length
-        * config.client_update_write_fraction
+        * CLIENT_UPDATE_WRITE_FRACTION
         / transaction
     )
     per_bit = server_writes / config.server_txn_interval + client_writes

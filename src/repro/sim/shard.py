@@ -277,7 +277,6 @@ def run_sharded(
     config: SimulationConfig,
     *,
     workers: Optional[int] = None,
-    collect_trace: bool = False,
 ) -> SimulationResult:
     """Run ``config`` as ``config.shards`` cooperating simulations.
 
@@ -297,11 +296,6 @@ def run_sharded(
     short for this config's clients the entry is discarded and the run
     records after all.
     """
-    if collect_trace:
-        raise ValueError(
-            "the shard layer keeps no global trace: "
-            + (config.readers_apart or "each slice runs as its own simulation")
-        )
     profiler = PhaseProfiler()
     slices = reader_slices(config)
     if workers is None:

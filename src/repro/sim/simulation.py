@@ -509,8 +509,8 @@ def assemble_result(
         spans = canonical_spans(shard_spans, sim_time)
     return SimulationResult(
         config=config,
-        response_time=merged.response_time(config.measure_fraction),
-        restart_ratio=merged.restart_ratio(config.measure_fraction),
+        response_time=merged.response_time(),
+        restart_ratio=merged.restart_ratio(),
         metrics=merged,
         server=server,
         trace=owner.trace if owner is not None else None,

@@ -32,15 +32,6 @@ class TestTransactionalHistory:
         )
         assert th.read_events("t2") == (("y", "t1"), ("x", "t1"))
 
-    def test_restrict_projects_sessions(self):
-        th = TransactionalHistory(
-            parse_history("w1[x] c1 r2[x] c2 r3[x] c3"),
-            [["t1", "t2", "t3"]],
-        )
-        sub = th.restrict(["t1", "t3"])
-        assert sub.tids == ("t1", "t3")
-        assert sub.so_edges() == (("t1", "t3"),)
-
     def test_single_member_sessions_contribute_nothing(self):
         th = TransactionalHistory(parse_history("w1[x] c1"), [["t1"]])
         assert th.sessions == ()

@@ -32,45 +32,26 @@ class TestLookup:
         assert cache.lookup(0, now=1500.0) is None
         assert 0 not in cache
 
-    def test_per_object_bound(self, broadcast):
-        cache = QuasiCache(1000.0)
-        cache.set_currency_bound(1, 10.0)
-        cache.insert(broadcast, 0, now=0.0)
-        cache.insert(broadcast, 1, now=0.0)
-        assert cache.lookup(0, now=500.0) is not None
-        assert cache.lookup(1, now=500.0) is None
-
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
             QuasiCache(-1.0)
-        cache = QuasiCache(1.0)
-        with pytest.raises(ValueError):
-            cache.set_currency_bound(0, -5.0)
 
 
 class TestEvictionAndCapacity:
     def test_capacity_drops_expired_before_fresh(self, broadcast):
-        """Regression: a dead entry must not outlive a fresh one.
-
-        Object 0 carries a tight per-object bound and is long expired by
-        the time the cache fills; the old policy still evicted by oldest
-        ``cached_at`` — dropping the *fresh* object 0's neighbour is
-        wrong when a dead entry is present.
-        """
-        cache = QuasiCache(1e9, capacity=2)
-        cache.set_currency_bound(1, 10.0)
-        cache.insert(broadcast, 0, now=0.0)   # fresh forever (default bound)
-        cache.insert(broadcast, 1, now=5.0)   # expired after t=15
-        cache.insert(broadcast, 2, now=100.0)  # at capacity: 1 is dead
-        # the dead entry goes; object 0 — the *oldest* cached_at, which the
-        # old policy wrongly evicted — survives
-        assert 1 not in cache
-        assert 0 in cache and 2 in cache
+        """At capacity every dead entry goes, not only the stalest one:
+        an expired entry can never serve another hit."""
+        cache = QuasiCache(50.0, capacity=3)
+        cache.insert(broadcast, 0, now=0.0)   # expired after t=50
+        cache.insert(broadcast, 1, now=10.0)  # expired after t=60
+        cache.insert(broadcast, 2, now=55.0)
+        cache.insert(broadcast, 3, now=70.0)  # at capacity: 0 and 1 are dead
+        assert 0 not in cache and 1 not in cache
+        assert 2 in cache and 3 in cache
 
     def test_capacity_mixed_bounds_evicts_stalest_fresh(self, broadcast):
-        """With no expired entry present the old policy still applies."""
-        cache = QuasiCache(1e9, capacity=2)
-        cache.set_currency_bound(0, 500.0)
+        """With no expired entry present the stalest fresh one goes."""
+        cache = QuasiCache(500.0, capacity=2)
         cache.insert(broadcast, 0, now=0.0)
         cache.insert(broadcast, 1, now=10.0)
         cache.insert(broadcast, 2, now=100.0)  # both fresh: oldest goes
@@ -112,7 +93,6 @@ class TestEntryAsBroadcast:
         bc = entry.as_broadcast()
         assert bc.cycle == 1
         assert bc.version(2).obj == 2
-        assert entry.cached_cycle == 1
 
     def test_other_objects_inaccessible(self, broadcast):
         cache = QuasiCache(1e9)

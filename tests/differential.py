@@ -91,7 +91,9 @@ def run(cfg, **run_kwargs):
     if cfg.client_executor == "process":
         return reference_run(cfg, **run_kwargs)
     if cfg.shards > 1 or cfg.timeline_mode == "replay":
-        return run_sharded(cfg, workers=0, **run_kwargs)
+        # a split run keeps no global trace to collect
+        assert not run_kwargs.get("collect_trace")
+        return run_sharded(cfg, workers=0)
     return run_simulation(cfg, **run_kwargs)
 
 
@@ -329,7 +331,7 @@ def fault_plans(cb):
         "uplink-exhausted": dict(
             num_client_transactions=15,
             client_update_fraction=0.5,
-            faults=FaultPlan(uplink_loss_probability=0.8, uplink_max_retries=0),
+            faults=FaultPlan(uplink_loss_probability=0.8),
         ),
         "combined": dict(
             num_client_transactions=12,

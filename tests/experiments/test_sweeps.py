@@ -89,9 +89,9 @@ class TestRunSweep:
         """
         values = [0.1 * k for k in (1, 2, 3)]  # 0.30000000000000004 at k=3
         result = run_sweep(
-            "demo", "fraction", tiny_base(), "measure_fraction", values,
+            "demo", "fraction", tiny_base(), "server_read_probability", values,
             ["f-matrix"],
-            config_hook=lambda cfg, v: cfg.replace(measure_fraction=v),
+            config_hook=lambda cfg, v: cfg.replace(server_read_probability=v),
         )
         series = result.series["f-matrix"]
         assert series.response_at(0.3) == series.points[2].response_time.mean

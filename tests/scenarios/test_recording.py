@@ -110,17 +110,19 @@ class TestPersistence:
         path = tmp_path / "run.trace.json"
         recorded.save(path)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         assert payload["digest"] == recorded.digest
 
     def test_unknown_version_rejected(self, recorded, tmp_path):
         path = tmp_path / "run.trace.json"
         recorded.save(path)
         payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="format_version"):
-            RecordedTrace.load(path)
+        # 1: a trace whose config still carries the removed uplink keys
+        for version in (1, 99):
+            payload["format_version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="format_version"):
+                RecordedTrace.load(path)
 
     def test_tampered_file_rejected(self, recorded, tmp_path):
         path = tmp_path / "run.trace.json"

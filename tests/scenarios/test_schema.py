@@ -252,7 +252,7 @@ class TestDocumentFuzz:
             ({"config": {"num_clients": None}, "faults": {"seeded": SEEDED}},
              "num_clients"),
             ({"faults": {"seeded": {**SEEDED, "horizon": float("inf")}}}, "horizon"),
-            ({"faults": {"seeded": {**SEEDED, "seed": 1e400}}}, "faults"),
+            ({"seed": 1e400}, "seed"),
             ({"faults": {"doze": [{"client": 0, "start": 1.0}]}}, "duration"),
             ({"seed": "three"}, "seed"),
         ],

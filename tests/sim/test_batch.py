@@ -1,11 +1,9 @@
-"""Tests for replication and batch-means statistics (repro.sim.batch,
-repro.sim.metrics.batch_means)."""
+"""Tests for replicated runs (repro.sim.batch)."""
 
 import pytest
 
 from repro.sim.batch import replicate, replication_seeds
 from repro.sim.config import SimulationConfig
-from repro.sim.metrics import batch_means
 
 
 def tiny_config(**overrides):
@@ -49,36 +47,3 @@ class TestReplicate:
         parallel = replicate(tiny_config(), replications=3, workers=2)
         assert sequential.response_means == parallel.response_means
         assert sequential.restart_means == parallel.restart_means
-
-
-class TestBatchMeans:
-    def test_independent_series_close_to_plain(self):
-        values = [float(v % 7) for v in range(100)]
-        plain = batch_means(values, num_batches=10)
-        assert plain.count == 10
-        assert plain.mean == pytest.approx(sum(values[:100]) / 100, rel=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            batch_means([1.0, 2.0], num_batches=1)
-        with pytest.raises(ValueError):
-            batch_means([1.0], num_batches=2)
-
-    def test_wider_than_naive_for_correlated_series(self):
-        # strongly autocorrelated series: a slow ramp
-        from repro.sim.metrics import summarize
-
-        values = [float(k // 10) for k in range(100)]
-        naive = summarize(values)
-        batched = batch_means(values, num_batches=10)
-        assert batched.ci_halfwidth > naive.ci_halfwidth
-
-    def test_collector_integration(self):
-        from repro.sim.metrics import MetricsCollector
-
-        m = MetricsCollector()
-        for k in range(40):
-            m.record_commit(f"t{k}", k * 10.0, k * 10.0 + 5 + (k % 3), 0)
-        stat = m.response_time_batch_means(1.0, num_batches=4)
-        assert stat.count == 4
-        assert stat.mean == pytest.approx(6.0, abs=0.3)

@@ -1,13 +1,23 @@
 """Tests for the simulation configuration (repro.sim.config)."""
 
+import dataclasses
+import json
+import pathlib
+import re
+
 import pytest
 
 from repro.core.cycles import ModuloCycles, UnboundedCycles
+from repro.experiments.cli import main
+from repro.scenarios.schema import ScenarioError, parse_scenario
 from repro.sim.config import KILOBYTE_BITS, SimulationConfig
 from repro.sim.engine import Simulator
+from repro.sim.faults import FaultPlan
 from repro.sim.simulation import run_simulation
 
 from tests.conftest import reference_run
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 class TestTable1Defaults:
@@ -51,10 +61,6 @@ class TestValidation:
             SimulationConfig(client_txn_length=0)
         with pytest.raises(ValueError):
             SimulationConfig(num_objects=3, client_txn_length=4, server_txn_length=2)
-
-    def test_measure_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(measure_fraction=0.0)
 
     def test_interval_distribution_names(self):
         with pytest.raises(ValueError):
@@ -141,3 +147,104 @@ class TestDefaultExecutor:
         # client processes only, and only when they are asked for
         assert processes(run_simulation) == []
         assert processes(reference_run) == ["client-0", "client-1", "client-2"]
+
+
+# ----------------------------------------------------------------------
+# every run knob has a caller
+# ----------------------------------------------------------------------
+#: the fields of the config's ``# -- Table 1`` block: the paper's own
+#: parameters (Sec. 4), which need no caller to earn their place
+TABLE_1 = (
+    "client_txn_length",
+    "server_txn_length",
+    "server_txn_interval",
+    "num_objects",
+    "object_size_bits",
+    "server_read_probability",
+    "mean_inter_operation_delay",
+    "mean_inter_transaction_delay",
+    "restart_delay",
+    "timestamp_bits",
+)
+
+#: where a run is configured outside the tests: the scenario library, the
+#: experiments, the figure checks, the benchmark and the examples
+CALLERS = (
+    "src/repro/scenarios/library",
+    "src/repro/experiments",
+    "benchmarks",
+    "perfbench",
+    "examples",
+)
+
+#: keys of the run surface that became constants, and where each was set
+REMOVED = {
+    "config": ("measure_fraction", "uplink_round_trip", "client_update_write_fraction"),
+    "faults": ("uplink_max_retries", "uplink_timeout", "uplink_backoff"),
+}
+
+
+def caller_text():
+    return "\n".join(
+        path.read_text()
+        for where in CALLERS
+        for path in sorted((ROOT / where).rglob("*"))
+        if path.suffix in (".py", ".yaml", ".json")
+    )
+
+
+class TestEveryKnobHasACaller:
+    def test_every_field_outside_table_1_is_named_by_a_caller(self):
+        """A run option needs a caller that sets it: a field no scenario,
+        experiment, figure check, benchmark or example names is a constant
+        (docs/PERFORMANCE.md §8)."""
+        fields = [f.name for f in dataclasses.fields(SimulationConfig)]
+        assert fields[1:11] == list(TABLE_1)
+        knobs = [name for name in fields if name != "protocol" and name not in TABLE_1]
+        knobs += [f.name for f in dataclasses.fields(FaultPlan)]
+        text = caller_text()
+        unnamed = [name for name in knobs if not re.search(rf"\b{name}\b", text)]
+        assert not unnamed, f"set by no caller outside tests: {unnamed}"
+
+    @pytest.mark.parametrize("key", REMOVED["config"])
+    def test_a_removed_config_key_is_an_unknown_field(self, key):
+        payload = {**SimulationConfig().to_dict(), key: 0.5}
+        with pytest.raises(ValueError, match="unknown SimulationConfig field"):
+            SimulationConfig.from_dict(payload)
+        document = {"format_version": 1, "name": "old", "seed": 5, "config": {key: 0.5}}
+        with pytest.raises(ScenarioError, match=key):
+            parse_scenario(document)
+
+    @pytest.mark.parametrize("key", REMOVED["faults"])
+    def test_a_removed_fault_key_is_an_unknown_key(self, key):
+        with pytest.raises(ValueError, match="unknown faults key"):
+            FaultPlan.from_dict({"uplink_loss_probability": 0.1, key: 2})
+        document = {
+            "format_version": 1, "name": "old", "seed": 5,
+            "faults": {"uplink_loss_probability": 0.1, key: 2},
+        }
+        with pytest.raises(ScenarioError, match=key):
+            parse_scenario(document)
+
+    def test_a_seeded_block_has_no_seed_of_its_own(self):
+        seeded = {"horizon": 1.0e6, "mean_time_between_dozes": 1.0e5,
+                  "mean_doze_duration": 1.0e4, "seed": 7}
+        document = {"format_version": 1, "name": "old", "seed": 5,
+                    "faults": {"seeded": seeded}}
+        with pytest.raises(ScenarioError, match="unknown faults.seeded key"):
+            parse_scenario(document)
+
+    @pytest.mark.parametrize(
+        "section", [{"config": {"uplink_round_trip": 0.0}},
+                    {"faults": {"uplink_timeout": 1.0}}],
+        ids=["config", "faults"],
+    )
+    def test_scenario_run_on_a_removed_key_exits_2(self, tmp_path, capsys, section):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format_version": 1, "name": "old", "seed": 5,
+                                    **section}))
+        with pytest.raises(SystemExit) as exited:
+            main(["scenario", "run", str(path)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown" in err

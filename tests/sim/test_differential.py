@@ -54,6 +54,16 @@ def test_a_traced_row_fires_the_staleness_guard():
     assert reference_run(CORPUS["faults/doze-wrap/seed=7"]).metrics.aborts_staleness > 0
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n in CORPUS if n.startswith("faults/uplink-exhausted/"))
+)
+def test_an_exhausted_row_runs_out_of_uplink_retries(name):
+    """``test_corpus`` compares these rows' abort causes; the retry limit is
+    fixed (repro.sim.faults.UPLINK_MAX_RETRIES), so the rows reach it only
+    through their loss probability."""
+    assert reference_run(CORPUS[name]).metrics.aborts_uplink > 0
+
+
 def test_the_schedule_model_waves_a_dense_row():
     """``test_corpus`` runs cohort interleaved; here the model chooses,
     and on this row it waves the unsplit cohort runs (each shard of a

@@ -95,12 +95,8 @@ class TestFaultPlanValidation:
     def test_uplink_knob_bounds(self):
         with pytest.raises(ValueError, match="uplink_loss_probability"):
             FaultPlan(uplink_loss_probability=1.0)
-        with pytest.raises(ValueError, match="uplink_max_retries"):
-            FaultPlan(uplink_max_retries=-1)
-        with pytest.raises(ValueError, match="uplink_timeout"):
-            FaultPlan(uplink_timeout=0.0)
-        with pytest.raises(ValueError, match="uplink_backoff"):
-            FaultPlan(uplink_backoff=0.5)
+        with pytest.raises(ValueError, match="uplink_loss_probability"):
+            FaultPlan(uplink_loss_probability=-0.1)
 
     def test_seeded_is_deterministic(self):
         kwargs = dict(
@@ -262,7 +258,7 @@ class TestUplinkLoss:
 
     def test_exhausted_retries_abort_with_cause(self):
         m = run_simulation(
-            self._lossy_config(uplink_loss_probability=0.8, uplink_max_retries=0)
+            self._lossy_config(uplink_loss_probability=0.8)
         ).metrics
         assert m.aborts_uplink > 0
         assert m.abort_causes["uplink"] == m.aborts_uplink

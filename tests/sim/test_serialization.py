@@ -17,9 +17,6 @@ def full_plan():
         doze=(DozeInterval(0, 100.0, 50.0), DozeInterval(1, 10.0, 5.0)),
         crashes=(ServerCrash(5000.0, 100.0),),
         uplink_loss_probability=0.25,
-        uplink_max_retries=5,
-        uplink_timeout=1000.0,
-        uplink_backoff=1.5,
     )
 
 
@@ -92,8 +89,8 @@ class TestFaultPlanRoundTrip:
             ({"doze": [{"client": None, "start": 1.0, "duration": 2.0}]}, "client"),
             ({"doze": [3]}, "doze interval"),
             ({"crashes": [{"time": 5.0, "downtime": 1.0, "when": 2}]}, "when"),
-            ({"uplink_max_retries": [[1], []]}, "uplink_max_retries"),
-            ({"uplink_backoff": True}, "uplink_backoff"),
+            ({"uplink_loss_probability": [[1], []]}, "uplink_loss_probability"),
+            ({"uplink_loss_probability": True}, "uplink_loss_probability"),
         ],
         ids=["unknown-key", "missing-field", "null-field", "entry-not-a-mapping",
              "unknown-nested-key", "nested-list", "bool"],

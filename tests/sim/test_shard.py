@@ -513,7 +513,7 @@ class TestShardValidation:
     def test_sharded_trace_refused(self):
         config = BASE.replace(client_executor="cohort", shards=2)
         with pytest.raises(ValueError, match="trace"):
-            run_sharded(config, collect_trace=True, workers=0)
+            run_simulation(config, collect_trace=True)
 
     def test_sliced_simulation_refuses_trace(self):
         config = BASE.replace(client_executor="cohort")
