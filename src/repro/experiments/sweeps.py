@@ -17,7 +17,6 @@ bit-identical to a sequential run.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -173,6 +172,8 @@ def run_sweep(
 
     outcomes: "Iterable[Tuple[str, object, Point]]"
     if workers is not None and workers > 1 and len(grid) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_grid_point, grid, chunksize=1))
     else:

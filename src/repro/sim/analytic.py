@@ -42,7 +42,8 @@ So the tier splits the run in two:
 The waves share the simulation's metrics, tracer and trace recorder, so
 an unsharded run keeps one global trace under this tier too.  Memory is
 O(cycles simulated) for the retained images, O(commits) for metrics
-(24 bytes and a tid per commit) and O(wave) for the readers in flight.
+(20 bytes and a packed UTF-8 tid per commit, about 30 bytes) and O(wave)
+for the readers in flight.
 """
 
 from __future__ import annotations

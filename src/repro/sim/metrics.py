@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,13 @@ __all__ = [
 #: the steady-state window: the final half of a run's commits, the
 #: paper's "last 500 of 1000" (Sec. 4)
 MEASURE_FRACTION = 0.5
+
+#: commits whose tids wait as ``str`` before
+#: :meth:`MetricsCollector._pack` turns them into one bytes array
+_PACK = 4096
+
+#: the tid column of a collector with no commits
+_NO_TIDS = np.empty(0, dtype="S1")
 
 #: 97.5% standard-normal quantile: the Student-t quantile's limit, and a
 #: starting point below it for every finite dof
@@ -130,12 +137,18 @@ def summarize(values: Sequence[float]) -> SummaryStat:
 class MetricsCollector:
     """Accumulates per-transaction measurements during a run.
 
-    A commit is one append to each of four parallel append-only columns
-    (the tid list and three typed arrays, 8 bytes a value); merging a
-    shard is four ``extend`` calls.  No :class:`TransactionSample` is
-    built unless :attr:`samples` / :meth:`steady_state` are asked for:
-    the statistics index the columns directly, through the same
-    steady-state ordering the sample view uses.
+    A commit is one append to each of four parallel append-only columns:
+    two float64 arrays (submit and commit time), an int32 array (restarts)
+    and the tid column.  Tids wait as ``str`` in a short list; every
+    :data:`_PACK` commits that list is packed into one fixed-width UTF-8
+    bytes array, so a retained commit costs 20 bytes plus its tid's
+    encoded length, about 30 bytes for the kernel's ``cl{k}.c{n}`` ids.
+    Merging a shard appends its columns and its packed chunks.  No
+    :class:`TransactionSample` and no tid ``str`` is built unless
+    :attr:`samples` / :meth:`steady_state` are asked for: the statistics
+    index the columns directly, through the same steady-state ordering
+    the sample view uses.  A tid may hold no NUL (fixed-width bytes pad
+    with it).
     """
 
     #: scalar tallies combined by :meth:`merge_from` — every count in a
@@ -166,10 +179,15 @@ class MetricsCollector:
     )
 
     def __init__(self) -> None:
-        self._tids: List[str] = []
+        #: packed tid chunks (fixed-width UTF-8 bytes), in recording order
+        self._chunks: List[np.ndarray] = []
+        #: tids recorded since the last pack
+        self._pending: List[str] = []
         self._submit_times = array("d")
         self._commit_times = array("d")
-        self._restart_counts = array("q")
+        self._restart_counts = array("i")
+        #: ``((commit_count, measure_fraction), window)`` of the last sort
+        self._window: Optional[Tuple[Tuple[int, float], np.ndarray]] = None
         self.reads_delivered = 0
         self.reads_rejected = 0
         self.cache_hits = 0
@@ -249,15 +267,30 @@ class MetricsCollector:
     def record_commit(
         self, tid: str, submit_time: float, commit_time: float, restarts: int
     ) -> None:
-        self._tids.append(tid)
         self._submit_times.append(submit_time)
         self._commit_times.append(commit_time)
         self._restart_counts.append(restarts)
+        pending = self._pending
+        pending.append(tid)
+        if len(pending) >= _PACK:
+            self._pack()
+
+    def _pack(self) -> None:
+        """Move the pending tids into one fixed-width bytes chunk."""
+        pending = self._pending
+        if not pending:
+            return
+        if "\0" in "".join(pending):
+            raise ValueError("a transaction id may not contain NUL")
+        encoded = [t.encode() for t in pending]
+        width = max(map(len, encoded))  # sized here, numpy skips a pass
+        self._chunks.append(np.array(encoded, dtype=f"S{width}"))
+        pending.clear()
 
     @property
     def commit_count(self) -> int:
         """Committed transactions recorded."""
-        return len(self._tids)
+        return len(self._commit_times)
 
     def merge_from(self, other: "MetricsCollector") -> None:
         """Fold another collector's measurements into this one.
@@ -266,22 +299,32 @@ class MetricsCollector:
         shards in shard-index order, so the combined recording order is
         deterministic; every derived statistic additionally sorts by
         ``(commit_time, tid)`` and is therefore independent of it) and
-        every scalar tally in :attr:`_COUNTER_FIELDS` is summed.
+        every scalar tally in :attr:`_COUNTER_FIELDS` is summed.  The
+        donor's packed chunks are shared, not copied: no chunk is ever
+        written after it is packed.
         """
         for name in self._COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        self._tids.extend(other._tids)
+        self._pack()
+        self._chunks.extend(other._chunks)
+        self._pending.extend(other._pending)
         self._submit_times.extend(other._submit_times)
         self._commit_times.extend(other._commit_times)
         self._restart_counts.extend(other._restart_counts)
 
     def response_times(self) -> np.ndarray:
         """Submission-to-commit time of every commit, in recording order."""
-        return np.array(self._commit_times) - np.array(self._submit_times)
+        return np.frombuffer(self._commit_times) - np.frombuffer(self._submit_times)
 
     def restart_counts(self) -> np.ndarray:
         """Restarts before every commit, in recording order."""
         return np.array(self._restart_counts)
+
+    def _tids(self) -> List[str]:
+        """Every tid as a ``str``, in recording order."""
+        tids = [t.decode() for chunk in self._chunks for t in chunk.tolist()]
+        tids.extend(self._pending)
+        return tids
 
     @property
     def samples(self) -> List[TransactionSample]:
@@ -293,7 +336,7 @@ class MetricsCollector:
         return list(
             map(
                 TransactionSample,
-                self._tids,
+                self._tids(),
                 self._submit_times,
                 self._commit_times,
                 self._restart_counts,
@@ -302,19 +345,30 @@ class MetricsCollector:
 
     def _steady_order(self, measure_fraction: float) -> np.ndarray:
         """Recording indices of the final ``measure_fraction`` of commits,
-        in commit order.
+        in commit order (read-only; reused until the next commit).
 
         Ties on commit time are broken by transaction id so the window —
         and everything derived from it — is a pure function of the
         recorded set, independent of the recording order (the process
         and cohort executors interleave same-instant commits of
-        *different* clients differently).  numpy compares unicode in
-        python's code-point order.
+        *different* clients differently).  One ``lexsort`` of the packed
+        tids under a zero-copy view of the commit-time column: UTF-8
+        bytes compare in code-point order, python's ``str`` order.  The
+        view dies before this returns — ``array`` refuses to grow while
+        one is exported.
         """
         if not 0 < measure_fraction <= 1:
             raise ValueError("measure_fraction must be in (0, 1]")
-        order = np.lexsort((np.asarray(self._tids), np.array(self._commit_times)))
-        return order[int(len(order) * (1 - measure_fraction)) :]
+        key = (self.commit_count, measure_fraction)
+        if self._window is None or self._window[0] != key:
+            self._pack()
+            chunks = self._chunks
+            tids = chunks[0] if len(chunks) == 1 else np.concatenate(chunks or [_NO_TIDS])
+            order = np.lexsort((tids, np.frombuffer(self._commit_times)))
+            window = order[int(len(order) * (1 - measure_fraction)) :].copy()
+            window.flags.writeable = False
+            self._window = (key, window)
+        return self._window[1]
 
     def steady_state(self, measure_fraction: float) -> List[TransactionSample]:
         """The final ``measure_fraction`` of samples, in commit order."""
@@ -325,11 +379,20 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     def response_time(self, measure_fraction: float = MEASURE_FRACTION) -> SummaryStat:
         window = self._steady_order(measure_fraction)
-        return summarize(self.response_times()[window].tolist())
+        return summarize(
+            (
+                np.frombuffer(self._commit_times)[window]
+                - np.frombuffer(self._submit_times)[window]
+            ).tolist()
+        )
 
     def restart_ratio(self, measure_fraction: float = MEASURE_FRACTION) -> SummaryStat:
         window = self._steady_order(measure_fraction)
-        return summarize(self.restart_counts()[window].astype(np.float64).tolist())
+        return summarize(
+            np.frombuffer(self._restart_counts, dtype=np.intc)[window]
+            .astype(np.float64)
+            .tolist()
+        )
 
     def mean_listening_per_commit(self) -> float:
         """Tuning time (bits listened) per committed transaction."""

@@ -55,7 +55,6 @@ no pool — the mode tests use to exercise slicing without fork overhead.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
@@ -239,11 +238,13 @@ def _gather(
     jobs = [(config, sl, feed is not None) for sl in rest]
     _connect(feed)  # for the jobs run inline
     try:
-        with (
-            ProcessPoolExecutor(workers, initializer=_connect, initargs=(feed,))
-            if workers
-            else nullcontext()
-        ) as pool:
+        if workers:
+            from concurrent.futures import ProcessPoolExecutor
+
+            scope = ProcessPoolExecutor(workers, initializer=_connect, initargs=(feed,))
+        else:
+            scope = nullcontext()
+        with scope as pool:
             try:
                 with profiler.phase("setup"):
                     waits = [

@@ -20,9 +20,8 @@ protocol and assert exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from ..analysis.consistency.histories import TransactionalHistory
 from ..broadcast.program import BroadcastCycle, ObjectVersion
 from ..core.approx import ApproxReport, approx_report
 from ..core.model import History, Operation, T0
@@ -30,6 +29,9 @@ from ..core.model import commit as commit_op
 from ..core.model import read as read_op
 from ..core.model import write as write_op
 from ..server.database import Database
+
+if TYPE_CHECKING:
+    from ..analysis.consistency.histories import TransactionalHistory
 
 __all__ = ["ClientCommitRecord", "TraceRecorder"]
 
@@ -160,6 +162,8 @@ class TraceRecorder:
         protocols promise update consistency, not strict serializability
         against the server's serialization order.
         """
+        from ..analysis.consistency.histories import TransactionalHistory
+
         sessions: Dict[int, List[str]] = {}
         for client_id, tid in self.session_commits:
             sessions.setdefault(client_id, []).append(tid)

@@ -1,12 +1,21 @@
 """Tests for metrics and confidence intervals (repro.sim.metrics)."""
 
 import sys
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import SimulationConfig
 from repro.sim import metrics as metrics_mod
-from repro.sim.metrics import MetricsCollector, _t_quantile_975, summarize
+from repro.sim.metrics import (
+    MetricsCollector,
+    TransactionSample,
+    _t_quantile_975,
+    summarize,
+)
 
 
 class TestSummarize:
@@ -264,3 +273,99 @@ class TestMergeFrom:
         a.merge_from(self._filled(["b0"]))
         assert [s.tid for s in before] == ["a0", "a1"]
         assert [s.tid for s in a.samples] == ["a0", "a1", "b0"]
+
+
+# a tid as the kernel builds one (``cl{client}.c{n}``, decimal widths vary),
+# a free-form one (non-ASCII, common prefixes) or one of a few repeats
+_TIDS = st.one_of(
+    st.builds("cl{}.c{}".format, st.integers(0, 120), st.integers(1, 12)),
+    st.text(
+        st.characters(blacklist_characters="\0", blacklist_categories=("Cs",)),
+        max_size=4,
+    ),
+    st.sampled_from(["a", "ab", "é", "cl2.c1", "cl10.c1"]),
+)
+_COMMITS = st.lists(
+    st.tuples(
+        _TIDS,
+        st.floats(-5.0, 5.0, allow_nan=False),
+        st.integers(0, 6).map(float),  # few instants: most commits tie
+        st.integers(0, 9),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestSteadyWindow:
+    """The window is the one a ``lexsort`` over the tids as unicode gives,
+    however the tids were packed and merged."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        commits=_COMMITS,
+        cuts=st.lists(st.integers(0, 60), max_size=4),
+        pack=st.sampled_from([1, 2, 3, 7, metrics_mod._PACK]),
+        fraction=st.sampled_from([0.5, 1.0, 0.3]),
+    )
+    def test_window_matches_the_unicode_sort(self, commits, cuts, pack, fraction):
+        bounds = sorted({0, len(commits), *(c for c in cuts if c < len(commits))})
+        with mock.patch.object(metrics_mod, "_PACK", pack):
+            merged = MetricsCollector()
+            for lo, hi in zip(bounds, bounds[1:]):
+                part = MetricsCollector()
+                for commit in commits[lo:hi]:
+                    part.record_commit(*commit)
+                merged.merge_from(part)
+        tids, submits, times, restarts = (list(column) for column in zip(*commits))
+        order = np.lexsort((np.asarray(tids), np.array(times)))
+        window = order[int(len(order) * (1 - fraction)) :]
+        expected = [TransactionSample(*commits[i]) for i in window]
+
+        assert merged.samples == [TransactionSample(*c) for c in commits]
+        assert merged.steady_state(fraction) == expected
+        assert merged.response_time(fraction) == summarize(
+            (np.array(times) - np.array(submits))[window].tolist()
+        )
+        assert merged.restart_ratio(fraction) == summarize(
+            np.array(restarts)[window].astype(np.float64).tolist()
+        )
+
+    def test_the_window_follows_a_later_commit(self):
+        m = MetricsCollector()
+        m.record_commit("b", 0.0, 1.0, 0)
+        assert m.response_time(1.0).mean == 1.0
+        m.record_commit("a", 0.0, 3.0, 0)
+        assert m.response_time(1.0).mean == 2.0
+        assert [s.tid for s in m.steady_state(1.0)] == ["b", "a"]
+
+    def test_a_tid_holding_nul_is_refused(self):
+        """Fixed-width bytes pad with NUL, so a packed tid could not keep one."""
+        m = MetricsCollector()
+        m.record_commit("a\0", 0.0, 1.0, 0)
+        with pytest.raises(ValueError, match="NUL"):
+            m.response_time(1.0)
+
+
+def test_a_commit_record_costs_bytes_not_a_string():
+    """100,000 commits with tids built per commit, as the kernel builds
+    them: the record keeps 20 bytes of columns and the packed tid (31 B a
+    commit; a ``str`` each held 91), and the two statistics add the sort,
+    the window and one window of floats (54 B a commit at the peak; a
+    unicode copy of every tid took it to 147)."""
+    n = 100_000
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        m = MetricsCollector()
+        for k in range(n):
+            m.record_commit(f"cl{k % 8192}.c{k // 8192 + 1}", k * 1.0, k + 1.5, k % 3)
+        retained = tracemalloc.get_traced_memory()[0] - baseline
+        tracemalloc.reset_peak()
+        m.response_time()
+        m.restart_ratio()
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert retained <= 40 * n
+    assert peak <= 80 * n

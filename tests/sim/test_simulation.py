@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +29,22 @@ def tiny_config(**overrides):
     params = dict(TINY)
     params.update(overrides)
     return SimulationConfig(**params)
+
+
+def test_importing_the_runtime_loads_no_analysis_and_no_pool():
+    """``repro.sim`` reaches ``repro.analysis`` only when a run audits or
+    certifies, and the process pool's machinery only when a sweep or a
+    sharded run starts one."""
+    probe = (
+        "import sys, repro.sim, repro.scenarios, repro.experiments\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('repro.analysis')"
+        " or m == 'concurrent.futures.process'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 class TestSmokeAllProtocols:
