@@ -78,10 +78,6 @@ class ConsistencyReport:
                 return v
         raise KeyError(level)
 
-    @property
-    def levels(self) -> Tuple[str, ...]:
-        return tuple(v.level for v in self.verdicts)
-
     def diagnostics(self) -> Tuple[Diagnostic, ...]:
         out: List[Diagnostic] = []
         for v in self.verdicts:

@@ -132,10 +132,6 @@ class DeltaDecoder:
         self._matrix: Optional[np.ndarray] = None
         self._last_cycle: Optional[int] = None
 
-    @property
-    def synchronised(self) -> bool:
-        return self._matrix is not None
-
     def apply(self, frame: DeltaFrame) -> Optional[np.ndarray]:
         """Apply one frame; returns the current snapshot (or None while
         waiting for the first anchor)."""

@@ -1,24 +1,23 @@
 """Versioned object store for the broadcast server.
 
-The paper (Sec. 3.2.1, server functionality) requires the server to keep
-*two* versions of each object: the latest committed version — which is
-what every broadcast cycle carries — and the last written (uncommitted)
-version.  :class:`Database` keeps the committed version per object plus a
-single working version slot; concurrent executors additionally buffer
-their writes privately until commit (strict two-phase locking makes the
-working slot single-writer at any instant).
+The paper (Sec. 3.2.1, server functionality) asks the server to keep the
+latest committed version of each object — what every broadcast cycle
+carries — beside the last written, uncommitted one.  Here a server
+transaction commits atomically at its completion instant
+(:class:`repro.sim.timeline.LiveTimeline`) and a client update commits
+the moment it passes backward validation, so no uncommitted version is
+ever held: :class:`Database` keeps the committed version per object, and
+that is the version each cycle broadcasts.
 
 Committed versions carry provenance (writer id, commit cycle) so the
 simulation trace can rebuild the induced global history.
 
 The database owns "what committed" and leaves the id check to the one
 door in front of it.  :meth:`Database.apply_batch` installs a cycle's
-commits with ids as given (:meth:`Database.apply_commit` is its call for
-one): :meth:`repro.server.BroadcastServer.commit_batch` reaches it only
-after the control state's ``checked_batch`` has refused any id outside
-``0..n-1``, and the executors' programs refuse negative ids (an id past
-the end fails on the version list).  :meth:`Database.stage_write` checks
-its one id itself.
+commits with ids as given: :meth:`repro.server.BroadcastServer.commit_batch`
+(and :meth:`~repro.server.BroadcastServer.commit_update`, its call for
+one) reaches it only after the control state's ``checked_batch`` has
+refused any id outside ``0..n-1``.
 
 The log keeps each commit *raw*, as installed — ``(txn, commit_cycle,
 commit_seq, read_set, writes)`` holding the committer's own set objects
@@ -30,16 +29,7 @@ run that never asks builds none.
 
 from __future__ import annotations
 
-from typing import (
-    Collection,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    NamedTuple,
-    Sequence,
-    Tuple,
-)
+from typing import Collection, List, NamedTuple, Sequence, Tuple
 
 from ..broadcast.program import ObjectVersion
 from ..core.control_matrix import Commit
@@ -77,7 +67,7 @@ def _as_record(entry: LogEntry) -> CommitRecord:
 
 
 class Database:
-    """Committed + working versions of ``n`` integer-identified objects.
+    """Committed versions of ``n`` integer-identified objects.
 
     Object ids are ``0..n-1``.  The initial committed version of every
     object is written by the conventional transaction ``t0`` at cycle 0
@@ -91,7 +81,6 @@ class Database:
         self._committed: List[ObjectVersion] = [
             ObjectVersion(obj, initial_value, T0, 0) for obj in range(num_objects)
         ]
-        self._working: Dict[int, Tuple[object, str]] = {}
         #: raw entries, in serialization order; an entry's ``commit_seq``
         #: is its position + 1
         self._log: List[LogEntry] = []
@@ -147,48 +136,14 @@ class Database:
         """All latest committed versions (the broadcast payload)."""
         return tuple(self._committed)
 
-    def last_written(self, obj: int) -> Tuple[object, str]:
-        """The last written (possibly uncommitted) version of ``obj``.
-
-        Falls back to the committed version when no write is pending.
-        """
-        if obj in self._working:
-            return self._working[obj]
-        version = self._committed[obj]
-        return (version.value, version.writer)
-
     # ------------------------------------------------------------------
-    def stage_write(self, txn: str, obj: int, value: object) -> None:
-        """Record an uncommitted write (the "last written version")."""
-        if not 0 <= obj < self._n:
-            raise IndexError(f"object {obj} out of range")
-        self._working[obj] = (value, txn)
-
-    def discard_writes(self, txn: str, objs: Iterable[int]) -> None:
-        """Drop a transaction's staged writes (abort path)."""
-        for obj in objs:
-            staged = self._working.get(obj)
-            if staged is not None and staged[1] == txn:
-                del self._working[obj]
-
-    def apply_commit(
-        self,
-        txn: str,
-        commit_cycle: int,
-        read_set: Iterable[int],
-        writes: Mapping[int, object],
-    ) -> CommitRecord:
-        """Install one transaction's writes: :meth:`apply_batch` of one,
-        on copies of its sets.  Returns the log record."""
-        self.apply_batch(commit_cycle, [(txn, tuple(read_set), dict(writes))])
-        return self.last_record
-
     def apply_batch(self, commit_cycle: int, batch: Sequence[Commit]) -> None:
         """Install a cycle's transactions' writes as the committed versions.
 
-        Must be called in serialization order (the executors guarantee
-        commit order == serialization order), with ids the caller has
-        checked (module docstring).  The log keeps each commit's sets as
+        Must be called in serialization order — the completion order of
+        server transactions, with each client update placed where it
+        passed backward validation — with ids the caller has checked
+        (module docstring).  The log keeps each commit's sets as
         given, so they must be ones nobody changes afterwards.  One
         :class:`ObjectVersion` per written object is the whole per-write
         cost: each is built as ``_make`` builds it (``tuple.__new__``),
@@ -203,6 +158,4 @@ class Database:
             else:
                 for obj in writes:
                     committed[obj] = new(ObjectVersion, (obj, txn, txn, commit_cycle))
-            if self._working:
-                self.discard_writes(txn, writes)
             log.append((txn, commit_cycle, len(log) + 1, read_set, writes))

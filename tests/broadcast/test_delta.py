@@ -56,7 +56,7 @@ class TestRoundtrip:
         frames = [encoder.encode(c, s) for c, s in stream]
         # join at the second frame (a delta): nothing until the anchor
         assert decoder.apply(frames[1]) is None
-        assert not decoder.synchronised
+        assert decoder.snapshot() is None
         out = decoder.apply(frames[4])  # next anchor (cycle 5)
         assert out is not None and np.array_equal(out, stream[4][1])
 
@@ -69,7 +69,7 @@ class TestRoundtrip:
         decoder.apply(frames[1])
         with pytest.raises(DesyncError):
             decoder.apply(frames[3])  # skipped frames[2]
-        assert not decoder.synchronised
+        assert decoder.snapshot() is None
 
 
 class TestSizes:

@@ -1,7 +1,9 @@
 """Tests for serialization certificates (repro.core.certify)."""
 
 import pytest
+from hypothesis import assume, given, settings
 
+from repro.core.approx import approx_report
 from repro.core.certify import (
     CertificationError,
     certify_history,
@@ -11,6 +13,8 @@ from repro.core.certify import (
     verify_update_certificate,
 )
 from repro.core.model import parse_history
+from repro.core.serialgraph import is_conflict_serializable
+from tests.core.test_properties import histories
 
 EXAMPLE_1 = "r1[IBM] w2[IBM] c2 r3[IBM] r3[Sun] w4[Sun] c4 r1[Sun] c1 c3"
 
@@ -82,26 +86,47 @@ class TestCertifyHistory:
         for reader, order in cert.reader_orders.items():
             assert verify_reader_certificate(h, reader, order)
 
-    def test_random_twopl_histories_certifiable(self):
-        """Strict-2PL executions are serializable, so they must always
-        certify — and the replay checker must agree."""
-        import random
 
-        from repro.server.database import Database
-        from repro.server.twopl import TransactionProgram, TwoPLExecutor
+#: six interleaved serializable histories over objects 0..3, one per seed
+#: 0-5 of a strict-2PL run of four random read/write programs; in four of
+#: them the update transactions interleave, so APPROX and the certifier
+#: take the non-serial-log path (``ApproxReport.serial_updates``)
+INTERLEAVED_2PL = [
+    "r2[2] r3[1] r1[3] w1[0] c3@1 w2[1] c1@2 c2@3 w4[2] c4@4",
+    "w4[3] r4[2] r1[0] c4@1 c1@2 r3[3] c3@3 w2[3] w2[1] c2@4",
+    "w3[0] w4[3] c3@1 r1[0] c1@2 c4@3 r2[2] c2@4",
+    "w4[1] c4@1 r1[1] c1@2 w2[3] w2[2] w3[1] r2[0] c2@3 w3[0] r3[3] c3@4",
+    "r1[2] r2[3] c1@1 r2[0] w3[2] r3[0] c2@2 w3[3] c3@3 r4[2] c4@4",
+    "w2[0] r4[1] c4@1 w2[1] w1[2] r2[3] c2@2 w1[3] w1[1] c1@3 w3[1] w3[3] c3@4",
+]
 
-        for seed in range(6):
-            rng = random.Random(seed)
-            programs = [
-                TransactionProgram(
-                    f"t{t}",
-                    tuple(
-                        ("r" if rng.random() < 0.5 else "w", obj)
-                        for obj in rng.sample(range(4), rng.randint(1, 3))
-                    ),
-                )
-                for t in range(4)
-            ]
-            result = TwoPLExecutor(Database(4)).run(programs, rng=rng)
-            cert = certify_history(result.history)
-            assert verify_update_certificate(result.history, cert.update_order)
+
+class TestSerializableHistoriesCertify:
+    """A conflict-serializable history always certifies, and the replay
+    checker agrees with the certificate it is given."""
+
+    @staticmethod
+    def _certifies(history):
+        cert = certify_history(history)
+        assert verify_update_certificate(history, cert.update_order)
+        for reader, order in cert.reader_orders.items():
+            assert verify_reader_certificate(history, reader, order)
+
+    @pytest.mark.parametrize(
+        "text", INTERLEAVED_2PL, ids=[f"seed{i}" for i in range(len(INTERLEAVED_2PL))]
+    )
+    def test_pinned_interleavings_certify(self, text):
+        history = parse_history(text)
+        assert history.to_notation() == text
+        assert is_conflict_serializable(history)
+        self._certifies(history)
+
+    def test_pinned_interleavings_hold_the_non_serial_side(self):
+        serial = [approx_report(parse_history(t)).serial_updates for t in INTERLEAVED_2PL]
+        assert serial == [False, True, False, False, True, False]
+
+    @settings(max_examples=150, deadline=None)
+    @given(histories())
+    def test_serializable_histories_certify(self, history):
+        assume(is_conflict_serializable(history))
+        self._certifies(history)

@@ -14,7 +14,7 @@ class TestDatabase:
 
     def test_commit_installs_versions(self):
         db = Database(2)
-        db.apply_commit("t1", 3, [0], {1: "new"})
+        db.apply_batch(3, [("t1", (0,), {1: "new"})])
         assert db.committed(1).value == "new"
         assert db.committed(1).writer == "t1"
         assert db.committed(1).commit_cycle == 3
@@ -22,48 +22,21 @@ class TestDatabase:
 
     def test_commit_log_in_order(self):
         db = Database(2)
-        db.apply_commit("a", 1, [], {0: 1})
-        db.apply_commit("b", 1, [0], {1: 2})
+        db.apply_batch(1, [("a", (), {0: 1}), ("b", (0,), {1: 2})])
         log = db.commit_log
         assert [r.txn for r in log] == ["a", "b"]
         assert log[1].commit_seq == 2
         assert log[1].read_set == (0,)
         assert log[1].writes == ((1, 2),)
 
-    def test_two_version_semantics(self):
-        """Committed version broadcast while a newer write is staged."""
-        db = Database(1)
-        db.apply_commit("t1", 1, [], {0: "committed"})
-        db.stage_write("t2", 0, "working")
-        assert db.committed(0).value == "committed"
-        assert db.last_written(0) == ("working", "t2")
-        db.apply_commit("t2", 2, [], {0: "working"})
-        assert db.committed(0).value == "working"
-        assert db.last_written(0) == ("working", "t2")
-
-    def test_discard_writes(self):
-        db = Database(1)
-        db.stage_write("t1", 0, "dirty")
-        db.discard_writes("t1", [0])
-        assert db.last_written(0)[1] == T0
-
-    def test_discard_only_own_writes(self):
-        db = Database(1)
-        db.stage_write("t1", 0, "mine")
-        db.discard_writes("t2", [0])
-        assert db.last_written(0) == ("mine", "t1")
-
     def test_snapshot_is_stable(self):
         db = Database(2)
         snap = db.committed_snapshot()
-        db.apply_commit("t1", 1, [], {0: "x"})
+        db.apply_batch(1, [("t1", (), {0: "x"})])
         assert snap[0].writer == T0
 
     def test_bounds_checked(self):
-        db = Database(2)
-        with pytest.raises(IndexError):
-            db.stage_write("t", 2, 0)
-        with pytest.raises(IndexError):
-            db.apply_commit("t", 1, [], {5: 0})
+        """The store's one bound is its size; object ids are checked at
+        the server's commit door (``tests/server/test_server.py``)."""
         with pytest.raises(ValueError):
             Database(0)

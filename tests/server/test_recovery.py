@@ -1,9 +1,10 @@
 """Recovery regressions (repro.server.recovery, BroadcastServer.restore_from).
 
-The core OCC-replay equivalence lives in tests/server/test_occ.py; this
-file pins the crash-recovery behaviours the fault injection relies on:
-quiescent cycles surviving recovery, the durable cycle mark, and
-swapping a revived server's state into the live object.
+Pins replay equivalence (a revived server holds the crashed one's
+versions, control state and cycle) and the crash-recovery behaviours the
+fault injection relies on: quiescent cycles surviving recovery, the
+durable cycle mark, and swapping a revived server's state into the live
+object.
 """
 
 import numpy as np
@@ -113,3 +114,55 @@ class TestRestoreFrom:
         other = BroadcastServer(6, "f-matrix")
         with pytest.raises(ValueError, match="objects"):
             live.restore_from(other)
+
+
+class TestReplayEquivalence:
+    """A server rebuilt from its commit log holds the crashed one's state."""
+
+    def _crashed_server(self, protocol="f-matrix"):
+        server = BroadcastServer(5, protocol)
+        server.begin_cycle(1)
+        server.commit_update("s1", [0], {1: "a", 2: "b"})
+        server.begin_cycle(2)
+        server.commit_update("s2", [1], {0: "c"})
+        server.commit_update("s3", [], {4: "d"})
+        server.begin_cycle(3)
+        return server
+
+    def test_state_identical_after_replay(self):
+        crashed = self._crashed_server()
+        revived = recover_server(
+            crashed.database.commit_log, 5, "f-matrix",
+            current_cycle=crashed.current_cycle,
+        )
+        assert np.array_equal(revived.matrix.array, crashed.matrix.array)
+        assert revived.vector is None and revived.grouped is None
+        for obj in range(5):
+            assert revived.database.committed(obj) == crashed.database.committed(obj)
+        assert revived.current_cycle == crashed.current_cycle
+
+    def test_snapshots_identical_after_recovery(self):
+        crashed = self._crashed_server()
+        revived = recover_server(
+            crashed.database.commit_log, 5, "f-matrix",
+            current_cycle=crashed.current_cycle,
+        )
+        b1 = crashed.begin_cycle(4)
+        b2 = revived.begin_cycle(4)
+        assert np.array_equal(b1.snapshot.matrix, b2.snapshot.matrix)
+        assert b1.versions == b2.versions
+
+    def test_default_cycle_is_last_commit(self):
+        crashed = self._crashed_server()
+        revived = recover_server(crashed.database.commit_log, 5)
+        assert revived.current_cycle == 2  # s2/s3 committed in cycle 2
+
+    def test_vector_protocol_recovery(self):
+        crashed = self._crashed_server(protocol="r-matrix")
+        revived = recover_server(crashed.database.commit_log, 5, "r-matrix")
+        assert np.array_equal(revived.vector.array, crashed.vector.array)
+
+    def test_commit_log_preserved_through_recovery(self):
+        crashed = self._crashed_server()
+        revived = recover_server(crashed.database.commit_log, 5)
+        assert [r.txn for r in revived.database.commit_log] == ["s1", "s2", "s3"]

@@ -12,7 +12,7 @@ def overwritten(num_objects, cycle=None, objs=()):
     """A database in which ``objs`` were last written at ``cycle``."""
     database = Database(num_objects)
     if objs:
-        database.apply_commit("s1", cycle, [], {obj: "new" for obj in objs})
+        database.apply_batch(cycle, [("s1", (), {obj: "new" for obj in objs})])
     return database
 
 
