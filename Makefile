@@ -37,7 +37,9 @@ typecheck:
 # dense arrays stacked from them, validators) to their values.  That a
 # freeze or a commit allocates columns and never an n x n block is
 # tier-1's to hold (`make test`: tracemalloc bounds and a run with the
-# dense materialiser disabled, tests/server/test_control_snapshots.py).
+# dense materialiser disabled, tests/server/test_control_snapshots.py),
+# as is the commit log's size: at most 64 bytes retained a server commit
+# (tracemalloc, tests/server/test_database.py).
 # perfbench puts src/ on sys.path itself; JSON lands in perfbench/out/.
 perf-smoke:
 	$(PYTHON) -m pytest perfbench/tests

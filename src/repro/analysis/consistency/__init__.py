@@ -3,8 +3,7 @@
 Submodules:
 
 * :mod:`~repro.analysis.consistency.histories` — ``⟨T, so, wr⟩`` adapter
-  over :class:`repro.core.model.History`, with modulo-aware commit-cycle
-  decoding and session derivation.
+  over :class:`repro.core.model.History`.
 * :mod:`~repro.analysis.consistency.checkers` — per-level checkers
   (read committed, read atomic, causal, prefix, snapshot isolation,
   serializability) with anomaly witnesses.
@@ -22,7 +21,7 @@ from .certifier import (
     certify_update_consistency,
 )
 from .checkers import LEVELS, AnomalyWitness, Verdict, WitnessEdge, check_level
-from .histories import TransactionalHistory, decode_commit_cycles, derive_sessions
+from .histories import TransactionalHistory
 
 __all__ = [
     "LEVELS",
@@ -35,6 +34,4 @@ __all__ = [
     "certify",
     "certify_update_consistency",
     "check_level",
-    "decode_commit_cycles",
-    "derive_sessions",
 ]

@@ -9,35 +9,24 @@ the commit orders ``co ⊇ so ∪ wr`` that exist for the history.
 :class:`TransactionalHistory` adapts this repository's positional
 :class:`~repro.core.model.History` to that format: the wr relation comes
 from the positional reads-from (committed-value semantics), and sessions
-are supplied explicitly — derived from transaction-id prefixes and
-broadcast cycle numbers for simulator traces, or empty for bare histories.
-
-Commit-cycle annotations may arrive *encoded* under the modulo timestamp
-window (:class:`~repro.core.cycles.ModuloCycles`); :func:`decode_commit_cycles`
-recovers absolute cycles by anchor-walking the residues, so session orders
-derived from cycle numbers stay correct across wrap-around.
+are supplied explicitly — a simulator trace's recorded per-client commit
+order (:meth:`repro.sim.trace.TraceRecorder.transactional_history`), or
+none for a bare history.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from ...core.cycles import CycleArithmetic
 from ...core.model import History, T0, Transaction
 
 __all__ = [
     "TransactionalHistory",
     "WRPair",
-    "decode_commit_cycles",
-    "derive_sessions",
 ]
 
 #: One write-read fact: (writer, reader, object).  ``writer`` may be ``t0``.
 WRPair = Tuple[str, str, str]
-
-#: Transaction ids of the form ``cl<N>.<tid>`` belong to client ``cl<N>``.
-_CLIENT_TID = re.compile(r"^(cl\d+)\.")
 
 
 class TransactionalHistory:
@@ -132,61 +121,3 @@ class TransactionalHistory:
             f"sessions={len(self.sessions)})"
         )
 
-
-def decode_commit_cycles(
-    history: History, arithmetic: Optional[CycleArithmetic] = None
-) -> Dict[str, int]:
-    """Absolute commit cycle per committed transaction, modulo-aware.
-
-    Commit annotations written by the simulator are absolute, but histories
-    recorded off the wire carry residues modulo the timestamp window.  With
-    a windowed ``arithmetic``, residues are anchor-walked in history order:
-    commits are monotone non-decreasing in absolute cycles and consecutive
-    commits lie within one window of each other (the paper's ``max_cycles``
-    bound), so each residue decodes to the smallest absolute cycle ≥ the
-    previous commit with that residue.  Without a window (``None`` or
-    :class:`~repro.core.cycles.UnboundedCycles`) annotations pass through
-    unchanged.  Transactions without a commit-cycle annotation are omitted.
-    """
-    window = getattr(arithmetic, "window", None)
-    cycles: Dict[str, int] = {}
-    previous = 0
-    for op in history:
-        if not op.is_commit or op.cycle is None:
-            continue
-        if window is None:
-            absolute = op.cycle
-        else:
-            absolute = previous + ((op.cycle - previous) % window)
-        cycles[op.txn] = absolute
-        previous = absolute
-    return cycles
-
-
-def derive_sessions(
-    history: History, arithmetic: Optional[CycleArithmetic] = None
-) -> Tuple[Tuple[str, ...], ...]:
-    """Per-client sessions inferred from tid prefixes and cycle numbers.
-
-    Simulator transaction ids of the form ``cl<N>.<tid>`` group by client;
-    within a client, program order is recovered from decoded commit cycles
-    (ties broken by history position — a client runs its transactions
-    sequentially, so commit cycles are non-decreasing along its session).
-    Transactions without a client prefix (server-resident ones) form no
-    session here: the broadcast protocols do not promise session guarantees
-    across the server's interleaved commit order, only per client.
-    """
-    cycles = decode_commit_cycles(history, arithmetic)
-    position = {tid: idx for idx, tid in enumerate(history.transaction_ids)}
-    groups: Dict[str, List[str]] = {}
-    for tid in history.transaction_ids:
-        match = _CLIENT_TID.match(tid)
-        if match is not None:
-            groups.setdefault(match.group(1), []).append(tid)
-    sessions: List[Tuple[str, ...]] = []
-    for client in sorted(groups):
-        members = groups[client]
-        members.sort(key=lambda tid: (cycles.get(tid, 0), position[tid]))
-        if len(members) > 1:
-            sessions.append(tuple(members))
-    return tuple(sessions)

@@ -199,8 +199,8 @@ class BroadcastServer:
         ``apply_batch`` (``IndexError``) before it changes anything — and
         only once that has applied every Theorem 2 increment does the
         database install the writes, so the log never holds a record the
-        control state did not apply.  The log keeps the commits' sets (see
-        :meth:`Database.apply_batch`).
+        control state did not apply.  The log copies the commits' ids and
+        values (see :meth:`Database.apply_batch`).
         """
         last = self.database.last_commit_cycle
         if cycle < last:

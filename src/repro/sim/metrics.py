@@ -21,6 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.tids import pack_tids, unpack_tids
+
 __all__ = [
     "TransactionSample",
     "SummaryStat",
@@ -141,8 +143,9 @@ class MetricsCollector:
     two float64 arrays (submit and commit time), an int32 array (restarts)
     and the tid column.  Tids wait as ``str`` in a short list; every
     :data:`_PACK` commits that list is packed into one fixed-width UTF-8
-    bytes array, so a retained commit costs 20 bytes plus its tid's
-    encoded length, about 30 bytes for the kernel's ``cl{k}.c{n}`` ids.
+    bytes array (:func:`repro.core.tids.pack_tids`), so a retained commit
+    costs 20 bytes plus its tid's encoded length, about 30 bytes for the
+    kernel's ``cl{k}.c{n}`` ids.
     Merging a shard appends its columns and its packed chunks.  No
     :class:`TransactionSample` and no tid ``str`` is built unless
     :attr:`samples` / :meth:`steady_state` are asked for: the statistics
@@ -278,14 +281,9 @@ class MetricsCollector:
     def _pack(self) -> None:
         """Move the pending tids into one fixed-width bytes chunk."""
         pending = self._pending
-        if not pending:
-            return
-        if "\0" in "".join(pending):
-            raise ValueError("a transaction id may not contain NUL")
-        encoded = [t.encode() for t in pending]
-        width = max(map(len, encoded))  # sized here, numpy skips a pass
-        self._chunks.append(np.array(encoded, dtype=f"S{width}"))
-        pending.clear()
+        if pending:
+            self._chunks.append(pack_tids(pending))
+            pending.clear()
 
     @property
     def commit_count(self) -> int:
@@ -322,7 +320,7 @@ class MetricsCollector:
 
     def _tids(self) -> List[str]:
         """Every tid as a ``str``, in recording order."""
-        tids = [t.decode() for chunk in self._chunks for t in chunk.tolist()]
+        tids = unpack_tids(self._chunks)
         tids.extend(self._pending)
         return tids
 

@@ -1,11 +1,6 @@
-"""Tests for the ⟨T, so, wr⟩ adapter and cycle-number session recovery."""
+"""Tests for the ⟨T, so, wr⟩ adapter."""
 
-from repro.analysis.consistency.histories import (
-    TransactionalHistory,
-    decode_commit_cycles,
-    derive_sessions,
-)
-from repro.core.cycles import ModuloCycles
+from repro.analysis.consistency.histories import TransactionalHistory
 from repro.core.model import parse_history
 
 
@@ -37,46 +32,3 @@ class TestTransactionalHistory:
         assert th.sessions == ()
         assert th.so_pairs() == frozenset()
 
-
-class TestDecodeCommitCycles:
-    def test_absolute_cycles_pass_through(self):
-        cycles = decode_commit_cycles(parse_history("w1[x] c1@7 w2[x] c2@9"))
-        assert cycles == {"t1": 7, "t2": 9}
-
-    def test_residues_anchor_walk_across_wrap(self):
-        # window 8: residues 6, 1 decode to absolute 6, 9 (wrapping once)
-        history = parse_history("w1[x] c1@6 w2[x] c2@1")
-        cycles = decode_commit_cycles(history, ModuloCycles(3))
-        assert cycles == {"t1": 6, "t2": 9}
-
-    def test_equal_residue_means_same_cycle(self):
-        history = parse_history("w1[x] c1@5 w2[x] c2@5")
-        cycles = decode_commit_cycles(history, ModuloCycles(3))
-        assert cycles == {"t1": 5, "t2": 5}
-
-    def test_unannotated_commits_omitted(self):
-        cycles = decode_commit_cycles(parse_history("w1[x] c1 w2[x] c2@3"))
-        assert cycles == {"t2": 3}
-
-
-class TestDeriveSessions:
-    def test_groups_by_client_prefix(self):
-        history = parse_history(
-            "wA[x] cA@1 rcl0.a[x] ccl0.a@2 wcl1.b[y] ccl1.b@3 rcl0.c[y] ccl0.c@4"
-        )
-        sessions = derive_sessions(history)
-        assert sessions == (("cl0.a", "cl0.c"),)
-
-    def test_cycle_numbers_order_members(self):
-        history = parse_history(
-            "wcl0.b[x] ccl0.b@9 wcl0.a[y] ccl0.a@4"
-        )
-        # history position says b first, commit cycles say a first
-        assert derive_sessions(history) == (("cl0.a", "cl0.b"),)
-
-    def test_modulo_residues_do_not_scramble_sessions(self):
-        history = parse_history(
-            "wcl0.a[x] ccl0.a@6 wcl0.b[y] ccl0.b@1"
-        )
-        # residue 1 decodes to absolute 9 under window 8: a stays first
-        assert derive_sessions(history, ModuloCycles(3)) == (("cl0.a", "cl0.b"),)

@@ -10,9 +10,11 @@ object.
 import numpy as np
 import pytest
 
+from repro.server import database as database_mod
 from repro.server.database import Database
 from repro.server.recovery import recover_server
 from repro.server.server import BroadcastServer
+from repro.server.workload import ServerWorkload
 
 
 def _crashed_server(protocol="f-matrix"):
@@ -166,3 +168,24 @@ class TestReplayEquivalence:
         crashed = self._crashed_server()
         revived = recover_server(crashed.database.commit_log, 5)
         assert [r.txn for r in revived.database.commit_log] == ["s1", "s2", "s3"]
+
+    def test_a_log_past_its_pack_interval_replays_whole(self):
+        """A crash after more commits than one pack holds: packed and
+        pending commits replay alike, a client update's values with them."""
+        workload = ServerWorkload(8, length=3, seed=7)
+        crashed = BroadcastServer(8, "f-matrix")
+        cycle = 0
+        while len(crashed.database.commit_log) <= database_mod._PACK + 100:
+            cycle += 1
+            crashed.begin_cycle(cycle)
+            crashed.commit_batch(cycle, [workload.next_transaction() for _ in range(3)])
+            crashed.commit_update(f"u{cycle}", [cycle % 8], {cycle % 7: f"v{cycle}"})
+        crashed.begin_cycle(cycle + 1)
+        revived = recover_server(crashed.database, 8, "f-matrix")
+        assert revived.database.commit_log == crashed.database.commit_log
+        assert (
+            revived.database.committed_snapshot()
+            == crashed.database.committed_snapshot()
+        )
+        assert np.array_equal(revived.matrix.array, crashed.matrix.array)
+        assert revived.current_cycle == cycle + 1
