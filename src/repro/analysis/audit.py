@@ -88,7 +88,8 @@ def context_from_simulation(result: "SimulationResult") -> AuditContext:
     database = result.server.database
     return AuditContext(
         num_objects=database.num_objects,
-        arithmetic=config.arithmetic(),
+        timestamp_bits=config.timestamp_bits,
+        max_cycles=config.max_cycles,
         broadcasts=tuple(getattr(trace, "cycles", ())),
         commit_log=database.commit_log,
         client_commits=tuple(trace.client_commits),

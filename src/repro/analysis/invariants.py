@@ -20,11 +20,8 @@ The shipped invariants and the paper facts they police:
     carries it (entries are commit cycles of already-committed
     transactions); and in the full matrix every entry of column ``j`` is
     dominated by the diagonal ``C(j, j)`` — members of ``LIVE_H(t_j)``
-    committed no later than ``t_j`` itself.  Under modulo timestamps,
-    anchored decoding is sound only within one wrap window of the
-    snapshot, so the monotone quantity is taken from the broadcast data
-    slots' absolute commit cycles instead and the two anchored-entry
-    checks are skipped (one is vacuous under anchoring, one undecodable).
+    committed no later than ``t_j`` itself.  Entries are absolute cycles
+    under either timestamp setting, so every check runs on every run.
 
 ``control-agreement``
     Per cycle, the broadcast control information agrees with the
@@ -32,19 +29,15 @@ The shipped invariants and the paper facts they police:
     derivable from the matrix (``max_j C(i, j)``, attained on the
     diagonal), the vector, or the grouped matrix must equal the commit
     cycle carried by the object's broadcast version (Sec. 3.2.2's
-    one-group reduction argument).  Under modulo timestamps the check
-    compares wire residues exactly — the vector (or matrix diagonal)
-    must equal the residue of the version's absolute commit cycle; the
-    grouped matrix exposes no per-object residue cell, so it is exempt.
+    one-group reduction argument).
 
 ``wrap-gap-safety``
-    No committed client read-only transaction validated reads spanning a
-    full modulo window or more.  Re-anchored wire timestamps are
-    ambiguous across such a wrap gap (Sec. 3.2.2's ``max_cycles``
-    bound is ``2**timestamp_bits - 1``), so a commit across one means
-    the client-side staleness guard failed — validation may have
-    accepted an aliased, arbitrarily old control entry.  Vacuous for
-    unbounded arithmetic.
+    No committed client read-only transaction validated reads spanning
+    more than ``max_cycles`` cycles (Sec. 3.2.1's bound,
+    ``2**timestamp_bits - 1`` under modulo timestamps): the modulo wire
+    is exact only within it, so a commit across a wrap gap means the
+    client-side staleness guard failed.  Vacuous for absolute
+    timestamps.
 
 ``validation-soundness``
     Every client-accepted read-only transaction must be APPROX-consistent
@@ -91,7 +84,7 @@ The shipped invariants and the paper facts they police:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     TYPE_CHECKING,
@@ -114,7 +107,6 @@ from ..core.certify import (
     verify_reader_certificate,
     verify_update_certificate,
 )
-from ..core.cycles import CycleArithmetic, ModuloCycles, UnboundedCycles
 from ..core.model import History, T0
 from ..core.polygraph import reader_polygraph
 from ..core.serialgraph import conflict_graph
@@ -145,7 +137,10 @@ class AuditContext:
     """
 
     num_objects: int = 0
-    arithmetic: CycleArithmetic = field(default_factory=UnboundedCycles)
+    #: bits per control entry on the wire (the delta encoder's sizing)
+    timestamp_bits: int = 8
+    #: the paper's span bound under modulo timestamps; None: unbounded
+    max_cycles: Optional[int] = None
     #: per-cycle broadcast images in ascending cycle order (may be empty)
     broadcasts: Tuple["BroadcastCycle", ...] = ()
     #: server commit log in serialization order (may be empty)
@@ -196,22 +191,6 @@ def invariant_ids() -> Tuple[str, ...]:
 # helpers
 # ----------------------------------------------------------------------
 
-def _decode(encoded: np.ndarray, cycle: int, arithmetic: CycleArithmetic) -> np.ndarray:
-    """Absolute cycle numbers for a control array frozen at ``cycle``.
-
-    Unbounded arithmetic stores absolute values already; modulo arithmetic
-    re-anchors each residue to the most recent absolute cycle ≤ ``cycle - 1``
-    — the snapshot freezes at the cycle's start, so every entry is the
-    commit cycle of an *earlier* cycle's transaction.  Sound while entries
-    lie within one window of the snapshot, the paper's standing assumption.
-    """
-    if isinstance(arithmetic, ModuloCycles):
-        window = arithmetic.window
-        reference = cycle - 1
-        return reference - ((reference - encoded) % window)
-    return encoded
-
-
 def _control_array(snapshot: object) -> Optional[np.ndarray]:
     """The control payload of a snapshot, whichever shape it carries."""
     for name in ("matrix", "grouped", "vector"):
@@ -221,20 +200,12 @@ def _control_array(snapshot: object) -> Optional[np.ndarray]:
     return None
 
 
-def _last_write_values(
-    snapshot: object, cycle: int, arithmetic: CycleArithmetic
-) -> Optional[np.ndarray]:
+def _last_write_values(snapshot: object) -> Optional[np.ndarray]:
     """Per-object last-committed-write cycle implied by the control info."""
-    matrix = getattr(snapshot, "matrix", None)
-    if matrix is not None:
-        return _decode(matrix, cycle, arithmetic).max(axis=1)
-    grouped = getattr(snapshot, "grouped", None)
-    if grouped is not None:
-        return _decode(grouped, cycle, arithmetic).max(axis=1)
-    vector = getattr(snapshot, "vector", None)
-    if vector is not None:
-        return _decode(vector, cycle, arithmetic)
-    return None
+    array = _control_array(snapshot)
+    if array is None or array.ndim == 1:
+        return array
+    return array.max(axis=1)
 
 
 def _minimize_cycle_witness(
@@ -286,59 +257,6 @@ def _last_write_regressions(
         )
 
 
-def _agreement_residues(
-    arithmetic: ModuloCycles, broadcast: "BroadcastCycle", actual: np.ndarray
-) -> Iterator[Diagnostic]:
-    """Residue-exact control/data agreement for modulo timestamps.
-
-    The vector (or the full matrix's diagonal) carries the last-write
-    timestamp of each object directly, so its wire residue must equal
-    ``commit_cycle % window`` of the version broadcast alongside it.
-    """
-    snapshot = broadcast.snapshot
-    matrix = getattr(snapshot, "matrix", None)
-    if matrix is not None:
-        implied = np.diagonal(matrix)
-        cell = "C(i,i)"
-    else:
-        vector = getattr(snapshot, "vector", None)
-        if vector is None:
-            return  # grouped (or no control info): no per-object residue
-        implied = vector
-        cell = "TS(i)"
-    expected = arithmetic.encode_array(actual)
-    if implied.shape != expected.shape:
-        yield Diagnostic(
-            invariant="control-agreement",
-            message=(
-                f"control info covers {implied.shape[0]} objects but the "
-                f"broadcast carries {expected.shape[0]}"
-            ),
-            cycle=broadcast.cycle,
-        )
-        return
-    mismatched = np.nonzero(implied != expected)[0]
-    if mismatched.size:
-        obj = int(mismatched[0])
-        yield Diagnostic(
-            invariant="control-agreement",
-            message=(
-                f"control residue disagrees with broadcast slots on "
-                f"{mismatched.size} object(s)"
-            ),
-            cycle=broadcast.cycle,
-            objects=tuple(int(o) for o in mismatched[:8]),
-            transactions=(broadcast.versions[obj].writer,),
-            witness=(
-                f"object {obj}: {cell} = {int(implied[obj])} but the "
-                f"broadcast version was committed at cycle "
-                f"{int(actual[obj])} ≡ {int(expected[obj])} "
-                f"(mod {arithmetic.window}) by "
-                f"{broadcast.versions[obj].writer!r}"
-            ),
-        )
-
-
 # ----------------------------------------------------------------------
 # invariants
 # ----------------------------------------------------------------------
@@ -351,36 +269,15 @@ def check_control_monotonicity(ctx: AuditContext) -> Iterator[Diagnostic]:
     column (Theorem 2), so the monotone quantity is the per-object
     last-write timestamp.  Additionally no entry may lie in the future of
     its snapshot, and matrix columns are dominated by their diagonal.
-
-    Under :class:`ModuloCycles` the anchored decode aliases for entries
-    older than one window, so on long runs with small windows the decoded
-    comparisons would flag healthy control state.  There the per-object
-    last write is taken from the data slots' absolute commit cycles
-    (which also catches a recovered server resurrecting stale versions),
-    and the two anchored-entry checks are skipped: anchoring can never
-    place an entry at or past its reference, and the column/diagonal
-    comparison is undecodable beyond the window.
     """
-    modulo = isinstance(ctx.arithmetic, ModuloCycles)
     previous: Optional[Tuple[int, np.ndarray]] = None
     for broadcast in ctx.broadcasts:
         snapshot = broadcast.snapshot
-        if modulo:
-            if not broadcast.versions:
-                continue
-            last_write = np.array(
-                [v.commit_cycle for v in broadcast.versions], dtype=np.int64
-            )
-            if previous is not None:
-                yield from _last_write_regressions(previous, broadcast, last_write)
-            previous = (broadcast.cycle, last_write)
+        entries = _control_array(snapshot)
+        if entries is None:
             continue
-        array = _control_array(snapshot)
-        if array is None:
-            continue
-        decoded = _decode(array, broadcast.cycle, ctx.arithmetic)
 
-        ahead = np.argwhere(decoded >= broadcast.cycle)
+        ahead = np.argwhere(entries >= broadcast.cycle)
         if ahead.size:
             first = tuple(int(x) for x in ahead[0])
             i = first[0]
@@ -388,7 +285,7 @@ def check_control_monotonicity(ctx: AuditContext) -> Iterator[Diagnostic]:
             yield Diagnostic(
                 invariant="control-monotonicity",
                 message=(
-                    f"control entry names cycle {int(decoded[tuple(first)])} "
+                    f"control entry names cycle {int(entries[tuple(first)])} "
                     f"inside the snapshot frozen at the start of cycle "
                     f"{broadcast.cycle} ({ahead.shape[0]} cell(s) affected); "
                     "entries are commit cycles of already-committed "
@@ -397,14 +294,14 @@ def check_control_monotonicity(ctx: AuditContext) -> Iterator[Diagnostic]:
                 cycle=broadcast.cycle,
                 objects=(i, j),
                 witness=(
-                    f"C({i},{j}) = {int(decoded[tuple(first)])} >= snapshot "
+                    f"C({i},{j}) = {int(entries[tuple(first)])} >= snapshot "
                     f"cycle {broadcast.cycle}"
                 ),
             )
 
         if getattr(snapshot, "matrix", None) is not None:
-            diag = np.diagonal(decoded)
-            undominated = np.argwhere(decoded > diag[np.newaxis, :])
+            diag = np.diagonal(entries)
+            undominated = np.argwhere(entries > diag[np.newaxis, :])
             if undominated.size:
                 i, j = (int(x) for x in undominated[0])
                 yield Diagnostic(
@@ -417,12 +314,12 @@ def check_control_monotonicity(ctx: AuditContext) -> Iterator[Diagnostic]:
                     cycle=broadcast.cycle,
                     objects=(i, j),
                     witness=(
-                        f"C({i},{j}) = {int(decoded[i, j])} > C({j},{j}) = "
+                        f"C({i},{j}) = {int(entries[i, j])} > C({j},{j}) = "
                         f"{int(diag[j])} at cycle {broadcast.cycle}"
                     ),
                 )
 
-        last_write = decoded.max(axis=1) if decoded.ndim == 2 else decoded
+        last_write = entries.max(axis=1) if entries.ndim == 2 else entries
         if previous is not None:
             yield from _last_write_regressions(previous, broadcast, last_write)
         previous = (broadcast.cycle, last_write)
@@ -430,30 +327,14 @@ def check_control_monotonicity(ctx: AuditContext) -> Iterator[Diagnostic]:
 
 @invariant("control-agreement")
 def check_control_agreement(ctx: AuditContext) -> Iterator[Diagnostic]:
-    """Control info agrees with the commit cycles on the broadcast slots.
-
-    Under :class:`ModuloCycles` the absolute comparison is unavailable
-    beyond one window, but the wire residues themselves are exact: the
-    vector entry (or full-matrix diagonal cell) for each object must
-    equal the residue of its version's absolute commit cycle.  The
-    grouped matrix's per-object value is a maximum over group columns —
-    maxima do not commute with residues — so it carries no directly
-    comparable cell and is exempt; the row-vs-diagonal domination check
-    is likewise skipped as undecodable.
-    """
-    modulo = isinstance(ctx.arithmetic, ModuloCycles)
+    """Control info agrees with the commit cycles on the broadcast slots."""
     for broadcast in ctx.broadcasts:
         if not broadcast.versions:
             continue
         actual = np.array(
             [v.commit_cycle for v in broadcast.versions], dtype=np.int64
         )
-        if modulo:
-            yield from _agreement_residues(ctx.arithmetic, broadcast, actual)
-            continue
-        implied = _last_write_values(
-            broadcast.snapshot, broadcast.cycle, ctx.arithmetic
-        )
+        implied = _last_write_values(broadcast.snapshot)
         if implied is None:
             continue
         if implied.shape != actual.shape:
@@ -487,9 +368,8 @@ def check_control_agreement(ctx: AuditContext) -> Iterator[Diagnostic]:
             )
         matrix = getattr(broadcast.snapshot, "matrix", None)
         if matrix is not None:
-            decoded = _decode(matrix, broadcast.cycle, ctx.arithmetic)
-            diag = np.diagonal(decoded)
-            off = np.nonzero(diag != decoded.max(axis=1))[0]
+            diag = np.diagonal(matrix)
+            off = np.nonzero(diag != matrix.max(axis=1))[0]
             if off.size:
                 obj = int(off[0])
                 yield Diagnostic(
@@ -503,7 +383,7 @@ def check_control_agreement(ctx: AuditContext) -> Iterator[Diagnostic]:
                     objects=tuple(int(o) for o in off[:8]),
                     witness=(
                         f"row {obj}: C({obj},{obj}) = {int(diag[obj])} < "
-                        f"max_j C({obj},j) = {int(decoded[obj].max())}"
+                        f"max_j C({obj},j) = {int(matrix[obj].max())}"
                     ),
                 )
 
@@ -513,17 +393,16 @@ def check_wrap_gap_safety(ctx: AuditContext) -> Iterator[Diagnostic]:
     """No committed read-only transaction validated across a wrap gap.
 
     Under modulo timestamps a transaction whose reads span a full window
-    (``2**timestamp_bits`` cycles) or more compared re-anchored control
-    entries that are ambiguous relative to its earliest read — the
-    paper's ``max_cycles`` bound, which the client-side staleness guard
+    (``2**timestamp_bits`` cycles) or more breaks the paper's
+    ``max_cycles`` bound, within which alone the modulo wire is exact;
+    the client-side staleness guard
     (:class:`repro.client.runtime.ReadOnlyTransactionRuntime`) enforces
-    by aborting instead.  A commit across the gap means that guard was
-    bypassed or broken.  Vacuous for unbounded arithmetic.
+    it by aborting instead.  A commit across the gap means that guard was
+    bypassed or broken.  Vacuous for absolute timestamps.
     """
-    arithmetic = ctx.arithmetic
-    if not isinstance(arithmetic, ModuloCycles):
+    if ctx.max_cycles is None:
         return
-    window = arithmetic.window
+    window = ctx.max_cycles + 1
     for record in ctx.client_commits:
         cycles = [cycle for _obj, cycle in record.reads]
         if not cycles:
@@ -535,8 +414,8 @@ def check_wrap_gap_safety(ctx: AuditContext) -> Iterator[Diagnostic]:
                 message=(
                     f"committed read-only transaction validated reads "
                     f"spanning {last - first} cycles, at least the full "
-                    f"modulo window of {window}; re-anchored timestamps "
-                    "are ambiguous across a wrap gap"
+                    f"modulo window of {window}; the modulo wire is "
+                    "ambiguous across a wrap gap"
                 ),
                 cycle=last,
                 transactions=(record.tid,),
@@ -720,7 +599,7 @@ def check_delta_coherence(ctx: AuditContext) -> Iterator[Diagnostic]:
     if not matrices:
         return
     n = matrices[0][1].shape[0]
-    encoder = DeltaEncoder(n, timestamp_bits=ctx.arithmetic.timestamp_bits)
+    encoder = DeltaEncoder(n, timestamp_bits=ctx.timestamp_bits)
     decoder = DeltaDecoder(n)
     previous_cycle: Optional[int] = None
     for cycle, matrix in matrices:
@@ -728,7 +607,7 @@ def check_delta_coherence(ctx: AuditContext) -> Iterator[Diagnostic]:
             # dead air (server crash outage): the revived server's encoder
             # state did not survive, so the stream restarts with an anchor
             # frame and receivers re-synchronise on it
-            encoder = DeltaEncoder(n, timestamp_bits=ctx.arithmetic.timestamp_bits)
+            encoder = DeltaEncoder(n, timestamp_bits=ctx.timestamp_bits)
             decoder = DeltaDecoder(n)
         previous_cycle = cycle
         frame = encoder.encode(cycle, matrix)

@@ -95,7 +95,7 @@ class DeltaEncoder:
         self.timestamp_bits = timestamp_bits
         self.anchor_every = anchor_every
         self._previous: Optional[np.ndarray] = None
-        self._since_anchor = 0
+        self._deltas_since = 0
 
     def encode(self, cycle: int, snapshot: np.ndarray) -> DeltaFrame:
         """Encode the snapshot broadcast at ``cycle``.
@@ -105,16 +105,16 @@ class DeltaEncoder:
         """
         if snapshot.shape != (self.num_objects, self.num_objects):
             raise ValueError("snapshot has the wrong shape")
-        make_anchor = self._previous is None or self._since_anchor >= self.anchor_every - 1
+        anchor_due = self._previous is None or self._deltas_since >= self.anchor_every - 1
         # whole-array selection, then one tolist() per column of the frame:
         # a Table-1 delta rewrites ~8k cells, an anchor walks all n²
-        rows, cols = np.nonzero(snapshot if make_anchor else snapshot != self._previous)
+        rows, cols = np.nonzero(snapshot if anchor_due else snapshot != self._previous)
         entries: Tuple[Tuple[int, int, int], ...] = tuple(
             zip(rows.tolist(), cols.tolist(), snapshot[rows, cols].tolist())
         )
-        kind = "anchor" if make_anchor else "delta"
+        kind = "anchor" if anchor_due else "delta"
         frame = DeltaFrame(cycle, kind, entries, self.num_objects, self.timestamp_bits)
-        self._since_anchor = 0 if make_anchor else self._since_anchor + 1
+        self._deltas_since = 0 if anchor_due else self._deltas_since + 1
         self._previous = snapshot.copy()
         return frame
 

@@ -86,12 +86,12 @@ class ReadOnlyTransactionRuntime:
         self.validator = validator
         self.attempt = 0
         self.aborted = False
-        #: doze/wrap guard: with modulo timestamps a client that rejoins
-        #: after missing ``staleness_window`` (= window - 1, the paper's
-        #: ``max_cycles``) cycles can no longer trust re-anchored control
-        #: entries against its retained reads; :meth:`deliver` then aborts
-        #: conservatively instead of validating (:meth:`stale`).  ``None``
-        #: disables it.
+        #: the paper's ``max_cycles`` guard (= window - 1 under modulo
+        #: timestamps): an attempt about to span more cycles than that, or
+        #: a client rejoining after missing that many, would step outside
+        #: the bound that makes the modulo wire exact; :meth:`deliver` then
+        #: aborts instead of validating (:meth:`stale`).  ``None`` disables
+        #: it.
         self.staleness_window = staleness_window
         #: most recent broadcast cycle delivered to this runtime off the
         #: air; survives :meth:`restart` (the radio's knowledge, not the
@@ -168,9 +168,9 @@ class ReadOnlyTransactionRuntime:
         records = self.validator.records
         # conservative abort, two triggers: the client dozed through >=
         # window cycles since its last delivery, or the attempt's read
-        # span exceeds the window (> max_cycles) — past either bound,
-        # re-anchored control entries can no longer be compared against
-        # the retained reads
+        # span exceeds the window (> max_cycles) — past either bound the
+        # modulo wire could no longer be decoded against the retained
+        # reads
         return bool(records) and (
             (last is not None and cycle - last >= window)
             or cycle - records[0].cycle > window

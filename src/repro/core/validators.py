@@ -42,21 +42,19 @@ after the cached version's cycle.  For in-order reads the backward
 condition is vacuous (every entry of a cycle-``c_i`` column is < ``c_i``
 ≤ ``c_j``), so plain broadcast behaviour is unchanged.
 
-Timestamps are compared under a
-:class:`repro.core.cycles.CycleArithmetic`, so the same logic runs with
-absolute cycle numbers or the paper's 8-bit modulo timestamps: each wire
-entry is anchored at the reference cycle through the arithmetic's
-``anchor_mask`` (``less_encoded_absolute``, inlined) and then compared
-with the absolute cycle the client holds.
+Timestamps are absolute cycle numbers under either setting of
+``modulo_timestamps``: the paper's 8-bit wire is exact under its
+``max_cycles`` bound, which the client's staleness guard enforces
+(:mod:`repro.core.cycles`), so every comparison here is one of ints.
 
 **Two loops, no threshold.**  One client is validated by the scalar loop
 :meth:`ReadValidator._condition_holds` (the semantics oracle), a cohort
 bucket by the sweep :func:`_validate_bucket`; callers choose from what
 they observe, never from a size constant (docs/PERFORMANCE.md §2).  The
-sweep first tries one bound per member: when the bucket's anchored column
-peaks below the member's oldest retained cycle, every ``C(i, j) < c_i``
-holds and its ``R_t`` is not walked — exact under either arithmetic, and
-in the broadcast-bound regime nearly every read.
+sweep first tries one bound per member: when the bucket's column peaks
+below the member's oldest retained cycle, every ``C(i, j) < c_i`` holds
+and its ``R_t`` is not walked — exact, and in the broadcast-bound regime
+nearly every read.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .control_matrix import ColumnImage
-from .cycles import CycleArithmetic, UnboundedCycles
 from .group_matrix import Partition
 
 __all__ = [
@@ -89,9 +86,9 @@ class ControlSnapshot:
     """Control information frozen at the beginning of one broadcast cycle.
 
     Exactly one of ``matrix`` / ``vector`` / ``grouped`` is populated,
-    matching the protocol in force.  Entries are *encoded* timestamps (see
-    :mod:`repro.core.cycles`); ``cycle`` is the absolute cycle number the
-    snapshot belongs to, used as the wrap-around anchor.
+    matching the protocol in force.  Entries are absolute commit cycles
+    (see :mod:`repro.core.cycles`); ``cycle`` is the cycle the snapshot
+    belongs to.
 
     A matrix is given as a dense array (replayed and hand-built snapshots)
     or as the server's :class:`~repro.core.control_matrix.ColumnImage`,
@@ -211,12 +208,8 @@ class ReadValidator:
     #: short protocol identifier used in configs/reports
     name: str = "abstract"
 
-    def __init__(self, arithmetic: Optional[CycleArithmetic] = None):
-        self.arithmetic = arithmetic or UnboundedCycles()
+    def __init__(self) -> None:
         self.records: List[ReadRecord] = []
-        #: ``now - ((now - entry) & mask)`` anchors a wire entry at cycle
-        #: ``now`` (``CycleArithmetic.anchor_mask``; -1: absolute, identity)
-        self._mask = self.arithmetic.anchor_mask
         #: latest cycle in ``R_t``; ``<= now`` iff every read was in-order
         self._max_cycle = 0
         #: oldest cycle in ``R_t`` (infinite while it is empty) — not
@@ -273,21 +266,13 @@ class ReadValidator:
         cached, out-of-order read is being validated), the symmetric
         backward condition on that read's own retained slice (module
         docstring).  The protocols differ only in which column applies.
-
-        Each comparison is ``less_encoded_absolute`` inlined: the wire
-        entry is anchored (``self._mask``) at the cycle of the snapshot it
-        rode in, the retained cycle stays absolute — re-anchoring it too
-        would flip the comparison whenever it lies outside the modulo
-        window (cached out-of-order reads, or a transaction spanning the
-        wrap gap).
         """
-        mask = self._mask
         for record in self.records:
             cycle = record.cycle
-            if now - ((now - int(column[record.obj])) & mask) >= cycle:
+            if int(column[record.obj]) >= cycle:
                 return False
             if cycle > now:  # cached (out-of-order) read: backward
-                if cycle - ((cycle - int(record.slice_[obj])) & mask) >= now:
+                if int(record.slice_[obj]) >= now:
                     return False
         return True
 
@@ -357,7 +342,7 @@ class RMatrixValidator(ReadValidator):
             return False  # a retained read postdates the snapshot: strict only
         c1 = self.first_read_cycle
         assert c1 is not None  # the strict condition holds vacuously on empty R_t
-        return now - ((now - int(column[obj])) & self._mask) < c1
+        return int(column[obj]) < c1
 
 
 class GroupMatrixValidator(ReadValidator):
@@ -372,12 +357,8 @@ class GroupMatrixValidator(ReadValidator):
 
     name = "group-matrix"
 
-    def __init__(
-        self,
-        partition: Partition,
-        arithmetic: Optional[CycleArithmetic] = None,
-    ):
-        super().__init__(arithmetic)
+    def __init__(self, partition: Partition):
+        super().__init__()
         self.partition = partition
 
     def _slice(self, obj: int, snapshot: ControlSnapshot) -> np.ndarray:
@@ -393,20 +374,21 @@ PROTOCOL_NAMES = ("f-matrix", "r-matrix", "datacycle", "f-matrix-no", "group-mat
 def make_validator(
     protocol: str,
     *,
-    arithmetic: Optional[CycleArithmetic] = None,
+    # ignored (validators compare absolute cycles); perfbench's drivers pass it
+    arithmetic: object = None,
     partition: Optional[Partition] = None,
 ) -> ReadValidator:
     """Instantiate the validator for a protocol name."""
     if protocol in ("f-matrix", "f-matrix-no"):
-        return FMatrixValidator(arithmetic)
+        return FMatrixValidator()
     if protocol == "r-matrix":
-        return RMatrixValidator(arithmetic)
+        return RMatrixValidator()
     if protocol == "datacycle":
-        return DatacycleValidator(arithmetic)
+        return DatacycleValidator()
     if protocol == "group-matrix":
         if partition is None:
             raise ValueError("group-matrix requires a partition")
-        return GroupMatrixValidator(partition, arithmetic)
+        return GroupMatrixValidator(partition)
     raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOL_NAMES}")
 
 
@@ -425,13 +407,13 @@ def validate_read_batch(
     the *same* broadcast cycle (the cohort executor buckets clients by
     broadcast slot, and a slot determines both).  Each validator keeps
     its own ``R_t``; the members that share the first member's protocol
-    class and timestamp arithmetic and retain no read postdating the
-    snapshot go through :func:`_validate_bucket` together.
+    class and retain no read postdating the snapshot go through
+    :func:`_validate_bucket` together.
 
     Per validator the result (and the recorded ``R_t`` on success) is
     exactly what :meth:`ReadValidator.validate_read` would produce: the
-    other members — another class or arithmetic, or a retained cached
-    read postdating the snapshot — are evaluated through their scalar
+    other members — another class, or a retained cached read postdating
+    the snapshot — are evaluated through their scalar
     path, which remains the semantics oracle.  Returns a list of
     booleans aligned with ``validators``.
     """
@@ -439,14 +421,10 @@ def validate_read_batch(
     if not validators:
         return results
     now = snapshot.cycle
-    proto, mask = validators[0].__class__, validators[0]._mask
+    proto = validators[0].__class__
     batch: List[int] = []
     for i, validator in enumerate(validators):
-        if (
-            validator.__class__ is proto
-            and validator._mask == mask
-            and validator._max_cycle <= now
-        ):
+        if validator.__class__ is proto and validator._max_cycle <= now:
             batch.append(i)
         elif validator.validate_read(obj, snapshot):
             results[i] = True
@@ -464,7 +442,7 @@ def validate_read_batch_inorder(
     """:func:`validate_read_batch` minus the per-member eligibility test.
 
     Precondition (the caller's to guarantee): every validator shares one
-    protocol class and one timestamp arithmetic, and retains no read
+    protocol class, and retains no read
     postdating the snapshot — which holds for any cache-less client
     population, since every retained read then came off an earlier (or
     this) broadcast cycle.  The cohort executor checks these properties
@@ -483,29 +461,22 @@ def _validate_bucket(
     """``validate_read`` for every member of one bucket, in one sweep.
 
     Precondition: :func:`validate_read_batch_inorder`'s.  One protocol
-    means one control column for the bucket, and one arithmetic means
-    one anchoring of it: every entry anchored at the snapshot cycle is
-    what :meth:`ReadValidator._condition_holds` compares per entry, so
-    ``<`` on the anchored column is the integer order.  In-order reads
-    make the backward condition vacuous — so the one-directional
-    comparison is the whole strict condition — and R-Matrix's
-    first-read-state disjunct admissible.
+    means one control column for the bucket.  In-order reads make the
+    backward condition vacuous — so the one-directional comparison is
+    the whole strict condition — and R-Matrix's first-read-state
+    disjunct admissible.
 
-    **The column bound.**  Every anchored entry is at most the column's
-    maximum and every ``R_t`` entry at least the member's oldest
-    retained cycle (``_min_cycle``), so when the maximum is below that
-    cycle the strict condition holds without walking ``R_t`` — under
-    either arithmetic, since the comparison is on anchored entries.
+    **The column bound.**  Every entry is at most the column's maximum
+    and every ``R_t`` entry at least the member's oldest retained cycle
+    (``_min_cycle``), so when the maximum is below that cycle the strict
+    condition holds without walking ``R_t``.
     """
     if not validators:
         return []
     now = snapshot.cycle
     shared = validators[0]._slice(obj, snapshot)
-    mask = validators[0]._mask
-    # the column anchored at ``now`` (absolute timestamps are their own
-    # anchor) and its maximum, once per bucket
-    anchored = shared if mask == -1 else now - ((now - shared) & mask)
-    top = int(anchored.max())
+    # the column's maximum, once per bucket
+    top = int(shared.max())
     # the walk's column as a plain python list, built by the first member
     # the bound does not decide: each R_t entry then costs a list index +
     # int compare, with no numpy call overhead
@@ -522,7 +493,7 @@ def _validate_bucket(
         ok = True
         if floor <= top:
             if column is None:
-                column = anchored.tolist()
+                column = shared.tolist()
             records = validator.records
             for retained in records:
                 if column[retained.obj] >= retained.cycle:

@@ -181,9 +181,9 @@ class Database:
         Recorded alongside the commit log because the log alone cannot
         represent *quiescent* cycles — cycles broadcast after the final
         commit.  Recovery that restores the cycle counter from the last
-        commit's cycle would re-issue those cycle numbers, which breaks
-        :class:`repro.core.cycles.ModuloCycles` anchoring for long-lived
-        readers; restoring from this value cannot.
+        commit's cycle would re-issue those cycle numbers, so a cycle
+        number would name two different broadcasts; restoring from this
+        value cannot.
         """
         return self._last_broadcast_cycle
 

@@ -18,9 +18,8 @@ exactly as against the original.
 A bare commit-log sequence is still accepted for offline replay, but it
 cannot represent quiescent cycles broadcast after the final commit —
 recovering from one defaults the cycle counter to the last commit's
-cycle, and a revived server would re-issue the quiescent cycle numbers
-(a :class:`repro.core.cycles.ModuloCycles` anchoring hazard for
-long-lived readers).  Pass the :class:`repro.server.database.Database`
+cycle, and a revived server would re-issue the quiescent cycle numbers.
+Pass the :class:`repro.server.database.Database`
 (or an explicit ``current_cycle``) whenever cycle-accurate recovery
 matters; the mid-run crash injection does.
 """
@@ -31,7 +30,6 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Optional, Sequence, Union
 
-from ..core.cycles import CycleArithmetic
 from ..core.group_matrix import Partition
 from .database import CommitRecord, Database
 from .server import BroadcastServer
@@ -44,7 +42,6 @@ def recover_server(
     num_objects: int,
     protocol: str = "f-matrix",
     *,
-    arithmetic: Optional[CycleArithmetic] = None,
     partition: Optional[Partition] = None,
     current_cycle: Optional[int] = None,
     initial_value: object = 0,
@@ -73,7 +70,6 @@ def recover_server(
     server = BroadcastServer(
         num_objects,
         protocol,
-        arithmetic=arithmetic,
         partition=partition,
         initial_value=initial_value,
     )

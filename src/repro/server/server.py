@@ -25,13 +25,12 @@ updates validate against it).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..broadcast.program import BroadcastCycle
 from ..core.control_matrix import ColumnImage, Commit, ControlMatrix
-from ..core.cycles import CycleArithmetic, UnboundedCycles
 from ..core.group_matrix import GroupedControlState, LastWriteVector, Partition
 from ..core.validators import PROTOCOL_NAMES, ControlSnapshot
 from .database import CommitRecord, Database
@@ -48,7 +47,6 @@ class BroadcastServer:
         num_objects: int,
         protocol: str = "f-matrix",
         *,
-        arithmetic: Optional[CycleArithmetic] = None,
         partition: Optional[Partition] = None,
         initial_value: object = 0,
     ):
@@ -57,7 +55,6 @@ class BroadcastServer:
                 f"unknown protocol {protocol!r}; choose from {PROTOCOL_NAMES}"
             )
         self.protocol = protocol
-        self.arithmetic = arithmetic or UnboundedCycles()
         self.database = Database(num_objects, initial_value)
         self.matrix: Optional[ControlMatrix] = None
         self.vector: Optional[LastWriteVector] = None
@@ -74,15 +71,10 @@ class BroadcastServer:
             self._control = self.vector = LastWriteVector(num_objects)
         self._validator = BackwardValidator(self.database)
         self.current_cycle = 0
-        #: the last frozen (wire-encoded, read-only) control image; a
-        #: matrix's wire columns as of that freeze (the live ones themselves
-        #: under absolute timestamps; a vector has none; at birth the live
-        #: ones stand in); and the ids a commit stamped or rebound since —
-        #: every column at birth, nothing being frozen yet
+        #: the last frozen (read-only) control image, and whether a commit
+        #: stamped or rebound an entry since it was taken
         self._frozen: Union[np.ndarray, ColumnImage, None] = None
-        columns = () if self.vector is not None else self._control.columns
-        self._wire: List[np.ndarray] = list(columns)
-        self._stale: Set[int] = set(range(len(self._wire)))
+        self._stale = True
 
     # ------------------------------------------------------------------
     @property
@@ -115,34 +107,20 @@ class BroadcastServer:
         the *same object*, its dense array included once stacked — rides
         again, which is also what lets
         :meth:`repro.sim.arena.TimelineArena.from_images` store a quiescent
-        stretch once.  Otherwise a vector is encoded afresh (``8n`` bytes:
-        it is stamped in place, so even its absolute form is a copy) and a
-        matrix is frozen by *sharing*: the image is the tuple of current
-        columns.  Under absolute timestamps a sealed column is already its
-        own wire form (``commit_column`` made it read-only), so the image
-        holds the live columns themselves and the freeze allocates no
-        column; under modulo timestamps only the columns replaced since
-        the last freeze are wire-encoded, once per distinct column.
-        Nothing ``n × n`` is copied.
+        stretch once.  Otherwise a vector is copied (``8n`` bytes: it is
+        stamped in place) and a matrix is frozen by *sharing*: every live
+        column is sealed (``commit_column`` made it read-only), so the
+        image is the tuple of current columns and the freeze allocates no
+        column.  Nothing ``n × n`` is copied.  Entries are absolute cycles
+        under either arithmetic (:mod:`repro.core.cycles`).
         """
-        if self._stale or self._frozen is None:
-            encode = self.arithmetic.encode_array
+        if self._stale:
             if self.vector is not None:
-                self._frozen = encode(self.vector.array)
+                self._frozen = self.vector.array.copy()
                 self._frozen.setflags(write=False)
             else:
-                live = self._control.columns
-                encoded: Dict[int, np.ndarray] = {}
-                sealed = self.arithmetic.anchor_mask == -1
-                for k in self._stale:
-                    column = live[k]
-                    wire = column if sealed else encoded.get(id(column))
-                    if wire is None:
-                        wire = encoded[id(column)] = encode(column)
-                        wire.setflags(write=False)
-                    self._wire[k] = wire
-                self._frozen = ColumnImage(self._wire)
-            self._stale.clear()
+                self._frozen = ColumnImage(self._control.columns)
+            self._stale = False
         if self.matrix is not None:
             return ControlSnapshot(cycle, matrix=self._frozen)
         if self.grouped is not None:
@@ -205,7 +183,8 @@ class BroadcastServer:
         last = self.database.last_commit_cycle
         if cycle < last:
             raise ValueError(f"commit cycles must be non-decreasing ({cycle} < {last})")
-        self._stale.update(self._control.apply_batch(cycle, batch))
+        if self._control.apply_batch(cycle, batch):
+            self._stale = True
         self.database.apply_batch(cycle, batch)
 
     # ------------------------------------------------------------------

@@ -32,15 +32,13 @@ simulated outcome:
    condition, the step — and :meth:`CohortExecutor._place` puts each
    member in its next bucket as it is yielded.  Within a bucket all
    clients evaluate the same protocol's read condition against the same
-   control snapshot, so the control column is fetched — and, under
-   modulo timestamps, anchored at the snapshot cycle — once, its maximum
+   control snapshot, so the control column is fetched once, its maximum
    taken once, and swept over the members
    (:func:`repro.core.validators.validate_read_batch`): a member whose
    oldest retained read postdates that maximum passes on the bound
    alone, the rest have their ``R_t`` walked.  Which sweep is the
    population's, chosen here once: a cache-less population of one
-   protocol and one timestamp arithmetic reads every object in order and
-   takes :func:`~repro.core.validators.validate_read_batch_inorder`.
+   protocol reads every object in order and takes :func:`~repro.core.validators.validate_read_batch_inorder`.
 
 Determinism is preserved exactly: bucket members are processed in the
 order their slot waits would have been *issued* (think-expiry or doze
@@ -93,14 +91,12 @@ class CohortExecutor:
         #: stably sorted by issue time when the slot fires, so clients run
         #: in the order their per-process WaitUntil events would be pushed
         self._buckets: Dict[float, List[ClientKernel]] = {}
-        # cache-less populations of one protocol class and one timestamp
-        # arithmetic satisfy validate_read_batch_inorder's precondition
-        # for every bucket (checked once here instead of per member per
-        # bucket)
+        # cache-less populations of one protocol class satisfy
+        # validate_read_batch_inorder's precondition for every bucket
+        # (checked once here instead of per member per bucket)
         self._sweep = validate_read_batch
         if all(c.cache is None for c in self.clients) and (
-            len({(c.validator.__class__, c.validator._mask) for c in self.clients})
-            == 1
+            len({c.validator.__class__ for c in self.clients}) == 1
         ):
             self._sweep = validate_read_batch_inorder
 

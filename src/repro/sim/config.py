@@ -18,7 +18,6 @@ from typing import Dict, Optional, Tuple
 
 from ..broadcast.control_info import ControlInfoScheme, scheme_for_protocol
 from ..broadcast.layout import FlatLayout, MultiDiskLayout
-from ..core.cycles import CycleArithmetic, ModuloCycles, UnboundedCycles
 from ..core.group_matrix import Partition, uniform_partition
 from ..core.validators import PROTOCOL_NAMES
 from .faults import FaultPlan
@@ -111,7 +110,8 @@ class SimulationConfig:
     server_interval_distribution: str = "exponential"
     #: apply an inter-operation delay before the first read too?
     delay_before_first_operation: bool = False
-    #: compare timestamps modulo 2**timestamp_bits (paper's wire format)
+    #: the paper's wire format: timestamps modulo 2**timestamp_bits, so
+    #: no attempt may span ``max_cycles`` cycles (the client guard aborts it)
     modulo_timestamps: bool = False
 
     # -- group-matrix protocol --------------------------------------------
@@ -357,10 +357,15 @@ class SimulationConfig:
         """May this client draw update transactions?"""
         return client_id < self.update_capable_clients()
 
-    def arithmetic(self) -> CycleArithmetic:
+    @property
+    def max_cycles(self) -> Optional[int]:
+        """The paper's bound on the cycles one attempt may span (Sec. 3.2.1):
+        ``2**timestamp_bits - 1`` under modulo timestamps, None (unbounded)
+        otherwise.  Each client's staleness guard enforces it; within it the
+        modulo wire is exact, so the simulation carries absolute cycles."""
         if self.modulo_timestamps:
-            return ModuloCycles(self.timestamp_bits)
-        return UnboundedCycles(self.timestamp_bits)
+            return (1 << self.timestamp_bits) - 1
+        return None
 
     def partition(self) -> Optional[Partition]:
         if self.protocol != "group-matrix":

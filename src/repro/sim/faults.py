@@ -50,8 +50,6 @@ from typing import (
 
 import numpy as np
 
-from ..core.cycles import CycleArithmetic, ModuloCycles
-
 if TYPE_CHECKING:  # type-only: metrics is not needed to build a plan
     from .metrics import MetricsCollector
 
@@ -336,12 +334,7 @@ class FaultRuntime:
     (:class:`repro.sim.timeline.LiveTimeline`); nothing here follows it.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        arithmetic: CycleArithmetic,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
         self.plan = plan
         #: root of the per-client uplink-loss stream tree (config seed)
         self._seed = seed
@@ -367,12 +360,6 @@ class FaultRuntime:
                 tuple(iv.start for iv in intervals),
                 tuple(iv.duration for iv in intervals),
             )
-        #: cycles a rejoining client may safely span under the configured
-        #: arithmetic: the paper's ``max_cycles = window - 1`` for modulo
-        #: timestamps, unlimited (``None``) for unbounded ones
-        self.staleness_window: Optional[int] = (
-            arithmetic.window - 1 if isinstance(arithmetic, ModuloCycles) else None
-        )
 
     # -- client radio ---------------------------------------------------
     def doze_wake(self, client: int, now: float) -> Optional[float]:

@@ -132,10 +132,10 @@ class ClientEnv:
         self.timeline = timeline
         self.trace = trace
         self.tracer = tracer
-        #: the paper's max-cycles rejoin bound, active under modulo
-        #: timestamps with faults: each runtime's staleness guard
-        #: (``runtime.stale``) then runs per delivery, before validation
-        self.staleness = faults.staleness_window if faults is not None else None
+        #: the paper's max-cycles bound, active under modulo timestamps:
+        #: each runtime's staleness guard (``runtime.stale``) then runs
+        #: per delivery, before validation
+        self.staleness = config.max_cycles
         # exponential-delay rates, evaluated exactly as the per-process
         # path does (1.0 / mean), so inline draws divide by the
         # bit-identical lambda

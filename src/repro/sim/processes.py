@@ -89,7 +89,7 @@ def client_process(
     untouched.
     """
     restart_pause = Timeout(config.restart_delay) if config.restart_delay > 0 else None
-    staleness_window = faults.staleness_window if faults is not None else None
+    staleness_window = config.max_cycles
     # exponential delays are expovariate's formula on one tape draw
     txn_lambd = 1.0 / config.mean_inter_transaction_delay
     for _txn_index in range(config.num_client_transactions):

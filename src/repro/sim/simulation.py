@@ -226,9 +226,8 @@ class BroadcastSimulation:
         self.feed = feed
         self.slice = _full_slice(config) if slice_ is None else slice_
         self.layout: BroadcastLayout = config.layout()
-        #: built once, shared by every client's validator: neither
-        #: object has a mutator
-        self.arithmetic = config.arithmetic()
+        #: built once, shared by every client's validator: it has no
+        #: mutator
         self.partition = config.partition()
         self.sim = Simulator()
         self.metrics = MetricsCollector()
@@ -249,9 +248,7 @@ class BroadcastSimulation:
         # bit-identical event sequences
         self.faults: Optional[FaultRuntime] = None
         if config.faults is not None and not config.faults.is_noop:
-            self.faults = FaultRuntime(
-                config.faults, self.arithmetic, seed=config.seed
-            )
+            self.faults = FaultRuntime(config.faults, seed=config.seed)
         #: the server side, advanced on demand; None on a replay shard,
         #: whose clients hear the sealed ``view`` instead
         self.timeline: Optional[LiveTimeline] = None
@@ -301,9 +298,7 @@ class BroadcastSimulation:
         return QuasiCache(config.cache_currency_bound, capacity=config.cache_capacity)
 
     def validator_for(self, _k: int) -> ReadValidator:
-        return make_validator(
-            self.config.protocol, arithmetic=self.arithmetic, partition=self.partition
-        )
+        return make_validator(self.config.protocol, partition=self.partition)
 
     def client_env(
         self, metrics: MetricsCollector, tracer: Tracer, on_air: Optional[OnAir] = None

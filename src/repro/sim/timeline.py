@@ -137,7 +137,6 @@ class LiveTimeline:
         self._server = BroadcastServer(
             config.num_objects,
             config.protocol,
-            arithmetic=config.arithmetic(),
             partition=config.partition(),
         )
         #: completions not yet installed, all of commit cycle _pending_cycle
@@ -337,14 +336,12 @@ class LiveTimeline:
                 durable_log,
                 config.num_objects,
                 config.protocol,
-                arithmetic=config.arithmetic(),
                 partition=config.partition(),
                 current_cycle=durable_cycle,
             )
             # cycles whose boundaries fell inside the outage were dead air;
             # the recovered server re-issues them as quiescent cycles so its
-            # counter — and every ModuloCycles anchor derived from it —
-            # lines up with wall-clock broadcast time again
+            # counter lines up with wall-clock broadcast time again
             replayed = [
                 revived.begin_cycle(cycle)
                 for cycle in range(durable_cycle + 1, self.layout.cycle_of(self.now) + 1)

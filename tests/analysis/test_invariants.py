@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis import AuditContext, audit_context, audit_history, invariant_ids
 from repro.broadcast.program import BroadcastCycle, ObjectVersion
-from repro.core.cycles import ModuloCycles
 from repro.core.model import parse_history
 from repro.core.validators import ControlSnapshot
 from repro.server.database import CommitRecord
@@ -103,21 +102,6 @@ class TestControlMonotonicity:
             "diagonal" in d.message
             for d in report.violations_of("control-monotonicity")
         )
-
-    def test_modulo_encoded_snapshots_are_reanchored(self):
-        arithmetic = ModuloCycles(timestamp_bits=3)  # window 8
-        m1, m2 = healthy_matrices()
-        ctx = AuditContext(
-            num_objects=N,
-            arithmetic=arithmetic,
-            broadcasts=(
-                matrix_cycle(2, m1 % 8),
-                matrix_cycle(3, m2 % 8),
-            ),
-        )
-        # residues decode back to the absolute cycles: no false violation
-        report = audit_context(ctx, invariants=["control-monotonicity"])
-        assert report.ok
 
 
 class TestControlAgreement:
@@ -325,7 +309,7 @@ class TestWrapGapSafety:
 
     def test_commit_across_a_wrap_gap_flagged(self):
         ctx = AuditContext(
-            arithmetic=ModuloCycles(2),  # window 4
+            max_cycles=3,  # 2-bit timestamps: window 4
             client_commits=(self._commit("c1", [10, 14]),),
         )
         report = audit_context(ctx, invariants=["wrap-gap-safety"])
@@ -337,7 +321,7 @@ class TestWrapGapSafety:
 
     def test_span_up_to_window_minus_one_passes(self):
         ctx = AuditContext(
-            arithmetic=ModuloCycles(2),  # window 4: spans <= 3 are legal
+            max_cycles=3,  # window 4: spans <= 3 are legal
             client_commits=(self._commit("c1", [10, 13]),),
         )
         assert audit_context(ctx, invariants=["wrap-gap-safety"]).ok
@@ -370,33 +354,17 @@ class TestWrapGapSafety:
 
 
 class TestModuloControlChecks:
-    def test_residue_mismatch_flagged(self):
-        m1, _ = healthy_matrices()
-        broadcast = matrix_cycle(2, m1 % 4)
-        bad = np.array(broadcast.snapshot.matrix)
-        bad[0, 0] = (bad[0, 0] + 1) % 4  # residue no longer matches slot
-        corrupted = BroadcastCycle(
-            2, broadcast.versions, ControlSnapshot(2, matrix=bad)
-        )
-        ctx = AuditContext(
-            num_objects=N,
-            arithmetic=ModuloCycles(2),
-            broadcasts=(corrupted,),
-        )
-        report = audit_context(ctx, invariants=["control-agreement"])
-        assert not report.ok
-        diag = report.violations_of("control-agreement")[0]
-        assert "residue" in diag.message
+    """Modulo runs carry absolute cycles, so every control check runs on
+    them exactly as on absolute runs."""
 
     def test_version_regression_flagged_under_modulo(self):
-        # a recovered server resurrecting an older version: the data
-        # slots' absolute commit cycles regress even though every
-        # residue stays in range
+        # a recovered server resurrecting an older version: object 1's
+        # last write regresses from cycle 2 to cycle 0
         m1, m2 = healthy_matrices()
         ctx = AuditContext(
             num_objects=N,
-            arithmetic=ModuloCycles(2),
-            broadcasts=(matrix_cycle(2, m2 % 4), matrix_cycle(3, m1 % 4)),
+            max_cycles=3,
+            broadcasts=(matrix_cycle(3, m2), matrix_cycle(4, m1)),
         )
         report = audit_context(ctx, invariants=["control-monotonicity"])
         assert not report.ok
@@ -404,18 +372,14 @@ class TestModuloControlChecks:
         assert "decreased" in diag.message
 
     def test_long_small_window_run_not_false_flagged(self):
-        # the regression the modulo-aware checks fix: entries older than
-        # one window alias under anchored decoding, which used to
-        # produce false violations on long runs with small windows
-        arith = ModuloCycles(2)  # window 4
+        # an entry far older than the window is an absolute cycle like
+        # any other: it neither aliases nor trips a check
         cycles = []
         m = np.zeros((N, N), dtype=np.int64)
         m[0, 0] = 1  # written once at cycle 1, then never again
-        for cycle in range(2, 12):  # ten cycles: far beyond the window
-            cycles.append(matrix_cycle(cycle, m % 4))
-        ctx = AuditContext(
-            num_objects=N, arithmetic=arith, broadcasts=tuple(cycles)
-        )
+        for cycle in range(2, 12):  # ten cycles: far beyond a window of 4
+            cycles.append(matrix_cycle(cycle, m))
+        ctx = AuditContext(num_objects=N, max_cycles=3, broadcasts=tuple(cycles))
         report = audit_context(
             ctx, invariants=["control-monotonicity", "control-agreement"]
         )

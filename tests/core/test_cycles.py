@@ -11,11 +11,6 @@ class TestUnbounded:
         arith = UnboundedCycles()
         assert arith.encode(12345) == 12345
 
-    def test_less_is_plain(self):
-        arith = UnboundedCycles()
-        assert arith.less(3, 7, reference=100)
-        assert not arith.less(7, 3, reference=100)
-
     def test_encode_array_copies(self):
         # the server freezes encode_array's result read-only and shares it
         # across cycles, so it must never alias the live control state —
@@ -59,23 +54,26 @@ class TestModulo:
         reference = 100
         for a in range(reference - 15, reference + 1):
             for b in range(reference - 15, reference + 1):
-                assert arith.less(
-                    arith.encode(a), arith.encode(b), reference=reference
-                ) == plain.less(a, b, reference=reference), (a, b)
+                assert arith.less_encoded_absolute(
+                    arith.encode(a), b, reference=reference
+                ) == plain.less_encoded_absolute(a, b, reference=reference), (a, b)
 
     def test_wraparound_comparison(self):
-        # absolute cycles 250 and 258 with window 256: encoded 250 and 2
+        # absolute cycles 250 and 258 with window 256: 258 travels as 2
         arith = ModuloCycles(8)
         now = 258
-        assert arith.less(arith.encode(250), arith.encode(258), reference=now)
-        assert not arith.less(arith.encode(258), arith.encode(250), reference=now)
+        assert arith.less_encoded_absolute(arith.encode(250), 258, reference=now)
+        assert not arith.less_encoded_absolute(arith.encode(258), 250, reference=now)
 
     def test_anchor_is_most_recent(self):
+        # a residue decodes to the most recent cycle <= reference with it:
+        # at reference 18, residue 3 is cycle 3 (19 is ahead), residue 2
+        # is cycle 18
         arith = ModuloCycles(4)
-        # encoded 3 anchored at reference 18 -> absolute 3? no: 3 <= 18 with
-        # residue 3 mod 16 -> candidates 3, 19(>18) -> 3... most recent <= 18
-        assert arith._anchor(3, 18) == 3
-        assert arith._anchor(2, 18) == 18
+        assert arith.less_encoded_absolute(3, 4, reference=18)
+        assert not arith.less_encoded_absolute(3, 3, reference=18)
+        assert arith.less_encoded_absolute(2, 19, reference=18)
+        assert not arith.less_encoded_absolute(2, 18, reference=18)
 
 
 class TestLessEncodedAbsolute:

@@ -195,6 +195,6 @@ def test_modulo_agrees_with_absolute_within_window(reference, age_a, age_b):
     plain = UnboundedCycles()
     a = max(0, reference - age_a)
     b = max(0, reference - age_b)
-    assert arith.less(
-        arith.encode(a), arith.encode(b), reference=reference
-    ) == plain.less(a, b, reference=reference)
+    assert arith.less_encoded_absolute(
+        arith.encode(a), b, reference=reference
+    ) == plain.less_encoded_absolute(a, b, reference=reference)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.control_matrix import ControlMatrix
-from repro.core.cycles import ModuloCycles, UnboundedCycles
+from repro.core.cycles import ModuloCycles
 from repro.core.group_matrix import (
     GroupedControlState,
     LastWriteVector,
@@ -237,39 +237,37 @@ class TestCachedBackwardCondition:
 
 
 class TestModuloTimestamps:
+    """Validators compare absolute cycles; the modulo wire decodes to the
+    same verdicts while no transaction spans the window."""
+
     def test_wraparound_validation_consistent(self):
-        """The modulo arithmetic must agree with absolute cycles as long
-        as no transaction spans the window."""
         arith = ModuloCycles(4)  # window 16
-        plain = UnboundedCycles()
         cm = ControlMatrix(2)
         # drive the cycle counter past the window
         for cycle in range(1, 40, 3):
             cm.apply_commit(cycle, [], [0])
-        snap_abs = ControlSnapshot(40, matrix=cm.snapshot())
-        snap_mod = ControlSnapshot(40, matrix=arith.encode_array(cm.snapshot()))
-        v_abs = FMatrixValidator(plain)
-        v_mod = FMatrixValidator(arith)
-        for v, snap in ((v_abs, snap_abs), (v_mod, snap_mod)):
-            v.begin()
-            assert v.validate_read(1, snap)
-        # object 0 last written at cycle 37 >= 40? no: < 40, so both accept
-        ok_abs = v_abs.validate_read(0, snap_abs)
-        ok_mod = v_mod.validate_read(0, snap_mod)
-        assert ok_abs == ok_mod
+        snap = ControlSnapshot(40, matrix=cm.snapshot())
+        wire = arith.encode_array(cm.snapshot())
+        v = FMatrixValidator()
+        v.begin()
+        assert v.validate_read(1, snap)
+        # object 0 last written at cycle 37 < 40: the read is accepted, as
+        # C(1, 0) decoded off the wire at cycle 40 says
+        assert v.validate_read(0, snap)
+        assert arith.less_encoded_absolute(int(wire[1, 0]), 40, reference=40)
 
     def test_wraparound_rejection_consistent(self):
         arith = ModuloCycles(4)
         cm = ControlMatrix(2)
         cm.apply_commit(30, [], [0])
         cm.apply_commit(30, [0], [1])
-        v = FMatrixValidator(arith)
+        v = FMatrixValidator()
         v.begin()
-        snap30 = ControlSnapshot(30, matrix=arith.encode_array(ControlMatrix(2).snapshot()))
         # read 0 at cycle 30 from the pre-commit snapshot
-        assert v.validate_read(0, snap30)
-        snap31 = ControlSnapshot(31, matrix=arith.encode_array(cm.snapshot()))
-        assert not v.validate_read(1, snap31)
+        assert v.validate_read(0, ControlSnapshot(30, matrix=ControlMatrix(2).snapshot()))
+        assert not v.validate_read(1, ControlSnapshot(31, matrix=cm.snapshot()))
+        wire = arith.encode_array(cm.snapshot())
+        assert not arith.less_encoded_absolute(int(wire[0, 1]), 30, reference=31)
 
 
 class TestMakeValidator:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.control_matrix import ControlMatrix
-from repro.core.cycles import ModuloCycles, UnboundedCycles
+from repro.core.cycles import ModuloCycles
 from repro.core.group_matrix import (
     GroupedControlState,
     LastWriteVector,
@@ -145,21 +145,29 @@ class TestArithmeticPlumbing:
     @pytest.mark.parametrize("protocol,cls", ALL_LIST_VALIDATORS)
     def test_modulo_arithmetic_accepted_everywhere(self, protocol, cls, states):
         cm, vec, grouped, part = states
-        arith = ModuloCycles(4)
-        v = make_validator(protocol, arithmetic=arith, partition=part)
-        assert v.arithmetic is arith
+        # accepted for compatibility and ignored: snapshots carry absolute
+        # cycles under either arithmetic
+        v = make_validator(protocol, arithmetic=ModuloCycles(4), partition=part)
+        assert type(v) is cls
         for state in (cm, vec, grouped):
             state.apply_commit(3, [], [0])
-        cycle = 20  # encoded 4 with window 16
         snap = ControlSnapshot(
-            cycle,
-            matrix=arith.encode_array(cm.snapshot()),
-            vector=arith.encode_array(vec.snapshot()),
-            grouped=arith.encode_array(grouped.snapshot()),
+            20,  # past the 4-bit window
+            matrix=cm.snapshot(),
+            vector=vec.snapshot(),
+            grouped=grouped.snapshot(),
             partition=part,
         )
         v.begin()
         assert v.validate_read(0, snap)
 
     def test_default_arithmetic_unbounded(self):
-        assert isinstance(FMatrixValidator().arithmetic, UnboundedCycles)
+        # validators compare absolute cycles as plain ints, however far
+        # past an 8-bit window they lie
+        before, after = ControlMatrix(2), ControlMatrix(2)
+        after.apply_commit(300, [], [0])
+        after.apply_commit(300, [0], [1])
+        v = FMatrixValidator()
+        v.begin()
+        assert v.validate_read(0, ControlSnapshot(300, matrix=before.snapshot()))
+        assert not v.validate_read(1, ControlSnapshot(301, matrix=after.snapshot()))

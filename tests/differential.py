@@ -16,7 +16,10 @@ scheduling choice, and each must reproduce the per-process reference
   signatures, no more events on the kernel's unsharded paths, spans
   that reconcile with the counters, and — wherever the run keeps one
   global trace — the reference's history, which audits clean and
-  certifies update-consistent (Biswas–Enea).
+  certifies update-consistent (Biswas–Enea);
+* :func:`check_modulo` — the run against its twin with
+  ``modulo_timestamps`` flipped: equal wherever the staleness guard is
+  silent (Sec. 3.2.1's bound makes the modulo wire exact).
 
 :data:`CORPUS` names every configuration an equivalence test has used;
 :func:`documents` generates valid scenario documents.  Both are driven
@@ -35,6 +38,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.consistency import certify_update_consistency
 from repro.core.validators import PROTOCOL_NAMES
+from repro.scenarios import result_signature
 from repro.scenarios.schema import SCENARIO_FORMAT_VERSION
 from repro.sim import analytic, schedule
 from repro.sim.config import EXECUTORS, SimulationConfig
@@ -215,6 +219,18 @@ def check(cfg, *, model=False, **axes):
     untraced, traced = oracles[False], oracles[True]
     assert signature(traced) == dict(signature(untraced), spans=traced.spans)
     return runs
+
+
+def check_modulo(cfg):
+    """``cfg`` ≡ ``cfg`` with ``modulo_timestamps`` flipped, by
+    :func:`repro.scenarios.result_signature`, as long as the modulo run's
+    staleness guard never fires (no attempt spans ``max_cycles``): the
+    simulation carries absolute cycles, so modulo timestamps may change
+    nothing else."""
+    flipped = cfg.replace(modulo_timestamps=not cfg.modulo_timestamps)
+    results = {c.modulo_timestamps: run_simulation(c) for c in (cfg, flipped)}
+    assert results[True].metrics.aborts_staleness == 0, "the guard fired"
+    assert result_signature(results[True]) == result_signature(results[False])
 
 
 # ----------------------------------------------------------------------

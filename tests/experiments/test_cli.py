@@ -437,9 +437,9 @@ class TestExitCodeContract:
         )
         assert code == 0
         stdout = capsys.readouterr().out
-        assert "474 spans across 2 shard lane(s), 0 dropped, 60 commits" in stdout
+        assert "264 spans across 2 shard lane(s), 0 dropped, 60 commits" in stdout
         assert "timeline/cycle" in stdout and "counters:" in stdout
-        assert len(spans.read_text().splitlines()) == 474
+        assert len(spans.read_text().splitlines()) == 264
         assert trace_main(["summarize", str(trace)]) == 0
         assert "timeline/cycle" in capsys.readouterr().out
         (run,) = json.loads(out.read_text())["runs"]
@@ -447,4 +447,4 @@ class TestExitCodeContract:
         assert run["config_fingerprint"] == config.fingerprint()
         assert (run["shards"], run["timeline_mode"]) == (2, "replay")
         assert run["timeline_stats"]["mode"] == "replay"
-        assert run["spans"] == 474 and run["spans_dropped"] == 0
+        assert run["spans"] == 264 and run["spans_dropped"] == 0

@@ -2,13 +2,13 @@
 
 ``BroadcastServer._control_snapshot`` reuses the previous cycle's frozen
 image when no write committed since; otherwise it shares the live state's
-immutable columns, wire-encoding only those a commit replaced.  These
-tests drive randomized commit schedules through a server and check every
-cycle's broadcast image against a *dense* oracle — a fresh ``snapshot()``
-+ ``encode_array()`` of a shadow control structure, or a Theorem 2
-transcription on a plain array — under unbounded and modulo timestamps;
-that an image, once frozen, can never change; and that neither a freeze
-nor a commit nor a plain simulation ever builds anything ``n × n``.
+immutable columns.  These tests drive randomized commit schedules through
+a server and check every cycle's broadcast image against a *dense* oracle
+— a fresh ``snapshot()`` of a shadow control structure, or a Theorem 2
+transcription on a plain array — for the server of an absolute and of a
+modulo run, which freeze the same absolute cycles; that an image, once
+frozen, can never change; and that neither a freeze nor a commit nor a
+plain simulation ever builds anything ``n × n``.
 """
 
 import random
@@ -19,12 +19,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.control_matrix import ColumnImage, ControlMatrix
-from repro.core.cycles import ModuloCycles, UnboundedCycles
 from repro.core.group_matrix import GroupedControlState, Partition, uniform_partition
 from repro.core.reference import ReferenceControlMatrix
 from repro.core.validators import PROTOCOL_NAMES
 from repro.server.server import BroadcastServer
 from repro.sim import SimulationConfig, run_simulation
+from repro.sim.timeline import LiveTimeline
+
+
+def run_server(n, protocol, bits=None, groups=4):
+    """The server a run builds for this config (its timeline's): ``bits``
+    set means modulo timestamps of that width, which change no image."""
+    config = SimulationConfig(
+        num_objects=n,
+        protocol=protocol,
+        num_groups=groups,
+        client_txn_length=1,
+        server_txn_length=1,
+        modulo_timestamps=bits is not None,
+        timestamp_bits=bits or 8,
+    )
+    return LiveTimeline(config, config.layout()).server
 
 
 def random_schedule(rng, num_objects, cycles):
@@ -45,19 +60,15 @@ def random_schedule(rng, num_objects, cycles):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize(
-    "arithmetic_factory", [UnboundedCycles, lambda: ModuloCycles(4)],
-    ids=["unbounded", "modulo-4bit"],
-)
-def test_matrix_snapshots_match_oracle(seed, arithmetic_factory):
+@pytest.mark.parametrize("bits", [None, 4], ids=["unbounded", "modulo-4bit"])
+def test_matrix_snapshots_match_oracle(seed, bits):
     rng = random.Random(seed)
     n = 6
-    server = BroadcastServer(n, "f-matrix", arithmetic=arithmetic_factory())
+    server = run_server(n, "f-matrix", bits)
     oracle = ControlMatrix(n)
-    encode = server.arithmetic.encode_array
     for cycle, commits in random_schedule(rng, n, cycles=25):
         bc = server.begin_cycle(cycle)
-        assert np.array_equal(bc.snapshot.matrix, encode(oracle.snapshot()))
+        assert np.array_equal(bc.snapshot.matrix, oracle.snapshot())
         assert not bc.snapshot.matrix.flags.writeable
         for k, (rs, ws) in enumerate(commits):
             server.commit_update(
@@ -104,22 +115,19 @@ def test_partial_reencode_only_touches_dirty_columns():
     assert np.array_equal(after, oracle.snapshot())
 
 
-@pytest.mark.parametrize(
-    "arithmetic_factory", [UnboundedCycles, lambda: ModuloCycles(4)],
-    ids=["unbounded", "modulo-4bit"],
-)
-def test_vector_snapshots_match_oracle(arithmetic_factory):
+@pytest.mark.parametrize("bits", [None, 4], ids=["unbounded", "modulo-4bit"])
+def test_vector_snapshots_match_oracle(bits):
     rng = random.Random(11)
     n = 6
-    server = BroadcastServer(n, "datacycle", arithmetic=arithmetic_factory())
+    server = run_server(n, "datacycle", bits)
     shadow = ControlMatrix(n)
-    encode = server.arithmetic.encode_array
     previous = None
     quiet_since_previous = False
     for cycle, commits in random_schedule(rng, n, cycles=20):
         bc = server.begin_cycle(cycle)
         vec = bc.snapshot.vector
-        assert np.array_equal(vec, encode(server.vector.snapshot()))
+        assert np.array_equal(vec, server.vector.snapshot())
+        assert np.array_equal(vec, shadow.reduce_to_vector())
         assert not vec.flags.writeable
         if previous is not None and quiet_since_previous:
             assert vec is previous
@@ -192,18 +200,16 @@ def commit_streams(draw):
 )
 def test_shared_image_equals_the_dense_one_and_never_changes(stream, shape, bits):
     n, cycles = stream
-    arithmetic = UnboundedCycles() if bits is None else ModuloCycles(bits)
     if shape == "f-matrix":
-        server = BroadcastServer(n, "f-matrix", arithmetic=arithmetic)
+        server = run_server(n, "f-matrix", bits)
         field, read_column = "matrix", lambda snap, k: snap.column(k)
         reference = ReferenceControlMatrix(n)
         apply = reference.apply_commit
         dense = lambda: np.array(reference.rows(), dtype=np.int64)
     else:
-        partition = uniform_partition(n, n if shape == "n" else shape)
-        server = BroadcastServer(
-            n, "group-matrix", arithmetic=arithmetic, partition=partition
-        )
+        groups = n if shape == "n" else shape
+        partition = uniform_partition(n, groups)
+        server = run_server(n, "group-matrix", bits, groups)
         field, read_column = "grouped", lambda snap, k: snap.group_column(k)
         mc = np.zeros((n, partition.num_groups), dtype=np.int64)
         group_of = partition.group_indices().tolist()
@@ -214,7 +220,7 @@ def test_shared_image_equals_the_dense_one_and_never_changes(stream, shape, bits
     for cycle, commits in enumerate(cycles, start=1):
         snap = server.begin_cycle(cycle).snapshot
         image = getattr(snap, field)
-        assert np.array_equal(image, arithmetic.encode_array(dense()))
+        assert np.array_equal(image, dense())
         assert not image.flags.writeable
         for k in range(image.shape[1]):
             column = read_column(snap, k)
@@ -299,9 +305,10 @@ def test_a_plain_run_never_stacks_a_dense_image(protocol, monkeypatch):
 # what a freeze shares with the live state, and what it must not
 # ----------------------------------------------------------------------
 
+#: timestamp widths: absolute, and the paper's 8-bit modulo wire
 ARITHMETICS = [
-    pytest.param(UnboundedCycles, id="absolute"),
-    pytest.param(lambda: ModuloCycles(8), id="modulo-8bit"),
+    pytest.param(None, id="absolute"),
+    pytest.param(8, id="modulo-8bit"),
 ]
 
 
@@ -333,13 +340,11 @@ def numpy_bytes_kept(action):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("arithmetic_factory", ARITHMETICS)
+@pytest.mark.parametrize("bits", ARITHMETICS)
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-def test_every_array_a_retained_image_holds_is_read_only(protocol, arithmetic_factory):
+def test_every_array_a_retained_image_holds_is_read_only(protocol, bits):
     n = 12
-    server = BroadcastServer(
-        n, protocol, arithmetic=arithmetic_factory(), partition=uniform_partition(n, 4)
-    )
+    server = run_server(n, protocol, bits)
     images = []
     for cycle, commits in random_schedule(random.Random(2), n, cycles=30):
         images.append(server.begin_cycle(cycle))
@@ -352,21 +357,15 @@ def test_every_array_a_retained_image_holds_is_read_only(protocol, arithmetic_fa
                 array[0] = -1
 
 
-@pytest.mark.parametrize("arithmetic_factory", ARITHMETICS)
+@pytest.mark.parametrize("bits", ARITHMETICS)
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-def test_a_dirty_freeze_shares_sealed_columns_only_under_absolute_timestamps(
-    protocol, arithmetic_factory
-):
-    """n = 500 and 40 commits of four writes before the freeze.  Absolute:
-    the image's columns *are* the live ones and the freeze keeps no new
-    numpy buffer.  Modulo: each wire column is the live one encoded, a
-    fresh buffer per distinct replaced column.  A vector is stamped in
-    place, so its freeze copies under both."""
+def test_a_dirty_freeze_shares_sealed_columns_under_either_timestamps(protocol, bits):
+    """n = 500 and 40 commits of four writes before the freeze.  Under
+    absolute and modulo timestamps alike the image's columns *are* the
+    live ones and the freeze keeps no new numpy buffer.  A vector is
+    stamped in place, so its freeze copies."""
     n = 500
-    arithmetic = arithmetic_factory()
-    server = BroadcastServer(
-        n, protocol, arithmetic=arithmetic, partition=uniform_partition(n, 16)
-    )
+    server = run_server(n, protocol, bits, groups=16)
     rng = random.Random(9)
     server.begin_cycle(1)
     for k in range(40):
@@ -377,17 +376,10 @@ def test_a_dirty_freeze_shares_sealed_columns_only_under_absolute_timestamps(
     state = server.matrix or server.grouped
     if state is None:
         assert snapshot.vector is not server.vector.array
-        assert np.array_equal(snapshot.vector, arithmetic.encode_array(server.vector.array))
+        assert np.array_equal(snapshot.vector, server.vector.array)
         assert kept >= 8 * n
         return
     column = snapshot.column if protocol != "group-matrix" else snapshot.group_column
     live = state.columns
-    wire = [column(k) for k in range(len(live))]
-    if isinstance(arithmetic, UnboundedCycles):
-        assert all(w is c for w, c in zip(wire, live))
-        assert kept == 0
-    else:
-        for w, c in zip(wire, live):
-            assert w is not c
-            assert np.array_equal(w, arithmetic.encode_array(c))
-        assert kept >= 8 * n
+    assert all(column(k) is c for k, c in enumerate(live))
+    assert kept == 0

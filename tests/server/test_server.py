@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.broadcast.control_info import snapshot_payload
-from repro.core.cycles import ModuloCycles
 from repro.core.group_matrix import uniform_partition
 from repro.core.validators import PROTOCOL_NAMES
 from repro.server.recovery import recover_server
@@ -74,12 +73,6 @@ class TestSnapshots:
         server.begin_cycle(1)
         with pytest.raises(ValueError):
             server.begin_cycle(1)
-
-    def test_modulo_snapshot_encoded(self):
-        server = BroadcastServer(2, "f-matrix", arithmetic=ModuloCycles(2))
-        server.commit_update("t1", [], {0: "x"}, cycle=5)  # 5 mod 4 = 1
-        bc = server.begin_cycle(6)
-        assert bc.snapshot.matrix[0, 0] == 1
 
 
 class TestCommitUpdate:
@@ -265,11 +258,10 @@ def cycles_of_commits(draw):
     return draw(st.lists(st.lists(commit, max_size=5), min_size=1, max_size=6))
 
 
-def batch_server(protocol, bits=None):
+def batch_server(protocol):
     return BroadcastServer(
         N,
         protocol,
-        arithmetic=None if bits is None else ModuloCycles(bits),
         partition=uniform_partition(N, 16) if protocol == "group-matrix" else None,
     )
 
@@ -286,13 +278,12 @@ class TestBatchDoor:
     @given(
         cycles=cycles_of_commits(),
         protocol=st.sampled_from(PROTOCOL_NAMES),
-        bits=st.sampled_from([None, 3]),
     )
-    def test_one_batch_equals_its_commits_one_at_a_time(self, cycles, protocol, bits):
+    def test_one_batch_equals_its_commits_one_at_a_time(self, cycles, protocol):
         """Theorem 2 is order-dependent inside a cycle; the batch chains
         its columns in order, so state, versions, log and the next frozen
         image are those of the same commits made one by one."""
-        batched, sequential = batch_server(protocol, bits), batch_server(protocol, bits)
+        batched, sequential = batch_server(protocol), batch_server(protocol)
         for cycle, commits in enumerate(cycles, start=1):
             assert_same_images(batched.begin_cycle(cycle), sequential.begin_cycle(cycle))
             batch = []

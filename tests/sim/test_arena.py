@@ -348,7 +348,7 @@ class TestRecordingProxy:
             faults=FaultPlan(crashes=(ServerCrash(1.25 * cb, cb),)),
         )
         timeline = LiveTimeline(
-            cfg, cfg.layout(), faults=FaultRuntime(cfg.faults, cfg.arithmetic())
+            cfg, cfg.layout(), faults=FaultRuntime(cfg.faults)
         )
         timeline.advance_to(2.5 * cb)
         journal = {name: list(instants) for name, instants in timeline.journal.items()}

@@ -49,7 +49,8 @@ class TestCollapsedLanes:
         cfg = SimulationConfig(
             protocol="f-matrix",
             num_objects=16,
-            num_clients=48,
+            # six clients an object, so a slot's bucket is shared
+            num_clients=96,
             client_txn_length=8,
             num_client_transactions=6,
             mean_inter_operation_delay=4096.0,
@@ -160,28 +161,17 @@ def grow_history(validators, rng, cycles=6, num_objects=12):
     return full_snapshot(cycles + 1, cm)
 
 
-def encoded_snapshot(cycle, cm, arithmetic):
-    """:func:`full_snapshot` on the wire: every entry encoded."""
-    return ControlSnapshot(
-        cycle,
-        matrix=arithmetic.encode_array(cm.snapshot()),
-        vector=arithmetic.encode_array(cm.reduce_to_vector()),
-        grouped=arithmetic.encode_array(cm.reduce_to_groups(PARTITION.groups)),
-        partition=PARTITION,
-    )
-
-
-def grow_wrapping_history(pairs, rng, arithmetic, cycles, num_objects=12):
+def grow_wrapping_history(pairs, rng, cycles, num_objects=12):
     """Feed each (batch, oracle) validator pair the same random in-order
-    read history over ``cycles`` cycles of encoded snapshots: restarts at
-    random and after each rejection, so retained reads span anything
-    from one cycle to several windows."""
+    read history over ``cycles`` cycles: restarts at random and after each
+    rejection, so retained reads span anything from one cycle to several
+    modulo windows."""
     cm = ControlMatrix(num_objects)
     for cycle in range(1, cycles + 1):
         if rng.random() < 0.6:
             reads = rng.sample(range(num_objects), rng.randrange(3))
             cm.apply_commit(cycle, reads, rng.sample(range(num_objects), 2))
-        snap = encoded_snapshot(cycle, cm, arithmetic)
+        snap = full_snapshot(cycle, cm)
         for pair in pairs:
             if rng.random() < 0.1:
                 for v in pair:
@@ -191,7 +181,7 @@ def grow_wrapping_history(pairs, rng, arithmetic, cycles, num_objects=12):
                 for v in pair:
                     if not v.validate_read(obj, snap):
                         v.begin()
-    return encoded_snapshot(cycles + 1, cm, arithmetic)
+    return full_snapshot(cycles + 1, cm)
 
 
 class TestBatchValidation:
@@ -281,38 +271,39 @@ class TestBatchValidation:
     def test_sweep_matches_scalar_across_the_wrap(
         self, seed, bits, n_clients, protocol, inorder
     ):
-        """Modulo timestamps over a history that crosses ``2**bits`` four
-        to six times: one batched call ≡ ``validate_read`` per member,
-        verdicts and ``R_t``, for every protocol and both entry points.
+        """A history that crosses a ``2**bits`` modulo window four to six
+        times: one batched call ≡ ``validate_read`` per member, verdicts
+        and ``R_t``, for every protocol and both entry points.
 
-        ``validate_read_batch`` gets a bucket that mixes arithmetics — its
-        odd members count cycles in a window twice as wide — plus one
-        member retaining a read from a later cycle; exactly those must
-        fall back to their scalar path.
+        ``validate_read_batch`` gets a bucket that mixes protocols — its
+        odd members validate another protocol's column — plus one member
+        retaining a read from a later cycle; exactly those must fall back
+        to their scalar path.
         """
         rng = random.Random(seed)
-        arithmetic = ModuloCycles(bits)
+        other_protocol = dict(
+            zip(
+                ("f-matrix", "datacycle", "r-matrix", "group-matrix"),
+                ("datacycle", "r-matrix", "group-matrix", "f-matrix"),
+            )
+        )
 
         def make(i):
             other = not inorder and i % 2 == 1
             return make_validator(
-                protocol,
-                arithmetic=ModuloCycles(bits + 1) if other else arithmetic,
-                partition=PARTITION,
+                other_protocol[protocol] if other else protocol, partition=PARTITION
             )
 
         pairs = [(make(i), make(i)) for i in range(n_clients)]
-        cycles = rng.randrange(4, 7) * arithmetic.window
-        snap = grow_wrapping_history(pairs, rng, arithmetic, cycles)
+        cycles = rng.randrange(4, 7) * 2**bits
+        snap = grow_wrapping_history(pairs, rng, cycles)
         batch = [b for b, _ in pairs]
         oracle = [o for _, o in pairs]
         fallbacks = {i for i in range(n_clients) if not inorder and i % 2 == 1}
         if not inorder:
-            later = encoded_snapshot(snap.cycle + 2, ControlMatrix(12), arithmetic)
+            later = full_snapshot(snap.cycle + 2, ControlMatrix(12))
             for side in (batch, oracle):
-                cached = make_validator(
-                    protocol, arithmetic=arithmetic, partition=PARTITION
-                )
+                cached = make_validator(protocol, partition=PARTITION)
                 assert cached.validate_read(5, later)
                 side.append(cached)
             fallbacks.add(n_clients)
@@ -341,23 +332,20 @@ class TestBatchValidation:
             ]
 
     def test_r_matrix_disjunct_across_the_wrap(self):
-        """The first-read disjunct decides on anchored entries: three
+        """The first-read disjunct decides on absolute entries: three 3-bit
         windows in, the strict condition fails on an overwritten read and
         the untouched object is admitted, by the sweep as by the scalar
         path."""
         from repro.core.group_matrix import LastWriteVector
 
-        arithmetic = ModuloCycles(3)
         vec = LastWriteVector(12)
         vec.apply_commit(16, [], [3])  # residue 0, three windows in
 
         def snap(cycle):
-            return ControlSnapshot(
-                cycle, vector=arithmetic.encode_array(vec.snapshot())
-            )
+            return ControlSnapshot(cycle, vector=vec.snapshot())
 
         batch, oracle, strict = (
-            [cls(arithmetic) for _ in range(5)]
+            [cls() for _ in range(5)]
             for cls in (RMatrixValidator, RMatrixValidator, DatacycleValidator)
         )
         first = snap(17)
@@ -391,8 +379,8 @@ class TestBatchValidation:
         reader, cached, obj = 0, 5, 3
 
         def snap(cycle, marked=None):
-            # every entry from cycle 7: inside a 3-bit window of each
-            # snapshot here, so both arithmetics compare the same cycles
+            # every entry from cycle 7, an absolute cycle under either
+            # arithmetic (``make_validator`` ignores it)
             matrix = np.full((12, 12), 7, dtype=np.int64)
             vector = np.full(12, 7, dtype=np.int64)
             grouped = np.full((12, PARTITION.num_groups), 7, dtype=np.int64)
@@ -401,9 +389,9 @@ class TestBatchValidation:
                 grouped[cached, PARTITION.group_of(obj)] = marked
             return ControlSnapshot(
                 cycle,
-                matrix=arithmetic.encode_array(matrix),
-                vector=arithmetic.encode_array(vector),
-                grouped=arithmetic.encode_array(grouped),
+                matrix=matrix,
+                vector=vector,
+                grouped=grouped,
                 partition=PARTITION,
             )
 
@@ -467,13 +455,14 @@ class TestBatchValidation:
         assert all(got)  # the disjunct accepted every member
 
     def test_mixed_eligibility_falls_back_per_member(self):
-        """Modulo-arithmetic members use their scalar path inside a batch."""
-        snap = snapshot_at(4, commits=[(2, [], [1])])
-        eligible = FMatrixValidator()
-        modulo = FMatrixValidator(ModuloCycles(8))
-        oracle_a = FMatrixValidator()
-        oracle_b = FMatrixValidator(ModuloCycles(8))
-        got = validate_read_batch([eligible, modulo], 6, snap)
+        """Members of another protocol class use their scalar path inside
+        a batch."""
+        cm = ControlMatrix(12)
+        cm.apply_commit(2, [], [1])
+        snap = full_snapshot(4, cm)
+        eligible, other = FMatrixValidator(), RMatrixValidator()
+        oracle_a, oracle_b = FMatrixValidator(), RMatrixValidator()
+        got = validate_read_batch([eligible, other], 6, snap)
         want = [oracle_a.validate_read(6, snap), oracle_b.validate_read(6, snap)]
         assert list(got) == want
 
@@ -502,6 +491,6 @@ class TestConfigValidation:
     def test_make_validator_round_trip(self, protocol):
         cfg = SimulationConfig(protocol=protocol, num_groups=4)
         v = make_validator(
-            cfg.protocol, arithmetic=cfg.arithmetic(), partition=cfg.partition()
+            cfg.protocol, partition=cfg.partition()
         )
         assert v.name in ("f-matrix", "group-matrix")

@@ -7,7 +7,6 @@ import re
 
 import pytest
 
-from repro.core.cycles import ModuloCycles, UnboundedCycles
 from repro.experiments.cli import main
 from repro.scenarios.schema import ScenarioError, parse_scenario
 from repro.sim.config import KILOBYTE_BITS, SimulationConfig
@@ -96,9 +95,11 @@ class TestValidation:
 
 class TestDerived:
     def test_arithmetic_selection(self):
-        assert isinstance(SimulationConfig().arithmetic(), UnboundedCycles)
-        assert isinstance(
-            SimulationConfig(modulo_timestamps=True).arithmetic(), ModuloCycles
+        # modulo timestamps select the paper's span bound, 2**bits - 1
+        assert SimulationConfig().max_cycles is None
+        assert SimulationConfig(modulo_timestamps=True).max_cycles == 255
+        assert (
+            SimulationConfig(modulo_timestamps=True, timestamp_bits=4).max_cycles == 15
         )
 
     def test_partition_only_for_group_protocol(self):

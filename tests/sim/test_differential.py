@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.scenarios.schema import parse_scenario
+from repro.sim.config import SimulationConfig
 
 from tests.conftest import reference_run
-from tests.differential import CORPUS, admissible, check, documents
+from tests.differential import CORPUS, admissible, check, check_modulo, documents
 
 #: documents generated per tier-1 run (derandomized: the same ones each time)
 DOCUMENTS = 16
@@ -22,6 +23,27 @@ DOCUMENTS = 16
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus(name):
     check(CORPUS[name])
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, cfg in CORPUS.items() if cfg.faults is None)
+)
+def test_modulo_equals_absolute(name):
+    check_modulo(CORPUS[name])
+
+
+def test_modulo_equals_absolute_at_table1_size():
+    """Table 1, F-Matrix at client transaction length 8, 8-bit modulo:
+    0.1667 restarts a commit both ways."""
+    check_modulo(
+        SimulationConfig(
+            protocol="f-matrix",
+            client_txn_length=8,
+            num_client_transactions=300,
+            modulo_timestamps=True,
+            seed=42,
+        )
+    )
 
 
 @settings(

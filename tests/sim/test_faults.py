@@ -148,7 +148,7 @@ class TestConfigIntegration:
     def test_analytic_tier_runs_faulty_plan(self):
         # an executor picks when clients run, never which plans they may;
         # the differential harness holds the tier to bit-identity
-        plan = FaultPlan(uplink_loss_probability=0.1)
+        plan = FaultPlan(uplink_loss_probability=0.3)
         config = faulty_config(
             client_executor="analytic", client_update_fraction=0.5, faults=plan
         )
@@ -203,6 +203,39 @@ class TestDozeStalenessGuard:
         a = run_simulation(self._dozing_config())
         b = run_simulation(self._dozing_config())
         assert signature(a) == signature(b)
+
+
+class TestMaxCyclesGuard:
+    """The paper's ``max_cycles`` bound holds on every modulo run, faults
+    or none: an attempt about to outlive the window aborts as
+    ``staleness``.  The run is 4-bit with a mean think time (32 cycles)
+    that outlives the 16-cycle window; at six reads it ends after 10,535
+    staleness restarts (about 2 s), so four reads pin it."""
+
+    THINKER = dict(
+        num_objects=8,
+        object_size_bits=256,
+        client_txn_length=4,
+        server_txn_length=3,
+        server_txn_interval=20000.0,
+        server_interval_distribution="deterministic",
+        mean_inter_operation_delay=65536.0,
+        modulo_timestamps=True,
+        timestamp_bits=4,
+        num_clients=1,
+        num_client_transactions=1,
+        seed=1042,
+    )
+
+    @pytest.mark.parametrize("protocol", ["f-matrix-no", "r-matrix"])
+    def test_a_run_whose_attempts_outlive_the_window_ends(self, protocol):
+        config = SimulationConfig(protocol=protocol, **self.THINKER)
+        assert config.faults is None
+        m = run_simulation(config).metrics
+        assert m.commit_count == 1
+        assert m.aborts_staleness > 0 and m.aborts_conflict == 0
+        absolute = run_simulation(config.replace(modulo_timestamps=False)).metrics
+        assert absolute.commit_count == 1 and absolute.aborts_staleness == 0
 
 
 class TestServerCrashRecovery:
@@ -292,16 +325,14 @@ class TestHeadlineScenario:
 
 class TestFaultRuntime:
     def _runtime(self, plan):
-        return FaultRuntime(plan, faulty_config().arithmetic())
+        return FaultRuntime(plan)
 
     def test_staleness_window_is_paper_max_cycles(self):
-        runtime = self._runtime(FaultPlan())
-        assert runtime.staleness_window == 2 ** FAULTY["timestamp_bits"] - 1
+        # the window is the config's, plan or no plan
+        assert faulty_config().max_cycles == 2 ** FAULTY["timestamp_bits"] - 1
 
     def test_unbounded_arithmetic_has_no_window(self):
-        config = faulty_config(modulo_timestamps=False)
-        runtime = FaultRuntime(FaultPlan(), config.arithmetic())
-        assert runtime.staleness_window is None
+        assert faulty_config(modulo_timestamps=False).max_cycles is None
 
     def test_doze_wake_and_slot_heard(self):
         runtime = self._runtime(FaultPlan(doze=(DozeInterval(0, 10.0, 5.0),)))
@@ -352,13 +383,13 @@ class TestFaultRuntime:
     def test_uplink_streams_are_per_client_and_seed(self):
         plan = FaultPlan(uplink_loss_probability=0.5)
         config = faulty_config()
-        a = FaultRuntime(plan, config.arithmetic(), seed=7)
-        b = FaultRuntime(plan, config.arithmetic(), seed=7)
+        a = FaultRuntime(plan, seed=7)
+        b = FaultRuntime(plan, seed=7)
         draws_a = [a.uplink_lost(2) for _ in range(32)]
         draws_b = [b.uplink_lost(2) for _ in range(32)]
         assert draws_a == draws_b
         # interleaving another client's draws must not perturb client 2
-        c = FaultRuntime(plan, config.arithmetic(), seed=7)
+        c = FaultRuntime(plan, seed=7)
         draws_c = []
         for _ in range(32):
             c.uplink_lost(0)
@@ -463,7 +494,7 @@ def linear_miss(plan, client, start, end):
 def assert_lookups_match(plan, probes):
     """Every ``(client, start, end)`` probe: ``doze_wake`` at both ends and
     ``slot_heard`` with the counter it charges, against the scans."""
-    runtime = FaultRuntime(plan, faulty_config().arithmetic())
+    runtime = FaultRuntime(plan)
     for client, start, end in probes:
         for now in (start, end):
             assert runtime.doze_wake(client, now) == linear_doze_wake(
@@ -526,7 +557,7 @@ class TestDozeLookups:
             ),
             crashes=(ServerCrash(30.0, 20.0),),  # covers the third window
         )
-        runtime = FaultRuntime(plan, faulty_config().arithmetic())
+        runtime = FaultRuntime(plan)
         metrics = MetricsCollector()
         # a slot ending exactly at a window's start, one starting exactly
         # at a (final) window's end: both heard

@@ -99,9 +99,9 @@ def test_replay_at_one_shard_is_told_about_replay():
 #: it, the cycles stay).  The outage leaves two cycles of dead air; recovery
 #: installs the cycle in progress.
 HOSTILE_WRAP_IMAGES = {
-    "f-matrix": (list(range(1, 77)) + list(range(79, 711)), "59982204b780"),
-    "r-matrix": (list(range(1, 88)) + list(range(90, 568)), "ab022a67ce1e"),
-    "datacycle": (list(range(1, 88)) + list(range(90, 634)), "064062d8d686"),
+    "f-matrix": (list(range(1, 77)) + list(range(79, 398)), "1c9f50ca15eb"),
+    "r-matrix": (list(range(1, 88)) + list(range(90, 437)), "1afb18cbcf8f"),
+    "datacycle": (list(range(1, 88)) + list(range(90, 462)), "af7e27470d8b"),
 }
 
 

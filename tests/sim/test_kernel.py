@@ -108,7 +108,7 @@ def make_kernel(script, *, tracer=NULL_TRACER, **overrides):
     metrics = MetricsCollector()
     faults = None
     if config.faults is not None:
-        faults = FaultRuntime(config.faults, config.arithmetic())
+        faults = FaultRuntime(config.faults)
     env = ClientEnv(
         config=config,
         layout=FlatLayout(OBJECTS, SLOT),
@@ -117,7 +117,7 @@ def make_kernel(script, *, tracer=NULL_TRACER, **overrides):
         faults=faults,
         tracer=tracer,
     )
-    validator = make_validator(config.protocol, arithmetic=config.arithmetic())
+    validator = make_validator(config.protocol)
     cache = QuasiCache(config.cache_currency_bound)
     return ClientKernel(env, 0, script, validator, script, cache), metrics
 

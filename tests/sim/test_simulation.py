@@ -342,6 +342,8 @@ def drain_case(name):
 #: when its last client retires — the instant its engine queue drains.
 #: Computed when the engine still stopped on a retired-client count; the
 #: analytic cases' events count their reader waves' bucket events too.
+#: The faulted (4-bit modulo) cases were re-taken when modulo runs began
+#: carrying absolute cycles: 1 restart, not the aliasing's many.
 DRAIN_PINS = {
     "table1-process": (
         "78435291f43fa6acf8e7327a5947847d8a12c1474f9bb70238123660f74f6fe6",
@@ -354,14 +356,14 @@ DRAIN_PINS = {
         642430063.4482079,
     ),
     "faulted-process": (
-        "9e0de2ec01ae1eb8b2d4180bf40d5372b9845ad0b2e30f97a0547d5a94220516",
-        1000,
-        9351697.817066208,
+        "10c49ac3b2411f2a7748dba5c8eee3a3ee619ef27fd3838f08b84d9a4d593eaa",
+        543,
+        4777073.906838005,
     ),
     "faulted-cohort": (
-        "9e0de2ec01ae1eb8b2d4180bf40d5372b9845ad0b2e30f97a0547d5a94220516",
-        471,
-        9351697.817066208,
+        "10c49ac3b2411f2a7748dba5c8eee3a3ee619ef27fd3838f08b84d9a4d593eaa",
+        233,
+        4777073.906838005,
     ),
     "analytic-updaters": (
         "fb195b4dc9045d6f23cb2e0851aa37892e613f237f6e34f336d14977412070e2",

@@ -54,7 +54,7 @@ def bare(faults=None, **overrides):
     config = SimulationConfig(**params)
     runtime = None
     if faults is not None:
-        runtime = FaultRuntime(faults, config.arithmetic())
+        runtime = FaultRuntime(faults)
     timeline = LiveTimeline(
         config, config.layout(), faults=runtime, keep_images=True
     )
@@ -368,7 +368,7 @@ PINS = {
     "table1-deterministic": (
         "d890a2b3900a0e084e78ac9625f1e69e91ec209c3692f4560a6c0e1716126c48"
     ),
-    "crash-sweep": "97fae52aa403841dfc0f8ed250bd717a3b640034aff5fd1e69632f42b1f26c60",
+    "crash-sweep": "d5704c0d0fd437237a118b80f2594eaa99d2c017f90de8b99d4b7d945bafa8ab",
     "uplink-ties": "342cfccc9d7fad40f18418f0b8424ce1c0e33bf115373e51e04dbae41bab2a2a",
 }
 
