@@ -175,6 +175,10 @@ class SimulationConfig:
                     f"{name} must be {type(self).__annotations__[name]}, "
                     f"got {value!r}"
                 )
+        if self.seed < 0:
+            # the uplink-loss streams read the seed as SeedSequence entropy,
+            # which has no sign
+            raise ValueError("seed must be >= 0")
         if self.protocol not in PROTOCOL_NAMES:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOL_NAMES}"

@@ -48,8 +48,6 @@ from typing import (
     TypeVar,
 )
 
-import numpy as np
-
 if TYPE_CHECKING:  # type-only: metrics is not needed to build a plan
     from .metrics import MetricsCollector
 
@@ -71,6 +69,97 @@ UPLINK_TIMEOUT = 16_384.0
 UPLINK_BACKOFF = 2.0
 
 _T = TypeVar("_T")
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: numpy's ``SeedSequence`` hash constants (``numpy/random/bit_generator.pyx``)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+#: PCG64's 128-bit LCG multiplier
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _entropy_words(n: int) -> List[int]:
+    """``n`` as little-endian 32-bit words, as ``SeedSequence`` reads it."""
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_sequence_state(entropy: Sequence[int]) -> List[int]:
+    """``SeedSequence(entropy).generate_state(4, numpy.uint64)`` in Python.
+
+    The pool of four 32-bit words is filled by ``hashmix`` and then
+    cross-mixed, each word into every other, as numpy does; entropy past
+    the fourth word is mixed into every pool word afterwards.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        words.append(value ^ (value >> 16))
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _UplinkStream:
+    """numpy's ``default_rng(SeedSequence((seed, client)))``, draw for draw.
+
+    A PCG64 generator (128-bit LCG, XSL-RR output) seeded as numpy seeds
+    it, whose :meth:`random` returns the very doubles
+    ``Generator.random()`` does — computed in Python, so a faulted run
+    never loads numpy's random package (about 2 MiB resident).
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int, client: int) -> None:
+        s0, s1, s2, s3 = _seed_sequence_state(
+            _entropy_words(seed) + _entropy_words(client)
+        )
+        # pcg64_set_seed: inc = 2 * initseq + 1; from state 0 one step
+        # (which gives inc), add initstate, step again
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        self._inc = inc
+        self._state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+
+    def random(self) -> float:
+        """The next double in ``[0, 1)``: the top 53 bits of a 64-bit draw."""
+        state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        self._state = state
+        word = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        return (word >> 11) * (1.0 / 9007199254740992.0)
 
 
 def _build(
@@ -328,9 +417,10 @@ class FaultPlan:
 class FaultRuntime:
     """What a run's clients and timeline ask of the plan, answered from it.
 
-    Everything here is plan data plus one random stream per client: the
-    server's outage windows, the clients' doze windows, the uplink-loss
-    draws.  The crashes themselves happen in the broadcast timeline
+    Everything here is plan data plus one random stream per updating
+    client: the server's outage windows, the clients' doze windows, the
+    uplink-loss draws (numpy's PCG64 stream, computed in Python).  The
+    crashes themselves happen in the broadcast timeline
     (:class:`repro.sim.timeline.LiveTimeline`); nothing here follows it.
     """
 
@@ -338,7 +428,7 @@ class FaultRuntime:
         self.plan = plan
         #: root of the per-client uplink-loss stream tree (config seed)
         self._seed = seed
-        self._uplink_streams: Dict[int, np.random.Generator] = {}
+        self._uplink_streams: Dict[int, _UplinkStream] = {}
         #: every outage as an open ``(crash.time, crash.end)`` window: a
         #: slot carried dead air iff it overlaps one (see slot_heard)
         self._outages: Tuple[Tuple[float, float], ...] = tuple(
@@ -412,13 +502,14 @@ class FaultRuntime:
     def uplink_lost(self, client: int) -> bool:
         """Draw one uplink-loss Bernoulli from ``client``'s own stream.
 
-        Each client owns an independent :class:`numpy.random.Generator`
-        spawned from ``SeedSequence((seed, client))``, so the draw
-        sequence a client sees depends only on the config seed and its
-        id — never on which executor, shard, or interleaving ran it.
+        Each client owns an independent PCG64 stream seeded from
+        ``SeedSequence((seed, client))`` — numpy's own stream, computed in
+        Python (:class:`_UplinkStream`) — so the draw sequence a client
+        sees depends only on the config seed and its id, never on which
+        executor, shard, or interleaving ran it.
         """
         stream = self._uplink_streams.get(client)
         if stream is None:
-            stream = np.random.default_rng(np.random.SeedSequence((self._seed, client)))
+            stream = _UplinkStream(self._seed, client)
             self._uplink_streams[client] = stream
-        return float(stream.random()) < self.plan.uplink_loss_probability
+        return stream.random() < self.plan.uplink_loss_probability

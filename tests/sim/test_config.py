@@ -86,6 +86,7 @@ class TestValidation:
             ("num_client_transactions", 0),
             ("cache_currency_bound", -1.0),
             ("cache_capacity", 0),
+            ("seed", -1),
         ],
     )
     def test_range_checked_fields(self, field, bad):
@@ -249,3 +250,13 @@ class TestEveryKnobHasACaller:
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown" in err
+
+    def test_scenario_run_on_a_negative_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"format_version": 1, "name": "negative",
+                                    "seed": -1}))
+        with pytest.raises(SystemExit) as exited:
+            main(["scenario", "run", str(path)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err

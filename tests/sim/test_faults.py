@@ -9,6 +9,10 @@ the ``faults/*`` corpus rows and generated documents with a fault
 section); the equivalence classes here narrow it to one executor.
 """
 
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +28,7 @@ from repro.sim import (
     SimulationConfig,
     run_simulation,
 )
+from repro.sim.faults import _UplinkStream
 from repro.sim.timeline import LiveTimeline
 
 from tests.conftest import reference_run
@@ -382,7 +387,6 @@ class TestFaultRuntime:
 
     def test_uplink_streams_are_per_client_and_seed(self):
         plan = FaultPlan(uplink_loss_probability=0.5)
-        config = faulty_config()
         a = FaultRuntime(plan, seed=7)
         b = FaultRuntime(plan, seed=7)
         draws_a = [a.uplink_lost(2) for _ in range(32)]
@@ -395,6 +399,40 @@ class TestFaultRuntime:
             c.uplink_lost(0)
             draws_c.append(c.uplink_lost(2))
         assert draws_c == draws_a
+        # each stream is numpy's ``default_rng(SeedSequence((seed, client)))``
+        # draw for draw, multi-word seeds and clients included, so every
+        # pinned faulted digest holds
+        for seed in (0, 1, 42, 1999, 2**32 - 1, 2**32, 2**40 + 7):
+            for client in (0, 1, 63, 511, 2**33):
+                reference = np.random.default_rng(np.random.SeedSequence((seed, client)))
+                stream = _UplinkStream(seed, client)
+                assert [stream.random() for _ in range(64)] == [
+                    reference.random() for _ in range(64)
+                ], (seed, client)
+        # and the runtime's Bernoulli is a draw from that very stream
+        reference = np.random.default_rng(np.random.SeedSequence((7, 2)))
+        assert draws_a == [reference.random() < 0.5 for _ in range(32)]
+
+    def test_a_faulted_run_never_loads_numpy_random(self):
+        """Uplink loss draws without numpy's random package (about 2 MiB
+        resident): a fresh interpreter runs client updates under loss."""
+        probe = (
+            "import sys\n"
+            "from repro.sim import FaultPlan, SimulationConfig, run_simulation\n"
+            "config = SimulationConfig(num_objects=40, object_size_bits=1024,\n"
+            "    num_clients=3, num_client_transactions=15, client_txn_length=4,\n"
+            "    client_update_fraction=0.5, seed=7,\n"
+            "    faults=FaultPlan(uplink_loss_probability=0.4))\n"
+            "metrics = run_simulation(config).metrics\n"
+            "print(metrics.uplink_losses, 'numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        losses, loaded = proc.stdout.split()
+        assert int(losses) > 0
+        assert loaded == "False"
 
 
 #: the fault plans of the differential corpus (``faults/<plan>/seed=7|21``)
