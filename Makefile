@@ -94,14 +94,16 @@ scenario-smoke:
 		--audit --consistency update --output scenario-smoke-analytic.json
 
 # consistency smoke (docs/ANALYSIS.md "Consistency levels"): the
-# small-scope model checker exhaustively sweeps the smallest scope for
-# every protocol, then the Table-1 anchor under datacycle — globally
-# serializable — is certified at all six levels (60 transactions: the
-# level checkers search).  The paper's update-consistency guarantee is
-# scenario-smoke's, for every run.  Exits non-zero on any uncertified
-# run; JSON artifacts land in consistency-smoke-*.json.
+# small-scope model checker exhaustively sweeps both scopes (`small` is
+# where three updates chain LIVE sets) for every protocol on the real
+# server, client runtime and history builder, then the Table-1 anchor
+# under datacycle — globally serializable — is certified at all six
+# levels (60 transactions: the level checkers search).  The paper's
+# update-consistency guarantee is scenario-smoke's, for every run.  Exits
+# non-zero on any uncertified run; JSON artifacts land in
+# consistency-smoke-*.json.
 consistency-smoke:
-	$(PYTHON) -m repro.analysis.consistency.explore --scope smallest \
+	$(PYTHON) -m repro.analysis.consistency.explore --scope all \
 		--output consistency-smoke-explore.json
 	$(PYTHON) -m repro.experiments.cli scenario run table1-baseline \
 		--protocol datacycle --consistency all \

@@ -3,10 +3,20 @@
 Exhaustively enumerates every interleaving of a tiny broadcast
 configuration — a handful of update transactions assigned to commit
 cycles, and read-only clients whose per-read broadcast cycles range over
-all non-decreasing sequences — then *executes* each schedule against the
-real protocol validators (:mod:`repro.core.validators`) driven by the real
-incremental control matrix (:mod:`repro.core.control_matrix`), rebuilds
-the induced history, and certifies it with the consistency checkers.
+all non-decreasing sequences — then *executes* each schedule on the code
+the simulation runs, and certifies the induced history with the
+consistency checkers:
+
+* a :class:`repro.server.BroadcastServer` per commit assignment freezes
+  each cycle's image (``begin_cycle``) and commits the updates assigned
+  to that cycle (``commit_batch``), so every protocol's reads meet the
+  control state it broadcasts — the control matrix for F-Matrix, the
+  :class:`repro.core.group_matrix.LastWriteVector` for R-Matrix and
+  Datacycle;
+* each reader is a :class:`repro.client.ReadOnlyTransactionRuntime` with
+  the protocol's validator, delivered the image of each scheduled cycle;
+* the committed readers go to a :class:`repro.sim.TraceRecorder`, whose
+  ``build_history`` over the server's database is the history checked.
 
 Two pacing modes per scope:
 
@@ -40,7 +50,7 @@ remark.
 
 Run as a module for the CI smoke target::
 
-    python -m repro.analysis.consistency.explore --scope smallest --output out.json
+    python -m repro.analysis.consistency.explore --scope all --output out.json
 """
 
 from __future__ import annotations
@@ -51,17 +61,16 @@ import json
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ...core.control_matrix import ControlMatrix
+from ...broadcast.program import BroadcastCycle
+from ...client.runtime import ReadOnlyTransactionRuntime
 from ...core.legality import legality_report
-from ...core.model import History, Operation, T0
 from ...core.readsfrom import live_set
-from ...core.model import commit as commit_op
-from ...core.model import read as read_op
-from ...core.model import write as write_op
-from ...core.validators import ControlSnapshot, make_validator
+from ...core.validators import make_validator
 from ...obs.export import claim_output
+from ...server.server import BroadcastServer
+from ...sim.trace import TraceRecorder
 from .checkers import Verdict, check_serializability
 from .histories import TransactionalHistory
 
@@ -106,7 +115,7 @@ class Scope:
         )
 
 
-#: the two standard scopes; ``smallest`` is the CI smoke configuration
+#: the two standard scopes; the CI smoke sweeps both (``--scope all``)
 SCOPES: Dict[str, Scope] = {
     "smallest": Scope(
         name="smallest",
@@ -265,116 +274,44 @@ def _commit_assignments(scope: Scope) -> List[Tuple[int, ...]]:
     )
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """Everything about one commit assignment the readers don't change."""
+def _images(
+    scope: Scope, protocol: str, assignment: Tuple[int, ...]
+) -> Tuple[BroadcastServer, Tuple[BroadcastCycle, ...]]:
+    """Run the server side once: one broadcast image per cycle.
 
-    assignment: Tuple[int, ...]
-    commit_order: Tuple[int, ...]  # template indices, serialization order
-    snapshots: Tuple[ControlSnapshot, ...]  # index c-1 = beginning of cycle c
-    value_writer: Tuple[Tuple[str, ...], ...]  # [cycle-1][obj] -> writer tid
-
-
-def _prepare(scope: Scope, assignment: Tuple[int, ...]) -> _Prepared:
-    """Run the server side once: matrix snapshots + version provenance.
-
-    A template assigned commit cycle ``c`` commits *during* cycle ``c``,
-    so it is visible to snapshots of cycles > ``c`` (the broadcast image
-    is frozen at the beginning of each cycle) — matching the simulator's
-    freeze-then-broadcast ordering.
+    Each cycle's image is frozen by ``begin_cycle`` before the templates
+    assigned to that cycle commit through ``commit_batch`` (in template
+    order), so a commit in cycle ``c`` is visible from the cycle ``c + 1``
+    image on — the simulator's freeze-then-broadcast ordering.
     """
-    commit_order = tuple(
-        sorted(range(len(assignment)), key=lambda idx: (assignment[idx], idx))
-    )
-    matrix = ControlMatrix(scope.num_objects)
-    current: List[str] = [T0] * scope.num_objects
-    snapshots: List[ControlSnapshot] = []
-    value_writer: List[Tuple[str, ...]] = []
-    applied = 0
-    order = list(commit_order)
+    server = BroadcastServer(scope.num_objects, protocol)
+    images = []
     for cycle in range(1, scope.num_cycles + 1):
-        while applied < len(order) and assignment[order[applied]] < cycle:
-            idx = order[applied]
-            template = scope.updates[idx]
-            matrix.apply_commit(
-                assignment[idx], template.reads, template.writes
-            )
-            for obj in template.writes:
-                current[obj] = f"u{idx}"
-            applied += 1
-        frozen = matrix.snapshot()
-        snapshots.append(
-            ControlSnapshot(
-                cycle=cycle,
-                matrix=frozen,
-                vector=frozen.max(axis=1),
-            )
+        images.append(server.begin_cycle(cycle))
+        server.commit_batch(
+            cycle,
+            [
+                (f"u{idx}", template.reads, template.writes)
+                for idx, template in enumerate(scope.updates)
+                if assignment[idx] == cycle
+            ],
         )
-        value_writer.append(tuple(current))
-    return _Prepared(assignment, commit_order, tuple(snapshots), tuple(value_writer))
+    return server, tuple(images)
 
 
-@dataclass(frozen=True)
-class _ReaderOutcome:
-    committed: bool
-    reads: Tuple[Tuple[int, int, str], ...]  # (obj, cycle, writer)
-
-
-def _run_reader(
+def _read(
     protocol: str,
+    tid: str,
     objects: Sequence[int],
+    images: Sequence[BroadcastCycle],
     cycles: Sequence[int],
-    prepared: _Prepared,
-) -> _ReaderOutcome:
-    """Execute one read-only transaction against the real validator."""
-    validator = make_validator(protocol)
-    validator.begin()
-    reads: List[Tuple[int, int, str]] = []
-    for obj, cycle in zip(objects, cycles):
-        snapshot = prepared.snapshots[cycle - 1]
-        if not validator.validate_read(obj, snapshot):
-            return _ReaderOutcome(False, tuple(reads))
-        reads.append((obj, cycle, prepared.value_writer[cycle - 1][obj]))
-    return _ReaderOutcome(True, tuple(reads))
-
-
-def _build_history(
-    scope: Scope,
-    prepared: _Prepared,
-    outcomes: Sequence[Tuple[str, _ReaderOutcome]],
-) -> History:
-    """The induced history: update blocks in commit order, reads by provenance."""
-    blocks: List[List[Operation]] = [[]]
-    block_of: Dict[str, int] = {T0: 0}
-    for idx in prepared.commit_order:
-        template = scope.updates[idx]
-        tid = f"u{idx}"
-        ops: List[Operation] = []
-        for obj in template.reads:
-            ops.append(read_op(tid, str(obj)))
-        for obj in template.writes:
-            ops.append(write_op(tid, str(obj)))
-        ops.append(commit_op(tid, cycle=prepared.assignment[idx]))
-        blocks.append(ops)
-        block_of[tid] = len(blocks) - 1
-
-    inserts: Dict[int, List[Operation]] = {}
-    tail: List[Operation] = []
-    for tid, outcome in outcomes:
-        if not outcome.committed:
-            continue
-        for obj, cycle, writer in outcome.reads:
-            inserts.setdefault(block_of[writer], []).append(
-                read_op(tid, str(obj), cycle=cycle)
-            )
-        tail.append(commit_op(tid))
-
-    ops_out: List[Operation] = []
-    for index, block in enumerate(blocks):
-        ops_out.extend(block)
-        ops_out.extend(inserts.get(index, ()))
-    ops_out.extend(tail)
-    return History(ops_out, strict=False)
+) -> Optional[ReadOnlyTransactionRuntime]:
+    """One read-only transaction on the client runtime, reading ``objects``
+    off the images of ``cycles``: the runtime if it committed, else None."""
+    runtime = ReadOnlyTransactionRuntime(tid, objects, make_validator(protocol))
+    if all(runtime.deliver(images[cycle - 1]).ok for cycle in cycles):
+        return runtime
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -393,54 +330,62 @@ def _sweep(
         _read_schedules(len(reads), scope.num_cycles, max_gap)
         for reads in scope.readers
     ]
-    reader_cert_cache: Dict[Tuple[Tuple[int, ...], int, Tuple[Tuple[int, int, str], ...]], bool] = {}
+    # readers already certified, keyed on what the reader saw: its
+    # (obj, cycle) reads and the writer of each version read, under one
+    # assignment
+    certified: Set[Tuple[object, ...]] = set()
 
     for assignment in _commit_assignments(scope):
-        prepared = _prepare(scope, assignment)
+        server, images = _images(scope, protocol, assignment)
+        updates = [record.txn for record in server.database.commit_log]
+        # a reader's run depends on its own schedule only: run each once
+        runs = [
+            {
+                cycles: _read(protocol, f"r{ridx}", objects, images, cycles)
+                for cycles in schedules
+            }
+            for ridx, (objects, schedules) in enumerate(
+                zip(scope.readers, per_reader_schedules)
+            )
+        ]
         for combo in itertools.product(*per_reader_schedules):
             executions += 1
-            outcomes: List[Tuple[str, _ReaderOutcome]] = []
+            trace = TraceRecorder()
             for ridx, cycles in enumerate(combo):
-                outcome = _run_reader(
-                    protocol, scope.readers[ridx], cycles, prepared
-                )
-                outcomes.append((f"r{ridx}", outcome))
-                if outcome.committed:
-                    committed_readers += 1
-                else:
+                runtime = runs[ridx][cycles]
+                if runtime is None:
                     aborted_readers += 1
+                else:
+                    committed_readers += 1
+                    trace.record_client_commit(
+                        runtime.tid, runtime.versions, runtime.reads
+                    )
 
-            history = _build_history(scope, prepared, outcomes)
-            committed = [tid for tid, oc in outcomes if oc.committed]
-            updates = [f"u{idx}" for idx in prepared.commit_order]
-            schedule_desc = (
-                f"commits={assignment} reads="
-                + ";".join(
-                    f"{tid}@{cycles}" for (tid, _oc), cycles in zip(outcomes, combo)
-                )
+            history = trace.build_history(server.database)
+            schedule_desc = f"commits={assignment} reads=" + ";".join(
+                f"r{ridx}@{cycles}" for ridx, cycles in enumerate(combo)
             )
 
             # update consistency: each committed reader's perceived
             # sub-history (LIVE set ∪ itself) must certify serializable
-            for ridx, (tid, outcome) in enumerate(outcomes):
-                if not outcome.committed:
-                    continue
-                key = (assignment, ridx, outcome.reads)
-                cached = reader_cert_cache.get(key)
-                if cached is None:
-                    reader_scope = set(live_set(history, tid)) | {tid}
-                    verdict = check_serializability(
-                        TransactionalHistory(history.projection(reader_scope))
+            for record in trace.client_commits:
+                key = (
+                    assignment,
+                    record.tid,
+                    record.reads,
+                    tuple(version.writer for version in record.versions),
+                )
+                if key in certified:
+                    continue  # a violation is recorded once per provenance
+                certified.add(key)
+                reader_scope = set(live_set(history, record.tid)) | {record.tid}
+                verdict = check_serializability(
+                    TransactionalHistory(history.projection(reader_scope))
+                )
+                if not verdict.ok:
+                    violations.append(
+                        Violation(protocol, mode, schedule_desc, scope.name, verdict)
                     )
-                    reader_cert_cache[key] = verdict.ok
-                    if not verdict.ok:
-                        violations.append(
-                            Violation(
-                                protocol, mode, schedule_desc, scope.name, verdict
-                            )
-                        )
-                elif not cached:
-                    pass  # violation already recorded for this provenance
 
             # cross-engine check: the Theorem 3 criterion (update VSR +
             # per-reader polygraph) must accept every execution
@@ -459,6 +404,7 @@ def _sweep(
                 )
 
             # global serializability: promised by Datacycle, counted elsewhere
+            committed = [record.tid for record in trace.client_commits]
             global_verdict = check_serializability(
                 TransactionalHistory(history.projection(updates + committed))
             )

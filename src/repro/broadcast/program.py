@@ -15,9 +15,7 @@ and cross-check protocol decisions against the APPROX theory
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import NamedTuple, Tuple
 
 from ..core.validators import ControlSnapshot
 
@@ -52,19 +50,3 @@ class BroadcastCycle:
     @property
     def num_objects(self) -> int:
         return len(self.versions)
-
-    def column(self, obj: int) -> Optional[np.ndarray]:
-        """The F-Matrix column riding with ``obj`` (None for vector modes).
-
-        This is what a quasi-caching client stores alongside a cached
-        object (Sec. 3.3): the column contains every entry a later
-        validation of that object's cached value needs.  Read-only and
-        never a per-call copy: from a server-made image the shared column
-        object itself (``8n`` bytes; retaining it pins no matrix), from an
-        array-backed snapshot a view of its frozen array.
-        """
-        if self.snapshot.kind != "matrix":
-            return None
-        column = self.snapshot.column(obj)
-        column.flags.writeable = False
-        return column

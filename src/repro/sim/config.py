@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import numbers
 import typing
 from dataclasses import dataclass
@@ -165,7 +166,9 @@ class SimulationConfig:
         # documents reach this constructor (scenario files, recorded
         # traces): an ill-typed field is a ValueError that names it, not a
         # TypeError from whichever comparison below meets it first — and
-        # not a silently accepted ``seed: null``
+        # not a silently accepted ``seed: null``.  A float field must be
+        # finite: NaN passes every range check below, and an infinite
+        # interval or delay never ends a run
         for name, kinds in _FIELD_KINDS.items():
             value = getattr(self, name)
             if not isinstance(value, kinds) or (
@@ -175,6 +178,8 @@ class SimulationConfig:
                     f"{name} must be {type(self).__annotations__[name]}, "
                     f"got {value!r}"
                 )
+            if numbers.Real in kinds and value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.seed < 0:
             # the uplink-loss streams read the seed as SeedSequence entropy,
             # which has no sign
@@ -231,6 +236,11 @@ class SimulationConfig:
             raise ValueError("timestamp_bits must be >= 1")
         if self.num_groups < 1:
             raise ValueError("num_groups must be >= 1")
+        if self.protocol == "group-matrix" and self.num_groups > self.num_objects:
+            raise ValueError(
+                f"num_groups ({self.num_groups}) must be <= num_objects "
+                f"({self.num_objects})"
+            )
         if self.num_client_transactions < 1:
             raise ValueError("num_client_transactions must be >= 1")
         if self.cache_currency_bound is not None and self.cache_currency_bound < 0:

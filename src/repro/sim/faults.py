@@ -231,10 +231,10 @@ class DozeInterval:
     def __post_init__(self) -> None:
         if self.client < 0:
             raise ValueError("client must be >= 0")
-        if self.start < 0:
-            raise ValueError("start must be >= 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not 0 <= self.start < math.inf:
+            raise ValueError(f"start must be >= 0 and finite, got {self.start!r}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be > 0 and finite, got {self.duration!r}")
 
     @property
     def end(self) -> float:
@@ -273,10 +273,10 @@ class ServerCrash:
     downtime: float
 
     def __post_init__(self) -> None:
-        if self.time <= 0:
-            raise ValueError("crash time must be > 0")
-        if self.downtime <= 0:
-            raise ValueError("downtime must be > 0")
+        if not 0 < self.time < math.inf:
+            raise ValueError(f"crash time must be > 0 and finite, got {self.time!r}")
+        if not 0 < self.downtime < math.inf:
+            raise ValueError(f"downtime must be > 0 and finite, got {self.downtime!r}")
 
     @property
     def end(self) -> float:
@@ -398,6 +398,12 @@ class FaultPlan:
             raise ValueError("num_clients must be >= 1")
         if not 0 < horizon < math.inf:  # an endless horizon never stops drawing
             raise ValueError("horizon must be > 0 and finite")
+        for name, mean in (
+            ("mean_time_between_dozes", mean_time_between_dozes),
+            ("mean_doze_duration", mean_doze_duration),
+        ):
+            if not 0 <= mean < math.inf:  # NaN or < 0 would drop the dozing silently
+                raise ValueError(f"{name} must be >= 0 and finite, got {mean!r}")
         rng = random.Random(seed)
         doze: List[DozeInterval] = []
         if mean_time_between_dozes > 0 and mean_doze_duration > 0:

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import main
-from repro.scenarios import RecordedTrace, get_scenario
+from repro.scenarios import RecordedTrace, ScenarioError, get_scenario, load_scenario
 from repro.scenarios.cli import scenario_main
+from repro.sim import simulation
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -75,6 +76,48 @@ class TestRunExitCodes:
         with pytest.raises(SystemExit) as err:
             scenario_main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "faults:\n  crashes: [{time: 1.0e6, downtime: .inf}]",
+            "faults:\n  crashes: [{time: .nan, downtime: 1.0e5}]",
+            "config:\n  server_txn_interval: .inf",
+            "faults:\n  seeded: {horizon: 1.0e6, mean_time_between_dozes: .inf,"
+            " mean_doze_duration: 1.0e4}",
+            "faults:\n  seeded: {horizon: 1.0e6, mean_time_between_dozes: .nan,"
+            " mean_doze_duration: 1.0e4}",
+            "config:\n  mean_inter_operation_delay: .nan",
+            "faults:\n  doze: [{client: 0, start: 0.0, duration: .inf}]",
+            "config:\n  restart_delay: .nan",
+            "config:\n  cache_currency_bound: .nan",
+            "protocols: [group-matrix]\nconfig:\n  num_objects: 8\n"
+            "  num_groups: 16",
+        ],
+        ids=[
+            "endless-downtime", "nan-crash-time", "inf-server-interval",
+            "inf-doze-mean", "nan-doze-mean", "nan-operation-delay",
+            "endless-doze", "nan-restart-delay", "nan-currency-bound",
+            "more-groups-than-objects",
+        ],
+    )
+    def test_a_hostile_document_is_refused_at_load(
+        self, body, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "hostile.yaml"
+        path.write_text(f"format_version: 1\nname: hostile\nseed: 5\n{body}\n")
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
+
+        def must_not_run(*args, **kwargs):  # a document that loads would hang here
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(simulation, "run_simulation", must_not_run)
+        with pytest.raises(SystemExit) as err:
+            scenario_main(["run", str(path)])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_output_json_summary(self, capsys, tmp_path):
         out_path = tmp_path / "summary.json"

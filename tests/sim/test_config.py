@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import pathlib
 import re
 
@@ -87,11 +88,35 @@ class TestValidation:
             ("cache_currency_bound", -1.0),
             ("cache_capacity", 0),
             ("seed", -1),
+            # non-finite floats: NaN passes every range comparison, and an
+            # infinite interval or delay never ends a run
+            ("server_txn_interval", math.inf),
+            ("server_txn_interval", math.nan),
+            ("mean_inter_operation_delay", math.nan),
+            ("mean_inter_transaction_delay", math.inf),
+            ("restart_delay", math.nan),
+            ("restart_delay", math.inf),
+            ("cache_currency_bound", math.nan),
+            ("cache_currency_bound", math.inf),
+            ("server_read_probability", math.nan),
+            ("hot_fraction", math.nan),
+            ("client_access_skew", -math.inf),
+            ("broadcast_loss_probability", math.nan),
+            ("client_update_fraction", math.nan),
         ],
     )
     def test_range_checked_fields(self, field, bad):
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: bad})
+
+    def test_group_matrix_has_at_most_one_group_per_object(self):
+        assert SimulationConfig(
+            protocol="group-matrix", num_objects=8, num_groups=8
+        ).partition().num_groups == 8
+        with pytest.raises(ValueError, match="num_groups"):
+            SimulationConfig(protocol="group-matrix", num_objects=8, num_groups=16)
+        # the other protocols never build a partition
+        SimulationConfig(num_objects=8, num_groups=16)
 
 
 class TestDerived:

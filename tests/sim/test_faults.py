@@ -9,6 +9,7 @@ the ``faults/*`` corpus rows and generated documents with a fault
 section); the equivalence classes here narrow it to one executor.
 """
 
+import math
 import subprocess
 import sys
 
@@ -54,6 +55,14 @@ class TestDozeIntervalValidation:
         with pytest.raises(ValueError, match="duration"):
             DozeInterval(0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "start,duration",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)],
+    )
+    def test_non_finite_times_rejected(self, start, duration):
+        with pytest.raises(ValueError, match="finite"):
+            DozeInterval(0, start, duration)
+
     def test_end_property(self):
         assert DozeInterval(0, 10.0, 5.0).end == 15.0
 
@@ -66,6 +75,19 @@ class TestServerCrashValidation:
     def test_nonpositive_downtime_rejected(self):
         with pytest.raises(ValueError, match="downtime"):
             ServerCrash(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "time,downtime,field",
+        [
+            (math.nan, 1.0, "crash time"),
+            (math.inf, 1.0, "crash time"),
+            (1.0, math.nan, "downtime"),
+            (1.0, math.inf, "downtime"),  # the air would stay dead forever
+        ],
+    )
+    def test_non_finite_times_rejected(self, time, downtime, field):
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
+            ServerCrash(time, downtime)
 
 
 class TestFaultPlanValidation:
@@ -127,6 +149,18 @@ class TestFaultPlanValidation:
 
     def test_seeded_zero_means_disable_doze(self):
         assert FaultPlan.seeded(3, num_clients=2, horizon=1000.0).is_noop
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "field", ["mean_time_between_dozes", "mean_doze_duration"]
+    )
+    def test_seeded_bad_means_rejected(self, field, bad):
+        # NaN and negative means compared false and silently disabled
+        # dozing; inf divided by zero inside the exponential draw
+        means = {"mean_time_between_dozes": 1.0e5, "mean_doze_duration": 1.0e4}
+        means[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be >= 0 and finite"):
+            FaultPlan.seeded(3, num_clients=2, horizon=1.0e6, **means)
 
 
 class TestConfigIntegration:
